@@ -1,66 +1,14 @@
-"""Bit-level plumbing: MSB-first bit streams, LEB128 varints, and canonical
-codeword assignment from length lists."""
+"""Bit-level plumbing: LEB128 varints, the length cap, exact Kraft sums and
+canonical codeword assignment from length lists."""
 from __future__ import annotations
 
 from .errors import ContainerError
 
 __all__ = [
-    "BitWriter", "BitReader", "uleb128_encode", "uleb128_decode",
+    "uleb128_encode", "uleb128_decode", "uleb128_encode_all",
+    "uleb128_decode_all", "check_length_cap",
     "kraft_total", "canonical_codewords", "canonical_with_spine",
 ]
-
-
-class BitWriter:
-    """Accumulates bits MSB-first; bytes() zero-pads the final byte."""
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._cur = 0
-        self._nbits = 0   # bits pending in _cur, < 8
-        self.bit_count = 0
-
-    def write_bits(self, bits: str) -> None:
-        cur, nbits = self._cur, self._nbits
-        for ch in bits:
-            cur = (cur << 1) | (ch == "1")
-            nbits += 1
-            if nbits == 8:
-                self._buf.append(cur)
-                cur, nbits = 0, 0
-        self._cur, self._nbits = cur, nbits
-        self.bit_count += len(bits)
-
-    def getvalue(self) -> bytes:
-        out = bytes(self._buf)
-        if self._nbits:
-            out += bytes([self._cur << (8 - self._nbits)])
-        return out
-
-
-class BitReader:
-    """Reads bits MSB-first from a byte buffer starting at a byte offset."""
-
-    def __init__(self, data: bytes, start: int = 0) -> None:
-        self._data = data
-        self._pos = start * 8
-
-    @property
-    def bits_read(self) -> int:
-        return self._pos
-
-    def remaining_bits(self) -> int:
-        return len(self._data) * 8 - self._pos
-
-    def read_bit(self) -> int:
-        if self._pos >= len(self._data) * 8:
-            raise ContainerError("truncated payload")
-        byte = self._data[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
-
-    def padding_is_zero(self) -> bool:
-        return all(self.read_bit() == 0 for _ in range(self.remaining_bits()))
 
 
 def uleb128_encode(value: int) -> bytes:
@@ -73,6 +21,14 @@ def uleb128_encode(value: int) -> bytes:
         out.append(byte | (0x80 if value else 0))
         if not value:
             return bytes(out)
+
+
+def uleb128_encode_all(values) -> bytes:
+    """The concatenated varints of values."""
+    values = list(values)
+    if values and min(values) >= 0 and max(values) < 0x80:
+        return bytes(values)            # one byte each
+    return b"".join(map(uleb128_encode, values))
 
 
 def uleb128_decode(data: bytes, offset: int) -> tuple[int, int]:
@@ -92,6 +48,31 @@ def uleb128_decode(data: bytes, offset: int) -> tuple[int, int]:
             raise ContainerError("header varint too long")
 
 
+def uleb128_decode_all(data: bytes, offset: int, n: int) -> tuple[list[int], int]:
+    """n consecutive varints -> (values, next offset)."""
+    chunk = data[offset:offset + n]
+    if len(chunk) == n and max(chunk, default=0) < 0x80:
+        return list(chunk), offset + n  # one byte each
+    values = []
+    for _ in range(n):
+        value, offset = uleb128_decode(data, offset)
+        values.append(value)
+    return values, offset
+
+
+def check_length_cap(lengths, alphabet_size: int) -> None:
+    """Refuse a codeword length above the alphabet size.
+
+    A Kraft-complete code on n >= 2 symbols has no word longer than n - 1
+    bits, so the cap refuses no complete code. It bounds the O(L) work of
+    kraft_total and the decoder's L-bit window by the descriptor's size.
+    """
+    longest = max(lengths, default=0)
+    if longest > alphabet_size:
+        raise ValueError(f"codeword length {longest} exceeds the alphabet "
+                         f"size {alphabet_size}")
+
+
 def kraft_total(lengths, extra_length: int = 0) -> tuple[int, int]:
     """Exact Kraft sum as a pair (numerator, 2**scale): sum of 2**-l plus an
     optional extra 2**-extra_length, in integer arithmetic."""
@@ -105,21 +86,21 @@ def kraft_total(lengths, extra_length: int = 0) -> tuple[int, int]:
 def canonical_codewords(lengths) -> tuple[str, ...]:
     """Assign codewords in (length, index) order, each starting where the
     previous ended; needs Kraft sum <= 1."""
-    lengths = [int(l) for l in lengths]
-    if any(l < 1 for l in lengths):
+    lengths = list(map(int, lengths))
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    if order and lengths[order[0]] < 1:
         raise ValueError("lengths must be positive")
-    num, den = kraft_total(lengths)
-    if num > den:
-        raise ValueError("lengths violate the Kraft inequality")
     out = [""] * len(lengths)
-    code = 0
-    prev = None
-    for length, i in sorted((l, i) for i, l in enumerate(lengths)):
-        if prev is not None:
-            code <<= length - prev
-        out[i] = format(code, "b").zfill(length)
+    code = prev = 0
+    for i in order:
+        length = lengths[i]
+        code <<= length - prev
+        out[i] = bin(code + (1 << length))[3:]  # the leading 1 keeps zeros
         code += 1
         prev = length
+    # code is now the Kraft numerator over 2**prev
+    if code > 1 << prev:
+        raise ValueError("lengths violate the Kraft inequality")
     return tuple(out)
 
 
@@ -132,6 +113,8 @@ def canonical_with_spine(lengths, spine_length: int) -> tuple[tuple[str, ...], s
     """
     if spine_length < 1:
         raise ValueError("spine length must be positive")
+    lengths = list(map(int, lengths))
+    check_length_cap(lengths + [spine_length], len(lengths) + 1)
     num, den = kraft_total(lengths, extra_length=spine_length)
     if num != den:
         raise ValueError("head lengths plus spine must be Kraft-complete")

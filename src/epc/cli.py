@@ -44,7 +44,10 @@ def _parse_penalty(text: str):
         base = float(arg)
         return Linear() if base == 1.0 else Exponential(base)
     if sep and kind == "dth":
-        return DthRedundancy(int(arg))
+        order = float(arg)
+        if not math.isfinite(order):
+            raise ValueError(f"dth order must be finite, got {arg!r}")
+        return DthRedundancy(order)
     raise ValueError(f"unknown penalty {text!r}")
 
 

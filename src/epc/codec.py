@@ -4,15 +4,25 @@ Container layout: magic "EPC1", one version byte, a tagged code descriptor
 (Golomb parameter, explicit canonical lengths, or unary-ended head lengths),
 a 64-bit little-endian symbol count, then the payload bits MSB-first and
 zero-padded to a byte boundary.
+
+Both directions work on the payload as one string of "0"/"1" characters:
+encode joins one codeword string per symbol and converts the whole string
+once, decode formats the payload once and walks it by index. Golomb words
+are decoded arithmetically; explicit and unary-ended words through
+canonical first-code/limit tables (Moffat & Turpin, "On the implementation
+of minimum-redundancy prefix codes", IEEE Trans. Commun. 1997).
 """
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
-from .bits import (BitReader, BitWriter, canonical_codewords,
-                   canonical_with_spine, uleb128_decode, uleb128_encode)
+from .bits import (canonical_codewords, canonical_with_spine,
+                   check_length_cap, uleb128_decode, uleb128_decode_all,
+                   uleb128_encode, uleb128_encode_all)
 from .errors import ContainerError
 from .golomb import GolombCode
 from .light_tail import UnaryEndedCode
@@ -28,6 +38,12 @@ _TAG_EXPLICIT = 0x02
 _TAG_UNARY_ENDED = 0x03
 
 
+def _check_alphabet(lengths) -> None:
+    if not lengths:
+        raise ValueError("need at least one codeword")
+    check_length_cap(lengths, len(lengths))
+
+
 @dataclass(frozen=True)
 class ExplicitCode:
     """Finite prefix code in canonical order, so lengths identify it."""
@@ -37,17 +53,22 @@ class ExplicitCode:
     def __post_init__(self) -> None:
         object.__setattr__(self, "codewords",
                            tuple(str(w) for w in self.codewords))
-        if not self.codewords:
-            raise ValueError("need at least one codeword")
         if any(not w or set(w) - {"0", "1"} for w in self.codewords):
             raise ValueError("codewords must be nonempty bit strings")
-        if self.codewords != canonical_codewords(len(w) for w in self.codewords):
+        lengths = [len(w) for w in self.codewords]
+        _check_alphabet(lengths)
+        if self.codewords != canonical_codewords(lengths):
             raise ValueError(
                 "explicit codes are stored canonically; build via from_lengths")
 
     @classmethod
     def from_lengths(cls, lengths) -> "ExplicitCode":
-        return cls(canonical_codewords(lengths))
+        lengths = list(map(int, lengths))
+        _check_alphabet(lengths)
+        # canonical by construction, so __post_init__'s recheck is skipped
+        code = object.__new__(cls)
+        object.__setattr__(code, "codewords", canonical_codewords(lengths))
+        return code
 
     @property
     def lengths(self) -> tuple[int, ...]:
@@ -71,26 +92,58 @@ def _descriptor(code: CodeSpec) -> bytes:
         return bytes([_TAG_GOLOMB]) + uleb128_encode(code.k)
     if isinstance(code, ExplicitCode):
         out = bytes([_TAG_EXPLICIT]) + uleb128_encode(len(code.codewords))
-        return out + b"".join(uleb128_encode(l) for l in code.lengths)
+        return out + uleb128_encode_all(code.lengths)
     if isinstance(code, UnaryEndedCode):
         out = bytes([_TAG_UNARY_ENDED]) + uleb128_encode(code.split)
-        lens = list(code.head_lengths) + [len(code.tail_prefix)]
-        return out + b"".join(uleb128_encode(l) for l in lens)
+        return out + uleb128_encode_all(code.head_lengths
+                                        + (len(code.tail_prefix),))
     raise TypeError(f"not a code spec: {code!r}")
 
 
-def encode(symbols, code: CodeSpec) -> bytes:
-    writer = BitWriter()
-    count = 0
-    for sym in symbols:
-        sym = int(sym)
-        if sym < 0:
-            raise ValueError("symbols are nonnegative")
-        writer.write_bits(code.codeword(sym))
-        count += 1
-    header = MAGIC + bytes([VERSION]) + _descriptor(code)
-    return header + struct.pack("<Q", count) + writer.getvalue()
+# ------------------------------------------------------------------- encode
 
+def _symbol(sym) -> int:
+    sym = int(sym)
+    if sym < 0:
+        raise ValueError("symbols are nonnegative")
+    return sym
+
+
+def _word_builder(code: CodeSpec):
+    """sym -> codeword string, equal to code.codeword(sym)."""
+    if not isinstance(code, GolombCode):
+        return lambda sym: code.codeword(_symbol(sym))
+    k, g, z = code.k, code.suffix_bits, code.short_count
+    short_fmt, long_fmt = f"0{g - 1}b", f"0{g}b"
+
+    def golomb_word(sym) -> str:
+        q, r = divmod(_symbol(sym), k)
+        if g == 1:
+            suffix = ""
+        elif r < z:
+            suffix = format(r, short_fmt)
+        else:
+            suffix = format(r + z, long_fmt)
+        return "1" * q + "0" + suffix
+    return golomb_word
+
+
+def encode(symbols, code: CodeSpec) -> bytes:
+    header = MAGIC + bytes([VERSION]) + _descriptor(code)
+    if not isinstance(symbols, (list, tuple)):
+        symbols = list(symbols)
+    # one codeword per distinct symbol, built in first-seen order
+    words = dict.fromkeys(symbols)
+    word = _word_builder(code)
+    for sym in words:
+        words[sym] = word(sym)
+    bits = "".join(map(words.__getitem__, symbols))
+    bits += "0" * (-len(bits) % 8)
+    payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+    return header + struct.pack("<Q", len(symbols)) + payload
+
+
+# ------------------------------------------------------------------- decode
 
 def _parse_descriptor(data: bytes, offset: int) -> tuple[CodeSpec, int]:
     if offset >= len(data):
@@ -103,17 +156,11 @@ def _parse_descriptor(data: bytes, offset: int) -> tuple[CodeSpec, int]:
             return GolombCode(k), offset
         if tag == _TAG_EXPLICIT:
             count, offset = uleb128_decode(data, offset)
-            lengths = []
-            for _ in range(count):
-                l, offset = uleb128_decode(data, offset)
-                lengths.append(l)
+            lengths, offset = uleb128_decode_all(data, offset, count)
             return ExplicitCode.from_lengths(lengths), offset
         if tag == _TAG_UNARY_ENDED:
             split, offset = uleb128_decode(data, offset)
-            lengths = []
-            for _ in range(split + 2):
-                l, offset = uleb128_decode(data, offset)
-                lengths.append(l)
+            lengths, offset = uleb128_decode_all(data, offset, split + 2)
             head, spine = canonical_with_spine(lengths[:-1], lengths[-1])
             return UnaryEndedCode(head, spine), offset
     except ValueError as exc:
@@ -121,49 +168,84 @@ def _parse_descriptor(data: bytes, offset: int) -> tuple[CodeSpec, int]:
     raise ContainerError(f"unknown code descriptor tag {tag:#x}")
 
 
-def _read_symbol(reader: BitReader, code: CodeSpec, table) -> int:
-    if isinstance(code, GolombCode):
-        run = 0
-        while reader.read_bit():
-            run += 1
-        g = code.suffix_bits
-        if g == 1:
-            return run * code.k
-        value = 0
-        for _ in range(g - 1):
-            value = (value << 1) | reader.read_bit()
-        if value >= code.short_count:
-            value = ((value << 1) | reader.read_bit()) - code.short_count
-        return run * code.k + value
-    # table-driven walk for the finite(-headed) codes
-    word = ""
-    limit = table["limit"]
-    while len(word) <= limit:
-        word += "1" if reader.read_bit() else "0"
-        sym = table["words"].get(word)
-        if sym is not None:
-            return sym
-        if word == table.get("tail_prefix"):
-            run = 0
-            while reader.read_bit():
-                run += 1
-            return table["tail_start"] + run
-    raise ContainerError("payload does not match the declared code")
+def _decode_golomb(bits: str, count: int, code: GolombCode):
+    """-> (symbols, bits consumed); may overrun len(bits) on a truncated
+    payload, which the caller reports."""
+    k, g, z = code.k, code.suffix_bits, code.short_count
+    find = bits.find
+    out = []
+    append = out.append
+    pos = 0
+    for _ in range(count):
+        end = find("0", pos)
+        if end < 0:
+            raise ContainerError("truncated payload")
+        value = (end - pos) * k
+        pos = end + g            # past the zero and the short suffix
+        if g > 1:
+            r = int(bits[end + 1:pos], 2)
+            if r >= z:
+                r += r - z + (bits[pos] == "1")
+                pos += 1
+            value += r
+        append(value)
+    return out, pos
 
 
-def _decode_table(code: CodeSpec) -> dict:
-    if isinstance(code, GolombCode):
-        return {}
+def _decode_table(code: CodeSpec):
+    """Canonical decoding rows for an explicit or unary-ended code.
+
+    A window w of the next L bits (L the longest length, spine included)
+    decodes through the first row whose left-justified limit exceeds w; a
+    row of length l holds symbol order[(w >> (L - l)) - delta]. The
+    unary-ended spine, the top of code space, is one more limit, 2**L, past
+    the rows.
+    """
     if isinstance(code, ExplicitCode):
-        return {"words": {w: i for i, w in enumerate(code.codewords)},
-                "limit": max(len(w) for w in code.codewords)}
-    if isinstance(code, UnaryEndedCode):
-        return {"words": {w: i for i, w in enumerate(code.head_codewords)},
-                "tail_prefix": code.tail_prefix,
-                "tail_start": code.tail_start,
-                "limit": max(max(len(w) for w in code.head_codewords),
-                             len(code.tail_prefix))}
-    raise TypeError(f"not a code spec: {code!r}")
+        lengths, spine = code.lengths, 0
+    else:
+        lengths, spine = code.head_lengths, len(code.tail_prefix)
+    width = max(max(lengths), spine)
+    limits, rows = [], []
+    first = base = 0        # first is left-justified to width bits
+    for length, n in sorted(Counter(lengths).items()):
+        shift = width - length
+        rows.append((length, shift, (first >> shift) - base))
+        first += n << shift
+        limits.append(first)
+        base += n
+    if spine:
+        limits.append(1 << width)
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    return width, limits, rows, order, spine
+
+
+def _decode_canonical(bits: str, count: int, code: CodeSpec):
+    """-> (symbols, bits consumed) for the table-decoded families."""
+    width, limits, rows, order, spine = _decode_table(code)
+    past_rows = len(rows)
+    tail_start = len(order)
+    bits += "0" * width     # full windows at the end; an overrun shows in pos
+    find = bits.find
+    out = []
+    append = out.append
+    pos = 0
+    for _ in range(count):
+        w = int(bits[pos:pos + width], 2)
+        i = bisect_right(limits, w)
+        if i == past_rows:
+            if not spine:
+                raise ContainerError("payload does not match the declared code")
+            # w has a one in the real bits, so a padding zero lies ahead
+            pos += spine
+            end = find("0", pos)
+            append(tail_start + end - pos)
+            pos = end + 1
+            continue
+        length, shift, delta = rows[i]
+        append(order[(w >> shift) - delta])
+        pos += length
+    return out, pos
 
 
 def read_container(data: bytes) -> tuple[CodeSpec, list[int]]:
@@ -177,12 +259,24 @@ def read_container(data: bytes) -> tuple[CodeSpec, list[int]]:
     if offset + 8 > len(data):
         raise ContainerError("truncated header")
     (count,) = struct.unpack_from("<Q", data, offset)
-    reader = BitReader(data, offset + 8)
-    table = _decode_table(code)
-    symbols = [_read_symbol(reader, code, table) for _ in range(count)]
-    if reader.remaining_bits() >= 8:
+    payload = data[offset + 8:]
+    nbits = 8 * len(payload)
+    if count > nbits:   # every codeword has at least one bit
+        raise ContainerError(
+            f"declared count {count} exceeds the {nbits} payload bits")
+    bits = format(int.from_bytes(payload, "big"), f"0{nbits}b") if nbits else ""
+    try:
+        if isinstance(code, GolombCode):
+            symbols, pos = _decode_golomb(bits, count, code)
+        else:
+            symbols, pos = _decode_canonical(bits, count, code)
+    except (ValueError, IndexError):    # a window or suffix past the end
+        raise ContainerError("truncated payload") from None
+    if pos > nbits:
+        raise ContainerError("truncated payload")
+    if nbits - pos >= 8:
         raise ContainerError("extra bytes after the payload")
-    if not reader.padding_is_zero():
+    if "1" in bits[pos:nbits]:
         raise ContainerError("nonzero padding bits")
     return code, symbols
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bits import canonical_with_spine, kraft_total
+from .bits import canonical_with_spine, check_length_cap, kraft_total
 from .errors import NotLightTailedError
 from .huffman import exp_huffman, maxred_huffman
 from .models import (ExplicitFinite, ExplicitTailed, Geometric, LengthSeq,
@@ -51,8 +51,9 @@ class UnaryEndedCode:
         for a, b in zip(ordered, ordered[1:]):
             if b.startswith(a):
                 raise ValueError(f"codeword {a!r} is a prefix of {b!r}")
-        num, den = kraft_total([len(w) for w in self.head_codewords],
-                               extra_length=len(self.tail_prefix))
+        lengths = [len(w) for w in words]
+        check_length_cap(lengths, len(words))
+        num, den = kraft_total(lengths[:-1], extra_length=lengths[-1])
         if num != den:
             raise ValueError("code is not Kraft-complete")
 

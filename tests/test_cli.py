@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from epc import golomb_exp_penalty
+from epc import golomb_exp_penalty, optimal_k_dth
 from epc.cli import run
 
 
@@ -11,6 +11,15 @@ def test_optimize_geometric(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "Golomb k=7"
     assert out[1].startswith("penalty ")
+
+
+def test_optimize_fractional_dth_order(capsys):
+    assert run(["optimize", "--geometric", "0.8", "--penalty", "dth:1.5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"Golomb k={optimal_k_dth(0.8, 1.5)}"
+    # a non-finite order stays a usage error
+    assert run(["optimize", "--geometric", "0.8", "--penalty", "dth:inf"]) == 2
+    capsys.readouterr()
 
 
 def test_optimize_linear_alias(capsys):

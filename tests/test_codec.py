@@ -1,11 +1,18 @@
 import random
+import struct
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epc import (ContainerError, ExplicitCode, GolombCode, Poisson,
-                 UnaryEndedCode, build_unary_ended, decode, encode,
-                 read_container)
+                 UnaryEndedCode, build_unary_ended, build_unary_ended_mmr,
+                 decode, encode, read_container)
 from oracles import kraft_fraction
+
+# derandomized: every run draws the same examples and writes no database
+SEEDED = settings(derandomize=True, database=None, deadline=None)
 
 
 def test_frozen_byte_vector():
@@ -134,3 +141,154 @@ def test_unary_descriptor_roundtrip():
     blob = encode([0, 1, 2, 5], code)
     got, symbols = read_container(blob)
     assert got == code and symbols == [0, 1, 2, 5]
+
+
+def test_explicit_lengths_capped_at_alphabet_size():
+    assert ExplicitCode.from_lengths((1, 2)).codewords == ("0", "10")
+    with pytest.raises(ValueError, match="alphabet size"):
+        ExplicitCode.from_lengths((1, 3))      # Kraft-valid, over the cap
+    with pytest.raises(ValueError, match="alphabet size"):
+        ExplicitCode(("0", "100"))
+    with pytest.raises(ValueError, match="alphabet size"):
+        UnaryEndedCode(("0",), "11111")
+
+
+# varints: 2**23 is 80 80 80 04, 2**40 is 80 80 80 80 80 20
+@pytest.mark.parametrize("descriptor", [
+    b"\x02\x02\x01\x80\x80\x80\x04",            # explicit (1, 2**23)
+    b"\x02\x02\x01\x80\x80\x80\x80\x80\x20",    # explicit (1, 2**40)
+    b"\x03\x00\x01\x80\x80\x80\x80\x80\x20",    # unary-ended, spine 2**40
+], ids=["explicit-2^23", "explicit-2^40", "unary-ended-2^40"])
+def test_overlong_declared_length_fails_fast(descriptor):
+    blob = b"EPC1\x01" + descriptor + struct.pack("<Q", 1) + b"\x00"
+    start = time.perf_counter()
+    with pytest.raises(ContainerError, match="alphabet size"):
+        decode(blob)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_truncated_inside_last_codeword():
+    # Golomb k=3: 00 00 00, then "10" whose suffix bit is missing
+    blob = b"EPC1\x01\x01\x03" + struct.pack("<Q", 4) + b"\x02"
+    with pytest.raises(ContainerError, match="truncated"):
+        decode(blob)
+    # lengths (2, 2): four words fill the byte, the fifth and sixth do not
+    blob = encode([0, 0, 0, 0], ExplicitCode.from_lengths((2, 2)))
+    blob = blob[:-9] + struct.pack("<Q", 6) + blob[-1:]
+    with pytest.raises(ContainerError, match="truncated"):
+        decode(blob)
+
+
+def test_count_beyond_payload_bits_fails_fast():
+    blob = b"EPC1\x01\x01\x03" + struct.pack("<Q", 2 ** 64 - 1) + b"\x00"
+    start = time.perf_counter()
+    with pytest.raises(ContainerError, match="exceeds"):
+        decode(blob)
+    assert time.perf_counter() - start < 0.05
+
+
+# ------------------------------------------ seeded property-based tests
+
+def _packed(bits: str) -> bytes:
+    """Reference packing: MSB first, zero-padded, one byte per 8 bits."""
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def _golomb_params():
+    edges = sorted({2 ** m + d for m in range(21) for d in (-1, 0, 1)
+                    if 1 <= 2 ** m + d <= 2 ** 20})
+    return st.one_of(st.sampled_from(edges), st.integers(1, 2 ** 20))
+
+
+@st.composite
+def _explicit_lengths(draw):
+    """Leaf depths of a random full binary tree, optionally with leaves
+    dropped (a Kraft-incomplete code), kept within the length cap."""
+    lengths = [0]
+    for _ in range(draw(st.integers(0, 24))):
+        i = draw(st.integers(0, len(lengths) - 1))
+        lengths[i:i + 1] = [lengths[i] + 1] * 2
+    lengths = [max(l, 1) for l in lengths]
+    if len(lengths) > 1 and draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(lengths),
+                             max_size=len(lengths)))
+        lengths = [l for l, k in zip(lengths, keep) if k] or lengths[:1]
+    n = len(lengths)
+    lengths = [min(l, n) for l in lengths]
+    if kraft_fraction(lengths) > 1:     # the clamp can overfill code space
+        lengths = [n] * n
+    return lengths
+
+
+@st.composite
+def _code_and_symbols(draw):
+    family = draw(st.sampled_from(["golomb", "explicit", "unary"]))
+    if family == "golomb":
+        code = GolombCode(draw(_golomb_params()))
+        top = 4 * code.k + 40
+    elif family == "explicit":
+        code = ExplicitCode.from_lengths(draw(_explicit_lengths()))
+        top = len(code.codewords) - 1
+    else:
+        source = Poisson(draw(st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0])))
+        build = draw(st.sampled_from([
+            lambda m: build_unary_ended(m, 1.0),
+            lambda m: build_unary_ended(m, 2.0),
+            build_unary_ended_mmr]))
+        code = build(source)
+        top = code.tail_start + 60
+    symbols = draw(st.lists(st.integers(0, top), max_size=80))
+    return code, symbols
+
+
+@settings(SEEDED, max_examples=300)
+@given(_code_and_symbols())
+def test_codec_matches_reference_codewords(case):
+    code, symbols = case
+    blob = encode(symbols, code)
+    header = encode([], code)[:-8]
+    assert blob[:len(header)] == header
+    assert blob[len(header):len(header) + 8] == struct.pack("<Q", len(symbols))
+    reference = "".join(code.codeword(s) for s in symbols)
+    assert blob[len(header) + 8:] == _packed(reference)
+    back, decoded = read_container(blob)
+    assert decoded == symbols and back == code
+
+
+@st.composite
+def _hostile_container(draw):
+    code, symbols = draw(_code_and_symbols())
+    blob = bytearray(encode(symbols, code))
+    count_at = len(encode([], code)) - 8
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["flip", "truncate", "append",
+                                     "descriptor", "count", "random"]))
+        if kind == "flip" and blob:
+            bit = draw(st.integers(0, 8 * len(blob) - 1))
+            blob[bit // 8] ^= 0x80 >> (bit % 8)
+        elif kind == "truncate":
+            del blob[draw(st.integers(0, len(blob))):]
+        elif kind == "append":
+            blob += draw(st.binary(min_size=1, max_size=8))
+        elif kind == "descriptor" and len(blob) > 5:
+            at = draw(st.integers(5, min(len(blob), 16) - 1))
+            blob[at:at + 1] = draw(st.binary(min_size=0, max_size=6))
+        elif kind == "count" and len(blob) >= count_at + 8:
+            count = draw(st.one_of(st.integers(0, 8 * len(blob)),
+                                   st.integers(0, 2 ** 64 - 1)))
+            blob[count_at:count_at + 8] = struct.pack("<Q", count)
+        elif kind == "random":
+            blob = bytearray(b"EPC1\x01" + draw(st.binary(max_size=40)))
+    return bytes(blob)
+
+
+@settings(SEEDED, max_examples=500)
+@given(_hostile_container())
+def test_mutated_containers_decode_or_raise_container_error(blob):
+    start = time.perf_counter()
+    try:
+        decode(blob)
+    except ContainerError:
+        pass
+    assert time.perf_counter() - start < 0.5
