@@ -5,9 +5,9 @@ from __future__ import annotations
 from .errors import ContainerError
 
 __all__ = [
-    "uleb128_encode", "uleb128_decode", "uleb128_encode_all",
-    "uleb128_decode_all", "check_length_cap",
-    "kraft_total", "canonical_codewords", "canonical_with_spine",
+    "uleb128_encode", "uleb128_decode", "uleb128_decode_all",
+    "check_length_cap", "kraft_total", "canonical_codewords",
+    "canonical_with_spine",
 ]
 
 
@@ -21,14 +21,6 @@ def uleb128_encode(value: int) -> bytes:
         out.append(byte | (0x80 if value else 0))
         if not value:
             return bytes(out)
-
-
-def uleb128_encode_all(values) -> bytes:
-    """The concatenated varints of values."""
-    values = list(values)
-    if values and min(values) >= 0 and max(values) < 0x80:
-        return bytes(values)            # one byte each
-    return b"".join(map(uleb128_encode, values))
 
 
 def uleb128_decode(data: bytes, offset: int) -> tuple[int, int]:
@@ -50,9 +42,6 @@ def uleb128_decode(data: bytes, offset: int) -> tuple[int, int]:
 
 def uleb128_decode_all(data: bytes, offset: int, n: int) -> tuple[list[int], int]:
     """n consecutive varints -> (values, next offset)."""
-    chunk = data[offset:offset + n]
-    if len(chunk) == n and max(chunk, default=0) < 0x80:
-        return list(chunk), offset + n  # one byte each
     values = []
     for _ in range(n):
         value, offset = uleb128_decode(data, offset)

@@ -22,7 +22,7 @@ from typing import Union
 
 from .bits import (canonical_codewords, canonical_with_spine,
                    check_length_cap, uleb128_decode, uleb128_decode_all,
-                   uleb128_encode, uleb128_encode_all)
+                   uleb128_encode)
 from .errors import ContainerError
 from .golomb import GolombCode
 from .light_tail import UnaryEndedCode
@@ -92,41 +92,15 @@ def _descriptor(code: CodeSpec) -> bytes:
         return bytes([_TAG_GOLOMB]) + uleb128_encode(code.k)
     if isinstance(code, ExplicitCode):
         out = bytes([_TAG_EXPLICIT]) + uleb128_encode(len(code.codewords))
-        return out + uleb128_encode_all(code.lengths)
+        return out + b"".join(map(uleb128_encode, code.lengths))
     if isinstance(code, UnaryEndedCode):
         out = bytes([_TAG_UNARY_ENDED]) + uleb128_encode(code.split)
-        return out + uleb128_encode_all(code.head_lengths
-                                        + (len(code.tail_prefix),))
+        lengths = code.head_lengths + (len(code.tail_prefix),)
+        return out + b"".join(map(uleb128_encode, lengths))
     raise TypeError(f"not a code spec: {code!r}")
 
 
 # ------------------------------------------------------------------- encode
-
-def _symbol(sym) -> int:
-    sym = int(sym)
-    if sym < 0:
-        raise ValueError("symbols are nonnegative")
-    return sym
-
-
-def _word_builder(code: CodeSpec):
-    """sym -> codeword string, equal to code.codeword(sym)."""
-    if not isinstance(code, GolombCode):
-        return lambda sym: code.codeword(_symbol(sym))
-    k, g, z = code.k, code.suffix_bits, code.short_count
-    short_fmt, long_fmt = f"0{g - 1}b", f"0{g}b"
-
-    def golomb_word(sym) -> str:
-        q, r = divmod(_symbol(sym), k)
-        if g == 1:
-            suffix = ""
-        elif r < z:
-            suffix = format(r, short_fmt)
-        else:
-            suffix = format(r + z, long_fmt)
-        return "1" * q + "0" + suffix
-    return golomb_word
-
 
 def encode(symbols, code: CodeSpec) -> bytes:
     header = MAGIC + bytes([VERSION]) + _descriptor(code)
@@ -134,9 +108,11 @@ def encode(symbols, code: CodeSpec) -> bytes:
         symbols = list(symbols)
     # one codeword per distinct symbol, built in first-seen order
     words = dict.fromkeys(symbols)
-    word = _word_builder(code)
     for sym in words:
-        words[sym] = word(sym)
+        value = int(sym)
+        if value < 0:
+            raise ValueError("symbols are nonnegative")
+        words[sym] = code.codeword(value)
     bits = "".join(map(words.__getitem__, symbols))
     bits += "0" * (-len(bits) % 8)
     payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
@@ -192,38 +168,57 @@ def _decode_golomb(bits: str, count: int, code: GolombCode):
     return out, pos
 
 
-def _decode_table(code: CodeSpec):
+# Words of at most this many bits decode from a window this wide; the
+# decoder reads the whole L-bit window only past them.
+_WINDOW = 64
+
+
+def _canonical_rows(code: CodeSpec):
     """Canonical decoding rows for an explicit or unary-ended code.
 
-    A window w of the next L bits (L the longest length, spine included)
-    decodes through the first row whose left-justified limit exceeds w; a
-    row of length l holds symbol order[(w >> (L - l)) - delta]. The
-    unary-ended spine, the top of code space, is one more limit, 2**L, past
-    the rows.
+    -> (L, ends, rows, order, spine), L the longest length, spine included.
+    Row i holds the words of one length l, rows shortest first, and ends[i]
+    is where it ends in code space, left-justified to L bits. With
+    rows[i] = (l, offset), a word of row i whose l bits read as v is symbol
+    order[v - offset]. The unary-ended spine, the top of code space, ends at
+    one more end, 2**L.
     """
     if isinstance(code, ExplicitCode):
         lengths, spine = code.lengths, 0
     else:
         lengths, spine = code.head_lengths, len(code.tail_prefix)
     width = max(max(lengths), spine)
-    limits, rows = [], []
+    ends, rows = [], []
     first = base = 0        # first is left-justified to width bits
     for length, n in sorted(Counter(lengths).items()):
         shift = width - length
-        rows.append((length, shift, (first >> shift) - base))
+        rows.append((length, (first >> shift) - base))
         first += n << shift
-        limits.append(first)
+        ends.append(first)
         base += n
     if spine:
-        limits.append(1 << width)
+        ends.append(1 << width)
     order = sorted(range(len(lengths)), key=lengths.__getitem__)
-    return width, limits, rows, order, spine
+    return width, ends, rows, order, spine
 
 
 def _decode_canonical(bits: str, count: int, code: CodeSpec):
-    """-> (symbols, bits consumed) for the table-decoded families."""
-    width, limits, rows, order, spine = _decode_table(code)
+    """-> (symbols, bits consumed) for the table-decoded families.
+
+    A word of at most `window` = min(L, _WINDOW) bits costs O(window): a row
+    of length l <= window ends on a multiple of 2**(L - window), so the first
+    window bits against its end shifted right by L - window decide it
+    exactly. Past them, if some row is longer, the whole L-bit window
+    decides the row, the spine or no word.
+    """
+    width, ends, rows, order, spine = _canonical_rows(code)
+    window = min(width, _WINDOW)
+    drop = width - window
+    short = sum(length <= window for length, _ in rows)
+    limits = [end >> drop for end in ends[:short]]
     past_rows = len(rows)
+    rows = [(length, (window if i < short else width) - length, offset)
+            for i, (length, offset) in enumerate(rows)]
     tail_start = len(order)
     bits += "0" * width     # full windows at the end; an overrun shows in pos
     find = bits.find
@@ -231,8 +226,11 @@ def _decode_canonical(bits: str, count: int, code: CodeSpec):
     append = out.append
     pos = 0
     for _ in range(count):
-        w = int(bits[pos:pos + width], 2)
+        w = int(bits[pos:pos + window], 2)
         i = bisect_right(limits, w)
+        if i == short < past_rows:      # longer than the window, or no word
+            w = int(bits[pos:pos + width], 2)
+            i = bisect_right(ends, w, short)
         if i == past_rows:
             if not spine:
                 raise ContainerError("payload does not match the declared code")
@@ -242,8 +240,8 @@ def _decode_canonical(bits: str, count: int, code: CodeSpec):
             append(tail_start + end - pos)
             pos = end + 1
             continue
-        length, shift, delta = rows[i]
-        append(order[(w >> shift) - delta])
+        length, shift, offset = rows[i]
+        append(order[(w >> shift) - offset])
         pos += length
     return out, pos
 

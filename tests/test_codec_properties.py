@@ -1,0 +1,139 @@
+"""Seeded property-based tests of the container codec: a differential test
+against the reference codeword() strings and a fuzz test on mutated
+containers. Needs hypothesis (the `test` extra)."""
+import struct
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epc import (ContainerError, ExplicitCode, GolombCode, Poisson,
+                 UnaryEndedCode, build_unary_ended, build_unary_ended_mmr,
+                 decode, encode, read_container)
+from epc.bits import canonical_with_spine
+from oracles import kraft_fraction
+
+# derandomized: every run draws the same examples and writes no database
+SEEDED = settings(derandomize=True, database=None, deadline=None)
+
+
+def _packed(bits: str) -> bytes:
+    """Reference packing: MSB first, zero-padded, one byte per 8 bits."""
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def _golomb_params():
+    edges = sorted({2 ** m + d for m in range(21) for d in (-1, 0, 1)
+                    if 1 <= 2 ** m + d <= 2 ** 20})
+    return st.one_of(st.sampled_from(edges), st.integers(1, 2 ** 20))
+
+
+@st.composite
+def _explicit_lengths(draw):
+    """Leaf depths of a random full binary tree or of a deep chain,
+    optionally with leaves dropped (a Kraft-incomplete code), kept within
+    the length cap."""
+    if draw(st.booleans()):
+        lengths = [0]
+        for _ in range(draw(st.integers(0, 24))):
+            i = draw(st.integers(0, len(lengths) - 1))
+            lengths[i:i + 1] = [lengths[i] + 1] * 2
+        lengths = [max(l, 1) for l in lengths]
+    else:   # a chain 1, 2, ..., d-1, d-1, often past the 64-bit window
+        depth = draw(st.integers(2, 160))
+        lengths = list(range(1, depth)) + [depth - 1]
+    if len(lengths) > 1 and draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(lengths),
+                             max_size=len(lengths)))
+        lengths = [l for l, k in zip(lengths, keep) if k] or lengths[:1]
+    n = len(lengths)
+    lengths = [min(l, n) for l in lengths]
+    if kraft_fraction(lengths) > 1:     # the clamp can overfill code space
+        lengths = [n] * n
+    return lengths
+
+
+@st.composite
+def _code_and_symbols(draw):
+    family = draw(st.sampled_from(["golomb", "explicit", "unary",
+                                   "unary-deep"]))
+    if family == "golomb":
+        code = GolombCode(draw(_golomb_params()))
+        top = 4 * code.k + 40
+    elif family == "explicit":
+        code = ExplicitCode.from_lengths(draw(_explicit_lengths()))
+        top = len(code.codewords) - 1
+    elif family == "unary-deep":
+        # head lengths 1..d-1 and a spine of d-1, or a head of 1, 3..d, d
+        # under a 2-bit spine: long words with a long or a short spine
+        depth = draw(st.integers(3, 130))
+        if draw(st.booleans()):
+            code = UnaryEndedCode(*canonical_with_spine(range(1, depth),
+                                                        depth - 1))
+        else:
+            code = UnaryEndedCode(*canonical_with_spine(
+                [1, *range(3, depth + 1), depth], 2))
+        top = code.tail_start + 60
+    else:
+        source = Poisson(draw(st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0])))
+        build = draw(st.sampled_from([
+            lambda m: build_unary_ended(m, 1.0),
+            lambda m: build_unary_ended(m, 2.0),
+            build_unary_ended_mmr]))
+        code = build(source)
+        top = code.tail_start + 60
+    symbols = draw(st.lists(st.integers(0, top), max_size=80))
+    return code, symbols
+
+
+@settings(SEEDED, max_examples=300)
+@given(_code_and_symbols())
+def test_codec_matches_reference_codewords(case):
+    code, symbols = case
+    blob = encode(symbols, code)
+    header = encode([], code)[:-8]
+    assert blob[:len(header)] == header
+    assert blob[len(header):len(header) + 8] == struct.pack("<Q", len(symbols))
+    reference = "".join(code.codeword(s) for s in symbols)
+    assert blob[len(header) + 8:] == _packed(reference)
+    back, decoded = read_container(blob)
+    assert decoded == symbols and back == code
+
+
+@st.composite
+def _hostile_container(draw):
+    code, symbols = draw(_code_and_symbols())
+    blob = bytearray(encode(symbols, code))
+    count_at = len(encode([], code)) - 8
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["flip", "truncate", "append",
+                                     "descriptor", "count", "random"]))
+        if kind == "flip" and blob:
+            bit = draw(st.integers(0, 8 * len(blob) - 1))
+            blob[bit // 8] ^= 0x80 >> (bit % 8)
+        elif kind == "truncate":
+            del blob[draw(st.integers(0, len(blob))):]
+        elif kind == "append":
+            blob += draw(st.binary(min_size=1, max_size=8))
+        elif kind == "descriptor" and len(blob) > 5:
+            at = draw(st.integers(5, min(len(blob), 16) - 1))
+            blob[at:at + 1] = draw(st.binary(min_size=0, max_size=6))
+        elif kind == "count" and len(blob) >= count_at + 8:
+            count = draw(st.one_of(st.integers(0, 8 * len(blob)),
+                                   st.integers(0, 2 ** 64 - 1)))
+            blob[count_at:count_at + 8] = struct.pack("<Q", count)
+        elif kind == "random":
+            blob = bytearray(b"EPC1\x01" + draw(st.binary(max_size=40)))
+    return bytes(blob)
+
+
+@settings(SEEDED, max_examples=500)
+@given(_hostile_container())
+def test_mutated_containers_decode_or_raise_container_error(blob):
+    start = time.perf_counter()
+    try:
+        decode(blob)
+    except ContainerError:
+        pass
+    assert time.perf_counter() - start < 0.5
