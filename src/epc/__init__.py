@@ -22,7 +22,7 @@ from .golomb import (GolombCode, golomb_codeword, golomb_length,
                      golomb_mmr)
 from .light_tail import (UnaryEndedCode, find_split_exponential,
                          find_split_mmr, build_unary_ended,
-                         build_unary_ended_mmr)
+                         build_unary_ended_mmr, optimal_code)
 from .codec import ExplicitCode, encode, decode, read_container
 from .overflow import (Deterministic, ExponentialArrivals, GammaArrivals,
                        TableTransform, DecayRate, OverflowResult,
@@ -49,7 +49,7 @@ __all__ = [
     "optimal_k_exponential", "optimal_k_mmr", "optimal_k_dth",
     "golomb_exp_penalty", "golomb_dth_penalty", "golomb_mmr",
     "UnaryEndedCode", "find_split_exponential", "find_split_mmr",
-    "build_unary_ended", "build_unary_ended_mmr",
+    "build_unary_ended", "build_unary_ended_mmr", "optimal_code",
     "ExplicitCode", "encode", "decode", "read_container",
     "Deterministic", "ExponentialArrivals", "GammaArrivals",
     "TableTransform", "DecayRate", "OverflowResult", "overflow_functional",

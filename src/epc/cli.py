@@ -20,13 +20,12 @@ import sys
 from .analysis import SweepSpec, sweep
 from .codec import ExplicitCode, decode, encode
 from .errors import EpcError
-from .golomb import (GolombCode, golomb_dth_penalty, golomb_exp_penalty,
-                     golomb_mmr, optimal_k_dth, optimal_k_exponential,
-                     optimal_k_mmr)
-from .huffman import dth_huffman, exp_huffman, maxred_huffman
-from .light_tail import build_unary_ended, build_unary_ended_mmr
+from .golomb import GolombCode, golomb_penalty
+from .huffman import merge
+from .light_tail import optimal_code
 from .models import (DthRedundancy, ExplicitFinite, Exponential, Geometric,
-                     Linear, MaxRedundancy, Poisson, evaluate_penalty)
+                     LengthSeq, Linear, MaxRedundancy, Poisson,
+                     evaluate_penalty)
 from .overflow import (Deterministic, ExponentialArrivals, GammaArrivals,
                        TableTransform, optimize_overflow)
 
@@ -44,10 +43,7 @@ def _parse_penalty(text: str):
         base = float(arg)
         return Linear() if base == 1.0 else Exponential(base)
     if sep and kind == "dth":
-        order = float(arg)
-        if not math.isfinite(order):
-            raise ValueError(f"dth order must be finite, got {arg!r}")
-        return DthRedundancy(order)
+        return DthRedundancy(float(arg))
     raise ValueError(f"unknown penalty {text!r}")
 
 
@@ -78,66 +74,33 @@ def _model_from(args):
     return ExplicitFinite(tuple(x / total for x in w))
 
 
-def _print_lengths(lengths) -> None:
-    print("lengths " + ",".join(str(n) for n in lengths))
+def _print_tree(weights, penalty, label: str) -> int:
+    tree = merge(weights, penalty)
+    print(LengthSeq(tree.lengths))
+    print("%s %.12g" % (label, tree.objective))
+    return 0
 
 
 # ----------------------------------------------------------------- optimize
 
-def _golomb_for(ratio: float, penalty) -> tuple[GolombCode, float]:
-    if isinstance(penalty, Linear):
-        k = optimal_k_exponential(ratio, 1.0)
-        return GolombCode(k), golomb_exp_penalty(ratio, 1.0, k)
-    if isinstance(penalty, Exponential):
-        k = optimal_k_exponential(ratio, penalty.base)
-        return GolombCode(k), golomb_exp_penalty(ratio, penalty.base, k)
-    if isinstance(penalty, MaxRedundancy):
-        k = optimal_k_mmr(ratio)
-        return GolombCode(k), golomb_mmr(ratio, k)
-    k = optimal_k_dth(ratio, penalty.order)
-    return GolombCode(k), golomb_dth_penalty(ratio, penalty.order, k)
-
-
 def _cmd_optimize(args) -> int:
-    model = _model_from(args)
-    penalty = args.penalty
-    if isinstance(model, Geometric):
-        code, value = _golomb_for(model.ratio, penalty)
-        print(code)
-    elif isinstance(model, ExplicitFinite):
-        tree = _run_engine(model.probs, penalty)
-        _print_lengths(tree.lengths)
-        value = tree.objective
+    model, penalty = _model_from(args), args.penalty
+    if isinstance(model, ExplicitFinite):
+        # the engine's own objective; a re-evaluation can differ in the last
+        # printed digit
+        return _print_tree(model.probs, penalty, "penalty")
+    code = optimal_code(model, penalty)
+    print(code)
+    if isinstance(code, GolombCode):
+        value = golomb_penalty(model.ratio, code.k, penalty)
     else:
-        if isinstance(penalty, DthRedundancy):
-            raise ValueError(
-                "dth-power redundancy codes need a geometric source")
-        if isinstance(penalty, MaxRedundancy):
-            code = build_unary_ended_mmr(model)
-        else:
-            base = 1.0 if isinstance(penalty, Linear) else penalty.base
-            code = build_unary_ended(model, base)
-        print(code)
         value = evaluate_penalty(model, code.lengths(), penalty)
     print("penalty %.12g" % value)
     return 0
 
 
-def _run_engine(weights, penalty):
-    if isinstance(penalty, Linear):
-        return exp_huffman(weights, 1.0)
-    if isinstance(penalty, Exponential):
-        return exp_huffman(weights, penalty.base)
-    if isinstance(penalty, MaxRedundancy):
-        return maxred_huffman(weights)
-    return dth_huffman(weights, penalty.order)
-
-
 def _cmd_huffman(args) -> int:
-    tree = _run_engine(_read_weights(args.weights), args.penalty)
-    _print_lengths(tree.lengths)
-    print("objective %.12g" % tree.objective)
-    return 0
+    return _print_tree(_read_weights(args.weights), args.penalty, "objective")
 
 
 # ------------------------------------------------------------ encode/decode
@@ -145,19 +108,10 @@ def _cmd_huffman(args) -> int:
 def _code_for_stream(args):
     if args.golomb is not None:
         return GolombCode(args.golomb)
-    model = _model_from(args)
-    penalty = args.penalty
-    if isinstance(model, Geometric):
-        return _golomb_for(model.ratio, penalty)[0]
-    if isinstance(model, ExplicitFinite):
-        return ExplicitCode.from_lengths(_run_engine(model.probs,
-                                                     penalty).lengths)
-    if isinstance(penalty, MaxRedundancy):
-        return build_unary_ended_mmr(model)
-    if isinstance(penalty, DthRedundancy):
-        raise ValueError("dth-power redundancy codes need a geometric source")
-    base = 1.0 if isinstance(penalty, Linear) else penalty.base
-    return build_unary_ended(model, base)
+    code = optimal_code(_model_from(args), args.penalty)
+    if isinstance(code, LengthSeq):   # a finite code is stored canonically
+        return ExplicitCode.from_lengths(code.head)
+    return code
 
 
 def _cmd_encode(args) -> int:

@@ -20,9 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
-from .bits import (canonical_codewords, canonical_with_spine,
-                   check_length_cap, uleb128_decode, uleb128_decode_all,
-                   uleb128_encode)
+from .bits import (canonical_codewords, check_length_cap, uleb128_decode,
+                   uleb128_decode_all, uleb128_encode)
 from .errors import ContainerError
 from .golomb import GolombCode
 from .light_tail import UnaryEndedCode
@@ -137,8 +136,8 @@ def _parse_descriptor(data: bytes, offset: int) -> tuple[CodeSpec, int]:
         if tag == _TAG_UNARY_ENDED:
             split, offset = uleb128_decode(data, offset)
             lengths, offset = uleb128_decode_all(data, offset, split + 2)
-            head, spine = canonical_with_spine(lengths[:-1], lengths[-1])
-            return UnaryEndedCode(head, spine), offset
+            return UnaryEndedCode.from_lengths(lengths[:-1],
+                                               lengths[-1]), offset
     except ValueError as exc:
         raise ContainerError(f"bad code descriptor: {exc}") from exc
     raise ContainerError(f"unknown code descriptor tag {tag:#x}")

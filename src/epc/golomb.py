@@ -12,12 +12,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import DivergenceError
-from .numeric import LN2, ceil_snapped
+from .models import DthRedundancy, MaxRedundancy, Penalty
+from .numeric import LN2, ceil_snapped, check_positive
 
 __all__ = [
     "GolombCode", "complete_binary", "golomb_codeword", "golomb_length",
-    "optimal_k_exponential", "optimal_k_mmr", "optimal_k_dth",
-    "golomb_exp_penalty", "golomb_dth_penalty", "golomb_mmr",
+    "optimal_k_exponential", "optimal_k_mmr", "optimal_k_dth", "optimal_k",
+    "golomb_exp_penalty", "golomb_dth_penalty", "golomb_mmr", "golomb_penalty",
 ]
 
 
@@ -103,8 +104,7 @@ def optimal_k_exponential(ratio: float, base: float) -> int:
     """Best Golomb parameter for Geometric(ratio) under the base-exponential
     penalty. base at or below 1/2 always degenerates to unary."""
     _check_ratio(ratio)
-    if base <= 0.0:
-        raise ValueError("base must be positive")
+    check_positive("base", base)
     if base <= 0.5:
         return 1
     return _optimal_k(math.log(ratio), math.log(base))
@@ -121,9 +121,18 @@ def optimal_k_dth(ratio: float, order: float) -> int:
     exponential choice at ratio**(1+d), base 2**d, and tends to the
     mmr choice as the order grows."""
     _check_ratio(ratio)
-    if order <= 0.0:
-        raise ValueError("order must be positive")
+    check_positive("order", order)
     return _optimal_k((1.0 + order) * math.log(ratio), order * LN2)
+
+
+def optimal_k(ratio: float, penalty: Penalty) -> int:
+    """Best Golomb parameter for Geometric(ratio) under a penalty object
+    (Linear and Exponential choose at their base)."""
+    if isinstance(penalty, MaxRedundancy):
+        return optimal_k_mmr(ratio)
+    if isinstance(penalty, DthRedundancy):
+        return optimal_k_dth(ratio, penalty.order)
+    return optimal_k_exponential(ratio, penalty.base)
 
 
 def _check_ratio(ratio: float) -> None:
@@ -141,8 +150,7 @@ def golomb_exp_penalty(ratio: float, base: float, k: int) -> float:
     """
     _check_ratio(ratio)
     _check_k(k)
-    if base <= 0.0:
-        raise ValueError("base must be positive")
+    check_positive("base", base)
     g = k.bit_length()
     z = (1 << g) - k
     if base * ratio ** k >= 1.0:
@@ -163,8 +171,7 @@ def golomb_dth_penalty(ratio: float, order: float, k: int) -> float:
     """
     _check_ratio(ratio)
     _check_k(k)
-    if order <= 0.0:
-        raise ValueError("order must be positive")
+    check_positive("order", order)
     d = order
     g = k.bit_length()
     z = (1 << g) - k
@@ -201,3 +208,13 @@ def golomb_mmr(ratio: float, k: int) -> float:
     at_zero = g + math.log2(1.0 - ratio)
     at_star = cg + 1 + math.log2(1.0 - ratio) + i_star * math.log2(ratio)
     return max(at_zero, at_star)
+
+
+def golomb_penalty(ratio: float, k: int, penalty: Penalty) -> float:
+    """Closed-form value of a penalty object for the k-Golomb code on
+    Geometric(ratio)."""
+    if isinstance(penalty, MaxRedundancy):
+        return golomb_mmr(ratio, k)
+    if isinstance(penalty, DthRedundancy):
+        return golomb_dth_penalty(ratio, penalty.order, k)
+    return golomb_exp_penalty(ratio, penalty.base, k)

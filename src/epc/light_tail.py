@@ -1,4 +1,5 @@
-"""Optimal codes for infinite alphabets whose tail decays fast enough.
+"""Optimal codes for infinite alphabets whose tail decays fast enough, and
+the one place a (source, penalty) pair picks its code family.
 
 The construction reduces the source to its first r+1 probabilities plus one
 pseudo-symbol carrying the (penalty-weighted) tail, runs the finite optimizer
@@ -10,17 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bits import canonical_with_spine, check_length_cap, kraft_total
+from .bits import canonical_with_spine
 from .errors import NotLightTailedError
-from .huffman import exp_huffman, maxred_huffman
-from .models import (ExplicitFinite, ExplicitTailed, Geometric, LengthSeq,
-                     Poisson, SourceModel, UnaryTail, point_mass, tail_weight)
-from .numeric import ceil_snapped
+from .golomb import GolombCode, optimal_k
+from .huffman import exp_huffman, maxred_huffman, merge
+from .models import (DthRedundancy, ExplicitFinite, ExplicitTailed, Geometric,
+                     LengthSeq, MaxRedundancy, Penalty, Poisson, SourceModel,
+                     UnaryTail, point_mass, tail_weight)
+from .numeric import ceil_snapped, check_positive
 
 __all__ = [
     "UnaryEndedCode",
     "find_split_exponential", "find_split_mmr",
-    "build_unary_ended", "build_unary_ended_mmr",
+    "build_unary_ended", "build_unary_ended_mmr", "optimal_code",
 ]
 
 _REL_TOL = 1e-12
@@ -33,7 +36,9 @@ class UnaryEndedCode:
     """Finite head code plus a unary continuation behind an all-1s prefix.
 
     Symbols 0..split use head_codewords; symbol i > split encodes as
-    tail_prefix, then i - split - 1 ones, then a zero.
+    tail_prefix, then i - split - 1 ones, then a zero. The words must be the
+    canonical ones for their lengths (`canonical_with_spine`), as the
+    container stores lengths only.
     """
 
     head_codewords: tuple[str, ...]
@@ -42,20 +47,15 @@ class UnaryEndedCode:
     def __post_init__(self) -> None:
         object.__setattr__(self, "head_codewords",
                            tuple(str(w) for w in self.head_codewords))
-        words = list(self.head_codewords) + [self.tail_prefix]
-        if any(not w or set(w) - {"0", "1"} for w in words):
-            raise ValueError("codewords must be nonempty bit strings")
-        if set(self.tail_prefix) != {"1"}:
-            raise ValueError("tail prefix must be all 1s")
-        ordered = sorted(words)
-        for a, b in zip(ordered, ordered[1:]):
-            if b.startswith(a):
-                raise ValueError(f"codeword {a!r} is a prefix of {b!r}")
-        lengths = [len(w) for w in words]
-        check_length_cap(lengths, len(words))
-        num, den = kraft_total(lengths[:-1], extra_length=lengths[-1])
-        if num != den:
-            raise ValueError("code is not Kraft-complete")
+        canonical = canonical_with_spine(
+            [len(w) for w in self.head_codewords], len(self.tail_prefix))
+        if (self.head_codewords, self.tail_prefix) != canonical:
+            raise ValueError("unary-ended codes are stored canonically, with "
+                             "an all-1s tail prefix; build via from_lengths")
+
+    @classmethod
+    def from_lengths(cls, head_lengths, spine_length: int) -> "UnaryEndedCode":
+        return cls(*canonical_with_spine(head_lengths, spine_length))
 
     @property
     def split(self) -> int:
@@ -85,9 +85,7 @@ class UnaryEndedCode:
                          UnaryTail(self.tail_start, len(self.tail_prefix) + 1))
 
     def describe(self) -> str:
-        shown = list(self.head_lengths) + [len(self.tail_prefix) + 1]
-        return ("lengths " + ",".join(str(n) for n in shown)
-                + f" +unary@{self.tail_start}")
+        return str(self.lengths())
 
     def __str__(self) -> str:
         return self.describe()
@@ -103,8 +101,7 @@ def find_split_exponential(model: SourceModel, base: float) -> int:
     """Smallest r past which every symbol's probability is dominated by all
     earlier ones and also dominates its own weighted tail; the reduction to
     r+2 weights is then penalty-exact."""
-    if base <= 0.0:
-        raise ValueError("base must be positive")
+    check_positive("base", base)
     if isinstance(model, Poisson):
         return max(ceil_snapped(2.0 * base * model.mean) - 2,
                    ceil_snapped(math.e * model.mean) - 1, 0)
@@ -223,10 +220,8 @@ def build_unary_ended(model: SourceModel, base: float) -> UnaryEndedCode:
     r = find_split_exponential(model, base)
     weights = [point_mass(model, i) for i in range(r + 1)]
     weights.append(tail_weight(model, r, base))
-    tree = exp_huffman(weights, base)
-    lengths = _assemble(weights, tree.lengths)
-    head, spine = canonical_with_spine(lengths[:-1], lengths[-1])
-    return UnaryEndedCode(head, spine)
+    lengths = _assemble(weights, exp_huffman(weights, base).lengths)
+    return UnaryEndedCode.from_lengths(lengths[:-1], lengths[-1])
 
 
 def build_unary_ended_mmr(model: SourceModel) -> UnaryEndedCode:
@@ -235,7 +230,22 @@ def build_unary_ended_mmr(model: SourceModel) -> UnaryEndedCode:
     r = find_split_mmr(model)
     weights = [point_mass(model, i) for i in range(r + 1)]
     weights.append(2.0 * point_mass(model, r + 1))
-    tree = maxred_huffman(weights)
-    lengths = _assemble(weights, tree.lengths)
-    head, spine = canonical_with_spine(lengths[:-1], lengths[-1])
-    return UnaryEndedCode(head, spine)
+    lengths = _assemble(weights, maxred_huffman(weights).lengths)
+    return UnaryEndedCode.from_lengths(lengths[:-1], lengths[-1])
+
+
+# ------------------------------------------------------------ code choice
+
+def optimal_code(model: SourceModel, penalty: Penalty):
+    """The optimal code for a source under a penalty object: a GolombCode
+    for Geometric, the merged lengths as a LengthSeq for ExplicitFinite, and
+    a UnaryEndedCode for other sources (not under DthRedundancy)."""
+    if isinstance(model, Geometric):
+        return GolombCode(optimal_k(model.ratio, penalty))
+    if isinstance(model, ExplicitFinite):
+        return LengthSeq(merge(model.probs, penalty).lengths)
+    if isinstance(penalty, MaxRedundancy):
+        return build_unary_ended_mmr(model)
+    if isinstance(penalty, DthRedundancy):
+        raise ValueError("dth-power redundancy codes need a geometric source")
+    return build_unary_ended(model, penalty.base)

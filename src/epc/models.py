@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .errors import DivergenceError, NotLightTailedError
-from .numeric import LN2, SUM_TOL, logaddexp
+from .numeric import LN2, SUM_TOL, check_positive, logaddexp
 
 __all__ = [
     "Geometric", "Poisson", "ExplicitFinite", "ExplicitTailed",
@@ -44,8 +44,7 @@ class Poisson:
     mean: float
 
     def __post_init__(self) -> None:
-        if not self.mean > 0.0:
-            raise ValueError(f"mean must be positive, got {self.mean}")
+        check_positive("mean", self.mean)
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,7 @@ class Exponential:
     base: float
 
     def __post_init__(self) -> None:
-        if not self.base > 0.0:
-            raise ValueError(f"base must be positive, got {self.base}")
+        check_positive("base", self.base)
 
 
 @dataclass(frozen=True)
@@ -142,8 +140,7 @@ class DthRedundancy:
     order: float
 
     def __post_init__(self) -> None:
-        if not self.order > 0.0:
-            raise ValueError(f"order must be positive, got {self.order}")
+        check_positive("order", self.order)
 
 
 @dataclass(frozen=True)
@@ -154,6 +151,8 @@ class MaxRedundancy:
 @dataclass(frozen=True)
 class Linear:
     """Expected codeword length (the base -> 1 limit of Exponential)."""
+
+    base = 1.0   # a class constant, not a field: Linear merges like base 1
 
 
 Penalty = Union[Exponential, DthRedundancy, MaxRedundancy, Linear]
@@ -180,7 +179,8 @@ class LengthSeq:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "head", tuple(int(n) for n in self.head))
-        if any(n < 1 for n in self.head):
+        # the one symbol of a one-symbol alphabet needs no bits
+        if any(n < 1 for n in self.head) and self.head != (0,):
             raise ValueError("lengths must be positive")
         if self.tail is not None and self.tail.start_index != len(self.head):
             raise ValueError("tail must start right after the head")
@@ -200,6 +200,13 @@ class LengthSeq:
         if self.tail is not None:
             acc += 2.0 ** (1 - self.tail.start_length)
         return acc
+
+    def __str__(self) -> str:
+        if self.tail is None:
+            return "lengths " + ",".join(map(str, self.head))
+        shown = self.head + (self.tail.start_length,)
+        return ("lengths " + ",".join(map(str, shown))
+                + f" +unary@{self.tail.start_index}")
 
 
 # ---------------------------------------------------------------- queries
@@ -228,8 +235,7 @@ def point_mass(model: SourceModel, i: int) -> float:
 def tail_weight(model: SourceModel, j: int, base: float) -> float:
     """sum_{k>j} p(k) * base**(k-j). j = -1 is allowed and weighs the whole
     support by base**(k+1)."""
-    if base <= 0.0:
-        raise ValueError("base must be positive")
+    check_positive("base", base)
     if isinstance(model, Geometric):
         q = base * model.ratio
         if q >= 1.0:
@@ -415,9 +421,7 @@ def _max_redundancy(model: SourceModel, lengths: LengthSeq) -> float:
 
 def evaluate_penalty(model: SourceModel, lengths: LengthSeq,
                      penalty: Penalty) -> float:
-    if isinstance(penalty, Linear):
-        return expected_length(model, lengths)
-    if isinstance(penalty, Exponential):
+    if isinstance(penalty, (Linear, Exponential)):
         if penalty.base == 1.0:
             return expected_length(model, lengths)
         s = power_sum(model, lengths, penalty.base)

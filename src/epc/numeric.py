@@ -16,6 +16,14 @@ SUM_TOL = 1e-12
 LN2 = math.log(2.0)
 
 
+def check_positive(name: str, value: float) -> None:
+    """Refuse NaN and +-inf, then values <= 0 (a test NaN would pass)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 def snap(x: float, tol: float = SNAP_TOL) -> float:
     """Return the nearest integer when x is within tol of one, else x."""
     n = round(x)

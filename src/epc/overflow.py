@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import DivergenceError, EpcError, StabilityError
-from .golomb import GolombCode, golomb_exp_penalty, optimal_k_exponential
-from .huffman import exp_huffman
-from .light_tail import UnaryEndedCode, build_unary_ended
-from .models import (ExplicitFinite, ExplicitTailed, Geometric, LengthSeq,
-                     Poisson, SourceModel, expected_length, point_mass,
-                     power_sum, shannon_entropy, tail_weight, total_mass)
+from .golomb import GolombCode, golomb_exp_penalty
+from .light_tail import UnaryEndedCode, optimal_code
+from .models import (ExplicitFinite, ExplicitTailed, Exponential, Geometric,
+                     LengthSeq, Poisson, SourceModel, expected_length,
+                     point_mass, power_sum, shannon_entropy, tail_weight,
+                     total_mass)
 from .numeric import LN2
 
 __all__ = [
@@ -353,13 +353,7 @@ def optimize_overflow(model: SourceModel,
     boundary = False
     trace = []
     for _ in range(64):
-        base = math.exp(s_prev)
-        if isinstance(model, Geometric):
-            code: CodeLike = GolombCode(optimal_k_exponential(model.ratio, base))
-        elif isinstance(model, ExplicitFinite):
-            code = LengthSeq(tuple(exp_huffman(model.probs, base).lengths))
-        else:
-            code = build_unary_ended(model, base)
+        code = optimal_code(model, Exponential(math.exp(s_prev)))
         if code == prev_code:
             return OverflowResult(prev_code, s_prev, boundary, tuple(trace),
                                   len(trace))

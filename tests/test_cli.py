@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -130,3 +131,69 @@ def test_usage_errors_exit_two(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "optimize" in capsys.readouterr().out
+
+
+# Exact stdout, pinned to the output the code gave before the code-choice
+# dispatch was unified; the only intended change since is the lengths line
+# of `overflow --weights`.
+
+def _stdout(capsys, argv, stdin=None, monkeypatch=None):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_readme_examples_exact(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _stdout(capsys, ["optimize", "--geometric", "0.8"]) == (
+        "Golomb k=3\npenalty 3.6393442623\n")
+    assert _stdout(capsys, ["optimize", "--poisson", "1", "--penalty",
+                            "mmr"]) == (
+        "lengths 2,2,2,3 +unary@3\npenalty 0.557304959111\n")
+    assert _stdout(capsys, ["encode", "--golomb", "3", "--output", "demo.epc"],
+                   stdin="1 3 9 2 0 5\n", monkeypatch=monkeypatch) == (
+        "Golomb k=3: 6 symbols -> 18 bytes\n")
+    assert (tmp_path / "demo.epc").read_bytes() == bytes.fromhex(
+        "455043310101030600000000000000538cb0")
+    assert _stdout(capsys, ["decode", "--input", "demo.epc"]) == (
+        "1\n3\n9\n2\n0\n5\n")
+    assert _stdout(capsys, ["overflow", "--geometric", "0.5",
+                            "--deterministic", "3", "--buffer-size", "64"]) == (
+        "Golomb k=3\ndecay rate 1.3862943611\n"
+        "overflow estimate at 64 bits: 2.93874e-39\n")
+
+
+@pytest.mark.parametrize("penalty, expected", [
+    ("linear", "lengths 2,5,3,3,2,5,4,3\npenalty 2.68\n"),
+    ("exp:1.5", "lengths 2,4,3,4,2,4,4,3\npenalty 2.81216297175\n"),
+    ("dth:2", "lengths 2,5,3,3,2,5,4,3\npenalty 0.134665017857\n"),
+    ("dth:100", "lengths 2,4,3,4,2,4,4,3\npenalty 0.347778797548\n"),
+    ("mmr", "lengths 2,5,3,3,2,5,4,3\npenalty 0.356143810225\n"),
+])
+def test_optimize_weights_exact(tmp_path, capsys, penalty, expected):
+    f = tmp_path / "w.txt"
+    f.write_text("5 1 3 2 8 1 1 4\n")
+    assert _stdout(capsys, ["optimize", "--weights", str(f),
+                            "--penalty", penalty]) == expected
+
+
+def test_overflow_weights_prints_lengths(tmp_path, capsys):
+    # the finite code prints as a lengths line, not as a dataclass repr
+    f = tmp_path / "w.txt"
+    f.write_text("5 1 3 2 8 1 1 4\n")
+    assert _stdout(capsys, ["overflow", "--weights", str(f), "--exponential",
+                            "0.2", "--trace", "--buffer-size", "32"]) == (
+        "iter 1: decay rate 0.379473342618  lengths 2,4,3,4,2,4,4,3\n"
+        "lengths 2,4,3,4,2,4,4,3\n"
+        "decay rate 0.379473342618\n"
+        "overflow estimate at 32 bits: 5.32474e-06\n")
+
+
+def test_single_weight_prints_zero_length(tmp_path, capsys):
+    f = tmp_path / "one.txt"
+    f.write_text("1\n")
+    assert _stdout(capsys, ["optimize", "--weights", str(f)]) == (
+        "lengths 0\npenalty 0\n")
+    assert _stdout(capsys, ["huffman", "--weights", str(f)]) == (
+        "lengths 0\nobjective 0\n")

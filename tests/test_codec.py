@@ -73,6 +73,16 @@ def test_explicit_code_is_canonical_only():
         canonical.codeword(3)
 
 
+def test_unary_ended_code_is_canonical_only():
+    # the container stores lengths only, so a hand-built head in another
+    # order would decode to other symbols; it is refused instead
+    with pytest.raises(ValueError, match="canonically"):
+        UnaryEndedCode(("01", "00"), "1")
+    code = UnaryEndedCode.from_lengths((2, 2), 1)
+    assert code == UnaryEndedCode(("00", "01"), "1")
+    assert decode(encode([0, 1, 2, 5], code)) == [0, 1, 2, 5]
+
+
 def test_incomplete_code_bad_payload():
     # Kraft 1/2 leaves bit patterns no codeword matches
     code = ExplicitCode.from_lengths((2, 2))

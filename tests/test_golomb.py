@@ -172,3 +172,11 @@ def test_dth_penalty_log_domain():
     assert golomb_dth_penalty(0.5, 1, 1) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(DivergenceError):
         golomb_dth_penalty(0.9, 2, 1)     # 2^d th^{k(1+d)} ... diverges
+    # non-finite orders and bases are refused, not turned into NaN
+    for bad in (math.inf, -math.inf, math.nan):
+        for call in (lambda: optimal_k_dth(0.8, bad),
+                     lambda: golomb_dth_penalty(0.8, bad, 3),
+                     lambda: optimal_k_exponential(0.8, bad),
+                     lambda: golomb_exp_penalty(0.8, bad, 3)):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()

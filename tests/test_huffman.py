@@ -155,3 +155,43 @@ def test_two_queue_invariants():
             if depths:
                 assert max(depths) - min(depths) <= 1
                 assert all(a >= b for a, b in zip(depths, depths[1:]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: exp_huffman([0.5, 0.3, 0.2], math.nan),
+    lambda: exp_huffman([0.5, 0.3, 0.2], math.inf),
+    lambda: exp_huffman([0.5, math.nan, 0.2], 1.0),
+    lambda: exp_huffman([0.5, -math.inf], 2.0),
+    lambda: exp_huffman_two_queue([0.2, 0.3, 0.5], math.nan),
+    lambda: exp_huffman_two_queue([0.2, 0.3, math.inf], 1.0),
+    lambda: maxred_huffman([0.5, math.nan]),
+    lambda: dth_huffman([0.5, 0.3, 0.2], math.inf),
+    lambda: dth_huffman([0.5, 0.3, 0.2], math.nan),
+    lambda: dth_huffman([0.5, math.inf], 2.0),
+], ids=["exp-nan-base", "exp-inf-base", "exp-nan-weight", "exp-neg-inf-weight",
+        "two-queue-nan-base", "two-queue-inf-weight", "maxred-nan-weight",
+        "dth-inf-order", "dth-nan-order", "dth-inf-prob"])
+def test_non_finite_parameters_refused(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
+def test_nonpositive_weight_message_is_verbatim():
+    # callers match this message exactly, so it must not change
+    for build in (lambda w: exp_huffman(w, 1.5), maxred_huffman,
+                  lambda w: exp_huffman_two_queue(w, 1.0)):
+        for weights in ([-0.1, 0.5], [0.0, 0.5]):
+            with pytest.raises(ValueError) as exc:
+                build(weights)
+            assert str(exc.value) == "weights must be strictly positive"
+
+
+@pytest.mark.parametrize("probs, order", [
+    ([1e-10, 0.5, 0.5 - 1e-10], 40.0),     # 1e-10**41 underflows to 0
+    ([1e-7, 0.3, 0.7 - 1e-7], 44.0),       # 1e-7**45 is subnormal
+])
+def test_dth_tiny_power_takes_log_space(probs, order):
+    tree = dth_huffman(probs, order)
+    best = best_tree_objective(probs,
+                               lambda p, ls: dth_objective(p, ls, order))
+    assert tree.objective == pytest.approx(best, rel=1e-12)

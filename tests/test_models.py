@@ -23,6 +23,10 @@ def test_model_validation():
         ExplicitFinite((0.5, 0.4))      # does not sum to one
     with pytest.raises(ValueError):
         ExplicitFinite((1.2, -0.2))
+    for bad in (math.inf, -math.inf, math.nan):
+        for build in (Poisson, Exponential, DthRedundancy):
+            with pytest.raises(ValueError, match="must be finite"):
+                build(bad)
 
 
 def test_point_mass():
@@ -92,6 +96,13 @@ def test_length_seq_validation():
         LengthSeq((1,), UnaryTail(3, 2))         # tail must start right after
     with pytest.raises(ValueError):
         UnaryTail(0, 0)
+    # a one-symbol alphabet is the one code with a zero length
+    assert LengthSeq((0,)).kraft_sum() == 1.0
+    with pytest.raises(ValueError):
+        LengthSeq((0,), UnaryTail(1, 1))
+    assert str(LengthSeq((3, 3, 2, 1))) == "lengths 3,3,2,1"
+    assert str(LengthSeq((2, 2, 2), UnaryTail(3, 3))) == \
+        "lengths 2,2,2,3 +unary@3"
     seq = LengthSeq((1, 2), UnaryTail(2, 3))
     assert [seq.length_at(i) for i in range(5)] == [1, 2, 3, 4, 5]
     assert seq.kraft_sum() == pytest.approx(1.0)
