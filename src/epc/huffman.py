@@ -9,9 +9,9 @@ heap loop `_run`:
                 d ln 2 + logaddexp(w_j, w_k) on w = ln p**(1+d)
   minimax       merged weight = 2 * max(w_j, w_k)
 
-Order d merges plain weights when d < 64 and the smallest p**(1+d) is a
-normal float, logs otherwise; rounding orders ties differently in the two
-spaces, so merging every order in logs would change some lengths.
+Order d merges plain weights when d < 64 and every weight, merged or not,
+is a normal float, logs otherwise; rounding orders ties differently in the
+two spaces, so merging every order in logs would change some lengths.
 
 Ties are broken deterministically: lower weight first, then already-merged
 nodes before original items, then first-created first. The two smallest keys
@@ -189,14 +189,21 @@ def maxred_huffman(weights) -> CodeTree:
 def dth_huffman(probs, order: float) -> CodeTree:
     """Minimize (1/d) log2 sum p**(1+d) 2**(d n): the exponential merge on
     weights p**(1+d) at base 2**d. Orders of 64 and up, and inputs whose
-    smallest p**(1+d) is not a normal float, merge ln p**(1+d) instead."""
+    smallest p**(1+d) is not a normal float or whose largest p**(1+d) or
+    root weight overflows, merge ln p**(1+d) instead."""
     check_positive("order", order)
     probs = _check_weights(probs, "probabilities")
     d = order
-    weights = [p ** (1.0 + d) for p in probs] if d < 64.0 else None
-    if weights and min(weights) >= sys.float_info.min:
-        scale = 2.0 ** d
-        root = _run(weights, lambda a, b: scale * (a + b))
+    root = None
+    if d < 64.0:
+        try:
+            weights = [p ** (1.0 + d) for p in probs]
+        except OverflowError:   # a raw weight above one, at a high order
+            weights = None
+        if weights and min(weights) >= sys.float_info.min:
+            scale = 2.0 ** d
+            root = _run(weights, lambda a, b: scale * (a + b))
+    if root is not None and root[0] < math.inf:
         objective = math.log2(root[0]) / d
     else:
         ln_scale = d * LN2

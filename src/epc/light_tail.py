@@ -103,8 +103,8 @@ def find_split_exponential(model: SourceModel, base: float) -> int:
     r+2 weights is then penalty-exact."""
     check_positive("base", base)
     if isinstance(model, Poisson):
-        return max(ceil_snapped(2.0 * base * model.mean) - 2,
-                   ceil_snapped(math.e * model.mean) - 1, 0)
+        return _capped(max(_reach(2.0 * base * model.mean) - 2,
+                           _reach(math.e * model.mean) - 1, 0))
     if isinstance(model, Geometric):
         th = model.ratio
         if base * (th + th * th) <= 1.0 + _REL_TOL:
@@ -135,15 +135,26 @@ def find_split_exponential(model: SourceModel, base: float) -> int:
         # in the pure tail both conditions collapse to max(1,c)*p(j) <= floor
         # with c the tail-weight factor; solve for where that starts holding
         c = base * rho / (1.0 - base * rho)
-        worst = max(worst, _tail_threshold(
+        return _capped(max(worst, _tail_threshold(
             point_mass(model, probe_end + 1) * max(1.0, c), floor, rho,
-            probe_end + 1) - 1)
-        if worst > _SPLIT_CAP:
-            raise NotLightTailedError(f"no split found at or below {_SPLIT_CAP}")
-        return worst
+            probe_end + 1) - 1))
     if isinstance(model, ExplicitFinite):
         raise ValueError("finite sources need no tail split")
     raise TypeError(f"not a source model: {model!r}")
+
+
+def _reach(x: float) -> int:
+    """ceil(x), clamped past the cap so that a huge Poisson mean is refused
+    by _capped rather than by the ceiling of an infinity."""
+    return ceil_snapped(min(x, 2.0 * _SPLIT_CAP))
+
+
+def _capped(split: int) -> int:
+    """The split, refused past _SPLIT_CAP: the build lists split + 1 point
+    masses, so an uncapped split would cost time and memory without bound."""
+    if split > _SPLIT_CAP:
+        raise NotLightTailedError(f"no split found at or below {_SPLIT_CAP}")
+    return split
 
 
 def _tail_threshold(first_value: float, floor: float, rho: float,
@@ -165,7 +176,7 @@ def find_split_mmr(model: SourceModel) -> int:
     """Smallest r with p(j) >= 2 p(j+1) for all j >= r and p(i) >= p(r) for
     all i < r; the mmr reduction doubles the first tail probability."""
     if isinstance(model, Poisson):
-        return max(ceil_snapped(math.e * model.mean) - 1, 0)
+        return _capped(max(_reach(math.e * model.mean) - 1, 0))
     if isinstance(model, Geometric):
         if model.ratio <= 0.5 + _REL_TOL:
             return 0
@@ -189,11 +200,8 @@ def find_split_mmr(model: SourceModel) -> int:
                 return r
             floor = min(floor, p[r])
         # pure geometric tail from here on; find where it sinks under the floor
-        r = max(halving_from, _tail_threshold(
-            p[probe_end + 1], floor, model.tail_ratio, probe_end + 1))
-        if r > _SPLIT_CAP:
-            raise NotLightTailedError(f"no split found at or below {_SPLIT_CAP}")
-        return r
+        return _capped(max(halving_from, _tail_threshold(
+            p[probe_end + 1], floor, model.tail_ratio, probe_end + 1)))
     if isinstance(model, ExplicitFinite):
         raise ValueError("finite sources need no tail split")
     raise TypeError(f"not a source model: {model!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import DivergenceError, EpcError, StabilityError
 from .golomb import GolombCode, golomb_exp_penalty
@@ -236,20 +236,66 @@ def _divergence_point(model: SourceModel, code: CodeLike) -> float:
     return -math.log(rho) / per_symbol
 
 
+def _power_sum_of(model: SourceModel,
+                  code: CodeLike) -> Callable[[float], float]:
+    """base -> the power sum that overflow_functional takes, with everything
+    that does not depend on the base computed once: the head masses summed
+    per codeword length, the tail start, and for Poisson the head masses
+    its tail weight subtracts. A call then costs O(distinct head lengths)
+    plus the tail (for Poisson, one product per head symbol)."""
+    if isinstance(code, GolombCode):   # closed form, or a certified series
+        return lambda base: _code_power_sum(model, code, base)
+    lengths = code.lengths() if isinstance(code, UnaryEndedCode) else code
+    if isinstance(model, ExplicitFinite):
+        masses = model.probs
+        symbol_lengths = [lengths.length_at(i) for i in range(len(masses))]
+    else:
+        masses = [point_mass(model, i) for i in range(len(lengths.head))]
+        symbol_lengths = lengths.head
+    by_length: dict[int, list[float]] = {}
+    for p, n in zip(masses, symbol_lengths):
+        by_length.setdefault(n, []).append(p)
+    table = [(math.fsum(ps), n) for n, ps in sorted(by_length.items())]
+
+    def head_sum(base: float) -> float:
+        return math.fsum(m * base ** n for m, n in table)
+
+    if isinstance(model, ExplicitFinite):
+        return head_sum
+    # as in power_sum: the tail is base**(L0-1) * tail_weight(t0-1, base)
+    j, rise = lengths.tail.start_index - 1, lengths.tail.start_length - 1
+    if not isinstance(model, Poisson):
+        return lambda base: (head_sum(base)
+                             + base ** rise * tail_weight(model, j, base))
+    mean = model.mean
+
+    def poisson_sum(base: float) -> float:
+        # tail_weight's Poisson closed form, subtracting the same masses in
+        # the same order
+        tail = math.exp(mean * (base - 1.0) - j * math.log(base))
+        for k, p in enumerate(masses):
+            tail -= p * base ** (k - j)
+        return head_sum(base) + base ** rise * tail
+
+    return poisson_sum
+
+
 def max_decay_rate(model: SourceModel, code: CodeLike,
                    arrivals: ArrivalModel) -> DecayRate:
     """Largest s with f(s) <= 1.
 
     f is log-convex with f(0) = 1, so the feasible set is an interval
     starting at zero; it is the single point {0} exactly when the mean
-    codeword length reaches the mean intermission.
+    codeword length reaches the mean intermission. The bisection evaluates
+    f as overflow_functional does, from a power sum built once per call.
     """
     if _expected_len(model, code) >= arrivals.mean_gap():
         return DecayRate(0.0, True)
+    power_sum_at = _power_sum_of(model, code)
 
     def f_or_inf(s: float) -> float:
         try:
-            return overflow_functional(model, code, arrivals, s)
+            return arrivals.transform(s) * power_sum_at(math.exp(s))
         except DivergenceError:
             return math.inf
 
@@ -289,25 +335,35 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
 
 # ------------------------------------------------------------ initial bound
 
-def _ln_renyi_sum(model: SourceModel, alpha: float, poisson_terms: int) -> float:
-    """ln sum p(i)**alpha; a partial sum for Poisson, which only lowers the
-    bound's left side and so never invalidates it."""
+def _ln_renyi_sum_of(model: SourceModel,
+                     poisson_terms: int) -> Callable[[float], float]:
+    """alpha -> ln sum p(i)**alpha, with the masses listed once; a partial
+    sum for Poisson, which only lowers the bound's left side and so never
+    invalidates it."""
     if isinstance(model, Geometric):
         th = model.ratio
-        return alpha * math.log(1.0 - th) - math.log1p(-(th ** alpha))
+        return lambda alpha: (alpha * math.log(1.0 - th)
+                              - math.log1p(-(th ** alpha)))
     if isinstance(model, ExplicitFinite):
-        return math.log(math.fsum(p ** alpha for p in model.probs))
+        probs = model.probs
+        return lambda alpha: math.log(math.fsum(p ** alpha for p in probs))
     if isinstance(model, Poisson):
         ln_p = [-model.mean + i * math.log(model.mean) - math.lgamma(i + 1)
                 for i in range(poisson_terms)]
-        return math.log(math.fsum(math.exp(alpha * lp) for lp in ln_p))
+        return lambda alpha: math.log(
+            math.fsum(math.exp(alpha * lp) for lp in ln_p))
     if isinstance(model, ExplicitTailed):
         if model.tail_ratio is None:
             raise ValueError("the initial bound needs tail_ratio")
-        rho_a = model.tail_ratio ** alpha
-        z = math.fsum(p ** alpha for p in model.head)
-        z += model.head[-1] ** alpha * rho_a / (1.0 - rho_a)
-        return math.log(z)
+        head, rho = model.head, model.tail_ratio
+
+        def ln_z(alpha: float) -> float:
+            rho_a = rho ** alpha
+            z = math.fsum(p ** alpha for p in head)
+            z += head[-1] ** alpha * rho_a / (1.0 - rho_a)
+            return math.log(z)
+
+        return ln_z
     raise TypeError(f"not a source model: {model!r}")
 
 
@@ -316,16 +372,20 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
     the transform times the alpha-norm lower bound on the power sum stays
     at or below one. Zero when the source entropy already meets the mean
     intermission."""
+    if isinstance(model, ExplicitFinite) and len(model.probs) == 1:
+        raise DivergenceError("a one-symbol source needs zero bits per "
+                              "symbol, so its decay rate is unbounded")
     mean_gap = arrivals.mean_gap()
     if shannon_entropy(model) >= mean_gap:
         return 0.0
     # enough terms that the partial alpha-sum still forces a finite crossing
     poisson_terms = max(256, 1 << min(int(math.ceil(mean_gap)) + 3, 20))
+    ln_renyi_sum = _ln_renyi_sum_of(model, poisson_terms)
 
     def ln_left(s: float) -> float:
         alpha = 1.0 / (1.0 + s / LN2)
         return (math.log(arrivals.transform(s))
-                + _ln_renyi_sum(model, alpha, poisson_terms) / alpha)
+                + ln_renyi_sum(alpha) / alpha)
 
     lo, hi = 0.0, 1.0
     while ln_left(hi) <= 0.0:

@@ -197,3 +197,29 @@ def test_single_weight_prints_zero_length(tmp_path, capsys):
         "lengths 0\npenalty 0\n")
     assert _stdout(capsys, ["huffman", "--weights", str(f)]) == (
         "lengths 0\nobjective 0\n")
+
+
+def test_huge_poisson_mean_is_refused_fast(capsys):
+    # the split would be about e * 1e300 symbols; the cap refuses it up front
+    assert run(["optimize", "--poisson", "1e300"]) == 1
+    assert capsys.readouterr().err == (
+        "error: no split found at or below 10000\n")
+
+
+def test_dth_huge_raw_weight(tmp_path, capsys):
+    # 1e10**41 overflows a float; the build merges in logs instead
+    f = tmp_path / "w.txt"
+    f.write_text("1e10 1 2 2\n")
+    assert _stdout(capsys, ["huffman", "--weights", str(f),
+                            "--penalty", "dth:40"]) == (
+        "lengths 1,3,3,2\nobjective 35.0497629726\n")
+
+
+def test_overflow_one_symbol_is_refused(tmp_path, capsys):
+    f = tmp_path / "one.txt"
+    f.write_text("1\n")
+    for arrivals in (["--exponential", "0.5"], ["--deterministic", "2"]):
+        assert run(["overflow", "--weights", str(f)] + arrivals) == 1
+        assert capsys.readouterr().err == (
+            "error: a one-symbol source needs zero bits per symbol, so its "
+            "decay rate is unbounded\n")

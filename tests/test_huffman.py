@@ -195,3 +195,14 @@ def test_dth_tiny_power_takes_log_space(probs, order):
     best = best_tree_objective(probs,
                                lambda p, ls: dth_objective(p, ls, order))
     assert tree.objective == pytest.approx(best, rel=1e-12)
+
+
+@pytest.mark.parametrize("weights", [
+    [1e10, 1.0, 2.0, 2.0],     # 1e10**41 overflows
+    [3e7, 1.0, 2.0, 2.0],      # 3e7**41 is finite, the merged root is not
+])
+def test_dth_huge_power_takes_log_space(weights):
+    tree = dth_huffman(weights, 40.0)
+    best = best_tree_objective(weights,
+                               lambda p, ls: dth_objective(p, ls, 40.0))
+    assert tree.objective == pytest.approx(best, rel=1e-12)

@@ -178,3 +178,18 @@ def test_build_mmr_poisson():
         lens = _assemble(weights, maxred_huffman(weights).lengths)
         alt = LengthSeq(tuple(lens[:-1]), UnaryTail(r + 1, lens[-1] + 1))
         assert got <= evaluate_penalty(Poisson(1.0), alt, MaxRedundancy()) + 1e-11
+
+
+def test_poisson_split_is_capped():
+    # refused before any point mass is listed, also where e * mean or
+    # 2 * base * mean is not a finite float
+    assert find_split_mmr(Poisson(3678.0)) == 9997
+    for split in (lambda m: find_split_mmr(m),
+                  lambda m: find_split_exponential(m, 2.0),
+                  lambda m: find_split_exponential(m, 1e300)):
+        for mean in (3680.0, 1e300):
+            with pytest.raises(NotLightTailedError, match="at or below 10000"):
+                split(Poisson(mean))
+    assert find_split_exponential(Poisson(2499.0), 2.0) == 9994
+    with pytest.raises(NotLightTailedError):
+        find_split_exponential(Poisson(2501.0), 2.0)

@@ -1,13 +1,14 @@
 import math
+import time
 
 import pytest
 
 from epc import (Deterministic, DivergenceError, ExplicitFinite,
                  ExponentialArrivals, GammaArrivals, Geometric, GolombCode,
-                 LengthSeq, Poisson, StabilityError, TableTransform,
-                 UnaryTail, build_unary_ended, decay_rate_bound,
-                 max_decay_rate, optimize_overflow, overflow_functional,
-                 total_mass)
+                 LengthSeq, NotLightTailedError, Poisson, StabilityError,
+                 TableTransform, UnaryTail, build_unary_ended,
+                 decay_rate_bound, max_decay_rate, optimize_overflow,
+                 overflow_functional, shannon_entropy, total_mass)
 from oracles import golomb_power_sum_direct, largest_feasible_on_grid
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -191,3 +192,27 @@ def test_never_crossing_raises():
     code = LengthSeq((1, 1))
     with pytest.raises(DivergenceError):
         max_decay_rate(m, code, Deterministic(2.0))
+
+
+def test_one_symbol_source_is_refused():
+    # the one symbol needs zero bits, so the backlog never grows
+    m = ExplicitFinite((1.0,))
+    for arr in (Deterministic(2.0), ExponentialArrivals(0.5),
+                GammaArrivals(2.0, 1.0)):
+        with pytest.raises(DivergenceError, match="zero bits"):
+            optimize_overflow(m, arr)
+
+
+@pytest.mark.parametrize("mean, gap", [
+    (1.0, None),      # the gap of load 0.5 on the source entropy
+    (1.0, 3.82),
+    (5.0, 5.77),
+])
+def test_huge_bound_is_refused_by_the_split_cap(mean, gap):
+    # s0 = 15.2, 16.2 and 60.0 ask for splits of 7.7e6, 2.2e7 and 1.2e27
+    m = Poisson(mean)
+    arr = Deterministic(2.0 * shannon_entropy(m) if gap is None else gap)
+    start = time.process_time()
+    with pytest.raises(NotLightTailedError):
+        optimize_overflow(m, arr)
+    assert time.process_time() - start < 0.5
