@@ -445,7 +445,8 @@ def shannon_entropy(model: SourceModel) -> float:
     if isinstance(model, Poisson):
         def term(i: int) -> float:
             p = point_mass(model, i)
-            return -p * math.log2(p)
+            # a mass that underflows to 0.0 contributes less than 1e-320
+            return -p * math.log2(p) if p > 0.0 else 0.0
         # the log factor grows slower than the pmf decays; past 2*mean + 8
         # consecutive term ratios stay below 0.6
         return _certified_sum(term, 0, lambda i: 0.6 if i > 2 * model.mean + 8 else 1.0)
@@ -463,6 +464,41 @@ def shannon_entropy(model: SourceModel) -> float:
     raise TypeError(f"not a source model: {model!r}")
 
 
+def _ln_renyi_sum(model: SourceModel, alpha: float) -> float:
+    """ln sum_i p(i)**alpha, the Renyi partition sum of order alpha > 0.
+
+    Poisson terms are taken from the log masses, shifted by the largest
+    (at the mode), so that no term underflows at small or large alpha; the
+    series stops once past the mode the ratio (mean/(i+1))**alpha certifies
+    the remainder below SUM_TOL of the shifted sum, which is at least one.
+    """
+    if isinstance(model, Geometric):
+        th = model.ratio
+        return alpha * math.log(1.0 - th) - math.log(1.0 - th ** alpha)
+    if isinstance(model, ExplicitFinite):
+        return math.log(math.fsum(p ** alpha for p in model.probs))
+    if isinstance(model, Poisson):
+        m = model.mean
+        ln_m = math.log(m)
+
+        def ln_term(i: int) -> float:
+            return alpha * (-m + i * ln_m - math.lgamma(i + 1))
+
+        peak = ln_term(int(m))
+        return peak + math.log(_certified_sum(
+            lambda i: math.exp(ln_term(i) - peak),
+            0, lambda i: (m / (i + 1)) ** alpha))
+    if isinstance(model, ExplicitTailed):
+        if model.tail_ratio is None:
+            raise ValueError("entropy needs tail_ratio for tailed models")
+        rho_a = model.tail_ratio ** alpha
+        last = len(model.head) - 1
+        z = math.fsum(p ** alpha for p in model.head)
+        z += model.head[last] ** alpha * rho_a / (1.0 - rho_a)
+        return math.log(z)
+    raise TypeError(f"not a source model: {model!r}")
+
+
 def renyi_entropy(model: SourceModel, base: float) -> float:
     """Order-alpha Renyi entropy in bits, at alpha = 1/(1 + log2 base).
 
@@ -473,23 +509,4 @@ def renyi_entropy(model: SourceModel, base: float) -> float:
     if base == 1.0:
         return shannon_entropy(model)
     alpha = 1.0 / (1.0 + math.log2(base))
-    if isinstance(model, Geometric):
-        th = model.ratio
-        ln_z = alpha * math.log(1.0 - th) - math.log(1.0 - th ** alpha)
-    elif isinstance(model, ExplicitFinite):
-        ln_z = math.log(math.fsum(p ** alpha for p in model.probs))
-    elif isinstance(model, Poisson):
-        ln_z = math.log(_certified_sum(
-            lambda i: point_mass(model, i) ** alpha,
-            0, lambda i: (model.mean / (i + 1)) ** alpha))
-    elif isinstance(model, ExplicitTailed):
-        if model.tail_ratio is None:
-            raise ValueError("entropy needs tail_ratio for tailed models")
-        rho_a = model.tail_ratio ** alpha
-        last = len(model.head) - 1
-        z = math.fsum(p ** alpha for p in model.head)
-        z += model.head[last] ** alpha * rho_a / (1.0 - rho_a)
-        ln_z = math.log(z)
-    else:
-        raise TypeError(f"not a source model: {model!r}")
-    return ln_z / ((1.0 - alpha) * LN2)
+    return _ln_renyi_sum(model, alpha) / ((1.0 - alpha) * LN2)

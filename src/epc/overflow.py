@@ -14,6 +14,7 @@ and repeat until the code reproduces itself.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -21,9 +22,9 @@ from .errors import DivergenceError, EpcError, StabilityError
 from .golomb import GolombCode, golomb_exp_penalty
 from .light_tail import UnaryEndedCode, optimal_code
 from .models import (ExplicitFinite, ExplicitTailed, Exponential, Geometric,
-                     LengthSeq, Poisson, SourceModel, expected_length,
-                     point_mass, power_sum, shannon_entropy, tail_weight,
-                     total_mass)
+                     LengthSeq, Poisson, SourceModel, _ln_renyi_sum,
+                     expected_length, point_mass, power_sum, shannon_entropy,
+                     tail_weight, total_mass)
 from .numeric import LN2
 
 __all__ = [
@@ -115,21 +116,24 @@ class TableTransform:
             raise ValueError("transform values must lie in (0, 1]")
         if any(a < b for a, b in zip(vs, vs[1:])):
             raise ValueError("transform values must be nonincreasing")
+        # the log of each sample, and the log-slope from each to the next
+        logs = [math.log(v) for v in vs]
+        object.__setattr__(self, "_points", ss)
+        object.__setattr__(self, "_logs", logs)
+        object.__setattr__(self, "_slopes", [
+            (logs[k + 1] - logs[k]) / (ss[k + 1] - ss[k])
+            for k in range(len(ss) - 1)])
 
     def transform(self, s: float) -> float:
         if s < 0.0:
             raise ValueError("s must be nonnegative")
-        pts = self.samples
-        hi = 1
-        while hi < len(pts) - 1 and pts[hi][0] < s:
-            hi += 1
-        (s0, v0), (s1, v1) = pts[hi - 1], pts[hi]
-        slope = (math.log(v1) - math.log(v0)) / (s1 - s0)
-        return math.exp(math.log(v0) + slope * (s - s0))
+        # the first segment whose right end reaches s, else the last one
+        k = bisect_left(self._points, s, 1, len(self._points) - 1) - 1
+        return math.exp(self._logs[k]
+                        + self._slopes[k] * (s - self._points[k]))
 
     def mean_gap(self) -> float:
-        (s0, v0), (s1, v1) = self.samples[0], self.samples[1]
-        return -(math.log(v1) - math.log(v0)) / (s1 - s0)
+        return -self._slopes[0]
 
 
 ArrivalModel = Union[Deterministic, ExponentialArrivals, GammaArrivals,
@@ -335,71 +339,66 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
 
 # ------------------------------------------------------------ initial bound
 
-def _ln_renyi_sum_of(model: SourceModel,
-                     poisson_terms: int) -> Callable[[float], float]:
-    """alpha -> ln sum p(i)**alpha, with the masses listed once; a partial
-    sum for Poisson, which only lowers the bound's left side and so never
-    invalidates it."""
-    if isinstance(model, Geometric):
-        th = model.ratio
-        return lambda alpha: (alpha * math.log(1.0 - th)
-                              - math.log1p(-(th ** alpha)))
-    if isinstance(model, ExplicitFinite):
-        probs = model.probs
-        return lambda alpha: math.log(math.fsum(p ** alpha for p in probs))
-    if isinstance(model, Poisson):
-        ln_p = [-model.mean + i * math.log(model.mean) - math.lgamma(i + 1)
-                for i in range(poisson_terms)]
-        return lambda alpha: math.log(
-            math.fsum(math.exp(alpha * lp) for lp in ln_p))
-    if isinstance(model, ExplicitTailed):
-        if model.tail_ratio is None:
-            raise ValueError("the initial bound needs tail_ratio")
-        head, rho = model.head, model.tail_ratio
+def _last_nonpositive(f: Callable[[float], float], lo: float, f_lo: float,
+                      hi: float, f_hi: float) -> float:
+    """Shrink a bracket f(lo) <= 0 < f(hi) to width _S_TOL and return lo.
 
-        def ln_z(alpha: float) -> float:
-            rho_a = rho ** alpha
-            z = math.fsum(p ** alpha for p in head)
-            z += head[-1] ** alpha * rho_a / (1.0 - rho_a)
-            return math.log(z)
-
-        return ln_z
-    raise TypeError(f"not a source model: {model!r}")
+    An ITP search (Oliveira & Takahashi, ACM TOMS 2021): each step moves the
+    regula falsi point a little toward the midpoint, then projects it into
+    the window that still shrinks the bracket at least as fast as bisection
+    would. It converges superlinearly on smooth f and never needs more than
+    one step beyond bisection. Only the sign test f(s) <= 0 decides.
+    """
+    width0 = hi - lo
+    kappa1 = 0.2 / width0
+    n_max = math.ceil(math.log2(width0 / _S_TOL)) + 1
+    j = 0
+    while hi - lo > _S_TOL:
+        width, mid = hi - lo, (lo + hi) / 2.0
+        radius = max(_S_TOL / 2.0 * 2.0 ** (n_max - j) - width / 2.0, 0.0)
+        delta = kappa1 * width * width
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        sigma = math.copysign(1.0, mid - x)
+        x = x + sigma * delta if delta <= abs(mid - x) else mid
+        if abs(x - mid) > radius:
+            x = mid - sigma * radius
+        if not lo < x < hi:
+            x = mid
+        fx = f(x)
+        if fx <= 0.0:
+            lo, f_lo = x, fx
+        else:
+            hi, f_hi = x, fx
+        j += 1
+    return lo
 
 
 def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
     """An s0 at or above every achievable decay rate: the largest s where
     the transform times the alpha-norm lower bound on the power sum stays
-    at or below one. Zero when the source entropy already meets the mean
-    intermission."""
+    at or below one, to within _S_TOL. Zero when the source entropy already
+    meets the mean intermission."""
     if isinstance(model, ExplicitFinite) and len(model.probs) == 1:
         raise DivergenceError("a one-symbol source needs zero bits per "
                               "symbol, so its decay rate is unbounded")
-    mean_gap = arrivals.mean_gap()
-    if shannon_entropy(model) >= mean_gap:
+    if shannon_entropy(model) >= arrivals.mean_gap():
         return 0.0
-    # enough terms that the partial alpha-sum still forces a finite crossing
-    poisson_terms = max(256, 1 << min(int(math.ceil(mean_gap)) + 3, 20))
-    ln_renyi_sum = _ln_renyi_sum_of(model, poisson_terms)
 
     def ln_left(s: float) -> float:
         alpha = 1.0 / (1.0 + s / LN2)
         return (math.log(arrivals.transform(s))
-                + ln_renyi_sum(alpha) / alpha)
+                + _ln_renyi_sum(model, alpha) / alpha)
 
-    lo, hi = 0.0, 1.0
-    while ln_left(hi) <= 0.0:
-        lo = hi
+    # at s = 0 both the transform and the sum of the masses are one
+    lo, f_lo = 0.0, 0.0
+    hi, f_hi = 1.0, ln_left(1.0)
+    while f_hi <= 0.0:
+        lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > 2.0 ** 40:
             raise EpcError("initial bound did not close; arrivals too slow")
-    while hi - lo > _S_TOL:
-        mid = (lo + hi) / 2.0
-        if ln_left(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        f_hi = ln_left(hi)
+    return _last_nonpositive(ln_left, lo, f_lo, hi, f_hi)
 
 
 # --------------------------------------------------------------- optimizer

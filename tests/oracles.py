@@ -72,6 +72,24 @@ def poisson_pmf(mean: float, i: int) -> float:
     return math.exp(-mean + i * math.log(mean) - math.lgamma(i + 1))
 
 
+def poisson_renyi_sum_direct(mean: float, alpha: float,
+                             tol: float = ORACLE_TOL) -> float:
+    """sum_i p(i)**alpha for a Poisson mean, each term exp(alpha * ln p(i))
+    from lgamma, so that no term underflows where p(i) itself does. Past the
+    mode the term ratio (mean/(i+1))**alpha falls, and the remainder after
+    term t is at most t*q/(1-q); the sum is at least its largest term."""
+    ln_mean = math.log(mean)
+    terms, top, i = [], 0.0, 0
+    while True:
+        t = math.exp(alpha * (-mean + i * ln_mean - math.lgamma(i + 1)))
+        terms.append(t)
+        top = max(top, t)
+        q = (mean / (i + 1)) ** alpha
+        if q < 1.0 and t * q / (1.0 - q) < tol * top:
+            return math.fsum(terms)
+        i += 1
+
+
 def golomb_power_sum_direct(ratio: float, base: float, k: int,
                             tol: float = ORACLE_TOL) -> float:
     """sum_i (1-ratio) ratio^i base^(n_k(i)) by brute force; the per-period

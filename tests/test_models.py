@@ -197,3 +197,14 @@ def test_entropies():
     fin = ExplicitFinite((0.25, 0.25, 0.25, 0.25))
     assert shannon_entropy(fin) == pytest.approx(2.0)
     assert renyi_entropy(fin, 2.0) == pytest.approx(2.0)
+
+
+def test_poisson_entropy_past_mass_underflow():
+    # p(0) = e**-1000 underflows to 0.0; such a term contributes nothing
+    # instead of taking log2(0)
+    m = 1000.0
+    direct = -math.fsum(p * math.log2(p) for p in
+                        (poisson_pmf(m, i) for i in range(3000)) if p > 0.0)
+    assert shannon_entropy(Poisson(m)) == pytest.approx(direct, rel=1e-12)
+    # means whose masses do not underflow keep their values
+    assert shannon_entropy(Poisson(20.0)) == 4.201887394000996

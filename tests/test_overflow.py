@@ -9,6 +9,7 @@ from epc import (Deterministic, DivergenceError, ExplicitFinite,
                  TableTransform, UnaryTail, build_unary_ended,
                  decay_rate_bound, max_decay_rate, optimize_overflow,
                  overflow_functional, shannon_entropy, total_mass)
+from epc.overflow import _S_TOL
 from oracles import golomb_power_sum_direct, largest_feasible_on_grid
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -37,6 +38,24 @@ def test_table_transform_interpolation():
     for s in (0.0, 0.25, 0.5, 1.3, 2.0, 3.7):
         assert t.transform(s) == pytest.approx(math.exp(-3.0 * s), rel=1e-12)
     assert t.mean_gap() == pytest.approx(3.0, rel=1e-12)
+
+
+def test_table_transform_matches_segment_formula_bit_for_bit():
+    # the per-call formula: find the segment by a scan, take both logs
+    pts = ((0.0, 1.0), (0.3, 0.8), (0.7, 0.61), (1.0, 0.6), (2.5, 0.2))
+    t = TableTransform(pts)
+
+    def direct(s):
+        hi = 1
+        while hi < len(pts) - 1 and pts[hi][0] < s:
+            hi += 1
+        (s0, v0), (s1, v1) = pts[hi - 1], pts[hi]
+        slope = (math.log(v1) - math.log(v0)) / (s1 - s0)
+        return math.exp(math.log(v0) + slope * (s - s0))
+
+    for s in (0.0, 0.1, 0.3, 0.31, 0.7, 0.99, 1.0, 2.5, 2.6, 40.0):
+        assert t.transform(s) == direct(s)
+    assert t.mean_gap() == -(math.log(0.8) - math.log(1.0)) / 0.3
 
 
 def test_gamma_shape_one_is_exponential():
@@ -216,3 +235,16 @@ def test_huge_bound_is_refused_by_the_split_cap(mean, gap):
     with pytest.raises(NotLightTailedError):
         optimize_overflow(m, arr)
     assert time.process_time() - start < 0.5
+
+
+def test_bound_on_a_long_mean_gap_is_fast():
+    # the certified Renyi sum stops after a few dozen Poisson terms; a term
+    # count sized by the mean gap took 2**20 terms here, seconds per call
+    m, arr = Poisson(1.0), ExponentialArrivals(1.0 / 17.0)
+    start = time.process_time()
+    s0 = decay_rate_bound(m, arr)
+    assert time.process_time() - start < 0.5
+    assert abs(s0 - 1.3637245993013494) <= _S_TOL
+    res = optimize_overflow(m, arr)
+    assert res.decay_rate.hex() == "0x1.4f041ee700000p+0"
+    assert str(res.code) == "lengths 2,2,2,3,4,5,6,7 +unary@7"

@@ -1,19 +1,26 @@
 """Seeded property-based tests of the overflow solver: max_decay_rate, which
 evaluates f from a power sum built once per call, lands where a plain
-bisection over overflow_functional lands, and the optimize_overflow iterates
-rise to a feasible rate. Needs hypothesis (the `test` extra)."""
+bisection over overflow_functional lands; decay_rate_bound, which
+root-finds by ITP, lands where a plain bisection over its own left side
+lands; the Renyi sum under that bound matches a direct lgamma sum; and the
+optimize_overflow iterates rise to a feasible rate. Needs hypothesis (the
+`test` extra)."""
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epc import (Deterministic, DivergenceError, EpcError, ExplicitFinite,
                  Exponential, ExponentialArrivals, GammaArrivals, Geometric,
-                 Poisson, TableTransform, max_decay_rate, optimal_code,
-                 optimize_overflow, overflow_functional, shannon_entropy,
-                 with_geometric_tail)
+                 Poisson, TableTransform, decay_rate_bound, max_decay_rate,
+                 optimal_code, optimize_overflow, overflow_functional,
+                 shannon_entropy, with_geometric_tail)
+from epc.models import _ln_renyi_sum
+from epc.numeric import LN2
 from epc.overflow import _S_TOL, DecayRate, _divergence_point, _expected_len
+from oracles import poisson_renyi_sum_direct
 
 # derandomized: every run draws the same examples and writes no database
 SEEDED = settings(derandomize=True, database=None, deadline=None,
@@ -154,6 +161,72 @@ def test_max_decay_rate_matches_reference_bisection(problem):
         assert got.at_boundary == want.at_boundary
     else:
         assert got is want
+
+
+def _bound_left(model, arrivals):
+    """The bound's left side: ln of the transform times the alpha-norm."""
+    def ln_left(s):
+        alpha = 1.0 / (1.0 + s / LN2)
+        return (math.log(arrivals.transform(s))
+                + _ln_renyi_sum(model, alpha) / alpha)
+    return ln_left
+
+
+def _reference_bound(model, arrivals):
+    """decay_rate_bound by doubling, then plain bisection to _S_TOL."""
+    if shannon_entropy(model) >= arrivals.mean_gap():
+        return 0.0
+    ln_left = _bound_left(model, arrivals)
+    lo, hi = 0.0, 1.0
+    while ln_left(hi) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > 2.0 ** 40:
+            raise EpcError("initial bound did not close; arrivals too slow")
+    while hi - lo > _S_TOL:
+        mid = (lo + hi) / 2.0
+        if ln_left(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _bound_outcome(model, arrivals):
+    try:
+        return decay_rate_bound(model, arrivals)
+    except (EpcError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@SEEDED
+@given(problem=_problems())
+def test_decay_rate_bound_matches_reference_bisection(problem):
+    model, _, arrivals = problem
+    if isinstance(model, ExplicitFinite) and len(model.probs) == 1:
+        assert _bound_outcome(model, arrivals)[0] is DivergenceError
+        return
+    got = _bound_outcome(model, arrivals)
+    try:
+        want = _reference_bound(model, arrivals)
+    except (EpcError, ValueError) as exc:
+        assert got == (type(exc), str(exc))
+        return
+    assert isinstance(got, float), got
+    assert abs(got - want) <= _S_TOL
+    if got > 0.0:
+        # the bracket the search closed: feasible at s0, not a step past it
+        ln_left = _bound_left(model, arrivals)
+        assert ln_left(got) <= 0.0 < ln_left(got + _S_TOL)
+
+
+@SEEDED
+@given(mean=st.floats(0.01, 200.0), alpha=st.floats(0.01, 4.0))
+def test_renyi_sum_matches_direct_lgamma_sum(mean, alpha):
+    # at alpha = 0.01 the far tail's p(i) underflows to 0.0 while
+    # p(i)**alpha is still near e**-7.45: the sum must use log masses
+    got = math.exp(_ln_renyi_sum(Poisson(mean), alpha))
+    assert got == pytest.approx(poisson_renyi_sum_direct(mean, alpha),
+                                rel=1e-12)
 
 
 @SEEDED
