@@ -90,6 +90,44 @@ def poisson_renyi_sum_direct(mean: float, alpha: float,
         i += 1
 
 
+def poisson_ln_pmf(mean: float, i: int) -> float:
+    return -mean + i * math.log(mean) - math.lgamma(i + 1)
+
+
+def tailed_pmf(head, ratio: float, i: int) -> float:
+    """head[i], and past the head the last entry continued geometrically."""
+    if i < len(head):
+        return head[i]
+    return head[-1] * ratio ** (i - len(head) + 1)
+
+
+def series_direct(term, start: int, ratio_bound,
+                  tol: float = ORACLE_TOL) -> float:
+    """sum_{i >= start} term(i) by brute force. ratio_bound(i) bounds
+    term(k+1)/term(k) for every k >= i; once it is below one the remainder
+    after term i is at most term(i)*q/(1-q), and the sum stops when that is
+    below tol times the sum so far."""
+    terms, total, i = [], 0.0, start
+    while True:
+        t = term(i)
+        terms.append(t)
+        total += t
+        q = ratio_bound(i)
+        if q < 1.0 and t * q / (1.0 - q) <= tol * total:
+            return math.fsum(terms)
+        i += 1
+
+
+def poisson_tail_weight_direct(mean: float, j: int, base: float,
+                               tol: float = ORACLE_TOL) -> float:
+    """sum_{k>j} p(k) base**(k-j) for a Poisson mean, each term taken from
+    lgamma in the log domain; the term ratio is mean*base/(k+1)."""
+    ln_base = math.log(base)
+    return series_direct(
+        lambda k: math.exp(poisson_ln_pmf(mean, k) + (k - j) * ln_base),
+        j + 1, lambda k: mean * base / (k + 1), tol)
+
+
 def golomb_power_sum_direct(ratio: float, base: float, k: int,
                             tol: float = ORACLE_TOL) -> float:
     """sum_i (1-ratio) ratio^i base^(n_k(i)) by brute force; the per-period
