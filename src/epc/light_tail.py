@@ -15,9 +15,8 @@ from .bits import canonical_with_spine
 from .errors import NotLightTailedError
 from .golomb import GolombCode, optimal_k
 from .huffman import exp_huffman, maxred_huffman, merge
-from .models import (DthRedundancy, ExplicitFinite, ExplicitTailed, Geometric,
-                     LengthSeq, MaxRedundancy, Penalty, Poisson, SourceModel,
-                     UnaryTail, point_mass, tail_weight)
+from .models import (DthRedundancy, Geometric, LengthSeq, MaxRedundancy,
+                     Penalty, SourceModel, UnaryTail, tail_weight)
 from .numeric import ceil_snapped, check_positive
 
 __all__ = [
@@ -102,45 +101,38 @@ def find_split_exponential(model: SourceModel, base: float) -> int:
     earlier ones and also dominates its own weighted tail; the reduction to
     r+2 weights is then penalty-exact."""
     check_positive("base", base)
-    if isinstance(model, Poisson):
+    if model.size is not None:
+        raise ValueError("finite sources need no tail split")
+    rho = model.tail_ratio
+    if rho is None:
         return _capped(max(_reach(2.0 * base * model.mean) - 2,
                            _reach(math.e * model.mean) - 1, 0))
-    if isinstance(model, Geometric):
-        th = model.ratio
-        if base * (th + th * th) <= 1.0 + _REL_TOL:
-            return 0
-        raise NotLightTailedError(
-            "geometric tail too heavy at this base; use a Golomb code")
-    if isinstance(model, ExplicitTailed):
-        if model.tail_ratio is None:
-            raise NotLightTailedError(
-                "cannot certify tail decay without tail_ratio")
-        rho = model.tail_ratio
-        if base <= 0.5 and _head_nonincreasing(model):
-            return 0
-        # beyond the probe window the tail is purely geometric; there the
-        # step-to-step parts of the dominance conditions reduce to
-        # base*(rho + rho^2) <= 1
-        if base * (rho + rho * rho) > 1.0 + _REL_TOL:
-            raise NotLightTailedError("tail ratio too large for this base")
-        probe_end = max(len(model.head), _WINDOW)
-        floor = point_mass(model, 0)
-        worst = 0
-        for j in range(1, probe_end + 1):
-            pj = point_mass(model, j)
-            tw = tail_weight(model, j, base)
-            if not (_minprefix_ok(pj, floor) and _minprefix_ok(tw, floor)):
-                worst = j
-            floor = min(floor, pj)
-        # in the pure tail both conditions collapse to max(1,c)*p(j) <= floor
-        # with c the tail-weight factor; solve for where that starts holding
-        c = base * rho / (1.0 - base * rho)
-        return _capped(max(worst, _tail_threshold(
-            point_mass(model, probe_end + 1) * max(1.0, c), floor, rho,
-            probe_end + 1) - 1))
-    if isinstance(model, ExplicitFinite):
-        raise ValueError("finite sources need no tail split")
-    raise TypeError(f"not a source model: {model!r}")
+    # beyond the probe window the tail is purely geometric; there the
+    # step-to-step parts of the dominance conditions reduce to
+    # base*(rho + rho^2) <= 1, which always holds at base <= 1/2
+    if base * (rho + rho * rho) > 1.0 + _REL_TOL:
+        raise NotLightTailedError("tail ratio too large for this base")
+    # with a nonincreasing head they hold from symbol 0 at base <= 1/2, and
+    # always when the geometric tail starts at symbol 0
+    if (base <= 0.5 or model.tail_start == 0) and all(
+            model.mass(i) >= model.mass(i + 1)
+            for i in range(model.tail_start)):
+        return 0
+    probe_end = max(model.tail_start + 1, _WINDOW)
+    floor = model.mass(0)
+    worst = 0
+    for j in range(1, probe_end + 1):
+        pj = model.mass(j)
+        tw = tail_weight(model, j, base)
+        if not (_minprefix_ok(pj, floor) and _minprefix_ok(tw, floor)):
+            worst = j
+        floor = min(floor, pj)
+    # in the pure tail both conditions collapse to max(1,c)*p(j) <= floor
+    # with c the tail-weight factor; solve for where that starts holding
+    c = base * rho / (1.0 - base * rho)
+    return _capped(max(worst, _tail_threshold(
+        model.mass(probe_end + 1) * max(1.0, c), floor, rho,
+        probe_end + 1) - 1))
 
 
 def _reach(x: float) -> int:
@@ -167,44 +159,30 @@ def _tail_threshold(first_value: float, floor: float, rho: float,
     return first_index + max(steps, 0)
 
 
-def _head_nonincreasing(model: ExplicitTailed) -> bool:
-    h = model.head
-    return all(h[i] >= h[i + 1] for i in range(len(h) - 1))
-
-
 def find_split_mmr(model: SourceModel) -> int:
     """Smallest r with p(j) >= 2 p(j+1) for all j >= r and p(i) >= p(r) for
     all i < r; the mmr reduction doubles the first tail probability."""
-    if isinstance(model, Poisson):
-        return _capped(max(_reach(math.e * model.mean) - 1, 0))
-    if isinstance(model, Geometric):
-        if model.ratio <= 0.5 + _REL_TOL:
-            return 0
-        raise NotLightTailedError(
-            "geometric ratio above 1/2 fails the halving rule; use a Golomb code")
-    if isinstance(model, ExplicitTailed):
-        if model.tail_ratio is None:
-            raise NotLightTailedError(
-                "cannot certify tail decay without tail_ratio")
-        if model.tail_ratio > 0.5 + _REL_TOL:
-            raise NotLightTailedError("tail ratio above 1/2 fails the halving rule")
-        probe_end = max(len(model.head), _WINDOW)
-        p = [point_mass(model, j) for j in range(probe_end + 2)]
-        halving_from = 0
-        for j in range(probe_end + 1):
-            if p[j] < 2.0 * p[j + 1] - _REL_TOL * p[j]:
-                halving_from = j + 1
-        floor = math.inf   # min probability strictly before the candidate
-        for r in range(probe_end + 2):
-            if r >= halving_from and floor >= p[r] * (1.0 - _REL_TOL):
-                return r
-            floor = min(floor, p[r])
-        # pure geometric tail from here on; find where it sinks under the floor
-        return _capped(max(halving_from, _tail_threshold(
-            p[probe_end + 1], floor, model.tail_ratio, probe_end + 1)))
-    if isinstance(model, ExplicitFinite):
+    if model.size is not None:
         raise ValueError("finite sources need no tail split")
-    raise TypeError(f"not a source model: {model!r}")
+    rho = model.tail_ratio
+    if rho is None:
+        return _capped(max(_reach(math.e * model.mean) - 1, 0))
+    if rho > 0.5 + _REL_TOL:
+        raise NotLightTailedError("tail ratio above 1/2 fails the halving rule")
+    probe_end = max(model.tail_start + 1, _WINDOW)
+    p = model.masses(probe_end + 2)
+    halving_from = 0
+    for j in range(probe_end + 1):
+        if p[j] < 2.0 * p[j + 1] - _REL_TOL * p[j]:
+            halving_from = j + 1
+    floor = math.inf   # min probability strictly before the candidate
+    for r in range(probe_end + 2):
+        if r >= halving_from and floor >= p[r] * (1.0 - _REL_TOL):
+            return r
+        floor = min(floor, p[r])
+    # pure geometric tail from here on; find where it sinks under the floor
+    return _capped(max(halving_from, _tail_threshold(
+        p[probe_end + 1], floor, rho, probe_end + 1)))
 
 
 # -------------------------------------------------------------- assembly
@@ -226,7 +204,7 @@ def build_unary_ended(model: SourceModel, base: float) -> UnaryEndedCode:
     """Optimal infinite code under the base-exponential penalty for a
     light-tailed source: reduce at the split, optimize, attach the tail."""
     r = find_split_exponential(model, base)
-    weights = [point_mass(model, i) for i in range(r + 1)]
+    weights = model.masses(r + 1)
     weights.append(tail_weight(model, r, base))
     lengths = _assemble(weights, exp_huffman(weights, base).lengths)
     return UnaryEndedCode.from_lengths(lengths[:-1], lengths[-1])
@@ -236,8 +214,8 @@ def build_unary_ended_mmr(model: SourceModel) -> UnaryEndedCode:
     """Optimal infinite code under maximal pointwise redundancy for a
     source obeying the halving rule past the split."""
     r = find_split_mmr(model)
-    weights = [point_mass(model, i) for i in range(r + 1)]
-    weights.append(2.0 * point_mass(model, r + 1))
+    weights = model.masses(r + 1)
+    weights.append(2.0 * model.mass(r + 1))
     lengths = _assemble(weights, maxred_huffman(weights).lengths)
     return UnaryEndedCode.from_lengths(lengths[:-1], lengths[-1])
 
@@ -250,8 +228,8 @@ def optimal_code(model: SourceModel, penalty: Penalty):
     a UnaryEndedCode for other sources (not under DthRedundancy)."""
     if isinstance(model, Geometric):
         return GolombCode(optimal_k(model.ratio, penalty))
-    if isinstance(model, ExplicitFinite):
-        return LengthSeq(merge(model.probs, penalty).lengths)
+    if model.size is not None:
+        return LengthSeq(merge(model.masses(model.size), penalty).lengths)
     if isinstance(penalty, MaxRedundancy):
         return build_unary_ended_mmr(model)
     if isinstance(penalty, DthRedundancy):

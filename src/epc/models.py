@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
-from .errors import DivergenceError, NotLightTailedError
+from .errors import DivergenceError
 from .numeric import LN2, SUM_TOL, check_positive, logaddexp
 
 __all__ = [
@@ -26,9 +26,63 @@ __all__ = [
 
 # ---------------------------------------------------------------- sources
 
+def _probabilities(probs, what: str) -> tuple[float, ...]:
+    """The validated masses of a finite head or alphabet."""
+    probs = tuple(float(p) for p in probs)
+    if not probs:
+        raise ValueError(f"need at least one {what}")
+    if not all(map(math.isfinite, probs)):
+        raise ValueError("probabilities must be finite")
+    if any(p <= 0.0 for p in probs):
+        raise ValueError("probabilities must be strictly positive")
+    return probs
+
+
+class _Source:
+    """The one protocol every source answers; each query below is written
+    once over it.
+
+    mass(i), ln_mass(i)  p(i) and ln p(i) for i within the alphabet;
+                         masses(n) lists p(0), ..., p(n-1)
+    size                 the alphabet size, None for an infinite source
+    tail_ratio           a geometric continuation, p(i+1) = tail_ratio * p(i)
+                         from tail_start on; None for a finite source and for
+                         Poisson, whose mass ratio p(i+1)/p(i) is mean/(i+1)
+    """
+
+    size = None
+
+    def masses(self, n: int) -> list[float]:
+        return [self.mass(i) for i in range(n)]
+
+
+class _GeometricTail(_Source):
+    """A head whose last entry continues geometrically: p(i) = head[i] up to
+    tail_start = len(head) - 1, then head[-1] * tail_ratio**(i - tail_start)."""
+
+    @property
+    def tail_start(self) -> int:
+        return len(self.head) - 1
+
+    def mass(self, i: int) -> float:
+        head = self.head
+        if i < len(head):
+            return head[i]
+        last = len(head) - 1
+        return head[last] * self.tail_ratio ** (i - last)
+
+    def ln_mass(self, i: int) -> float:
+        head = self.head
+        if i < len(head):
+            return math.log(head[i])
+        last = len(head) - 1
+        return math.log(head[last]) + (i - last) * math.log(self.tail_ratio)
+
+
 @dataclass(frozen=True)
-class Geometric:
-    """p(i) = (1 - ratio) * ratio**i."""
+class Geometric(_GeometricTail):
+    """p(i) = (1 - ratio) * ratio**i: the one-entry head (1 - ratio,) with
+    tail ratio `ratio`."""
 
     ratio: float
 
@@ -36,57 +90,74 @@ class Geometric:
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
 
+    @property
+    def head(self) -> tuple[float, ...]:
+        return (1.0 - self.ratio,)
+
+    @property
+    def tail_ratio(self) -> float:
+        return self.ratio
+
 
 @dataclass(frozen=True)
-class Poisson:
+class Poisson(_Source):
     """p(i) = mean**i * exp(-mean) / i!."""
 
     mean: float
+    tail_ratio = None
 
     def __post_init__(self) -> None:
         check_positive("mean", self.mean)
+        object.__setattr__(self, "_ln_mean", math.log(self.mean))
+
+    def ln_mass(self, i: int) -> float:
+        return -self.mean + i * self._ln_mean - math.lgamma(i + 1)
+
+    def mass(self, i: int) -> float:
+        return math.exp(self.ln_mass(i))
 
 
 @dataclass(frozen=True)
-class ExplicitFinite:
+class ExplicitFinite(_Source):
     """A finite distribution given outright. Probabilities must sum to one;
     raw weight sets that do not are handled by the huffman engines directly."""
 
     probs: tuple[float, ...]
+    tail_ratio = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if not self.probs:
-            raise ValueError("need at least one probability")
-        if any(p <= 0.0 for p in self.probs):
-            raise ValueError("probabilities must be strictly positive")
+        object.__setattr__(self, "probs",
+                           _probabilities(self.probs, "probability"))
         if abs(math.fsum(self.probs) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1 within 1e-9")
 
+    @property
+    def size(self) -> int:
+        return len(self.probs)
+
+    def mass(self, i: int) -> float:
+        return self.probs[i]
+
+    def ln_mass(self, i: int) -> float:
+        return math.log(self.probs[i])
+
+    def masses(self, n: int) -> list[float]:
+        return list(self.probs[:n])
+
 
 @dataclass(frozen=True)
-class ExplicitTailed:
-    """Finite head plus an infinite tail described by an exact oracle.
-
-    tail_sum(j, base) must return sum_{k>j} p(k) * base**(k-j) exactly (raise
-    DivergenceError when the series diverges). tail_pmf, when given, returns
-    p(i) for i past the head. tail_ratio marks an exactly geometric
-    continuation p(i+1) = tail_ratio * p(i) from the last head entry on; the
-    structural checks in light_tail and the MaxRedundancy evaluator need it.
-    """
+class ExplicitTailed(_GeometricTail):
+    """Finite head whose last entry continues geometrically with
+    tail_ratio: p(i) = head[-1] * tail_ratio**(i - len(head) + 1) past the
+    head. A value: equal heads and ratios compare and hash equal."""
 
     head: tuple[float, ...]
-    tail_sum: Callable[[int, float], float]
-    tail_pmf: Optional[Callable[[int], float]] = None
-    tail_ratio: Optional[float] = None
+    tail_ratio: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "head", tuple(float(p) for p in self.head))
-        if not self.head:
-            raise ValueError("need at least one head probability")
-        if any(p <= 0.0 for p in self.head):
-            raise ValueError("probabilities must be strictly positive")
-        if self.tail_ratio is not None and not 0.0 < self.tail_ratio < 1.0:
+        object.__setattr__(self, "head",
+                           _probabilities(self.head, "head probability"))
+        if not 0.0 < self.tail_ratio < 1.0:
             raise ValueError("tail_ratio must lie in (0, 1)")
 
 
@@ -96,29 +167,7 @@ SourceModel = Union[Geometric, Poisson, ExplicitFinite, ExplicitTailed]
 def with_geometric_tail(head, ratio: float) -> ExplicitTailed:
     """ExplicitTailed whose tail continues the last head entry geometrically:
     p(i) = head[-1] * ratio**(i - len(head) + 1) for i >= len(head)."""
-    head = tuple(float(p) for p in head)
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie in (0, 1)")
-    last = len(head) - 1
-
-    def pmf(i: int) -> float:
-        if i < len(head):
-            return head[i]
-        return head[last] * ratio ** (i - last)
-
-    def tail_sum(j: int, base: float) -> float:
-        # exact: finite head part plus the closed geometric remainder
-        if j >= last:
-            q = base * ratio
-            if q >= 1.0:
-                raise DivergenceError(f"tail series diverges at base {base}")
-            return pmf(j + 1) * base / (1.0 - q)
-        acc = 0.0
-        for k in range(j + 1, last + 1):
-            acc += head[k] * base ** (k - j)
-        return acc + tail_sum(last, base) * base ** (last - j)
-
-    return ExplicitTailed(head, tail_sum, tail_pmf=pmf, tail_ratio=ratio)
+    return ExplicitTailed(tuple(head), ratio)
 
 
 # ---------------------------------------------------------------- penalties
@@ -211,212 +260,209 @@ class LengthSeq:
 
 # ---------------------------------------------------------------- queries
 
+# relative bound on what a tail weight summed term by term leaves out: the
+# weight is merged against masses far below one, so it is certified against
+# itself, to a rounding unit, rather than against SUM_TOL
+_TAIL_REL = 2.0 ** -53
+_MAX_TERMS = 10 ** 7
+
+
 def point_mass(model: SourceModel, i: int) -> float:
     """p(i)."""
     if i < 0:
         raise ValueError("symbols are nonnegative")
-    if isinstance(model, Geometric):
-        return (1.0 - model.ratio) * model.ratio ** i
-    if isinstance(model, Poisson):
-        return math.exp(-model.mean + i * math.log(model.mean) - math.lgamma(i + 1))
-    if isinstance(model, ExplicitFinite):
-        if i >= len(model.probs):
-            raise IndexError(f"symbol {i} outside the {len(model.probs)}-ary alphabet")
-        return model.probs[i]
-    if isinstance(model, ExplicitTailed):
-        if i < len(model.head):
-            return model.head[i]
-        if model.tail_pmf is None:
-            raise ValueError("point mass past the head needs tail_pmf")
-        return model.tail_pmf(i)
-    raise TypeError(f"not a source model: {model!r}")
+    if model.size is not None and i >= model.size:
+        raise IndexError(f"symbol {i} outside the {model.size}-ary alphabet")
+    return model.mass(i)
 
 
 def tail_weight(model: SourceModel, j: int, base: float) -> float:
     """sum_{k>j} p(k) * base**(k-j). j = -1 is allowed and weighs the whole
     support by base**(k+1)."""
     check_positive("base", base)
-    if isinstance(model, Geometric):
-        q = base * model.ratio
+    if model.size is not None:
+        return math.fsum(p * base ** (k - j) for k, p in
+                         enumerate(model.masses(model.size)) if k > j)
+    rho = model.tail_ratio
+    if rho is not None:
+        q = base * rho
         if q >= 1.0:
             raise DivergenceError(
                 f"geometric tail diverges: base*ratio = {q} >= 1")
-        return base * point_mass(model, j + 1) / (1.0 - q)
-    if isinstance(model, Poisson):
-        # closed form: base**(-j) e^{mean (base-1)} minus the weighed head
-        acc = math.exp(model.mean * (base - 1.0) - j * math.log(base))
-        for k in range(0, j + 1):
-            acc -= point_mass(model, k) * base ** (k - j)
-        return acc
-    if isinstance(model, ExplicitFinite):
-        return math.fsum(model.probs[k] * base ** (k - j)
-                         for k in range(max(j + 1, 0), len(model.probs)))
-    if isinstance(model, ExplicitTailed):
-        return model.tail_sum(j, base)
-    raise TypeError(f"not a source model: {model!r}")
+        s = model.tail_start
+        if j >= s:
+            return model.mass(j + 1) * base / (1.0 - q)
+        acc = 0.0
+        for k in range(j + 1, s + 1):
+            acc += model.mass(k) * base ** (k - j)
+        return acc + model.mass(s + 1) * base / (1.0 - q) * base ** (s - j)
+    # summed outward from the largest term, k0, in multiples of it, each
+    # term from the last by the ratio base * mean / (k + 1) above k0 and its
+    # inverse below, so that none underflows before the sum does; on each
+    # side the rest after a term v is at most v * q / (1 - q)
+    scale = base * model.mean
+    k0 = max(j + 1, int(min(scale, _MAX_TERMS)))
+    acc = v = 1.0
+    for k in range(k0, k0 + _MAX_TERMS):
+        q = scale / (k + 1)
+        v *= q
+        acc += v
+        if v * q <= _TAIL_REL * (1.0 - q) * acc:
+            break
+    else:
+        raise DivergenceError("series did not settle after the term cap")
+    v = 1.0
+    for k in range(k0, j + 1, -1):
+        q = k / scale
+        v *= q
+        acc += v
+        if v * q <= _TAIL_REL * (1.0 - q) * acc:
+            break
+    return acc * math.exp(model.ln_mass(k0) + (k0 - j) * math.log(base))
 
 
 def total_mass(model: SourceModel) -> float:
-    if isinstance(model, (Geometric, Poisson)):
-        return 1.0
-    if isinstance(model, ExplicitFinite):
-        return math.fsum(model.probs)
-    return math.fsum(model.head) + tail_weight(model, len(model.head) - 1, 1.0)
+    return tail_weight(model, -1, 1.0)
 
 
-def _is_infinite(model: SourceModel) -> bool:
-    return isinstance(model, (Geometric, Poisson, ExplicitTailed))
-
-
-def _require_cover(model: SourceModel, lengths: LengthSeq) -> None:
-    if _is_infinite(model):
+def _covered(model: SourceModel, lengths: LengthSeq) -> int:
+    """How many symbols the lengths' head sums run over: the whole alphabet
+    of a finite source, the head of the lengths for an infinite one."""
+    if model.size is None:
         if lengths.tail is None:
             raise ValueError("infinite source needs a length tail")
-    elif len(lengths.head) < len(model.probs) and lengths.tail is None:
+        return len(lengths.head)
+    if len(lengths.head) < model.size and lengths.tail is None:
         raise ValueError("lengths do not cover the alphabet")
+    return model.size
 
 
 # ------------------------------------------------------- penalty evaluation
 
 def power_sum(model: SourceModel, lengths: LengthSeq, base: float) -> float:
-    """sum p(i) * base**n(i), exact tail via the model's tail oracle."""
-    _require_cover(model, lengths)
-    if isinstance(model, ExplicitFinite):
-        return math.fsum(model.probs[i] * base ** lengths.length_at(i)
-                         for i in range(len(model.probs)))
-    acc = math.fsum(point_mass(model, i) * base ** lengths.head[i]
-                    for i in range(len(lengths.head)))
+    """sum p(i) * base**n(i), the tail through tail_weight."""
+    acc = math.fsum(p * base ** lengths.length_at(i) for i, p in
+                    enumerate(model.masses(_covered(model, lengths))))
+    if model.size is not None:
+        return acc
     t = lengths.tail
     # sum_{i>=t0} p(i) base**(L0+i-t0) = base**(L0-1) * tail_weight(t0-1)
-    acc += base ** (t.start_length - 1) * tail_weight(model, t.start_index - 1, base)
-    return acc
+    return acc + base ** (t.start_length - 1) * tail_weight(
+        model, t.start_index - 1, base)
 
 
 def expected_length(model: SourceModel, lengths: LengthSeq) -> float:
     """sum p(i) * n(i)."""
-    _require_cover(model, lengths)
-    if isinstance(model, ExplicitFinite):
-        return math.fsum(model.probs[i] * lengths.length_at(i)
-                         for i in range(len(model.probs)))
-    acc = math.fsum(point_mass(model, i) * lengths.head[i]
-                    for i in range(len(lengths.head)))
-    t = lengths.tail
-    t0, len0 = t.start_index, t.start_length
-    if isinstance(model, Geometric):
-        th = model.ratio
-        return acc + th ** t0 * (len0 + th / (1.0 - th))
-    if isinstance(model, Poisson):
+    acc = math.fsum(p * lengths.length_at(i) for i, p in
+                    enumerate(model.masses(_covered(model, lengths))))
+    if model.size is not None:
+        return acc
+    t0, len0 = lengths.tail.start_index, lengths.tail.start_length
+    rho = model.tail_ratio
+    if rho is None:
+        m = model.mean
         return acc + _certified_sum(
-            lambda i: point_mass(model, i) * (len0 + i - t0),
-            start=t0,
-            ratio_bound=lambda i: model.mean / (i + 1) * (len0 + i + 1 - t0) / max(len0 + i - t0, 1),
-        )
-    if isinstance(model, ExplicitTailed):
-        if model.tail_ratio is None:
-            raise ValueError("cannot certify the tail sum without tail_ratio")
-        last = len(model.head) - 1
-        start = max(t0, last)
-        acc += math.fsum(point_mass(model, i) * (len0 + i - t0)
-                         for i in range(t0, start))
-        # geometric continuation from `start` on
-        rho = model.tail_ratio
-        p0 = point_mass(model, start)
-        return acc + p0 * ((len0 + start - t0) / (1.0 - rho)
-                           + rho / (1.0 - rho) ** 2)
-    raise TypeError(f"not a source model: {model!r}")
+            lambda i: model.mass(i) * (len0 + i - t0), t0,
+            lambda i: m / (i + 1) * (len0 + i + 1 - t0) / max(len0 + i - t0, 1))
+    start = max(t0, model.tail_start)
+    acc += math.fsum(model.mass(i) * (len0 + i - t0) for i in range(t0, start))
+    # geometric continuation from `start` on
+    p0 = model.mass(start)
+    return acc + p0 * ((len0 + start - t0) / (1.0 - rho)
+                       + rho / (1.0 - rho) ** 2)
 
 
-def _certified_sum(term, start: int, ratio_bound, tol: float = SUM_TOL,
-                   max_terms: int = 10 ** 7) -> float:
+def _certified_sum(term, start: int, ratio_bound) -> float:
     """Sum term(i) from start while a geometric bound on the remainder,
-    driven by ratio_bound(i) (a bound on term(i+1)/term(i) that is eventually
-    nonincreasing and < 1), exceeds tol."""
+    driven by ratio_bound(i) (a bound on term(k+1)/term(k) for every k >= i,
+    eventually below one), exceeds SUM_TOL. A bound of exactly one lets a
+    zero term end the sum."""
     acc = 0.0
-    i = start
-    while i < start + max_terms:
+    for i in range(start, start + _MAX_TERMS):
         v = term(i)
         acc += v
         q = ratio_bound(i)
-        if 0.0 <= q < 1.0 and v * q / (1.0 - q) < tol:
+        if q < 1.0 and v * q / (1.0 - q) < SUM_TOL or q == 1.0 and v == 0.0:
             return acc
-        i += 1
     raise DivergenceError("series did not settle after the term cap")
+
+
+def _lower_cut(term, top: int, down_ratio) -> int:
+    """Where to start summing a series whose terms below it add up to less
+    than SUM_TOL. down_ratio(i) bounds term(k-1)/term(k) for every k <= i, so
+    once it is below one, term(i) / (1 - down_ratio(i)) bounds the sum of
+    term(i) and every term below it. Up to the mode `top` both the term and
+    its ratio rise, so that bound holds on a first run of indices, whose
+    end is found by bisection."""
+    def negligible(i: int) -> bool:
+        q = down_ratio(i)
+        return q < 1.0 and term(i) < SUM_TOL * (1.0 - q)
+
+    if top < 1 or not negligible(1):
+        return 0
+    lo, hi = 1, top + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if negligible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo + 1
 
 
 def _dth_sum_log(model: SourceModel, lengths: LengthSeq, order: float) -> float:
     """ln of sum p**(1+order) * 2**(order*n), computed in log space."""
-    _require_cover(model, lengths)
     d = order
     acc = -math.inf
-    if isinstance(model, ExplicitFinite):
-        for i in range(len(model.probs)):
-            acc = logaddexp(acc, (1.0 + d) * math.log(model.probs[i])
-                            + d * lengths.length_at(i) * LN2)
+    for i in range(_covered(model, lengths)):
+        acc = logaddexp(acc, (1.0 + d) * model.ln_mass(i)
+                        + d * lengths.length_at(i) * LN2)
+    if model.size is not None:
         return acc
-    for i in range(len(lengths.head)):
-        acc = logaddexp(acc, (1.0 + d) * math.log(point_mass(model, i))
-                        + d * lengths.head[i] * LN2)
-    t = lengths.tail
-    t0, len0 = t.start_index, t.start_length
+    t0, len0 = lengths.tail.start_index, lengths.tail.start_length
 
     def ln_term(i: int) -> float:
-        return (1.0 + d) * math.log(point_mass(model, i)) + d * (len0 + i - t0) * LN2
+        return (1.0 + d) * model.ln_mass(i) + d * (len0 + i - t0) * LN2
 
-    if isinstance(model, Geometric) or (
-            isinstance(model, ExplicitTailed) and model.tail_ratio is not None):
-        rho = model.ratio if isinstance(model, Geometric) else model.tail_ratio
-        last = 0 if isinstance(model, Geometric) else len(model.head) - 1
-        start = max(t0, last)
-        for i in range(t0, start):
-            acc = logaddexp(acc, ln_term(i))
-        ln_step = (1.0 + d) * math.log(rho) + d * LN2
-        if ln_step >= 0.0:
-            raise DivergenceError("order-d tail diverges")
-        # geometric remainder: term(start) / (1 - step)
-        return logaddexp(acc, ln_term(start) - math.log1p(-math.exp(ln_step)))
-    if isinstance(model, Poisson):
+    rho = model.tail_ratio
+    if rho is None:
+        ln_m = math.log(model.mean)
         i = t0
         while True:
             acc = logaddexp(acc, ln_term(i))
-            ln_q = (1.0 + d) * (math.log(model.mean) - math.log(i + 1)) + d * LN2
+            ln_q = (1.0 + d) * (ln_m - math.log(i + 1)) + d * LN2
             if ln_q < -1.0 and ln_term(i) + ln_q - math.log1p(-math.exp(ln_q)) < acc + math.log(SUM_TOL):
                 return acc
             i += 1
-    raise ValueError("cannot certify the tail sum for this model")
+    start = max(t0, model.tail_start)
+    for i in range(t0, start):
+        acc = logaddexp(acc, ln_term(i))
+    ln_step = (1.0 + d) * math.log(rho) + d * LN2
+    if ln_step >= 0.0:
+        raise DivergenceError("order-d tail diverges")
+    # geometric remainder: term(start) / (1 - step)
+    return logaddexp(acc, ln_term(start) - math.log1p(-math.exp(ln_step)))
 
 
 def _max_redundancy(model: SourceModel, lengths: LengthSeq) -> float:
     """sup n(i) + log2 p(i); math.inf when the supremum is unbounded."""
-    _require_cover(model, lengths)
-    if isinstance(model, ExplicitFinite):
-        return max(lengths.length_at(i) + math.log2(model.probs[i])
-                   for i in range(len(model.probs)))
-    best = max((lengths.head[i] + math.log2(point_mass(model, i))
-                for i in range(len(lengths.head))), default=-math.inf)
-    t = lengths.tail
-
-    def at(i: int) -> float:
-        return lengths.length_at(i) + math.log2(point_mass(model, i))
-
-    t0 = t.start_index
-    if isinstance(model, Geometric):
-        # per-step change along the tail is 1 + log2(ratio), constant
-        if model.ratio > 0.5:
-            return math.inf
-        return max(best, at(t0))
-    if isinstance(model, Poisson):
+    best = max((lengths.length_at(i) + math.log2(p) for i, p in
+                enumerate(model.masses(_covered(model, lengths)))),
+               default=-math.inf)
+    if model.size is not None:
+        return best
+    t0 = lengths.tail.start_index
+    rho = model.tail_ratio
+    if rho is None:
         # steps turn negative once i + 1 > 2 * mean; bounded always
         stop = max(t0, math.ceil(2.0 * model.mean)) + 2
-        return max(best, max(at(i) for i in range(t0, stop + 1)))
-    if isinstance(model, ExplicitTailed):
-        if model.tail_ratio is None:
-            raise NotLightTailedError(
-                "tail supremum needs tail_ratio to be certified")
-        if model.tail_ratio > 0.5:
-            return math.inf
-        stop = max(t0, len(model.head))
-        return max(best, max(at(i) for i in range(t0, stop + 1)))
-    raise TypeError(f"not a source model: {model!r}")
+    elif rho > 0.5:
+        # per-step change along the tail is 1 + log2(ratio), constant
+        return math.inf
+    else:
+        stop = max(t0, model.tail_start + 1)
+    return max(best, max(lengths.length_at(i) + model.ln_mass(i) / LN2
+                         for i in range(t0, stop + 1)))
 
 
 def evaluate_penalty(model: SourceModel, lengths: LengthSeq,
@@ -437,31 +483,36 @@ def evaluate_penalty(model: SourceModel, lengths: LengthSeq,
 
 def shannon_entropy(model: SourceModel) -> float:
     """H(P) in bits."""
-    if isinstance(model, Geometric):
-        th = model.ratio
-        return (-th * math.log2(th) - (1.0 - th) * math.log2(1.0 - th)) / (1.0 - th)
-    if isinstance(model, ExplicitFinite):
-        return -math.fsum(p * math.log2(p) for p in model.probs)
-    if isinstance(model, Poisson):
-        def term(i: int) -> float:
-            p = point_mass(model, i)
-            # a mass that underflows to 0.0 contributes less than 1e-320
-            return -p * math.log2(p) if p > 0.0 else 0.0
-        # the log factor grows slower than the pmf decays; past 2*mean + 8
-        # consecutive term ratios stay below 0.6
-        return _certified_sum(term, 0, lambda i: 0.6 if i > 2 * model.mean + 8 else 1.0)
-    if isinstance(model, ExplicitTailed):
-        if model.tail_ratio is None:
-            raise ValueError("entropy needs tail_ratio for tailed models")
-        rho = model.tail_ratio
-        last = len(model.head) - 1
-        acc = -math.fsum(p * math.log2(p) for p in model.head)
+    if model.size is not None:
+        return -math.fsum(p * math.log2(p) for p in model.masses(model.size))
+    rho = model.tail_ratio
+    if rho is not None:
+        head = model.masses(model.tail_start + 1)
         # continuation: -sum_{m>=1} p0 rho^m (log2 p0 + m log2 rho)
-        p0 = model.head[last]
-        acc += -p0 * (rho / (1.0 - rho) * math.log2(p0)
-                      + rho / (1.0 - rho) ** 2 * math.log2(rho))
-        return acc
-    raise TypeError(f"not a source model: {model!r}")
+        p0 = head[-1]
+        return -math.fsum(p * math.log2(p) for p in head) - p0 * (
+            rho / (1.0 - rho) * math.log2(p0)
+            + rho / (1.0 - rho) ** 2 * math.log2(rho))
+    m = model.mean
+
+    def term(i: int) -> float:
+        p = model.mass(i)
+        # a mass that underflows to 0.0 contributes less than 1e-320
+        return -p * math.log2(p) if p > 0.0 else 0.0
+
+    def down(i: int) -> float:
+        # with x = i/m and L = -ln p(i) >= 1 the ratio to the term below is
+        # at most x * (1 + ln(1/x) / L), which only falls further down
+        ln_p = model.ln_mass(i)
+        return i / m * (1.0 + math.log(m / i) / -ln_p) if ln_p <= -1.0 else math.inf
+
+    # the log factor grows slower than the pmf decays; past 2*mean + 8
+    # consecutive term ratios stay below 0.6, and past the mode the terms
+    # never rise again (every mass past symbol 0 is at most 1/e), so a mass
+    # that underflows there ends the sum
+    return _certified_sum(term, _lower_cut(term, int(m), down),
+                          lambda i: 0.6 if i > 2 * m + 8
+                          else 1.0 if i > m else math.inf)
 
 
 def _ln_renyi_sum(model: SourceModel, alpha: float) -> float:
@@ -469,34 +520,30 @@ def _ln_renyi_sum(model: SourceModel, alpha: float) -> float:
 
     Poisson terms are taken from the log masses, shifted by the largest
     (at the mode), so that no term underflows at small or large alpha; the
-    series stops once past the mode the ratio (mean/(i+1))**alpha certifies
-    the remainder below SUM_TOL of the shifted sum, which is at least one.
+    series runs from a cut below the mode, where the ratio (i/mean)**alpha
+    certifies the terms left out below SUM_TOL of the shifted sum (which is
+    at least one), to where (mean/(i+1))**alpha certifies the rest.
     """
-    if isinstance(model, Geometric):
-        th = model.ratio
-        return alpha * math.log(1.0 - th) - math.log(1.0 - th ** alpha)
-    if isinstance(model, ExplicitFinite):
-        return math.log(math.fsum(p ** alpha for p in model.probs))
-    if isinstance(model, Poisson):
-        m = model.mean
-        ln_m = math.log(m)
-
-        def ln_term(i: int) -> float:
-            return alpha * (-m + i * ln_m - math.lgamma(i + 1))
-
-        peak = ln_term(int(m))
-        return peak + math.log(_certified_sum(
-            lambda i: math.exp(ln_term(i) - peak),
-            0, lambda i: (m / (i + 1)) ** alpha))
-    if isinstance(model, ExplicitTailed):
-        if model.tail_ratio is None:
-            raise ValueError("entropy needs tail_ratio for tailed models")
-        rho_a = model.tail_ratio ** alpha
-        last = len(model.head) - 1
-        z = math.fsum(p ** alpha for p in model.head)
-        z += model.head[last] ** alpha * rho_a / (1.0 - rho_a)
+    if model.size is not None:
+        return math.log(math.fsum(p ** alpha
+                                  for p in model.masses(model.size)))
+    rho = model.tail_ratio
+    if rho is not None:
+        head = model.masses(model.tail_start + 1)
+        rho_a = rho ** alpha
+        z = math.fsum(p ** alpha for p in head)
+        z += head[-1] ** alpha * rho_a / (1.0 - rho_a)
         return math.log(z)
-    raise TypeError(f"not a source model: {model!r}")
+    m = model.mean
+    top = int(m)
+    peak = alpha * model.ln_mass(top)
+
+    def term(i: int) -> float:
+        return math.exp(alpha * model.ln_mass(i) - peak)
+
+    return peak + math.log(_certified_sum(
+        term, _lower_cut(term, top, lambda i: (i / m) ** alpha),
+        lambda i: (m / (i + 1)) ** alpha))
 
 
 def renyi_entropy(model: SourceModel, base: float) -> float:

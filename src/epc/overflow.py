@@ -21,10 +21,9 @@ from typing import Callable, NamedTuple, Union
 from .errors import DivergenceError, EpcError, StabilityError
 from .golomb import GolombCode, golomb_exp_penalty
 from .light_tail import UnaryEndedCode, optimal_code
-from .models import (ExplicitFinite, ExplicitTailed, Exponential, Geometric,
-                     LengthSeq, Poisson, SourceModel, _ln_renyi_sum,
-                     expected_length, point_mass, power_sum, shannon_entropy,
-                     tail_weight, total_mass)
+from .models import (Exponential, Geometric, LengthSeq, SourceModel,
+                     _ln_renyi_sum, expected_length, power_sum,
+                     shannon_entropy, tail_weight, total_mass)
 from .numeric import LN2
 
 __all__ = [
@@ -170,7 +169,7 @@ def _golomb_power_sum(model: SourceModel, code: GolombCode, base: float) -> floa
     while i < 10 ** 6:
         stop = i + 64
         while i < stop:
-            acc += point_mass(model, i) * base ** code.length(i)
+            acc += model.mass(i) * base ** code.length(i)
             i += 1
         if base <= 1.0:
             remainder = base * tail_weight(model, i - 1, 1.0)
@@ -220,20 +219,9 @@ def _expected_len(model: SourceModel, code: CodeLike) -> float:
     raise TypeError(f"not a usable code: {code!r}")
 
 
-def _model_tail_ratio(model: SourceModel):
-    if isinstance(model, Geometric):
-        return model.ratio
-    if isinstance(model, ExplicitTailed):
-        return model.tail_ratio
-    return None   # Poisson decays faster than any geometric; finite has no tail
-
-
 def _divergence_point(model: SourceModel, code: CodeLike) -> float:
-    rho = _model_tail_ratio(model)
-    if isinstance(model, ExplicitFinite) or (
-            isinstance(code, LengthSeq) and code.tail is None):
-        return math.inf
-    if rho is None:
+    rho = model.tail_ratio   # None: no tail, or one lighter than geometric
+    if rho is None or (isinstance(code, LengthSeq) and code.tail is None):
         return math.inf
     per_symbol = 1.0 / code.k if isinstance(code, GolombCode) else 1.0
     # sum terms behave like (rho * base**per_symbol)**i
@@ -244,44 +232,26 @@ def _power_sum_of(model: SourceModel,
                   code: CodeLike) -> Callable[[float], float]:
     """base -> the power sum that overflow_functional takes, with everything
     that does not depend on the base computed once: the head masses summed
-    per codeword length, the tail start, and for Poisson the head masses
-    its tail weight subtracts. A call then costs O(distinct head lengths)
-    plus the tail (for Poisson, one product per head symbol)."""
+    per codeword length and the tail start. A call then costs O(distinct
+    head lengths) plus the tail."""
     if isinstance(code, GolombCode):   # closed form, or a certified series
         return lambda base: _code_power_sum(model, code, base)
     lengths = code.lengths() if isinstance(code, UnaryEndedCode) else code
-    if isinstance(model, ExplicitFinite):
-        masses = model.probs
-        symbol_lengths = [lengths.length_at(i) for i in range(len(masses))]
-    else:
-        masses = [point_mass(model, i) for i in range(len(lengths.head))]
-        symbol_lengths = lengths.head
+    n = model.size if model.size is not None else len(lengths.head)
     by_length: dict[int, list[float]] = {}
-    for p, n in zip(masses, symbol_lengths):
-        by_length.setdefault(n, []).append(p)
+    for i, p in enumerate(model.masses(n)):
+        by_length.setdefault(lengths.length_at(i), []).append(p)
     table = [(math.fsum(ps), n) for n, ps in sorted(by_length.items())]
 
     def head_sum(base: float) -> float:
         return math.fsum(m * base ** n for m, n in table)
 
-    if isinstance(model, ExplicitFinite):
+    if model.size is not None:
         return head_sum
     # as in power_sum: the tail is base**(L0-1) * tail_weight(t0-1, base)
     j, rise = lengths.tail.start_index - 1, lengths.tail.start_length - 1
-    if not isinstance(model, Poisson):
-        return lambda base: (head_sum(base)
-                             + base ** rise * tail_weight(model, j, base))
-    mean = model.mean
-
-    def poisson_sum(base: float) -> float:
-        # tail_weight's Poisson closed form, subtracting the same masses in
-        # the same order
-        tail = math.exp(mean * (base - 1.0) - j * math.log(base))
-        for k, p in enumerate(masses):
-            tail -= p * base ** (k - j)
-        return head_sum(base) + base ** rise * tail
-
-    return poisson_sum
+    return lambda base: (head_sum(base)
+                         + base ** rise * tail_weight(model, j, base))
 
 
 def max_decay_rate(model: SourceModel, code: CodeLike,
@@ -378,7 +348,7 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
     the transform times the alpha-norm lower bound on the power sum stays
     at or below one, to within _S_TOL. Zero when the source entropy already
     meets the mean intermission."""
-    if isinstance(model, ExplicitFinite) and len(model.probs) == 1:
+    if model.size == 1:
         raise DivergenceError("a one-symbol source needs zero bits per "
                               "symbol, so its decay rate is unbounded")
     if shannon_entropy(model) >= arrivals.mean_gap():

@@ -206,6 +206,18 @@ def test_huge_poisson_mean_is_refused_fast(capsys):
         "error: no split found at or below 10000\n")
 
 
+def test_poisson_single_shot_base(capsys):
+    # base 1/2: the tail weight past the split is summed directly, so the
+    # reduced weights stay positive
+    assert run(["optimize", "--poisson", "15", "--penalty", "exp:0.5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("lengths ") and out[1].startswith("penalty ")
+    # at mean 1000 the head masses underflow: a domain error, no traceback
+    assert run(["optimize", "--poisson", "1000", "--penalty", "exp:0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_dth_huge_raw_weight(tmp_path, capsys):
     # 1e10**41 overflows a float; the build merges in logs instead
     f = tmp_path / "w.txt"

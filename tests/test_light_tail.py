@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from epc import (Exponential, Geometric, LengthSeq, MaxRedundancy,
+from epc import (ExplicitTailed, Exponential, Geometric, LengthSeq, MaxRedundancy,
                  NotLightTailedError, Poisson, UnaryEndedCode, UnaryTail,
                  build_unary_ended, build_unary_ended_mmr, evaluate_penalty,
                  find_split_exponential, find_split_mmr, point_mass,
@@ -78,10 +78,13 @@ def test_split_exponential_tailed_head_bump():
 
 
 def test_split_exponential_needs_structure():
-    bare = with_geometric_tail((0.4, 0.05, 0.3, 0.125, 0.0625), 0.5)
-    object.__setattr__(bare, "tail_ratio", None)
+    head = (0.4, 0.05, 0.3, 0.125, 0.0625)
+    # a tailed source states its tail ratio when it is built
+    with pytest.raises(TypeError):
+        ExplicitTailed(head)
+    # a tail too heavy for the base cannot be certified light
     with pytest.raises(NotLightTailedError):
-        find_split_exponential(bare, 1.2)
+        find_split_exponential(with_geometric_tail(head, 0.9), 1.2)
 
 
 def test_split_mmr():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -43,20 +44,42 @@ def test_point_mass():
         point_mass(f, 2)
 
 
-def test_explicit_tailed_point_mass_needs_pmf():
-    m = ExplicitTailed(head=(0.5, 0.25), tail_sum=lambda j, a: 0.0)
+def test_explicit_tailed_is_a_value():
+    m = ExplicitTailed(head=(0.5, 0.25), tail_ratio=0.5)
     assert point_mass(m, 1) == 0.25
-    with pytest.raises(ValueError):
-        point_mass(m, 2)
+    assert point_mass(m, 3) == pytest.approx(0.0625)
+    # equal heads and ratios compare and hash equal
     g = with_geometric_tail((0.5, 0.25), 0.5)
-    assert point_mass(g, 3) == pytest.approx(0.0625)
+    assert g == m == with_geometric_tail([0.5, 0.25], 0.5)
+    assert hash(g) == hash(m)
+    assert len({g, m, with_geometric_tail((0.5, 0.25), 0.5)}) == 1
+    assert g != with_geometric_tail((0.5, 0.25), 0.25)
+    assert g != with_geometric_tail((0.5, 0.125), 0.5)
+
+
+def test_source_probabilities_must_be_finite():
+    for build in (lambda: ExplicitFinite((math.nan,)),
+                  lambda: ExplicitFinite((0.5, math.nan, 0.5)),
+                  lambda: ExplicitFinite((math.inf, 0.5)),
+                  lambda: with_geometric_tail((math.inf, 0.2), 0.5),
+                  lambda: with_geometric_tail((0.5, math.nan), 0.5)):
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
+    for build in (lambda: ExplicitFinite((1.5, -0.5)),
+                  lambda: with_geometric_tail((0.5, 0.0), 0.5)):
+        with pytest.raises(ValueError,
+                           match="^probabilities must be strictly positive$"):
+            build()
+    for bad in (math.nan, math.inf, 0.0, 1.0):
+        with pytest.raises(ValueError):
+            with_geometric_tail((0.5, 0.25), bad)
 
 
 def test_with_geometric_tail_mass_and_sums():
     m = with_geometric_tail((0.6, 0.15, 0.15, 0.0375, 0.0375), 0.5)
     # geometric continuation from the last head value
     direct = math.fsum(0.0375 * 0.5 ** (i - 4) for i in range(5, 60))
-    assert m.tail_sum(4, 1.0) == pytest.approx(direct, abs=1e-15)
+    assert tail_weight(m, 4, 1.0) == pytest.approx(direct, abs=1e-15)
     assert total_mass(m) == pytest.approx(1.0125)
     # weighted tail sums against brute force, both regimes of a
     for a in (0.5, 1.0, 1.5):
@@ -208,3 +231,25 @@ def test_poisson_entropy_past_mass_underflow():
     assert shannon_entropy(Poisson(m)) == pytest.approx(direct, rel=1e-12)
     # means whose masses do not underflow keep their values
     assert shannon_entropy(Poisson(20.0)) == 4.201887394000996
+
+
+def test_poisson_entropies_cost_follows_the_spread():
+    # both sums start at a cut below the mode and stop where the masses
+    # vanish, so a huge mean costs about its standard deviation in terms;
+    # the values are those of the full sums from symbol 0
+    m = Poisson(1e6)
+    start = time.process_time()
+    h = shannon_entropy(m)
+    mid = time.process_time()
+    r = renyi_entropy(m, 2.0)
+    end = time.process_time()
+    assert mid - start < 0.1 and end - mid < 0.1
+    assert h == pytest.approx(12.012879741426245, rel=1e-12)
+    assert r == pytest.approx(12.291532168067986, rel=1e-12)
+    for mean, want in ((30.0, (4.49646356127472, 4.772960612008886)),
+                       (1000.0, (7.029867442734905, 7.308459689370512)),
+                       (12345.6, (8.842940513099947, 9.121588122750227))):
+        assert shannon_entropy(Poisson(mean)) == pytest.approx(want[0],
+                                                               rel=1e-12)
+        assert renyi_entropy(Poisson(mean), 2.0) == pytest.approx(want[1],
+                                                                  rel=1e-12)

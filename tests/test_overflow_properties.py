@@ -85,15 +85,10 @@ def _problems(draw):
 
 
 def _known_defect(exc, model, arrivals) -> bool:
-    """The two failures ROADMAP lists as open: the Poisson tail weight
-    cancels to <= 0 at a large base, so the reduced weights are refused;
-    and under Deterministic arrivals exp(-s*gap) underflows in
-    decay_rate_bound, a bare math domain error."""
-    return isinstance(exc, ValueError) and (
-        (isinstance(model, Poisson)
-         and str(exc) == "weights must be strictly positive")
-        or (isinstance(arrivals, Deterministic)
-            and str(exc) == "math domain error"))
+    """The failure ROADMAP lists as open: under Deterministic arrivals
+    exp(-s*gap) underflows in decay_rate_bound, a bare math domain error."""
+    return (isinstance(exc, ValueError) and isinstance(arrivals, Deterministic)
+            and str(exc) == "math domain error")
 
 
 def _reference_rate(model, code, arrivals) -> DecayRate:
