@@ -301,7 +301,7 @@ def tail_weight(model: SourceModel, j: int, base: float) -> float:
     # inverse below, so that none underflows before the sum does; on each
     # side the rest after a term v is at most v * q / (1 - q)
     scale = base * model.mean
-    k0 = max(j + 1, int(min(scale, _MAX_TERMS)))
+    k0 = max(j + 1, int(scale))
     acc = v = 1.0
     for k in range(k0, k0 + _MAX_TERMS):
         q = scale / (k + 1)
@@ -375,14 +375,16 @@ def expected_length(model: SourceModel, lengths: LengthSeq) -> float:
 def _certified_sum(term, start: int, ratio_bound) -> float:
     """Sum term(i) from start while a geometric bound on the remainder,
     driven by ratio_bound(i) (a bound on term(k+1)/term(k) for every k >= i,
-    eventually below one), exceeds SUM_TOL. A bound of exactly one lets a
-    zero term end the sum."""
+    eventually below one), exceeds SUM_TOL. With a bound of at most one the
+    sum also ends once every later term is below half an ulp of it: adding
+    those would leave it as it is."""
     acc = 0.0
     for i in range(start, start + _MAX_TERMS):
         v = term(i)
         acc += v
         q = ratio_bound(i)
-        if q < 1.0 and v * q / (1.0 - q) < SUM_TOL or q == 1.0 and v == 0.0:
+        if (q < 1.0 and v * q / (1.0 - q) < SUM_TOL
+                or q <= 1.0 and v * q < math.ulp(acc) / 2.0):
             return acc
     raise DivergenceError("series did not settle after the term cap")
 
@@ -508,8 +510,7 @@ def shannon_entropy(model: SourceModel) -> float:
 
     # the log factor grows slower than the pmf decays; past 2*mean + 8
     # consecutive term ratios stay below 0.6, and past the mode the terms
-    # never rise again (every mass past symbol 0 is at most 1/e), so a mass
-    # that underflows there ends the sum
+    # never rise again (every mass past symbol 0 is at most 1/e)
     return _certified_sum(term, _lower_cut(term, int(m), down),
                           lambda i: 0.6 if i > 2 * m + 8
                           else 1.0 if i > m else math.inf)

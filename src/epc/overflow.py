@@ -22,7 +22,7 @@ from .errors import DivergenceError, EpcError, StabilityError
 from .golomb import GolombCode, golomb_exp_penalty
 from .light_tail import UnaryEndedCode, optimal_code
 from .models import (Exponential, Geometric, LengthSeq, SourceModel,
-                     _ln_renyi_sum, expected_length, power_sum,
+                     _covered, _ln_renyi_sum, expected_length, power_sum,
                      shannon_entropy, tail_weight, total_mass)
 from .numeric import LN2
 
@@ -237,9 +237,8 @@ def _power_sum_of(model: SourceModel,
     if isinstance(code, GolombCode):   # closed form, or a certified series
         return lambda base: _code_power_sum(model, code, base)
     lengths = code.lengths() if isinstance(code, UnaryEndedCode) else code
-    n = model.size if model.size is not None else len(lengths.head)
     by_length: dict[int, list[float]] = {}
-    for i, p in enumerate(model.masses(n)):
+    for i, p in enumerate(model.masses(_covered(model, lengths))):
         by_length.setdefault(lengths.length_at(i), []).append(p)
     table = [(math.fsum(ps), n) for n, ps in sorted(by_length.items())]
 

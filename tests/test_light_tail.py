@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from epc import (ExplicitTailed, Exponential, Geometric, LengthSeq, MaxRedundancy,
-                 NotLightTailedError, Poisson, UnaryEndedCode, UnaryTail,
+from epc import (ExplicitTailed, Exponential, Geometric, LengthSeq,
+                 MaxRedundancy, NotLightTailedError, Poisson, UnaryEndedCode,
+                 UnaryTail,
                  build_unary_ended, build_unary_ended_mmr, evaluate_penalty,
                  find_split_exponential, find_split_mmr, point_mass,
                  tail_weight, with_geometric_tail)

@@ -234,9 +234,9 @@ def test_poisson_entropy_past_mass_underflow():
 
 
 def test_poisson_entropies_cost_follows_the_spread():
-    # both sums start at a cut below the mode and stop where the masses
-    # vanish, so a huge mean costs about its standard deviation in terms;
-    # the values are those of the full sums from symbol 0
+    # both sums start at a cut below the mode and stop a few standard
+    # deviations above it, so a huge mean costs about its spread in terms;
+    # the pinned values are those of the sums from symbol 0
     m = Poisson(1e6)
     start = time.process_time()
     h = shannon_entropy(m)

@@ -84,7 +84,7 @@ def _problems(draw):
     return model, base, draw(_arrivals(shannon_entropy(model)))
 
 
-def _known_defect(exc, model, arrivals) -> bool:
+def _known_defect(exc, arrivals) -> bool:
     """The failure ROADMAP lists as open: under Deterministic arrivals
     exp(-s*gap) underflows in decay_rate_bound, a bare math domain error."""
     return (isinstance(exc, ValueError) and isinstance(arrivals, Deterministic)
@@ -146,7 +146,7 @@ def test_max_decay_rate_matches_reference_bisection(problem):
     try:
         code = optimal_code(model, Exponential(base))
     except (EpcError, ValueError) as exc:
-        assert _known_defect(exc, model, arrivals), exc
+        assert _known_defect(exc, arrivals), exc
         return
     got = _outcome(max_decay_rate, model, code, arrivals)
     want = _outcome(_reference_rate, model, code, arrivals)
@@ -233,7 +233,7 @@ def test_optimize_overflow_iterates_rise_to_a_feasible_rate(problem):
     except EpcError:
         return   # a refusal with a domain error is an allowed answer
     except ValueError as exc:
-        assert _known_defect(exc, model, arrivals), exc
+        assert _known_defect(exc, arrivals), exc
         return
     rates = [rate for rate, _ in res.trace]
     assert all(a <= b for a, b in zip(rates, rates[1:])), rates
