@@ -89,14 +89,8 @@ class Geometric(_GeometricTail):
     def __post_init__(self) -> None:
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
-
-    @property
-    def head(self) -> tuple[float, ...]:
-        return (1.0 - self.ratio,)
-
-    @property
-    def tail_ratio(self) -> float:
-        return self.ratio
+        object.__setattr__(self, "head", (1.0 - self.ratio,))
+        object.__setattr__(self, "tail_ratio", self.ratio)
 
 
 @dataclass(frozen=True)
