@@ -28,12 +28,13 @@ __all__ = [
 
 def _probabilities(probs, what: str) -> tuple[float, ...]:
     """The validated masses of a finite head or alphabet."""
-    probs = tuple(float(p) for p in probs)
+    probs = tuple(map(float, probs))
     if not probs:
         raise ValueError(f"need at least one {what}")
-    if not all(map(math.isfinite, probs)):
-        raise ValueError("probabilities must be finite")
-    if any(p <= 0.0 for p in probs):
+    inf = math.inf
+    if not all(0.0 < p < inf for p in probs):   # one pass; NaN fails too
+        if not all(map(math.isfinite, probs)):
+            raise ValueError("probabilities must be finite")
         raise ValueError("probabilities must be strictly positive")
     return probs
 
