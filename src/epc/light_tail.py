@@ -54,7 +54,12 @@ class UnaryEndedCode:
 
     @classmethod
     def from_lengths(cls, head_lengths, spine_length: int) -> "UnaryEndedCode":
-        return cls(*canonical_with_spine(head_lengths, spine_length))
+        head, spine = canonical_with_spine(head_lengths, spine_length)
+        # canonical by construction, so __post_init__'s recheck is skipped
+        code = object.__new__(cls)
+        object.__setattr__(code, "head_codewords", head)
+        object.__setattr__(code, "tail_prefix", spine)
+        return code
 
     @property
     def split(self) -> int:
