@@ -1,11 +1,12 @@
 import random
 import struct
 import time
+from unittest import mock
 
 import pytest
 
 from epc import (ContainerError, ExplicitCode, GolombCode, Poisson,
-                 UnaryEndedCode, build_unary_ended, decode, encode,
+                 UnaryEndedCode, build_unary_ended, codec, decode, encode,
                  read_container)
 from epc.bits import canonical_with_spine
 from oracles import kraft_fraction
@@ -99,6 +100,15 @@ def test_symbol_out_of_range():
         encode([2], code)
     with pytest.raises(ValueError):
         encode([-1], GolombCode(3))
+
+
+def test_encode_refuses_non_integral_symbols():
+    # each used to be truncated by int(): 2.7 -> 2, "3" -> 3
+    for bad in (2.7, 2.0, "3", None):
+        with pytest.raises(ValueError, match="symbols are integers"):
+            encode([1, bad], GolombCode(1))
+    # anything operator.index accepts is an integer symbol
+    assert decode(encode([True, 2, 2], GolombCode(1))) == [1, 2, 2]
 
 
 def test_container_error_taxonomy():
@@ -210,3 +220,107 @@ def test_deep_code_roundtrip(code):
     bits += "0" * (-len(bits) % 8)
     assert blob.endswith(int(bits, 2).to_bytes(len(bits) // 8, "big"))
     assert read_container(blob) == (code, symbols)
+
+
+# --------------------------------------------------- multi-symbol table path
+
+def _table(code, t):
+    if isinstance(code, GolombCode):
+        return codec._decode_table(codec._golomb_words(code, t), t)
+    return codec._decode_table(
+        codec._canonical_words(*codec._canonical_rows(code), t), t)
+
+
+def _single_symbol(blob):
+    with mock.patch.object(codec, "_table_width", return_value=0):
+        return read_container(blob)
+
+
+def test_table_width_rule():
+    small, wide = codec._TABLE_MIN, codec._TABLE_WIDE
+    assert codec._table_width(small - 1, 1) == 0      # short containers
+    assert codec._table_width(small, 4) == 8
+    assert codec._table_width(small, 5) == 0          # shortest word > t/2
+    assert codec._table_width(wide - 1, 4) == 8
+    assert codec._table_width(wide, 5) == 10
+    assert codec._table_width(wide, 6) == 0
+    assert codec._table_width(10 ** 9, 1) == 10
+    assert _table(GolombCode(3), 0) is None
+    # 2**t entries at width t, 2**(t + 1) - 1 over the widths built
+    assert len(_table(GolombCode(3), 10)) == 1 << 10
+
+
+def test_table_needs_short_words_to_fill_code_space():
+    # words of at most 8 bits fill 3/4 of code space: no table
+    code = ExplicitCode.from_lengths([2, 2, 2] + [10] * 256)
+    assert _table(code, 8) is None
+    assert _table(ExplicitCode.from_lengths([2, 2, 2] + [5] * 8), 8)
+
+
+def test_table_entries_golomb():
+    table = _table(GolombCode(3), 8)
+    # 00 | 010 | 011: symbols 0, 1, 2 in 8 bits
+    assert table[0b00010011] == ((0, 1, 2), 8)
+    # 10 00 ... : one unary step then remainder 0 is symbol 3, then 0 ...
+    assert table[0b10000000] == ((3, 0, 0), 7)
+    # eight ones: the first word is longer than 8 bits
+    assert table[0b11111111] == ((), 0)
+
+
+def test_table_tail_word_inside_window():
+    # head "0", "10", spine "11": symbol 2 + j is "11", j ones, then "0"
+    code = UnaryEndedCode.from_lengths((1, 2), 2)
+    table = _table(code, 8)
+    assert table[0b11011010] == ((2, 2, 1), 8)
+    assert table[0b11111100] == ((6, 0), 8)           # 1111110, then 0
+    assert table[0b11111110] == ((7,), 8)             # the longest that fits
+    assert table[0b11111111] == ((), 0)               # the spine runs on
+    rng = random.Random(16)
+    symbols = [min(int(rng.expovariate(0.6)), 40) for _ in range(3000)]
+    blob = encode(symbols, code)
+    assert read_container(blob) == _single_symbol(blob) == (code, symbols)
+
+
+def test_table_head_word_longer_than_window():
+    # a chain 1, 2, ..., 15, 15: symbols 8 and up are longer than t = 8
+    code = ExplicitCode.from_lengths(list(range(1, 16)) + [15])
+    table = _table(code, 8)
+    assert table[0b11111111] == ((), 0)
+    assert table[0b11111110] == ((7,), 8)
+    assert table[0b01011010] == ((0, 1, 2, 1), 8)     # 0 | 10 | 110 | 10
+    assert table[0b01011011] == ((0, 1, 2), 6)        # then part of 11...
+    rng = random.Random(17)
+    symbols = [min(int(rng.expovariate(0.4)), 15) for _ in range(3000)]
+    blob = encode(symbols, code)
+    assert read_container(blob) == _single_symbol(blob) == (code, symbols)
+
+
+def test_table_unary_spine_longer_than_window():
+    # a 9-bit spine: every tail word is past the table, the head is in it
+    code = UnaryEndedCode(*canonical_with_spine(range(1, 10), 9))
+    table = _table(code, 8)
+    assert table[0b11111111] == ((), 0)
+    assert table[0b11101100] == ((3, 2, 0), 8)        # 1110 | 110 | 0
+    rng = random.Random(18)
+    symbols = [int(rng.expovariate(0.5)) for _ in range(3000)]
+    blob = encode(symbols, code)
+    assert read_container(blob) == _single_symbol(blob) == (code, symbols)
+
+
+@pytest.mark.parametrize("count", [codec._TABLE_MIN + 1, codec._TABLE_WIDE + 3])
+def test_table_stops_before_the_count(count):
+    # Golomb k = 1 writes 0 as "0", so every padding bit would read as one
+    # more symbol 0 if the table ran up to the count
+    code = GolombCode(1)
+    blob = encode([0] * count, code)
+    nbits = 8 * (len(blob) - 15)
+    assert nbits - count == 8 - count % 8
+    assert decode(blob) == [0] * count
+    # the count decides: the padding holds up to nbits - count more words
+    widened = blob[:7] + struct.pack("<Q", nbits) + blob[15:]
+    assert decode(widened) == _single_symbol(widened)[1] == [0] * nbits
+    # a one in the padding is still refused, inside or past a table window
+    for bit in (1, 8 - count % 8):
+        bad = blob[:-1] + bytes([blob[-1] | 1 << (bit - 1)])
+        with pytest.raises(ContainerError, match="nonzero padding"):
+            decode(bad)

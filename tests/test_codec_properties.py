@@ -1,15 +1,18 @@
 """Seeded property-based tests of the container codec: a differential test
 against the reference codeword() strings and a fuzz test on mutated
-containers. Needs hypothesis (the `test` extra)."""
+containers, both also against the single-symbol decoders on containers long
+enough for the multi-symbol table. Needs hypothesis (the `test` extra)."""
+import random
 import struct
 import time
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epc import (ContainerError, ExplicitCode, GolombCode, Poisson,
                  UnaryEndedCode, build_unary_ended, build_unary_ended_mmr,
-                 decode, encode, read_container)
+                 codec, decode, encode, read_container)
 from epc.bits import canonical_with_spine
 from oracles import kraft_fraction
 
@@ -26,7 +29,10 @@ def _packed(bits: str) -> bytes:
 def _golomb_params():
     edges = sorted({2 ** m + d for m in range(21) for d in (-1, 0, 1)
                     if 1 <= 2 ** m + d <= 2 ** 20})
-    return st.one_of(st.sampled_from(edges), st.integers(1, 2 ** 20))
+    # k < 32 keeps the shortest word within t/2, so long containers of
+    # these codes take the table path
+    return st.one_of(st.sampled_from(edges), st.integers(1, 2 ** 20),
+                     st.integers(1, 31))
 
 
 @st.composite
@@ -83,8 +89,33 @@ def _code_and_symbols(draw):
             build_unary_ended_mmr]))
         code = build(source)
         top = code.tail_start + 60
-    symbols = draw(st.lists(st.integers(0, top), max_size=80))
+    if not draw(st.booleans()):
+        symbols = draw(st.lists(st.integers(0, top), max_size=80))
+    else:   # past the table threshold: mostly short words, as a source
+        # the code suits would send them, and a few uniform draws
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        count = draw(st.integers(codec._TABLE_MIN, 3 * codec._TABLE_WIDE // 2))
+        length = (code.length if not isinstance(code, ExplicitCode)
+                  else lambda i: len(code.codewords[i]))
+        alphabet = range(min(top, 4095) + 1)
+        symbols = rng.choices(alphabet, [2.0 ** -length(i) for i in alphabet],
+                              k=count)
+        for _ in range(count // 20):
+            symbols[rng.randrange(count)] = rng.randrange(top + 1)
     return code, symbols
+
+
+def _outcome(blob: bytes):
+    try:
+        return read_container(blob)
+    except ContainerError as exc:
+        return str(exc)
+
+
+def _single_symbol_outcome(blob: bytes):
+    """The oracle: the same container with the table path off."""
+    with mock.patch.object(codec, "_table_width", return_value=0):
+        return _outcome(blob)
 
 
 @settings(SEEDED, max_examples=300)
@@ -99,6 +130,7 @@ def test_codec_matches_reference_codewords(case):
     assert blob[len(header) + 8:] == _packed(reference)
     back, decoded = read_container(blob)
     assert decoded == symbols and back == code
+    assert _single_symbol_outcome(blob) == (code, symbols)
 
 
 @st.composite
@@ -132,8 +164,7 @@ def _hostile_container(draw):
 @given(_hostile_container())
 def test_mutated_containers_decode_or_raise_container_error(blob):
     start = time.perf_counter()
-    try:
-        decode(blob)
-    except ContainerError:
-        pass
+    outcome = _outcome(blob)
     assert time.perf_counter() - start < 0.5
+    # the same symbols, or a ContainerError with the same message
+    assert outcome == _single_symbol_outcome(blob)
