@@ -11,6 +11,18 @@ once, decode formats the payload once and walks it by index. Golomb words
 are decoded arithmetically; explicit and unary-ended words through
 canonical first-code/limit tables (Moffat & Turpin, "On the implementation
 of minimum-redundancy prefix codes", IEEE Trans. Commun. 1997).
+
+A container of 512 symbols or more whose code has short words decodes
+most of them through a multi-symbol table (Choueka, Klein & Perl 1985):
+it maps the next t payload bits to every whole codeword in them and the
+bits they use, so one lookup emits several symbols. t is 8, or 10
+from 4096 symbols; a code whose shortest word is longer than t/2, or whose
+words of at most t bits fill less than 7/8 of code space, gets no table.
+The table is built for each container from the canonical rows, the unary
+tail or Golomb arithmetic, and kept for no other. Words longer than t bits
+and the symbols left once fewer than t remain before the count take the
+single-symbol steps above, so padding bits never decode as symbols and
+every container check reads as without the table.
 """
 from __future__ import annotations
 
@@ -151,15 +163,20 @@ def _parse_descriptor(data: bytes, offset: int) -> tuple[CodeSpec, int]:
 
 # Multi-symbol table decoding (Choueka, Klein & Perl, "Efficient variants of
 # Huffman codes in high level languages", SIGIR 1985). Building the 511
-# entries of a t = 8 table costs what the table saves on about 300 (unary-
-# ended) to 650 (Golomb k = 1) symbols, so shorter containers build none. A
-# code whose shortest word is longer than t/2 gets one word per lookup, and
-# one whose words of at most t bits fill less than 7/8 of code space sends
-# too many symbols through a failed lookup and a single step (the
-# 4096-symbol Zipf code, at 64% for t = 10, decoded 10% slower with a
-# table); neither builds one.
+# entries of a t = 8 table costs what the table saves on about 250 (Golomb
+# k = 3, unary-ended) to 600 (Golomb k = 1) symbols, so shorter containers
+# build none. A code whose shortest word is longer than t/2 gets one word
+# per lookup, and one whose words of at most t bits fill less than 7/8 of
+# code space sends too many symbols through a failed lookup and a single
+# step (the 4096-symbol Zipf code, at 64% for t = 10, decoded about 5%
+# slower with a table); neither builds one.
 _TABLE_MIN = 512
 _TABLE_WIDE = 4096      # containers from this count up use t = 10
+# A table is keyed by the window's own characters: a dict lookup on the
+# slice takes about half the time of parsing it with int(window, 2). The
+# keys are the same for every code, so they are made once here.
+_WINDOW_KEYS = {t: [format(u, f"0{t}b") for u in range(1 << t)]
+                for t in (8, 10)}
 
 
 def _table_width(count: int, shortest: int) -> int:
@@ -171,8 +188,8 @@ def _table_width(count: int, shortest: int) -> int:
 
 
 def _decode_table(words, t: int):
-    """Entry u: (symbols, bits used) of the whole words that start the t-bit
-    window u, or ((), 0) when its first word is longer than t bits or
+    """{t-bit window: (symbols, bits used)} for the whole words that start
+    the window, ((), 0) when its first word is longer than t bits or
     matches no word. None when those words fill less than 7/8 of code space,
     and always for t = 0.
 
@@ -198,7 +215,7 @@ def _decode_table(words, t: int):
                 table[value * span:(value + 1) * span] = [
                     (head + syms, length + used) for syms, used in rest]
         tables.append(table)
-    return tables[t]
+    return dict(zip(_WINDOW_KEYS[t], tables[t]))
 
 
 def _table_run(bits: str, pos: int, out: list, stop: int, t: int,
@@ -207,14 +224,12 @@ def _table_run(bits: str, pos: int, out: list, stop: int, t: int,
     -> pos. A lookup emits at most t words, so stop = count - t never lets
     the table decode past the count into the padding.
 
-    A window reads short only where fewer than t bits are left for at least
-    t words. Every word moves pos by at least one bit, so pos then ends
-    past the payload whatever is decoded: a truncated payload, as the single
-    steps report it. Golomb decoding can fail no other way; the canonical
-    decoder pads t zero bits, so its windows read what its single steps
-    would read, and a word that matches nothing is reported as they do."""
+    bits carries at least t padding zeros, so a window reads what the single
+    steps would read. One shorter than t bits, a KeyError, starts past the
+    payload: the caller reports a truncated payload, as the single steps
+    would."""
     while len(out) <= stop:
-        syms, used = table[int(bits[pos:pos + t], 2)]
+        syms, used = table[bits[pos:pos + t]]
         if not used:
             break
         out += syms
@@ -241,6 +256,7 @@ def _decode_golomb(bits: str, count: int, code: GolombCode):
     t = _table_width(count, g)
     table = _decode_table(_golomb_words(code, t), t)
     stop = count - t if table else -1
+    bits += "0" * t     # full windows at the end; an overrun shows in pos
     find = bits.find
     out = []
     append = out.append
@@ -390,7 +406,7 @@ def read_container(data: bytes) -> tuple[CodeSpec, list[int]]:
             symbols, pos = _decode_golomb(bits, count, code)
         else:
             symbols, pos = _decode_canonical(bits, count, code)
-    except (ValueError, IndexError):    # a window or suffix past the end
+    except (ValueError, IndexError, KeyError):  # reads past the end
         raise ContainerError("truncated payload") from None
     if pos > nbits:
         raise ContainerError("truncated payload")

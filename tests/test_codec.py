@@ -260,21 +260,21 @@ def test_table_needs_short_words_to_fill_code_space():
 def test_table_entries_golomb():
     table = _table(GolombCode(3), 8)
     # 00 | 010 | 011: symbols 0, 1, 2 in 8 bits
-    assert table[0b00010011] == ((0, 1, 2), 8)
+    assert table["00010011"] == ((0, 1, 2), 8)
     # 10 00 ... : one unary step then remainder 0 is symbol 3, then 0 ...
-    assert table[0b10000000] == ((3, 0, 0), 7)
+    assert table["10000000"] == ((3, 0, 0), 7)
     # eight ones: the first word is longer than 8 bits
-    assert table[0b11111111] == ((), 0)
+    assert table["11111111"] == ((), 0)
 
 
 def test_table_tail_word_inside_window():
     # head "0", "10", spine "11": symbol 2 + j is "11", j ones, then "0"
     code = UnaryEndedCode.from_lengths((1, 2), 2)
     table = _table(code, 8)
-    assert table[0b11011010] == ((2, 2, 1), 8)
-    assert table[0b11111100] == ((6, 0), 8)           # 1111110, then 0
-    assert table[0b11111110] == ((7,), 8)             # the longest that fits
-    assert table[0b11111111] == ((), 0)               # the spine runs on
+    assert table["11011010"] == ((2, 2, 1), 8)
+    assert table["11111100"] == ((6, 0), 8)           # 1111110, then 0
+    assert table["11111110"] == ((7,), 8)             # the longest that fits
+    assert table["11111111"] == ((), 0)               # the spine runs on
     rng = random.Random(16)
     symbols = [min(int(rng.expovariate(0.6)), 40) for _ in range(3000)]
     blob = encode(symbols, code)
@@ -285,10 +285,10 @@ def test_table_head_word_longer_than_window():
     # a chain 1, 2, ..., 15, 15: symbols 8 and up are longer than t = 8
     code = ExplicitCode.from_lengths(list(range(1, 16)) + [15])
     table = _table(code, 8)
-    assert table[0b11111111] == ((), 0)
-    assert table[0b11111110] == ((7,), 8)
-    assert table[0b01011010] == ((0, 1, 2, 1), 8)     # 0 | 10 | 110 | 10
-    assert table[0b01011011] == ((0, 1, 2), 6)        # then part of 11...
+    assert table["11111111"] == ((), 0)
+    assert table["11111110"] == ((7,), 8)
+    assert table["01011010"] == ((0, 1, 2, 1), 8)     # 0 | 10 | 110 | 10
+    assert table["01011011"] == ((0, 1, 2), 6)        # then part of 11...
     rng = random.Random(17)
     symbols = [min(int(rng.expovariate(0.4)), 15) for _ in range(3000)]
     blob = encode(symbols, code)
@@ -299,8 +299,8 @@ def test_table_unary_spine_longer_than_window():
     # a 9-bit spine: every tail word is past the table, the head is in it
     code = UnaryEndedCode(*canonical_with_spine(range(1, 10), 9))
     table = _table(code, 8)
-    assert table[0b11111111] == ((), 0)
-    assert table[0b11101100] == ((3, 2, 0), 8)        # 1110 | 110 | 0
+    assert table["11111111"] == ((), 0)
+    assert table["11101100"] == ((3, 2, 0), 8)        # 1110 | 110 | 0
     rng = random.Random(18)
     symbols = [int(rng.expovariate(0.5)) for _ in range(3000)]
     blob = encode(symbols, code)
@@ -324,3 +324,19 @@ def test_table_stops_before_the_count(count):
         bad = blob[:-1] + bytes([blob[-1] | 1 << (bit - 1)])
         with pytest.raises(ContainerError, match="nonzero padding"):
             decode(bad)
+
+
+def test_table_window_past_the_payload_reads_padding():
+    # "0", "10", "110": "111" matches nothing. 502 words "10", then "111"
+    # and padding; 600 declared symbols keep the table running at the end,
+    # where its window reads past the payload into the padding zeros
+    code = ExplicitCode.from_lengths((1, 2, 3))
+    assert codec._table_width(600, 1) == 8
+    bits = "10" * 502 + "1110"
+    blob = (encode([], code)[:-8] + struct.pack("<Q", 600)
+            + int(bits, 2).to_bytes(len(bits) // 8, "big"))
+    with pytest.raises(ContainerError, match="does not match") as got:
+        decode(blob)
+    with pytest.raises(ContainerError) as want:
+        _single_symbol(blob)
+    assert str(got.value) == str(want.value)
