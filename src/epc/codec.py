@@ -174,8 +174,9 @@ _TABLE_MIN = 512
 _TABLE_WIDE = 4096      # containers from this count up use t = 10
 # A table is keyed by the window's own characters: a dict lookup on the
 # slice takes about half the time of parsing it with int(window, 2). The
-# keys are the same for every code, so they are made once here.
-_WINDOW_KEYS = {t: [format(u, f"0{t}b") for u in range(1 << t)]
+# keys are the same for every code, so they are made once here (the
+# leading 1 of 2**t + u keeps u's leading zeros).
+_WINDOW_KEYS = {t: [bin(u)[3:] for u in range(1 << t, 2 << t)]
                 for t in (8, 10)}
 
 
