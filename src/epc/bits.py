@@ -2,11 +2,15 @@
 canonical codeword assignment from length lists."""
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+
 from .errors import ContainerError
 
 __all__ = [
-    "uleb128_encode", "uleb128_decode", "uleb128_decode_all",
-    "check_length_cap", "kraft_total", "canonical_codewords",
+    "uleb128_encode", "uleb128_encode_all", "uleb128_decode",
+    "uleb128_decode_all", "integer_lengths", "check_length_cap",
+    "length_counts", "kraft_total", "canonical_codewords",
     "canonical_with_spine",
 ]
 
@@ -21,6 +25,18 @@ def uleb128_encode(value: int) -> bytes:
         out.append(byte | (0x80 if value else 0))
         if not value:
             return bytes(out)
+
+
+def uleb128_encode_all(values) -> bytes:
+    """Consecutive varints of a sequence; values all below 0x80 are one
+    byte each, so they are their own bytes."""
+    try:
+        run = bytes(values)
+        if run.isascii():
+            return run
+    except (TypeError, ValueError):     # not all in range(256)
+        pass
+    return b"".join(map(uleb128_encode, values))
 
 
 def uleb128_decode(data: bytes, offset: int) -> tuple[int, int]:
@@ -42,6 +58,9 @@ def uleb128_decode(data: bytes, offset: int) -> tuple[int, int]:
 
 def uleb128_decode_all(data: bytes, offset: int, n: int) -> tuple[list[int], int]:
     """n consecutive varints -> (values, next offset)."""
+    run = bytes(data[offset:offset + n])
+    if len(run) == n and run.isascii():     # n one-byte varints
+        return list(run), offset + n
     values = []
     for _ in range(n):
         value, offset = uleb128_decode(data, offset)
@@ -49,14 +68,25 @@ def uleb128_decode_all(data: bytes, offset: int, n: int) -> tuple[list[int], int
     return values, offset
 
 
-def check_length_cap(lengths, alphabet_size: int) -> None:
-    """Refuse a codeword length above the alphabet size.
+def integer_lengths(lengths) -> tuple[int, ...]:
+    """The lengths as ints; ValueError for any value operator.index refuses,
+    which int() would truncate (1.5) or parse ("1")."""
+    lengths = tuple(lengths)
+    try:
+        return tuple(map(operator.index, lengths))
+    except TypeError:
+        bad = next(x for x in lengths if not hasattr(type(x), "__index__"))
+        raise ValueError(f"lengths are integers, got {type(bad).__name__} "
+                         f"{bad!r}") from None
+
+
+def check_length_cap(longest: int, alphabet_size: int) -> None:
+    """Refuse a longest codeword length above the alphabet size.
 
     A Kraft-complete code on n >= 2 symbols has no word longer than n - 1
     bits, so the cap refuses no complete code. It bounds the O(L) work of
     kraft_total and the decoder's L-bit window by the descriptor's size.
     """
-    longest = max(lengths, default=0)
     if longest > alphabet_size:
         raise ValueError(f"codeword length {longest} exceeds the alphabet "
                          f"size {alphabet_size}")
@@ -72,24 +102,43 @@ def kraft_total(lengths, extra_length: int = 0) -> tuple[int, int]:
     return sum(1 << (scale - l) for l in ls), 1 << scale
 
 
+def length_counts(lengths) -> list[int]:
+    """Words per length, indexed by length, of a prefix code with these
+    integer lengths. ValueError unless they are nonempty, within the cap of
+    their count, positive and Kraft sum <= 1, checked in that order."""
+    ordered = sorted(lengths)
+    if not ordered:
+        raise ValueError("need at least one codeword")
+    longest = ordered[-1]
+    check_length_cap(longest, len(ordered))
+    if ordered[0] < 1:
+        raise ValueError("lengths must be positive")
+    counts = [0] * (longest + 1)
+    start = 0
+    for length in range(ordered[0], longest + 1):
+        end = bisect_right(ordered, length, start)
+        counts[length] = end - start
+        start = end
+    if sum(n << longest - l for l, n in enumerate(counts)) > 1 << longest:
+        raise ValueError("lengths violate the Kraft inequality")
+    return counts
+
+
 def canonical_codewords(lengths) -> tuple[str, ...]:
     """Assign codewords in (length, index) order, each starting where the
-    previous ended; needs Kraft sum <= 1."""
-    lengths = list(map(int, lengths))
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
-    if order and lengths[order[0]] < 1:
-        raise ValueError("lengths must be positive")
-    out = [""] * len(lengths)
-    code = prev = 0
-    for i in order:
-        length = lengths[i]
-        code <<= length - prev
-        out[i] = bin(code + (1 << length))[3:]  # the leading 1 keeps zeros
-        code += 1
-        prev = length
-    # code is now the Kraft numerator over 2**prev
-    if code > 1 << prev:
-        raise ValueError("lengths violate the Kraft inequality")
+    previous ended; refuses what length_counts refuses."""
+    lengths = integer_lengths(lengths)
+    counts = length_counts(lengths)
+    first = []          # first[l]: the first l-bit word, as an integer
+    code = 0
+    for n in counts:
+        first.append(code)
+        code = (code + n) << 1
+    out = []
+    for length in lengths:
+        code = first[length]
+        first[length] = code + 1
+        out.append(bin(code + (1 << length))[3:])  # the leading 1 keeps zeros
     return tuple(out)
 
 
@@ -100,10 +149,10 @@ def canonical_with_spine(lengths, spine_length: int) -> tuple[tuple[str, ...], s
     canonical run then fills code space from the bottom and stops exactly at
     the all-1s subtree, so no head codeword can collide with it.
     """
+    *lengths, spine_length = integer_lengths([*lengths, spine_length])
     if spine_length < 1:
         raise ValueError("spine length must be positive")
-    lengths = list(map(int, lengths))
-    check_length_cap(lengths + [spine_length], len(lengths) + 1)
+    check_length_cap(max([*lengths, spine_length]), len(lengths) + 1)
     num, den = kraft_total(lengths, extra_length=spine_length)
     if num != den:
         raise ValueError("head lengths plus spine must be Kraft-complete")

@@ -132,8 +132,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
-    for sym in decode(data):
-        print(sym)
+    sys.stdout.write("".join(f"{sym}\n" for sym in decode(data)))
     return 0
 
 

@@ -12,6 +12,11 @@ are decoded arithmetically; explicit and unary-ended words through
 canonical first-code/limit tables (Moffat & Turpin, "On the implementation
 of minimum-redundancy prefix codes", IEEE Trans. Commun. 1997).
 
+An `ExplicitCode` is held as its lengths and the count of words per length,
+which is all canonical decoding needs; its codeword strings are built when
+encoding first asks for them, and decoding never does. A descriptor's
+lengths are read in one pass: a run of one-byte varints is its own bytes.
+
 A container of 512 symbols or more whose code has short words decodes
 most of them through a multi-symbol table (Choueka, Klein & Perl 1985):
 it maps the next t payload bits to every whole codeword in them and the
@@ -29,12 +34,13 @@ from __future__ import annotations
 import operator
 import struct
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
-from .bits import (canonical_codewords, check_length_cap, uleb128_decode,
-                   uleb128_decode_all, uleb128_encode)
+from .bits import (canonical_codewords, integer_lengths, length_counts,
+                   uleb128_decode, uleb128_decode_all, uleb128_encode,
+                   uleb128_encode_all)
 from .errors import ContainerError
 from .golomb import GolombCode
 from .light_tail import UnaryEndedCode
@@ -50,50 +56,48 @@ _TAG_EXPLICIT = 0x02
 _TAG_UNARY_ENDED = 0x03
 
 
-def _check_alphabet(lengths) -> None:
-    if not lengths:
-        raise ValueError("need at least one codeword")
-    check_length_cap(lengths, len(lengths))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExplicitCode:
-    """Finite prefix code in canonical order, so lengths identify it."""
+    """Finite prefix code in canonical order, so its lengths identify it.
 
-    codewords: tuple[str, ...]
+    Held as the lengths and the words per length; the codeword strings,
+    which encoding needs and decoding does not, are built on first use.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "codewords",
-                           tuple(str(w) for w in self.codewords))
-        if any(not w or set(w) - {"0", "1"} for w in self.codewords):
+    lengths: tuple[int, ...]
+
+    def __init__(self, codewords) -> None:
+        words = tuple(str(w) for w in codewords)
+        if any(not w or set(w) - {"0", "1"} for w in words):
             raise ValueError("codewords must be nonempty bit strings")
-        lengths = [len(w) for w in self.codewords]
-        _check_alphabet(lengths)
-        if self.codewords != canonical_codewords(lengths):
+        self._hold(map(len, words))
+        if words != self.codewords:
             raise ValueError(
                 "explicit codes are stored canonically; build via from_lengths")
 
     @classmethod
     def from_lengths(cls, lengths) -> "ExplicitCode":
-        lengths = list(map(int, lengths))
-        _check_alphabet(lengths)
-        # canonical by construction, so __post_init__'s recheck is skipped
         code = object.__new__(cls)
-        object.__setattr__(code, "codewords", canonical_codewords(lengths))
+        code._hold(lengths)
         return code
 
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(w) for w in self.codewords)
+    def _hold(self, lengths) -> None:
+        lengths = integer_lengths(lengths)
+        object.__setattr__(self, "_counts", length_counts(lengths))
+        object.__setattr__(self, "lengths", lengths)
+
+    @cached_property
+    def codewords(self) -> tuple[str, ...]:
+        return canonical_codewords(self.lengths)
 
     def codeword(self, i: int) -> str:
-        if not 0 <= i < len(self.codewords):
+        if not 0 <= i < len(self.lengths):
             raise ValueError(
-                f"symbol {i} outside the {len(self.codewords)}-ary alphabet")
+                f"symbol {i} outside the {len(self.lengths)}-ary alphabet")
         return self.codewords[i]
 
     def __str__(self) -> str:
-        return f"explicit code on {len(self.codewords)} symbols"
+        return f"explicit code on {len(self.lengths)} symbols"
 
 
 CodeSpec = Union[GolombCode, ExplicitCode, UnaryEndedCode]
@@ -103,12 +107,12 @@ def _descriptor(code: CodeSpec) -> bytes:
     if isinstance(code, GolombCode):
         return bytes([_TAG_GOLOMB]) + uleb128_encode(code.k)
     if isinstance(code, ExplicitCode):
-        out = bytes([_TAG_EXPLICIT]) + uleb128_encode(len(code.codewords))
-        return out + b"".join(map(uleb128_encode, code.lengths))
+        out = bytes([_TAG_EXPLICIT]) + uleb128_encode(len(code.lengths))
+        return out + uleb128_encode_all(code.lengths)
     if isinstance(code, UnaryEndedCode):
         out = bytes([_TAG_UNARY_ENDED]) + uleb128_encode(code.split)
         lengths = code.head_lengths + (len(code.tail_prefix),)
-        return out + b"".join(map(uleb128_encode, lengths))
+        return out + uleb128_encode_all(lengths)
     raise TypeError(f"not a code spec: {code!r}")
 
 
@@ -297,13 +301,16 @@ def _canonical_rows(code: CodeSpec):
     one more end, 2**L.
     """
     if isinstance(code, ExplicitCode):
-        lengths, spine = code.lengths, 0
+        lengths, counts, spine = code.lengths, code._counts, 0
     else:
         lengths, spine = code.head_lengths, len(code.tail_prefix)
-    width = max(max(lengths), spine)
+        counts = length_counts(lengths)
+    width = max(len(counts) - 1, spine)
     ends, rows = [], []
     first = base = 0        # first is left-justified to width bits
-    for length, n in sorted(Counter(lengths).items()):
+    for length, n in enumerate(counts):
+        if not n:
+            continue
         shift = width - length
         rows.append((length, (first >> shift) - base))
         first += n << shift

@@ -1,0 +1,168 @@
+"""Varint runs and length lists in `epc.bits`: the one-byte varint path
+against the per-varint loop, and the integer and prefix-code checks on
+length lists. Needs hypothesis (the `test` extra)."""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epc import ContainerError, ExplicitCode, UnaryEndedCode
+from epc.bits import (canonical_codewords, canonical_with_spine,
+                      uleb128_decode, uleb128_decode_all, uleb128_encode,
+                      uleb128_encode_all)
+
+# derandomized: every run draws the same examples and writes no database
+SEEDED = settings(derandomize=True, database=None, deadline=None)
+
+# one-byte values, two-byte ones that still fit in a byte, longer ones,
+# and ones past the 64-bit decode limit
+_VALUES = st.one_of(st.integers(0, 0x7F), st.integers(0x80, 0xFF),
+                    st.integers(0x100, 2 ** 20), st.integers(0, 2 ** 70))
+
+
+def _loop_decode(data, offset, n):
+    values = []
+    for _ in range(n):
+        value, offset = uleb128_decode(data, offset)
+        values.append(value)
+    return values, offset
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ContainerError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _varint_runs(draw):
+    """(data, offset, n): encoded values behind a random prefix, perhaps
+    cut short, perhaps followed by more bytes, asked for a nearby count."""
+    values = draw(st.lists(_VALUES, max_size=40))
+    prefix = draw(st.binary(max_size=8))
+    run = b"".join(map(uleb128_encode, values))
+    if draw(st.booleans()):
+        run = run[:draw(st.integers(0, len(run)))]
+    data = prefix + run + draw(st.binary(max_size=8))
+    n = max(0, len(values) + draw(st.integers(-3, 3)))
+    return data, len(prefix), n
+
+
+@SEEDED
+@given(_varint_runs())
+def test_decode_all_matches_the_loop(case):
+    data, offset, n = case
+    assert _outcome(uleb128_decode_all, data, offset, n) == \
+        _outcome(_loop_decode, data, offset, n)
+
+
+@SEEDED
+@given(st.binary(max_size=48), st.integers(0, 50), st.integers(0, 50))
+def test_decode_all_matches_the_loop_on_raw_bytes(data, offset, n):
+    assert _outcome(uleb128_decode_all, data, offset, n) == \
+        _outcome(_loop_decode, data, offset, n)
+
+
+@SEEDED
+@given(st.lists(st.one_of(_VALUES, st.integers(-3, -1)), max_size=40))
+def test_encode_all_matches_the_loop(values):
+    assert _outcome(uleb128_encode_all, values) == \
+        _outcome(lambda vs: b"".join(map(uleb128_encode, vs)), values)
+
+
+def test_one_byte_run_is_its_bytes():
+    assert uleb128_encode_all([0, 1, 127]) == b"\x00\x01\x7f"
+    assert uleb128_encode_all([]) == b""
+    assert uleb128_encode_all([1, 200]) == b"\x01\xc8\x01"
+    assert uleb128_decode_all(b"\xff\x05\x7f\x00", 1, 3) == ([5, 127, 0], 4)
+    with pytest.raises(ContainerError, match="truncated header varint"):
+        uleb128_decode_all(b"\x05\x06", 0, 3)
+
+
+def test_lengths_must_be_integers():
+    # int() used to truncate these: (1.5, 1.9) became the code for (1, 1)
+    with pytest.raises(ValueError,
+                       match=r"^lengths are integers, got float 1\.5$"):
+        ExplicitCode.from_lengths([1.5, 1.9])
+    with pytest.raises(ValueError,
+                       match="^lengths are integers, got str '1'$"):
+        ExplicitCode.from_lengths(["1", "1"])
+    with pytest.raises(ValueError, match="got float 2.0"):
+        canonical_codewords([1, 2.0, 2])
+    # a bare TypeError from the Kraft sum before
+    with pytest.raises(ValueError, match=r"got float 1\.7"):
+        UnaryEndedCode.from_lengths([1.7], 1.2)
+    with pytest.raises(ValueError, match=r"got float 1\.0"):
+        UnaryEndedCode.from_lengths([1], 1.0)
+    with pytest.raises(ValueError, match="got NoneType None"):
+        canonical_with_spine([1], None)
+    # anything operator.index accepts is an integer length
+    assert ExplicitCode.from_lengths([True, 1]) == \
+        ExplicitCode.from_lengths([1, 1])
+
+
+def _refusal(fn, lengths):
+    try:
+        fn(lengths)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("lengths, message", [
+    ((), "need at least one codeword"),
+    ((1, 3), "codeword length 3 exceeds the alphabet size 2"),
+    ((0, 5), "codeword length 5 exceeds the alphabet size 2"),
+    ((2, 0, 2), "lengths must be positive"),
+    ((-1, 1), "lengths must be positive"),
+    ((1, 1, 2), "lengths violate the Kraft inequality"),
+    ((2, 1, 2, 3), "lengths violate the Kraft inequality"),
+    ((1, 2), None),
+    ((3, 1, 3), None),
+])
+def test_from_lengths_refuses_what_canonical_codewords_refuses(lengths,
+                                                                message):
+    assert _refusal(canonical_codewords, lengths) == message
+    assert _refusal(ExplicitCode.from_lengths, lengths) == message
+
+
+@st.composite
+def _tree_lengths(draw):
+    """Leaf depths of a random full binary tree, in a random order."""
+    lengths = [1, 1]
+    for _ in range(draw(st.integers(0, 30))):
+        i = draw(st.integers(0, len(lengths) - 1))
+        lengths[i:i + 1] = [lengths[i] + 1] * 2
+    return draw(st.permutations(lengths))
+
+
+def _reference_words(lengths):
+    """Canonical words the textbook way: in (length, index) order, each one
+    more than the previous, shifted out to its own length."""
+    out = [None] * len(lengths)
+    code = prev = 0
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        code <<= lengths[i] - prev
+        prev = lengths[i]
+        out[i] = format(code, f"0{prev}b")
+        code += 1
+    return tuple(out)
+
+
+@SEEDED
+@given(st.one_of(st.lists(st.integers(-1, 9), max_size=9), _tree_lengths()))
+def test_from_lengths_agrees_with_canonical_codewords(lengths):
+    refusal = _refusal(canonical_codewords, lengths)
+    assert _refusal(ExplicitCode.from_lengths, lengths) == refusal
+    if refusal is None:
+        code = ExplicitCode.from_lengths(lengths)
+        assert code.codewords == canonical_codewords(lengths) == \
+            _reference_words(lengths)
+        assert code.lengths == tuple(lengths)
+        assert code == ExplicitCode(code.codewords)
+        assert hash(code) == hash(ExplicitCode(code.codewords))
+
+
+def test_canonical_codewords_in_length_then_index_order():
+    assert canonical_codewords([3, 1, 3, 2]) == ("110", "0", "111", "10")
+    assert canonical_codewords([2, 2, 2]) == ("00", "01", "10")

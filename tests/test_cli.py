@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from epc import golomb_exp_penalty, optimal_k_dth
+from epc import GolombCode, encode, golomb_exp_penalty, optimal_k_dth
 from epc.cli import run
 
 
@@ -68,6 +68,16 @@ def test_encode_decode_roundtrip(tmp_path, capsys):
     assert run(["decode", "--input", str(box)]) == 0
     out = capsys.readouterr().out.split()
     assert [int(x) for x in out] == [5, 0, 17, 3, 3, 99]
+
+
+def test_decode_output_lines(tmp_path, capsys):
+    box = tmp_path / "out.epc"
+    box.write_bytes(encode([], GolombCode(2)))
+    assert run(["decode", "--input", str(box)]) == 0
+    assert capsys.readouterr().out == ""      # an empty container prints nothing
+    box.write_bytes(encode([4, 0, 12], GolombCode(2)))
+    assert run(["decode", "--input", str(box)]) == 0
+    assert capsys.readouterr().out == "4\n0\n12\n"
 
 
 def test_encode_from_model(tmp_path, capsys):

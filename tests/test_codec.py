@@ -6,8 +6,8 @@ from unittest import mock
 import pytest
 
 from epc import (ContainerError, ExplicitCode, GolombCode, Poisson,
-                 UnaryEndedCode, build_unary_ended, codec, decode, encode,
-                 read_container)
+                 UnaryEndedCode, bits, build_unary_ended, codec, decode,
+                 encode, read_container)
 from epc.bits import canonical_with_spine
 from oracles import kraft_fraction
 
@@ -72,6 +72,34 @@ def test_explicit_code_is_canonical_only():
     assert canonical.codeword(2) == "11"
     with pytest.raises(ValueError):
         canonical.codeword(3)
+
+
+def test_explicit_code_is_its_lengths():
+    words = ("110", "0", "111", "10")
+    code = ExplicitCode.from_lengths((3, 1, 3, 2))
+    assert "codewords" not in vars(code)    # built on first use only
+    assert code == ExplicitCode(words)
+    assert hash(code) == hash(ExplicitCode(words))
+    assert code != ExplicitCode.from_lengths((3, 1, 2, 3))
+    assert code.codeword(2) == "111" and code.codewords == words
+    assert repr(code) == "ExplicitCode(lengths=(3, 1, 3, 2))"
+
+
+@pytest.mark.parametrize("count", [19, 3000])
+def test_explicit_decode_builds_no_codewords(count, monkeypatch):
+    # 3000 symbols of this code take the multi-symbol table path
+    code = ExplicitCode.from_lengths([1, 3, 3, 3, 4, 4])
+    rng = random.Random(count)
+    symbols = rng.choices(range(6), weights=[8, 2, 2, 2, 1, 1], k=count)
+    blob = encode(symbols, code)
+
+    def refuse(lengths):
+        raise AssertionError("decode built codeword strings")
+    monkeypatch.setattr(bits, "canonical_codewords", refuse)
+    monkeypatch.setattr(codec, "canonical_codewords", refuse)
+    got, decoded = read_container(blob)
+    assert decoded == symbols and got == code
+    assert "codewords" not in vars(got)
 
 
 def test_unary_ended_code_is_canonical_only():
