@@ -2,24 +2,30 @@
 
 Every penalty here is a generalized Huffman merge (Parker, "Conditions for
 optimality of the Huffman algorithm", SIAM J. Comput. 1980), run by the one
-heap loop `_run`:
+two-queue loop `_run` (van Leeuwen, "On the construction of Huffman trees",
+ICALP 1976):
 
-  exponential   merged weight = base * (w_j + w_k)
+  exponential   merged weight = base * (w_j + w_k), or
+                ln base + logaddexp(w_j, w_k) on w = ln w
   order-d       merged weight = 2**d * (w_j + w_k) on w = p**(1+d), or
                 d ln 2 + logaddexp(w_j, w_k) on w = ln p**(1+d)
-  minimax       merged weight = 2 * max(w_j, w_k)
+  minimax       merged weight = 2 * max(w_j, w_k), or
+                ln 2 + max(w_j, w_k) on w = ln w
 
-Order d merges plain weights when d < 64 and every weight, merged or not,
-is a normal float, logs otherwise; rounding orders ties differently in the
-two spaces, so merging every order in logs would change some lengths.
+Each rule merges plain weights and merges their logs instead when the plain
+root is not a positive normal float. Order d also takes logs when d >= 64
+or when its smallest weight is not a normal float. Rounding orders ties
+differently in the two spaces, so merging every input in logs would change
+some lengths.
 
 Ties are broken deterministically: lower weight first, then already-merged
-nodes before original items, then first-created first. The two smallest keys
-are merged each round and the earlier pop takes the 0 branch.
+nodes before original items, then first-created first (for items, lower
+index first). The two smallest nodes are merged each round and the earlier
+pop takes the 0 branch.
 """
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -33,16 +39,14 @@ __all__ = [
     "exp_huffman", "exp_huffman_two_queue", "maxred_huffman", "dth_huffman",
 ]
 
-# merge-preference order at equal weight: merged nodes win
-_COMPOUND, _LEAF = 0, 1
-
 
 @dataclass(frozen=True)
 class CodeTree:
     """Result of one construction run.
 
     objective is in bits (or expected bits); root_weight is the raw combined
-    weight the objective was derived from.
+    weight the objective was derived from (its log when the merge ran in
+    logs).
     """
 
     lengths: tuple[int, ...]
@@ -52,61 +56,122 @@ class CodeTree:
 
 
 def _check_weights(weights, noun: str = "weights") -> list[float]:
-    weights = [float(w) for w in weights]
+    weights = list(map(float, weights))
     if not weights:
         raise ValueError("need at least one weight")
     if not all(map(math.isfinite, weights)):
         raise ValueError(f"{noun} must be finite")
-    if any(w <= 0.0 for w in weights):
+    if min(weights) <= 0.0:
         raise ValueError(f"{noun} must be strictly positive")
     return weights
 
 
-def _run(weights: list[float], combine: Callable[[float, float], float]):
-    """Merge the two smallest nodes until one is left; return that root.
+def _normal(x: float) -> bool:
+    """Whether x is a positive normal float: a plain root the rules keep."""
+    return sys.float_info.min <= x < math.inf
 
-    A node is a (weight, kind, seq, children) tuple: a leaf's seq is its
-    item index, a merged node's its creation number. (kind, seq) is unique,
-    so tuple comparison is the tie-break and never reaches the children.
+
+def _codewords(first: list[int], second: list[int], n: int) -> list[str]:
+    """The items' codewords from the merge list.
+
+    Items are nodes 0..n-1 and merge j is node n + j, with children
+    first[j] (the earlier pop, on the 0 branch) and second[j]. A merge is
+    created after its children, so one reverse walk reaches each parent
+    before its children; the parent is then the last node held, and is
+    dropped once its children have their codewords, so a deep tree holds
+    each codeword string once.
     """
-    heap = [(w, _LEAF, i, None) for i, w in enumerate(weights)]
-    heapq.heapify(heap)
-    for seq in range(len(heap) - 1):
-        first = heapq.heappop(heap)   # takes the 0 branch
-        second = heap[0]
-        heapq.heapreplace(heap, (combine(first[0], second[0]), _COMPOUND, seq,
-                                 (first, second)))
-    return heap[0]
+    code = [""] * (2 * n - 1)
+    for x, y in zip(reversed(first), reversed(second)):
+        prefix = code.pop()
+        code[x] = prefix + "0"
+        code[y] = prefix + "1"
+    return code
 
 
-def _collect(root, n: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    codewords = [""] * n
-    stack = [(root, "")]
-    while stack:
-        (_, kind, seq, children), prefix = stack.pop()
-        if kind == _LEAF:
-            codewords[seq] = prefix
+def _run(weights: list[float], combine: Callable[[float, float], float]):
+    """Merge the two smallest nodes until one is left; return the root
+    weight and the items' codewords.
+
+    Items queue once, sorted by (weight, index), before an inf sentinel.
+    Merges queue in `merged` by (weight, node id), the slots past the tail
+    inf; at equal weight the merged head pops first. A merge is appended
+    when no live merge is above it, and placed among the live merges by
+    bisection otherwise, so every pop is the smallest live node whatever
+    `combine` does. A merge may fall below merges already popped
+    (c * (a + b) < b when c < 1/2); only one below a live merge takes the
+    bisection, which the rules here reach at most by rounding.
+    """
+    n = len(weights)
+    order = sorted(range(n), key=weights.__getitem__)   # stable
+    items = [weights[i] for i in order]
+    items.append(math.inf)
+    merged = [math.inf] * n
+    ids = [0] * n
+    first = [0] * (n - 1)
+    second = [0] * (n - 1)
+    i = 0
+    head = tail = 0
+    w = weights[0]
+    for j in range(n - 1):
+        if merged[head] <= items[i]:
+            a = merged[head]
+            first[j] = ids[head]
+            head += 1
         else:
-            stack.append((children[0], prefix + "0"))
-            stack.append((children[1], prefix + "1"))
-    return tuple(map(len, codewords)), tuple(codewords)
+            a = items[i]
+            first[j] = order[i]
+            i += 1
+        if merged[head] <= items[i]:
+            b = merged[head]
+            second[j] = ids[head]
+            head += 1
+        else:
+            b = items[i]
+            second[j] = order[i]
+            i += 1
+        w = combine(a, b)
+        if head == tail or w >= merged[tail - 1]:
+            merged[tail] = w
+            ids[tail] = n + j
+        else:
+            at = bisect.bisect_right(merged, w, head, tail)
+            merged.insert(at, w)
+            ids.insert(at, n + j)
+        tail += 1
+    return w, tuple(_codewords(first, second, n))
 
 
-def _exp_tree(weights: list[float], base: float, root) -> CodeTree:
-    lengths, codewords = _collect(root, len(weights))
+def _exp_tree(weights: list[float], base: float, root: float,
+              codewords: tuple[str, ...], ln_root: float) -> CodeTree:
+    lengths = tuple(map(len, codewords))
     if base == 1.0:
         cost = math.fsum(w * n for w, n in zip(weights, lengths))
     else:
-        cost = math.log(root[0]) / math.log(base)
-    return CodeTree(lengths, codewords, root[0], cost)
+        cost = ln_root / math.log(base)
+    return CodeTree(lengths, codewords, root, cost)
+
+
+def _plain_or_logs(weights: list[float], plain, in_logs):
+    """Merge the weights by `plain`, or their logs by `in_logs` when the
+    plain root is not a positive normal float; return the root, the
+    codewords and whether the merge ran in logs."""
+    root, codewords = _run(weights, plain)
+    if _normal(root):
+        return root, codewords, False
+    return (*_run(list(map(math.log, weights)), in_logs), True)
 
 
 def exp_huffman(weights, base: float) -> CodeTree:
     """Minimize log_base sum w * base**n (expected length when base == 1)."""
     check_positive("base", base)
     weights = _check_weights(weights)
-    return _exp_tree(weights, base,
-                     _run(weights, lambda a, b: base * (a + b)))
+    ln_base = math.log(base)
+    root, codewords, logged = _plain_or_logs(
+        weights, lambda a, b: base * (a + b),
+        lambda a, b: ln_base + logaddexp(a, b))
+    return _exp_tree(weights, base, root, codewords,
+                     root if logged else math.log(root))
 
 
 @dataclass
@@ -121,56 +186,61 @@ class TwoQueueTrace:
 
 def exp_huffman_two_queue(weights, base: float,
                           trace: Optional[TwoQueueTrace] = None) -> CodeTree:
-    """Same penalty as exp_huffman, built with two FIFO queues, no heap.
+    """Same penalty as exp_huffman on plain weights, built with two FIFO
+    queues, no sort and no bisection.
 
     Requires weights sorted nondecreasing. Queue one holds the original items
     smallest-first; queue two receives merged nodes in creation order and, by
-    the combining rule here, never needs reordering. Nodes compare as in the
-    heap engine, so merged nodes are preferred at equal weight.
+    the combining rule here, never needs reordering. Nodes compare as in
+    exp_huffman, so merged nodes are preferred at equal weight. A merge's
+    seq in the trace is its creation number.
     """
     check_positive("base", base)
     weights = _check_weights(weights)
     if any(a > b for a, b in zip(weights, weights[1:])):
         raise ValueError("weights must be sorted nondecreasing")
     n = len(weights)
-    q1 = [(w, _LEAF, i, None) for i, w in enumerate(weights)]
-    head1 = 0  # q1 is consumed front to back; q2 grows at the tail
-    q2: list = []
-    head2 = 0
+    q1 = weights + [math.inf]
+    q2 = [math.inf] * n   # merge j in slot j; the slots past it read inf
+    first = [0] * (n - 1)
+    second = [0] * (n - 1)
+    head1 = head2 = 0
     drained_at = None
-
-    def pop_min():
-        nonlocal head1, head2
-        if head1 < n and (head2 == len(q2) or q1[head1] < q2[head2]):
+    root = weights[0]
+    for j in range(n - 1):
+        if q2[head2] <= q1[head1]:
+            a = q2[head2]
+            first[j] = n + head2
+            head2 += 1
+        else:
+            a = q1[head1]
+            first[j] = head1
             head1 += 1
-            return q1[head1 - 1]
-        head2 += 1
-        return q2[head2 - 1]
-
-    for seq in range(n - 1):
-        first = pop_min()
-        second = pop_min()
-        merged = (base * (first[0] + second[0]), _COMPOUND, seq,
-                  (first, second))
-        q2.append(merged)
+        if q2[head2] <= q1[head1]:
+            b = q2[head2]
+            second[j] = n + head2
+            head2 += 1
+        else:
+            b = q1[head1]
+            second[j] = head1
+            head1 += 1
+        root = q2[j] = base * (a + b)
         if trace is not None:
             # order is a property of the live queue, not of past appends
-            if len(q2) - head2 > 1 and merged[0] < q2[-2][0]:
+            live = j + 1 - head2
+            if live > 1 and root < q2[j - 1]:
                 trace.order_violations += 1
-            trace.max_compound_queue = max(trace.max_compound_queue,
-                                           len(q2) - head2)
+            trace.max_compound_queue = max(trace.max_compound_queue, live)
             if head1 >= n and drained_at is None:
-                drained_at = tuple(node[2] for node in q2[head2:])
-    root = pop_min()
+                drained_at = tuple(range(head2, j + 1))
     if trace is not None:
         trace.drained = drained_at if drained_at is not None else ()
-        stack = [(root, 0)]
-        while stack:
-            (_, kind, seq, children), depth = stack.pop()
-            if kind == _COMPOUND:
-                trace.depths[seq] = depth
-                stack.extend((child, depth + 1) for child in children)
-    return _exp_tree(weights, base, root)
+        depth = [0] * (2 * n - 1)   # by node id
+        for j in range(n - 2, -1, -1):
+            depth[first[j]] = depth[second[j]] = depth[n + j] + 1
+        trace.depths.update((j, depth[n + j]) for j in range(n - 1))
+    codewords = tuple(_codewords(first, second, n))
+    return _exp_tree(weights, base, root, codewords, math.log(root))
 
 
 def maxred_huffman(weights) -> CodeTree:
@@ -181,9 +251,10 @@ def maxred_huffman(weights) -> CodeTree:
     scaling all weights by a common factor.
     """
     weights = _check_weights(weights)
-    root = _run(weights, lambda a, b: 2.0 * max(a, b))
-    lengths, codewords = _collect(root, len(weights))
-    return CodeTree(lengths, codewords, root[0], math.log2(root[0]))
+    root, codewords, logged = _plain_or_logs(
+        weights, lambda a, b: 2.0 * max(a, b), lambda a, b: LN2 + max(a, b))
+    objective = root / LN2 if logged else math.log2(root)
+    return CodeTree(tuple(map(len, codewords)), codewords, root, objective)
 
 
 def dth_huffman(probs, order: float) -> CodeTree:
@@ -202,16 +273,15 @@ def dth_huffman(probs, order: float) -> CodeTree:
             weights = None
         if weights and min(weights) >= sys.float_info.min:
             scale = 2.0 ** d
-            root = _run(weights, lambda a, b: scale * (a + b))
-    if root is not None and root[0] < math.inf:
-        objective = math.log2(root[0]) / d
+            root, codewords = _run(weights, lambda a, b: scale * (a + b))
+    if root is not None and _normal(root):
+        objective = math.log2(root) / d
     else:
         ln_scale = d * LN2
-        root = _run([(1.0 + d) * math.log(p) for p in probs],
-                    lambda a, b: ln_scale + logaddexp(a, b))
-        objective = root[0] / ln_scale
-    lengths, codewords = _collect(root, len(probs))
-    return CodeTree(lengths, codewords, root[0], objective)
+        root, codewords = _run([(1.0 + d) * math.log(p) for p in probs],
+                               lambda a, b: ln_scale + logaddexp(a, b))
+        objective = root / ln_scale
+    return CodeTree(tuple(map(len, codewords)), codewords, root, objective)
 
 
 def merge(weights, penalty: Penalty) -> CodeTree:

@@ -4,6 +4,7 @@ Everything here is deliberately brute force: exhaustive tree enumeration,
 direct summation with explicit remainder bounds, and grid scans. Nothing
 imports from the package.
 """
+import heapq
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -54,6 +55,51 @@ def dth_objective(probs, lengths, order: float) -> float:
 def best_tree_objective(weights, evaluate) -> float:
     """min over all length multisets of the extremal-assignment objective."""
     return min(evaluate(weights, ls) for ls in all_length_multisets(len(weights)))
+
+
+# ------------------------------------------------------ heap merge engine
+
+# The library's heap engine before the two-queue loop replaced it, kept as
+# the reference the engine tests compare codewords and root weights against.
+
+# merge-preference order at equal weight: merged nodes win
+_COMPOUND, _LEAF = 0, 1
+
+
+def _run(weights: list[float], combine):
+    """Merge the two smallest nodes until one is left; return that root.
+
+    A node is a (weight, kind, seq, children) tuple: a leaf's seq is its
+    item index, a merged node's its creation number. (kind, seq) is unique,
+    so tuple comparison is the tie-break and never reaches the children.
+    """
+    heap = [(w, _LEAF, i, None) for i, w in enumerate(weights)]
+    heapq.heapify(heap)
+    for seq in range(len(heap) - 1):
+        first = heapq.heappop(heap)   # takes the 0 branch
+        second = heap[0]
+        heapq.heapreplace(heap, (combine(first[0], second[0]), _COMPOUND, seq,
+                                 (first, second)))
+    return heap[0]
+
+
+def _collect(root, n: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    codewords = [""] * n
+    stack = [(root, "")]
+    while stack:
+        (_, kind, seq, children), prefix = stack.pop()
+        if kind == _LEAF:
+            codewords[seq] = prefix
+        else:
+            stack.append((children[0], prefix + "0"))
+            stack.append((children[1], prefix + "1"))
+    return tuple(map(len, codewords)), tuple(codewords)
+
+
+def heap_merge(weights, combine):
+    """(root weight, codewords) of the heap engine under one merge rule."""
+    root = _run(list(weights), combine)
+    return root[0], _collect(root, len(weights))[1]
 
 
 # --------------------------------------------------- direct certified sums

@@ -237,6 +237,16 @@ def test_dth_huge_raw_weight(tmp_path, capsys):
         "lengths 1,3,3,2\nobjective 35.0497629726\n")
 
 
+def test_exp_huge_base_takes_logs(tmp_path, capsys):
+    # 0.1 * 1e200**3 overflows a float; the build merges in logs instead,
+    # and the objective is 3 + log(0.8) / log(1e200)
+    f = tmp_path / "w.txt"
+    f.write_text("0.1\n" * 8)
+    assert _stdout(capsys, ["huffman", "--weights", str(f),
+                            "--penalty", "exp:1e200"]) == (
+        "lengths 3,3,3,3,3,3,3,3\nobjective 2.99951544993\n")
+
+
 def test_overflow_one_symbol_is_refused(tmp_path, capsys):
     f = tmp_path / "one.txt"
     f.write_text("1\n")

@@ -1,7 +1,10 @@
 """Seeded property-based tests of the merge engine and the code-choice
-dispatch: the heap and two-queue engines build the same code, and
-optimal_code returns what each family's own builder returns. Needs
-hypothesis (the `test` extra)."""
+dispatch: every builder builds the heap engine's code, the two-queue twin
+builds exp_huffman's, and optimal_code returns what each family's own
+builder returns. Needs hypothesis (the `test` extra)."""
+import math
+import sys
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,8 @@ from epc import (DthRedundancy, EpcError, ExplicitFinite, Exponential,
                  exp_huffman, exp_huffman_two_queue, maxred_huffman,
                  optimal_code, optimal_k_dth, optimal_k_exponential,
                  optimal_k_mmr, with_geometric_tail)
+from epc.numeric import LN2, logaddexp
+from oracles import heap_merge
 
 # derandomized: every run draws the same examples and writes no database
 SEEDED = settings(derandomize=True, database=None, deadline=None)
@@ -33,6 +38,59 @@ def test_heap_and_two_queue_build_the_same_code(weights, base):
     queues = exp_huffman_two_queue(weights, base)
     assert queues.codewords == heap.codewords
     assert queues.root_weight == heap.root_weight
+
+
+# unsorted lists of 1 to 300 weights (the size is drawn first, so long
+# lists are as likely as short ones): uniform, tie-heavy, or spread over
+# 300 decades
+_ENGINE_WEIGHTS = st.integers(1, 300).flatmap(lambda n: st.one_of(
+    st.lists(element, min_size=n, max_size=n) for element in (
+        st.floats(1e-3, 1.0),
+        st.sampled_from([0.0625, 0.125, 0.25, 0.5, 0.1, 0.3]),
+        st.builds(lambda e: 10.0 ** e, st.floats(-300.0, 0.0)))))
+
+
+def _plain_or_logs(weights, plain, in_logs):
+    """The heap engine's merge on the weights, or on their logs when the
+    plain root is not a positive normal float."""
+    root, codewords = heap_merge(weights, plain)
+    if sys.float_info.min <= root < math.inf:
+        return root, codewords
+    return heap_merge([math.log(w) for w in weights], in_logs)
+
+
+@SEEDED
+@given(weights=_ENGINE_WEIGHTS,
+       base=st.sampled_from([0.3, 0.45, 0.5, 0.7, 1.0, 2.0, 1e200]))
+def test_exp_huffman_builds_the_heap_code(weights, base):
+    tree = exp_huffman(weights, base)
+    ln_base = math.log(base)
+    assert (tree.root_weight, tree.codewords) == _plain_or_logs(
+        weights, lambda a, b: base * (a + b),
+        lambda a, b: ln_base + logaddexp(a, b))
+
+
+@SEEDED
+@given(weights=_ENGINE_WEIGHTS)
+def test_maxred_huffman_builds_the_heap_code(weights):
+    tree = maxred_huffman(weights)
+    assert (tree.root_weight, tree.codewords) == _plain_or_logs(
+        weights, lambda a, b: 2.0 * max(a, b), lambda a, b: LN2 + max(a, b))
+
+
+@SEEDED
+@given(probs=_ENGINE_WEIGHTS, order=st.sampled_from([0.5, 8.0, 40.0, 128.0]))
+def test_dth_huffman_builds_the_heap_code(probs, order):
+    tree = dth_huffman(probs, order)
+    scale, ln_scale = 2.0 ** order, order * LN2
+    powers = [p ** (1.0 + order) for p in probs]   # p <= 1: none overflows
+    want = None
+    if order < 64.0 and min(powers) >= sys.float_info.min:
+        want = heap_merge(powers, lambda a, b: scale * (a + b))
+    if want is None or want[0] == math.inf:
+        want = heap_merge([(1.0 + order) * math.log(p) for p in probs],
+                          lambda a, b: ln_scale + logaddexp(a, b))
+    assert (tree.root_weight, tree.codewords) == want
 
 
 def _family_builder(model, penalty):

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -5,8 +6,10 @@ import pytest
 
 from epc import (TwoQueueTrace, dth_huffman, exp_huffman,
                  exp_huffman_two_queue, maxred_huffman)
+from epc.huffman import _run
+from epc.numeric import logaddexp
 from oracles import (best_tree_objective, dth_objective, exp_objective,
-                     kraft_fraction, maxred_objective)
+                     heap_merge, kraft_fraction, maxred_objective)
 
 
 def test_classic_expected_length():
@@ -206,3 +209,78 @@ def test_dth_huge_power_takes_log_space(weights):
     best = best_tree_objective(weights,
                                lambda p, ls: dth_objective(p, ls, 40.0))
     assert tree.objective == pytest.approx(best, rel=1e-12)
+
+
+@pytest.mark.parametrize("weights, base", [
+    ([0.5, 0.3, 0.1, 0.1], 1e300),     # the plain root overflows
+    ([1e-200] * 4, 1e-200),            # the plain root underflows to 0
+])
+def test_exp_out_of_range_root_takes_logs(weights, base):
+    tree = exp_huffman(weights, base)
+    assert tree.objective == 2.0
+    ln_base = math.log(base)
+    assert (tree.root_weight, tree.codewords) == heap_merge(
+        [math.log(w) for w in weights],
+        lambda a, b: ln_base + logaddexp(a, b))
+
+
+def test_maxred_overflowing_root_takes_logs():
+    tree = maxred_huffman([1e308, 1e308, 1e308, 1e308])
+    assert tree.lengths == (2, 2, 2, 2)
+    assert tree.objective == pytest.approx(math.log2(1e308) + 2.0,
+                                           rel=1e-15)
+
+
+@pytest.mark.parametrize("base", [0.3, 0.45])
+def test_exp_below_half_appends_every_merge(monkeypatch, base):
+    # below base 1/2 a merge is lighter than its heavier child, so it often
+    # falls below merges already popped; only a live merge above it may
+    # send it to the bisection, and these rules never queue one
+    def no_bisection(*args):
+        raise AssertionError("merge placed by bisection")
+    monkeypatch.setattr(bisect, "bisect_right", no_bisection)
+    rng = random.Random(45)
+    for weights in ([1.0] * 400,
+                    [rng.choice((0.1, 0.2, 0.5)) for _ in range(400)],
+                    [rng.lognormvariate(0.0, 2.0) for _ in range(400)]):
+        tree = exp_huffman(weights, base)
+        assert (tree.root_weight, tree.codewords) == heap_merge(
+            weights, lambda a, b: base * (a + b))
+
+
+def test_run_keeps_the_heap_order_for_any_combine():
+    # 1/(a + b) makes small merges large and large ones small, so merges
+    # fall below the queue's tail and are placed by bisection
+    rng = random.Random(12)
+    for _ in range(300):
+        weights = [rng.choice((0.1, 0.2, 0.5, rng.random() + 1e-3))
+                   for _ in range(rng.randint(1, 40))]
+        combine = lambda a, b: 1.0 / (a + b)   # noqa: E731
+        assert _run(weights, combine) == heap_merge(weights, combine)
+
+
+@pytest.mark.parametrize("weights, base, trace, codewords", [
+    ([0.05, 0.1, 0.15, 0.3, 0.4], 1.0,
+     TwoQueueTrace(0, 1, (3,), {3: 0, 2: 1, 1: 2, 0: 3}),
+     ("1110", "1111", "110", "10", "0")),
+    ([0.25] * 4, 0.5,
+     TwoQueueTrace(0, 1, (2,), {2: 0, 1: 1, 0: 2}),
+     ("000", "001", "01", "1")),
+    ([0.1, 0.1, 0.2, 0.2, 0.2, 0.3, 0.5, 0.5], 1.7,
+     TwoQueueTrace(0, 3, (2, 3, 4),
+                   {6: 0, 5: 1, 3: 2, 0: 3, 2: 2, 4: 1, 1: 2}),
+     ("1100", "1101", "010", "011", "100", "101", "111", "00")),
+    ([0.125] * 3 + [0.25] * 3 + [0.5] * 2, 1.0,
+     TwoQueueTrace(0, 2, (4, 5),
+                   {6: 0, 5: 1, 3: 2, 1: 3, 0: 4, 4: 1, 2: 2}),
+     ("11110", "11111", "1110", "000", "001", "110", "01", "10")),
+    ([1.0] * 6, 0.9,
+     TwoQueueTrace(0, 3, (0, 1, 2), {4: 0, 3: 1, 1: 2, 0: 2, 2: 1}),
+     ("100", "101", "110", "111", "00", "01")),
+    ([0.3], 2.0, TwoQueueTrace(0, 0, (), {}), ("",)),
+])
+def test_two_queue_trace_pinned(weights, base, trace, codewords):
+    got = TwoQueueTrace()
+    tree = exp_huffman_two_queue(weights, base, trace=got)
+    assert got == trace
+    assert tree.codewords == codewords
