@@ -102,11 +102,20 @@ def kraft_total(lengths, extra_length: int = 0) -> tuple[int, int]:
     return sum(1 << (scale - l) for l in ls), 1 << scale
 
 
-def length_counts(lengths) -> list[int]:
+def length_counts(lengths, spine_length=None) -> list[int]:
     """Words per length, indexed by length, of a prefix code with these
     integer lengths. ValueError unless they are nonempty, within the cap of
-    their count, positive and Kraft sum <= 1, checked in that order."""
+    their count, positive and Kraft sum <= 1, checked in that order. A
+    unary-ended head is first checked with its spine: positive, within the
+    cap counting it, and Kraft-complete with it."""
     ordered = sorted(lengths)
+    if spine_length is not None:
+        if spine_length < 1:
+            raise ValueError("spine length must be positive")
+        check_length_cap(max(ordered[-1:] + [spine_length]), len(ordered) + 1)
+        num, den = kraft_total(ordered, spine_length)
+        if num != den:
+            raise ValueError("head lengths plus spine must be Kraft-complete")
     if not ordered:
         raise ValueError("need at least one codeword")
     longest = ordered[-1]
@@ -150,16 +159,5 @@ def canonical_with_spine(lengths, spine_length: int) -> tuple[tuple[str, ...], s
     the all-1s subtree, so no head codeword can collide with it.
     """
     *lengths, spine_length = integer_lengths([*lengths, spine_length])
-    if spine_length < 1:
-        raise ValueError("spine length must be positive")
-    check_length_cap(max([*lengths, spine_length]), len(lengths) + 1)
-    num, den = kraft_total(lengths, extra_length=spine_length)
-    if num != den:
-        raise ValueError("head lengths plus spine must be Kraft-complete")
-    head = canonical_codewords(lengths)
-    spine = "1" * spine_length
-    for word in head:
-        shorter = min(len(word), spine_length)
-        if word[:shorter] == spine[:shorter]:
-            raise AssertionError("canonical head entered the spine subtree")
-    return head, spine
+    length_counts(lengths, spine_length)
+    return canonical_codewords(lengths), "1" * spine_length

@@ -13,7 +13,9 @@ canonical first-code/limit tables (Moffat & Turpin, "On the implementation
 of minimum-redundancy prefix codes", IEEE Trans. Commun. 1997).
 
 An `ExplicitCode` is held as its lengths and the count of words per length,
-which is all canonical decoding needs; its codeword strings are built when
+and a `UnaryEndedCode` as its head lengths, their counts and its spine
+length, both checked by `bits.length_counts`. That is all canonical decoding
+reads, from either class alike; their codeword strings are built when
 encoding first asks for them, and decoding never does. A descriptor's
 lengths are read in one pass: a run of one-byte varints is its own bytes.
 
@@ -77,14 +79,15 @@ class ExplicitCode:
 
     @classmethod
     def from_lengths(cls, lengths) -> "ExplicitCode":
-        code = object.__new__(cls)
+        code = cls.__new__(cls)
         code._hold(lengths)
         return code
 
     def _hold(self, lengths) -> None:
         lengths = integer_lengths(lengths)
-        object.__setattr__(self, "_counts", length_counts(lengths))
         object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "_canonical",
+                           (lengths, length_counts(lengths), 0))
 
     @cached_property
     def codewords(self) -> tuple[str, ...]:
@@ -111,8 +114,8 @@ def _descriptor(code: CodeSpec) -> bytes:
         return out + uleb128_encode_all(code.lengths)
     if isinstance(code, UnaryEndedCode):
         out = bytes([_TAG_UNARY_ENDED]) + uleb128_encode(code.split)
-        lengths = code.head_lengths + (len(code.tail_prefix),)
-        return out + uleb128_encode_all(lengths)
+        return out + uleb128_encode_all(code.head_lengths
+                                        + (code.spine_length,))
     raise TypeError(f"not a code spec: {code!r}")
 
 
@@ -300,11 +303,7 @@ def _canonical_rows(code: CodeSpec):
     order[v - offset]. The unary-ended spine, the top of code space, ends at
     one more end, 2**L.
     """
-    if isinstance(code, ExplicitCode):
-        lengths, counts, spine = code.lengths, code._counts, 0
-    else:
-        lengths, spine = code.head_lengths, len(code.tail_prefix)
-        counts = length_counts(lengths)
+    lengths, counts, spine = code._canonical
     width = max(len(counts) - 1, spine)
     ends, rows = [], []
     first = base = 0        # first is left-justified to width bits

@@ -29,6 +29,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from .models import DthRedundancy, MaxRedundancy, Penalty
@@ -46,13 +47,17 @@ class CodeTree:
 
     objective is in bits (or expected bits); root_weight is the raw combined
     weight the objective was derived from (its log when the merge ran in
-    logs).
+    logs). The codewords are built from the merge lists on first read.
     """
 
     lengths: tuple[int, ...]
-    codewords: tuple[str, ...]
     root_weight: float
     objective: float
+    _merges: tuple = field(repr=False)     # (first, second) from _run
+
+    @cached_property
+    def codewords(self) -> tuple[str, ...]:
+        return tuple(_codewords(*self._merges))
 
 
 def _check_weights(weights, noun: str = "weights") -> list[float]:
@@ -71,8 +76,8 @@ def _normal(x: float) -> bool:
     return sys.float_info.min <= x < math.inf
 
 
-def _codewords(first: list[int], second: list[int], n: int) -> list[str]:
-    """The items' codewords from the merge list.
+def _codewords(first, second) -> list[str]:
+    """The items' codewords from the merge lists.
 
     Items are nodes 0..n-1 and merge j is node n + j, with children
     first[j] (the earlier pop, on the 0 branch) and second[j]. A merge is
@@ -81,7 +86,7 @@ def _codewords(first: list[int], second: list[int], n: int) -> list[str]:
     dropped once its children have their codewords, so a deep tree holds
     each codeword string once.
     """
-    code = [""] * (2 * n - 1)
+    code = [""] * (2 * len(first) + 1)
     for x, y in zip(reversed(first), reversed(second)):
         prefix = code.pop()
         code[x] = prefix + "0"
@@ -89,9 +94,22 @@ def _codewords(first: list[int], second: list[int], n: int) -> list[str]:
     return code
 
 
+def _depths(first, second) -> list[int]:
+    """Every node's depth, by node id, in the reverse walk of _codewords."""
+    n = len(first) + 1
+    depth = [0] * (2 * n - 1)
+    for j in range(n - 2, -1, -1):
+        depth[first[j]] = depth[second[j]] = depth[n + j] + 1
+    return depth
+
+
+def _lengths(merges) -> tuple[int, ...]:
+    return tuple(_depths(*merges)[:len(merges[0]) + 1])
+
+
 def _run(weights: list[float], combine: Callable[[float, float], float]):
     """Merge the two smallest nodes until one is left; return the root
-    weight and the items' codewords.
+    weight and the merge lists (first, second): merge j's children.
 
     Items queue once, sorted by (weight, index), before an inf sentinel.
     Merges queue in `merged` by (weight, node id), the slots past the tail
@@ -139,26 +157,31 @@ def _run(weights: list[float], combine: Callable[[float, float], float]):
             merged.insert(at, w)
             ids.insert(at, n + j)
         tail += 1
-    return w, tuple(_codewords(first, second, n))
+    return w, (tuple(first), tuple(second))
 
 
 def _exp_tree(weights: list[float], base: float, root: float,
-              codewords: tuple[str, ...], ln_root: float) -> CodeTree:
-    lengths = tuple(map(len, codewords))
+              merges, ln_root: float) -> CodeTree:
+    lengths = _lengths(merges)
     if base == 1.0:
-        cost = math.fsum(w * n for w, n in zip(weights, lengths))
+        try:
+            cost = math.fsum(w * n for w, n in zip(weights, lengths))
+        except OverflowError:   # a partial sum past the float range
+            cost = math.inf
+        if cost == math.inf:
+            raise ValueError("the expected length overflows a float")
     else:
         cost = ln_root / math.log(base)
-    return CodeTree(lengths, codewords, root, cost)
+    return CodeTree(lengths, root, cost, merges)
 
 
 def _plain_or_logs(weights: list[float], plain, in_logs):
     """Merge the weights by `plain`, or their logs by `in_logs` when the
     plain root is not a positive normal float; return the root, the
-    codewords and whether the merge ran in logs."""
-    root, codewords = _run(weights, plain)
+    merge lists and whether the merge ran in logs."""
+    root, merges = _run(weights, plain)
     if _normal(root):
-        return root, codewords, False
+        return root, merges, False
     return (*_run(list(map(math.log, weights)), in_logs), True)
 
 
@@ -167,10 +190,10 @@ def exp_huffman(weights, base: float) -> CodeTree:
     check_positive("base", base)
     weights = _check_weights(weights)
     ln_base = math.log(base)
-    root, codewords, logged = _plain_or_logs(
+    root, merges, logged = _plain_or_logs(
         weights, lambda a, b: base * (a + b),
         lambda a, b: ln_base + logaddexp(a, b))
-    return _exp_tree(weights, base, root, codewords,
+    return _exp_tree(weights, base, root, merges,
                      root if logged else math.log(root))
 
 
@@ -189,9 +212,10 @@ def exp_huffman_two_queue(weights, base: float,
     """Same penalty as exp_huffman on plain weights, built with two FIFO
     queues, no sort and no bisection.
 
-    Requires weights sorted nondecreasing. Queue one holds the original items
-    smallest-first; queue two receives merged nodes in creation order and, by
-    the combining rule here, never needs reordering. Nodes compare as in
+    Requires weights sorted nondecreasing and a positive normal root weight
+    (exp_huffman merges logs otherwise). Queue one holds the items
+    smallest-first; queue two receives merged nodes in creation order and,
+    by the combining rule here, never needs reordering. Nodes compare as in
     exp_huffman, so merged nodes are preferred at equal weight. A merge's
     seq in the trace is its creation number.
     """
@@ -233,14 +257,15 @@ def exp_huffman_two_queue(weights, base: float,
             trace.max_compound_queue = max(trace.max_compound_queue, live)
             if head1 >= n and drained_at is None:
                 drained_at = tuple(range(head2, j + 1))
+    if not _normal(root):
+        raise ValueError(f"root weight {root!r} must be finite and normal; "
+                         "exp_huffman merges such inputs in logs")
     if trace is not None:
         trace.drained = drained_at if drained_at is not None else ()
-        depth = [0] * (2 * n - 1)   # by node id
-        for j in range(n - 2, -1, -1):
-            depth[first[j]] = depth[second[j]] = depth[n + j] + 1
+        depth = _depths(first, second)      # by node id
         trace.depths.update((j, depth[n + j]) for j in range(n - 1))
-    codewords = tuple(_codewords(first, second, n))
-    return _exp_tree(weights, base, root, codewords, math.log(root))
+    return _exp_tree(weights, base, root, (tuple(first), tuple(second)),
+                     math.log(root))
 
 
 def maxred_huffman(weights) -> CodeTree:
@@ -251,10 +276,10 @@ def maxred_huffman(weights) -> CodeTree:
     scaling all weights by a common factor.
     """
     weights = _check_weights(weights)
-    root, codewords, logged = _plain_or_logs(
+    root, merges, logged = _plain_or_logs(
         weights, lambda a, b: 2.0 * max(a, b), lambda a, b: LN2 + max(a, b))
     objective = root / LN2 if logged else math.log2(root)
-    return CodeTree(tuple(map(len, codewords)), codewords, root, objective)
+    return CodeTree(_lengths(merges), root, objective, merges)
 
 
 def dth_huffman(probs, order: float) -> CodeTree:
@@ -273,15 +298,15 @@ def dth_huffman(probs, order: float) -> CodeTree:
             weights = None
         if weights and min(weights) >= sys.float_info.min:
             scale = 2.0 ** d
-            root, codewords = _run(weights, lambda a, b: scale * (a + b))
+            root, merges = _run(weights, lambda a, b: scale * (a + b))
     if root is not None and _normal(root):
         objective = math.log2(root) / d
     else:
         ln_scale = d * LN2
-        root, codewords = _run([(1.0 + d) * math.log(p) for p in probs],
-                               lambda a, b: ln_scale + logaddexp(a, b))
+        root, merges = _run([(1.0 + d) * math.log(p) for p in probs],
+                            lambda a, b: ln_scale + logaddexp(a, b))
         objective = root / ln_scale
-    return CodeTree(tuple(map(len, codewords)), codewords, root, objective)
+    return CodeTree(_lengths(merges), root, objective, merges)
 
 
 def merge(weights, penalty: Penalty) -> CodeTree:

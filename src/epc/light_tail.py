@@ -4,14 +4,16 @@ the one place a (source, penalty) pair picks its code family.
 The construction reduces the source to its first r+1 probabilities plus one
 pseudo-symbol carrying the (penalty-weighted) tail, runs the finite optimizer
 on that reduced set, and then replaces the pseudo-symbol's codeword with an
-all-1s prefix from which the remaining symbols continue in unary.
+all-1s prefix from which the remaining symbols continue in unary. The code
+is held as those lengths; its codeword strings are built only when asked.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .bits import canonical_with_spine
+from .bits import canonical_codewords, integer_lengths, length_counts
 from .errors import NotLightTailedError
 from .golomb import GolombCode, optimal_k
 from .huffman import exp_huffman, maxred_huffman, merge
@@ -30,63 +32,71 @@ _WINDOW = 128
 _SPLIT_CAP = 10 ** 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnaryEndedCode:
     """Finite head code plus a unary continuation behind an all-1s prefix.
 
-    Symbols 0..split use head_codewords; symbol i > split encodes as
-    tail_prefix, then i - split - 1 ones, then a zero. The words must be the
-    canonical ones for their lengths (`canonical_with_spine`), as the
-    container stores lengths only.
+    Symbols 0..split use the canonical head_codewords of head_lengths;
+    symbol i > split encodes as the all-1s tail_prefix of spine_length bits,
+    then i - split - 1 ones, then a zero. Held as lengths, as the container
+    is; the strings are built on first use. Given words must be canonical.
     """
 
-    head_codewords: tuple[str, ...]
-    tail_prefix: str
+    head_lengths: tuple[int, ...]
+    spine_length: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "head_codewords",
-                           tuple(str(w) for w in self.head_codewords))
-        canonical = canonical_with_spine(
-            [len(w) for w in self.head_codewords], len(self.tail_prefix))
-        if (self.head_codewords, self.tail_prefix) != canonical:
+    def __init__(self, head_codewords, tail_prefix) -> None:
+        words = tuple(str(w) for w in head_codewords)
+        self._hold(map(len, words), len(tail_prefix))
+        if (words, tail_prefix) != (self.head_codewords, self.tail_prefix):
             raise ValueError("unary-ended codes are stored canonically, with "
                              "an all-1s tail prefix; build via from_lengths")
 
     @classmethod
     def from_lengths(cls, head_lengths, spine_length: int) -> "UnaryEndedCode":
-        head, spine = canonical_with_spine(head_lengths, spine_length)
-        # canonical by construction, so __post_init__'s recheck is skipped
-        code = object.__new__(cls)
-        object.__setattr__(code, "head_codewords", head)
-        object.__setattr__(code, "tail_prefix", spine)
+        code = cls.__new__(cls)
+        code._hold(head_lengths, spine_length)
         return code
+
+    def _hold(self, head_lengths, spine_length) -> None:
+        *head, spine = integer_lengths([*head_lengths, spine_length])
+        counts = length_counts(head, spine)
+        head = tuple(head)
+        object.__setattr__(self, "head_lengths", head)
+        object.__setattr__(self, "spine_length", spine)
+        object.__setattr__(self, "_canonical", (head, counts, spine))
+
+    @cached_property
+    def head_codewords(self) -> tuple[str, ...]:
+        return canonical_codewords(self.head_lengths)
+
+    @property
+    def tail_prefix(self) -> str:
+        return "1" * self.spine_length
 
     @property
     def split(self) -> int:
-        return len(self.head_codewords) - 1
+        return len(self.head_lengths) - 1
 
     @property
     def tail_start(self) -> int:
-        return len(self.head_codewords)
-
-    @property
-    def head_lengths(self) -> tuple[int, ...]:
-        return tuple(len(w) for w in self.head_codewords)
+        return len(self.head_lengths)
 
     def codeword(self, i: int) -> str:
+        if 0 <= i <= self.split:
+            return self.head_codewords[i]
+        return "1" * (self.length(i) - 1) + "0"
+
+    def length(self, i: int) -> int:
         if i < 0:
             raise ValueError("symbols are nonnegative")
         if i <= self.split:
-            return self.head_codewords[i]
-        return self.tail_prefix + "1" * (i - self.split - 1) + "0"
-
-    def length(self, i: int) -> int:
-        return len(self.codeword(i)) if i <= self.split else \
-            len(self.tail_prefix) + 1 + (i - self.split - 1)
+            return self.head_lengths[i]
+        return self.spine_length + 1 + i - self.tail_start
 
     def lengths(self) -> LengthSeq:
         return LengthSeq(self.head_lengths,
-                         UnaryTail(self.tail_start, len(self.tail_prefix) + 1))
+                         UnaryTail(self.tail_start, self.spine_length + 1))
 
     def describe(self) -> str:
         return str(self.lengths())

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .bits import integer_lengths
 from .errors import DivergenceError
 from .numeric import LN2, SUM_TOL, check_positive, logaddexp
 
@@ -212,7 +213,8 @@ class UnaryTail:
     start_length: int
 
     def __post_init__(self) -> None:
-        if self.start_index < 0 or self.start_length < 1:
+        index, length = integer_lengths((self.start_index, self.start_length))
+        if index < 0 or length < 1:
             raise ValueError("bad tail record")
 
 
@@ -222,7 +224,7 @@ class LengthSeq:
     tail: Optional[UnaryTail] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "head", tuple(int(n) for n in self.head))
+        object.__setattr__(self, "head", integer_lengths(self.head))
         # the one symbol of a one-symbol alphabet needs no bits
         if any(n < 1 for n in self.head) and self.head != (0,):
             raise ValueError("lengths must be positive")

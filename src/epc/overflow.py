@@ -181,18 +181,24 @@ def _golomb_power_sum(model: SourceModel, code: GolombCode, base: float) -> floa
     raise DivergenceError("power sum did not settle")
 
 
-def _code_power_sum(model: SourceModel, code: CodeLike, base: float) -> float:
-    if isinstance(code, LengthSeq):
-        return power_sum(model, code, base)
+def _golomb_or_lengths(code: CodeLike) -> Union[GolombCode, LengthSeq]:
+    """A Golomb code as it is, any other code as its LengthSeq."""
     if isinstance(code, UnaryEndedCode):
-        return power_sum(model, code.lengths(), base)
-    if isinstance(code, GolombCode):
-        if isinstance(model, Geometric):
-            if base == 1.0:
-                return total_mass(model)
-            return base ** golomb_exp_penalty(model.ratio, base, code.k)
-        return _golomb_power_sum(model, code, base)
+        return code.lengths()
+    if isinstance(code, (GolombCode, LengthSeq)):
+        return code
     raise TypeError(f"not a usable code: {code!r}")
+
+
+def _code_power_sum(model: SourceModel, code: CodeLike, base: float) -> float:
+    code = _golomb_or_lengths(code)
+    if not isinstance(code, GolombCode):
+        return power_sum(model, code, base)
+    if isinstance(model, Geometric):
+        if base == 1.0:
+            return total_mass(model)
+        return base ** golomb_exp_penalty(model.ratio, base, code.k)
+    return _golomb_power_sum(model, code, base)
 
 
 def overflow_functional(model: SourceModel, code: CodeLike,
@@ -208,15 +214,12 @@ def overflow_functional(model: SourceModel, code: CodeLike,
 # ------------------------------------------------------------- s* search
 
 def _expected_len(model: SourceModel, code: CodeLike) -> float:
-    if isinstance(code, LengthSeq):
+    code = _golomb_or_lengths(code)
+    if not isinstance(code, GolombCode):
         return expected_length(model, code)
-    if isinstance(code, UnaryEndedCode):
-        return expected_length(model, code.lengths())
-    if isinstance(code, GolombCode):
-        if isinstance(model, Geometric):
-            return golomb_exp_penalty(model.ratio, 1.0, code.k)
-        raise ValueError("Golomb mean length needs a geometric source")
-    raise TypeError(f"not a usable code: {code!r}")
+    if isinstance(model, Geometric):
+        return golomb_exp_penalty(model.ratio, 1.0, code.k)
+    raise ValueError("Golomb mean length needs a geometric source")
 
 
 def _divergence_point(model: SourceModel, code: CodeLike) -> float:
@@ -228,18 +231,17 @@ def _divergence_point(model: SourceModel, code: CodeLike) -> float:
     return -math.log(rho) / per_symbol
 
 
-def _power_sum_of(model: SourceModel,
-                  code: CodeLike) -> Callable[[float], float]:
+def _power_sum_of(model: SourceModel, code: Union[GolombCode, LengthSeq]
+                  ) -> Callable[[float], float]:
     """base -> the power sum that overflow_functional takes, with everything
     that does not depend on the base computed once: the head masses summed
     per codeword length and the tail start. A call then costs O(distinct
     head lengths) plus the tail."""
     if isinstance(code, GolombCode):   # closed form, or a certified series
         return lambda base: _code_power_sum(model, code, base)
-    lengths = code.lengths() if isinstance(code, UnaryEndedCode) else code
     by_length: dict[int, list[float]] = {}
-    for i, p in enumerate(model.masses(_covered(model, lengths))):
-        by_length.setdefault(lengths.length_at(i), []).append(p)
+    for i, p in enumerate(model.masses(_covered(model, code))):
+        by_length.setdefault(code.length_at(i), []).append(p)
     table = [(math.fsum(ps), n) for n, ps in sorted(by_length.items())]
 
     def head_sum(base: float) -> float:
@@ -248,7 +250,7 @@ def _power_sum_of(model: SourceModel,
     if model.size is not None:
         return head_sum
     # as in power_sum: the tail is base**(L0-1) * tail_weight(t0-1, base)
-    j, rise = lengths.tail.start_index - 1, lengths.tail.start_length - 1
+    j, rise = code.tail.start_index - 1, code.tail.start_length - 1
     return lambda base: (head_sum(base)
                          + base ** rise * tail_weight(model, j, base))
 
@@ -262,6 +264,7 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
     codeword length reaches the mean intermission. The bisection evaluates
     f as overflow_functional does, from a power sum built once per call.
     """
+    code = _golomb_or_lengths(code)
     if _expected_len(model, code) >= arrivals.mean_gap():
         return DecayRate(0.0, True)
     power_sum_at = _power_sum_of(model, code)

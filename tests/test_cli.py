@@ -247,6 +247,15 @@ def test_exp_huge_base_takes_logs(tmp_path, capsys):
         "lengths 3,3,3,3,3,3,3,3\nobjective 2.99951544993\n")
 
 
+def test_linear_overflowing_length_is_an_error(tmp_path, capsys):
+    # the merge is fine, but the expected length is past the float range
+    f = tmp_path / "w.txt"
+    f.write_text("1e308 1e308\n")
+    assert run(["huffman", "--weights", str(f), "--penalty", "linear"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the expected length overflows a float\n")
+
+
 def test_overflow_one_symbol_is_refused(tmp_path, capsys):
     f = tmp_path / "one.txt"
     f.write_text("1\n")

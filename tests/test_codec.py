@@ -7,7 +7,7 @@ import pytest
 
 from epc import (ContainerError, ExplicitCode, GolombCode, Poisson,
                  UnaryEndedCode, bits, build_unary_ended, codec, decode,
-                 encode, read_container)
+                 encode, light_tail, read_container)
 from epc.bits import canonical_with_spine
 from oracles import kraft_fraction
 
@@ -85,10 +85,14 @@ def test_explicit_code_is_its_lengths():
     assert repr(code) == "ExplicitCode(lengths=(3, 1, 3, 2))"
 
 
-@pytest.mark.parametrize("count", [19, 3000])
-def test_explicit_decode_builds_no_codewords(count, monkeypatch):
-    # 3000 symbols of this code take the multi-symbol table path
-    code = ExplicitCode.from_lengths([1, 3, 3, 3, 4, 4])
+@pytest.mark.parametrize("count, code", [
+    (19, ExplicitCode.from_lengths([1, 3, 3, 3, 4, 4])),
+    (3000, ExplicitCode.from_lengths([1, 3, 3, 3, 4, 4])),
+    (19, UnaryEndedCode.from_lengths([1, 3, 3, 3], 3)),
+    (3000, UnaryEndedCode.from_lengths([1, 3, 3, 3], 3)),
+], ids=["19", "3000", "unary-19", "unary-3000"])
+def test_explicit_decode_builds_no_codewords(count, code, monkeypatch):
+    # 3000 symbols of these codes take the multi-symbol table path
     rng = random.Random(count)
     symbols = rng.choices(range(6), weights=[8, 2, 2, 2, 1, 1], k=count)
     blob = encode(symbols, code)
@@ -97,9 +101,10 @@ def test_explicit_decode_builds_no_codewords(count, monkeypatch):
         raise AssertionError("decode built codeword strings")
     monkeypatch.setattr(bits, "canonical_codewords", refuse)
     monkeypatch.setattr(codec, "canonical_codewords", refuse)
+    monkeypatch.setattr(light_tail, "canonical_codewords", refuse)
     got, decoded = read_container(blob)
     assert decoded == symbols and got == code
-    assert "codewords" not in vars(got)
+    assert "codewords" not in vars(got) and "head_codewords" not in vars(got)
 
 
 def test_unary_ended_code_is_canonical_only():

@@ -6,7 +6,7 @@ import pytest
 
 from epc import (TwoQueueTrace, dth_huffman, exp_huffman,
                  exp_huffman_two_queue, maxred_huffman)
-from epc.huffman import _run
+from epc.huffman import _codewords, _run
 from epc.numeric import logaddexp
 from oracles import (best_tree_objective, dth_objective, exp_objective,
                      heap_merge, kraft_fraction, maxred_objective)
@@ -37,6 +37,7 @@ def test_base_below_one_chains():
 
 def test_codewords_prefix_free():
     tree = exp_huffman([0.05, 0.1, 0.15, 0.3, 0.4], 1.0)
+    assert "codewords" not in vars(tree)    # built on first read only
     words = tree.codewords
     assert all(len(w) == n for w, n in zip(words, tree.lengths))
     for i, a in enumerate(words):
@@ -52,6 +53,11 @@ def test_engine_validation():
         exp_huffman([0.5, 0.0], 1.0)
     with pytest.raises(ValueError):
         exp_huffman([0.5, 0.5], 0.0)
+    # the expected length itself leaves the float range
+    with pytest.raises(ValueError, match="overflows"):
+        exp_huffman([1e308, 1e308], 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        exp_huffman([1e308] * 3, 1.0)
 
 
 def test_single_weight_code():
@@ -167,12 +173,16 @@ def test_two_queue_invariants():
     lambda: exp_huffman([0.5, -math.inf], 2.0),
     lambda: exp_huffman_two_queue([0.2, 0.3, 0.5], math.nan),
     lambda: exp_huffman_two_queue([0.2, 0.3, math.inf], 1.0),
+    lambda: exp_huffman_two_queue([1e-200] * 4, 1e-200),
+    lambda: exp_huffman_two_queue([0.1, 0.1, 0.3, 0.5], 1e300),
     lambda: maxred_huffman([0.5, math.nan]),
     lambda: dth_huffman([0.5, 0.3, 0.2], math.inf),
     lambda: dth_huffman([0.5, 0.3, 0.2], math.nan),
     lambda: dth_huffman([0.5, math.inf], 2.0),
 ], ids=["exp-nan-base", "exp-inf-base", "exp-nan-weight", "exp-neg-inf-weight",
-        "two-queue-nan-base", "two-queue-inf-weight", "maxred-nan-weight",
+        "two-queue-nan-base", "two-queue-inf-weight",
+        "two-queue-root-underflow", "two-queue-root-overflow",
+        "maxred-nan-weight",
         "dth-inf-order", "dth-nan-order", "dth-inf-prob"])
 def test_non_finite_parameters_refused(build):
     with pytest.raises(ValueError, match="must be finite"):
@@ -241,6 +251,7 @@ def test_exp_below_half_appends_every_merge(monkeypatch, base):
     monkeypatch.setattr(bisect, "bisect_right", no_bisection)
     rng = random.Random(45)
     for weights in ([1.0] * 400,
+                    [1.0] * 4096,           # a caterpillar 4096 deep
                     [rng.choice((0.1, 0.2, 0.5)) for _ in range(400)],
                     [rng.lognormvariate(0.0, 2.0) for _ in range(400)]):
         tree = exp_huffman(weights, base)
@@ -256,7 +267,9 @@ def test_run_keeps_the_heap_order_for_any_combine():
         weights = [rng.choice((0.1, 0.2, 0.5, rng.random() + 1e-3))
                    for _ in range(rng.randint(1, 40))]
         combine = lambda a, b: 1.0 / (a + b)   # noqa: E731
-        assert _run(weights, combine) == heap_merge(weights, combine)
+        root, merges = _run(weights, combine)
+        assert (root, tuple(_codewords(*merges))) == heap_merge(weights,
+                                                                combine)
 
 
 @pytest.mark.parametrize("weights, base, trace, codewords", [

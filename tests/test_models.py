@@ -119,6 +119,13 @@ def test_length_seq_validation():
         LengthSeq((1,), UnaryTail(3, 2))         # tail must start right after
     with pytest.raises(ValueError):
         UnaryTail(0, 0)
+    # lengths and tail fields are integers, not truncated floats
+    with pytest.raises(ValueError, match=r"got float 1\.5"):
+        LengthSeq((1.5, 2))
+    with pytest.raises(ValueError):
+        UnaryTail(1.5, 2.5)
+    with pytest.raises(ValueError):
+        UnaryTail(1, 2.5)
     # a one-symbol alphabet is the one code with a zero length
     assert LengthSeq((0,)).kraft_sum() == 1.0
     with pytest.raises(ValueError):
