@@ -1,5 +1,5 @@
-"""Bit-level plumbing: LEB128 varints, the length cap, exact Kraft sums and
-canonical codeword assignment from length lists."""
+"""Bit-level plumbing: LEB128 varints, the length cap, the one exact Kraft
+test and canonical codeword assignment from length lists."""
 from __future__ import annotations
 
 import operator
@@ -10,8 +10,7 @@ from .errors import ContainerError
 __all__ = [
     "uleb128_encode", "uleb128_encode_all", "uleb128_decode",
     "uleb128_decode_all", "integer_lengths", "check_length_cap",
-    "length_counts", "kraft_total", "canonical_codewords",
-    "canonical_with_spine",
+    "kraft_sign", "length_counts", "kraft_total", "canonical_codewords",
 ]
 
 
@@ -84,8 +83,8 @@ def check_length_cap(longest: int, alphabet_size: int) -> None:
     """Refuse a longest codeword length above the alphabet size.
 
     A Kraft-complete code on n >= 2 symbols has no word longer than n - 1
-    bits, so the cap refuses no complete code. It bounds the O(L) work of
-    kraft_total and the decoder's L-bit window by the descriptor's size.
+    bits, so the cap refuses no complete code. It bounds the words-per-length
+    list and the decoder's L-bit window by the descriptor's size.
     """
     if longest > alphabet_size:
         raise ValueError(f"codeword length {longest} exceeds the alphabet "
@@ -102,6 +101,33 @@ def kraft_total(lengths, extra_length: int = 0) -> tuple[int, int]:
     return sum(1 << (scale - l) for l in ls), 1 << scale
 
 
+def kraft_sign(ordered) -> int:
+    """-1, 0 or 1 as the Kraft sum of a sorted list of integer lengths lies
+    below, at or above one; exact.
+
+    Walks the distinct lengths upward, holding `free`, the words of the
+    current length the shorter ones leave unused. Once more are free than
+    words are left, the sum is below one; a step of as many lengths as n has
+    bits gets there, so no step is taken longer. `free` stays below 2 n**2,
+    whatever the lengths. A negative length alone overfills code space.
+    """
+    if ordered and ordered[0] < 0:
+        return 1
+    n = len(ordered)
+    cap = n.bit_length()
+    free = 1
+    at = start = 0
+    while start < n:
+        length = ordered[start]
+        end = bisect_right(ordered, length, start)
+        step = length - at
+        free = (free << (step if step < cap else cap)) - (end - start)
+        if not 0 <= free <= n - end:
+            return 1 if free < 0 else -1
+        at, start = length, end
+    return -1 if free else 0
+
+
 def length_counts(lengths, spine_length=None) -> list[int]:
     """Words per length, indexed by length, of a prefix code with these
     integer lengths. ValueError unless they are nonempty, within the cap of
@@ -113,8 +139,7 @@ def length_counts(lengths, spine_length=None) -> list[int]:
         if spine_length < 1:
             raise ValueError("spine length must be positive")
         check_length_cap(max(ordered[-1:] + [spine_length]), len(ordered) + 1)
-        num, den = kraft_total(ordered, spine_length)
-        if num != den:
+        if kraft_sign(sorted([*ordered, spine_length])):
             raise ValueError("head lengths plus spine must be Kraft-complete")
     if not ordered:
         raise ValueError("need at least one codeword")
@@ -122,14 +147,15 @@ def length_counts(lengths, spine_length=None) -> list[int]:
     check_length_cap(longest, len(ordered))
     if ordered[0] < 1:
         raise ValueError("lengths must be positive")
+    # a head complete with its spine is within the inequality
+    if spine_length is None and kraft_sign(ordered) > 0:
+        raise ValueError("lengths violate the Kraft inequality")
     counts = [0] * (longest + 1)
     start = 0
     for length in range(ordered[0], longest + 1):
         end = bisect_right(ordered, length, start)
         counts[length] = end - start
         start = end
-    if sum(n << longest - l for l, n in enumerate(counts)) > 1 << longest:
-        raise ValueError("lengths violate the Kraft inequality")
     return counts
 
 
@@ -150,14 +176,3 @@ def canonical_codewords(lengths) -> tuple[str, ...]:
         out.append(bin(code + (1 << length))[3:])  # the leading 1 keeps zeros
     return tuple(out)
 
-
-def canonical_with_spine(lengths, spine_length: int) -> tuple[tuple[str, ...], str]:
-    """Canonical head codewords leaving the all-1s word of spine_length free.
-
-    Requires the head lengths plus the spine to be Kraft-complete; the
-    canonical run then fills code space from the bottom and stops exactly at
-    the all-1s subtree, so no head codeword can collide with it.
-    """
-    *lengths, spine_length = integer_lengths([*lengths, spine_length])
-    length_counts(lengths, spine_length)
-    return canonical_codewords(lengths), "1" * spine_length

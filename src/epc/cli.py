@@ -94,7 +94,7 @@ def _cmd_optimize(args) -> int:
     if isinstance(code, GolombCode):
         value = golomb_penalty(model.ratio, code.k, penalty)
     else:
-        value = evaluate_penalty(model, code.lengths(), penalty)
+        value = evaluate_penalty(model, code, penalty)
     print("penalty %.12g" % value)
     return 0
 
@@ -109,7 +109,7 @@ def _code_for_stream(args):
     if args.golomb is not None:
         return GolombCode(args.golomb)
     code = optimal_code(_model_from(args), args.penalty)
-    if isinstance(code, LengthSeq):   # a finite code is stored canonically
+    if type(code) is LengthSeq:   # a finite code is stored canonically
         return ExplicitCode.from_lengths(code.head)
     return code
 

@@ -12,11 +12,11 @@ are decoded arithmetically; explicit and unary-ended words through
 canonical first-code/limit tables (Moffat & Turpin, "On the implementation
 of minimum-redundancy prefix codes", IEEE Trans. Commun. 1997).
 
-An `ExplicitCode` is held as its lengths and the count of words per length,
-and a `UnaryEndedCode` as its head lengths, their counts and its spine
-length, both checked by `bits.length_counts`. That is all canonical decoding
-reads, from either class alike; their codeword strings are built when
-encoding first asks for them, and decoding never does. A descriptor's
+An `ExplicitCode` and a `UnaryEndedCode` are each a `LengthSeq`: a head of
+lengths, the unary-ended code's tail one bit past its all-1s spine, and the
+words per length, `counts`. That is all canonical decoding reads, from
+either class alike; their codeword strings are built when encoding first
+asks for them, and decoding never does. A descriptor's
 lengths are read in one pass: a run of one-byte varints is its own bytes.
 
 A container of 512 symbols or more whose code has short words decodes
@@ -36,16 +36,15 @@ from __future__ import annotations
 import operator
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .bits import (canonical_codewords, integer_lengths, length_counts,
-                   uleb128_decode, uleb128_decode_all, uleb128_encode,
-                   uleb128_encode_all)
+from .bits import (canonical_codewords, uleb128_decode, uleb128_decode_all,
+                   uleb128_encode, uleb128_encode_all)
 from .errors import ContainerError
 from .golomb import GolombCode
 from .light_tail import UnaryEndedCode
+from .models import LengthSeq
 
 __all__ = ["ExplicitCode", "CodeSpec", "encode", "decode", "read_container",
            "MAGIC", "VERSION"]
@@ -58,49 +57,44 @@ _TAG_EXPLICIT = 0x02
 _TAG_UNARY_ENDED = 0x03
 
 
-@dataclass(frozen=True, init=False)
-class ExplicitCode:
+class ExplicitCode(LengthSeq):
     """Finite prefix code in canonical order, so its lengths identify it.
 
-    Held as the lengths and the words per length; the codeword strings,
-    which encoding needs and decoding does not, are built on first use.
+    A LengthSeq with no tail, checked as the container is; the codeword
+    strings, which encoding needs and decoding does not, are built on first
+    use.
     """
-
-    lengths: tuple[int, ...]
 
     def __init__(self, codewords) -> None:
         words = tuple(str(w) for w in codewords)
         if any(not w or set(w) - {"0", "1"} for w in words):
             raise ValueError("codewords must be nonempty bit strings")
-        self._hold(map(len, words))
+        self._hold(map(len, words), False)
         if words != self.codewords:
             raise ValueError(
                 "explicit codes are stored canonically; build via from_lengths")
 
     @classmethod
     def from_lengths(cls, lengths) -> "ExplicitCode":
-        code = cls.__new__(cls)
-        code._hold(lengths)
-        return code
+        return cls.__new__(cls)._hold(lengths, False)
 
-    def _hold(self, lengths) -> None:
-        lengths = integer_lengths(lengths)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "_canonical",
-                           (lengths, length_counts(lengths), 0))
+    lengths = property(lambda self: self.head)
 
     @cached_property
     def codewords(self) -> tuple[str, ...]:
-        return canonical_codewords(self.lengths)
+        return canonical_codewords(self.head)
 
     def codeword(self, i: int) -> str:
-        if not 0 <= i < len(self.lengths):
+        if not 0 <= i < len(self.head):
             raise ValueError(
-                f"symbol {i} outside the {len(self.lengths)}-ary alphabet")
+                f"symbol {i} outside the {len(self.head)}-ary alphabet")
         return self.codewords[i]
 
+    def __repr__(self) -> str:
+        return f"ExplicitCode(lengths={self.head!r})"
+
     def __str__(self) -> str:
-        return f"explicit code on {len(self.lengths)} symbols"
+        return f"explicit code on {len(self.head)} symbols"
 
 
 CodeSpec = Union[GolombCode, ExplicitCode, UnaryEndedCode]
@@ -303,7 +297,8 @@ def _canonical_rows(code: CodeSpec):
     order[v - offset]. The unary-ended spine, the top of code space, ends at
     one more end, 2**L.
     """
-    lengths, counts, spine = code._canonical
+    lengths, counts = code.head, code.counts
+    spine = code.tail.start_length - 1 if code.tail else 0
     width = max(len(counts) - 1, spine)
     ends, rows = [], []
     first = base = 0        # first is left-justified to width bits

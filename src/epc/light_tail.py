@@ -5,20 +5,19 @@ The construction reduces the source to its first r+1 probabilities plus one
 pseudo-symbol carrying the (penalty-weighted) tail, runs the finite optimizer
 on that reduced set, and then replaces the pseudo-symbol's codeword with an
 all-1s prefix from which the remaining symbols continue in unary. The code
-is held as those lengths; its codeword strings are built only when asked.
+is those lengths, a LengthSeq; its codeword strings are built when asked.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import canonical_codewords, integer_lengths, length_counts
+from .bits import canonical_codewords
 from .errors import NotLightTailedError
 from .golomb import GolombCode, optimal_k
 from .huffman import exp_huffman, maxred_huffman, merge
 from .models import (DthRedundancy, Geometric, LengthSeq, MaxRedundancy,
-                     Penalty, SourceModel, UnaryTail, tail_weight)
+                     Penalty, SourceModel, tail_weight)
 from .numeric import ceil_snapped, check_positive
 
 __all__ = [
@@ -32,77 +31,49 @@ _WINDOW = 128
 _SPLIT_CAP = 10 ** 4
 
 
-@dataclass(frozen=True, init=False)
-class UnaryEndedCode:
+class UnaryEndedCode(LengthSeq):
     """Finite head code plus a unary continuation behind an all-1s prefix.
 
     Symbols 0..split use the canonical head_codewords of head_lengths;
     symbol i > split encodes as the all-1s tail_prefix of spine_length bits,
-    then i - split - 1 ones, then a zero. Held as lengths, as the container
-    is; the strings are built on first use. Given words must be canonical.
+    then i - split - 1 ones, then a zero. A LengthSeq, checked as the
+    container is; the strings are built on first use. Given words must be
+    canonical.
     """
-
-    head_lengths: tuple[int, ...]
-    spine_length: int
 
     def __init__(self, head_codewords, tail_prefix) -> None:
         words = tuple(str(w) for w in head_codewords)
-        self._hold(map(len, words), len(tail_prefix))
+        self._hold([*map(len, words), len(tail_prefix)], True)
         if (words, tail_prefix) != (self.head_codewords, self.tail_prefix):
             raise ValueError("unary-ended codes are stored canonically, with "
                              "an all-1s tail prefix; build via from_lengths")
 
     @classmethod
     def from_lengths(cls, head_lengths, spine_length: int) -> "UnaryEndedCode":
-        code = cls.__new__(cls)
-        code._hold(head_lengths, spine_length)
-        return code
+        return cls.__new__(cls)._hold([*head_lengths, spine_length], True)
 
-    def _hold(self, head_lengths, spine_length) -> None:
-        *head, spine = integer_lengths([*head_lengths, spine_length])
-        counts = length_counts(head, spine)
-        head = tuple(head)
-        object.__setattr__(self, "head_lengths", head)
-        object.__setattr__(self, "spine_length", spine)
-        object.__setattr__(self, "_canonical", (head, counts, spine))
+    # the unary tail starts one bit past the spine
+    head_lengths = property(lambda self: self.head)
+    spine_length = property(lambda self: self.tail.start_length - 1)
+    tail_prefix = property(lambda self: "1" * self.spine_length)
+    split = property(lambda self: len(self.head) - 1)
+    tail_start = property(lambda self: len(self.head))
 
     @cached_property
     def head_codewords(self) -> tuple[str, ...]:
-        return canonical_codewords(self.head_lengths)
-
-    @property
-    def tail_prefix(self) -> str:
-        return "1" * self.spine_length
-
-    @property
-    def split(self) -> int:
-        return len(self.head_lengths) - 1
-
-    @property
-    def tail_start(self) -> int:
-        return len(self.head_lengths)
+        return canonical_codewords(self.head)
 
     def codeword(self, i: int) -> str:
         if 0 <= i <= self.split:
             return self.head_codewords[i]
         return "1" * (self.length(i) - 1) + "0"
 
-    def length(self, i: int) -> int:
-        if i < 0:
-            raise ValueError("symbols are nonnegative")
-        if i <= self.split:
-            return self.head_lengths[i]
-        return self.spine_length + 1 + i - self.tail_start
+    length = LengthSeq.length_at
 
     def lengths(self) -> LengthSeq:
-        return LengthSeq(self.head_lengths,
-                         UnaryTail(self.tail_start, self.spine_length + 1))
+        return LengthSeq(self.head, self.tail)
 
-    def describe(self) -> str:
-        return str(self.lengths())
-
-    def __str__(self) -> str:
-        return self.describe()
+    describe = LengthSeq.__str__
 
 
 # ------------------------------------------------------------ split search

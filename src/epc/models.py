@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .bits import integer_lengths
+from .bits import integer_lengths, kraft_sign, length_counts
 from .errors import DivergenceError
 from .numeric import LN2, SUM_TOL, check_positive, logaddexp
 
@@ -205,36 +205,62 @@ Penalty = Union[Exponential, DthRedundancy, MaxRedundancy, Linear]
 
 # ---------------------------------------------------------------- lengths
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnaryTail:
     """n(i) = start_length + (i - start_index) for all i >= start_index."""
 
     start_index: int
     start_length: int
 
-    def __post_init__(self) -> None:
-        index, length = integer_lengths((self.start_index, self.start_length))
+    def __init__(self, start_index: int, start_length: int) -> None:
+        index, length = integer_lengths((start_index, start_length))
         if index < 0 or length < 1:
             raise ValueError("bad tail record")
+        object.__setattr__(self, "start_index", index)
+        object.__setattr__(self, "start_length", length)
 
 
 @dataclass(frozen=True)
 class LengthSeq:
+    """Codeword lengths, head[i] for symbol i and then the unary tail: the
+    one lengths value every code is. Positive integers (a lone 0 codes a
+    one-symbol alphabet) whose Kraft sum, the tail counted as one word of
+    start_length - 1 bits, is at most one, tested exactly."""
+
     head: tuple[int, ...]
     tail: Optional[UnaryTail] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "head", integer_lengths(self.head))
+        head = words = integer_lengths(self.head)
+        object.__setattr__(self, "head", head)
         # the one symbol of a one-symbol alphabet needs no bits
-        if any(n < 1 for n in self.head) and self.head != (0,):
+        if head and min(head) < 1 and head != (0,):
             raise ValueError("lengths must be positive")
-        if self.tail is not None and self.tail.start_index != len(self.head):
-            raise ValueError("tail must start right after the head")
-        if self.kraft_sum() > 1.0 + 1e-12:
+        if self.tail is not None:
+            if self.tail.start_index != len(head):
+                raise ValueError("tail must start right after the head")
+            # the tail fills the code space of one word a bit shorter
+            words += (self.tail.start_length - 1,)
+        if kraft_sign(sorted(words)) > 0:
             raise ValueError("lengths violate the Kraft inequality")
+
+    def _hold(self, lengths, unary: bool) -> "LengthSeq":
+        """Hold lengths a container can carry, and their words per length as
+        `counts`, from one bits.length_counts check. With `unary` the last
+        length is an all-1s spine, and the tail starts one bit past it."""
+        lengths = integer_lengths(lengths)
+        head, spine = (lengths[:-1], lengths[-1]) if unary else (lengths, None)
+        counts = length_counts(head, spine)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "tail", None if spine is None
+                           else UnaryTail(len(head), spine + 1))
+        object.__setattr__(self, "counts", counts)
+        return self
 
     def length_at(self, i: int) -> int:
         if i < len(self.head):
+            if i < 0:
+                raise ValueError("symbols are nonnegative")
             return self.head[i]
         if self.tail is None:
             raise IndexError(f"no length assigned to symbol {i}")

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Union
 
 from .errors import DivergenceError, EpcError, StabilityError
 from .golomb import GolombCode, golomb_exp_penalty
-from .light_tail import UnaryEndedCode, optimal_code
+from .light_tail import optimal_code
 from .models import (Exponential, Geometric, LengthSeq, SourceModel,
                      _covered, _ln_renyi_sum, expected_length, power_sum,
                      shannon_entropy, tail_weight, total_mass)
@@ -138,7 +138,7 @@ class TableTransform:
 ArrivalModel = Union[Deterministic, ExponentialArrivals, GammaArrivals,
                      TableTransform]
 
-CodeLike = Union[GolombCode, UnaryEndedCode, LengthSeq]
+CodeLike = Union[GolombCode, LengthSeq]   # every other code is a LengthSeq
 
 
 class DecayRate(NamedTuple):
@@ -181,17 +181,7 @@ def _golomb_power_sum(model: SourceModel, code: GolombCode, base: float) -> floa
     raise DivergenceError("power sum did not settle")
 
 
-def _golomb_or_lengths(code: CodeLike) -> Union[GolombCode, LengthSeq]:
-    """A Golomb code as it is, any other code as its LengthSeq."""
-    if isinstance(code, UnaryEndedCode):
-        return code.lengths()
-    if isinstance(code, (GolombCode, LengthSeq)):
-        return code
-    raise TypeError(f"not a usable code: {code!r}")
-
-
 def _code_power_sum(model: SourceModel, code: CodeLike, base: float) -> float:
-    code = _golomb_or_lengths(code)
     if not isinstance(code, GolombCode):
         return power_sum(model, code, base)
     if isinstance(model, Geometric):
@@ -214,7 +204,6 @@ def overflow_functional(model: SourceModel, code: CodeLike,
 # ------------------------------------------------------------- s* search
 
 def _expected_len(model: SourceModel, code: CodeLike) -> float:
-    code = _golomb_or_lengths(code)
     if not isinstance(code, GolombCode):
         return expected_length(model, code)
     if isinstance(model, Geometric):
@@ -231,7 +220,7 @@ def _divergence_point(model: SourceModel, code: CodeLike) -> float:
     return -math.log(rho) / per_symbol
 
 
-def _power_sum_of(model: SourceModel, code: Union[GolombCode, LengthSeq]
+def _power_sum_of(model: SourceModel, code: CodeLike
                   ) -> Callable[[float], float]:
     """base -> the power sum that overflow_functional takes, with everything
     that does not depend on the base computed once: the head masses summed
@@ -264,7 +253,6 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
     codeword length reaches the mean intermission. The bisection evaluates
     f as overflow_functional does, from a power sum built once per call.
     """
-    code = _golomb_or_lengths(code)
     if _expected_len(model, code) >= arrivals.mean_gap():
         return DecayRate(0.0, True)
     power_sum_at = _power_sum_of(model, code)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epc import ContainerError, ExplicitCode, UnaryEndedCode
-from epc.bits import (canonical_codewords, canonical_with_spine,
-                      uleb128_decode, uleb128_decode_all, uleb128_encode,
-                      uleb128_encode_all)
+from epc import (ContainerError, ExplicitCode, LengthSeq, UnaryEndedCode,
+                 UnaryTail)
+from epc.bits import (canonical_codewords, uleb128_decode,
+                      uleb128_decode_all, uleb128_encode, uleb128_encode_all)
+from oracles import kraft_fraction
 
 # derandomized: every run draws the same examples and writes no database
 SEEDED = settings(derandomize=True, database=None, deadline=None)
@@ -95,7 +96,7 @@ def test_lengths_must_be_integers():
     with pytest.raises(ValueError, match=r"got float 1\.0"):
         UnaryEndedCode.from_lengths([1], 1.0)
     with pytest.raises(ValueError, match="got NoneType None"):
-        canonical_with_spine([1], None)
+        UnaryEndedCode.from_lengths([1], None)
     # anything operator.index accepts is an integer length
     assert ExplicitCode.from_lengths([True, 1]) == \
         ExplicitCode.from_lengths([1, 1])
@@ -166,3 +167,39 @@ def test_from_lengths_agrees_with_canonical_codewords(lengths):
 def test_canonical_codewords_in_length_then_index_order():
     assert canonical_codewords([3, 1, 3, 2]) == ("110", "0", "111", "10")
     assert canonical_codewords([2, 2, 2]) == ("00", "01", "10")
+
+
+@st.composite
+def _lengths_and_tail(draw):
+    """Positive lengths and perhaps a unary tail's start length, often with
+    a Kraft sum at or next to one: a full tree's leaf depths, one leaf
+    perhaps made the tail's word and perhaps moved a level."""
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.one_of(st.integers(1, 4),
+                                          st.integers(1, 70)), max_size=12))
+        tail = draw(st.one_of(st.none(), st.integers(1, 70)))
+        return lengths, tail
+    lengths = list(draw(_tree_lengths()))
+    tail = None
+    if draw(st.booleans()):
+        tail = lengths.pop() + 1        # the tail fills that leaf's space
+    if draw(st.booleans()) and lengths:
+        lengths[0] = max(1, lengths[0] + draw(st.sampled_from([-1, 1])))
+    return lengths, tail
+
+
+@SEEDED
+@given(_lengths_and_tail())
+def test_length_seq_kraft_test_is_exact(case):
+    # the tail counts as one more word, of start_length - 1 bits
+    lengths, tail_length = case
+    words = lengths + ([] if tail_length is None else [tail_length - 1])
+    tail = None if tail_length is None else UnaryTail(len(lengths),
+                                                      tail_length)
+    try:
+        LengthSeq(lengths, tail)
+    except ValueError as exc:
+        assert str(exc) == "lengths violate the Kraft inequality"
+        assert kraft_fraction(words) > 1
+    else:
+        assert kraft_fraction(words) <= 1

@@ -8,7 +8,6 @@ import pytest
 from epc import (ContainerError, ExplicitCode, GolombCode, Poisson,
                  UnaryEndedCode, bits, build_unary_ended, codec, decode,
                  encode, light_tail, read_container)
-from epc.bits import canonical_with_spine
 from oracles import kraft_fraction
 
 
@@ -238,8 +237,8 @@ def test_count_beyond_payload_bits_fails_fast():
 
 @pytest.mark.parametrize("code", [
     ExplicitCode.from_lengths(list(range(1, 1000)) + [999]),
-    UnaryEndedCode(*canonical_with_spine(range(1, 100), 99)),
-    UnaryEndedCode(*canonical_with_spine([1, *range(3, 101), 100], 2)),
+    UnaryEndedCode.from_lengths(range(1, 100), 99),
+    UnaryEndedCode.from_lengths([1, *range(3, 101), 100], 2),
 ], ids=["explicit-1..999", "unary-ended-long-spine", "unary-ended-short-spine"])
 def test_deep_code_roundtrip(code):
     # mostly short words, plus words on both sides of the 64-bit window
@@ -330,7 +329,7 @@ def test_table_head_word_longer_than_window():
 
 def test_table_unary_spine_longer_than_window():
     # a 9-bit spine: every tail word is past the table, the head is in it
-    code = UnaryEndedCode(*canonical_with_spine(range(1, 10), 9))
+    code = UnaryEndedCode.from_lengths(range(1, 10), 9)
     table = _table(code, 8)
     assert table["11111111"] == ((), 0)
     assert table["11101100"] == ((3, 2, 0), 8)        # 1110 | 110 | 0

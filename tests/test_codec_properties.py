@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from epc import (ContainerError, ExplicitCode, GolombCode, Poisson,
                  UnaryEndedCode, build_unary_ended, build_unary_ended_mmr,
                  codec, decode, encode, read_container)
-from epc.bits import canonical_with_spine
 from oracles import kraft_fraction
 
 # derandomized: every run draws the same examples and writes no database
@@ -75,11 +74,11 @@ def _code_and_symbols(draw):
         # under a 2-bit spine: long words with a long or a short spine
         depth = draw(st.integers(3, 130))
         if draw(st.booleans()):
-            code = UnaryEndedCode(*canonical_with_spine(range(1, depth),
-                                                        depth - 1))
+            code = UnaryEndedCode.from_lengths(range(1, depth), depth - 1)
         else:
-            code = UnaryEndedCode(*canonical_with_spine(
-                [1, *range(3, depth + 1), depth], 2))
+            code = UnaryEndedCode.from_lengths(
+                [1, *range(3, depth + 1), depth], 2)
+        code = UnaryEndedCode(code.head_codewords, code.tail_prefix)
         top = code.tail_start + 60
     else:
         source = Poisson(draw(st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0])))

@@ -22,6 +22,10 @@ def test_code_object_basics():
     assert c.describe() == "lengths 2,2,2,3 +unary@3"
     with pytest.raises(ValueError):
         c.codeword(-1)
+    # a code and a plain LengthSeq refuse a negative symbol alike
+    for lengths in (c, LengthSeq((1, 2, 2))):
+        with pytest.raises(ValueError, match="symbols are nonnegative"):
+            lengths.length_at(-1)
 
 
 def test_code_validation():

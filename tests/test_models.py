@@ -136,6 +136,19 @@ def test_length_seq_validation():
     seq = LengthSeq((1, 2), UnaryTail(2, 3))
     assert [seq.length_at(i) for i in range(5)] == [1, 2, 3, 4, 5]
     assert seq.kraft_sum() == pytest.approx(1.0)
+    # tail fields are kept as the ints they check as
+    assert str(LengthSeq((1,), UnaryTail(True, 2))) == "lengths 1,2 +unary@1"
+    # Kraft is tested exactly: a float sum within 1e-12 of one took both
+    for head in ((1, 1, 40), (1, 1, 60)):
+        with pytest.raises(ValueError, match="violate the Kraft inequality"):
+            LengthSeq(head)
+    # and in time that does not grow with the lengths
+    start = time.perf_counter()
+    LengthSeq((10 ** 12,))
+    LengthSeq((1,), UnaryTail(1, 10 ** 12))
+    LengthSeq((), UnaryTail(0, 1))
+    LengthSeq((0,))
+    assert time.perf_counter() - start < 0.01
 
 
 def test_power_sum_against_direct():

@@ -3,12 +3,15 @@ import time
 
 import pytest
 
-from epc import (Deterministic, DivergenceError, ExplicitFinite,
-                 ExponentialArrivals, GammaArrivals, Geometric, GolombCode,
-                 LengthSeq, NotLightTailedError, Poisson, StabilityError,
+from epc import (Deterministic, DivergenceError, DthRedundancy, ExplicitCode,
+                 ExplicitFinite, ExponentialArrivals, Exponential,
+                 GammaArrivals, Geometric, GolombCode, LengthSeq, Linear,
+                 MaxRedundancy, NotLightTailedError, Poisson, StabilityError,
                  TableTransform, UnaryTail, build_unary_ended,
-                 decay_rate_bound, max_decay_rate, optimize_overflow,
-                 overflow_functional, shannon_entropy, total_mass)
+                 decay_rate_bound, evaluate_penalty, exp_huffman,
+                 expected_length, max_decay_rate, optimal_code,
+                 optimize_overflow, overflow_functional, power_sum,
+                 shannon_entropy, total_mass)
 from epc.overflow import _S_TOL
 from oracles import golomb_power_sum_direct, largest_feasible_on_grid
 
@@ -133,6 +136,32 @@ def test_decay_rate_unary_lengthseq():
     assert got.value == pytest.approx(math.log(PHI), abs=1e-9)
     at_edge = max_decay_rate(m, seq, Deterministic(2.0))
     assert at_edge.at_boundary and at_edge.value == 0.0
+
+
+_FINITE = ExplicitFinite((0.4, 0.3, 0.2, 0.1))
+_MERGED = exp_huffman(_FINITE.probs, 1.0).lengths
+
+
+@pytest.mark.parametrize("model, code", [
+    (_FINITE, ExplicitCode.from_lengths(_MERGED)),
+    (Poisson(2.0), optimal_code(Poisson(2.0), Linear())),
+    (Poisson(2.0), optimal_code(Poisson(2.0), Exponential(1.5))),
+], ids=["explicit", "unary-linear", "unary-exp1.5"])
+def test_codes_are_scored_as_their_lengths(model, code):
+    # each code is a LengthSeq, and every query reads it as its lengths
+    plain = LengthSeq(code.head, code.tail)
+    assert isinstance(code, LengthSeq) and type(plain) is LengthSeq
+    for penalty in (Linear(), Exponential(1.5), DthRedundancy(1.0),
+                    MaxRedundancy()):
+        assert evaluate_penalty(model, code, penalty) == \
+            evaluate_penalty(model, plain, penalty)
+    assert power_sum(model, code, 1.5) == power_sum(model, plain, 1.5)
+    assert expected_length(model, code) == expected_length(model, plain)
+    arrivals = ExponentialArrivals(0.25)
+    assert max_decay_rate(model, code, arrivals) == \
+        max_decay_rate(model, plain, arrivals)
+    assert overflow_functional(model, code, arrivals, 0.3) == \
+        overflow_functional(model, plain, arrivals, 0.3)
 
 
 def test_bound_dominates_every_code():
