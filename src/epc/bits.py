@@ -70,7 +70,8 @@ def uleb128_decode_all(data: bytes, offset: int, n: int) -> tuple[list[int], int
 def integer_lengths(lengths) -> tuple[int, ...]:
     """The lengths as ints; ValueError for any value operator.index refuses,
     which int() would truncate (1.5) or parse ("1")."""
-    lengths = tuple(lengths)
+    if not isinstance(lengths, (list, tuple)):     # iterated twice on error
+        lengths = tuple(lengths)
     try:
         return tuple(map(operator.index, lengths))
     except TypeError:

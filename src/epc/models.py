@@ -213,7 +213,9 @@ class UnaryTail:
     start_length: int
 
     def __init__(self, start_index: int, start_length: int) -> None:
-        index, length = integer_lengths((start_index, start_length))
+        index, length = start_index, start_length
+        if type(index) is not int or type(length) is not int:
+            index, length = integer_lengths((index, length))
         if index < 0 or length < 1:
             raise ValueError("bad tail record")
         object.__setattr__(self, "start_index", index)
