@@ -164,7 +164,11 @@ def canonical_codewords(lengths) -> tuple[str, ...]:
     """Assign codewords in (length, index) order, each starting where the
     previous ended; refuses what length_counts refuses."""
     lengths = integer_lengths(lengths)
-    counts = length_counts(lengths)
+    return _codewords_of(lengths, length_counts(lengths))
+
+
+def _codewords_of(lengths, counts) -> tuple[str, ...]:
+    """canonical_codewords of checked lengths, given length_counts of them."""
     first = []          # first[l]: the first l-bit word, as an integer
     code = 0
     for n in counts:
@@ -176,4 +180,3 @@ def canonical_codewords(lengths) -> tuple[str, ...]:
         first[length] = code + 1
         out.append(bin(code + (1 << length))[3:])  # the leading 1 keeps zeros
     return tuple(out)
-

@@ -39,7 +39,7 @@ from bisect import bisect_right
 from functools import cached_property
 from typing import Union
 
-from .bits import (canonical_codewords, uleb128_decode, uleb128_decode_all,
+from .bits import (_codewords_of, uleb128_decode, uleb128_decode_all,
                    uleb128_encode, uleb128_encode_all)
 from .errors import ContainerError
 from .golomb import GolombCode
@@ -82,7 +82,7 @@ class ExplicitCode(LengthSeq):
 
     @cached_property
     def codewords(self) -> tuple[str, ...]:
-        return canonical_codewords(self.head)
+        return _codewords_of(self.head, self.counts)
 
     def codeword(self, i: int) -> str:
         if not 0 <= i < len(self.head):

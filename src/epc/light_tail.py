@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .bits import canonical_codewords
+from .bits import _codewords_of
 from .errors import NotLightTailedError
 from .golomb import GolombCode, optimal_k
 from .huffman import exp_huffman, maxred_huffman, merge
@@ -61,7 +61,7 @@ class UnaryEndedCode(LengthSeq):
 
     @cached_property
     def head_codewords(self) -> tuple[str, ...]:
-        return canonical_codewords(self.head)
+        return _codewords_of(self.head, self.counts)
 
     def codeword(self, i: int) -> str:
         if 0 <= i <= self.split:

@@ -1,9 +1,9 @@
 """Probability sources, penalty variants, and penalty evaluation.
 
-Sources are measures on the nonnegative integers (they usually sum to one but
-are not required to). A LengthSeq assigns a codeword length to every symbol,
-either over a finite head or with an arithmetic (unary style) continuation.
-Everything here is an immutable value and every function is pure.
+Sources are measures on the nonnegative integers, usually summing to one. A
+LengthSeq gives each symbol a codeword length: a head, then optionally unary.
+Penalties read the head once per distinct length, through one profile of
+the masses grouped by length. Values are immutable and functions pure.
 """
 from __future__ import annotations
 
@@ -350,36 +350,58 @@ def total_mass(model: SourceModel) -> float:
     return tail_weight(model, -1, 1.0)
 
 
-def _covered(model: SourceModel, lengths: LengthSeq) -> int:
-    """How many symbols the lengths' head sums run over: the whole alphabet
-    of a finite source, the head of the lengths for an infinite one."""
-    if model.size is None:
-        if lengths.tail is None:
-            raise ValueError("infinite source needs a length tail")
-        return len(lengths.head)
-    if len(lengths.head) < model.size and lengths.tail is None:
-        raise ValueError("lengths do not cover the alphabet")
-    return model.size
-
-
 # ------------------------------------------------------- penalty evaluation
+
+class _Profile:
+    """The symbols a head sum runs over (a finite source's alphabet, else
+    the head of the lengths) by codeword length, ascending: `groups` holds
+    (length, their masses), `sums` (those masses' fsum, length)."""
+
+    def __init__(self, model: SourceModel, lengths: LengthSeq) -> None:
+        head, tail, size = lengths.head, lengths.tail, model.size
+        if tail is None and (size is None or size > len(head)):
+            raise ValueError("lengths with no tail do not cover the alphabet")
+        if size is not None and size > len(head):   # running into the tail
+            head += tuple(range(tail.start_length,
+                                tail.start_length + size - len(head)))
+        self.model, self.head, self.tail = model, head[:size], tail
+        groups = {n: [] for n in sorted(set(self.head))}
+        for n, p in zip(self.head, model.masses(len(self.head))):
+            groups[n].append(p)
+        self.groups = list(groups.items())
+        self.sums = [(math.fsum(ps), n) for n, ps in self.groups]
+
+    def power_sum_at(self, base: float) -> float:
+        acc = math.fsum(m * base ** n for m, n in self.sums)
+        if self.model.size is not None:
+            return acc
+        # sum_{i>=t0} p(i) base**(L0+i-t0) = base**(L0-1) * tail_weight(t0-1)
+        return acc + base ** (self.tail.start_length - 1) * tail_weight(
+            self.model, self.tail.start_index - 1, base)
+
+    def tops(self):
+        """(length, log2 m, the masses over m, lazily) per length, m the
+        largest; from ln_mass where all lie below the normal floats."""
+        low = {n: [] for n, ps in self.groups if max(ps) < 2.0 ** -1022}
+        for i, n in enumerate(self.head if low else ()):
+            if n in low:
+                low[n].append(self.model.ln_mass(i))
+        for n, ps in self.groups:
+            top = max(low.get(n) or ps)     # ln m for a low length, else m
+            if n in low:
+                yield n, top / LN2, [math.exp(x - top) for x in low[n]]
+            else:
+                yield n, math.log2(top), map(top.__rtruediv__, ps)
+
 
 def power_sum(model: SourceModel, lengths: LengthSeq, base: float) -> float:
     """sum p(i) * base**n(i), the tail through tail_weight."""
-    acc = math.fsum(p * base ** lengths.length_at(i) for i, p in
-                    enumerate(model.masses(_covered(model, lengths))))
-    if model.size is not None:
-        return acc
-    t = lengths.tail
-    # sum_{i>=t0} p(i) base**(L0+i-t0) = base**(L0-1) * tail_weight(t0-1)
-    return acc + base ** (t.start_length - 1) * tail_weight(
-        model, t.start_index - 1, base)
+    return _Profile(model, lengths).power_sum_at(base)
 
 
 def expected_length(model: SourceModel, lengths: LengthSeq) -> float:
     """sum p(i) * n(i)."""
-    acc = math.fsum(p * lengths.length_at(i) for i, p in
-                    enumerate(model.masses(_covered(model, lengths))))
+    acc = math.fsum(m * n for m, n in _Profile(model, lengths).sums)
     if model.size is not None:
         return acc
     t0, len0 = lengths.tail.start_index, lengths.tail.start_length
@@ -441,9 +463,9 @@ def _dth_sum_log(model: SourceModel, lengths: LengthSeq, order: float) -> float:
     """ln of sum p**(1+order) * 2**(order*n), computed in log space."""
     d = order
     acc = -math.inf
-    for i in range(_covered(model, lengths)):
-        acc = logaddexp(acc, (1.0 + d) * model.ln_mass(i)
-                        + d * lengths.length_at(i) * LN2)
+    for n, lg, quotients in _Profile(model, lengths).tops():
+        acc = logaddexp(acc, ((1.0 + d) * lg + d * n) * LN2 + math.log(
+            math.fsum(q ** (1.0 + d) for q in quotients)))
     if model.size is not None:
         return acc
     t0, len0 = lengths.tail.start_index, lengths.tail.start_length
@@ -473,12 +495,11 @@ def _dth_sum_log(model: SourceModel, lengths: LengthSeq, order: float) -> float:
 
 def _max_redundancy(model: SourceModel, lengths: LengthSeq) -> float:
     """sup n(i) + log2 p(i); math.inf when the supremum is unbounded."""
-    best = max((lengths.length_at(i) + math.log2(p) for i, p in
-                enumerate(model.masses(_covered(model, lengths)))),
+    best = max((n + lg for n, lg, _ in _Profile(model, lengths).tops()),
                default=-math.inf)
     if model.size is not None:
         return best
-    t0 = lengths.tail.start_index
+    t0, len0 = lengths.tail.start_index, lengths.tail.start_length
     rho = model.tail_ratio
     if rho is None:
         # steps turn negative once i + 1 > 2 * mean; bounded always
@@ -488,7 +509,7 @@ def _max_redundancy(model: SourceModel, lengths: LengthSeq) -> float:
         return math.inf
     else:
         stop = max(t0, model.tail_start + 1)
-    return max(best, max(lengths.length_at(i) + model.ln_mass(i) / LN2
+    return max(best, max(len0 + i - t0 + model.ln_mass(i) / LN2
                          for i in range(t0, stop + 1)))
 
 

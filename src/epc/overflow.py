@@ -22,7 +22,7 @@ from .errors import DivergenceError, EpcError, StabilityError
 from .golomb import GolombCode, golomb_exp_penalty
 from .light_tail import optimal_code
 from .models import (Exponential, Geometric, LengthSeq, SourceModel,
-                     _covered, _ln_renyi_sum, expected_length, power_sum,
+                     _Profile, _ln_renyi_sum, expected_length,
                      shannon_entropy, tail_weight, total_mass)
 from .numeric import LN2
 
@@ -161,16 +161,17 @@ class OverflowResult:
 # ------------------------------------------------------------ the functional
 
 def _golomb_power_sum(model: SourceModel, code: GolombCode, base: float) -> float:
-    """sum p(i) base**n(i) for a Golomb code on a non-geometric source,
-    truncated once the remainder is certifiably negligible."""
+    """sum p(i) base**n(i) for a Golomb code: in closed form on a geometric
+    source, else truncated once the remainder is certifiably negligible."""
+    if isinstance(model, Geometric):
+        if base == 1.0:
+            return total_mass(model)
+        return base ** golomb_exp_penalty(model.ratio, base, code.k)
     k, g = code.k, code.suffix_bits
     acc = 0.0
-    i = 0
-    while i < 10 ** 6:
-        stop = i + 64
-        while i < stop:
-            acc += model.mass(i) * base ** code.length(i)
-            i += 1
+    for i in range(64, 10 ** 6 + 1, 64):    # i symbols summed so far
+        for j in range(i - 64, i):
+            acc += model.mass(j) * base ** code.length(j)
         if base <= 1.0:
             remainder = base * tail_weight(model, i - 1, 1.0)
         else:
@@ -181,14 +182,12 @@ def _golomb_power_sum(model: SourceModel, code: GolombCode, base: float) -> floa
     raise DivergenceError("power sum did not settle")
 
 
-def _code_power_sum(model: SourceModel, code: CodeLike, base: float) -> float:
-    if not isinstance(code, GolombCode):
-        return power_sum(model, code, base)
-    if isinstance(model, Geometric):
-        if base == 1.0:
-            return total_mass(model)
-        return base ** golomb_exp_penalty(model.ratio, base, code.k)
-    return _golomb_power_sum(model, code, base)
+def _power_sum_of(model: SourceModel, code: CodeLike
+                  ) -> Callable[[float], float]:
+    """base -> sum p(i) base**n(i), with the per-length work done once."""
+    if isinstance(code, GolombCode):
+        return lambda base: _golomb_power_sum(model, code, base)
+    return _Profile(model, code).power_sum_at
 
 
 def overflow_functional(model: SourceModel, code: CodeLike,
@@ -198,7 +197,7 @@ def overflow_functional(model: SourceModel, code: CodeLike,
         raise ValueError("s must be nonnegative")
     if s == 0.0:
         return total_mass(model)
-    return arrivals.transform(s) * _code_power_sum(model, code, math.exp(s))
+    return arrivals.transform(s) * _power_sum_of(model, code)(math.exp(s))
 
 
 # ------------------------------------------------------------- s* search
@@ -218,30 +217,6 @@ def _divergence_point(model: SourceModel, code: CodeLike) -> float:
     per_symbol = 1.0 / code.k if isinstance(code, GolombCode) else 1.0
     # sum terms behave like (rho * base**per_symbol)**i
     return -math.log(rho) / per_symbol
-
-
-def _power_sum_of(model: SourceModel, code: CodeLike
-                  ) -> Callable[[float], float]:
-    """base -> the power sum that overflow_functional takes, with everything
-    that does not depend on the base computed once: the head masses summed
-    per codeword length and the tail start. A call then costs O(distinct
-    head lengths) plus the tail."""
-    if isinstance(code, GolombCode):   # closed form, or a certified series
-        return lambda base: _code_power_sum(model, code, base)
-    by_length: dict[int, list[float]] = {}
-    for i, p in enumerate(model.masses(_covered(model, code))):
-        by_length.setdefault(code.length_at(i), []).append(p)
-    table = [(math.fsum(ps), n) for n, ps in sorted(by_length.items())]
-
-    def head_sum(base: float) -> float:
-        return math.fsum(m * base ** n for m, n in table)
-
-    if model.size is not None:
-        return head_sum
-    # as in power_sum: the tail is base**(L0-1) * tail_weight(t0-1, base)
-    j, rise = code.tail.start_index - 1, code.tail.start_length - 1
-    return lambda base: (head_sum(base)
-                         + base ** rise * tail_weight(model, j, base))
 
 
 def max_decay_rate(model: SourceModel, code: CodeLike,

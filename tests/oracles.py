@@ -200,6 +200,18 @@ def golomb_power_sum_direct(ratio: float, base: float, k: int,
             return total
 
 
+def golomb_power_sum_periods(ratio: float, base: float, k: int) -> float:
+    """sum_i (1-ratio) ratio^i base^(n_k(i)): the first period summed per
+    symbol, over 1 - ratio^k * base. Each later period is the one before
+    times that factor (masses fall by ratio^k, lengths rise by one), so
+    this stays quick where the factor is close to 1."""
+    factor = ratio ** k * base
+    if factor >= 1.0:
+        raise ArithmeticError("diverges")
+    return math.fsum(geometric_pmf(ratio, j) * base ** golomb_len(j, k)
+                     for j in range(k)) / (1.0 - factor)
+
+
 def unary_tail_power_sum_direct(pmf, head_lengths, tail_start: int,
                                 tail_len0: int, base: float, ratio_bound: float,
                                 tol: float = ORACLE_TOL) -> float:
@@ -228,6 +240,66 @@ def mmr_sup_scan(ratio: float, k: int, limit: int = 10 ** 4):
         if v > best:
             best, best_at = v, i
     return best, best_at > limit - 2 * k
+
+
+# ------------------------------------------------- per-symbol penalty sums
+
+# The head formulas the penalty evaluation used before it summed per
+# codeword length: one term per symbol, over a symbol's mass (or ln mass)
+# and its codeword length. A caller that lists the symbols of a unary tail
+# as well gets the whole sum.
+
+def power_sum_terms(masses, lengths, base: float) -> float:
+    """sum p * base**n."""
+    return math.fsum(p * base ** n for p, n in zip(masses, lengths))
+
+
+def expected_length_terms(masses, lengths) -> float:
+    """sum p * n."""
+    return math.fsum(p * n for p, n in zip(masses, lengths))
+
+
+def dth_sum_log_terms(ln_masses, lengths, order: float) -> float:
+    """ln sum p**(1+order) * 2**(order*n), shifted by its largest term."""
+    logs = [(1.0 + order) * lp + order * n * math.log(2.0)
+            for lp, n in zip(ln_masses, lengths)]
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
+def max_redundancy_terms(ln_masses, lengths) -> float:
+    """max n + log2 p, from ln p so that no mass underflows."""
+    return max(n + lp / math.log(2.0) for lp, n in zip(ln_masses, lengths))
+
+
+def unary_ended_power_sum(pmf, ln_pmf, head_lengths, tail_len0: int,
+                          base: float, decay, geometric_from=None,
+                          tol: float = ORACLE_TOL) -> float:
+    """sum p(i) * base**n(i) for head lengths followed by a unary tail that
+    starts at tail_len0 bits and grows by one per symbol: the head by
+    power_sum_terms, the tail term by term in the log domain until
+    decay(i) * base, decay(i) bounding p(k+1)/p(k) for every k >= i,
+    certifies the rest below tol of the sum. From geometric_from on the
+    masses fall by decay(i) exactly and the rest is a geometric series,
+    taken in closed form. ArithmeticError where that series diverges."""
+    head = power_sum_terms(map(pmf, range(len(head_lengths))), head_lengths,
+                           base)
+    ln_base = math.log(base)
+    terms, total = [head], head
+    i, n = len(head_lengths), tail_len0
+    while True:
+        q = decay(i) * base
+        if geometric_from is not None and i >= geometric_from:
+            if q >= 1.0:
+                raise ArithmeticError("diverges")
+            terms.append(math.exp(ln_pmf(i) + n * ln_base) / (1.0 - q))
+            return math.fsum(terms)
+        t = math.exp(ln_pmf(i) + n * ln_base)
+        terms.append(t)
+        total += t
+        if q < 1.0 and t * q / (1.0 - q) <= tol * total:
+            return math.fsum(terms)
+        i, n = i + 1, n + 1
 
 
 # --------------------------------------------------- reduced geometric source

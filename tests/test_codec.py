@@ -96,11 +96,11 @@ def test_explicit_decode_builds_no_codewords(count, code, monkeypatch):
     symbols = rng.choices(range(6), weights=[8, 2, 2, 2, 1, 1], k=count)
     blob = encode(symbols, code)
 
-    def refuse(lengths):
+    def refuse(*args):
         raise AssertionError("decode built codeword strings")
     monkeypatch.setattr(bits, "canonical_codewords", refuse)
-    monkeypatch.setattr(codec, "canonical_codewords", refuse)
-    monkeypatch.setattr(light_tail, "canonical_codewords", refuse)
+    for module in (bits, codec, light_tail):   # the codes build from counts
+        monkeypatch.setattr(module, "_codewords_of", refuse)
     got, decoded = read_container(blob)
     assert decoded == symbols and got == code
     assert "codewords" not in vars(got) and "head_codewords" not in vars(got)

@@ -1,10 +1,10 @@
 """Seeded property-based tests of the overflow solver: max_decay_rate, which
 evaluates f from a power sum built once per call, lands where a plain
-bisection over overflow_functional lands; decay_rate_bound, which
-root-finds by ITP, lands where a plain bisection over its own left side
-lands; the Renyi sum under that bound matches a direct lgamma sum; and the
-optimize_overflow iterates rise to a feasible rate. Needs hypothesis (the
-`test` extra)."""
+bisection over f from the oracles' per-symbol power sums lands;
+decay_rate_bound, which root-finds by ITP, lands where a plain bisection
+over its own left side lands; the Renyi sum under that bound matches a
+direct lgamma sum; and the optimize_overflow iterates rise to a feasible
+rate. Needs hypothesis (the `test` extra)."""
 import math
 import random
 
@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 
 from epc import (Deterministic, DivergenceError, EpcError, ExplicitFinite,
                  Exponential, ExponentialArrivals, GammaArrivals, Geometric,
-                 Poisson, TableTransform, decay_rate_bound, max_decay_rate,
-                 optimal_code, optimize_overflow, overflow_functional,
-                 shannon_entropy, with_geometric_tail)
+                 GolombCode, Poisson, TableTransform, decay_rate_bound,
+                 max_decay_rate, optimal_code, optimize_overflow,
+                 overflow_functional, shannon_entropy, with_geometric_tail)
 from epc.models import _ln_renyi_sum
 from epc.numeric import LN2
 from epc.overflow import _S_TOL, DecayRate, _divergence_point, _expected_len
-from oracles import poisson_renyi_sum_direct
+from oracles import (golomb_power_sum_periods, poisson_ln_pmf, poisson_pmf,
+                     poisson_renyi_sum_direct, power_sum_terms, tailed_pmf,
+                     unary_ended_power_sum)
 
 # derandomized: every run draws the same examples and writes no database
 SEEDED = settings(derandomize=True, database=None, deadline=None,
@@ -91,16 +93,41 @@ def _known_defect(exc, arrivals) -> bool:
             and str(exc) == "math domain error")
 
 
+def _oracle_power_sum(model, code, base):
+    """sum p(i) base**n(i) summed symbol by symbol by the oracles, from the
+    source's own parameters: ArithmeticError where it diverges."""
+    if isinstance(code, GolombCode):
+        return golomb_power_sum_periods(model.ratio, base, code.k)
+    if model.size is not None:
+        return power_sum_terms(model.probs, code.head, base)
+    if model.tail_ratio is None:
+        m = model.mean
+        return unary_ended_power_sum(
+            lambda i: poisson_pmf(m, i), lambda i: poisson_ln_pmf(m, i),
+            code.head, code.tail.start_length, base, lambda i: m / (i + 1))
+    head, r = model.head, model.tail_ratio
+    last = len(head) - 1
+    return unary_ended_power_sum(
+        lambda i: tailed_pmf(head, r, i),
+        lambda i: math.log(tailed_pmf(head, r, min(i, last)))
+        + max(i - last, 0) * math.log(r),
+        code.head, code.tail.start_length, base,
+        lambda i: r if i >= last else math.inf, geometric_from=last)
+
+
 def _reference_rate(model, code, arrivals) -> DecayRate:
     """The bisection of max_decay_rate, on the same points, with every f
-    taken from overflow_functional."""
+    the transform times the oracle power sum."""
     if _expected_len(model, code) >= arrivals.mean_gap():
         return DecayRate(0.0, True)
 
     def f(s):
         try:
-            return overflow_functional(model, code, arrivals, s)
-        except DivergenceError:
+            return arrivals.transform(s) * _oracle_power_sum(
+                model, code, math.exp(s))
+        except OverflowError:
+            raise
+        except ArithmeticError:     # the direct sum diverges
             return math.inf
 
     s_div = _divergence_point(model, code)

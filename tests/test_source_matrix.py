@@ -13,18 +13,24 @@ import random
 from typing import Callable, NamedTuple, Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epc import (DivergenceError, DthRedundancy, ExplicitFinite, Geometric,
-                 LengthSeq, MaxRedundancy, Poisson, UnaryEndedCode, UnaryTail,
-                 build_unary_ended, evaluate_penalty, exp_huffman,
-                 expected_length, find_split_exponential, point_mass,
-                 power_sum, renyi_entropy, shannon_entropy, tail_weight,
-                 total_mass, with_geometric_tail)
+from epc import (DivergenceError, DthRedundancy, ExplicitFinite,
+                 ExponentialArrivals, Exponential, Geometric, LengthSeq,
+                 Linear, MaxRedundancy, Poisson, UnaryEndedCode, UnaryTail,
+                 build_unary_ended, build_unary_ended_mmr, evaluate_penalty,
+                 exp_huffman, expected_length, find_split_exponential,
+                 overflow_functional, point_mass, power_sum, renyi_entropy,
+                 shannon_entropy, tail_weight, total_mass,
+                 with_geometric_tail)
+from epc.huffman import merge
 from epc.light_tail import _assemble
-from oracles import (geometric_pmf, poisson_ln_pmf, poisson_pmf,
-                     poisson_tail_weight_direct, series_direct, tailed_pmf)
+from epc.numeric import SUM_TOL
+from oracles import (dth_sum_log_terms, expected_length_terms,
+                     geometric_pmf, max_redundancy_terms, poisson_ln_pmf,
+                     poisson_pmf, poisson_tail_weight_direct, power_sum_terms,
+                     series_direct, tailed_pmf)
 
 SEEDED = settings(derandomize=True, database=None, deadline=None,
                   max_examples=60)
@@ -222,6 +228,9 @@ def test_dth_penalty_matrix(problem, order):
 
 @SEEDED
 @given(problem=problems())
+# a head whose masses underflow to 0.0: log2 of them is a domain error
+@example(problem=(_poisson(5.0), LengthSeq(tuple(range(1, 1001)),
+                                           UnaryTail(1000, 1001))))
 def test_mmr_penalty_matrix(problem):
     src, lengths = problem
     got = evaluate_penalty(src.model, lengths, MaxRedundancy())
@@ -332,3 +341,84 @@ def test_poisson_code_uses_the_direct_tail_weight():
     want = UnaryEndedCode.from_lengths(lengths[:-1], lengths[-1])
     assert build_unary_ended(model, base) == want
     assert len(want.tail_prefix) == 55
+
+
+# ----------------------------------- per-length profile against per symbol
+
+@st.composite
+def coded_sources(draw):
+    """(source, code): finite sources of up to 4 096 symbols whose weights
+    take a few distinct values, merged under a drawn penalty, so that many
+    symbols share a length; and the unary-ended codes of Poisson and
+    geometric-tailed sources."""
+    kind = draw(st.sampled_from(["finite", "poisson", "tailed"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if kind == "finite":
+        levels = [math.exp(2.0 * rng.gauss(0.0, 1.0))
+                  for _ in range(draw(st.integers(1, 8)))]
+        weights = [rng.choice(levels)
+                   for _ in range(draw(st.integers(2, 4096)))]
+        total = math.fsum(weights)
+        src = _finite(tuple(w / total for w in weights))
+        penalty = draw(st.sampled_from([Linear(), Exponential(0.7),
+                                        Exponential(1.5), MaxRedundancy(),
+                                        DthRedundancy(2.0)]))
+        return src, LengthSeq(merge(src.model.probs, penalty).lengths)
+    if kind == "poisson":
+        src = _poisson(draw(st.floats(0.5, 60.0)))
+    else:
+        # a tail ratio light enough for every base drawn below
+        r = draw(st.floats(0.05, 0.36))
+        head = [math.exp(rng.gauss(0.0, 1.0))
+                for _ in range(draw(st.integers(1, 16)))]
+        total = math.fsum(head) + head[-1] * r / (1.0 - r)
+        src = _tailed(tuple(w / total for w in head), r)
+    rule = draw(st.sampled_from([1.0, 1.5, 2.0, "mmr"]))
+    if rule == "mmr":
+        return src, build_unary_ended_mmr(src.model)
+    return src, build_unary_ended(src.model, rule)
+
+
+@SEEDED
+@given(problem=coded_sources(), base=st.sampled_from([0.5, 0.7, 1.5, 2.0]),
+       order=st.floats(0.25, 8.0), s=st.floats(0.01, 0.5))
+def test_penalties_match_per_symbol_oracle(problem, base, order, s):
+    src, code = problem
+    model = src.model
+    if src.size is not None:
+        count = src.size
+    else:
+        # far enough into the tail that every sum leaves out less than
+        # 2**-400 of itself: past the tail start and past 4 * (mean + 1)
+        # each term is at most half the one before
+        count = (max(code.tail.start_index, len(getattr(model, "head", ())))
+                 + int(4.0 * (getattr(model, "mean", 0.0) + 1.0)) + 400)
+    lengths = [code.length_at(i) for i in range(count)]
+    masses = [src.pmf(i) for i in range(count)]
+    ln_masses = [src.ln_pmf(i) for i in range(count)]
+
+    def close(want, slack=0.0):
+        return pytest.approx(want, rel=1e-13, abs=slack)
+
+    # the penalties are logarithms, which may sit at zero, so they also
+    # pass within 1e-14; a Poisson tail stops once its certified remainder
+    # is below SUM_TOL, absolute in the expected length and relative in
+    # the order-d sum
+    poisson = isinstance(model, Poisson)
+
+    want = power_sum_terms(masses, lengths, base)
+    assert power_sum(model, code, base) == close(want)
+    assert evaluate_penalty(model, code, Exponential(base)) == close(
+        math.log(want) / math.log(base), 1e-14)
+    arrivals = ExponentialArrivals(0.25)
+    assert overflow_functional(model, code, arrivals, s) == close(
+        arrivals.transform(s) * power_sum_terms(masses, lengths, math.exp(s)))
+    want = expected_length_terms(masses, lengths)
+    assert expected_length(model, code) == close(want, SUM_TOL * poisson)
+    assert evaluate_penalty(model, code, Linear()) == close(
+        want, SUM_TOL * poisson)
+    assert evaluate_penalty(model, code, MaxRedundancy()) == close(
+        max_redundancy_terms(ln_masses, lengths), 1e-14)
+    assert evaluate_penalty(model, code, DthRedundancy(order)) == close(
+        dth_sum_log_terms(ln_masses, lengths, order) / (order * LN2),
+        SUM_TOL / (order * LN2) if poisson else 1e-14)
