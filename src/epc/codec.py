@@ -19,15 +19,19 @@ either class alike; their codeword strings are built when encoding first
 asks for them, and decoding never does. A descriptor's
 lengths are read in one pass: a run of one-byte varints is its own bytes.
 
-A container of 512 symbols or more whose code has short words decodes
-most of them through a multi-symbol table (Choueka, Klein & Perl 1985):
-it maps the next t payload bits to every whole codeword in them and the
-bits they use, so one lookup emits several symbols. t is 8, or 10
-from 4096 symbols; a code whose shortest word is longer than t/2, or whose
-words of at most t bits fill less than 7/8 of code space, gets no table.
-The table is built for each container from the canonical rows, the unary
-tail or Golomb arithmetic, and kept for no other. Words longer than t bits
-and the symbols left once fewer than t remain before the count take the
+Everything decoding derives from the code alone is built once per
+descriptor into a decode plan and kept, for the last 16 descriptors read, in
+a cache keyed by the descriptor's bytes: the parsed code, the canonical
+rows with their single-step lookup, and the multi-symbol table (Choueka,
+Klein & Perl 1985). A stream of containers under one code thus parses,
+checks and tabulates that code once; each container only walks its payload.
+The table maps the next t payload bits to every whole codeword in them and
+the bits they use, so one lookup emits several symbols. A container of 512
+symbols or more builds one, with t = 8, or 10 from 4096 symbols, unless
+its plan has tried one as wide; a code whose words of at most t bits
+fill less than 7/8 of code space gets none. A container of any length
+decodes through the table its plan holds. Words longer than t bits and the
+symbols left once fewer than t remain before the count take the
 single-symbol steps above, so padding bits never decode as symbols and
 every container check reads as without the table.
 """
@@ -35,8 +39,9 @@ from __future__ import annotations
 
 import operator
 import struct
+import threading
 from bisect import bisect_right
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Union
 
 from .bits import (_codewords_of, uleb128_decode, uleb128_decode_all,
@@ -139,38 +144,49 @@ def encode(symbols, code: CodeSpec) -> bytes:
 
 # ------------------------------------------------------------------- decode
 
-def _parse_descriptor(data: bytes, offset: int) -> tuple[CodeSpec, int]:
+def _descriptor_end(data, offset: int) -> int:
+    """Where the code descriptor starting at offset ends, found by reading
+    its tag and varints; only _parse_descriptor checks their values."""
     if offset >= len(data):
         raise ContainerError("truncated header")
     tag = data[offset]
-    offset += 1
+    if tag not in (_TAG_GOLOMB, _TAG_EXPLICIT, _TAG_UNARY_ENDED):
+        raise ContainerError(f"unknown code descriptor tag {tag:#x}")
+    n, offset = uleb128_decode(data, offset + 1)
+    if tag == _TAG_GOLOMB:
+        return offset
+    if tag == _TAG_UNARY_ENDED:
+        n += 2      # the split + 1 head lengths, then the spine
+    if offset + n <= len(data) and bytes(data[offset:offset + n]).isascii():
+        return offset + n       # n one-byte varints
+    return uleb128_decode_all(data, offset, n)[1]
+
+
+def _parse_descriptor(descriptor: bytes) -> CodeSpec:
+    """The code of a whole descriptor whose end _descriptor_end found."""
+    tag = descriptor[0]
+    n, offset = uleb128_decode(descriptor, 1)
     try:
         if tag == _TAG_GOLOMB:
-            k, offset = uleb128_decode(data, offset)
-            return GolombCode(k), offset
+            return GolombCode(n)
         if tag == _TAG_EXPLICIT:
-            count, offset = uleb128_decode(data, offset)
-            lengths, offset = uleb128_decode_all(data, offset, count)
-            return ExplicitCode.from_lengths(lengths), offset
-        if tag == _TAG_UNARY_ENDED:
-            split, offset = uleb128_decode(data, offset)
-            lengths, offset = uleb128_decode_all(data, offset, split + 2)
-            return UnaryEndedCode.from_lengths(lengths[:-1],
-                                               lengths[-1]), offset
+            lengths, _ = uleb128_decode_all(descriptor, offset, n)
+            return ExplicitCode.from_lengths(lengths)
+        lengths, _ = uleb128_decode_all(descriptor, offset, n + 2)
+        return UnaryEndedCode.from_lengths(lengths[:-1], lengths[-1])
     except ValueError as exc:
         raise ContainerError(f"bad code descriptor: {exc}") from exc
-    raise ContainerError(f"unknown code descriptor tag {tag:#x}")
 
 
 # Multi-symbol table decoding (Choueka, Klein & Perl, "Efficient variants of
 # Huffman codes in high level languages", SIGIR 1985). Building the 511
 # entries of a t = 8 table costs what the table saves on about 250 (Golomb
 # k = 3, unary-ended) to 600 (Golomb k = 1) symbols, so shorter containers
-# build none. A code whose shortest word is longer than t/2 gets one word
-# per lookup, and one whose words of at most t bits fill less than 7/8 of
-# code space sends too many symbols through a failed lookup and a single
+# build none; a table once built stays in the code's plan, and containers of
+# any length read it. One whose words of at most t bits fill less than 7/8
+# of code space sends too many symbols through a failed lookup and a single
 # step (the 4096-symbol Zipf code, at 64% for t = 10, decoded about 5%
-# slower with a table); neither builds one.
+# slower with a table), so none is built.
 _TABLE_MIN = 512
 _TABLE_WIDE = 4096      # containers from this count up use t = 10
 # A table is keyed by the window's own characters: a dict lookup on the
@@ -181,12 +197,12 @@ _WINDOW_KEYS = {t: [bin(u)[3:] for u in range(1 << t, 2 << t)]
                 for t in (8, 10)}
 
 
-def _table_width(count: int, shortest: int) -> int:
-    """Window t of the multi-symbol table for one container, 0 for none."""
+def _table_width(count: int) -> int:
+    """Window t of the multi-symbol table a container of count symbols
+    builds, 0 for none."""
     if count < _TABLE_MIN:
         return 0
-    t = 8 if count < _TABLE_WIDE else 10
-    return t if 2 * shortest <= t else 0
+    return 8 if count < _TABLE_WIDE else 10
 
 
 def _decode_table(words, t: int):
@@ -240,8 +256,11 @@ def _table_run(bits: str, pos: int, out: list, stop: int, t: int,
 
 
 def _golomb_words(code: GolombCode, t: int):
-    """(value, length, symbol) of every Golomb word of at most t bits."""
+    """(value, length, symbol) of every Golomb word of at most t bits; none
+    when they fill less than 7/8 of code space, as _decode_table refuses."""
     k, g, z = code.k, code.suffix_bits, code.short_count
+    if 8 * k > 1 << t:      # the words past t bits fill exactly k / 2**t
+        return
     for q in range(t - g + 1):
         prefix = (1 << q + 1) - 2       # q ones, then the zero
         for r in range(k):
@@ -251,12 +270,12 @@ def _golomb_words(code: GolombCode, t: int):
                 yield prefix << g | r + z, q + g + 1, q * k + r
 
 
-def _decode_golomb(bits: str, count: int, code: GolombCode):
+def _decode_golomb(bits: str, count: int, plan: _Plan):
     """-> (symbols, bits consumed); may overrun len(bits) on a truncated
     payload, which the caller reports."""
+    code = plan.code
     k, g, z = code.k, code.suffix_bits, code.short_count
-    t = _table_width(count, g)
-    table = _decode_table(_golomb_words(code, t), t)
+    t, table = _plan_table(plan, count)
     stop = count - t if table else -1
     bits += "0" * t     # full windows at the end; an overrun shows in pos
     find = bits.find
@@ -264,7 +283,8 @@ def _decode_golomb(bits: str, count: int, code: GolombCode):
     append = out.append
     pos = 0
     while len(out) < count:
-        pos = _table_run(bits, pos, out, stop, t, table)
+        if len(out) <= stop:
+            pos = _table_run(bits, pos, out, stop, t, table)
         # one word too long for the table, or the words past stop
         for _ in range(1 if len(out) <= stop else count - len(out)):
             end = find("0", pos)
@@ -312,7 +332,9 @@ def _canonical_rows(code: CodeSpec):
         base += n
     if spine:
         ends.append(1 << width)
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    # a list: indexing one is several times faster than indexing a range
+    order = (list(range(len(lengths))) if code.head_sorted
+             else sorted(range(len(lengths)), key=lengths.__getitem__))
     return width, ends, rows, order, spine
 
 
@@ -332,7 +354,7 @@ def _canonical_words(width, ends, rows, order, spine, t: int):
             yield (1 << spine + j + 1) - 2, spine + j + 1, len(order) + j
 
 
-def _decode_canonical(bits: str, count: int, code: CodeSpec):
+def _decode_canonical(bits: str, count: int, plan: _Plan):
     """-> (symbols, bits consumed) for the table-decoded families.
 
     A word of at most `window` = min(L, _WINDOW) bits costs O(window): a row
@@ -341,20 +363,11 @@ def _decode_canonical(bits: str, count: int, code: CodeSpec):
     exactly. Past them, if some row is longer, the whole L-bit window
     decides the row, the spine or no word.
     """
-    width, ends, rows, order, spine = _canonical_rows(code)
-    shortest = min(rows[0][0], spine + 1) if spine else rows[0][0]
-    t = _table_width(count, shortest)
-    table = _decode_table(
-        _canonical_words(width, ends, rows, order, spine, t), t)
-    stop = count - t if table else -1
-    window = min(width, _WINDOW)
-    drop = width - window
-    short = sum(length <= window for length, _ in rows)
-    limits = [end >> drop for end in ends[:short]]
+    width, window, limits, ends, short, rows, order, spine = plan.steps
     past_rows = len(rows)
-    rows = [(length, (window if i < short else width) - length, offset)
-            for i, (length, offset) in enumerate(rows)]
     tail_start = len(order)
+    t, table = _plan_table(plan, count)
+    stop = count - t if table else -1
     # full windows at the end; an overrun shows in pos
     bits += "0" * max(width, t)
     find = bits.find
@@ -362,7 +375,8 @@ def _decode_canonical(bits: str, count: int, code: CodeSpec):
     append = out.append
     pos = 0
     while len(out) < count:
-        pos = _table_run(bits, pos, out, stop, t, table)
+        if len(out) <= stop:
+            pos = _table_run(bits, pos, out, stop, t, table)
         # one word too long for the table, or the words past stop
         for _ in range(1 if len(out) <= stop else count - len(out)):
             w = int(bits[pos:pos + window], 2)
@@ -386,6 +400,57 @@ def _decode_canonical(bits: str, count: int, code: CodeSpec):
     return out, pos
 
 
+# Descriptors whose plans the cache keeps; each holds its code, rows and at
+# most one table of 2**10 entries.
+_PLANS = 16
+
+
+class _Plan:
+    """What decoding derives from one code alone, shared by every container
+    that carries its descriptor: the code, for a canonical code `steps`
+    (the rows, their single-step limits and order, the spine), and `table`,
+    the (t, table) of the widest multi-symbol table built, (0, None) while
+    none is."""
+
+    def __init__(self, code: CodeSpec) -> None:
+        self.code = code
+        self.table = (0, None)
+        self.tried = 0          # the widest t whose table was built or refused
+        self.lock = threading.Lock()
+        if isinstance(code, GolombCode):
+            self.words = partial(_golomb_words, code)
+            return
+        width, ends, rows, order, spine = canonical = _canonical_rows(code)
+        self.words = partial(_canonical_words, *canonical)
+        window = min(width, _WINDOW)
+        drop = width - window
+        short = sum(length <= window for length, _ in rows)
+        limits = [end >> drop for end in ends[:short]]
+        steps = [(length, (window if i < short else width) - length, offset)
+                 for i, (length, offset) in enumerate(rows)]
+        self.steps = (width, window, limits, ends, short, steps, order, spine)
+
+
+@lru_cache(maxsize=_PLANS)
+def _plan(descriptor: bytes) -> _Plan:
+    return _Plan(_parse_descriptor(descriptor))
+
+
+def _plan_table(plan: _Plan, count: int):
+    """(t, table) a container of count symbols decodes with: the plan's,
+    once a table of _table_width(count), if wider than any tried, is built
+    into it."""
+    t = _table_width(count)
+    if t > plan.tried:
+        with plan.lock:
+            if t > plan.tried:
+                table = _decode_table(plan.words(t), t)
+                if table is not None:
+                    plan.table = (t, table)
+                plan.tried = t
+    return plan.table
+
+
 def read_container(data: bytes) -> tuple[CodeSpec, list[int]]:
     if len(data) < 5:
         raise ContainerError("container shorter than its fixed header")
@@ -393,7 +458,8 @@ def read_container(data: bytes) -> tuple[CodeSpec, list[int]]:
         raise ContainerError("bad magic")
     if data[4] != VERSION:
         raise ContainerError(f"unsupported version {data[4]}")
-    code, offset = _parse_descriptor(data, 5)
+    offset = _descriptor_end(data, 5)
+    plan = _plan(bytes(data[5:offset]))
     if offset + 8 > len(data):
         raise ContainerError("truncated header")
     (count,) = struct.unpack_from("<Q", data, offset)
@@ -404,10 +470,10 @@ def read_container(data: bytes) -> tuple[CodeSpec, list[int]]:
             f"declared count {count} exceeds the {nbits} payload bits")
     bits = format(int.from_bytes(payload, "big"), f"0{nbits}b") if nbits else ""
     try:
-        if isinstance(code, GolombCode):
-            symbols, pos = _decode_golomb(bits, count, code)
+        if isinstance(plan.code, GolombCode):
+            symbols, pos = _decode_golomb(bits, count, plan)
         else:
-            symbols, pos = _decode_canonical(bits, count, code)
+            symbols, pos = _decode_canonical(bits, count, plan)
     except (ValueError, IndexError, KeyError):  # reads past the end
         raise ContainerError("truncated payload") from None
     if pos > nbits:
@@ -416,7 +482,7 @@ def read_container(data: bytes) -> tuple[CodeSpec, list[int]]:
         raise ContainerError("extra bytes after the payload")
     if "1" in bits[pos:nbits]:
         raise ContainerError("nonzero padding bits")
-    return code, symbols
+    return plan.code, symbols
 
 
 def decode(data: bytes) -> list[int]:

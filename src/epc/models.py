@@ -73,6 +73,14 @@ class _GeometricTail(_Source):
         last = len(head) - 1
         return head[last] * self.tail_ratio ** (i - last)
 
+    def masses(self, n: int) -> list[float]:
+        # mass(i) for each i in one pass; p(last + j) is mass's own
+        # head[last] * ratio**j, so the floats are the same
+        head, ratio = self.head, self.tail_ratio
+        last = len(head) - 1
+        p = head[last]
+        return list(head[:n]) + [p * ratio ** j for j in range(1, n - last)]
+
     def ln_mass(self, i: int) -> float:
         head = self.head
         if i < len(head):
@@ -247,16 +255,20 @@ class LengthSeq:
             raise ValueError("lengths violate the Kraft inequality")
 
     def _hold(self, lengths, unary: bool) -> "LengthSeq":
-        """Hold lengths a container can carry, and their words per length as
-        `counts`, from one bits.length_counts check. With `unary` the last
-        length is an all-1s spine, and the tail starts one bit past it."""
+        """Hold lengths a container can carry, their words per length as the
+        tuple `counts`, from one bits.length_counts check, and as
+        `head_sorted` whether the head is nondecreasing, so that canonical
+        order is symbol order. With `unary` the last length is an all-1s
+        spine, and the tail starts one bit past it."""
         lengths = integer_lengths(lengths)
         head, spine = (lengths[:-1], lengths[-1]) if unary else (lengths, None)
-        counts = length_counts(head, spine)
+        ordered = sorted(head)
+        counts = length_counts(ordered, spine)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", None if spine is None
                            else UnaryTail(len(head), spine + 1))
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "head_sorted", tuple(ordered) == head)
         return self
 
     def length_at(self, i: int) -> int:

@@ -1,5 +1,7 @@
 import random
 import struct
+import sys
+import threading
 import time
 from unittest import mock
 
@@ -7,7 +9,7 @@ import pytest
 
 from epc import (ContainerError, ExplicitCode, GolombCode, Poisson,
                  UnaryEndedCode, bits, build_unary_ended, codec, decode,
-                 encode, light_tail, read_container)
+                 encode, golomb_length, light_tail, read_container)
 from oracles import kraft_fraction
 
 
@@ -95,6 +97,7 @@ def test_explicit_decode_builds_no_codewords(count, code, monkeypatch):
     rng = random.Random(count)
     symbols = rng.choices(range(6), weights=[8, 2, 2, 2, 1, 1], k=count)
     blob = encode(symbols, code)
+    codec._plan.cache_clear()   # a cached code may have built its words
 
     def refuse(*args):
         raise AssertionError("decode built codeword strings")
@@ -263,23 +266,71 @@ def _table(code, t):
         codec._canonical_words(*codec._canonical_rows(code), t), t)
 
 
+def _no_table_run(*args):
+    raise AssertionError("the single-symbol oracle read a table")
+
+
 def _single_symbol(blob):
-    with mock.patch.object(codec, "_table_width", return_value=0):
+    """The oracle: the same container, its plan's table neither built nor
+    read, whatever the plan holds."""
+    with mock.patch.object(codec, "_plan_table", return_value=(0, None)), \
+            mock.patch.object(codec, "_table_run", _no_table_run):
         return read_container(blob)
 
 
 def test_table_width_rule():
     small, wide = codec._TABLE_MIN, codec._TABLE_WIDE
-    assert codec._table_width(small - 1, 1) == 0      # short containers
-    assert codec._table_width(small, 4) == 8
-    assert codec._table_width(small, 5) == 0          # shortest word > t/2
-    assert codec._table_width(wide - 1, 4) == 8
-    assert codec._table_width(wide, 5) == 10
-    assert codec._table_width(wide, 6) == 0
-    assert codec._table_width(10 ** 9, 1) == 10
+    assert codec._table_width(small - 1) == 0         # short containers
+    assert codec._table_width(small) == 8
+    assert codec._table_width(wide - 1) == 8
+    assert codec._table_width(wide) == 10
+    assert codec._table_width(10 ** 9) == 10
     assert _table(GolombCode(3), 0) is None
     # 2**t entries at width t, 2**(t + 1) - 1 over the widths built
     assert len(_table(GolombCode(3), 10)) == 1 << 10
+    # no gate on the shortest word: Golomb k = 64 words are 7 bits or more,
+    # one per lookup, and fill 15/16 of code space at t = 10
+    assert _table(GolombCode(64), 8) is None
+    assert len(_table(GolombCode(64), 10)) == 1 << 10
+
+
+def test_golomb_table_fill_rule():
+    # Golomb words of at most t bits fill 1 - k / 2**t of code space, so the
+    # words are not listed when that is below 7/8; word by word, for every k
+    # the rule separates at t = 8 and 10
+    for t in (8, 10):
+        for k in range(1, (1 << t - 3) + 40):
+            # quotients up to t hold every word of at most t bits
+            lengths = [golomb_length(j, k) for j in range(k * (t + 1))]
+            filled = sum(1 << t - n for n in lengths if n <= t)
+            assert filled == (1 << t) - k
+            assert (_table(GolombCode(k), t) is None) == (8 * filled < 7 << t)
+
+
+def test_short_container_reads_the_plans_table(monkeypatch):
+    codec._plan.cache_clear()
+    runs = []
+    real_run = codec._table_run
+
+    def counted(*args):
+        runs.append(args[3])        # stop
+        return real_run(*args)
+    monkeypatch.setattr(codec, "_table_run", counted)
+    rng = random.Random(19)
+    code = GolombCode(64)
+    short = [rng.randrange(500) for _ in range(40)]
+    assert decode(encode(short, code)) == short
+    assert runs == []               # a short container builds no table
+    for count, width in ((1000, 0), (5000, 10), (1000, 10), (40, 10)):
+        symbols = [rng.randrange(500) for _ in range(count)]
+        blob = encode(symbols, code)
+        runs.clear()
+        assert read_container(blob) == _single_symbol(blob) == (code, symbols)
+        # t = 8 is refused at 3/4 of code space; t = 10, once built, is read
+        # by every later container
+        assert codec._plan(blob[5:7]).table[0] == width
+        assert bool(runs) == bool(width) and all(
+            stop == count - 10 for stop in runs)
 
 
 def test_table_needs_short_words_to_fill_code_space():
@@ -363,7 +414,7 @@ def test_table_window_past_the_payload_reads_padding():
     # and padding; 600 declared symbols keep the table running at the end,
     # where its window reads past the payload into the padding zeros
     code = ExplicitCode.from_lengths((1, 2, 3))
-    assert codec._table_width(600, 1) == 8
+    assert codec._table_width(600) == 8
     bits = "10" * 502 + "1110"
     blob = (encode([], code)[:-8] + struct.pack("<Q", 600)
             + int(bits, 2).to_bytes(len(bits) // 8, "big"))
@@ -372,3 +423,123 @@ def test_table_window_past_the_payload_reads_padding():
     with pytest.raises(ContainerError) as want:
         _single_symbol(blob)
     assert str(got.value) == str(want.value)
+
+
+# ------------------------------------------------------------- decode plans
+
+ZIPF_CODE = ExplicitCode.from_lengths(
+    [2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 10, 10])
+
+
+@pytest.mark.parametrize("code", [GolombCode(3), ZIPF_CODE,
+                                  UnaryEndedCode.from_lengths((1, 2), 2)],
+                         ids=["golomb", "explicit", "unary-ended"])
+def test_decode_accepts_bytes_bytearray_memoryview(code):
+    rng = random.Random(20)
+    symbols = [rng.randrange(20) for _ in range(600)]
+    blob = encode(symbols, code)
+    for warm in (False, True):
+        for kind in (bytes, bytearray, memoryview):
+            if not warm:
+                codec._plan.cache_clear()
+            assert read_container(kind(blob)) == (code, symbols)
+
+
+def test_plan_cache_is_bounded():
+    codec._plan.cache_clear()
+    for k in range(1, 2 * codec._PLANS + 2):
+        assert decode(encode([k, 0, 2 * k], GolombCode(k))) == [k, 0, 2 * k]
+    info = codec._plan.cache_info()
+    assert info.currsize == info.maxsize == codec._PLANS
+    assert info.misses == 2 * codec._PLANS + 1
+
+
+@pytest.mark.parametrize("descriptor, message", [
+    (b"\x01\x00", "bad code descriptor: k must be a positive integer"),
+    (b"\x02\x03\x01\x01\x01", "bad code descriptor: lengths violate"),
+    (b"\x03\x00\x01\x02", "bad code descriptor: head lengths plus spine"),
+], ids=["golomb-k0", "explicit-kraft", "unary-incomplete"])
+def test_refused_descriptor_is_not_cached(descriptor, message):
+    codec._plan.cache_clear()
+    blob = b"EPC1\x01" + descriptor + struct.pack("<Q", 1) + b"\x00"
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ContainerError, match=message) as got:
+            decode(blob)
+        messages.append(str(got.value))
+    assert messages[0] == messages[1]
+    assert codec._plan.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("code", [GolombCode(3), ZIPF_CODE],
+                         ids=["golomb", "explicit"])
+def test_warm_plan_keeps_every_container_error(code):
+    rng = random.Random(21)
+    symbols = [rng.randrange(20) for _ in range(700)]
+    good = encode(symbols, code)
+    count_at = len(encode([], code)) - 8
+    nbits = 8 * (len(good) - count_at - 8)
+    bad = {
+        "truncated payload": good[:-1],
+        "nonzero padding bits": good[:-1] + bytes([good[-1] | 1]),
+        "extra bytes after the payload": good + b"\x00",
+        f"declared count {nbits + 1} exceeds the {nbits} payload bits":
+            good[:count_at] + struct.pack("<Q", nbits + 1)
+            + good[count_at + 8:],
+    }
+    for message, blob in bad.items():
+        codec._plan.cache_clear()
+        with pytest.raises(ContainerError) as cold:
+            decode(blob)
+        assert str(cold.value) == message
+        assert decode(good) == symbols
+        assert codec._plan(good[5:count_at]).table[1]   # warm, with a table
+        with pytest.raises(ContainerError) as warm:
+            decode(blob)
+        assert str(warm.value) == message
+
+
+def test_decoded_codes_are_equal_and_frozen():
+    blob = encode([0, 5, 19], ZIPF_CODE)
+    first, _ = read_container(blob)
+    second, _ = read_container(bytearray(blob))
+    assert first == second == ZIPF_CODE
+    assert isinstance(first.counts, tuple)
+    with pytest.raises(TypeError):
+        first.counts[2] = 0
+    assert first.head_sorted and not UnaryEndedCode.from_lengths(
+        (2, 1), 2).head_sorted
+
+
+def test_threads_share_plans():
+    # more codes than the cache holds, so plans are evicted and rebuilt
+    # while other threads read them
+    codes = [GolombCode(k) for k in range(1, codec._PLANS + 5)]
+    codes += [ZIPF_CODE, UnaryEndedCode.from_lengths((1, 2), 2)]
+    rng = random.Random(22)
+    blobs = []
+    for i, code in enumerate(codes):
+        symbols = [rng.randrange(20) for _ in range((16, 600, 5000)[i % 3])]
+        blobs.append((encode(symbols, code), code, symbols))
+    codec._plan.cache_clear()
+    failures = []
+
+    def work(seed):
+        order = random.Random(seed)
+        for _ in range(3):
+            for blob, code, symbols in order.sample(blobs, len(blobs)):
+                if read_container(blob) != (code, symbols):
+                    failures.append(code)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

@@ -28,8 +28,8 @@ def _packed(bits: str) -> bytes:
 def _golomb_params():
     edges = sorted({2 ** m + d for m in range(21) for d in (-1, 0, 1)
                     if 1 <= 2 ** m + d <= 2 ** 20})
-    # k < 32 keeps the shortest word within t/2, so long containers of
-    # these codes take the table path
+    # Golomb words longer than t bits fill k / 2**t of code space, so k < 32
+    # leaves a t = 8 table over 7/8 full: long containers build one
     return st.one_of(st.sampled_from(edges), st.integers(1, 2 ** 20),
                      st.integers(1, 31))
 
@@ -111,15 +111,21 @@ def _outcome(blob: bytes):
         return str(exc)
 
 
+def _no_table_run(*args):
+    raise AssertionError("the single-symbol oracle read a table")
+
+
 def _single_symbol_outcome(blob: bytes):
-    """The oracle: the same container with the table path off."""
-    with mock.patch.object(codec, "_table_width", return_value=0):
+    """The oracle: the same container, its plan's table neither built nor
+    read, whatever the plan holds."""
+    with mock.patch.object(codec, "_plan_table", return_value=(0, None)), \
+            mock.patch.object(codec, "_table_run", _no_table_run):
         return _outcome(blob)
 
 
 @settings(SEEDED, max_examples=300)
-@given(_code_and_symbols())
-def test_codec_matches_reference_codewords(case):
+@given(_code_and_symbols(), st.integers(1, codec._TABLE_MIN - 1))
+def test_codec_matches_reference_codewords(case, short):
     code, symbols = case
     blob = encode(symbols, code)
     header = encode([], code)[:-8]
@@ -130,6 +136,10 @@ def test_codec_matches_reference_codewords(case):
     back, decoded = read_container(blob)
     assert decoded == symbols and back == code
     assert _single_symbol_outcome(blob) == (code, symbols)
+    # a short container after it reads any table its plan now holds
+    blob = encode(symbols[:short], code)
+    assert _outcome(blob) == _single_symbol_outcome(blob) == (
+        code, symbols[:short])
 
 
 @st.composite

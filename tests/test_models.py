@@ -89,6 +89,16 @@ def test_with_geometric_tail_mass_and_sums():
         tail_weight(m, 4, 2.0)      # a * ratio = 1
 
 
+@pytest.mark.parametrize("source", [
+    Geometric(0.3), Geometric(0.999),
+    with_geometric_tail((0.6, 0.15, 0.15, 0.0375, 0.0375), 0.5),
+    with_geometric_tail([0.5 ** (i + 1) for i in range(129)], 0.97),
+], ids=["geometric", "geometric-slow", "tailed", "tailed-129"])
+def test_geometric_tail_masses_are_the_point_masses(source):
+    for n in (0, 1, 5, 129, 400):
+        assert source.masses(n) == [source.mass(i) for i in range(n)]
+
+
 def test_tail_weight_geometric():
     g = Geometric(0.6)
     for j in (-1, 0, 3):
