@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
-_WINDOW = 128
 _SPLIT_CAP = 10 ** 4
 
 
@@ -85,7 +84,11 @@ def _minprefix_ok(value: float, floor: float) -> bool:
 def find_split_exponential(model: SourceModel, base: float) -> int:
     """Smallest r past which every symbol's probability is dominated by all
     earlier ones and also dominates its own weighted tail; the reduction to
-    r+2 weights is then penalty-exact."""
+    r+2 weights is then penalty-exact.
+
+    A geometric-tailed source is probed only up to one symbol past its head,
+    its tail weights taken in one backward pass; past that both conditions
+    close in closed form."""
     check_positive("base", base)
     if model.size is not None:
         raise ValueError("finite sources need no tail split")
@@ -93,9 +96,9 @@ def find_split_exponential(model: SourceModel, base: float) -> int:
     if rho is None:
         return _capped(max(_reach(2.0 * base * model.mean) - 2,
                            _reach(math.e * model.mean) - 1, 0))
-    # beyond the probe window the tail is purely geometric; there the
-    # step-to-step parts of the dominance conditions reduce to
-    # base*(rho + rho^2) <= 1, which always holds at base <= 1/2
+    # past the head the tail is purely geometric; there the step-to-step
+    # parts of the dominance conditions reduce to base*(rho + rho^2) <= 1,
+    # which always holds at base <= 1/2
     if base * (rho + rho * rho) > 1.0 + _REL_TOL:
         raise NotLightTailedError("tail ratio too large for this base")
     # with a nonincreasing head they hold from symbol 0 at base <= 1/2, and
@@ -104,21 +107,27 @@ def find_split_exponential(model: SourceModel, base: float) -> int:
             model.mass(i) >= model.mass(i + 1)
             for i in range(model.tail_start)):
         return 0
-    probe_end = max(model.tail_start + 1, _WINDOW)
-    floor = model.mass(0)
+    probe_end = model.tail_start + 1
+    p = model.masses(probe_end + 2)
+    # tw[j] is tail_weight(model, j, base), by T(j) = base*(p(j+1) + T(j+1))
+    tw = [0.0] * (probe_end + 1)
+    tw[probe_end] = tail_weight(model, probe_end, base)
+    for j in range(probe_end - 1, 0, -1):
+        tw[j] = base * (p[j + 1] + tw[j + 1])
+    floor = p[0]
     worst = 0
     for j in range(1, probe_end + 1):
-        pj = model.mass(j)
-        tw = tail_weight(model, j, base)
-        if not (_minprefix_ok(pj, floor) and _minprefix_ok(tw, floor)):
+        pj = p[j]
+        if not (_minprefix_ok(pj, floor) and _minprefix_ok(tw[j], floor)):
             worst = j
         floor = min(floor, pj)
     # in the pure tail both conditions collapse to max(1,c)*p(j) <= floor
-    # with c the tail-weight factor; solve for where that starts holding
+    # with c the tail-weight factor; once that holds it keeps holding, so
+    # the first index past the probe where it holds ends the split search
     c = base * rho / (1.0 - base * rho)
-    return _capped(max(worst, _tail_threshold(
-        model.mass(probe_end + 1) * max(1.0, c), floor, rho,
-        probe_end + 1) - 1))
+    first = probe_end + 1
+    holds_from = _tail_threshold(p[first] * max(1.0, c), floor, rho, first)
+    return _capped(worst if holds_from == first else holds_from - 1)
 
 
 def _reach(x: float) -> int:
@@ -147,7 +156,11 @@ def _tail_threshold(first_value: float, floor: float, rho: float,
 
 def find_split_mmr(model: SourceModel) -> int:
     """Smallest r with p(j) >= 2 p(j+1) for all j >= r and p(i) >= p(r) for
-    all i < r; the mmr reduction doubles the first tail probability."""
+    all i < r; the mmr reduction doubles the first tail probability.
+
+    A geometric-tailed source is probed only up to one symbol past its
+    head: past that the halving rule is constant in j, and the floor
+    condition closes in closed form."""
     if model.size is not None:
         raise ValueError("finite sources need no tail split")
     rho = model.tail_ratio
@@ -155,7 +168,7 @@ def find_split_mmr(model: SourceModel) -> int:
         return _capped(max(_reach(math.e * model.mean) - 1, 0))
     if rho > 0.5 + _REL_TOL:
         raise NotLightTailedError("tail ratio above 1/2 fails the halving rule")
-    probe_end = max(model.tail_start + 1, _WINDOW)
+    probe_end = model.tail_start + 1
     p = model.masses(probe_end + 2)
     halving_from = 0
     for j in range(probe_end + 1):

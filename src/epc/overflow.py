@@ -338,20 +338,39 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
 
 # --------------------------------------------------------------- optimizer
 
+def _length_key(code: CodeLike):
+    """A key two codes of one family share exactly when they give every
+    symbol the same length: a Golomb code is keyed by itself, a LengthSeq
+    by its head with the run its unary tail continues folded into the tail,
+    since a light-tail split moves with the base."""
+    if isinstance(code, GolombCode):
+        return code
+    head, tail = code.head, code.tail
+    if tail is None:
+        return head, None
+    n, start = len(head), tail.start_length
+    while n and head[n - 1] == start - 1:
+        n, start = n - 1, start - 1
+    return head[:n], start
+
+
 def optimize_overflow(model: SourceModel,
                       arrivals: ArrivalModel) -> OverflowResult:
     """Fixed-point iteration: build the exponential-penalty-optimal code at
-    base e**s, re-measure s, repeat until the code reproduces itself."""
+    base e**s, re-measure s, repeat until the code reproduces its
+    predecessor's length for every symbol."""
     s_prev = decay_rate_bound(model, arrivals)
-    prev_code = None
+    prev_code = prev_key = None
     boundary = False
     trace = []
     for _ in range(64):
         code = optimal_code(model, Exponential(math.exp(s_prev)))
-        if code == prev_code:
+        key = _length_key(code)
+        if key == prev_key:
             return OverflowResult(prev_code, s_prev, boundary, tuple(trace),
                                   len(trace))
         rate = max_decay_rate(model, code, arrivals)
         trace.append((rate.value, code))
-        s_prev, boundary, prev_code = rate.value, rate.at_boundary, code
+        s_prev, boundary, prev_code, prev_key = (
+            rate.value, rate.at_boundary, code, key)
     raise EpcError("fixed-point iteration did not settle in 64 rounds")

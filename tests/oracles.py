@@ -315,6 +315,31 @@ def reduced_weight_set(ratio: float, base: float, k: int, m: int = 60):
     return w
 
 
+def tailed_reduction_lengths(head, ratio: float, base: float, r: int):
+    """Length function of the light-tail reduction of a geometric-tailed
+    source forced at split r, whether or not r is minimal: the masses up to
+    r and the weighted tail sum_{k>r} p(k) base**(k-r), merged by the heap
+    engine under base*(a+b), the lengths dealt to the weights sorted
+    heaviest first (stable), the pseudo-symbol's word continued in unary."""
+    last = len(head) - 1
+    weights = [tailed_pmf(head, ratio, i) for i in range(r + 1)]
+    # the listed part of the tail, then its geometric rest in closed form
+    stop = max(r, last) + 1
+    tail = math.fsum(tailed_pmf(head, ratio, k) * base ** (k - r)
+                     for k in range(r + 1, stop + 1))
+    tail += (tailed_pmf(head, ratio, stop) * base ** (stop - r)
+             * base * ratio / (1.0 - base * ratio))
+    weights.append(tail)
+    _, words = heap_merge(weights, lambda a, b: base * (a + b))
+    lengths = sorted(map(len, words))
+    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+    dealt = [0] * len(weights)
+    for pos, i in enumerate(order):
+        dealt[i] = lengths[pos]
+    spine = dealt.pop()
+    return lambda i: dealt[i] if i <= r else spine + (i - r)
+
+
 def infer_period(lengths, head_stop: int):
     """Smallest shift t with n(i+t) == n(i) + 1 across the head window,
     or None."""

@@ -1,6 +1,10 @@
 import math
+import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epc import (ExplicitTailed, Exponential, Geometric, LengthSeq,
                  MaxRedundancy, NotLightTailedError, Poisson, UnaryEndedCode,
@@ -8,7 +12,11 @@ from epc import (ExplicitTailed, Exponential, Geometric, LengthSeq,
                  build_unary_ended, build_unary_ended_mmr, evaluate_penalty,
                  find_split_exponential, find_split_mmr, point_mass,
                  tail_weight, with_geometric_tail)
-from oracles import kraft_fraction, poisson_pmf
+from epc.light_tail import _REL_TOL
+from oracles import kraft_fraction, poisson_pmf, tailed_reduction_lengths
+
+SEEDED = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=200)
 
 
 def test_code_object_basics():
@@ -70,16 +78,90 @@ def test_split_exponential_tailed_head_bump():
     # non-monotone head forces the split past the bump
     m = with_geometric_tail((0.4, 0.05, 0.3, 0.125, 0.0625), 0.5)
     r = find_split_exponential(m, 1.0)
-    assert r >= 2
+    assert r == 4
     # past the split, every mass and every reduced tail weight is dominated
-    # by the head minimum up to there
-    floor = min(point_mass(m, i) for i in range(r + 1))
+    # by every earlier mass, so p(j) and T(j) are the two smallest weights
+    # at each unary step
     for j in range(r + 1, r + 60):
+        floor = min(point_mass(m, i) for i in range(j))
         assert point_mass(m, j) <= floor * (1 + 1e-9)
-    assert tail_weight(m, r, 1.0) <= floor * (1 + 1e-9)
+        assert tail_weight(m, j, 1.0) <= floor * (1 + 1e-9)
+    # a nonincreasing head whose tail adds nothing splits at 0, at any base
+    # the tail allows
+    assert find_split_exponential(
+        with_geometric_tail((0.5, 0.2, 0.1, 0.08), 0.5), 1.0) == 0
     # heavy compression shortcut: nonincreasing head, base <= 1/2
     flat = with_geometric_tail((0.5, 0.25), 0.5)
     assert find_split_exponential(flat, 0.5) == 0
+
+
+def _split_per_j(model, base):
+    """The exponential split probed symbol by symbol to one past the head,
+    each tail weight from tail_weight, then closed in the geometric tail."""
+    rho, probe_end = model.tail_ratio, model.tail_start + 1
+    floor, worst = point_mass(model, 0), 0
+    for j in range(1, probe_end + 1):
+        pj = point_mass(model, j)
+        if not (pj <= floor * (1 + _REL_TOL)
+                and tail_weight(model, j, base) <= floor * (1 + _REL_TOL)):
+            worst = j
+        floor = min(floor, pj)
+    c = base * rho / (1.0 - base * rho)
+    j = probe_end + 1
+    while point_mass(model, j) * max(1.0, c) > floor * (1 + _REL_TOL):
+        j += 1
+    return worst if j == probe_end + 1 else j - 1
+
+
+def _random_tailed(rng, max_head):
+    """A lognormal head of 2..max_head entries, a tail ratio and a base the
+    tail allows, above the base-1/2 shortcut."""
+    rho = rng.uniform(0.05, 0.6)
+    head = [math.exp(rng.gauss(0.0, 1.0))
+            for _ in range(rng.randint(2, max_head))]
+    if rng.random() < 0.2:
+        head.sort(reverse=True)
+    total = math.fsum(head) + head[-1] * rho / (1.0 - rho)
+    base = rng.uniform(0.6, min(2.0, 1.0 / (rho + rho * rho)))
+    return with_geometric_tail([w / total for w in head], rho), base
+
+
+def test_split_exponential_matches_per_symbol_probe():
+    # the backward tail-weight pass finds the split the per-symbol sums find
+    rng = random.Random(15)
+    for _ in range(300):
+        m, base = _random_tailed(rng, 300)
+        assert find_split_exponential(m, base) == _split_per_j(m, base)
+
+
+def test_long_head_split_is_linear():
+    # a 10^4-entry head, the split cap, splits and builds in well under a
+    # second; a probe that summed every tail weight anew took 15 s at base
+    # 1, and at base 1.5 its base**(k - j) overflowed a float
+    rng = random.Random(4)
+    head = [math.exp(rng.gauss(0.0, 1.0)) for _ in range(10 ** 4)]
+    head[-1] = min(head) / 4
+    total = math.fsum(head) + head[-1] * 0.3 / 0.7
+    m = with_geometric_tail([w / total for w in head], 0.3)
+    for base in (1.0, 1.5):
+        start = time.process_time()
+        c = build_unary_ended(m, base)
+        assert time.process_time() - start < 2.0
+        assert c.split == 9998
+
+
+@SEEDED
+@given(st.integers(0, 2 ** 32 - 1))
+def test_minimal_split_keeps_the_forced_reduction_lengths(seed):
+    # the code built at the minimal split gives every symbol the length the
+    # reduction forced at split 128 (or later, where the minimal split is
+    # later) gives it; both are unary past their splits, so 64 symbols past
+    # the later split agree on the whole length function
+    m, base = _random_tailed(random.Random(seed), 20)
+    code = build_unary_ended(m, base)
+    forced_at = max(code.split, 128)
+    forced = tailed_reduction_lengths(m.head, m.tail_ratio, base, forced_at)
+    assert all(code.length(i) == forced(i) for i in range(forced_at + 65))
 
 
 def test_split_exponential_needs_structure():
@@ -104,6 +186,25 @@ def test_split_mmr():
     assert find_split_mmr(m) == 4
     for j in range(4, 40):
         assert point_mass(m, j) >= 2 * point_mass(m, j + 1) - 1e-12
+
+
+def test_split_mmr_is_the_smallest_valid_split():
+    # checked against its definition, symbol by symbol well past the head,
+    # on random tailed sources up to the halving limit rho = 1/2
+    rng = random.Random(16)
+    for trial in range(200):
+        rho = 0.5 if trial % 4 == 0 else rng.uniform(0.05, 0.5)
+        head = [math.exp(rng.gauss(0.0, 1.0))
+                for _ in range(rng.randint(1, 30))]
+        m = with_geometric_tail(head, rho)
+        p = [point_mass(m, i) for i in range(len(head) + 80)]
+
+        def valid(r):
+            return (all(p[j] >= 2.0 * p[j + 1] - _REL_TOL * p[j]
+                        for j in range(r, len(p) - 1))
+                    and all(p[i] >= p[r] * (1.0 - _REL_TOL) for i in range(r)))
+
+        assert find_split_mmr(m) == next(r for r in range(len(p)) if valid(r))
 
 
 def test_split_mmr_halving_certificate():

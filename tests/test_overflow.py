@@ -7,12 +7,12 @@ from epc import (Deterministic, DivergenceError, DthRedundancy, ExplicitCode,
                  ExplicitFinite, ExponentialArrivals, Exponential,
                  GammaArrivals, Geometric, GolombCode, LengthSeq, Linear,
                  MaxRedundancy, NotLightTailedError, Poisson, StabilityError,
-                 TableTransform, UnaryTail, build_unary_ended,
+                 TableTransform, UnaryEndedCode, UnaryTail, build_unary_ended,
                  decay_rate_bound, evaluate_penalty, exp_huffman,
                  expected_length, max_decay_rate, optimal_code,
                  optimize_overflow, overflow_functional, power_sum,
-                 shannon_entropy, total_mass)
-from epc.overflow import _S_TOL
+                 shannon_entropy, total_mass, with_geometric_tail)
+from epc.overflow import _S_TOL, _length_key
 from oracles import golomb_power_sum_direct, largest_feasible_on_grid
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -217,6 +217,52 @@ def test_optimize_poisson():
         alt = build_unary_ended(Poisson(1.0), base)
         alt_rate = max_decay_rate(Poisson(1.0), alt, ExponentialArrivals(0.4))
         assert res.decay_rate >= alt_rate.value - 1e-9
+
+
+def test_optimize_stops_at_the_first_repeat_of_the_lengths():
+    # the code rebuilt at the first iterate's rate splits one symbol
+    # earlier, its last head length folded into the unary run: the same
+    # lengths, so the first iterate is already the fixed point
+    m = with_geometric_tail((
+        0.16507503630273504, 0.11813490993152763, 0.09046743701621894,
+        0.11790699871286738, 0.07159330330460356, 0.11652883301071636,
+        0.16832751276453659, 0.12157277516543556), 0.2)
+    arrivals = GammaArrivals(4.0, 0.6478917504090114)
+    res = optimize_overflow(m, arrivals)
+    assert res.iterations == len(res.trace) == 1
+    assert res.decay_rate == max_decay_rate(m, res.code, arrivals).value
+    rebuilt = optimal_code(m, Exponential(math.exp(res.decay_rate)))
+    assert rebuilt.split == res.code.split - 1
+    assert rebuilt.describe() == "lengths 3,3,4,3,4,3,3,3,4 +unary@8"
+    assert res.code.describe() == "lengths 3,3,4,3,4,3,3,3,4,5 +unary@9"
+    assert _length_key(rebuilt) == _length_key(res.code)
+
+
+def test_length_key_compares_length_functions():
+    head = (3, 3, 4, 3, 4, 3, 3, 3)
+    tailed = LengthSeq(head, UnaryTail(8, 4))
+    # a head run that the unary tail continues folds into the tail
+    for longer in (LengthSeq(head + (4,), UnaryTail(9, 5)),
+                   LengthSeq(head + (4, 5, 6), UnaryTail(11, 7)),
+                   UnaryEndedCode.from_lengths(head + (4,), 4)):
+        assert _length_key(longer) == _length_key(tailed)
+    # plain unary from symbol 0, listed or not
+    assert (_length_key(LengthSeq((1, 2, 3), UnaryTail(3, 4)))
+            == _length_key(LengthSeq((1,), UnaryTail(1, 2))))
+    # one length differs, or the tail steps off the run
+    for other in (LengthSeq(head + (5,), UnaryTail(9, 5)),
+                  LengthSeq(head + (4,), UnaryTail(9, 6)),
+                  LengthSeq((3, 3, 4, 3, 4, 3, 3, 4), UnaryTail(8, 4))):
+        assert _length_key(other) != _length_key(tailed)
+    # codes with no tail: equal exactly when the lengths are
+    assert _length_key(LengthSeq((1, 2, 2))) == _length_key(ExplicitCode(
+        ("0", "10", "11")))
+    assert _length_key(LengthSeq((1, 2, 2))) != _length_key(LengthSeq((1, 2)))
+    assert _length_key(LengthSeq((1, 2, 3, 3))) != _length_key(
+        LengthSeq((1, 2), UnaryTail(2, 3)))
+    # Golomb codes: equal exactly when k is
+    assert _length_key(GolombCode(3)) == _length_key(GolombCode(3))
+    assert _length_key(GolombCode(3)) != _length_key(GolombCode(4))
 
 
 def test_optimize_finite_source():
