@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Optional, Union
 
 from .bits import integer_lengths, kraft_sign, length_counts
@@ -391,6 +393,28 @@ class _Profile:
         return acc + base ** (self.tail.start_length - 1) * tail_weight(
             self.model, self.tail.start_index - 1, base)
 
+    def expected_length(self) -> float:
+        """sum p(i) * n(i)."""
+        acc = math.fsum(m * n for m, n in self.sums)
+        model = self.model
+        if model.size is not None:
+            return acc
+        t0, len0 = self.tail.start_index, self.tail.start_length
+        rho = model.tail_ratio
+        if rho is None:
+            m = model.mean
+            return acc + _certified_sum(
+                lambda i: model.mass(i) * (len0 + i - t0), t0,
+                lambda i: m / (i + 1) * (len0 + i + 1 - t0)
+                / max(len0 + i - t0, 1))
+        start = max(t0, model.tail_start)
+        acc += math.fsum(model.mass(i) * (len0 + i - t0)
+                         for i in range(t0, start))
+        # geometric continuation from `start` on
+        p0 = model.mass(start)
+        return acc + p0 * ((len0 + start - t0) / (1.0 - rho)
+                           + rho / (1.0 - rho) ** 2)
+
     def tops(self):
         """(length, log2 m, the masses over m, lazily) per length, m the
         largest; from ln_mass where all lie below the normal floats."""
@@ -413,22 +437,7 @@ def power_sum(model: SourceModel, lengths: LengthSeq, base: float) -> float:
 
 def expected_length(model: SourceModel, lengths: LengthSeq) -> float:
     """sum p(i) * n(i)."""
-    acc = math.fsum(m * n for m, n in _Profile(model, lengths).sums)
-    if model.size is not None:
-        return acc
-    t0, len0 = lengths.tail.start_index, lengths.tail.start_length
-    rho = model.tail_ratio
-    if rho is None:
-        m = model.mean
-        return acc + _certified_sum(
-            lambda i: model.mass(i) * (len0 + i - t0), t0,
-            lambda i: m / (i + 1) * (len0 + i + 1 - t0) / max(len0 + i - t0, 1))
-    start = max(t0, model.tail_start)
-    acc += math.fsum(model.mass(i) * (len0 + i - t0) for i in range(t0, start))
-    # geometric continuation from `start` on
-    p0 = model.mass(start)
-    return acc + p0 * ((len0 + start - t0) / (1.0 - rho)
-                       + rho / (1.0 - rho) ** 2)
+    return _Profile(model, lengths).expected_length()
 
 
 def _certified_sum(term, start: int, ratio_bound) -> float:
@@ -574,35 +583,67 @@ def shannon_entropy(model: SourceModel) -> float:
                           else 1.0 if i > m else math.inf)
 
 
-def _ln_renyi_sum(model: SourceModel, alpha: float) -> float:
-    """ln sum_i p(i)**alpha, the Renyi partition sum of order alpha > 0.
+def _listed_renyi_sum(masses: list, alpha: float) -> float:
+    return math.log(math.fsum(map(pow, masses, repeat(alpha))))
 
-    Poisson terms are taken from the log masses, shifted by the largest
-    (at the mode), so that no term underflows at small or large alpha; the
-    series runs from a cut below the mode, where the ratio (i/mean)**alpha
-    certifies the terms left out below SUM_TOL of the shifted sum (which is
-    at least one), to where (mean/(i+1))**alpha certifies the rest.
-    """
+
+def _tailed_renyi_sum(head: list, rho: float, alpha: float) -> float:
+    rho_a = rho ** alpha
+    z = math.fsum(map(pow, head, repeat(alpha)))
+    z += head[-1] ** alpha * rho_a / (1.0 - rho_a)
+    return math.log(z)
+
+
+def _poisson_renyi_sum(model: Poisson, ln_p: dict, alpha: float) -> float:
+    """Terms from the log masses, which ln_p keeps by symbol across calls,
+    shifted by the largest (at the mode), so that no term underflows at
+    small or large alpha. The window summed runs from a cut below the mode,
+    where the ratio (i/mean)**alpha certifies the terms left out below
+    SUM_TOL of the shifted sum (which is at least one), to where
+    (mean/(i+1))**alpha, below one past the mode, certifies the rest."""
+    m, top = model.mean, int(model.mean)
+    known, source, exp = ln_p.get, model.ln_mass, math.exp
+
+    def ln_mass(i: int) -> float:
+        x = known(i)
+        if x is None:
+            x = ln_p[i] = source(i)
+        return x
+
+    peak = alpha * ln_mass(top)
+    start = _lower_cut(lambda i: exp(alpha * ln_mass(i) - peak), top,
+                       lambda i: (i / m) ** alpha)
+    terms = []
+    append = terms.append
+    for i in range(start, start + _MAX_TERMS):
+        x = known(i)    # ln_mass(i), inline
+        if x is None:
+            x = ln_p[i] = source(i)
+        v = exp(alpha * x - peak)
+        append(v)
+        if i >= top:
+            q = (m / (i + 1)) ** alpha
+            if v * q < SUM_TOL * (1.0 - q):
+                return peak + math.log(math.fsum(terms))
+    raise DivergenceError("series did not settle after the term cap")
+
+
+def _renyi_sum_of(model: SourceModel):
+    """alpha -> ln sum_i p(i)**alpha, the Renyi partition sum of order
+    alpha > 0, with the work that does not depend on alpha done once: a
+    listed source's masses, or a geometric-tailed head, are listed once,
+    and a Poisson source keeps each log mass it reads."""
     if model.size is not None:
-        return math.log(math.fsum(p ** alpha
-                                  for p in model.masses(model.size)))
-    rho = model.tail_ratio
-    if rho is not None:
-        head = model.masses(model.tail_start + 1)
-        rho_a = rho ** alpha
-        z = math.fsum(p ** alpha for p in head)
-        z += head[-1] ** alpha * rho_a / (1.0 - rho_a)
-        return math.log(z)
-    m = model.mean
-    top = int(m)
-    peak = alpha * model.ln_mass(top)
+        return partial(_listed_renyi_sum, model.masses(model.size))
+    if model.tail_ratio is not None:
+        return partial(_tailed_renyi_sum, model.masses(model.tail_start + 1),
+                       model.tail_ratio)
+    return partial(_poisson_renyi_sum, model, {})
 
-    def term(i: int) -> float:
-        return math.exp(alpha * model.ln_mass(i) - peak)
 
-    return peak + math.log(_certified_sum(
-        term, _lower_cut(term, top, lambda i: (i / m) ** alpha),
-        lambda i: (m / (i + 1)) ** alpha))
+def _ln_renyi_sum(model: SourceModel, alpha: float) -> float:
+    """ln sum_i p(i)**alpha, the Renyi partition sum of order alpha > 0."""
+    return _renyi_sum_of(model)(alpha)
 
 
 def renyi_entropy(model: SourceModel, base: float) -> float:

@@ -22,8 +22,8 @@ from .errors import DivergenceError, EpcError, StabilityError
 from .golomb import GolombCode, golomb_exp_penalty
 from .light_tail import optimal_code
 from .models import (Exponential, Geometric, LengthSeq, SourceModel,
-                     _Profile, _ln_renyi_sum, expected_length,
-                     shannon_entropy, tail_weight, total_mass)
+                     _Profile, _renyi_sum_of, shannon_entropy, tail_weight,
+                     total_mass)
 from .numeric import LN2
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _S_TOL = 1e-10
+_PROBE = _S_TOL * (1.0 - 2.0 ** -10)   # the closing probe's offset
 _SUM_REL = 1e-12
 
 
@@ -103,6 +104,9 @@ class TableTransform:
     def __post_init__(self) -> None:
         samples = tuple((float(s), float(v)) for s, v in self.samples)
         object.__setattr__(self, "samples", samples)
+        bad = [pair for pair in samples if not all(map(math.isfinite, pair))]
+        if bad:     # a NaN would pass every comparison below
+            raise ValueError(f"transform samples must be finite, got {bad[0]}")
         if len(samples) < 2:
             raise ValueError("need at least two samples")
         if samples[0] != (0.0, 1.0):
@@ -182,12 +186,29 @@ def _golomb_power_sum(model: SourceModel, code: GolombCode, base: float) -> floa
     raise DivergenceError("power sum did not settle")
 
 
-def _power_sum_of(model: SourceModel, code: CodeLike
-                  ) -> Callable[[float], float]:
-    """base -> sum p(i) base**n(i), with the per-length work done once."""
+class _GolombProfile:
+    """A Golomb code's sums over a source, read as a _Profile's are."""
+
+    sums = ()   # no per-length sums of a head
+
+    def __init__(self, model: SourceModel, code: GolombCode) -> None:
+        self.model, self.code = model, code
+
+    def expected_length(self) -> float:
+        if isinstance(self.model, Geometric):
+            return golomb_exp_penalty(self.model.ratio, 1.0, self.code.k)
+        raise ValueError("Golomb mean length needs a geometric source")
+
+    def power_sum_at(self, base: float) -> float:
+        return _golomb_power_sum(self.model, self.code, base)
+
+
+def _profile(model: SourceModel, code: CodeLike):
+    """The per-code work of the sums over a source, done once: its mean
+    length expected_length() and base -> sum p(i) base**n(i) power_sum_at."""
     if isinstance(code, GolombCode):
-        return lambda base: _golomb_power_sum(model, code, base)
-    return _Profile(model, code).power_sum_at
+        return _GolombProfile(model, code)
+    return _Profile(model, code)
 
 
 def overflow_functional(model: SourceModel, code: CodeLike,
@@ -197,18 +218,11 @@ def overflow_functional(model: SourceModel, code: CodeLike,
         raise ValueError("s must be nonnegative")
     if s == 0.0:
         return total_mass(model)
-    return arrivals.transform(s) * _power_sum_of(model, code)(math.exp(s))
+    return arrivals.transform(s) * _profile(model, code).power_sum_at(
+        math.exp(s))
 
 
 # ------------------------------------------------------------- s* search
-
-def _expected_len(model: SourceModel, code: CodeLike) -> float:
-    if not isinstance(code, GolombCode):
-        return expected_length(model, code)
-    if isinstance(model, Geometric):
-        return golomb_exp_penalty(model.ratio, 1.0, code.k)
-    raise ValueError("Golomb mean length needs a geometric source")
-
 
 def _divergence_point(model: SourceModel, code: CodeLike) -> float:
     rho = model.tail_ratio   # None: no tail, or one lighter than geometric
@@ -226,17 +240,28 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
     f is log-convex with f(0) = 1, so the feasible set is an interval
     starting at zero; it is the single point {0} exactly when the mean
     codeword length reaches the mean intermission. The bisection evaluates
-    f as overflow_functional does, from a power sum built once per call.
+    f as overflow_functional does; the mean length and every power sum
+    read one profile of the code, built once per call.
     """
-    if _expected_len(model, code) >= arrivals.mean_gap():
+    profile = _profile(model, code)
+    if profile.expected_length() >= arrivals.mean_gap():
         return DecayRate(0.0, True)
-    power_sum_at = _power_sum_of(model, code)
+    power_sum_at = profile.power_sum_at
 
     def f_or_inf(s: float) -> float:
+        base = math.exp(s)      # an OverflowError here is e^s's own
+        t = arrivals.transform(s)
         try:
-            return arrivals.transform(s) * power_sum_at(math.exp(s))
+            return t * power_sum_at(base)
         except DivergenceError:
             return math.inf
+        except OverflowError:
+            # the power sum left the float range: f > 1 when the terms of
+            # one codeword length alone, times the transform, pass one
+            if t > 0.0 and any(m > 0.0 and math.log(m) + n * s > -math.log(t)
+                               for m, n in profile.sums):
+                return math.inf
+            raise
 
     s_div = _divergence_point(model, code)
     lo = 0.0
@@ -274,37 +299,46 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
 
 # ------------------------------------------------------------ initial bound
 
-def _last_nonpositive(f: Callable[[float], float], lo: float, f_lo: float,
-                      hi: float, f_hi: float) -> float:
+def _last_nonpositive(f: Callable[[float], float], slope0: float,
+                      lo: float, hi: float, f_hi: float) -> float:
     """Shrink a bracket f(lo) <= 0 < f(hi) to width _S_TOL and return lo.
 
-    An ITP search (Oliveira & Takahashi, ACM TOMS 2021): each step moves the
-    regula falsi point a little toward the midpoint, then projects it into
-    the window that still shrinks the bracket at least as fast as bisection
-    would. It converges superlinearly on smooth f and never needs more than
-    one step beyond bisection. Only the sign test f(s) <= 0 decides.
+    f is convex on s >= 0 with f(0) = 0 and f'(0) = slope0 < 0, so it
+    crosses zero once, rising, at a root r > 0. A secant through two points
+    right of r lands at or right of r and converges to it superlinearly from
+    that side; the first step, with one such point, takes the quadratic
+    through the tangent at zero and (hi, f(hi)) instead. Once a step would
+    move hi by at most half the tolerance, one probe just under _S_TOL left
+    of hi closes the bracket from below. A step that lands left of r, or
+    would leave the bracket, is followed by a bisection, and so is every
+    step once as many have been taken as plain bisection needs: an f that
+    is not convex, such as that of a user TableTransform, still ends. Only
+    the sign test f(s) <= 0 decides.
     """
-    width0 = hi - lo
-    kappa1 = 0.2 / width0
-    n_max = math.ceil(math.log2(width0 / _S_TOL)) + 1
-    j = 0
+    budget = math.ceil(math.log2((hi - lo) / _S_TOL))
+    right = None        # the right point before hi, (s, f(s))
+    bisect = False
     while hi - lo > _S_TOL:
-        width, mid = hi - lo, (lo + hi) / 2.0
-        radius = max(_S_TOL / 2.0 * 2.0 ** (n_max - j) - width / 2.0, 0.0)
-        delta = kappa1 * width * width
-        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        sigma = math.copysign(1.0, mid - x)
-        x = x + sigma * delta if delta <= abs(mid - x) else mid
-        if abs(x - mid) > radius:
-            x = mid - sigma * radius
-        if not lo < x < hi:
+        mid = (lo + hi) / 2.0
+        if bisect or budget <= 0:
             x = mid
+        else:
+            if right is None:
+                x = -slope0 * hi * hi / (f_hi - slope0 * hi)
+            elif right[1] > f_hi:
+                x = hi - f_hi * (right[0] - hi) / (right[1] - f_hi)
+            else:       # f does not rise between the two: not convex
+                x = mid
+            if hi - x <= _S_TOL / 2.0:
+                x = hi - _PROBE
+            if not lo < x < hi:
+                x = mid
+        budget -= 1
         fx = f(x)
         if fx <= 0.0:
-            lo, f_lo = x, fx
+            lo, bisect = x, x != mid
         else:
-            hi, f_hi = x, fx
-        j += 1
+            right, hi, f_hi, bisect = (hi, f_hi), x, fx, False
     return lo
 
 
@@ -316,24 +350,26 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
     if model.size == 1:
         raise DivergenceError("a one-symbol source needs zero bits per "
                               "symbol, so its decay rate is unbounded")
-    if shannon_entropy(model) >= arrivals.mean_gap():
+    entropy, mean_gap = shannon_entropy(model), arrivals.mean_gap()
+    if entropy >= mean_gap:
         return 0.0
+    renyi_sum = _renyi_sum_of(model)
 
     def ln_left(s: float) -> float:
         alpha = 1.0 / (1.0 + s / LN2)
-        return (math.log(arrivals.transform(s))
-                + _ln_renyi_sum(model, alpha) / alpha)
+        return math.log(arrivals.transform(s)) + renyi_sum(alpha) / alpha
 
-    # at s = 0 both the transform and the sum of the masses are one
-    lo, f_lo = 0.0, 0.0
-    hi, f_hi = 1.0, ln_left(1.0)
+    # at s = 0 both the transform and the sum of the masses are one, and
+    # the slope of ln_left is the entropy less the mean intermission
+    lo, hi = 0.0, 1.0
+    f_hi = ln_left(hi)
     while f_hi <= 0.0:
-        lo, f_lo = hi, f_hi
+        lo = hi
         hi *= 2.0
         if hi > 2.0 ** 40:
             raise EpcError("initial bound did not close; arrivals too slow")
         f_hi = ln_left(hi)
-    return _last_nonpositive(ln_left, lo, f_lo, hi, f_hi)
+    return _last_nonpositive(ln_left, entropy - mean_gap, lo, hi, f_hi)
 
 
 # --------------------------------------------------------------- optimizer

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -33,6 +34,11 @@ def test_arrival_validation():
         TableTransform(((0.0, 1.0), (1.0, 0.5), (0.5, 0.7)))
     with pytest.raises(ValueError):
         TableTransform(((0.0, 1.0), (1.0, 1.0), (2.0, 1.1)))
+    # a NaN passes every comparison, so it is refused by name
+    for samples in (((0, 1), (math.nan, 0.5)), ((0, 1), (1.0, math.nan)),
+                    ((0, 1), (math.inf, 0.5))):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            TableTransform(samples)
 
 
 def test_table_transform_interpolation():
@@ -288,6 +294,16 @@ def test_never_crossing_raises():
         max_decay_rate(m, code, Deterministic(2.0))
 
 
+def test_long_word_rate_is_finite():
+    # at the doubling's first tilt base**2000 overflows the power sum while
+    # e**s does not: f is past the float range there, not below one
+    m, code = ExplicitFinite((0.5, 0.5)), LengthSeq((1, 2000))
+    arr = ExponentialArrivals(1e-4)
+    rate = max_decay_rate(m, code, arr)
+    assert not rate.at_boundary and 0.0018 <= rate.value <= 0.0019
+    assert overflow_functional(m, code, arr, rate.value) <= 1.0
+
+
 def test_one_symbol_source_is_refused():
     # the one symbol needs zero bits, so the backlog never grows
     m = ExplicitFinite((1.0,))
@@ -323,3 +339,54 @@ def test_bound_on_a_long_mean_gap_is_fast():
     res = optimize_overflow(m, arr)
     assert res.decay_rate.hex() == "0x1.4f041ee700000p+0"
     assert str(res.code) == "lengths 2,2,2,3,4,5,6,7 +unary@7"
+
+
+def _lognormal_source(seed, n, sigma):
+    rng = random.Random(seed)
+    weights = [math.exp(sigma * rng.gauss(0.0, 1.0)) for _ in range(n)]
+    total = math.fsum(weights)
+    return ExplicitFinite([w / total for w in weights])
+
+
+def _gamma_table(shape, gap):
+    law = GammaArrivals(shape, shape / gap)
+    points = [law.rate * 1e-4 * 2.0 ** (j / 2.0) for j in range(40)]
+    return TableTransform(((0.0, 1.0),) + tuple(
+        (s, law.transform(s)) for s in points))
+
+
+def _pinned_problem(kind):
+    """A source and arrivals at load 0.8 (0.6 for the tailed source) on the
+    source entropy."""
+    if kind == "finite":
+        m = _lognormal_source(7, 1024, 1.25)
+        return m, ExponentialArrivals(0.8 / shannon_entropy(m))
+    if kind == "poisson":
+        m = Poisson(5.0)
+        return m, GammaArrivals(4.0, 4.0 * 0.8 / shannon_entropy(m))
+    if kind == "tailed":
+        m = with_geometric_tail((0.4, 0.2, 0.15, 0.1, 0.105), 0.3)
+        return m, ExponentialArrivals(0.6 / shannon_entropy(m))
+    if kind == "geometric":
+        m = Geometric(0.9)
+        return m, ExponentialArrivals(0.8 / shannon_entropy(m))
+    m = Poisson(1.0)
+    return m, _gamma_table(2.0, shannon_entropy(m) / 0.8)
+
+
+@pytest.mark.parametrize("kind, rate, iterates", [
+    ("finite", "0x1.745e93e000000p-5",
+     ["0x1.745e8ba800000p-5", "0x1.745e93e000000p-5"]),
+    ("poisson", "0x1.80efdce800000p-2", ["0x1.80efdce800000p-2"]),
+    ("tailed", "0x1.4149acee261c3p-2", ["0x1.4149acee261c3p-2"]),
+    ("geometric", "0x1.47a8c7e801a4ap-4", ["0x1.47a8c7e801a4ap-4"]),
+    ("table", "0x1.9aa4746800000p-3",
+     ["0x1.84dba03c00000p-3", "0x1.9aa4746800000p-3"]),
+])
+def test_pinned_solves(kind, rate, iterates):
+    # recorded under an earlier search for the bound: a search that lands
+    # within _S_TOL of the same s0 leaves each fixed point bit for bit
+    res = optimize_overflow(*_pinned_problem(kind))
+    assert res.decay_rate.hex() == rate and not res.at_boundary
+    assert res.iterations == len(iterates)
+    assert [r.hex() for r, _ in res.trace] == iterates

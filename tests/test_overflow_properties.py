@@ -1,10 +1,12 @@
 """Seeded property-based tests of the overflow solver: max_decay_rate, which
 evaluates f from a power sum built once per call, lands where a plain
 bisection over f from the oracles' per-symbol power sums lands;
-decay_rate_bound, which root-finds by ITP, lands where a plain bisection
-over its own left side lands; the Renyi sum under that bound matches a
-direct lgamma sum; and the optimize_overflow iterates rise to a feasible
-rate. Needs hypothesis (the `test` extra)."""
+decay_rate_bound, which root-finds by a convex secant closed by one probe,
+lands where a plain bisection over its own left side lands, within 20
+evaluations; the Renyi sums under that bound match per-symbol and direct
+lgamma sums, and an evaluator reused across orders gives what a fresh one
+does; and the optimize_overflow iterates rise to a feasible rate. Needs
+hypothesis (the `test` extra)."""
 import math
 import random
 
@@ -17,12 +19,12 @@ from epc import (Deterministic, DivergenceError, EpcError, ExplicitFinite,
                  GolombCode, Poisson, TableTransform, decay_rate_bound,
                  max_decay_rate, optimal_code, optimize_overflow,
                  overflow_functional, shannon_entropy, with_geometric_tail)
-from epc.models import _ln_renyi_sum
+from epc.models import _ln_renyi_sum, _renyi_sum_of
 from epc.numeric import LN2
-from epc.overflow import _S_TOL, DecayRate, _divergence_point, _expected_len
+from epc.overflow import _S_TOL, DecayRate, _divergence_point, _profile
 from oracles import (golomb_power_sum_periods, poisson_ln_pmf, poisson_pmf,
-                     poisson_renyi_sum_direct, power_sum_terms, tailed_pmf,
-                     unary_ended_power_sum)
+                     poisson_renyi_sum_direct, power_sum_terms, series_direct,
+                     tailed_pmf, unary_ended_power_sum)
 
 # derandomized: every run draws the same examples and writes no database
 SEEDED = settings(derandomize=True, database=None, deadline=None,
@@ -115,17 +117,34 @@ def _oracle_power_sum(model, code, base):
         lambda i: r if i >= last else math.inf, geometric_from=last)
 
 
+def _one_length_passes_one(model, code, t, s) -> bool:
+    """Whether the head symbols of one codeword length, their masses summed
+    symbol by symbol, times the transform t, pass one at the tilt s: then f
+    > 1 although the power sum overflowed."""
+    if isinstance(code, GolombCode) or t == 0.0:
+        return False
+    by_length = {}
+    for i, n in enumerate(code.head):
+        by_length.setdefault(n, []).append(model.mass(i))
+    return any(m > 0.0 and math.log(m) + n * s > -math.log(t)
+               for m, n in ((math.fsum(ms), n)
+                            for n, ms in by_length.items()))
+
+
 def _reference_rate(model, code, arrivals) -> DecayRate:
     """The bisection of max_decay_rate, on the same points, with every f
     the transform times the oracle power sum."""
-    if _expected_len(model, code) >= arrivals.mean_gap():
+    if _profile(model, code).expected_length() >= arrivals.mean_gap():
         return DecayRate(0.0, True)
 
     def f(s):
+        base = math.exp(s)      # an OverflowError here is e^s's own
+        t = arrivals.transform(s)
         try:
-            return arrivals.transform(s) * _oracle_power_sum(
-                model, code, math.exp(s))
+            return t * _oracle_power_sum(model, code, base)
         except OverflowError:
+            if _one_length_passes_one(model, code, t, s):
+                return math.inf
             raise
         except ArithmeticError:     # the direct sum diverges
             return math.inf
@@ -239,6 +258,71 @@ def test_decay_rate_bound_matches_reference_bisection(problem):
         # the bracket the search closed: feasible at s0, not a step past it
         ln_left = _bound_left(model, arrivals)
         assert ln_left(got) <= 0.0 < ln_left(got + _S_TOL)
+
+
+class _Counting:
+    """Arrivals that count the transform evaluations made through them."""
+
+    def __init__(self, arrivals):
+        self.arrivals, self.evaluations = arrivals, 0
+
+    def transform(self, s):
+        self.evaluations += 1
+        return self.arrivals.transform(s)
+
+    def mean_gap(self):
+        return self.arrivals.mean_gap()
+
+
+@SEEDED
+@given(problem=_problems())
+def test_decay_rate_bound_takes_at_most_20_evaluations(problem):
+    # the doubling bracket and the convex secant together; plain bisection
+    # from [0, 1] alone takes 35
+    model, _, arrivals = problem
+    counting = _Counting(arrivals)
+    try:
+        decay_rate_bound(model, counting)
+    except EpcError:
+        pass
+    except ValueError as exc:
+        assert _known_defect(exc, arrivals), exc
+    assert counting.evaluations <= 20
+
+
+def _per_symbol_renyi_sum(model, alpha):
+    """sum p(i)**alpha symbol by symbol from the source's parameters: a
+    listed source's masses, else the head and its geometric continuation
+    until the ratio rho**alpha certifies the rest."""
+    if model.size is not None:
+        return math.fsum(p ** alpha for p in model.probs)
+    head, r = model.head, model.tail_ratio
+    last = len(head) - 1
+    return series_direct(lambda i: tailed_pmf(head, r, i) ** alpha, 0,
+                         lambda i: r ** alpha if i >= last else math.inf)
+
+
+@SEEDED
+@given(source=_sources(), alpha=st.floats(0.05, 4.0))
+def test_renyi_evaluator_matches_per_symbol_sums(source, alpha):
+    model, _ = source
+    got = math.exp(_renyi_sum_of(model)(alpha))
+    if model.size is None and model.tail_ratio is None:
+        want, rel = poisson_renyi_sum_direct(model.mean, alpha), 1e-12
+    else:
+        want, rel = _per_symbol_renyi_sum(model, alpha), 1e-13
+    assert got == pytest.approx(want, rel=rel)
+
+
+@SEEDED
+@given(source=_sources(), mean=st.floats(0.5, 2000.0))
+def test_renyi_evaluator_keeps_nothing_of_alpha(source, mean):
+    # a Poisson evaluator keeps the log masses it read; a narrow window at
+    # 0.9, a wide one at 0.1, and 0.9 again each give what a fresh one does
+    for model in (source[0], Poisson(mean)):
+        evaluator = _renyi_sum_of(model)
+        for alpha in (0.9, 0.1, 0.9):
+            assert evaluator(alpha) == _renyi_sum_of(model)(alpha)
 
 
 @SEEDED
