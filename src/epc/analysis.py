@@ -29,6 +29,12 @@ __all__ = [
 _LOG2_LOG2_E = math.log2(math.log2(math.e))
 
 
+def _finite(name: str, x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
+
+
 def avg_redundancy(model: SourceModel, lengths: LengthSeq,
                    base: float) -> float:
     """Exponential penalty minus the matching Renyi entropy."""
@@ -64,13 +70,13 @@ def mmr_asymptotic(x: float) -> float:
     within (1 - ratio)/(2 ln 2) * (1 + O(1 - ratio)) of it, so its sweep
     extremes near ratio = 1 miss these two limits by up to that much.
     """
-    fx = frac_snapped(x)
+    fx = frac_snapped(_finite("x", x))
     return 3.0 - _LOG2_LOG2_E - 2.0 ** (1.0 - fx) - fx
 
 
 def avg_redundancy_asymptotic(x: float) -> float:
     """ratio -> 1 limit of the mean-length redundancy on the same axis."""
-    fx = frac_snapped(x)
+    fx = frac_snapped(_finite("x", x))
     return (1.0 - _LOG2_LOG2_E - math.log2(math.e)
             + 2.0 ** (2.0 - 2.0 ** (1.0 - fx)) - fx)
 

@@ -135,7 +135,11 @@ def encode(symbols, code: CodeSpec) -> bytes:
             ) from None
         if value < 0:
             raise ValueError("symbols are nonnegative")
-        words[sym] = code.codeword(value)
+        try:
+            words[sym] = code.codeword(value)
+        except OverflowError:
+            raise ValueError(f"symbol {value} has a codeword too long to "
+                             "build") from None
     bits = "".join(map(words.__getitem__, symbols))
     bits += "0" * (-len(bits) % 8)
     payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""

@@ -8,14 +8,15 @@ the masses grouped by length. Values are immutable and functions pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
+from operator import mul
 from typing import Optional, Union
 
 from .bits import integer_lengths, kraft_sign, length_counts
-from .errors import DivergenceError
-from .numeric import LN2, SUM_TOL, check_positive, logaddexp
+from .errors import DivergenceError, EpcError
+from .numeric import LN2, check_positive
 
 __all__ = [
     "Geometric", "Poisson", "ExplicitFinite", "ExplicitTailed",
@@ -47,7 +48,8 @@ class _Source:
     once over it.
 
     mass(i), ln_mass(i)  p(i) and ln p(i) for i within the alphabet;
-                         masses(n) lists p(0), ..., p(n-1)
+                         masses(n) lists p(0), ..., p(n-1), and
+                         ln_masses(j, n) ln p(j), ..., ln p(n-1)
     size                 the alphabet size, None for an infinite source
     tail_ratio           a geometric continuation, p(i+1) = tail_ratio * p(i)
                          from tail_start on; None for a finite source and for
@@ -59,14 +61,13 @@ class _Source:
     def masses(self, n: int) -> list[float]:
         return [self.mass(i) for i in range(n)]
 
+    def ln_masses(self, j: int, n: int) -> list[float]:
+        return [self.ln_mass(i) for i in range(j, n)]
+
 
 class _GeometricTail(_Source):
     """A head whose last entry continues geometrically: p(i) = head[i] up to
     tail_start = len(head) - 1, then head[-1] * tail_ratio**(i - tail_start)."""
-
-    @property
-    def tail_start(self) -> int:
-        return len(self.head) - 1
 
     def mass(self, i: int) -> float:
         head = self.head
@@ -103,6 +104,10 @@ class Geometric(_GeometricTail):
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
         object.__setattr__(self, "head", (1.0 - self.ratio,))
         object.__setattr__(self, "tail_ratio", self.ratio)
+        object.__setattr__(self, "tail_start", 0)
+
+
+_KEPT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -115,9 +120,25 @@ class Poisson(_Source):
     def __post_init__(self) -> None:
         check_positive("mean", self.mean)
         object.__setattr__(self, "_ln_mean", math.log(self.mean))
+        object.__setattr__(self, "_ln_known", [])
 
     def ln_mass(self, i: int) -> float:
         return -self.mean + i * self._ln_mean - math.lgamma(i + 1)
+
+    def ln_masses(self, j: int, n: int) -> list[float]:
+        # the first _KEPT log masses are kept once read, since a solve sums
+        # the same terms at many tilts and orders; a longer list replaces the
+        # kept one whole, so a reader in another thread never sees it grow
+        known, m, ln_m = self._ln_known, self.mean, self._ln_mean
+        lgamma = math.lgamma
+        if len(known) < n <= _KEPT:
+            known = known + [-m + i * ln_m - lgamma(i + 1) for i in
+                             range(len(known), min(max(n, 2 * len(known)),
+                                                   _KEPT))]
+            object.__setattr__(self, "_ln_known", known)
+        if n <= len(known):
+            return known[j:n]
+        return [-m + i * ln_m - lgamma(i + 1) for i in range(j, n)]
 
     def mass(self, i: int) -> float:
         return math.exp(self.ln_mass(i))
@@ -136,10 +157,7 @@ class ExplicitFinite(_Source):
                            _probabilities(self.probs, "probability"))
         if abs(math.fsum(self.probs) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1 within 1e-9")
-
-    @property
-    def size(self) -> int:
-        return len(self.probs)
+        object.__setattr__(self, "size", len(self.probs))
 
     def mass(self, i: int) -> float:
         return self.probs[i]
@@ -149,6 +167,9 @@ class ExplicitFinite(_Source):
 
     def masses(self, n: int) -> list[float]:
         return list(self.probs[:n])
+
+    def ln_masses(self, j: int, n: int) -> list[float]:
+        return list(map(math.log, self.probs[j:n]))
 
 
 @dataclass(frozen=True)
@@ -165,6 +186,7 @@ class ExplicitTailed(_GeometricTail):
                            _probabilities(self.head, "head probability"))
         if not 0.0 < self.tail_ratio < 1.0:
             raise ValueError("tail_ratio must lie in (0, 1)")
+        object.__setattr__(self, "tail_start", len(self.head) - 1)
 
 
 SourceModel = Union[Geometric, Poisson, ExplicitFinite, ExplicitTailed]
@@ -297,14 +319,190 @@ class LengthSeq:
                 + f" +unary@{self.tail.start_index}")
 
 
-# ---------------------------------------------------------------- queries
+# ---------------------------------------------------------------- series
 
-# relative bound on what a tail weight summed term by term leaves out: the
-# weight is merged against masses far below one, so it is certified against
-# itself, to a rounding unit, rather than against SUM_TOL
+# a series summed term by term stops once what it leaves out is below this
+# share of the sum, half an ulp: adding the rest would leave the sum as it is
 _TAIL_REL = 2.0 ** -53
 _MAX_TERMS = 10 ** 7
+_LN_MAX = math.log(sys.float_info.max)
+_TINY = sys.float_info.min   # the least normal float
 
+
+def _exp(x: float, what: str) -> float:
+    """e**x, refused where it lies past the float range."""
+    if x > _LN_MAX:
+        raise EpcError(f"{what} is e**{x:.6g}, past the float range")
+    return math.exp(x)
+
+
+def _ln_sum_exp(xs: list[float]) -> float:
+    """ln sum e**x; shifted by the largest x unless the sum lies well inside
+    the normal floats, where what underflows is below 1e-300 of it."""
+    try:
+        total = math.fsum(map(math.exp, xs))
+    except OverflowError:
+        total = math.inf
+    if 1e-300 < total < 1e300:
+        return math.log(total)
+    top = max(xs)
+    return top + math.log(math.fsum(map(math.exp, [x - top for x in xs])))
+
+
+def _terms(model: SourceModel, j: int, alpha: float, beta: float):
+    """The terms t(i) = p(i)**alpha * e**(beta*(i-j)), i >= j >= 0, of one
+    series, as (top, lo, ys, ws, ln_q): t(i) = e**top * ws[i - lo] for the
+    terms listed (Poisson terms with beta nonzero: ws holds their sum), top
+    the log of the largest (or zero where beta is zero and that term is a
+    normal float), ys[i - lo] = ln p(i) where they were read (else None);
+    past the last one listed the terms continue
+    geometrically with ratio e**ln_q, unless ln_q is None. Any other term
+    left out is certified, with those past it, below _TAIL_REL of the sum.
+
+    A finite alphabet, and a geometric-tailed head, are listed from their
+    log masses. Poisson terms have the ratio t(i+1)/t(i) = (c/(i+1))**alpha,
+    c = mean * e**(beta/alpha), so they peak at floor(c); they are listed
+    outward from the peak until that ratio, which only falls further out,
+    certifies the rest of each side. A peak more than _MAX_TERMS past j is
+    refused before any term is made."""
+    rho = model.tail_ratio
+    if rho is not None and j >= model.tail_start:     # geometric from j on
+        y = model.ln_mass(j)
+        return alpha * y, j, [y], [1.0], alpha * math.log(rho) + beta
+    g = beta / alpha     # ln t(i) = alpha * (ln p(i) + g * (i - j))
+    exp = math.exp
+    size = model.size
+    if size is not None or rho is not None:
+        stop = size if rho is None else model.tail_start + 1
+        ln_q = None if rho is None else alpha * math.log(rho) + beta
+        if j >= stop:
+            return -math.inf, j, [], [], ln_q
+        if not g:   # the masses to the alpha, where the largest is normal
+            ps = model.masses(stop)[j:] if j else model.masses(stop)
+            # a whole finite alphabet sums to one, so its largest mass lies
+            # in [1/(2 size), 1]
+            if -700.0 < alpha * (-math.log(2 * size) if rho is None and not j
+                                 else math.log(max(ps))) < 700.0:
+                return 0.0, j, None, (ps if alpha == 1.0 else
+                                      list(map(pow, ps, repeat(alpha)))), ln_q
+        ys = model.ln_masses(j, stop)
+        xs = [y + g * k for k, y in enumerate(ys)] if g else ys
+        top = alpha * max(xs)
+        return top, j, ys, [exp(alpha * x - top) for x in xs], ln_q
+
+    c = exp(min(model._ln_mean + g, _LN_MAX))
+    if c > j + _MAX_TERMS:
+        raise DivergenceError(
+            f"the series peaks more than {_MAX_TERMS} terms past symbol {j}")
+    lo = k0 = max(j, int(c))
+    top = alpha * (model.ln_mass(k0) + g * (k0 - j))
+    if g:   # each term from its neighbour by the term ratio; no caller
+        # reads these one by one, so ws holds their sum alone
+        acc = v = 1.0
+        powered = alpha != 1.0
+        for i in range(k0 + 1, k0 + 1 + _MAX_TERMS):
+            q = (c / i) ** alpha if powered else c / i
+            v *= q
+            acc += v
+            if v * q <= _TAIL_REL * (1.0 - q) * acc:
+                break
+        else:
+            raise DivergenceError("series did not settle after the term cap")
+        v = 1.0
+        for lo in range(k0 - 1, j - 1, -1):
+            q = ((lo + 1) / c) ** alpha if powered else (lo + 1) / c
+            v *= q
+            acc += v
+            if v * q <= _TAIL_REL * (1.0 - q) * acc:
+                break
+        return top, lo, None, [acc], None
+
+    if top > -700.0:    # the peak term is a normal float: no shift
+        top = 0.0
+
+    def block(start: int, stop: int):
+        """t(start), ..., t(stop - 1) over e**top, from the log masses."""
+        ys = model.ln_masses(start, stop)
+        if top:
+            return ys, [exp(alpha * y - top) for y in ys]
+        return ys, list(map(exp, map(mul, ys, repeat(alpha))))
+
+    # the first blocks span several spreads of the peak, sqrt(c / alpha)
+    ys, ws = block(k0, k0 + 1)
+    hi, acc = k0 + 1, ws[0]
+    size = width = 16 + int(12.0 * math.sqrt(c / alpha))
+    while True:     # past the peak; q is the ratio of t(hi) to t(hi - 1)
+        by, bw = block(hi, hi + size)
+        ys += by
+        ws += bw
+        hi += size
+        acc += math.fsum(bw)
+        q = (c / hi) ** alpha
+        if bw[-1] * q <= _TAIL_REL * (1.0 - q) * acc:
+            break
+        if hi - k0 > _MAX_TERMS:
+            raise DivergenceError("series did not settle after the term cap")
+        size += size // 2
+    size = width
+    while lo > j:   # below the peak; q is the ratio of t(lo - 1) to t(lo)
+        by, bw = block(max(j, lo - size), lo)
+        lo -= len(by)
+        ys[:0] = by
+        ws[:0] = bw
+        acc += math.fsum(bw)
+        q = (lo / c) ** alpha
+        if bw[0] * q <= _TAIL_REL * (1.0 - q) * acc:
+            break
+        size += size // 2
+    return top, lo, ys, ws, None
+
+
+def _rest(ln_q: float) -> float:
+    """sum_{k>=1} q**k, q = e**ln_q: a geometric run past its first term."""
+    if ln_q >= 0.0:
+        raise DivergenceError(
+            f"geometric tail diverges: its term ratio {math.exp(ln_q)} >= 1")
+    return 1.0 / math.expm1(-ln_q)
+
+
+def _ln_series(model: SourceModel, j: int, alpha: float, beta: float) -> float:
+    """ln sum_{i>=j} p(i)**alpha * e**(beta*(i-j)) for alpha > 0: the one
+    series behind every tail, power and Renyi sum; -inf for no terms."""
+    j, rho = max(j, 0), model.tail_ratio
+    if rho is not None and j >= model.tail_start:   # t(j) / (1 - q) at once
+        return alpha * model.ln_mass(j) + math.log1p(
+            _rest(alpha * math.log(rho) + beta))
+    top, _, _, ws, ln_q = _terms(model, j, alpha, beta)
+    if not ws:
+        return -math.inf
+    total = math.fsum(ws)
+    if ln_q is not None:
+        total += ws[-1] * _rest(ln_q)
+    return top + math.log(total)
+
+
+def _mass_moment(model: SourceModel, j: int, logs: bool):
+    """(sum p(i), sum p(i) * f(i)) over i >= j, f(i) = ln p(i) with logs,
+    else i - j: the plain mass series of _ln_series, p(i) = e**top * w(i),
+    and a first moment of it."""
+    top, lo, ys, ws, ln_q = _terms(model, j, 1.0, 0.0)
+    if not ws:
+        return 0.0, 0.0
+    if not logs:
+        fs, step = range(lo - j, lo - j + len(ws)), 1.0
+    else:
+        fs, step = ys or model.ln_masses(lo, lo + len(ws)), ln_q
+    s, sf = math.fsum(ws), math.fsum(map(mul, ws, fs))
+    if ln_q is not None:
+        # w q**k for k >= 1 past the last listed term w, f(last) + k * step
+        w, r = ws[-1], _rest(ln_q)
+        s += w * r
+        sf += w * (fs[-1] * r + step * r * (1.0 + r))   # sum k q**k
+    scale = math.exp(top)
+    return scale * s, scale * sf
+
+
+# ---------------------------------------------------------------- queries
 
 def point_mass(model: SourceModel, i: int) -> float:
     """p(i)."""
@@ -319,45 +517,8 @@ def tail_weight(model: SourceModel, j: int, base: float) -> float:
     """sum_{k>j} p(k) * base**(k-j). j = -1 is allowed and weighs the whole
     support by base**(k+1)."""
     check_positive("base", base)
-    if model.size is not None:
-        return math.fsum(p * base ** (k - j) for k, p in
-                         enumerate(model.masses(model.size)) if k > j)
-    rho = model.tail_ratio
-    if rho is not None:
-        q = base * rho
-        if q >= 1.0:
-            raise DivergenceError(
-                f"geometric tail diverges: base*ratio = {q} >= 1")
-        s = model.tail_start
-        if j >= s:
-            return model.mass(j + 1) * base / (1.0 - q)
-        acc = 0.0
-        for k in range(j + 1, s + 1):
-            acc += model.mass(k) * base ** (k - j)
-        return acc + model.mass(s + 1) * base / (1.0 - q) * base ** (s - j)
-    # summed outward from the largest term, k0, in multiples of it, each
-    # term from the last by the ratio base * mean / (k + 1) above k0 and its
-    # inverse below, so that none underflows before the sum does; on each
-    # side the rest after a term v is at most v * q / (1 - q)
-    scale = base * model.mean
-    k0 = max(j + 1, int(scale))
-    acc = v = 1.0
-    for k in range(k0, k0 + _MAX_TERMS):
-        q = scale / (k + 1)
-        v *= q
-        acc += v
-        if v * q <= _TAIL_REL * (1.0 - q) * acc:
-            break
-    else:
-        raise DivergenceError("series did not settle after the term cap")
-    v = 1.0
-    for k in range(k0, j + 1, -1):
-        q = k / scale
-        v *= q
-        acc += v
-        if v * q <= _TAIL_REL * (1.0 - q) * acc:
-            break
-    return acc * math.exp(model.ln_mass(k0) + (k0 - j) * math.log(base))
+    ln_b = math.log(base)
+    return _exp(ln_b + _ln_series(model, j + 1, 1.0, ln_b), "the tail weight")
 
 
 def total_mass(model: SourceModel) -> float:
@@ -369,7 +530,10 @@ def total_mass(model: SourceModel) -> float:
 class _Profile:
     """The symbols a head sum runs over (a finite source's alphabet, else
     the head of the lengths) by codeword length, ascending: `groups` holds
-    (length, their masses), `sums` (those masses' fsum, length)."""
+    (length, ln m, masses, d) per length, m its largest mass and masses / d
+    the masses over m; where m lies below the normal floats they come from
+    ln_mass, over m already, and d is one. `ln_sums` holds (ln of the
+    length's mass, length)."""
 
     def __init__(self, model: SourceModel, lengths: LengthSeq) -> None:
         head, tail, size = lengths.head, lengths.tail, model.size
@@ -379,60 +543,56 @@ class _Profile:
             head += tuple(range(tail.start_length,
                                 tail.start_length + size - len(head)))
         self.model, self.head, self.tail = model, head[:size], tail
+        self.infinite = size is None
         groups = {n: [] for n in sorted(set(self.head))}
         for n, p in zip(self.head, model.masses(len(self.head))):
             groups[n].append(p)
-        self.groups = list(groups.items())
-        self.sums = [(math.fsum(ps), n) for n, ps in self.groups]
+        self.groups, self.ln_sums = [], []
+        for n, ps in groups.items():
+            m = max(ps)
+            if m < _TINY:   # read again as logs, over the largest
+                lps = [model.ln_mass(i) for i, k in enumerate(self.head)
+                       if k == n]
+                top = max(lps)
+                m, ps = 1.0, [math.exp(x - top) for x in lps]
+                ln_sum = top + math.log(math.fsum(ps))
+            else:
+                top, ln_sum = math.log(m), math.log(math.fsum(ps))
+            self.groups.append((n, top, ps, m))
+            self.ln_sums.append((ln_sum, n))
 
-    def power_sum_at(self, base: float) -> float:
-        acc = math.fsum(m * base ** n for m, n in self.sums)
-        if self.model.size is not None:
-            return acc
-        # sum_{i>=t0} p(i) base**(L0+i-t0) = base**(L0-1) * tail_weight(t0-1)
-        return acc + base ** (self.tail.start_length - 1) * tail_weight(
-            self.model, self.tail.start_index - 1, base)
+    def ln_power_sum(self, ln_b: float) -> float:
+        """ln sum p(i) * base**n(i), ln_b = ln base: one log-sum-exp over
+        the lengths, the unary tail from n(t0) = start_length on."""
+        tail, exp = self.tail, math.exp
+        rest = -math.inf
+        if self.infinite:
+            rest = tail.start_length * ln_b + _ln_series(
+                self.model, tail.start_index, 1.0, ln_b)
+        try:    # _ln_sum_exp, with the sum taken in one pass where it can
+            total = math.fsum([exp(x + n * ln_b) for x, n in self.ln_sums])
+            total += exp(rest)
+        except OverflowError:
+            total = math.inf
+        if 1e-300 < total < 1e300:
+            return math.log(total)
+        return _ln_sum_exp([x + n * ln_b for x, n in self.ln_sums] + [rest])
 
     def expected_length(self) -> float:
         """sum p(i) * n(i)."""
-        acc = math.fsum(m * n for m, n in self.sums)
-        model = self.model
-        if model.size is not None:
-            return acc
-        t0, len0 = self.tail.start_index, self.tail.start_length
-        rho = model.tail_ratio
-        if rho is None:
-            m = model.mean
-            return acc + _certified_sum(
-                lambda i: model.mass(i) * (len0 + i - t0), t0,
-                lambda i: m / (i + 1) * (len0 + i + 1 - t0)
-                / max(len0 + i - t0, 1))
-        start = max(t0, model.tail_start)
-        acc += math.fsum(model.mass(i) * (len0 + i - t0)
-                         for i in range(t0, start))
-        # geometric continuation from `start` on
-        p0 = model.mass(start)
-        return acc + p0 * ((len0 + start - t0) / (1.0 - rho)
-                           + rho / (1.0 - rho) ** 2)
-
-    def tops(self):
-        """(length, log2 m, the masses over m, lazily) per length, m the
-        largest; from ln_mass where all lie below the normal floats."""
-        low = {n: [] for n, ps in self.groups if max(ps) < 2.0 ** -1022}
-        for i, n in enumerate(self.head if low else ()):
-            if n in low:
-                low[n].append(self.model.ln_mass(i))
-        for n, ps in self.groups:
-            top = max(low.get(n) or ps)     # ln m for a low length, else m
-            if n in low:
-                yield n, top / LN2, [math.exp(x - top) for x in low[n]]
-            else:
-                yield n, math.log2(top), map(top.__rtruediv__, ps)
+        acc = math.fsum([n * math.exp(x) for x, n in self.ln_sums])
+        if self.infinite:
+            tail = self.tail
+            s, si = _mass_moment(self.model, tail.start_index, False)
+            acc += s * tail.start_length + si
+        return acc
 
 
 def power_sum(model: SourceModel, lengths: LengthSeq, base: float) -> float:
-    """sum p(i) * base**n(i), the tail through tail_weight."""
-    return _Profile(model, lengths).power_sum_at(base)
+    """sum p(i) * base**n(i)."""
+    check_positive("base", base)
+    return _exp(_Profile(model, lengths).ln_power_sum(math.log(base)),
+                "the power sum")
 
 
 def expected_length(model: SourceModel, lengths: LengthSeq) -> float:
@@ -440,98 +600,33 @@ def expected_length(model: SourceModel, lengths: LengthSeq) -> float:
     return _Profile(model, lengths).expected_length()
 
 
-def _certified_sum(term, start: int, ratio_bound) -> float:
-    """Sum term(i) from start while a geometric bound on the remainder,
-    driven by ratio_bound(i) (a bound on term(k+1)/term(k) for every k >= i,
-    eventually below one), exceeds SUM_TOL. With a bound of at most one the
-    sum also ends once every later term is below half an ulp of it: adding
-    those would leave it as it is."""
-    acc = 0.0
-    for i in range(start, start + _MAX_TERMS):
-        v = term(i)
-        acc += v
-        q = ratio_bound(i)
-        if (q < 1.0 and v * q / (1.0 - q) < SUM_TOL
-                or q <= 1.0 and v * q < math.ulp(acc) / 2.0):
-            return acc
-    raise DivergenceError("series did not settle after the term cap")
-
-
-def _lower_cut(term, top: int, down_ratio) -> int:
-    """Where to start summing a series whose terms below it add up to less
-    than SUM_TOL. down_ratio(i) bounds term(k-1)/term(k) for every k <= i, so
-    once it is below one, term(i) / (1 - down_ratio(i)) bounds the sum of
-    term(i) and every term below it. Up to the mode `top` both the term and
-    its ratio rise, so that bound holds on a first run of indices, whose
-    end is found by bisection."""
-    def negligible(i: int) -> bool:
-        q = down_ratio(i)
-        return q < 1.0 and term(i) < SUM_TOL * (1.0 - q)
-
-    if top < 1 or not negligible(1):
-        return 0
-    lo, hi = 1, top + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if negligible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo + 1
-
-
 def _dth_sum_log(model: SourceModel, lengths: LengthSeq, order: float) -> float:
     """ln of sum p**(1+order) * 2**(order*n), computed in log space."""
     d = order
-    acc = -math.inf
-    for n, lg, quotients in _Profile(model, lengths).tops():
-        acc = logaddexp(acc, ((1.0 + d) * lg + d * n) * LN2 + math.log(
-            math.fsum(q ** (1.0 + d) for q in quotients)))
-    if model.size is not None:
-        return acc
-    t0, len0 = lengths.tail.start_index, lengths.tail.start_length
-
-    def ln_term(i: int) -> float:
-        return (1.0 + d) * model.ln_mass(i) + d * (len0 + i - t0) * LN2
-
-    rho = model.tail_ratio
-    if rho is None:
-        ln_m = math.log(model.mean)
-        i = t0
-        while True:
-            acc = logaddexp(acc, ln_term(i))
-            ln_q = (1.0 + d) * (ln_m - math.log(i + 1)) + d * LN2
-            if ln_q < -1.0 and ln_term(i) + ln_q - math.log1p(-math.exp(ln_q)) < acc + math.log(SUM_TOL):
-                return acc
-            i += 1
-    start = max(t0, model.tail_start)
-    for i in range(t0, start):
-        acc = logaddexp(acc, ln_term(i))
-    ln_step = (1.0 + d) * math.log(rho) + d * LN2
-    if ln_step >= 0.0:
-        raise DivergenceError("order-d tail diverges")
-    # geometric remainder: term(start) / (1 - step)
-    return logaddexp(acc, ln_term(start) - math.log1p(-math.exp(ln_step)))
+    profile = _Profile(model, lengths)
+    terms = [(1.0 + d) * top + d * n * LN2
+             + math.log(math.fsum([(p / m) ** (1.0 + d) for p in ps]))
+             for n, top, ps, m in profile.groups]
+    tail = lengths.tail
+    if model.size is None:
+        terms.append(d * tail.start_length * LN2 + _ln_series(
+            model, tail.start_index, 1.0 + d, d * LN2))
+    return _ln_sum_exp(terms)
 
 
 def _max_redundancy(model: SourceModel, lengths: LengthSeq) -> float:
     """sup n(i) + log2 p(i); math.inf when the supremum is unbounded."""
-    best = max((n + lg for n, lg, _ in _Profile(model, lengths).tops()),
-               default=-math.inf)
+    best = max((n + top / LN2 for n, top, _, _ in
+                _Profile(model, lengths).groups), default=-math.inf)
     if model.size is not None:
         return best
-    t0, len0 = lengths.tail.start_index, lengths.tail.start_length
-    rho = model.tail_ratio
-    if rho is None:
-        # steps turn negative once i + 1 > 2 * mean; bounded always
-        stop = max(t0, math.ceil(2.0 * model.mean)) + 2
-    elif rho > 0.5:
-        # per-step change along the tail is 1 + log2(ratio), constant
+    # along the tail n(i) + log2 p(i) is start_length + log2 of the largest
+    # term p(i) * 2**(i - t0), or unbounded where those terms grow
+    tail = lengths.tail
+    top, _, _, _, ln_q = _terms(model, tail.start_index, 1.0, LN2)
+    if ln_q is not None and ln_q > 0.0:
         return math.inf
-    else:
-        stop = max(t0, model.tail_start + 1)
-    return max(best, max(len0 + i - t0 + model.ln_mass(i) / LN2
-                         for i in range(t0, stop + 1)))
+    return max(best, tail.start_length + top / LN2)
 
 
 def evaluate_penalty(model: SourceModel, lengths: LengthSeq,
@@ -539,8 +634,8 @@ def evaluate_penalty(model: SourceModel, lengths: LengthSeq,
     if isinstance(penalty, (Linear, Exponential)):
         if penalty.base == 1.0:
             return expected_length(model, lengths)
-        s = power_sum(model, lengths, penalty.base)
-        return math.log(s) / math.log(penalty.base)
+        ln_b = math.log(penalty.base)
+        return _Profile(model, lengths).ln_power_sum(ln_b) / ln_b
     if isinstance(penalty, DthRedundancy):
         return _dth_sum_log(model, lengths, penalty.order) / (penalty.order * LN2)
     if isinstance(penalty, MaxRedundancy):
@@ -552,98 +647,7 @@ def evaluate_penalty(model: SourceModel, lengths: LengthSeq,
 
 def shannon_entropy(model: SourceModel) -> float:
     """H(P) in bits."""
-    if model.size is not None:
-        return -math.fsum(p * math.log2(p) for p in model.masses(model.size))
-    rho = model.tail_ratio
-    if rho is not None:
-        head = model.masses(model.tail_start + 1)
-        # continuation: -sum_{m>=1} p0 rho^m (log2 p0 + m log2 rho)
-        p0 = head[-1]
-        return -math.fsum(p * math.log2(p) for p in head) - p0 * (
-            rho / (1.0 - rho) * math.log2(p0)
-            + rho / (1.0 - rho) ** 2 * math.log2(rho))
-    m = model.mean
-
-    def term(i: int) -> float:
-        p = model.mass(i)
-        # a mass that underflows to 0.0 contributes less than 1e-320
-        return -p * math.log2(p) if p > 0.0 else 0.0
-
-    def down(i: int) -> float:
-        # with x = i/m and L = -ln p(i) >= 1 the ratio to the term below is
-        # at most x * (1 + ln(1/x) / L), which only falls further down
-        ln_p = model.ln_mass(i)
-        return i / m * (1.0 + math.log(m / i) / -ln_p) if ln_p <= -1.0 else math.inf
-
-    # the log factor grows slower than the pmf decays; past 2*mean + 8
-    # consecutive term ratios stay below 0.6, and past the mode the terms
-    # never rise again (every mass past symbol 0 is at most 1/e)
-    return _certified_sum(term, _lower_cut(term, int(m), down),
-                          lambda i: 0.6 if i > 2 * m + 8
-                          else 1.0 if i > m else math.inf)
-
-
-def _listed_renyi_sum(masses: list, alpha: float) -> float:
-    return math.log(math.fsum(map(pow, masses, repeat(alpha))))
-
-
-def _tailed_renyi_sum(head: list, rho: float, alpha: float) -> float:
-    rho_a = rho ** alpha
-    z = math.fsum(map(pow, head, repeat(alpha)))
-    z += head[-1] ** alpha * rho_a / (1.0 - rho_a)
-    return math.log(z)
-
-
-def _poisson_renyi_sum(model: Poisson, ln_p: dict, alpha: float) -> float:
-    """Terms from the log masses, which ln_p keeps by symbol across calls,
-    shifted by the largest (at the mode), so that no term underflows at
-    small or large alpha. The window summed runs from a cut below the mode,
-    where the ratio (i/mean)**alpha certifies the terms left out below
-    SUM_TOL of the shifted sum (which is at least one), to where
-    (mean/(i+1))**alpha, below one past the mode, certifies the rest."""
-    m, top = model.mean, int(model.mean)
-    known, source, exp = ln_p.get, model.ln_mass, math.exp
-
-    def ln_mass(i: int) -> float:
-        x = known(i)
-        if x is None:
-            x = ln_p[i] = source(i)
-        return x
-
-    peak = alpha * ln_mass(top)
-    start = _lower_cut(lambda i: exp(alpha * ln_mass(i) - peak), top,
-                       lambda i: (i / m) ** alpha)
-    terms = []
-    append = terms.append
-    for i in range(start, start + _MAX_TERMS):
-        x = known(i)    # ln_mass(i), inline
-        if x is None:
-            x = ln_p[i] = source(i)
-        v = exp(alpha * x - peak)
-        append(v)
-        if i >= top:
-            q = (m / (i + 1)) ** alpha
-            if v * q < SUM_TOL * (1.0 - q):
-                return peak + math.log(math.fsum(terms))
-    raise DivergenceError("series did not settle after the term cap")
-
-
-def _renyi_sum_of(model: SourceModel):
-    """alpha -> ln sum_i p(i)**alpha, the Renyi partition sum of order
-    alpha > 0, with the work that does not depend on alpha done once: a
-    listed source's masses, or a geometric-tailed head, are listed once,
-    and a Poisson source keeps each log mass it reads."""
-    if model.size is not None:
-        return partial(_listed_renyi_sum, model.masses(model.size))
-    if model.tail_ratio is not None:
-        return partial(_tailed_renyi_sum, model.masses(model.tail_start + 1),
-                       model.tail_ratio)
-    return partial(_poisson_renyi_sum, model, {})
-
-
-def _ln_renyi_sum(model: SourceModel, alpha: float) -> float:
-    """ln sum_i p(i)**alpha, the Renyi partition sum of order alpha > 0."""
-    return _renyi_sum_of(model)(alpha)
+    return -_mass_moment(model, 0, True)[1] / LN2
 
 
 def renyi_entropy(model: SourceModel, base: float) -> float:
@@ -656,4 +660,4 @@ def renyi_entropy(model: SourceModel, base: float) -> float:
     if base == 1.0:
         return shannon_entropy(model)
     alpha = 1.0 / (1.0 + math.log2(base))
-    return _ln_renyi_sum(model, alpha) / ((1.0 - alpha) * LN2)
+    return _ln_series(model, 0, alpha, 0.0) / ((1.0 - alpha) * LN2)

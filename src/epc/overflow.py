@@ -9,7 +9,9 @@ exceeds b bits falls like e^(-s*b), where s* is the largest s at which
 stays at or below one. Larger s* means faster decay, so the optimizer looks
 for the code maximizing s*: pick a bound s0, build the best code for the
 exponential penalty at base e^(s0), measure its s*, rebuild at that base,
-and repeat until the code reproduces itself.
+and repeat until the code reproduces itself. Every solve works on
+ln f = ln T(s) + ln P(e^s), the log of the transform plus the log of the
+power sum, so that neither factor leaves the float range at a large tilt.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ from typing import Callable, NamedTuple, Union
 from .errors import DivergenceError, EpcError, StabilityError
 from .golomb import GolombCode, golomb_exp_penalty
 from .light_tail import optimal_code
-from .models import (Exponential, Geometric, LengthSeq, SourceModel,
-                     _Profile, _renyi_sum_of, shannon_entropy, tail_weight,
+from .models import (Exponential, Geometric, LengthSeq, SourceModel, _exp,
+                     _ln_series, _ln_sum_exp, _Profile, shannon_entropy,
                      total_mass)
 from .numeric import LN2
 
@@ -40,8 +42,16 @@ _SUM_REL = 1e-12
 
 # ------------------------------------------------------------- intermissions
 
+class _Arrivals:
+    """An intermission law answers ln_transform(s) = ln E[e^(-sT)] and
+    mean_gap() = E[T]; transform(s) is the exp of the first."""
+
+    def transform(self, s: float) -> float:
+        return math.exp(self.ln_transform(s))
+
+
 @dataclass(frozen=True)
-class Deterministic:
+class Deterministic(_Arrivals):
     """Every intermission lasts exactly `gap` time units."""
 
     gap: float
@@ -51,15 +61,15 @@ class Deterministic:
             raise StabilityError(
                 "deterministic intermission must be at least one bit time")
 
-    def transform(self, s: float) -> float:
-        return math.exp(-s * self.gap)
+    def ln_transform(self, s: float) -> float:
+        return -s * self.gap
 
     def mean_gap(self) -> float:
         return self.gap
 
 
 @dataclass(frozen=True)
-class ExponentialArrivals:
+class ExponentialArrivals(_Arrivals):
     """Memoryless intermissions with the given rate."""
 
     rate: float
@@ -68,15 +78,15 @@ class ExponentialArrivals:
         if self.rate <= 0.0:
             raise ValueError("rate must be positive")
 
-    def transform(self, s: float) -> float:
-        return self.rate / (self.rate + s)
+    def ln_transform(self, s: float) -> float:
+        return -math.log1p(s / self.rate)
 
     def mean_gap(self) -> float:
         return 1.0 / self.rate
 
 
 @dataclass(frozen=True)
-class GammaArrivals:
+class GammaArrivals(_Arrivals):
     shape: float
     rate: float
 
@@ -84,15 +94,15 @@ class GammaArrivals:
         if self.shape <= 0.0 or self.rate <= 0.0:
             raise ValueError("shape and rate must be positive")
 
-    def transform(self, s: float) -> float:
-        return (self.rate / (self.rate + s)) ** self.shape
+    def ln_transform(self, s: float) -> float:
+        return -self.shape * math.log1p(s / self.rate)
 
     def mean_gap(self) -> float:
         return self.shape / self.rate
 
 
 @dataclass(frozen=True)
-class TableTransform:
+class TableTransform(_Arrivals):
     """User-measured transform samples (s, value), log-linearly interpolated.
 
     The first sample must be (0, 1). Beyond the last sample the final
@@ -127,13 +137,12 @@ class TableTransform:
             (logs[k + 1] - logs[k]) / (ss[k + 1] - ss[k])
             for k in range(len(ss) - 1)])
 
-    def transform(self, s: float) -> float:
+    def ln_transform(self, s: float) -> float:
         if s < 0.0:
             raise ValueError("s must be nonnegative")
         # the first segment whose right end reaches s, else the last one
         k = bisect_left(self._points, s, 1, len(self._points) - 1) - 1
-        return math.exp(self._logs[k]
-                        + self._slopes[k] * (s - self._points[k]))
+        return self._logs[k] + self._slopes[k] * (s - self._points[k])
 
     def mean_gap(self) -> float:
         return -self._slopes[0]
@@ -164,32 +173,32 @@ class OverflowResult:
 
 # ------------------------------------------------------------ the functional
 
-def _golomb_power_sum(model: SourceModel, code: GolombCode, base: float) -> float:
-    """sum p(i) base**n(i) for a Golomb code: in closed form on a geometric
-    source, else truncated once the remainder is certifiably negligible."""
+def _golomb_ln_power_sum(model: SourceModel, code: GolombCode,
+                         ln_b: float) -> float:
+    """ln sum p(i) base**n(i) for a Golomb code, ln_b = ln base: in closed
+    form on a geometric source, else summed 64 symbols at a time until the
+    rest is certifiably below _SUM_REL of the sum."""
     if isinstance(model, Geometric):
-        if base == 1.0:
-            return total_mass(model)
-        return base ** golomb_exp_penalty(model.ratio, base, code.k)
+        return golomb_exp_penalty(model.ratio, _exp(ln_b, "the base"),
+                                  code.k) * ln_b
     k, g = code.k, code.suffix_bits
-    acc = 0.0
+    acc = -math.inf
     for i in range(64, 10 ** 6 + 1, 64):    # i symbols summed so far
-        for j in range(i - 64, i):
-            acc += model.mass(j) * base ** code.length(j)
-        if base <= 1.0:
-            remainder = base * tail_weight(model, i - 1, 1.0)
+        acc = _ln_sum_exp([acc] + [model.ln_mass(j) + code.length(j) * ln_b
+                                   for j in range(i - 64, i)])
+        # n(j) >= 1, and n(j) <= 1 + g + j/k
+        if ln_b <= 0.0:
+            ln_rest = ln_b + _ln_series(model, i, 1.0, 0.0)
         else:
-            b = base ** (1.0 / k)
-            remainder = base ** (1 + g) * b ** (i - 1) * tail_weight(model, i - 1, b)
-        if remainder < _SUM_REL * max(acc, 1.0):
+            ln_rest = ((1 + g + i / k) * ln_b
+                       + _ln_series(model, i, 1.0, ln_b / k))
+        if ln_rest < math.log(_SUM_REL) + max(acc, 0.0):
             return acc
     raise DivergenceError("power sum did not settle")
 
 
 class _GolombProfile:
     """A Golomb code's sums over a source, read as a _Profile's are."""
-
-    sums = ()   # no per-length sums of a head
 
     def __init__(self, model: SourceModel, code: GolombCode) -> None:
         self.model, self.code = model, code
@@ -199,13 +208,14 @@ class _GolombProfile:
             return golomb_exp_penalty(self.model.ratio, 1.0, self.code.k)
         raise ValueError("Golomb mean length needs a geometric source")
 
-    def power_sum_at(self, base: float) -> float:
-        return _golomb_power_sum(self.model, self.code, base)
+    def ln_power_sum(self, ln_b: float) -> float:
+        return _golomb_ln_power_sum(self.model, self.code, ln_b)
 
 
 def _profile(model: SourceModel, code: CodeLike):
     """The per-code work of the sums over a source, done once: its mean
-    length expected_length() and base -> sum p(i) base**n(i) power_sum_at."""
+    length expected_length() and ln_b -> ln sum p(i) e**(ln_b*n(i))
+    ln_power_sum."""
     if isinstance(code, GolombCode):
         return _GolombProfile(model, code)
     return _Profile(model, code)
@@ -213,13 +223,13 @@ def _profile(model: SourceModel, code: CodeLike):
 
 def overflow_functional(model: SourceModel, code: CodeLike,
                         arrivals: ArrivalModel, s: float) -> float:
-    """f(s) above; exactly the source mass at s = 0."""
+    """f(s) above, from ln f; exactly the source mass at s = 0."""
     if s < 0.0:
         raise ValueError("s must be nonnegative")
     if s == 0.0:
         return total_mass(model)
-    return arrivals.transform(s) * _profile(model, code).power_sum_at(
-        math.exp(s))
+    return _exp(arrivals.ln_transform(s)
+                + _profile(model, code).ln_power_sum(s), "f(s)")
 
 
 # ------------------------------------------------------------- s* search
@@ -239,35 +249,26 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
 
     f is log-convex with f(0) = 1, so the feasible set is an interval
     starting at zero; it is the single point {0} exactly when the mean
-    codeword length reaches the mean intermission. The bisection evaluates
-    f as overflow_functional does; the mean length and every power sum
-    read one profile of the code, built once per call.
+    codeword length reaches the mean intermission. The bisection tests
+    ln f <= 0; the mean length and every power sum read one profile of the
+    code, built once per call.
     """
     profile = _profile(model, code)
     if profile.expected_length() >= arrivals.mean_gap():
         return DecayRate(0.0, True)
-    power_sum_at = profile.power_sum_at
+    ln_power_sum, ln_transform = profile.ln_power_sum, arrivals.ln_transform
 
-    def f_or_inf(s: float) -> float:
-        base = math.exp(s)      # an OverflowError here is e^s's own
-        t = arrivals.transform(s)
+    def ln_f(s: float) -> float:
         try:
-            return t * power_sum_at(base)
+            return ln_transform(s) + ln_power_sum(s)
         except DivergenceError:
             return math.inf
-        except OverflowError:
-            # the power sum left the float range: f > 1 when the terms of
-            # one codeword length alone, times the transform, pass one
-            if t > 0.0 and any(m > 0.0 and math.log(m) + n * s > -math.log(t)
-                               for m, n in profile.sums):
-                return math.inf
-            raise
 
     s_div = _divergence_point(model, code)
     lo = 0.0
     if math.isfinite(s_div):
         hi = s_div / 2.0
-        while f_or_inf(hi) <= 1.0:
+        while ln_f(hi) <= 0.0:
             lo = hi
             nxt = (hi + s_div) / 2.0
             if nxt <= hi:   # float resolution exhausted against the pole
@@ -275,22 +276,14 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
             hi = nxt
     else:
         hi = 0.5
-        while True:
-            try:
-                crossed = f_or_inf(hi) > 1.0
-            except OverflowError:
-                # e^s itself overflowed with f still at or below one: the
-                # backlog shrinks at every tilt, there is no finite optimum
-                raise DivergenceError("f never exceeds one; no finite optimum")
-            if crossed:
-                break
+        while ln_f(hi) <= 0.0:
             lo = hi
             hi *= 2.0
             if hi > 2.0 ** 40:
                 raise DivergenceError("f never exceeds one; no finite optimum")
     while hi - lo > _S_TOL:
         mid = (lo + hi) / 2.0
-        if f_or_inf(mid) <= 1.0:
+        if ln_f(mid) <= 0.0:
             lo = mid
         else:
             hi = mid
@@ -350,14 +343,21 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
     if model.size == 1:
         raise DivergenceError("a one-symbol source needs zero bits per "
                               "symbol, so its decay rate is unbounded")
+    # sum p**alpha <= n**(1 - alpha) bounds the left side below by
+    # s * (log2 n - gap) under a deterministic gap: it never passes zero
+    if (isinstance(arrivals, Deterministic) and model.size is not None
+            and arrivals.gap >= math.log2(model.size)):
+        raise DivergenceError(
+            f"a deterministic gap of {arrivals.gap} bit times is at least "
+            f"log2 of the {model.size} symbols, so the bound never closes")
     entropy, mean_gap = shannon_entropy(model), arrivals.mean_gap()
     if entropy >= mean_gap:
         return 0.0
-    renyi_sum = _renyi_sum_of(model)
 
     def ln_left(s: float) -> float:
         alpha = 1.0 / (1.0 + s / LN2)
-        return math.log(arrivals.transform(s)) + renyi_sum(alpha) / alpha
+        return (arrivals.ln_transform(s)
+                + _ln_series(model, 0, alpha, 0.0) / alpha)
 
     # at s = 0 both the transform and the sum of the masses are one, and
     # the slope of ln_left is the entropy less the mean intermission
@@ -365,7 +365,7 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
     f_hi = ln_left(hi)
     while f_hi <= 0.0:
         lo = hi
-        hi *= 2.0
+        hi *= 4.0
         if hi > 2.0 ** 40:
             raise EpcError("initial bound did not close; arrivals too slow")
         f_hi = ln_left(hi)

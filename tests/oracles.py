@@ -4,6 +4,7 @@ Everything here is deliberately brute force: exhaustive tree enumeration,
 direct summation with explicit remainder bounds, and grid scans. Nothing
 imports from the package.
 """
+import decimal
 import heapq
 import math
 from fractions import Fraction
@@ -138,6 +139,22 @@ def poisson_renyi_sum_direct(mean: float, alpha: float,
 
 def poisson_ln_pmf(mean: float, i: int) -> float:
     return -mean + i * math.log(mean) - math.lgamma(i + 1)
+
+
+def poisson_entropy_decimal(mean: int, digits: int = 40) -> float:
+    """H(Poisson(mean)) in bits for an integer mean, summed in `digits`
+    significant decimal digits: p(0) = e**-mean, p(i) = p(i-1) * mean / i,
+    until the masses left fall below 10**-digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        m = decimal.Decimal(mean)
+        p, h, i = (-m).exp(), decimal.Decimal(0), 0
+        tiny = decimal.Decimal(10) ** -digits
+        while i <= mean or p > tiny:
+            h -= p * p.ln()
+            i += 1
+            p = p * m / i
+        return float(h / decimal.Decimal(2).ln())
 
 
 def tailed_pmf(head, ratio: float, i: int) -> float:

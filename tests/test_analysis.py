@@ -146,3 +146,10 @@ def test_sweep_deterministic():
     assert sweep(spec) == sweep(spec)
     with pytest.raises(ValueError):
         SweepSpec(figure=7)
+
+
+def test_asymptotes_name_a_nonfinite_axis_value():
+    for f in (avg_redundancy_asymptotic, mmr_asymptotic):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="x must be finite"):
+                f(bad)

@@ -543,3 +543,8 @@ def test_threads_share_plans():
         sys.setswitchinterval(switch)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+def test_encode_names_a_symbol_whose_codeword_cannot_be_built():
+    with pytest.raises(ValueError, match=f"symbol {10 ** 30} "):
+        encode([10 ** 30], GolombCode(1))

@@ -9,7 +9,8 @@ from epc import (DivergenceError, DthRedundancy, ExplicitFinite,
                  expected_length, point_mass, power_sum, renyi_entropy,
                  shannon_entropy, tail_weight, total_mass,
                  with_geometric_tail)
-from oracles import geometric_pmf, poisson_pmf, unary_tail_power_sum_direct
+from oracles import (geometric_pmf, poisson_entropy_decimal, poisson_pmf,
+                     unary_tail_power_sum_direct)
 
 UNARY = LengthSeq((), UnaryTail(0, 1))
 
@@ -259,8 +260,9 @@ def test_poisson_entropy_past_mass_underflow():
     direct = -math.fsum(p * math.log2(p) for p in
                         (poisson_pmf(m, i) for i in range(3000)) if p > 0.0)
     assert shannon_entropy(Poisson(m)) == pytest.approx(direct, rel=1e-12)
-    # means whose masses do not underflow keep their values
-    assert shannon_entropy(Poisson(20.0)) == 4.201887394000996
+    # a mean whose masses do not underflow, held to a 40-digit sum
+    assert shannon_entropy(Poisson(20.0)) == pytest.approx(
+        poisson_entropy_decimal(20), rel=1e-14)
 
 
 def test_poisson_entropies_cost_follows_the_spread():

@@ -4,15 +4,16 @@ import time
 
 import pytest
 
-from epc import (Deterministic, DivergenceError, DthRedundancy, ExplicitCode,
-                 ExplicitFinite, ExponentialArrivals, Exponential,
+from epc import (Deterministic, DivergenceError, DthRedundancy, EpcError,
+                 ExplicitCode, ExplicitFinite, ExponentialArrivals, Exponential,
                  GammaArrivals, Geometric, GolombCode, LengthSeq, Linear,
                  MaxRedundancy, NotLightTailedError, Poisson, StabilityError,
                  TableTransform, UnaryEndedCode, UnaryTail, build_unary_ended,
                  decay_rate_bound, evaluate_penalty, exp_huffman,
                  expected_length, max_decay_rate, optimal_code,
                  optimize_overflow, overflow_functional, power_sum,
-                 shannon_entropy, total_mass, with_geometric_tail)
+                 shannon_entropy, tail_weight, total_mass,
+                 with_geometric_tail)
 from epc.overflow import _S_TOL, _length_key
 from oracles import golomb_power_sum_direct, largest_feasible_on_grid
 
@@ -390,3 +391,54 @@ def test_pinned_solves(kind, rate, iterates):
     assert res.decay_rate.hex() == rate and not res.at_boundary
     assert res.iterations == len(iterates)
     assert [r.hex() for r, _ in res.trace] == iterates
+
+
+_CODE3 = build_unary_ended(Poisson(3.0), 1.0)   # lengths 5,3,2,2,3,... +unary
+
+
+@pytest.mark.parametrize("call, want", [
+    # the unary tail at base 1e10 peaks past the term cap; refused at once
+    (lambda: power_sum(Poisson(3.0), _CODE3, 1e10), DivergenceError),
+    # log_b of ~(p(2) + p(3)) b**2 at a base that underflows every b**n
+    (lambda: evaluate_penalty(Poisson(3.0), _CODE3, Exponential(1e-300)),
+     2.0 + math.log(9.0 * math.exp(-3.0)) / math.log(1e-300)),
+    (lambda: evaluate_penalty(ExplicitFinite((0.5, 0.25, 0.25)),
+                              LengthSeq((1, 2, 2)), Exponential(1e300)),
+     2.0 + math.log(0.5 + 0.5 / 1e300) / math.log(1e300)),
+    # gap 50 >= log2 3: the bound is refused before any evaluation
+    (lambda: optimize_overflow(ExplicitFinite((0.5, 0.25, 0.25)),
+                               Deterministic(50.0)), DivergenceError),
+    (lambda: optimize_overflow(Geometric(0.5),
+                               ExponentialArrivals(1e-300)).decay_rate,
+     86.94046354341842),
+    # ln f = (2000 - 1999.9) s - ln 2 + ln(1 + e**(-1999 s)): the crossing
+    # lies where e**(2000 s) and e**(-1999.9 s) both leave the floats
+    (lambda: max_decay_rate(ExplicitFinite((0.5, 0.5)), LengthSeq((1, 2000)),
+                            Deterministic(1999.9)).value,
+     math.log(2.0) / (2000.0 - 1999.9)),
+    (lambda: tail_weight(with_geometric_tail([1 / 3000] * 2000, 0.3), 0, 1.5),
+     EpcError),
+    (lambda: tail_weight(Poisson(3.0), 0, 1000.0), EpcError),
+    (lambda: tail_weight(Poisson(3.0), 0, 1e300), DivergenceError),
+    # the Deterministic bound at load 0.5 on Geometric(0.99), s0 ~ 504
+    (lambda: decay_rate_bound(
+        Geometric(0.99), Deterministic(2.0 * shannon_entropy(Geometric(0.99)))),
+     504.32067327094836),
+    (lambda: shannon_entropy(Poisson(1000.0)), 7.029867442734905),
+])
+def test_roadmap_float_range_hits(call, want):
+    # each input that raised a bare OverflowError or math domain error in
+    # plain floats returns a value or raises a domain error
+    if isinstance(want, type):
+        with pytest.raises(want):
+            call()
+    else:
+        assert call() == pytest.approx(want, rel=1e-9)
+
+
+def test_tail_weight_past_the_term_cap_is_refused_at_once():
+    # the peak of p(k) * 1e300**k lies at 3e300: refused before any term
+    start = time.process_time()
+    with pytest.raises(DivergenceError, match="term cap|terms past"):
+        tail_weight(Poisson(3.0), 0, 1e300)
+    assert time.process_time() - start < 0.05

@@ -3,10 +3,12 @@ evaluates f from a power sum built once per call, lands where a plain
 bisection over f from the oracles' per-symbol power sums lands;
 decay_rate_bound, which root-finds by a convex secant closed by one probe,
 lands where a plain bisection over its own left side lands, within 20
-evaluations; the Renyi sums under that bound match per-symbol and direct
-lgamma sums, and an evaluator reused across orders gives what a fresh one
-does; and the optimize_overflow iterates rise to a feasible rate. Needs
-hypothesis (the `test` extra)."""
+evaluations, or refuses a bound that never closes with none; the Renyi
+sums under that bound match per-symbol and direct lgamma sums, and a source
+whose log masses the series kept gives what a fresh one does; and the
+optimize_overflow iterates rise to a feasible rate. Needs hypothesis (the
+`test` extra)."""
+import dataclasses
 import math
 import random
 
@@ -19,7 +21,7 @@ from epc import (Deterministic, DivergenceError, EpcError, ExplicitFinite,
                  GolombCode, Poisson, TableTransform, decay_rate_bound,
                  max_decay_rate, optimal_code, optimize_overflow,
                  overflow_functional, shannon_entropy, with_geometric_tail)
-from epc.models import _ln_renyi_sum, _renyi_sum_of
+from epc.models import _ln_series
 from epc.numeric import LN2
 from epc.overflow import _S_TOL, DecayRate, _divergence_point, _profile
 from oracles import (golomb_power_sum_periods, poisson_ln_pmf, poisson_pmf,
@@ -88,13 +90,6 @@ def _problems(draw):
     return model, base, draw(_arrivals(shannon_entropy(model)))
 
 
-def _known_defect(exc, arrivals) -> bool:
-    """The failure ROADMAP lists as open: under Deterministic arrivals
-    exp(-s*gap) underflows in decay_rate_bound, a bare math domain error."""
-    return (isinstance(exc, ValueError) and isinstance(arrivals, Deterministic)
-            and str(exc) == "math domain error")
-
-
 def _oracle_power_sum(model, code, base):
     """sum p(i) base**n(i) summed symbol by symbol by the oracles, from the
     source's own parameters: ArithmeticError where it diverges."""
@@ -117,33 +112,33 @@ def _oracle_power_sum(model, code, base):
         lambda i: r if i >= last else math.inf, geometric_from=last)
 
 
-def _one_length_passes_one(model, code, t, s) -> bool:
+def _one_length_passes_one(model, code, ln_t, s) -> bool:
     """Whether the head symbols of one codeword length, their masses summed
-    symbol by symbol, times the transform t, pass one at the tilt s: then f
-    > 1 although the power sum overflowed."""
-    if isinstance(code, GolombCode) or t == 0.0:
+    symbol by symbol, times the transform e**ln_t, pass one at the tilt s:
+    then f > 1 although the power sum overflowed."""
+    if isinstance(code, GolombCode):
         return False
     by_length = {}
     for i, n in enumerate(code.head):
         by_length.setdefault(n, []).append(model.mass(i))
-    return any(m > 0.0 and math.log(m) + n * s > -math.log(t)
+    return any(m > 0.0 and math.log(m) + n * s + ln_t > 0.0
                for m, n in ((math.fsum(ms), n)
                             for n, ms in by_length.items()))
 
 
 def _reference_rate(model, code, arrivals) -> DecayRate:
-    """The bisection of max_decay_rate, on the same points, with every f
-    the transform times the oracle power sum."""
+    """The bisection of max_decay_rate, on the same points, with every ln f
+    the log transform plus the log of the oracle power sum."""
     if _profile(model, code).expected_length() >= arrivals.mean_gap():
         return DecayRate(0.0, True)
 
     def f(s):
-        base = math.exp(s)      # an OverflowError here is e^s's own
-        t = arrivals.transform(s)
+        ln_t = arrivals.ln_transform(s)
         try:
-            return t * _oracle_power_sum(model, code, base)
+            return ln_t + math.log(_oracle_power_sum(model, code,
+                                                     math.exp(s)))
         except OverflowError:
-            if _one_length_passes_one(model, code, t, s):
+            if _one_length_passes_one(model, code, ln_t, s):
                 return math.inf
             raise
         except ArithmeticError:     # the direct sum diverges
@@ -153,7 +148,7 @@ def _reference_rate(model, code, arrivals) -> DecayRate:
     lo = 0.0
     if math.isfinite(s_div):
         hi = s_div / 2.0
-        while f(hi) <= 1.0:
+        while f(hi) <= 0.0:
             lo, nxt = hi, (hi + s_div) / 2.0
             if nxt <= hi:
                 return DecayRate(hi, False)
@@ -162,7 +157,7 @@ def _reference_rate(model, code, arrivals) -> DecayRate:
         hi = 0.5
         while True:
             try:
-                if f(hi) > 1.0:
+                if f(hi) > 0.0:
                     break
             except OverflowError:
                 raise DivergenceError("f never exceeds one")
@@ -171,7 +166,7 @@ def _reference_rate(model, code, arrivals) -> DecayRate:
                 raise DivergenceError("f never exceeds one")
     while hi - lo > _S_TOL:
         mid = (lo + hi) / 2.0
-        if f(mid) <= 1.0:
+        if f(mid) <= 0.0:
             lo = mid
         else:
             hi = mid
@@ -191,8 +186,7 @@ def test_max_decay_rate_matches_reference_bisection(problem):
     model, base, arrivals = problem
     try:
         code = optimal_code(model, Exponential(base))
-    except (EpcError, ValueError) as exc:
-        assert _known_defect(exc, arrivals), exc
+    except EpcError:
         return
     got = _outcome(max_decay_rate, model, code, arrivals)
     want = _outcome(_reference_rate, model, code, arrivals)
@@ -208,9 +202,17 @@ def _bound_left(model, arrivals):
     """The bound's left side: ln of the transform times the alpha-norm."""
     def ln_left(s):
         alpha = 1.0 / (1.0 + s / LN2)
-        return (math.log(arrivals.transform(s))
-                + _ln_renyi_sum(model, alpha) / alpha)
+        return (arrivals.ln_transform(s)
+                + _ln_series(model, 0, alpha, 0.0) / alpha)
     return ln_left
+
+
+def _never_closes(model, arrivals) -> bool:
+    """Whether the bound is refused up front: a finite source under a
+    deterministic gap of at least log2 of its size, where sum p**alpha <=
+    n**(1 - alpha) keeps the left side at or below zero at every s."""
+    return (isinstance(arrivals, Deterministic) and model.size is not None
+            and arrivals.gap >= math.log2(model.size))
 
 
 def _reference_bound(model, arrivals):
@@ -247,6 +249,11 @@ def test_decay_rate_bound_matches_reference_bisection(problem):
         assert _bound_outcome(model, arrivals)[0] is DivergenceError
         return
     got = _bound_outcome(model, arrivals)
+    if _never_closes(model, arrivals):
+        assert got[0] is DivergenceError, got
+        ln_left = _bound_left(model, arrivals)
+        assert all(ln_left(2.0 ** k) <= 1e-9 for k in range(-4, 41))
+        return
     try:
         want = _reference_bound(model, arrivals)
     except (EpcError, ValueError) as exc:
@@ -260,18 +267,18 @@ def test_decay_rate_bound_matches_reference_bisection(problem):
         assert ln_left(got) <= 0.0 < ln_left(got + _S_TOL)
 
 
-class _Counting:
-    """Arrivals that count the transform evaluations made through them."""
+def _counting(arrivals):
+    """A copy of the arrivals, of a subclass of their class, that counts the
+    ln_transform evaluations made through it in its class's `evaluations`."""
+    class Counting(type(arrivals)):
+        evaluations = 0
 
-    def __init__(self, arrivals):
-        self.arrivals, self.evaluations = arrivals, 0
+        def ln_transform(self, s):
+            Counting.evaluations += 1
+            return super().ln_transform(s)
 
-    def transform(self, s):
-        self.evaluations += 1
-        return self.arrivals.transform(s)
-
-    def mean_gap(self):
-        return self.arrivals.mean_gap()
+    return Counting(*(getattr(arrivals, field.name)
+                      for field in dataclasses.fields(arrivals)))
 
 
 @SEEDED
@@ -280,13 +287,11 @@ def test_decay_rate_bound_takes_at_most_20_evaluations(problem):
     # the doubling bracket and the convex secant together; plain bisection
     # from [0, 1] alone takes 35
     model, _, arrivals = problem
-    counting = _Counting(arrivals)
+    counting = _counting(arrivals)
     try:
         decay_rate_bound(model, counting)
     except EpcError:
         pass
-    except ValueError as exc:
-        assert _known_defect(exc, arrivals), exc
     assert counting.evaluations <= 20
 
 
@@ -306,7 +311,7 @@ def _per_symbol_renyi_sum(model, alpha):
 @given(source=_sources(), alpha=st.floats(0.05, 4.0))
 def test_renyi_evaluator_matches_per_symbol_sums(source, alpha):
     model, _ = source
-    got = math.exp(_renyi_sum_of(model)(alpha))
+    got = math.exp(_ln_series(model, 0, alpha, 0.0))
     if model.size is None and model.tail_ratio is None:
         want, rel = poisson_renyi_sum_direct(model.mean, alpha), 1e-12
     else:
@@ -317,12 +322,13 @@ def test_renyi_evaluator_matches_per_symbol_sums(source, alpha):
 @SEEDED
 @given(source=_sources(), mean=st.floats(0.5, 2000.0))
 def test_renyi_evaluator_keeps_nothing_of_alpha(source, mean):
-    # a Poisson evaluator keeps the log masses it read; a narrow window at
-    # 0.9, a wide one at 0.1, and 0.9 again each give what a fresh one does
+    # a Poisson source keeps the log masses the series read; a narrow window
+    # at 0.9, a wide one at 0.1, and 0.9 again, each on a source the series
+    # has read before, give what a fresh source does
     for model in (source[0], Poisson(mean)):
-        evaluator = _renyi_sum_of(model)
         for alpha in (0.9, 0.1, 0.9):
-            assert evaluator(alpha) == _renyi_sum_of(model)(alpha)
+            assert (_ln_series(model, 0, alpha, 0.0)
+                    == _ln_series(dataclasses.replace(model), 0, alpha, 0.0))
 
 
 @SEEDED
@@ -330,7 +336,7 @@ def test_renyi_evaluator_keeps_nothing_of_alpha(source, mean):
 def test_renyi_sum_matches_direct_lgamma_sum(mean, alpha):
     # at alpha = 0.01 the far tail's p(i) underflows to 0.0 while
     # p(i)**alpha is still near e**-7.45: the sum must use log masses
-    got = math.exp(_ln_renyi_sum(Poisson(mean), alpha))
+    got = math.exp(_ln_series(Poisson(mean), 0, alpha, 0.0))
     assert got == pytest.approx(poisson_renyi_sum_direct(mean, alpha),
                                 rel=1e-12)
 
@@ -343,9 +349,6 @@ def test_optimize_overflow_iterates_rise_to_a_feasible_rate(problem):
         res = optimize_overflow(model, arrivals)
     except EpcError:
         return   # a refusal with a domain error is an allowed answer
-    except ValueError as exc:
-        assert _known_defect(exc, arrivals), exc
-        return
     rates = [rate for rate, _ in res.trace]
     assert all(a <= b for a, b in zip(rates, rates[1:])), rates
     assert overflow_functional(model, res.code, arrivals,
