@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import mul
 from typing import Optional, Union
@@ -168,8 +169,12 @@ class ExplicitFinite(_Source):
     def masses(self, n: int) -> list[float]:
         return list(self.probs[:n])
 
+    @cached_property
+    def _ln_probs(self) -> list[float]:  # kept: each solve reads them again
+        return list(map(math.log, self.probs))
+
     def ln_masses(self, j: int, n: int) -> list[float]:
-        return list(map(math.log, self.probs[j:n]))
+        return self._ln_probs[j:n]
 
 
 @dataclass(frozen=True)
@@ -355,13 +360,13 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float):
     terms listed (Poisson terms with beta nonzero: ws holds their sum), top
     the log of the largest (or zero where beta is zero and that term is a
     normal float), ys[i - lo] = ln p(i) where they were read (else None);
-    past the last one listed the terms continue
-    geometrically with ratio e**ln_q, unless ln_q is None. Any other term
-    left out is certified, with those past it, below _TAIL_REL of the sum.
+    past the last one listed the terms continue geometrically with ratio
+    e**ln_q, unless ln_q is None. Any other term left out is certified,
+    with those past it, below _TAIL_REL of the sum.
 
     A finite alphabet, and a geometric-tailed head, are listed from their
     log masses. Poisson terms have the ratio t(i+1)/t(i) = (c/(i+1))**alpha,
-    c = mean * e**(beta/alpha), so they peak at floor(c); they are listed
+    c = mean * e**(beta/alpha), so they peak at floor(c); they are summed
     outward from the peak until that ratio, which only falls further out,
     certifies the rest of each side. A peak more than _MAX_TERMS past j is
     refused before any term is made."""
@@ -370,8 +375,7 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float):
         y = model.ln_mass(j)
         return alpha * y, j, [y], [1.0], alpha * math.log(rho) + beta
     g = beta / alpha     # ln t(i) = alpha * (ln p(i) + g * (i - j))
-    exp = math.exp
-    size = model.size
+    exp, size = math.exp, model.size
     if size is not None or rho is not None:
         stop = size if rho is None else model.tail_start + 1
         ln_q = None if rho is None else alpha * math.log(rho) + beta
@@ -396,8 +400,8 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float):
             f"the series peaks more than {_MAX_TERMS} terms past symbol {j}")
     lo = k0 = max(j, int(c))
     top = alpha * (model.ln_mass(k0) + g * (k0 - j))
-    if g:   # each term from its neighbour by the term ratio; no caller
-        # reads these one by one, so ws holds their sum alone
+    if g:   # each term from its neighbour by the ratio, faster here than
+        # blocks of log masses; no caller reads them one by one: ws, the sum
         acc = v = 1.0
         powered = alpha != 1.0
         for i in range(k0 + 1, k0 + 1 + _MAX_TERMS):
@@ -416,7 +420,6 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float):
             if v * q <= _TAIL_REL * (1.0 - q) * acc:
                 break
         return top, lo, None, [acc], None
-
     if top > -700.0:    # the peak term is a normal float: no shift
         top = 0.0
 
@@ -427,7 +430,9 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float):
             return ys, [exp(alpha * y - top) for y in ys]
         return ys, list(map(exp, map(mul, ys, repeat(alpha))))
 
-    # the first blocks span several spreads of the peak, sqrt(c / alpha)
+    # the first blocks span several spreads of the peak, sqrt(c / alpha);
+    # each later one reaches where the ratio q, which only falls further
+    # out, would certify the rest (at most four times the block before)
     ys, ws = block(k0, k0 + 1)
     hi, acc = k0 + 1, ws[0]
     size = width = 16 + int(12.0 * math.sqrt(c / alpha))
@@ -442,7 +447,7 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float):
             break
         if hi - k0 > _MAX_TERMS:
             raise DivergenceError("series did not settle after the term cap")
-        size += size // 2
+        size = _reach(bw[-1], q, acc, size)
     size = width
     while lo > j:   # below the peak; q is the ratio of t(lo - 1) to t(lo)
         by, bw = block(max(j, lo - size), lo)
@@ -453,8 +458,16 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float):
         q = (lo / c) ** alpha
         if bw[0] * q <= _TAIL_REL * (1.0 - q) * acc:
             break
-        size += size // 2
+        size = _reach(bw[0], q, acc, size)
     return top, lo, ys, ws, None
+
+
+def _reach(w: float, q: float, acc: float, size: int) -> int:
+    """How many terms k to list past w, each at most q times the one before,
+    for the rest, w q**(k+1) / (1-q), to fall below _TAIL_REL of acc; held
+    between 16 and 4 * size."""
+    k = math.log(_TAIL_REL * (1.0 - q) * acc / w) / math.log(q)
+    return max(16, min(int(k), 4 * size))
 
 
 def _rest(ln_q: float) -> float:
@@ -468,17 +481,11 @@ def _rest(ln_q: float) -> float:
 def _ln_series(model: SourceModel, j: int, alpha: float, beta: float) -> float:
     """ln sum_{i>=j} p(i)**alpha * e**(beta*(i-j)) for alpha > 0: the one
     series behind every tail, power and Renyi sum; -inf for no terms."""
-    j, rho = max(j, 0), model.tail_ratio
-    if rho is not None and j >= model.tail_start:   # t(j) / (1 - q) at once
-        return alpha * model.ln_mass(j) + math.log1p(
-            _rest(alpha * math.log(rho) + beta))
-    top, _, _, ws, ln_q = _terms(model, j, alpha, beta)
-    if not ws:
-        return -math.inf
+    top, _, _, ws, ln_q = _terms(model, max(j, 0), alpha, beta)
     total = math.fsum(ws)
     if ln_q is not None:
         total += ws[-1] * _rest(ln_q)
-    return top + math.log(total)
+    return top + math.log(total) if ws else -math.inf
 
 
 def _mass_moment(model: SourceModel, j: int, logs: bool):
@@ -532,8 +539,8 @@ class _Profile:
     the head of the lengths) by codeword length, ascending: `groups` holds
     (length, ln m, masses, d) per length, m its largest mass and masses / d
     the masses over m; where m lies below the normal floats they come from
-    ln_mass, over m already, and d is one. `ln_sums` holds (ln of the
-    length's mass, length)."""
+    ln_mass, over m already, and d is one. `sums` holds (the length's mass,
+    its log, length)."""
 
     def __init__(self, model: SourceModel, lengths: LengthSeq) -> None:
         head, tail, size = lengths.head, lengths.tail, model.size
@@ -543,11 +550,10 @@ class _Profile:
             head += tuple(range(tail.start_length,
                                 tail.start_length + size - len(head)))
         self.model, self.head, self.tail = model, head[:size], tail
-        self.infinite = size is None
         groups = {n: [] for n in sorted(set(self.head))}
         for n, p in zip(self.head, model.masses(len(self.head))):
             groups[n].append(p)
-        self.groups, self.ln_sums = [], []
+        self.groups, self.sums = [], []
         for n, ps in groups.items():
             m = max(ps)
             if m < _TINY:   # read again as logs, over the largest
@@ -556,32 +562,27 @@ class _Profile:
                 top = max(lps)
                 m, ps = 1.0, [math.exp(x - top) for x in lps]
                 ln_sum = top + math.log(math.fsum(ps))
+                mass = math.exp(ln_sum)
             else:
-                top, ln_sum = math.log(m), math.log(math.fsum(ps))
+                mass = math.fsum(ps)
+                top, ln_sum = math.log(m), math.log(mass)
             self.groups.append((n, top, ps, m))
-            self.ln_sums.append((ln_sum, n))
+            self.sums.append((mass, ln_sum, n))
 
     def ln_power_sum(self, ln_b: float) -> float:
         """ln sum p(i) * base**n(i), ln_b = ln base: one log-sum-exp over
         the lengths, the unary tail from n(t0) = start_length on."""
-        tail, exp = self.tail, math.exp
-        rest = -math.inf
-        if self.infinite:
-            rest = tail.start_length * ln_b + _ln_series(
-                self.model, tail.start_index, 1.0, ln_b)
-        try:    # _ln_sum_exp, with the sum taken in one pass where it can
-            total = math.fsum([exp(x + n * ln_b) for x, n in self.ln_sums])
-            total += exp(rest)
-        except OverflowError:
-            total = math.inf
-        if 1e-300 < total < 1e300:
-            return math.log(total)
-        return _ln_sum_exp([x + n * ln_b for x, n in self.ln_sums] + [rest])
+        xs = [x + n * ln_b for _, x, n in self.sums]
+        if self.model.size is None:
+            tail = self.tail
+            xs.append(tail.start_length * ln_b + _ln_series(
+                self.model, tail.start_index, 1.0, ln_b))
+        return _ln_sum_exp(xs)
 
     def expected_length(self) -> float:
         """sum p(i) * n(i)."""
-        acc = math.fsum([n * math.exp(x) for x, n in self.ln_sums])
-        if self.infinite:
+        acc = math.fsum([m * n for m, _, n in self.sums])
+        if self.model.size is None:
             tail = self.tail
             s, si = _mass_moment(self.model, tail.start_index, False)
             acc += s * tail.start_length + si
@@ -602,15 +603,13 @@ def expected_length(model: SourceModel, lengths: LengthSeq) -> float:
 
 def _dth_sum_log(model: SourceModel, lengths: LengthSeq, order: float) -> float:
     """ln of sum p**(1+order) * 2**(order*n), computed in log space."""
-    d = order
-    profile = _Profile(model, lengths)
-    terms = [(1.0 + d) * top + d * n * LN2
-             + math.log(math.fsum([(p / m) ** (1.0 + d) for p in ps]))
-             for n, top, ps, m in profile.groups]
-    tail = lengths.tail
+    a, tail = 1.0 + order, lengths.tail
+    terms = [a * top + order * n * LN2
+             + math.log(math.fsum([(p / m) ** a for p in ps]))
+             for n, top, ps, m in _Profile(model, lengths).groups]
     if model.size is None:
-        terms.append(d * tail.start_length * LN2 + _ln_series(
-            model, tail.start_index, 1.0 + d, d * LN2))
+        terms.append(order * tail.start_length * LN2 + _ln_series(
+            model, tail.start_index, a, order * LN2))
     return _ln_sum_exp(terms)
 
 

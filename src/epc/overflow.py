@@ -173,30 +173,6 @@ class OverflowResult:
 
 # ------------------------------------------------------------ the functional
 
-def _golomb_ln_power_sum(model: SourceModel, code: GolombCode,
-                         ln_b: float) -> float:
-    """ln sum p(i) base**n(i) for a Golomb code, ln_b = ln base: in closed
-    form on a geometric source, else summed 64 symbols at a time until the
-    rest is certifiably below _SUM_REL of the sum."""
-    if isinstance(model, Geometric):
-        return golomb_exp_penalty(model.ratio, _exp(ln_b, "the base"),
-                                  code.k) * ln_b
-    k, g = code.k, code.suffix_bits
-    acc = -math.inf
-    for i in range(64, 10 ** 6 + 1, 64):    # i symbols summed so far
-        acc = _ln_sum_exp([acc] + [model.ln_mass(j) + code.length(j) * ln_b
-                                   for j in range(i - 64, i)])
-        # n(j) >= 1, and n(j) <= 1 + g + j/k
-        if ln_b <= 0.0:
-            ln_rest = ln_b + _ln_series(model, i, 1.0, 0.0)
-        else:
-            ln_rest = ((1 + g + i / k) * ln_b
-                       + _ln_series(model, i, 1.0, ln_b / k))
-        if ln_rest < math.log(_SUM_REL) + max(acc, 0.0):
-            return acc
-    raise DivergenceError("power sum did not settle")
-
-
 class _GolombProfile:
     """A Golomb code's sums over a source, read as a _Profile's are."""
 
@@ -209,7 +185,27 @@ class _GolombProfile:
         raise ValueError("Golomb mean length needs a geometric source")
 
     def ln_power_sum(self, ln_b: float) -> float:
-        return _golomb_ln_power_sum(self.model, self.code, ln_b)
+        """ln sum p(i) base**n(i), ln_b = ln base: in closed form on a
+        geometric source, else summed 64 symbols at a time until the rest
+        is certifiably below _SUM_REL of the sum."""
+        model, code = self.model, self.code
+        if isinstance(model, Geometric):
+            return golomb_exp_penalty(model.ratio, _exp(ln_b, "the base"),
+                                      code.k) * ln_b
+        k, g = code.k, code.suffix_bits
+        acc = -math.inf
+        for i in range(64, 10 ** 6 + 1, 64):    # i symbols summed so far
+            acc = _ln_sum_exp([acc] + [model.ln_mass(j) + code.length(j) * ln_b
+                                       for j in range(i - 64, i)])
+            # n(j) >= 1, and n(j) <= 1 + g + j/k
+            if ln_b <= 0.0:
+                ln_rest = ln_b + _ln_series(model, i, 1.0, 0.0)
+            else:
+                ln_rest = ((1 + g + i / k) * ln_b
+                           + _ln_series(model, i, 1.0, ln_b / k))
+            if ln_rest < math.log(_SUM_REL) + max(acc, 0.0):
+                return acc
+        raise DivergenceError("power sum did not settle")
 
 
 def _profile(model: SourceModel, code: CodeLike):
@@ -343,16 +339,16 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
     if model.size == 1:
         raise DivergenceError("a one-symbol source needs zero bits per "
                               "symbol, so its decay rate is unbounded")
-    # sum p**alpha <= n**(1 - alpha) bounds the left side below by
+    entropy, mean_gap = shannon_entropy(model), arrivals.mean_gap()
+    if entropy >= mean_gap:
+        return 0.0
+    # sum p**alpha <= n**(1 - alpha) bounds the left side above by
     # s * (log2 n - gap) under a deterministic gap: it never passes zero
     if (isinstance(arrivals, Deterministic) and model.size is not None
             and arrivals.gap >= math.log2(model.size)):
         raise DivergenceError(
             f"a deterministic gap of {arrivals.gap} bit times is at least "
             f"log2 of the {model.size} symbols, so the bound never closes")
-    entropy, mean_gap = shannon_entropy(model), arrivals.mean_gap()
-    if entropy >= mean_gap:
-        return 0.0
 
     def ln_left(s: float) -> float:
         alpha = 1.0 / (1.0 + s / LN2)

@@ -260,9 +260,11 @@ def test_poisson_entropy_past_mass_underflow():
     direct = -math.fsum(p * math.log2(p) for p in
                         (poisson_pmf(m, i) for i in range(3000)) if p > 0.0)
     assert shannon_entropy(Poisson(m)) == pytest.approx(direct, rel=1e-12)
-    # a mean whose masses do not underflow, held to a 40-digit sum
+    # a mean whose masses do not underflow, held to a 40-digit sum, and
+    # pinned to the float of the present summation order
     assert shannon_entropy(Poisson(20.0)) == pytest.approx(
         poisson_entropy_decimal(20), rel=1e-14)
+    assert shannon_entropy(Poisson(20.0)) == 4.201887394001207
 
 
 def test_poisson_entropies_cost_follows_the_spread():

@@ -295,6 +295,16 @@ def test_never_crossing_raises():
         max_decay_rate(m, code, Deterministic(2.0))
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_uniform_source_at_a_gap_of_its_entropy_sits_at_the_boundary(k):
+    # entropy == gap == log2 n: the bound is zero, not refused as one that
+    # never closes, and the rate is zero at the boundary
+    m, arr = ExplicitFinite((2.0 ** -k,) * 2 ** k), Deterministic(float(k))
+    assert decay_rate_bound(m, arr) == 0.0
+    res = optimize_overflow(m, arr)
+    assert res.decay_rate == 0.0 and res.at_boundary
+
+
 def test_long_word_rate_is_finite():
     # at the doubling's first tilt base**2000 overflows the power sum while
     # e**s does not: f is past the float range there, not below one

@@ -208,11 +208,13 @@ def _bound_left(model, arrivals):
 
 
 def _never_closes(model, arrivals) -> bool:
-    """Whether the bound is refused up front: a finite source under a
-    deterministic gap of at least log2 of its size, where sum p**alpha <=
-    n**(1 - alpha) keeps the left side at or below zero at every s."""
+    """Whether the bound is refused before any evaluation: a finite source
+    whose entropy is below a deterministic gap of at least log2 of its size,
+    where sum p**alpha <= n**(1 - alpha) keeps the left side at or below
+    zero at every s."""
     return (isinstance(arrivals, Deterministic) and model.size is not None
-            and arrivals.gap >= math.log2(model.size))
+            and arrivals.gap >= math.log2(model.size)
+            and shannon_entropy(model) < arrivals.gap)
 
 
 def _reference_bound(model, arrivals):
