@@ -83,10 +83,31 @@ def avg_redundancy_asymptotic(x: float) -> float:
 
 # ------------------------------------------------------------------ sweeps
 
+_MAX_POINTS = 10 ** 6
+
+
+def _grid_size(name: str, start: float, stop: float, step: float) -> int:
+    """How many points start, start + step, ... reach stop, the endpoint
+    included up to snap tolerance; a grid that is not finite, that runs
+    backwards or that lists more than _MAX_POINTS is refused by name."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"the {name} grid must be finite")
+    if step <= 0.0:
+        raise ValueError(f"the {name} step must be positive, got {step!r}")
+    if stop < start:
+        raise ValueError(f"the {name} grid stops at {stop!r}, below its "
+                         f"start {start!r}")
+    steps = (stop - start) / step + 1e-9
+    if steps >= _MAX_POINTS:
+        raise ValueError(f"the {name} grid lists more than {_MAX_POINTS} "
+                         "points")
+    return int(steps) + 1
+
+
 def _arange(start: float, stop: float, step: float) -> list[float]:
-    # inclusive endpoint up to snap tolerance; avoids drift of repeated adds
-    n = int(math.floor((stop - start) / step + 1e-9))
-    return [start + i * step for i in range(n + 1)]
+    # computed from the index, which avoids the drift of repeated adds
+    n = _grid_size("sweep", start, stop, step)
+    return [start + i * step for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -112,18 +133,18 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.figure not in (2, 3, 4, 5):
             raise ValueError("figure must be 2, 3, 4 or 5")
+        _grid_size("ratio", *self._ratio_grid())
+        _grid_size("base", self.base_start, self.base_stop, self.base_step)
 
-    def ratios(self) -> list[float]:
+    def _ratio_grid(self) -> tuple[float, float, float]:
         defaults = {2: (0.05, 0.95, 0.01), 3: (0.05, 0.95, 0.01),
                     5: (0.5, 0.99, 0.005)}
-        start, stop, step = defaults.get(self.figure, (0.0, 0.0, 1.0))
-        if self.ratio_start is not None:
-            start = self.ratio_start
-        if self.ratio_stop is not None:
-            stop = self.ratio_stop
-        if self.ratio_step is not None:
-            step = self.ratio_step
-        return _arange(start, stop, step)
+        grid = defaults.get(self.figure, (0.0, 0.0, 1.0))
+        given = (self.ratio_start, self.ratio_stop, self.ratio_step)
+        return tuple(d if g is None else g for d, g in zip(grid, given))
+
+    def ratios(self) -> list[float]:
+        return _arange(*self._ratio_grid())
 
 
 def _fmt(x: float) -> str:

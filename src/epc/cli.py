@@ -139,13 +139,17 @@ def _cmd_decode(args) -> int:
 # ----------------------------------------------------------------- overflow
 
 def _read_table(path: str) -> TableTransform:
+    """Rows of two numbers, s and the transform at s, split by commas or
+    spaces; blank lines are skipped."""
     rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+        for number, line in enumerate(fh, 1):
             parts = line.replace(",", " ").split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise ValueError(f"{path} line {number}: need two numbers, "
+                                 f"s and the transform, got {len(parts)}")
             rows.append((float(parts[0]), float(parts[1])))
     return TableTransform(tuple(rows))
 
@@ -162,6 +166,8 @@ def _arrivals_from(args):
 
 def _cmd_overflow(args) -> int:
     result = optimize_overflow(_model_from(args), _arrivals_from(args))
+    if args.buffer_size is not None:    # refused before anything is printed
+        estimate = result.overflow_estimate(args.buffer_size)
     if args.trace:
         for i, (rate, code) in enumerate(result.trace, 1):
             print("iter %d: decay rate %.12g  %s" % (i, rate, code))
@@ -171,7 +177,7 @@ def _cmd_overflow(args) -> int:
         print("at stability boundary")
     if args.buffer_size is not None:
         print("overflow estimate at %g bits: %.6g"
-              % (args.buffer_size, result.overflow_estimate(args.buffer_size)))
+              % (args.buffer_size, estimate))
     return 0
 
 

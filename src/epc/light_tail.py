@@ -101,12 +101,6 @@ def find_split_exponential(model: SourceModel, base: float) -> int:
     # which always holds at base <= 1/2
     if base * (rho + rho * rho) > 1.0 + _REL_TOL:
         raise NotLightTailedError("tail ratio too large for this base")
-    # with a nonincreasing head they hold from symbol 0 at base <= 1/2, and
-    # always when the geometric tail starts at symbol 0
-    if (base <= 0.5 or model.tail_start == 0) and all(
-            model.mass(i) >= model.mass(i + 1)
-            for i in range(model.tail_start)):
-        return 0
     probe_end = model.tail_start + 1
     p = model.masses(probe_end + 2)
     # tw[j] is tail_weight(model, j, base), by T(j) = base*(p(j+1) + T(j+1))

@@ -569,14 +569,19 @@ class _Profile:
             self.groups.append((n, top, ps, m))
             self.sums.append((mass, ln_sum, n))
 
-    def ln_power_sum(self, ln_b: float) -> float:
-        """ln sum p(i) * base**n(i), ln_b = ln base: one log-sum-exp over
-        the lengths, the unary tail from n(t0) = start_length on."""
-        xs = [x + n * ln_b for _, x, n in self.sums]
+    def ln_power_sum(self, ln_b: float, alpha: float = 1.0) -> float:
+        """ln sum p(i)**alpha * base**n(i), ln_b = ln base: one log-sum-exp
+        over the lengths, the unary tail from n(t0) = start_length on."""
+        if alpha == 1.0:
+            xs = [x + n * ln_b for _, x, n in self.sums]
+        else:
+            xs = [alpha * top + n * ln_b
+                  + math.log(math.fsum([(p / m) ** alpha for p in ps]))
+                  for n, top, ps, m in self.groups]
         if self.model.size is None:
             tail = self.tail
             xs.append(tail.start_length * ln_b + _ln_series(
-                self.model, tail.start_index, 1.0, ln_b))
+                self.model, tail.start_index, alpha, ln_b))
         return _ln_sum_exp(xs)
 
     def expected_length(self) -> float:
@@ -599,18 +604,6 @@ def power_sum(model: SourceModel, lengths: LengthSeq, base: float) -> float:
 def expected_length(model: SourceModel, lengths: LengthSeq) -> float:
     """sum p(i) * n(i)."""
     return _Profile(model, lengths).expected_length()
-
-
-def _dth_sum_log(model: SourceModel, lengths: LengthSeq, order: float) -> float:
-    """ln of sum p**(1+order) * 2**(order*n), computed in log space."""
-    a, tail = 1.0 + order, lengths.tail
-    terms = [a * top + order * n * LN2
-             + math.log(math.fsum([(p / m) ** a for p in ps]))
-             for n, top, ps, m in _Profile(model, lengths).groups]
-    if model.size is None:
-        terms.append(order * tail.start_length * LN2 + _ln_series(
-            model, tail.start_index, a, order * LN2))
-    return _ln_sum_exp(terms)
 
 
 def _max_redundancy(model: SourceModel, lengths: LengthSeq) -> float:
@@ -636,7 +629,9 @@ def evaluate_penalty(model: SourceModel, lengths: LengthSeq,
         ln_b = math.log(penalty.base)
         return _Profile(model, lengths).ln_power_sum(ln_b) / ln_b
     if isinstance(penalty, DthRedundancy):
-        return _dth_sum_log(model, lengths, penalty.order) / (penalty.order * LN2)
+        ln_b = penalty.order * LN2    # p**(1+order) at base 2**order
+        alpha = 1.0 + penalty.order
+        return _Profile(model, lengths).ln_power_sum(ln_b, alpha) / ln_b
     if isinstance(penalty, MaxRedundancy):
         return _max_redundancy(model, lengths)
     raise TypeError(f"not a penalty: {penalty!r}")

@@ -24,8 +24,7 @@ from .errors import DivergenceError, EpcError, StabilityError
 from .golomb import GolombCode, golomb_exp_penalty
 from .light_tail import optimal_code
 from .models import (Exponential, Geometric, LengthSeq, SourceModel, _exp,
-                     _ln_series, _ln_sum_exp, _Profile, shannon_entropy,
-                     total_mass)
+                     _ln_series, _Profile, shannon_entropy, total_mass)
 from .numeric import LN2
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
 
 _S_TOL = 1e-10
 _PROBE = _S_TOL * (1.0 - 2.0 ** -10)   # the closing probe's offset
-_SUM_REL = 1e-12
 
 
 # ------------------------------------------------------------- intermissions
@@ -168,44 +166,32 @@ class OverflowResult:
     iterations: int
 
     def overflow_estimate(self, buffer_bits: float) -> float:
+        """e**(-decay_rate * buffer_bits), the exponential decay of the
+        chance that the backlog exceeds a buffer of that many bits."""
+        if not 0.0 <= buffer_bits < math.inf:
+            raise ValueError("buffer size must be finite and nonnegative, "
+                             f"got {buffer_bits!r}")
         return math.exp(-self.decay_rate * buffer_bits)
 
 
 # ------------------------------------------------------------ the functional
 
 class _GolombProfile:
-    """A Golomb code's sums over a source, read as a _Profile's are."""
+    """A Golomb code's sums over a geometric source, read as a _Profile's
+    are: both in closed form."""
 
     def __init__(self, model: SourceModel, code: GolombCode) -> None:
-        self.model, self.code = model, code
+        if not isinstance(model, Geometric):
+            raise ValueError("Golomb sums need a geometric source")
+        self.ratio, self.k = model.ratio, code.k
 
     def expected_length(self) -> float:
-        if isinstance(self.model, Geometric):
-            return golomb_exp_penalty(self.model.ratio, 1.0, self.code.k)
-        raise ValueError("Golomb mean length needs a geometric source")
+        return golomb_exp_penalty(self.ratio, 1.0, self.k)
 
     def ln_power_sum(self, ln_b: float) -> float:
-        """ln sum p(i) base**n(i), ln_b = ln base: in closed form on a
-        geometric source, else summed 64 symbols at a time until the rest
-        is certifiably below _SUM_REL of the sum."""
-        model, code = self.model, self.code
-        if isinstance(model, Geometric):
-            return golomb_exp_penalty(model.ratio, _exp(ln_b, "the base"),
-                                      code.k) * ln_b
-        k, g = code.k, code.suffix_bits
-        acc = -math.inf
-        for i in range(64, 10 ** 6 + 1, 64):    # i symbols summed so far
-            acc = _ln_sum_exp([acc] + [model.ln_mass(j) + code.length(j) * ln_b
-                                       for j in range(i - 64, i)])
-            # n(j) >= 1, and n(j) <= 1 + g + j/k
-            if ln_b <= 0.0:
-                ln_rest = ln_b + _ln_series(model, i, 1.0, 0.0)
-            else:
-                ln_rest = ((1 + g + i / k) * ln_b
-                           + _ln_series(model, i, 1.0, ln_b / k))
-            if ln_rest < math.log(_SUM_REL) + max(acc, 0.0):
-                return acc
-        raise DivergenceError("power sum did not settle")
+        """ln sum p(i) base**n(i), ln_b = ln base."""
+        return golomb_exp_penalty(self.ratio, _exp(ln_b, "the base"),
+                                  self.k) * ln_b
 
 
 def _profile(model: SourceModel, code: CodeLike):

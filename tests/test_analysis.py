@@ -6,6 +6,7 @@ from epc import (Geometric, LengthSeq, SweepSpec, UnaryTail,
                  avg_redundancy, avg_redundancy_asymptotic, golomb_exp_penalty,
                  golomb_mmr, mmr_asymptotic, mmr_optimal_redundancy,
                  optimal_k_exponential, optimal_k_mmr, renyi_entropy, sweep)
+from epc.analysis import _grid_size
 
 LOG2LOG2E = math.log2(math.log2(math.e))
 # extremes of mmr_asymptotic: the ratio -> 1 limits of the oscillation
@@ -146,6 +147,27 @@ def test_sweep_deterministic():
     assert sweep(spec) == sweep(spec)
     with pytest.raises(ValueError):
         SweepSpec(figure=7)
+
+
+def test_sweep_grids_are_checked_when_built():
+    # a step that is not positive and finite, a stop below its start, and
+    # a grid of more than 10^6 points are refused before any point is made
+    bad = [dict(ratio_step=0.0), dict(ratio_step=-0.01),
+           dict(ratio_step=math.nan), dict(ratio_step=math.inf),
+           dict(ratio_start=0.9, ratio_stop=0.1),
+           dict(ratio_stop=math.inf), dict(base_step=0.0),
+           dict(base_start=4.0, base_stop=0.5)]
+    for kwargs in bad:
+        with pytest.raises(ValueError, match="grid|step"):
+            SweepSpec(figure=2, **kwargs)
+    # about 2 * 10^6 points: a list of them would take megabytes
+    with pytest.raises(ValueError, match="more than 1000000 points"):
+        SweepSpec(figure=2, ratio_step=4.5e-7)
+    with pytest.raises(ValueError, match="more than 1000000 points"):
+        SweepSpec(figure=4, base_step=1e-300)
+    # a one-point grid, and a grid at the cap, stand
+    assert SweepSpec(figure=3, ratio_start=0.5, ratio_stop=0.5).ratios() == [0.5]
+    assert _grid_size("ratio", 0.0, 1.0, 1e-6 + 1e-18) == 10 ** 6
 
 
 def test_asymptotes_name_a_nonfinite_axis_value():

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from epc import GolombCode, encode, golomb_exp_penalty, optimal_k_dth
+from epc import (GammaArrivals, Geometric, GolombCode, Poisson, SweepSpec,
+                 TableTransform, encode, golomb_exp_penalty, optimal_k_dth,
+                 optimize_overflow, sweep)
 from epc.cli import run
 
 
@@ -264,3 +266,83 @@ def test_overflow_one_symbol_is_refused(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "error: a one-symbol source needs zero bits per symbol, so its "
             "decay rate is unbounded\n")
+
+
+def _solve_lines(result):
+    """The lines `epc overflow` prints for an optimize_overflow result."""
+    lines = [str(result.code), "decay rate %.12g" % result.decay_rate]
+    return lines + ["at stability boundary"] * result.at_boundary
+
+
+def test_overflow_gamma_arrivals_match_the_library(capsys):
+    assert run(["overflow", "--poisson", "2", "--gamma", "4", "1"]) == 0
+    want = optimize_overflow(Poisson(2.0), GammaArrivals(4.0, 1.0))
+    assert capsys.readouterr().out.splitlines() == _solve_lines(want)
+
+
+def test_overflow_table_rows_match_the_library(tmp_path, capsys):
+    # rows split by a comma or by spaces, around a blank line, read as the
+    # samples of one TableTransform
+    law = GammaArrivals(2.0, 0.5)
+    rows = [(0.0, 1.0)] + [(s, law.transform(s))
+                           for s in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2)]
+    text = "".join(f"{s!r},{v!r}\n" if i % 2 else f"  {s!r}   {v!r}\n\n"
+                   for i, (s, v) in enumerate(rows))
+    table = tmp_path / "t.txt"
+    table.write_text(text)
+    assert run(["overflow", "--geometric", "0.5", "--table", str(table)]) == 0
+    want = optimize_overflow(Geometric(0.5), TableTransform(tuple(rows)))
+    assert capsys.readouterr().out.splitlines() == _solve_lines(want)
+
+
+def _one_error(capsys, argv, *words):
+    """argv ends in exit status 1, nothing on stdout, and one `error:` line
+    on stderr holding every word."""
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1, captured
+    assert err[0].startswith("error: ") and all(w in err[0] for w in words)
+
+
+def test_table_rows_need_two_numbers(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    for bad, line in (("0 1\n\n0.5\n", 3), ("0,1\n1 0.5 7\n", 2)):
+        table.write_text(bad)
+        _one_error(capsys, ["overflow", "--geometric", "0.5",
+                            "--table", str(table)], f"line {line}")
+
+
+def test_buffer_size_must_be_finite_and_nonnegative(capsys):
+    for bad in ("-1e300", "nan", "inf", "-1"):
+        _one_error(capsys, ["overflow", "--geometric", "0.5",
+                            "--deterministic", "3", f"--buffer-size={bad}"],
+                   "buffer size")
+
+
+def test_sweep_grid_options_match_the_library(capsys):
+    cases = [
+        (["--figure", "2", "--bases", "0.75,1.5", "--ratio-start", "0.1",
+          "--ratio-stop", "0.5", "--ratio-step", "0.05"],
+         dict(figure=2, bases=(0.75, 1.5), ratio_start=0.1, ratio_stop=0.5,
+              ratio_step=0.05), 1 + 2 * 9),
+        (["--figure", "4", "--base-start", "1", "--base-stop", "2",
+          "--base-step", "0.25"],
+         dict(figure=4, base_start=1.0, base_stop=2.0, base_step=0.25), 1 + 5),
+        (["--figure", "5", "--orders", "1,3", "--ratio-start", "0.6",
+          "--ratio-stop", "0.7", "--ratio-step", "0.02"],
+         dict(figure=5, orders=(1, 3), ratio_start=0.6, ratio_stop=0.7,
+              ratio_step=0.02), 1 + 3 * 6),
+    ]
+    for argv, spec, rows in cases:
+        assert run(["sweep", *argv]) == 0
+        out = capsys.readouterr().out
+        assert out == sweep(SweepSpec(**spec))
+        assert len(out.splitlines()) == rows
+
+
+def test_sweep_refuses_a_bad_grid(capsys):
+    for grid in (["--ratio-step", "0"], ["--ratio-step", "-0.01"],
+                 ["--ratio-start", "0.9", "--ratio-stop", "0.1"],
+                 ["--ratio-step", "4.5e-7"]):
+        _one_error(capsys, ["sweep", "--figure", "2", *grid], "ratio")

@@ -114,15 +114,18 @@ def _split_per_j(model, base):
 
 
 def _random_tailed(rng, max_head):
-    """A lognormal head of 2..max_head entries, a tail ratio and a base the
-    tail allows, above the base-1/2 shortcut."""
+    """A lognormal head of 1..max_head entries (one entry a tenth of the
+    time), a tail ratio and a base the tail allows, at or below 1/2 a
+    quarter of the time."""
     rho = rng.uniform(0.05, 0.6)
-    head = [math.exp(rng.gauss(0.0, 1.0))
-            for _ in range(rng.randint(2, max_head))]
+    size = 1 if rng.random() < 0.1 else rng.randint(2, max_head)
+    head = [math.exp(rng.gauss(0.0, 1.0)) for _ in range(size)]
     if rng.random() < 0.2:
         head.sort(reverse=True)
     total = math.fsum(head) + head[-1] * rho / (1.0 - rho)
-    base = rng.uniform(0.6, min(2.0, 1.0 / (rho + rho * rho)))
+    top = min(2.0, 1.0 / (rho + rho * rho))
+    base = (rng.uniform(0.05, 0.5) if rng.random() < 0.25
+            else rng.uniform(0.5, top))
     return with_geometric_tail([w / total for w in head], rho), base
 
 

@@ -191,6 +191,22 @@ def test_optimize_geometric_deterministic():
     assert not res.at_boundary
     assert res.iterations == len(res.trace) >= 1
     assert res.overflow_estimate(10.0) == pytest.approx(math.exp(-10 * res.decay_rate))
+    assert res.overflow_estimate(0.0) == 1.0
+    for bad in (-1.0, -1e300, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="buffer size"):
+            res.overflow_estimate(bad)
+
+
+def test_golomb_code_needs_a_geometric_source():
+    # a Golomb code is scored in closed form, on a geometric source only;
+    # the functional and the decay rate refuse any other alike
+    m, code, arr = Poisson(5.0), GolombCode(3), ExponentialArrivals(0.2)
+    with pytest.raises(ValueError) as functional:
+        overflow_functional(m, code, arr, 0.5)
+    with pytest.raises(ValueError) as rate:
+        max_decay_rate(m, code, arr)
+    assert str(functional.value) == str(rate.value)
+    assert "geometric source" in str(rate.value)
 
 
 def test_optimize_tight_arrivals_unary():

@@ -349,10 +349,23 @@ def test_poisson_code_uses_the_direct_tail_weight():
 def coded_sources(draw):
     """(source, code): finite sources of up to 4 096 symbols whose weights
     take a few distinct values, merged under a drawn penalty, so that many
-    symbols share a length; and the unary-ended codes of Poisson and
-    geometric-tailed sources."""
-    kind = draw(st.sampled_from(["finite", "poisson", "tailed"]))
+    symbols share a length; finite sources of up to 200 symbols under
+    lengths whose unary tail starts inside the alphabet; and the
+    unary-ended codes of Poisson and geometric-tailed sources."""
+    kind = draw(st.sampled_from(["finite", "finite-unary", "poisson",
+                                 "tailed"]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if kind == "finite-unary":
+        # the head merged with the rest of the mass as one more weight,
+        # whose word becomes the spine of the tail
+        n = draw(st.integers(2, 200))
+        weights = [math.exp(rng.gauss(0.0, 1.0)) for _ in range(n)]
+        total = math.fsum(weights)
+        src = _finite(tuple(w / total for w in weights))
+        h = draw(st.integers(1, n - 1))
+        probs = src.model.probs
+        lengths = merge(probs[:h] + (math.fsum(probs[h:]),), Linear()).lengths
+        return src, LengthSeq(lengths[:-1], UnaryTail(h, lengths[-1] + 1))
     if kind == "finite":
         levels = [math.exp(2.0 * rng.gauss(0.0, 1.0))
                   for _ in range(draw(st.integers(1, 8)))]
