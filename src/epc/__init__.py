@@ -15,7 +15,7 @@ from .models import (Exponential, DthRedundancy, MaxRedundancy, Linear,
                      expected_length, evaluate_penalty,
                      shannon_entropy, renyi_entropy)
 from .huffman import (CodeTree, exp_huffman, exp_huffman_two_queue,
-                      TwoQueueTrace, maxred_huffman, dth_huffman)
+                      maxred_huffman, dth_huffman)
 from .golomb import (GolombCode, golomb_codeword, golomb_length,
                      complete_binary, optimal_k_exponential, optimal_k_mmr,
                      optimal_k_dth, golomb_exp_penalty, golomb_dth_penalty,
@@ -43,7 +43,7 @@ __all__ = [
     "point_mass", "tail_weight", "total_mass", "power_sum",
     "expected_length", "evaluate_penalty", "shannon_entropy",
     "renyi_entropy",
-    "CodeTree", "exp_huffman", "exp_huffman_two_queue", "TwoQueueTrace",
+    "CodeTree", "exp_huffman", "exp_huffman_two_queue",
     "maxred_huffman", "dth_huffman",
     "GolombCode", "golomb_codeword", "golomb_length", "complete_binary",
     "optimal_k_exponential", "optimal_k_mmr", "optimal_k_dth",

@@ -30,13 +30,13 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 from .models import DthRedundancy, MaxRedundancy, Penalty
 from .numeric import LN2, check_positive, logaddexp
 
 __all__ = [
-    "CodeTree", "TwoQueueTrace", "merge",
+    "CodeTree", "merge",
     "exp_huffman", "exp_huffman_two_queue", "maxred_huffman", "dth_huffman",
 ]
 
@@ -94,17 +94,14 @@ def _codewords(first, second) -> list[str]:
     return code
 
 
-def _depths(first, second) -> list[int]:
-    """Every node's depth, by node id, in the reverse walk of _codewords."""
+def _lengths(merges) -> tuple[int, ...]:
+    """The items' depths, by the reverse walk of _codewords."""
+    first, second = merges
     n = len(first) + 1
     depth = [0] * (2 * n - 1)
     for j in range(n - 2, -1, -1):
         depth[first[j]] = depth[second[j]] = depth[n + j] + 1
-    return depth
-
-
-def _lengths(merges) -> tuple[int, ...]:
-    return tuple(_depths(*merges)[:len(merges[0]) + 1])
+    return tuple(depth[:n])
 
 
 def _run(weights: list[float], combine: Callable[[float, float], float]):
@@ -161,7 +158,7 @@ def _run(weights: list[float], combine: Callable[[float, float], float]):
 
 
 def _exp_tree(weights: list[float], base: float, root: float,
-              merges, ln_root: float) -> CodeTree:
+              merges, logged: bool) -> CodeTree:
     lengths = _lengths(merges)
     if base == 1.0:
         try:
@@ -171,7 +168,7 @@ def _exp_tree(weights: list[float], base: float, root: float,
         if cost == math.inf:
             raise ValueError("the expected length overflows a float")
     else:
-        cost = ln_root / math.log(base)
+        cost = (root if logged else math.log(root)) / math.log(base)
     return CodeTree(lengths, root, cost, merges)
 
 
@@ -193,79 +190,22 @@ def exp_huffman(weights, base: float) -> CodeTree:
     root, merges, logged = _plain_or_logs(
         weights, lambda a, b: base * (a + b),
         lambda a, b: ln_base + logaddexp(a, b))
-    return _exp_tree(weights, base, root, merges,
-                     root if logged else math.log(root))
+    return _exp_tree(weights, base, root, merges, logged)
 
 
-@dataclass
-class TwoQueueTrace:
-    """Observation hooks for the sorted-input construction."""
-
-    order_violations: int = 0
-    max_compound_queue: int = 0
-    drained: Optional[tuple[int, ...]] = None   # node seqs queued when q1 empties
-    depths: dict = field(default_factory=dict)  # node seq -> final depth
-
-
-def exp_huffman_two_queue(weights, base: float,
-                          trace: Optional[TwoQueueTrace] = None) -> CodeTree:
-    """Same penalty as exp_huffman on plain weights, built with two FIFO
-    queues, no sort and no bisection.
-
-    Requires weights sorted nondecreasing and a positive normal root weight
-    (exp_huffman merges logs otherwise). Queue one holds the items
-    smallest-first; queue two receives merged nodes in creation order and,
-    by the combining rule here, never needs reordering. Nodes compare as in
-    exp_huffman, so merged nodes are preferred at equal weight. A merge's
-    seq in the trace is its creation number.
-    """
+def exp_huffman_two_queue(weights, base: float) -> CodeTree:
+    """exp_huffman on weights sorted nondecreasing with a positive normal
+    plain root: the sorted-input entry to `_run`. Kept only for the design
+    benchmark's `two_queue` jobs, which call it by name."""
     check_positive("base", base)
     weights = _check_weights(weights)
     if any(a > b for a, b in zip(weights, weights[1:])):
         raise ValueError("weights must be sorted nondecreasing")
-    n = len(weights)
-    q1 = weights + [math.inf]
-    q2 = [math.inf] * n   # merge j in slot j; the slots past it read inf
-    first = [0] * (n - 1)
-    second = [0] * (n - 1)
-    head1 = head2 = 0
-    drained_at = None
-    root = weights[0]
-    for j in range(n - 1):
-        if q2[head2] <= q1[head1]:
-            a = q2[head2]
-            first[j] = n + head2
-            head2 += 1
-        else:
-            a = q1[head1]
-            first[j] = head1
-            head1 += 1
-        if q2[head2] <= q1[head1]:
-            b = q2[head2]
-            second[j] = n + head2
-            head2 += 1
-        else:
-            b = q1[head1]
-            second[j] = head1
-            head1 += 1
-        root = q2[j] = base * (a + b)
-        if trace is not None:
-            # order is a property of the live queue, not of past appends
-            live = j + 1 - head2
-            if live > 1 and root < q2[j - 1]:
-                trace.order_violations += 1
-            trace.max_compound_queue = max(trace.max_compound_queue, live)
-            if head1 >= n and drained_at is None:
-                drained_at = tuple(range(head2, j + 1))
+    root, merges = _run(weights, lambda a, b: base * (a + b))
     if not _normal(root):
         raise ValueError(f"root weight {root!r} must be finite and normal; "
                          "exp_huffman merges such inputs in logs")
-    if trace is not None:
-        trace.drained = drained_at if drained_at is not None else ()
-        depth = _depths(first, second)      # by node id
-        trace.depths.update((j, depth[n + j]) for j in range(n - 1))
-    return _exp_tree(weights, base, root, (tuple(first), tuple(second)),
-                     math.log(root))
+    return _exp_tree(weights, base, root, merges, False)
 
 
 def maxred_huffman(weights) -> CodeTree:

@@ -517,6 +517,8 @@ def point_mass(model: SourceModel, i: int) -> float:
         raise ValueError("symbols are nonnegative")
     if model.size is not None and i >= model.size:
         raise IndexError(f"symbol {i} outside the {model.size}-ary alphabet")
+    if i > sys.float_info.max:  # an infinite source's mass there rounds to 0
+        return 0.0
     return model.mass(i)
 
 
@@ -590,7 +592,12 @@ class _Profile:
         if self.model.size is None:
             tail = self.tail
             s, si = _mass_moment(self.model, tail.start_index, False)
-            acc += s * tail.start_length + si
+            n0 = tail.start_length
+            if n0 > sys.float_info.max:     # s * n0 in logs
+                acc += si + (s and _exp(math.log(s) + math.log(n0),
+                                        "the expected length"))
+            else:
+                acc += s * n0 + si
         return acc
 
 
@@ -649,6 +656,7 @@ def renyi_entropy(model: SourceModel, base: float) -> float:
 
     This is the entropy floor for the exponential penalty with this base.
     """
+    check_positive("base", base)
     if base <= 0.5:
         raise ValueError("entropy order degenerates at base <= 0.5")
     if base == 1.0:

@@ -25,7 +25,7 @@ from .golomb import GolombCode, golomb_exp_penalty
 from .light_tail import optimal_code
 from .models import (Exponential, Geometric, LengthSeq, SourceModel, _exp,
                      _ln_series, _Profile, shannon_entropy, total_mass)
-from .numeric import LN2
+from .numeric import LN2, check_positive
 
 __all__ = [
     "Deterministic", "ExponentialArrivals", "GammaArrivals", "TableTransform",
@@ -55,6 +55,8 @@ class Deterministic(_Arrivals):
     gap: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.gap):     # a NaN would pass the test below
+            raise ValueError(f"gap must be finite, got {self.gap!r}")
         if self.gap < 1.0:
             raise StabilityError(
                 "deterministic intermission must be at least one bit time")
@@ -73,8 +75,7 @@ class ExponentialArrivals(_Arrivals):
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0.0:
-            raise ValueError("rate must be positive")
+        check_positive("rate", self.rate)
 
     def ln_transform(self, s: float) -> float:
         return -math.log1p(s / self.rate)
@@ -89,8 +90,8 @@ class GammaArrivals(_Arrivals):
     rate: float
 
     def __post_init__(self) -> None:
-        if self.shape <= 0.0 or self.rate <= 0.0:
-            raise ValueError("shape and rate must be positive")
+        check_positive("shape", self.shape)
+        check_positive("rate", self.rate)
 
     def ln_transform(self, s: float) -> float:
         return -self.shape * math.log1p(s / self.rate)
@@ -206,12 +207,12 @@ def _profile(model: SourceModel, code: CodeLike):
 def overflow_functional(model: SourceModel, code: CodeLike,
                         arrivals: ArrivalModel, s: float) -> float:
     """f(s) above, from ln f; exactly the source mass at s = 0."""
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
+    if not 0.0 <= s < math.inf:     # NaN too
+        raise ValueError(f"s must be finite and nonnegative, got {s!r}")
+    profile = _profile(model, code)     # refuses a code the source cannot take
     if s == 0.0:
         return total_mass(model)
-    return _exp(arrivals.ln_transform(s)
-                + _profile(model, code).ln_power_sum(s), "f(s)")
+    return _exp(arrivals.ln_transform(s) + profile.ln_power_sum(s), "f(s)")
 
 
 # ------------------------------------------------------------- s* search

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from epc import (Deterministic, DivergenceError, ExponentialArrivals,
-                 Geometric, GolombCode, Poisson, SweepSpec, TwoQueueTrace,
+                 Geometric, GolombCode, Poisson, SweepSpec,
                  build_unary_ended, decode, encode, exp_huffman,
                  exp_huffman_two_queue, golomb_exp_penalty, golomb_mmr,
                  max_decay_rate, maxred_huffman, mmr_asymptotic,
@@ -26,8 +26,8 @@ from epc import (Deterministic, DivergenceError, ExponentialArrivals,
                  optimal_k_exponential, optimal_k_mmr, optimize_overflow,
                  sweep, tail_weight)
 from oracles import (best_tree_objective, exp_objective,
-                     golomb_power_sum_direct, infer_period, maxred_objective,
-                     reduced_weight_set)
+                     golomb_power_sum_direct, heap_merge, infer_period,
+                     maxred_objective, reduced_weight_set)
 
 
 def _report(n: int, detail: str) -> None:
@@ -133,7 +133,7 @@ def test_criterion_04_engine_exhaustive():
     _report(4, f"{draws} weight draws x 6 bases + minimax, all exhaustive-optimal")
 
 
-def test_criterion_05_two_queue_equivalence():
+def test_criterion_05_two_queue_equivalence(bisections):
     rng = random.Random(202)
     bases = (0.4, 0.7, 1.0, 1.3, 2.0)
     for trial in range(500):
@@ -142,12 +142,13 @@ def test_criterion_05_two_queue_equivalence():
         weights = sorted(round(rng.uniform(0.06, 1.0), digits)
                          for _ in range(n))
         base = bases[trial % len(bases)]
-        trace = TwoQueueTrace()
-        tq = exp_huffman_two_queue(weights, base, trace=trace)
-        heap = exp_huffman(weights, base)
-        assert tq.objective == pytest.approx(heap.objective,
-                                             rel=1e-12, abs=1e-12)
-        assert trace.order_violations == 0
+        tq = exp_huffman_two_queue(weights, base)
+        _, words = heap_merge(weights, lambda a, b: base * (a + b))
+        heap = exp_objective(weights, tuple(map(len, words)), base)
+        assert tq.objective == pytest.approx(heap, rel=1e-12, abs=1e-12)
+        assert tq.codewords == words
+        # every merge queued at the tail: the merge queue stays ordered
+        assert not bisections
     _report(5, "500 sorted inputs: penalties match heap, queues stay ordered")
 
 

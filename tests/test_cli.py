@@ -320,6 +320,13 @@ def test_buffer_size_must_be_finite_and_nonnegative(capsys):
                    "buffer size")
 
 
+def test_non_finite_intermission_is_refused(capsys):
+    for source, law in ((["--geometric", "0.5"], ["--exponential", "nan"]),
+                        (["--geometric", "0.5"], ["--deterministic", "nan"]),
+                        (["--poisson", "3"], ["--gamma", "nan", "1"])):
+        _one_error(capsys, ["overflow", *source, *law], "must be finite")
+
+
 def test_sweep_grid_options_match_the_library(capsys):
     cases = [
         (["--figure", "2", "--bases", "0.75,1.5", "--ratio-start", "0.1",

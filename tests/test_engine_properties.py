@@ -1,7 +1,7 @@
 """Seeded property-based tests of the merge engine and the code-choice
-dispatch: every builder builds the heap engine's code, the two-queue twin
-builds exp_huffman's, and optimal_code returns what each family's own
-builder returns. Needs hypothesis (the `test` extra)."""
+dispatch: every builder, the sorted-input entry too, builds the heap
+engine's code, and optimal_code returns what each family's own builder
+returns. Needs hypothesis (the `test` extra)."""
 import math
 import sys
 
@@ -34,10 +34,9 @@ _BASES = st.one_of(st.sampled_from([0.4, 0.5, 1.0, 2.0]), st.floats(0.4, 2.0))
 @given(weights=_WEIGHTS, base=_BASES)
 def test_heap_and_two_queue_build_the_same_code(weights, base):
     weights = sorted(weights)
-    heap = exp_huffman(weights, base)
     queues = exp_huffman_two_queue(weights, base)
-    assert queues.codewords == heap.codewords
-    assert queues.root_weight == heap.root_weight
+    assert (queues.root_weight, queues.codewords) == heap_merge(
+        weights, lambda a, b: base * (a + b))
 
 
 # unsorted lists of 1 to 300 weights (the size is drawn first, so long

@@ -1,11 +1,10 @@
-import bisect
 import math
 import random
 
 import pytest
 
-from epc import (TwoQueueTrace, dth_huffman, exp_huffman,
-                 exp_huffman_two_queue, maxred_huffman)
+from epc import (dth_huffman, exp_huffman, exp_huffman_two_queue,
+                 maxred_huffman)
 from epc.huffman import _codewords, _run
 from epc.numeric import logaddexp
 from oracles import (best_tree_objective, dth_objective, exp_objective,
@@ -126,6 +125,31 @@ def test_dth_log_domain_consistent():
     assert sorted(big.lengths) == sorted(mm.lengths)
 
 
+def _exp_merge(weights, base):
+    """The heap engine's (root, codewords) under the exponential merge."""
+    return heap_merge(weights, lambda a, b: base * (a + b))
+
+
+def _queue_replay(merges):
+    """The merge queue of a run that placed no merge by bisection, replayed
+    from its merge lists: (the most merges queued at once, the merges still
+    queued when the items run out, by creation number, and each merge's
+    final depth by creation number)."""
+    first, second = merges
+    n = len(first) + 1
+    popped = widest = 0
+    drained = ()
+    for j, pair in enumerate(zip(first, second)):
+        popped += sum(x >= n for x in pair)
+        widest = max(widest, j + 1 - popped)
+        if not drained and 2 * (j + 1) - popped == n:
+            drained = tuple(range(popped, j + 1))
+    depth = [0] * (2 * n - 1)
+    for j in range(n - 2, -1, -1):
+        depth[first[j]] = depth[second[j]] = depth[n + j] + 1
+    return widest, drained, {j: depth[n + j] for j in range(n - 1)}
+
+
 def test_two_queue_matches_heap():
     rng = random.Random(10)
     for _ in range(60):
@@ -133,10 +157,11 @@ def test_two_queue_matches_heap():
         weights = sorted(round(rng.uniform(0.06, 1.0), rng.choice((1, 2, 6)))
                          for _ in range(n))
         for base in (0.5, 1.0, 1.7):
-            heap = exp_huffman(weights, base)
+            _, words = _exp_merge(weights, base)
             tq = exp_huffman_two_queue(weights, base)
-            assert tq.objective == pytest.approx(heap.objective,
-                                                 rel=1e-12, abs=1e-12)
+            assert tq.objective == pytest.approx(
+                exp_objective(weights, tuple(map(len, words)), base),
+                rel=1e-12, abs=1e-12)
             assert kraft_fraction(tq.lengths) == 1
 
 
@@ -145,22 +170,22 @@ def test_two_queue_rejects_unsorted():
         exp_huffman_two_queue([0.4, 0.1], 1.0)
 
 
-def test_two_queue_invariants():
+def test_two_queue_invariants(bisections):
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(3, 30)
         weights = sorted(round(rng.uniform(0.01, 1.0), 2) for _ in range(n))
         for base in (0.5, 1.0, 1.3):
-            trace = TwoQueueTrace()
-            exp_huffman_two_queue(weights, base, trace=trace)
-            # the compound queue is itself always emitted in sorted order
-            assert trace.order_violations == 0
+            tree = exp_huffman_two_queue(weights, base)
+            # the merge queue is itself always emitted in sorted order
+            assert not bisections
+            widest, drained, depths = _queue_replay(tree._merges)
             if base == 0.5:
-                # halving weights: a new compound is always the smallest item
-                assert trace.max_compound_queue <= 1
-            # once the leaf queue drains, surviving compounds sit within one
-            # level of each other, deeper ones nearer the queue head
-            depths = [trace.depths[s] for s in trace.drained]
+                # halving weights: a new merge is always the smallest node
+                assert widest <= 1
+            # once the items run out, the merges still queued sit within
+            # one level of each other, deeper ones nearer the queue head
+            depths = [depths[s] for s in drained]
             if depths:
                 assert max(depths) - min(depths) <= 1
                 assert all(a >= b for a, b in zip(depths, depths[1:]))
@@ -242,24 +267,21 @@ def test_maxred_overflowing_root_takes_logs():
 
 
 @pytest.mark.parametrize("base", [0.3, 0.45])
-def test_exp_below_half_appends_every_merge(monkeypatch, base):
+def test_exp_below_half_appends_every_merge(bisections, base):
     # below base 1/2 a merge is lighter than its heavier child, so it often
     # falls below merges already popped; only a live merge above it may
     # send it to the bisection, and these rules never queue one
-    def no_bisection(*args):
-        raise AssertionError("merge placed by bisection")
-    monkeypatch.setattr(bisect, "bisect_right", no_bisection)
     rng = random.Random(45)
     for weights in ([1.0] * 400,
                     [1.0] * 4096,           # a caterpillar 4096 deep
                     [rng.choice((0.1, 0.2, 0.5)) for _ in range(400)],
                     [rng.lognormvariate(0.0, 2.0) for _ in range(400)]):
         tree = exp_huffman(weights, base)
-        assert (tree.root_weight, tree.codewords) == heap_merge(
-            weights, lambda a, b: base * (a + b))
+        assert (tree.root_weight, tree.codewords) == _exp_merge(weights, base)
+        assert not bisections
 
 
-def test_run_keeps_the_heap_order_for_any_combine():
+def test_run_keeps_the_heap_order_for_any_combine(bisections):
     # 1/(a + b) makes small merges large and large ones small, so merges
     # fall below the queue's tail and are placed by bisection
     rng = random.Random(12)
@@ -270,30 +292,31 @@ def test_run_keeps_the_heap_order_for_any_combine():
         root, merges = _run(weights, combine)
         assert (root, tuple(_codewords(*merges))) == heap_merge(weights,
                                                                 combine)
+    assert bisections      # the count the no-bisection tests read is live
 
 
+# each trace: (bisections, the most merges queued at once, the merges
+# queued when the items run out, each merge's final depth)
 @pytest.mark.parametrize("weights, base, trace, codewords", [
     ([0.05, 0.1, 0.15, 0.3, 0.4], 1.0,
-     TwoQueueTrace(0, 1, (3,), {3: 0, 2: 1, 1: 2, 0: 3}),
+     (0, 1, (3,), {3: 0, 2: 1, 1: 2, 0: 3}),
      ("1110", "1111", "110", "10", "0")),
     ([0.25] * 4, 0.5,
-     TwoQueueTrace(0, 1, (2,), {2: 0, 1: 1, 0: 2}),
+     (0, 1, (2,), {2: 0, 1: 1, 0: 2}),
      ("000", "001", "01", "1")),
     ([0.1, 0.1, 0.2, 0.2, 0.2, 0.3, 0.5, 0.5], 1.7,
-     TwoQueueTrace(0, 3, (2, 3, 4),
-                   {6: 0, 5: 1, 3: 2, 0: 3, 2: 2, 4: 1, 1: 2}),
+     (0, 3, (2, 3, 4), {6: 0, 5: 1, 3: 2, 0: 3, 2: 2, 4: 1, 1: 2}),
      ("1100", "1101", "010", "011", "100", "101", "111", "00")),
     ([0.125] * 3 + [0.25] * 3 + [0.5] * 2, 1.0,
-     TwoQueueTrace(0, 2, (4, 5),
-                   {6: 0, 5: 1, 3: 2, 1: 3, 0: 4, 4: 1, 2: 2}),
+     (0, 2, (4, 5), {6: 0, 5: 1, 3: 2, 1: 3, 0: 4, 4: 1, 2: 2}),
      ("11110", "11111", "1110", "000", "001", "110", "01", "10")),
     ([1.0] * 6, 0.9,
-     TwoQueueTrace(0, 3, (0, 1, 2), {4: 0, 3: 1, 1: 2, 0: 2, 2: 1}),
+     (0, 3, (0, 1, 2), {4: 0, 3: 1, 1: 2, 0: 2, 2: 1}),
      ("100", "101", "110", "111", "00", "01")),
-    ([0.3], 2.0, TwoQueueTrace(0, 0, (), {}), ("",)),
+    ([0.3], 2.0, (0, 0, (), {}), ("",)),
 ])
-def test_two_queue_trace_pinned(weights, base, trace, codewords):
-    got = TwoQueueTrace()
-    tree = exp_huffman_two_queue(weights, base, trace=got)
-    assert got == trace
+def test_two_queue_trace_pinned(bisections, weights, base, trace, codewords):
+    tree = exp_huffman_two_queue(weights, base)
+    assert (len(bisections), *_queue_replay(tree._merges)) == trace
     assert tree.codewords == codewords
+    assert (tree.root_weight, tree.codewords) == _exp_merge(weights, base)

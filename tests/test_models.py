@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from epc import (DivergenceError, DthRedundancy, ExplicitFinite,
+from epc import (DivergenceError, DthRedundancy, EpcError, ExplicitFinite,
                  ExplicitTailed, Exponential, Geometric, LengthSeq, Linear,
                  MaxRedundancy, Poisson, UnaryTail, evaluate_penalty,
                  expected_length, point_mass, power_sum, renyi_entropy,
@@ -43,6 +43,23 @@ def test_point_mass():
     assert point_mass(f, 1) == 0.75
     with pytest.raises(IndexError):
         point_mass(f, 2)
+    # past the float range an infinite source's mass rounds to zero
+    for m in (g, p, with_geometric_tail((0.5, 0.25), 0.5)):
+        assert point_mass(m, 10 ** 400) == 0.0
+    with pytest.raises(IndexError):
+        point_mass(f, 10 ** 400)
+
+
+def test_expected_length_of_a_tail_past_the_float_range():
+    g = Geometric(0.5)
+    with pytest.raises(EpcError, match="past the float range"):
+        evaluate_penalty(g, LengthSeq((), UnaryTail(0, 10 ** 400)), Linear())
+    # the tail's mass 2**-1000 brings the product back into range
+    head = tuple(range(1, 1001))
+    want = (math.fsum(n * 2.0 ** -n for n in head)
+            + math.exp(400 * math.log(10) - 1000 * math.log(2)))
+    got = expected_length(g, LengthSeq(head, UnaryTail(1000, 10 ** 400)))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_explicit_tailed_is_a_value():
@@ -248,6 +265,9 @@ def test_entropies():
     assert renyi_entropy(g, a) == pytest.approx(math.log2(z) / (1 - alpha), rel=1e-11)
     with pytest.raises(ValueError):
         renyi_entropy(g, 0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^base must be finite"):
+            renyi_entropy(g, bad)
     fin = ExplicitFinite((0.25, 0.25, 0.25, 0.25))
     assert shannon_entropy(fin) == pytest.approx(2.0)
     assert renyi_entropy(fin, 2.0) == pytest.approx(2.0)

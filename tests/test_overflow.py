@@ -35,6 +35,14 @@ def test_arrival_validation():
         TableTransform(((0.0, 1.0), (1.0, 0.5), (0.5, 0.7)))
     with pytest.raises(ValueError):
         TableTransform(((0.0, 1.0), (1.0, 1.0), (2.0, 1.1)))
+    # a NaN fails every `<` test, so each law refuses it by name
+    for bad in (math.nan, math.inf):
+        for build, name in ((Deterministic, "gap"),
+                            (ExponentialArrivals, "rate"),
+                            (lambda x: GammaArrivals(x, 1.0), "shape"),
+                            (lambda x: GammaArrivals(2.0, x), "rate")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                build(bad)
     # a NaN passes every comparison, so it is refused by name
     for samples in (((0, 1), (math.nan, 0.5)), ((0, 1), (1.0, math.nan)),
                     ((0, 1), (math.inf, 0.5))):
@@ -205,8 +213,19 @@ def test_golomb_code_needs_a_geometric_source():
         overflow_functional(m, code, arr, 0.5)
     with pytest.raises(ValueError) as rate:
         max_decay_rate(m, code, arr)
-    assert str(functional.value) == str(rate.value)
+    # s = 0 skips the sum, not the check
+    with pytest.raises(ValueError) as at_zero:
+        overflow_functional(m, code, arr, 0.0)
+    assert str(functional.value) == str(rate.value) == str(at_zero.value)
     assert "geometric source" in str(rate.value)
+
+
+def test_functional_refuses_a_non_finite_tilt():
+    # at s = inf a finite source's ln f would be -inf + inf
+    for s in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="s must be finite"):
+            overflow_functional(ExplicitFinite((0.5, 0.25, 0.25)),
+                                LengthSeq((1, 2, 2)), Deterministic(3.0), s)
 
 
 def test_optimize_tight_arrivals_unary():
