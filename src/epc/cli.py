@@ -20,7 +20,7 @@ import sys
 from .analysis import SweepSpec, sweep
 from .codec import ExplicitCode, decode, encode
 from .errors import EpcError
-from .golomb import GolombCode, golomb_penalty
+from .golomb import GolombCode
 from .huffman import merge
 from .light_tail import optimal_code
 from .models import (DthRedundancy, ExplicitFinite, Exponential, Geometric,
@@ -91,11 +91,7 @@ def _cmd_optimize(args) -> int:
         return _print_tree(model.probs, penalty, "penalty")
     code = optimal_code(model, penalty)
     print(code)
-    if isinstance(code, GolombCode):
-        value = golomb_penalty(model.ratio, code.k, penalty)
-    else:
-        value = evaluate_penalty(model, code, penalty)
-    print("penalty %.12g" % value)
+    print("penalty %.12g" % evaluate_penalty(model, code, penalty))
     return 0
 
 

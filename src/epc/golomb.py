@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import DivergenceError
-from .models import DthRedundancy, MaxRedundancy, Penalty
+from .models import (DthRedundancy, Exponential, Geometric, MaxRedundancy,
+                     Penalty, evaluate_penalty)
 from .numeric import LN2, ceil_snapped, check_positive
 
 __all__ = [
     "GolombCode", "complete_binary", "golomb_codeword", "golomb_length",
     "optimal_k_exponential", "optimal_k_mmr", "optimal_k_dth", "optimal_k",
-    "golomb_exp_penalty", "golomb_dth_penalty", "golomb_mmr", "golomb_penalty",
+    "golomb_exp_penalty", "golomb_dth_penalty", "golomb_mmr",
 ]
 
 
@@ -83,6 +84,12 @@ class GolombCode:
     def kraft_sum(self) -> float:
         return 1.0
 
+    def _profile(self, model) -> "_GolombProfile":
+        """The code's sums over a source, in closed form: a geometric one."""
+        if not isinstance(model, Geometric):
+            raise ValueError("Golomb sums need a geometric source")
+        return _GolombProfile(model.ratio, self.k)
+
     def __str__(self) -> str:
         return f"Golomb k={self.k}"
 
@@ -142,79 +149,84 @@ def _check_ratio(ratio: float) -> None:
 
 # ------------------------------------------------------ closed-form values
 
+class _GolombProfile:
+    """The k-Golomb code's sums over Geometric(ratio), answered as a
+    models._Profile answers them, from one geometric series per suffix
+    length: with phi = ratio**(1+d), g = k.bit_length() and z = 2**g - k,
+    ln sum p(i)**(1+d) b**n(i) = (1+d) ln(1-ratio) - ln(1-phi) + g ln b
+    + ln(1 + (b-1) phi**z / (1 - b phi**k)), read in expm1 and log1p of d
+    itself, since 1 + d rounds to one at small orders."""
+
+    def __init__(self, ratio: float, k: int) -> None:
+        self.ratio, self.k, self.ln_r = ratio, k, math.log(ratio)
+        self.g = k.bit_length()
+        self.z = (1 << self.g) - k
+        self.pole = -self.ln_r / (1.0 / k)      # where b ratio**k = 1
+
+    def expected_length(self) -> float:
+        r = self.ratio
+        return self.g + r ** self.z / (1.0 - r ** self.k)
+
+    def ln_power_sum(self, ln_b: float, d: float = 0.0) -> float:
+        """ln sum p(i)**(1+d) * base**n(i), ln_b = ln base."""
+        k, z, ln_r = self.k, self.z, self.ln_r
+        ln_phi = ln_r + d * ln_r
+        x = ln_b + k * ln_phi       # ln b phi**k
+        if x >= 0.0:
+            raise DivergenceError("penalty sum diverges: base * "
+                                  "ratio**(k (1 + order)) >= 1")
+        # ln(1 + u), u = (b-1) phi**z / (1 - b phi**k): in logs above base
+        # one; below it, where u nears -1, from 1 + u's positive parts
+        ln_den = math.log(-math.expm1(x))
+        if ln_b > 0.0:
+            ln_u = ln_b + math.log(-math.expm1(-ln_b)) + z * ln_phi - ln_den
+            ln1pu = (ln_u + math.log1p(math.exp(-ln_u)) if ln_u > 0.0
+                     else math.log1p(math.exp(ln_u)))
+        else:
+            u = math.expm1(ln_b) * math.exp(z * ln_phi - ln_den)
+            ln1pu = math.log1p(u) if u > -0.5 else math.log(
+                -math.expm1(z * ln_phi)
+                - math.exp(ln_b + z * ln_phi) * math.expm1((k - z) * ln_phi)
+            ) - ln_den
+        # (1+d) ln(1-r) - ln(1-phi), with 1 - phi = (1-r) - r (r**d - 1)
+        r = self.ratio
+        return (d * math.log1p(-r) + self.g * ln_b + ln1pu
+                - math.log1p(-r * math.expm1(d * ln_r) / (1.0 - r)))
+
+    def max_redundancy(self) -> float:
+        """Unbounded (inf) when ratio exceeds 2**(-1/k): per-cycle length
+        growth then outpaces probability decay. Otherwise the supremum is
+        attained at symbol 0 or at the first symbol wearing the long
+        suffix."""
+        r, k = self.ratio, self.k
+        # bounded iff 1 + k log2(ratio) <= 0, the exact boundary kept finite
+        if 1.0 + k * math.log2(r) > 1e-12:
+            return math.inf
+        cg = (k - 1).bit_length()       # ceil(log2 k)
+        i_star = (1 << cg) - k          # first long-suffix symbol (0: k = 2**m)
+        at_zero = self.g + math.log2(1.0 - r)
+        at_star = cg + 1 + math.log2(1.0 - r) + i_star * math.log2(r)
+        return max(at_zero, at_star)
+
+
 def golomb_exp_penalty(ratio: float, base: float, k: int) -> float:
     """Exponential penalty of the k-Golomb code on Geometric(ratio).
 
     Closed form: g + log_base(1 + (base-1) ratio**z / (1 - base ratio**k)).
     The base -> 1 limit is the expected length g + ratio**z / (1 - ratio**k).
     """
-    _check_ratio(ratio)
-    _check_k(k)
-    check_positive("base", base)
-    g = k.bit_length()
-    z = (1 << g) - k
-    if base * ratio ** k >= 1.0:
-        raise DivergenceError(
-            f"penalty sum diverges: base*ratio**k = {base * ratio ** k} >= 1")
-    if base == 1.0:
-        return g + ratio ** z / (1.0 - ratio ** k)
-    u = (base - 1.0) * ratio ** z / (1.0 - base * ratio ** k)
-    return g + math.log1p(u) / math.log(base)
+    return evaluate_penalty(Geometric(ratio), GolombCode(k), Exponential(base))
 
 
 def golomb_dth_penalty(ratio: float, order: float, k: int) -> float:
-    """Order-d redundancy of the k-Golomb code on Geometric(ratio).
-
-    Evaluated wholly in log space so that extreme orders (2**d overflows
-    float for d over ~1024) stay finite: the sum collapses to the same
-    geometric closed form with ratio**(1+d) at base 2**d.
-    """
-    _check_ratio(ratio)
-    _check_k(k)
-    check_positive("order", order)
-    d = order
-    g = k.bit_length()
-    z = (1 << g) - k
-    lt = (1.0 + d) * math.log(ratio)   # ln of the reduced ratio
-    ln_a = d * LN2                     # ln of the reduced base
-    if ln_a + k * lt >= 0.0:
-        raise DivergenceError("order-d sum diverges for this k")
-    ln_u = (ln_a + math.log1p(-math.exp(-ln_a)) + z * lt
-            - math.log1p(-math.exp(ln_a + k * lt)))
-    if ln_u <= 0.0:
-        ln1pu = math.log1p(math.exp(ln_u))
-    else:
-        ln1pu = ln_u + math.log1p(math.exp(-ln_u))
-    penalty = g + ln1pu / ln_a
-    return penalty + ((1.0 + d) * math.log2(1.0 - ratio)
-                      - math.log1p(-math.exp(lt)) / LN2) / d
+    """Order-d redundancy of the k-Golomb code on Geometric(ratio): the
+    closed form at ratio**(1+d) and base 2**d, in logs, so that extreme
+    orders stay finite and small ones keep their precision."""
+    return evaluate_penalty(Geometric(ratio), GolombCode(k),
+                            DthRedundancy(order))
 
 
 def golomb_mmr(ratio: float, k: int) -> float:
-    """Maximal pointwise redundancy of the k-Golomb code on Geometric(ratio).
-
-    Unbounded (returned as inf) when ratio exceeds 2**(-1/k): per-cycle
-    length growth then outpaces probability decay. Otherwise the supremum is
-    attained at symbol 0 or at the first symbol wearing the long suffix.
-    """
-    _check_ratio(ratio)
-    _check_k(k)
-    # bounded iff 1 + k log2(ratio) <= 0, with the exact boundary kept finite
-    if 1.0 + k * math.log2(ratio) > 1e-12:
-        return math.inf
-    g = k.bit_length()
-    cg = (k - 1).bit_length()          # ceil(log2 k)
-    i_star = (1 << cg) - k             # first long-suffix symbol (0 if k = 2**m)
-    at_zero = g + math.log2(1.0 - ratio)
-    at_star = cg + 1 + math.log2(1.0 - ratio) + i_star * math.log2(ratio)
-    return max(at_zero, at_star)
-
-
-def golomb_penalty(ratio: float, k: int, penalty: Penalty) -> float:
-    """Closed-form value of a penalty object for the k-Golomb code on
-    Geometric(ratio)."""
-    if isinstance(penalty, MaxRedundancy):
-        return golomb_mmr(ratio, k)
-    if isinstance(penalty, DthRedundancy):
-        return golomb_dth_penalty(ratio, penalty.order, k)
-    return golomb_exp_penalty(ratio, penalty.base, k)
+    """Maximal pointwise redundancy of the k-Golomb code on Geometric(ratio),
+    inf where it is unbounded."""
+    return evaluate_penalty(Geometric(ratio), GolombCode(k), MaxRedundancy())

@@ -2,8 +2,9 @@
 
 Sources are measures on the nonnegative integers, usually summing to one. A
 LengthSeq gives each symbol a codeword length: a head, then optionally unary.
-Penalties read the head once per distinct length, through one profile of
-the masses grouped by length. Values are immutable and functions pure.
+Penalties read a code's profile over a source: for a LengthSeq, its head
+once per distinct length, the masses grouped by length; a GolombCode's is
+its closed form. Values are immutable and functions pure.
 """
 from __future__ import annotations
 
@@ -309,6 +310,9 @@ class LengthSeq:
             raise IndexError(f"no length assigned to symbol {i}")
         return self.tail.start_length + (i - self.tail.start_index)
 
+    def _profile(self, model: "SourceModel") -> "_Profile":
+        return _Profile(model, self)
+
     def kraft_sum(self) -> float:
         # the unary tail contributes 2**(1 - start_length) in closed form
         acc = math.fsum(2.0 ** -n for n in self.head)
@@ -330,7 +334,8 @@ class LengthSeq:
 # share of the sum, half an ulp: adding the rest would leave the sum as it is
 _TAIL_REL = 2.0 ** -53
 _MAX_TERMS = 10 ** 7
-_LN_MAX = math.log(sys.float_info.max)
+_FLOAT_MAX = sys.float_info.max
+_LN_MAX = math.log(_FLOAT_MAX)
 _TINY = sys.float_info.min   # the least normal float
 
 
@@ -527,6 +532,10 @@ def tail_weight(model: SourceModel, j: int, base: float) -> float:
     support by base**(k+1)."""
     check_positive("base", base)
     ln_b = math.log(base)
+    if j > _FLOAT_MAX:  # every mass past j rounds to 0, as point_mass's does
+        if model.tail_ratio is not None:    # unless a geometric tail diverges
+            _rest(math.log(model.tail_ratio) + ln_b)
+        return 0.0
     return _exp(ln_b + _ln_series(model, j + 1, 1.0, ln_b), "the tail weight")
 
 
@@ -552,6 +561,8 @@ class _Profile:
             head += tuple(range(tail.start_length,
                                 tail.start_length + size - len(head)))
         self.model, self.head, self.tail = model, head[:size], tail
+        rho = model.tail_ratio      # the power sum's pole: e**ln_b rho = 1
+        self.pole = math.inf if rho is None or tail is None else -math.log(rho)
         groups = {n: [] for n in sorted(set(self.head))}
         for n, p in zip(self.head, model.masses(len(self.head))):
             groups[n].append(p)
@@ -571,9 +582,12 @@ class _Profile:
             self.groups.append((n, top, ps, m))
             self.sums.append((mass, ln_sum, n))
 
-    def ln_power_sum(self, ln_b: float, alpha: float = 1.0) -> float:
-        """ln sum p(i)**alpha * base**n(i), ln_b = ln base: one log-sum-exp
-        over the lengths, the unary tail from n(t0) = start_length on."""
+    def ln_power_sum(self, ln_b: float, d: float = 0.0) -> float:
+        """ln sum p(i)**(1+d) * base**n(i), ln_b = ln base: one log-sum-exp
+        over the lengths, the unary tail from n(t0) = start_length on; a tail
+        from a length past the float range adds base**n(t0), which rounds
+        to 0 at a base below one."""
+        alpha = 1.0 + d
         if alpha == 1.0:
             xs = [x + n * ln_b for _, x, n in self.sums]
         else:
@@ -582,9 +596,15 @@ class _Profile:
                   for n, top, ps, m in self.groups]
         if self.model.size is None:
             tail = self.tail
-            xs.append(tail.start_length * ln_b + _ln_series(
-                self.model, tail.start_index, alpha, ln_b))
-        return _ln_sum_exp(xs)
+            n0 = tail.start_length
+            if n0 > _FLOAT_MAX:     # base**n0 is 0, 1 or past the float range
+                if ln_b > 0.0:
+                    raise EpcError("the power sum is past the float range")
+                n0 = None if ln_b else 0
+            if n0 is not None:
+                xs.append(n0 * ln_b + _ln_series(
+                    self.model, tail.start_index, alpha, ln_b))
+        return _ln_sum_exp(xs) if xs else -math.inf
 
     def expected_length(self) -> float:
         """sum p(i) * n(i)."""
@@ -600,48 +620,56 @@ class _Profile:
                 acc += s * n0 + si
         return acc
 
+    def max_redundancy(self) -> float:
+        """sup n(i) + log2 p(i); math.inf when the supremum is unbounded."""
+        best = max((n + top / LN2 for n, top, _, _ in self.groups),
+                   default=-math.inf)
+        if self.model.size is not None:
+            return best
+        # along the tail n(i) + log2 p(i) is start_length + log2 of the largest
+        # term p(i) * 2**(i - t0), or unbounded where those terms grow
+        tail = self.tail
+        top, _, _, _, ln_q = _terms(self.model, tail.start_index, 1.0, LN2)
+        if ln_q is not None and ln_q > 0.0:
+            return math.inf
+        if tail.start_length > _FLOAT_MAX:
+            raise EpcError("the maximal redundancy is past the float range")
+        return max(best, tail.start_length + top / LN2)
 
-def power_sum(model: SourceModel, lengths: LengthSeq, base: float) -> float:
-    """sum p(i) * base**n(i)."""
+
+def power_sum(model: SourceModel, code, base: float) -> float:
+    """sum p(i) * base**n(i) for a code: a LengthSeq, or a GolombCode on a
+    geometric source."""
     check_positive("base", base)
-    return _exp(_Profile(model, lengths).ln_power_sum(math.log(base)),
+    return _exp(code._profile(model).ln_power_sum(math.log(base)),
                 "the power sum")
 
 
-def expected_length(model: SourceModel, lengths: LengthSeq) -> float:
+def expected_length(model: SourceModel, code) -> float:
     """sum p(i) * n(i)."""
-    return _Profile(model, lengths).expected_length()
+    return code._profile(model).expected_length()
 
 
-def _max_redundancy(model: SourceModel, lengths: LengthSeq) -> float:
-    """sup n(i) + log2 p(i); math.inf when the supremum is unbounded."""
-    best = max((n + top / LN2 for n, top, _, _ in
-                _Profile(model, lengths).groups), default=-math.inf)
-    if model.size is not None:
-        return best
-    # along the tail n(i) + log2 p(i) is start_length + log2 of the largest
-    # term p(i) * 2**(i - t0), or unbounded where those terms grow
-    tail = lengths.tail
-    top, _, _, _, ln_q = _terms(model, tail.start_index, 1.0, LN2)
-    if ln_q is not None and ln_q > 0.0:
-        return math.inf
-    return max(best, tail.start_length + top / LN2)
-
-
-def evaluate_penalty(model: SourceModel, lengths: LengthSeq,
-                     penalty: Penalty) -> float:
-    if isinstance(penalty, (Linear, Exponential)):
-        if penalty.base == 1.0:
-            return expected_length(model, lengths)
-        ln_b = math.log(penalty.base)
-        return _Profile(model, lengths).ln_power_sum(ln_b) / ln_b
-    if isinstance(penalty, DthRedundancy):
-        ln_b = penalty.order * LN2    # p**(1+order) at base 2**order
-        alpha = 1.0 + penalty.order
-        return _Profile(model, lengths).ln_power_sum(ln_b, alpha) / ln_b
+def evaluate_penalty(model: SourceModel, code, penalty: Penalty) -> float:
+    """A penalty's value for a code on a source, read from the code's
+    profile: a LengthSeq's grouped by length, a Golomb code's in closed
+    form."""
+    profile = code._profile(model)
     if isinstance(penalty, MaxRedundancy):
-        return _max_redundancy(model, lengths)
-    raise TypeError(f"not a penalty: {penalty!r}")
+        return profile.max_redundancy()
+    if isinstance(penalty, DthRedundancy):
+        d = penalty.order
+        ln_b = d * LN2      # p**(1+d) at base 2**d
+    elif isinstance(penalty, (Linear, Exponential)):
+        if penalty.base == 1.0:
+            return profile.expected_length()
+        d, ln_b = 0.0, math.log(penalty.base)
+    else:
+        raise TypeError(f"not a penalty: {penalty!r}")
+    value = profile.ln_power_sum(ln_b, d) / ln_b
+    if value == math.inf:   # log_b of a sum that rounds to 0, b below one
+        raise EpcError("the penalty is past the float range")
+    return value
 
 
 # ---------------------------------------------------------------- entropy

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from .errors import DivergenceError, EpcError, StabilityError
-from .golomb import GolombCode, golomb_exp_penalty
+from .golomb import GolombCode
 from .light_tail import optimal_code
-from .models import (Exponential, Geometric, LengthSeq, SourceModel, _exp,
-                     _ln_series, _Profile, shannon_entropy, total_mass)
+from .models import (Exponential, LengthSeq, SourceModel, _exp, _ln_series,
+                     shannon_entropy, total_mass)
 from .numeric import LN2, check_positive
 
 __all__ = [
@@ -177,54 +177,18 @@ class OverflowResult:
 
 # ------------------------------------------------------------ the functional
 
-class _GolombProfile:
-    """A Golomb code's sums over a geometric source, read as a _Profile's
-    are: both in closed form."""
-
-    def __init__(self, model: SourceModel, code: GolombCode) -> None:
-        if not isinstance(model, Geometric):
-            raise ValueError("Golomb sums need a geometric source")
-        self.ratio, self.k = model.ratio, code.k
-
-    def expected_length(self) -> float:
-        return golomb_exp_penalty(self.ratio, 1.0, self.k)
-
-    def ln_power_sum(self, ln_b: float) -> float:
-        """ln sum p(i) base**n(i), ln_b = ln base."""
-        return golomb_exp_penalty(self.ratio, _exp(ln_b, "the base"),
-                                  self.k) * ln_b
-
-
-def _profile(model: SourceModel, code: CodeLike):
-    """The per-code work of the sums over a source, done once: its mean
-    length expected_length() and ln_b -> ln sum p(i) e**(ln_b*n(i))
-    ln_power_sum."""
-    if isinstance(code, GolombCode):
-        return _GolombProfile(model, code)
-    return _Profile(model, code)
-
-
 def overflow_functional(model: SourceModel, code: CodeLike,
                         arrivals: ArrivalModel, s: float) -> float:
     """f(s) above, from ln f; exactly the source mass at s = 0."""
     if not 0.0 <= s < math.inf:     # NaN too
         raise ValueError(f"s must be finite and nonnegative, got {s!r}")
-    profile = _profile(model, code)     # refuses a code the source cannot take
+    profile = code._profile(model)      # refuses a code the source cannot take
     if s == 0.0:
         return total_mass(model)
     return _exp(arrivals.ln_transform(s) + profile.ln_power_sum(s), "f(s)")
 
 
 # ------------------------------------------------------------- s* search
-
-def _divergence_point(model: SourceModel, code: CodeLike) -> float:
-    rho = model.tail_ratio   # None: no tail, or one lighter than geometric
-    if rho is None or (isinstance(code, LengthSeq) and code.tail is None):
-        return math.inf
-    per_symbol = 1.0 / code.k if isinstance(code, GolombCode) else 1.0
-    # sum terms behave like (rho * base**per_symbol)**i
-    return -math.log(rho) / per_symbol
-
 
 def max_decay_rate(model: SourceModel, code: CodeLike,
                    arrivals: ArrivalModel) -> DecayRate:
@@ -236,7 +200,7 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
     ln f <= 0; the mean length and every power sum read one profile of the
     code, built once per call.
     """
-    profile = _profile(model, code)
+    profile = code._profile(model)
     if profile.expected_length() >= arrivals.mean_gap():
         return DecayRate(0.0, True)
     ln_power_sum, ln_transform = profile.ln_power_sum, arrivals.ln_transform
@@ -247,7 +211,7 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
         except DivergenceError:
             return math.inf
 
-    s_div = _divergence_point(model, code)
+    s_div = profile.pole
     lo = 0.0
     if math.isfinite(s_div):
         hi = s_div / 2.0

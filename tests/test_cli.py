@@ -25,6 +25,16 @@ def test_optimize_fractional_dth_order(capsys):
     capsys.readouterr()
 
 
+def test_optimize_geometric_dth_tiny_order(capsys):
+    # the order-d closed form reads d itself: at 1e-300 it gives the d -> 0
+    # limit, the mean length less the entropy, 0.027482037943334
+    argv = ["optimize", "--geometric", "0.999999", "--penalty", "dth:1e-300"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "Golomb k=693147"
+    assert out[1].startswith("penalty 0.02748203794")
+
+
 def test_optimize_linear_alias(capsys):
     # exp:1.0 must take the plain mean-length route, identical to linear
     assert run(["optimize", "--geometric", "0.5", "--penalty", "exp:1.0"]) == 0

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from epc import (DivergenceError, GolombCode, complete_binary,
-                 golomb_codeword, golomb_dth_penalty, golomb_exp_penalty,
-                 golomb_length, golomb_mmr, optimal_k_dth,
-                 optimal_k_exponential, optimal_k_mmr)
+from epc import (DivergenceError, DthRedundancy, Exponential, Geometric,
+                 GolombCode, Linear, MaxRedundancy, complete_binary,
+                 evaluate_penalty, golomb_codeword, golomb_dth_penalty,
+                 golomb_exp_penalty, golomb_length, golomb_mmr, optimal_k_dth,
+                 optimal_k_exponential, optimal_k_mmr, power_sum)
 from oracles import golomb_len, golomb_power_sum_direct, mmr_sup_scan
 
 
@@ -155,6 +156,53 @@ def test_mmr_small_ratio_zero_cost_corner():
     # at tiny ratio with large k the worst case sits at symbol zero
     v = golomb_mmr(0.1, 7)
     assert v == pytest.approx(3 + math.log2(0.9), rel=1e-12)
+
+
+def test_evaluate_penalty_reads_the_golomb_profile():
+    # every penalty of a Golomb code on a geometric source is the golomb_*
+    # closed form exactly, and the per-symbol oracle sums to 1e-12
+    for th, k in ((0.3, 1), (0.6, 2), (0.6, 3), (0.9, 7), (0.95, 13)):
+        g, code = Geometric(th), GolombCode(k)
+        for a in (0.5, 0.8, 1.2):
+            if a * th ** k >= 1.0:
+                continue
+            got = evaluate_penalty(g, code, Exponential(a))
+            assert got == golomb_exp_penalty(th, a, k)
+            direct = golomb_power_sum_direct(th, a, k)
+            assert got == pytest.approx(math.log(direct) / math.log(a),
+                                        rel=1e-12)
+            assert power_sum(g, code, a) == pytest.approx(direct, rel=1e-12)
+        mean = evaluate_penalty(g, code, Linear())
+        assert mean == golomb_exp_penalty(th, 1.0, k)
+        n = math.ceil(50.0 / -math.log(th))     # p(n) below 1e-21
+        assert mean == pytest.approx(math.fsum(
+            (1.0 - th) * th ** i * golomb_len(i, k) for i in range(n)),
+            rel=1e-12)
+        for d in (0.5, 2.0):
+            phi = th ** (1.0 + d)
+            if 2.0 ** d * phi ** k >= 1.0:
+                continue
+            got = evaluate_penalty(g, code, DthRedundancy(d))
+            assert got == golomb_dth_penalty(th, d, k)
+            # sum p**(1+d) 2**(d n): the power sum of Geometric(phi) at 2**d
+            direct = ((1.0 - th) ** (1.0 + d) / (1.0 - phi)
+                      * golomb_power_sum_direct(phi, 2.0 ** d, k))
+            assert got == pytest.approx(math.log2(direct) / d, rel=1e-12)
+        got = evaluate_penalty(g, code, MaxRedundancy())
+        assert got == golomb_mmr(th, k)
+        scan, rising = mmr_sup_scan(th, k)
+        assert rising if got == math.inf else got == pytest.approx(
+            scan, rel=1e-12)
+
+
+def test_dth_penalty_small_orders_reach_the_limit():
+    # as d -> 0 the order-d redundancy tends to the mean length less the
+    # Shannon entropy, here to 50 digits; 1 + d would round to one below
+    # about 1e-16, so the closed form reads d itself
+    for th, k, limit in ((0.9, 7, 0.035163197959373),
+                         (0.999999, 693147, 0.027482037943334)):
+        for d in (1e-9, 1e-12, 1e-15, 1e-300):
+            assert abs(golomb_dth_penalty(th, d, k) - limit) <= 1e-9
 
 
 def test_dth_penalty_log_domain():

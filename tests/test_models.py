@@ -62,6 +62,39 @@ def test_expected_length_of_a_tail_past_the_float_range():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_penalties_of_a_tail_past_the_float_range():
+    # base**n for a start length n past the float range is 0 below base one
+    # and past the range above it: the tail's share rounds away, or the
+    # call is refused by name, never with a bare OverflowError
+    g = Geometric(0.5)
+    for code, head in ((LengthSeq((1,), UnaryTail(1, 10 ** 400)), 0.25),
+                       (LengthSeq((), UnaryTail(0, 10 ** 400)), 0.0)):
+        assert power_sum(g, code, 0.5) == head
+        assert power_sum(g, code, 1.0) == pytest.approx(1.0, rel=1e-15)
+        refused = [lambda: power_sum(g, code, 2.0),
+                   lambda: evaluate_penalty(g, code, Exponential(2.0)),
+                   lambda: evaluate_penalty(g, code, MaxRedundancy()),
+                   lambda: evaluate_penalty(g, code, DthRedundancy(1.0))]
+        if head:
+            assert evaluate_penalty(g, code, Exponential(0.5)) == 2.0
+        else:   # log_0.5 of a sum that rounds to 0 is past the range too
+            refused.append(
+                lambda: evaluate_penalty(g, code, Exponential(0.5)))
+        for call in refused:
+            with pytest.raises(EpcError, match="past the float range"):
+                call()
+
+
+def test_tail_weight_past_the_float_range():
+    # every mass past the index rounds to 0, as point_mass's does, unless a
+    # geometric tail diverges at the base
+    for m in (Geometric(0.5), Poisson(3.0),
+              with_geometric_tail((0.5, 0.25, 0.25), 0.5)):
+        assert tail_weight(m, 10 ** 400, 0.5) == 0.0
+    with pytest.raises(DivergenceError):    # base * ratio = 1
+        tail_weight(Geometric(0.5), 10 ** 400, 2.0)
+
+
 def test_explicit_tailed_is_a_value():
     m = ExplicitTailed(head=(0.5, 0.25), tail_ratio=0.5)
     assert point_mass(m, 1) == 0.25

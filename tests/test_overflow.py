@@ -216,7 +216,13 @@ def test_golomb_code_needs_a_geometric_source():
     # s = 0 skips the sum, not the check
     with pytest.raises(ValueError) as at_zero:
         overflow_functional(m, code, arr, 0.0)
-    assert str(functional.value) == str(rate.value) == str(at_zero.value)
+    # the penalties and the power sum read the same profile
+    with pytest.raises(ValueError) as penalty:
+        evaluate_penalty(m, code, Linear())
+    with pytest.raises(ValueError) as sums:
+        power_sum(m, code, 1.5)
+    assert len({str(e.value) for e in (functional, rate, at_zero, penalty,
+                                       sums)}) == 1
     assert "geometric source" in str(rate.value)
 
 

@@ -23,7 +23,7 @@ from epc import (Deterministic, DivergenceError, EpcError, ExplicitFinite,
                  overflow_functional, shannon_entropy, with_geometric_tail)
 from epc.models import _ln_series
 from epc.numeric import LN2
-from epc.overflow import _S_TOL, DecayRate, _divergence_point, _profile
+from epc.overflow import _S_TOL, DecayRate
 from oracles import (golomb_power_sum_periods, poisson_ln_pmf, poisson_pmf,
                      poisson_renyi_sum_direct, power_sum_terms, series_direct,
                      tailed_pmf, unary_ended_power_sum)
@@ -129,7 +129,8 @@ def _one_length_passes_one(model, code, ln_t, s) -> bool:
 def _reference_rate(model, code, arrivals) -> DecayRate:
     """The bisection of max_decay_rate, on the same points, with every ln f
     the log transform plus the log of the oracle power sum."""
-    if _profile(model, code).expected_length() >= arrivals.mean_gap():
+    profile = code._profile(model)
+    if profile.expected_length() >= arrivals.mean_gap():
         return DecayRate(0.0, True)
 
     def f(s):
@@ -144,7 +145,7 @@ def _reference_rate(model, code, arrivals) -> DecayRate:
         except ArithmeticError:     # the direct sum diverges
             return math.inf
 
-    s_div = _divergence_point(model, code)
+    s_div = profile.pole
     lo = 0.0
     if math.isfinite(s_div):
         hi = s_div / 2.0
