@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import DivergenceError
 from .models import (DthRedundancy, Exponential, Geometric, MaxRedundancy,
                      Penalty, evaluate_penalty)
-from .numeric import LN2, ceil_snapped, check_positive
+from .numeric import ceil_snapped
 
 __all__ = [
     "GolombCode", "complete_binary", "golomb_codeword", "golomb_length",
@@ -110,11 +110,7 @@ def _optimal_k(ln_ratio: float, ln_base: float) -> int:
 def optimal_k_exponential(ratio: float, base: float) -> int:
     """Best Golomb parameter for Geometric(ratio) under the base-exponential
     penalty. base at or below 1/2 always degenerates to unary."""
-    _check_ratio(ratio)
-    check_positive("base", base)
-    if base <= 0.5:
-        return 1
-    return _optimal_k(math.log(ratio), math.log(base))
+    return optimal_k(ratio, Exponential(base))
 
 
 def optimal_k_mmr(ratio: float) -> int:
@@ -127,19 +123,19 @@ def optimal_k_dth(ratio: float, order: float) -> int:
     """Best Golomb parameter for the order-d redundancy; equals the
     exponential choice at ratio**(1+d), base 2**d, and tends to the
     mmr choice as the order grows."""
-    _check_ratio(ratio)
-    check_positive("order", order)
-    return _optimal_k((1.0 + order) * math.log(ratio), order * LN2)
+    return optimal_k(ratio, DthRedundancy(order))
 
 
 def optimal_k(ratio: float, penalty: Penalty) -> int:
-    """Best Golomb parameter for Geometric(ratio) under a penalty object
-    (Linear and Exponential choose at their base)."""
-    if isinstance(penalty, MaxRedundancy):
+    """Best Golomb parameter for Geometric(ratio) under a penalty object:
+    the exponential choice at its tilt, ratio**(1+d) and base b, or the mmr
+    choice at the minimax limit."""
+    tilt = penalty._tilt
+    if tilt is None:
         return optimal_k_mmr(ratio)
-    if isinstance(penalty, DthRedundancy):
-        return optimal_k_dth(ratio, penalty.order)
-    return optimal_k_exponential(ratio, penalty.base)
+    _check_ratio(ratio)
+    d, _, ln_b = tilt
+    return _optimal_k((1.0 + d) * math.log(ratio), ln_b)
 
 
 def _check_ratio(ratio: float) -> None:

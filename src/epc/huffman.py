@@ -1,22 +1,18 @@
 """Bottom-up optimal code construction for finite weight lists.
 
-Every penalty here is a generalized Huffman merge (Parker, "Conditions for
-optimality of the Huffman algorithm", SIAM J. Comput. 1980), run by the one
-two-queue loop `_run` (van Leeuwen, "On the construction of Huffman trees",
-ICALP 1976):
+Every penalty is one generalized Huffman merge (Parker, "Conditions for
+optimality of the Huffman algorithm", SIAM J. Comput. 1980) at its tilt
+(d, b, ln b) from models: b * (w_j + w_k) on the weights w = p**(1+d), or
+ln b + logaddexp(w_j, w_k) on w = (1+d) ln p. d is 0 for the exponential
+penalties (b = 1 is expected length) and b = 2**d at order d. Maximal
+redundancy, the d -> inf limit, merges by 2 * max(w_j, w_k), or
+ln 2 + max(w_j, w_k) on w = ln p. The one two-queue loop `_run` (van
+Leeuwen, "On the construction of Huffman trees", ICALP 1976) runs each.
 
-  exponential   merged weight = base * (w_j + w_k), or
-                ln base + logaddexp(w_j, w_k) on w = ln w
-  order-d       merged weight = 2**d * (w_j + w_k) on w = p**(1+d), or
-                d ln 2 + logaddexp(w_j, w_k) on w = ln p**(1+d)
-  minimax       merged weight = 2 * max(w_j, w_k), or
-                ln 2 + max(w_j, w_k) on w = ln w
-
-Each rule merges plain weights and merges their logs instead when the plain
-root is not a positive normal float. Order d also takes logs when d >= 64
-or when its smallest weight is not a normal float. Rounding orders ties
-differently in the two spaces, so merging every input in logs would change
-some lengths.
+The plain weights merge where d < 64 and both the smallest of them and the
+root are positive normal floats; otherwise their logs do. Rounding orders
+ties differently in the two spaces, so merging every input in logs would
+change some lengths.
 
 Ties are broken deterministically: lower weight first, then already-merged
 nodes before original items, then first-created first (for items, lower
@@ -32,8 +28,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .models import DthRedundancy, MaxRedundancy, Penalty
-from .numeric import LN2, check_positive, logaddexp
+from .models import DthRedundancy, Exponential, MaxRedundancy, Penalty
+from .numeric import LN2, logaddexp
 
 __all__ = [
     "CodeTree", "merge",
@@ -69,11 +65,6 @@ def _check_weights(weights, noun: str = "weights") -> list[float]:
     if min(weights) <= 0.0:
         raise ValueError(f"{noun} must be strictly positive")
     return weights
-
-
-def _normal(x: float) -> bool:
-    """Whether x is a positive normal float: a plain root the rules keep."""
-    return sys.float_info.min <= x < math.inf
 
 
 def _codewords(first, second) -> list[str]:
@@ -157,55 +148,68 @@ def _run(weights: list[float], combine: Callable[[float, float], float]):
     return w, (tuple(first), tuple(second))
 
 
-def _exp_tree(weights: list[float], base: float, root: float,
-              merges, logged: bool) -> CodeTree:
+def _tilted(weights: list[float], tilt, ln_weights=None) -> CodeTree:
+    """The optimal tree at a tilt (d, b, ln b), or at the minimax limit
+    None. ln_weights, where given, returns the weights' logs and is called
+    only when the merge takes logs; the weights may then be zero."""
+    if tilt is None:
+        d, b, ln_b = 0.0, 2.0, LN2
+        plain, in_logs = (lambda x, y: 2.0 * max(x, y),
+                          lambda x, y: LN2 + max(x, y))
+    else:
+        d, b, ln_b = tilt
+        plain, in_logs = (lambda x, y: b * (x + y),
+                          lambda x, y: ln_b + logaddexp(x, y))
+    root = None
+    if b is not None:
+        try:
+            ws = [p ** (1.0 + d) for p in weights] if d else weights
+        except OverflowError:   # a raw weight above one, at a high order
+            ws = [0.0]
+        if min(ws) >= sys.float_info.min:
+            root, merges = _run(ws, plain)
+    logged = root is None or not sys.float_info.min <= root < math.inf
+    if logged:
+        ys = ln_weights() if ln_weights else list(map(math.log, weights))
+        root, merges = _run([(1.0 + d) * y for y in ys] if d else ys, in_logs)
     lengths = _lengths(merges)
-    if base == 1.0:
+    if not ln_b:    # base one: the expected length
         try:
             cost = math.fsum(w * n for w, n in zip(weights, lengths))
         except OverflowError:   # a partial sum past the float range
             cost = math.inf
         if cost == math.inf:
             raise ValueError("the expected length overflows a float")
+    elif logged:
+        cost = root / ln_b
     else:
-        cost = (root if logged else math.log(root)) / math.log(base)
+        cost = math.log2(root) if tilt is None else math.log(root) / ln_b
     return CodeTree(lengths, root, cost, merges)
 
 
-def _plain_or_logs(weights: list[float], plain, in_logs):
-    """Merge the weights by `plain`, or their logs by `in_logs` when the
-    plain root is not a positive normal float; return the root, the
-    merge lists and whether the merge ran in logs."""
-    root, merges = _run(weights, plain)
-    if _normal(root):
-        return root, merges, False
-    return (*_run(list(map(math.log, weights)), in_logs), True)
+def merge(weights, penalty: Penalty) -> CodeTree:
+    """The optimal finite code for a penalty object, merged at its tilt."""
+    return _tilted(_check_weights(weights), penalty._tilt)
 
 
 def exp_huffman(weights, base: float) -> CodeTree:
     """Minimize log_base sum w * base**n (expected length when base == 1)."""
-    check_positive("base", base)
-    weights = _check_weights(weights)
-    ln_base = math.log(base)
-    root, merges, logged = _plain_or_logs(
-        weights, lambda a, b: base * (a + b),
-        lambda a, b: ln_base + logaddexp(a, b))
-    return _exp_tree(weights, base, root, merges, logged)
+    return merge(weights, Exponential(base))
 
 
 def exp_huffman_two_queue(weights, base: float) -> CodeTree:
-    """exp_huffman on weights sorted nondecreasing with a positive normal
-    plain root: the sorted-input entry to `_run`. Kept only for the design
+    """exp_huffman on weights sorted nondecreasing that merge as plain
+    floats: the sorted-input entry to `_run`. Kept only for the design
     benchmark's `two_queue` jobs, which call it by name."""
-    check_positive("base", base)
+    tilt = Exponential(base)._tilt
     weights = _check_weights(weights)
     if any(a > b for a, b in zip(weights, weights[1:])):
         raise ValueError("weights must be sorted nondecreasing")
-    root, merges = _run(weights, lambda a, b: base * (a + b))
-    if not _normal(root):
-        raise ValueError(f"root weight {root!r} must be finite and normal; "
-                         "exp_huffman merges such inputs in logs")
-    return _exp_tree(weights, base, root, merges, False)
+
+    def refuse():
+        raise ValueError("the weights and the root must be finite and "
+                         "normal; exp_huffman merges such inputs in logs")
+    return _tilted(weights, tilt, refuse)
 
 
 def maxred_huffman(weights) -> CodeTree:
@@ -215,45 +219,11 @@ def maxred_huffman(weights) -> CodeTree:
     max w * 2**n and the objective is its log2. Lengths are invariant under
     scaling all weights by a common factor.
     """
-    weights = _check_weights(weights)
-    root, merges, logged = _plain_or_logs(
-        weights, lambda a, b: 2.0 * max(a, b), lambda a, b: LN2 + max(a, b))
-    objective = root / LN2 if logged else math.log2(root)
-    return CodeTree(_lengths(merges), root, objective, merges)
+    return merge(weights, MaxRedundancy())
 
 
 def dth_huffman(probs, order: float) -> CodeTree:
     """Minimize (1/d) log2 sum p**(1+d) 2**(d n): the exponential merge on
-    weights p**(1+d) at base 2**d. Orders of 64 and up, and inputs whose
-    smallest p**(1+d) is not a normal float or whose largest p**(1+d) or
-    root weight overflows, merge ln p**(1+d) instead."""
-    check_positive("order", order)
-    probs = _check_weights(probs, "probabilities")
-    d = order
-    root = None
-    if d < 64.0:
-        try:
-            weights = [p ** (1.0 + d) for p in probs]
-        except OverflowError:   # a raw weight above one, at a high order
-            weights = None
-        if weights and min(weights) >= sys.float_info.min:
-            scale = 2.0 ** d
-            root, merges = _run(weights, lambda a, b: scale * (a + b))
-    if root is not None and _normal(root):
-        objective = math.log2(root) / d
-    else:
-        ln_scale = d * LN2
-        root, merges = _run([(1.0 + d) * math.log(p) for p in probs],
-                            lambda a, b: ln_scale + logaddexp(a, b))
-        objective = root / ln_scale
-    return CodeTree(_lengths(merges), root, objective, merges)
-
-
-def merge(weights, penalty: Penalty) -> CodeTree:
-    """The optimal finite code for a penalty object: its merge rule, run by
-    the one engine (Linear and Exponential merge at their base)."""
-    if isinstance(penalty, MaxRedundancy):
-        return maxred_huffman(weights)
-    if isinstance(penalty, DthRedundancy):
-        return dth_huffman(weights, penalty.order)
-    return exp_huffman(weights, penalty.base)
+    weights p**(1+d) at base 2**d."""
+    tilt = DthRedundancy(order)._tilt
+    return _tilted(_check_weights(probs, "probabilities"), tilt)

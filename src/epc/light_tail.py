@@ -15,10 +15,10 @@ from functools import cached_property
 from .bits import _codewords_of
 from .errors import NotLightTailedError
 from .golomb import GolombCode, optimal_k
-from .huffman import exp_huffman, maxred_huffman, merge
-from .models import (DthRedundancy, Geometric, LengthSeq, MaxRedundancy,
-                     Penalty, SourceModel, tail_weight)
-from .numeric import ceil_snapped, check_positive
+from .huffman import _tilted, merge
+from .models import (_TINY, Exponential, Geometric, LengthSeq, MaxRedundancy,
+                     Penalty, SourceModel, _exp, _ln_series, tail_weight)
+from .numeric import LN2, ceil_snapped, check_positive
 
 __all__ = [
     "UnaryEndedCode",
@@ -193,24 +193,37 @@ def _assemble(weights, multiset) -> list[int]:
     return out
 
 
+def _build(model: SourceModel, penalty: Penalty) -> UnaryEndedCode:
+    """Reduce at the split to p(0), ..., p(r) and the tail's pseudo-weight,
+    merge at the penalty's tilt, attach the tail. Where a reduced weight is
+    not a normal float, the source's logs are merged and ranked instead."""
+    tilt = penalty._tilt
+    if tilt is None:    # the halving rule doubles the first tail mass
+        r = find_split_mmr(model)
+        ln_tail, tail = LN2 + model.ln_mass(r + 1), 2.0 * model.mass(r + 1)
+    else:   # sum_{k>r} p(k) b**(k-r), as tail_weight sums it
+        r = find_split_exponential(model, tilt[1])
+        ln_tail = tilt[2] + _ln_series(model, r + 1, 1.0, tilt[2])
+        tail = _exp(ln_tail, "the tail weight")
+    weights = model.masses(r + 1) + [tail]
+    ys = None
+    if min(weights) < _TINY:
+        ys = model.ln_masses(0, r + 1) + [ln_tail]
+    tree = _tilted(weights, tilt, ys and (lambda: ys))
+    lengths = _assemble(ys or weights, tree.lengths)
+    return UnaryEndedCode.from_lengths(lengths[:-1], lengths[-1])
+
+
 def build_unary_ended(model: SourceModel, base: float) -> UnaryEndedCode:
     """Optimal infinite code under the base-exponential penalty for a
-    light-tailed source: reduce at the split, optimize, attach the tail."""
-    r = find_split_exponential(model, base)
-    weights = model.masses(r + 1)
-    weights.append(tail_weight(model, r, base))
-    lengths = _assemble(weights, exp_huffman(weights, base).lengths)
-    return UnaryEndedCode.from_lengths(lengths[:-1], lengths[-1])
+    light-tailed source."""
+    return _build(model, Exponential(base))
 
 
 def build_unary_ended_mmr(model: SourceModel) -> UnaryEndedCode:
     """Optimal infinite code under maximal pointwise redundancy for a
     source obeying the halving rule past the split."""
-    r = find_split_mmr(model)
-    weights = model.masses(r + 1)
-    weights.append(2.0 * model.mass(r + 1))
-    lengths = _assemble(weights, maxred_huffman(weights).lengths)
-    return UnaryEndedCode.from_lengths(lengths[:-1], lengths[-1])
+    return _build(model, MaxRedundancy())
 
 
 # ------------------------------------------------------------ code choice
@@ -218,13 +231,12 @@ def build_unary_ended_mmr(model: SourceModel) -> UnaryEndedCode:
 def optimal_code(model: SourceModel, penalty: Penalty):
     """The optimal code for a source under a penalty object: a GolombCode
     for Geometric, the merged lengths as a LengthSeq for ExplicitFinite, and
-    a UnaryEndedCode for other sources (not under DthRedundancy)."""
+    a UnaryEndedCode for other sources (not at a positive order d)."""
+    tilt = penalty._tilt
     if isinstance(model, Geometric):
         return GolombCode(optimal_k(model.ratio, penalty))
     if model.size is not None:
         return LengthSeq(merge(model.masses(model.size), penalty).lengths)
-    if isinstance(penalty, MaxRedundancy):
-        return build_unary_ended_mmr(model)
-    if isinstance(penalty, DthRedundancy):
+    if tilt is not None and tilt[0] > 0.0:
         raise ValueError("dth-power redundancy codes need a geometric source")
-    return build_unary_ended(model, penalty.base)
+    return _build(model, penalty)

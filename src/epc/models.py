@@ -205,6 +205,9 @@ def with_geometric_tail(head, ratio: float) -> ExplicitTailed:
 
 
 # ---------------------------------------------------------------- penalties
+# A penalty's private `_tilt` (d, b, ln b) makes it log_b sum p**(1+d) b**n,
+# b the plain merge scale (None where p**(1+d) leaves the floats); None is
+# maximal redundancy, the d -> inf limit. Only here do penalties differ.
 
 @dataclass(frozen=True)
 class Exponential:
@@ -214,6 +217,8 @@ class Exponential:
 
     def __post_init__(self) -> None:
         check_positive("base", self.base)
+        object.__setattr__(self, "_tilt",
+                           (0.0, self.base, math.log(self.base)))
 
 
 @dataclass(frozen=True)
@@ -224,18 +229,23 @@ class DthRedundancy:
 
     def __post_init__(self) -> None:
         check_positive("order", self.order)
+        d = self.order
+        object.__setattr__(self, "_tilt",
+                           (d, 2.0 ** d if d < 64.0 else None, d * LN2))
 
 
 @dataclass(frozen=True)
 class MaxRedundancy:
     """sup over i of n(i) + log2 p(i)."""
 
+    _tilt = None
+
 
 @dataclass(frozen=True)
 class Linear:
     """Expected codeword length (the base -> 1 limit of Exponential)."""
 
-    base = 1.0   # a class constant, not a field: Linear merges like base 1
+    _tilt = (0.0, 1.0, 0.0)   # a class constant: it merges like base 1
 
 
 Penalty = Union[Exponential, DthRedundancy, MaxRedundancy, Linear]
@@ -548,10 +558,11 @@ def total_mass(model: SourceModel) -> float:
 class _Profile:
     """The symbols a head sum runs over (a finite source's alphabet, else
     the head of the lengths) by codeword length, ascending: `groups` holds
-    (length, ln m, masses, d) per length, m its largest mass and masses / d
-    the masses over m; where m lies below the normal floats they come from
-    ln_mass, over m already, and d is one. `sums` holds (the length's mass,
-    its log, length)."""
+    (length, the length's mass, its log, ln m, masses, d) per length, m its
+    largest mass and masses / d the masses over m; where m lies below the
+    normal floats they come from the log masses, read once for the whole
+    head, over m already, and d is one. The lengths past the first `near`
+    lie past the float range; `far` tells whether any, or the tail's, do."""
 
     def __init__(self, model: SourceModel, lengths: LengthSeq) -> None:
         head, tail, size = lengths.head, lengths.tail, model.size
@@ -566,12 +577,20 @@ class _Profile:
         groups = {n: [] for n in sorted(set(self.head))}
         for n, p in zip(self.head, model.masses(len(self.head))):
             groups[n].append(p)
-        self.groups, self.sums = [], []
+        self.near = sum(n <= _FLOAT_MAX for n in groups)
+        self.far = self.near < len(groups) or (
+            size is None and tail.start_length > _FLOAT_MAX)
+        self.groups = []
+        ln_groups = None
         for n, ps in groups.items():
             m = max(ps)
             if m < _TINY:   # read again as logs, over the largest
-                lps = [model.ln_mass(i) for i, k in enumerate(self.head)
-                       if k == n]
+                if ln_groups is None:   # every length's, in one read
+                    ln_groups = {k: [] for k in groups}
+                    for k, y in zip(self.head,
+                                    model.ln_masses(0, len(self.head))):
+                        ln_groups[k].append(y)
+                lps = ln_groups[n]
                 top = max(lps)
                 m, ps = 1.0, [math.exp(x - top) for x in lps]
                 ln_sum = top + math.log(math.fsum(ps))
@@ -579,41 +598,43 @@ class _Profile:
             else:
                 mass = math.fsum(ps)
                 top, ln_sum = math.log(m), math.log(mass)
-            self.groups.append((n, top, ps, m))
-            self.sums.append((mass, ln_sum, n))
+            self.groups.append((n, mass, ln_sum, top, ps, m))
 
     def ln_power_sum(self, ln_b: float, d: float = 0.0) -> float:
         """ln sum p(i)**(1+d) * base**n(i), ln_b = ln base: one log-sum-exp
-        over the lengths, the unary tail from n(t0) = start_length on; a tail
-        from a length past the float range adds base**n(t0), which rounds
-        to 0 at a base below one."""
+        over the lengths, the unary tail from n(t0) = start_length on.
+        base**n for a length n past the float range is 0 below base one and
+        1 at base one; above it the sum is past the float range."""
         alpha = 1.0 + d
+        groups = self.groups
+        if self.far:
+            if ln_b > 0.0:
+                raise EpcError("the power sum is past the float range")
+            if not ln_b:    # the lengths drop out
+                return _ln_series(self.model, 0, alpha, 0.0)
+            groups = groups[:self.near]
         if alpha == 1.0:
-            xs = [x + n * ln_b for _, x, n in self.sums]
+            xs = [x + n * ln_b for n, _, x, _, _, _ in groups]
         else:
             xs = [alpha * top + n * ln_b
                   + math.log(math.fsum([(p / m) ** alpha for p in ps]))
-                  for n, top, ps, m in self.groups]
-        if self.model.size is None:
-            tail = self.tail
-            n0 = tail.start_length
-            if n0 > _FLOAT_MAX:     # base**n0 is 0, 1 or past the float range
-                if ln_b > 0.0:
-                    raise EpcError("the power sum is past the float range")
-                n0 = None if ln_b else 0
-            if n0 is not None:
-                xs.append(n0 * ln_b + _ln_series(
-                    self.model, tail.start_index, alpha, ln_b))
+                  for n, _, _, top, ps, m in groups]
+        tail = self.tail
+        if self.model.size is None and tail.start_length <= _FLOAT_MAX:
+            xs.append(tail.start_length * ln_b + _ln_series(
+                self.model, tail.start_index, alpha, ln_b))
         return _ln_sum_exp(xs) if xs else -math.inf
 
     def expected_length(self) -> float:
-        """sum p(i) * n(i)."""
-        acc = math.fsum([m * n for m, _, n in self.sums])
+        """sum p(i) * n(i); a length past the float range in logs."""
+        acc = math.fsum([m * n if n <= _FLOAT_MAX else
+                         _exp(x + math.log(n), "the expected length")
+                         for n, m, x, _, _, _ in self.groups])
         if self.model.size is None:
             tail = self.tail
             s, si = _mass_moment(self.model, tail.start_index, False)
             n0 = tail.start_length
-            if n0 > sys.float_info.max:     # s * n0 in logs
+            if n0 > _FLOAT_MAX:     # s * n0 in logs
                 acc += si + (s and _exp(math.log(s) + math.log(n0),
                                         "the expected length"))
             else:
@@ -622,7 +643,9 @@ class _Profile:
 
     def max_redundancy(self) -> float:
         """sup n(i) + log2 p(i); math.inf when the supremum is unbounded."""
-        best = max((n + top / LN2 for n, top, _, _ in self.groups),
+        if self.near < len(self.groups):
+            raise EpcError("the maximal redundancy is past the float range")
+        best = max((n + top / LN2 for n, _, _, top, _, _ in self.groups),
                    default=-math.inf)
         if self.model.size is not None:
             return best
@@ -652,20 +675,17 @@ def expected_length(model: SourceModel, code) -> float:
 
 def evaluate_penalty(model: SourceModel, code, penalty: Penalty) -> float:
     """A penalty's value for a code on a source, read from the code's
-    profile: a LengthSeq's grouped by length, a Golomb code's in closed
-    form."""
+    profile at the penalty's tilt: a LengthSeq's grouped by length, a
+    Golomb code's in closed form."""
     profile = code._profile(model)
-    if isinstance(penalty, MaxRedundancy):
-        return profile.max_redundancy()
-    if isinstance(penalty, DthRedundancy):
-        d = penalty.order
-        ln_b = d * LN2      # p**(1+d) at base 2**d
-    elif isinstance(penalty, (Linear, Exponential)):
-        if penalty.base == 1.0:
-            return profile.expected_length()
-        d, ln_b = 0.0, math.log(penalty.base)
-    else:
+    if not hasattr(penalty, "_tilt"):
         raise TypeError(f"not a penalty: {penalty!r}")
+    tilt = penalty._tilt
+    if tilt is None:
+        return profile.max_redundancy()
+    d, _, ln_b = tilt
+    if not ln_b:
+        return profile.expected_length()
     value = profile.ln_power_sum(ln_b, d) / ln_b
     if value == math.inf:   # log_b of a sum that rounds to 0, b below one
         raise EpcError("the penalty is past the float range")

@@ -347,7 +347,8 @@ def optimize_overflow(model: SourceModel,
     boundary = False
     trace = []
     for _ in range(64):
-        code = optimal_code(model, Exponential(math.exp(s_prev)))
+        base = _exp(s_prev, "the code's base")
+        code = optimal_code(model, Exponential(base))
         key = _length_key(code)
         if key == prev_key:
             return OverflowResult(prev_code, s_prev, boundary, tuple(trace),

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from epc import (GammaArrivals, Geometric, GolombCode, Poisson, SweepSpec,
-                 TableTransform, encode, golomb_exp_penalty, optimal_k_dth,
+from epc import (Exponential, GammaArrivals, Geometric, GolombCode, Poisson,
+                 SweepSpec, TableTransform, encode, evaluate_penalty,
+                 golomb_exp_penalty, optimal_code, optimal_k_dth,
                  optimize_overflow, sweep)
 from epc.cli import run
 
@@ -234,10 +235,17 @@ def test_poisson_single_shot_base(capsys):
     assert run(["optimize", "--poisson", "15", "--penalty", "exp:0.5"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("lengths ") and out[1].startswith("penalty ")
-    # at mean 1000 the head masses underflow: a domain error, no traceback
-    assert run(["optimize", "--poisson", "1000", "--penalty", "exp:0.5"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    # at mean 1000 the head masses underflow: the build merges their logs,
+    # and the printed penalty is the code's own evaluation
+    for base in (0.5, 1.5):
+        assert run(["optimize", "--poisson", "1000",
+                    "--penalty", f"exp:{base}"]) == 0
+        lengths, penalty = capsys.readouterr().out.splitlines()
+        assert lengths.startswith("lengths ")
+        model = Poisson(1000.0)
+        value = evaluate_penalty(model, optimal_code(model, Exponential(base)),
+                                 Exponential(base))
+        assert penalty == "penalty %.12g" % value
 
 
 def test_dth_huge_raw_weight(tmp_path, capsys):
@@ -266,6 +274,15 @@ def test_linear_overflowing_length_is_an_error(tmp_path, capsys):
     assert run(["huffman", "--weights", str(f), "--penalty", "linear"]) == 1
     assert capsys.readouterr().err == (
         "error: the expected length overflows a float\n")
+
+
+def test_overflow_code_base_past_the_float_range_is_an_error(capsys):
+    for ratio, gap, power in (("0.995", "18.2", "1040.46"),
+                              ("0.999", "23", "5810.49")):
+        assert run(["overflow", "--geometric", ratio,
+                    "--deterministic", gap]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the code's base is e**{power}, past the float range\n")
 
 
 def test_overflow_one_symbol_is_refused(tmp_path, capsys):

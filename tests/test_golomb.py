@@ -8,6 +8,7 @@ from epc import (DivergenceError, DthRedundancy, Exponential, Geometric,
                  evaluate_penalty, golomb_codeword, golomb_dth_penalty,
                  golomb_exp_penalty, golomb_length, golomb_mmr, optimal_k_dth,
                  optimal_k_exponential, optimal_k_mmr, power_sum)
+from epc.golomb import optimal_k
 from oracles import golomb_len, golomb_power_sum_direct, mmr_sup_scan
 
 
@@ -75,6 +76,14 @@ def test_optimal_k_boundary_ties_go_small():
     # heavy compression regime: unary regardless of ratio
     assert optimal_k_exponential(0.99, 0.5) == 1
     assert optimal_k_exponential(0.99, 0.3) == 1
+
+
+def test_optimal_k_at_base_one_half_or_below_is_unary():
+    # the closed form itself gives k = 1 there, up to the last ratio below 1
+    for ratio in (1e-300, 1e-9, 0.5, 0.99, 1.0 - 1e-12, 1.0 - 2.0 ** -53):
+        for base in (0.5, math.nextafter(0.5, 0.0), 0.3, 1e-300):
+            assert optimal_k_exponential(ratio, base) == 1
+            assert optimal_k(ratio, Exponential(base)) == 1
 
 
 def test_optimal_k_mmr_defining_inequality():

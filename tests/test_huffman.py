@@ -259,6 +259,23 @@ def test_exp_out_of_range_root_takes_logs(weights, base):
         lambda a, b: ln_base + logaddexp(a, b))
 
 
+@pytest.mark.parametrize("weights, base", [
+    ([1e-320, 2e-320, 3e-320, 4e-320, 5e-320], 1e60),   # every weight
+    ([5e-324, 0.2, 0.3, 0.5], 1.5),                      # one weight
+])
+def test_exp_subnormal_weight_takes_logs(weights, base):
+    # the plain roots are normal, but a subnormal weight keeps few digits
+    # through a plain merge: every rule merges such inputs in logs
+    tree = exp_huffman(weights, base)
+    ln_base = math.log(base)
+    assert (tree.root_weight, tree.codewords) == heap_merge(
+        [math.log(w) for w in weights],
+        lambda a, b: ln_base + logaddexp(a, b))
+    best = best_tree_objective(weights,
+                               lambda p, ls: exp_objective(p, ls, base))
+    assert tree.objective == pytest.approx(best, rel=1e-12)
+
+
 def test_maxred_overflowing_root_takes_logs():
     tree = maxred_huffman([1e308, 1e308, 1e308, 1e308])
     assert tree.lengths == (2, 2, 2, 2)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -11,9 +12,11 @@ from epc import (ExplicitTailed, Exponential, Geometric, LengthSeq,
                  UnaryTail,
                  build_unary_ended, build_unary_ended_mmr, evaluate_penalty,
                  find_split_exponential, find_split_mmr, point_mass,
-                 tail_weight, with_geometric_tail)
+                 renyi_entropy, tail_weight, with_geometric_tail)
+from epc.bits import kraft_total
 from epc.light_tail import _REL_TOL
-from oracles import kraft_fraction, poisson_pmf, tailed_reduction_lengths
+from oracles import (kraft_fraction, poisson_ln_pmf, poisson_pmf,
+                     tailed_reduction_lengths)
 
 SEEDED = settings(derandomize=True, database=None, deadline=None,
                   max_examples=200)
@@ -290,6 +293,33 @@ def test_build_mmr_poisson():
         lens = _assemble(weights, maxred_huffman(weights).lengths)
         alt = LengthSeq(tuple(lens[:-1]), UnaryTail(r + 1, lens[-1] + 1))
         assert got <= evaluate_penalty(Poisson(1.0), alt, MaxRedundancy()) + 1e-11
+
+
+@pytest.mark.parametrize("mean, rule", [
+    (358.7, 2.0), (763.5, 1.5), (947.5, "mmr"),
+    (1000.0, 1.0), (1000.0, 1.5), (1000.0, 2.0), (1000.0, "mmr"),
+])
+def test_poisson_weights_past_the_normal_floats_merge_in_logs(mean, rule):
+    # some reduced weights (e**-mean at symbol 0, or the masses near the
+    # split) are not normal floats; the build merges the source's log
+    # masses and ranks by them
+    m = Poisson(mean)
+    if rule == "mmr":
+        code, penalty, floor = build_unary_ended_mmr(m), MaxRedundancy(), 0.0
+    else:
+        code, penalty = build_unary_ended(m, rule), Exponential(rule)
+        floor = renyi_entropy(m, rule)
+    head = code.head_lengths
+    assert min(m.masses(len(head))) < sys.float_info.min
+    num, den = kraft_total(head, code.spine_length)
+    assert num == den   # a full tree
+    # Campbell's bound: an optimal code lies within one bit of the floor
+    value = evaluate_penalty(m, code.lengths(), penalty)
+    assert floor - 1e-9 <= value < floor + 1.0
+    # likelier symbols never get longer words
+    ln_p = [poisson_ln_pmf(mean, i) for i in range(len(head))]
+    order = sorted(range(len(head)), key=lambda i: -ln_p[i])
+    assert all(head[i] <= head[j] for i, j in zip(order, order[1:]))
 
 
 def test_poisson_split_is_capped():

@@ -9,6 +9,8 @@ from epc import (DivergenceError, DthRedundancy, EpcError, ExplicitFinite,
                  expected_length, point_mass, power_sum, renyi_entropy,
                  shannon_entropy, tail_weight, total_mass,
                  with_geometric_tail)
+from epc.light_tail import build_unary_ended
+from epc.numeric import LN2
 from oracles import (geometric_pmf, poisson_entropy_decimal, poisson_pmf,
                      unary_tail_power_sum_direct)
 
@@ -83,6 +85,61 @@ def test_penalties_of_a_tail_past_the_float_range():
         for call in refused:
             with pytest.raises(EpcError, match="past the float range"):
                 call()
+
+
+def test_penalties_of_a_head_length_past_the_float_range():
+    # head lengths take the tail's rule: base**n is 0 below base one, and a
+    # sum past the float range is refused by name
+    finite = ExplicitFinite((0.5, 0.5))
+    into_tail = LengthSeq((1,), UnaryTail(1, 10 ** 400))
+    long_head = LengthSeq((1, 10 ** 400), UnaryTail(2, 3))
+    assert evaluate_penalty(finite, into_tail, Exponential(0.5)) == 2.0
+    # 0.25 from symbol 0 and 0.25**(i+1) from each tail symbol i >= 2
+    assert evaluate_penalty(Geometric(0.5), long_head, Exponential(0.5)) == \
+        pytest.approx(-math.log2(0.25 + 0.25 ** 3 / 0.75), rel=1e-15)
+    assert power_sum(finite, into_tail, 1.0) == 1.0
+    assert power_sum(Geometric(0.5), long_head, 1.0) == \
+        pytest.approx(1.0, rel=1e-15)
+    for model, code in ((finite, into_tail), (Geometric(0.5), long_head)):
+        for penalty in (MaxRedundancy(), Exponential(2.0), Linear(),
+                        DthRedundancy(1.0)):
+            with pytest.raises(EpcError, match="past the float range"):
+                evaluate_penalty(model, code, penalty)
+
+
+def test_evaluate_penalty_refuses_a_non_penalty():
+    with pytest.raises(TypeError, match="not a penalty"):
+        evaluate_penalty(Geometric(0.5), LengthSeq((), UnaryTail(0, 1)), 2.0)
+
+
+def test_profile_reads_the_head_log_masses_once():
+    # Poisson(700)'s base-2 code has about 890 lengths whose masses
+    # underflow; their logs come from one read of the head, not one scan
+    # of the head per length
+    class Counting(Poisson):
+        calls = reads = 0
+
+        def mass(self, i):      # not counted
+            return math.exp(Poisson.ln_mass(self, i))
+
+        def ln_mass(self, i):
+            Counting.reads += 1
+            return super().ln_mass(i)
+
+        def ln_masses(self, j, n):
+            Counting.calls += 1
+            Counting.reads += max(n - j, 0)
+            return super().ln_masses(j, n)
+
+    code = build_unary_ended(Poisson(700.0), 2.0).lengths()
+    model = Counting(700.0)
+    start = time.process_time()
+    profile = code._profile(model)
+    elapsed = time.process_time() - start
+    assert Counting.reads <= len(code.head) and Counting.calls == 1
+    assert profile.ln_power_sum(LN2) == \
+        code._profile(Poisson(700.0)).ln_power_sum(LN2)
+    assert elapsed < 0.03
 
 
 def test_tail_weight_past_the_float_range():

@@ -487,6 +487,28 @@ def test_roadmap_float_range_hits(call, want):
         assert call() == pytest.approx(want, rel=1e-9)
 
 
+def test_poisson_deterministic_solve_reads_underflowing_masses_as_logs():
+    # s0 asks for a split of 520, past which the reduced weights underflow;
+    # the build merges the source's logs there, and the solve settles
+    m = Poisson(5.0)
+    arr = Deterministic(shannon_entropy(m) / 0.8)
+    res = optimize_overflow(m, arr)
+    assert res.trace[0][1].split == 520 and res.iterations == 8
+    assert res.decay_rate == max_decay_rate(m, res.code, arr).value
+    assert overflow_functional(m, res.code, arr, res.decay_rate) <= 1.0
+
+
+@pytest.mark.parametrize("ratio, gap, power", [
+    (0.995, 18.2, "1040.46"),
+    (0.999, 23.0, "5810.49"),
+])
+def test_a_code_base_past_the_float_range_is_refused(ratio, gap, power):
+    # a rate past ln(float max) has no exponential penalty to build at
+    with pytest.raises(EpcError, match=rf"^the code's base is e\*\*{power}, "
+                                       "past the float range$"):
+        optimize_overflow(Geometric(ratio), Deterministic(gap))
+
+
 def test_tail_weight_past_the_term_cap_is_refused_at_once():
     # the peak of p(k) * 1e300**k lies at 3e300: refused before any term
     start = time.process_time()
