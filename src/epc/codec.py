@@ -7,22 +7,25 @@ zero-padded to a byte boundary.
 
 Both directions work on the payload as one string of "0"/"1" characters:
 encode joins one codeword string per symbol and converts the whole string
-once, decode formats the payload once and walks it by index. Golomb words
-are decoded arithmetically; explicit and unary-ended words through
-canonical first-code/limit tables (Moffat & Turpin, "On the implementation
-of minimum-redundancy prefix codes", IEEE Trans. Commun. 1997).
+once, decode formats the payload once and walks it by index.
 
-An `ExplicitCode` and a `UnaryEndedCode` are each a `LengthSeq`: a head of
-lengths, the unary-ended code's tail one bit past its all-1s spine, and the
-words per length, `counts`. That is all canonical decoding reads, from
-either class alike; their codeword strings are built when encoding first
-asks for them, and decoding never does. A descriptor's
-lengths are read in one pass: a run of one-byte varints is its own bytes.
+One canonical decoder (Moffat & Turpin, "On the implementation of
+minimum-redundancy prefix codes", IEEE Trans. Commun. 1997) reads every
+code as three parts: a canonical head, decoded through first-code/limit
+rows; an all-1s spine at the top of its code space; and an optional
+Golomb-k run behind the spine, whose words are read arithmetically. An
+`ExplicitCode` is a head alone. A `UnaryEndedCode` is a head, its spine and
+a run at k = 1, the unary tail. A `GolombCode` is a run behind an empty
+head and spine. The two `LengthSeq` classes give the decoder their head,
+spine and words per length, `counts`, alike; their codeword strings are
+built when encoding first asks for them, and decoding never does. A
+descriptor's lengths are read in one pass: a run of one-byte varints is its
+own bytes.
 
 Everything decoding derives from the code alone is built once per
 descriptor into a decode plan and kept, for the last 16 descriptors read, in
-a cache keyed by the descriptor's bytes: the parsed code, the canonical
-rows with their single-step lookup, and the multi-symbol table (Choueka,
+a cache keyed by the descriptor's bytes: the parsed code, its rows, spine
+and run with their single-step lookup, and the multi-symbol table (Choueka,
 Klein & Perl 1985). A stream of containers under one code thus parses,
 checks and tabulates that code once; each container only walks its payload.
 The table maps the next t payload bits to every whole codeword in them and
@@ -259,68 +262,26 @@ def _table_run(bits: str, pos: int, out: list, stop: int, t: int,
     return pos
 
 
-def _golomb_words(code: GolombCode, t: int):
-    """(value, length, symbol) of every Golomb word of at most t bits; none
-    when they fill less than 7/8 of code space, as _decode_table refuses."""
-    k, g, z = code.k, code.suffix_bits, code.short_count
-    if 8 * k > 1 << t:      # the words past t bits fill exactly k / 2**t
-        return
-    for q in range(t - g + 1):
-        prefix = (1 << q + 1) - 2       # q ones, then the zero
-        for r in range(k):
-            if r < z:
-                yield prefix << g - 1 | r, q + g, q * k + r
-            elif q + g < t:
-                yield prefix << g | r + z, q + g + 1, q * k + r
-
-
-def _decode_golomb(bits: str, count: int, plan: _Plan):
-    """-> (symbols, bits consumed); may overrun len(bits) on a truncated
-    payload, which the caller reports."""
-    code = plan.code
-    k, g, z = code.k, code.suffix_bits, code.short_count
-    t, table = _plan_table(plan, count)
-    stop = count - t if table else -1
-    bits += "0" * t     # full windows at the end; an overrun shows in pos
-    find = bits.find
-    out = []
-    append = out.append
-    pos = 0
-    while len(out) < count:
-        if len(out) <= stop:
-            pos = _table_run(bits, pos, out, stop, t, table)
-        # one word too long for the table, or the words past stop
-        for _ in range(1 if len(out) <= stop else count - len(out)):
-            end = find("0", pos)
-            if end < 0:
-                raise ContainerError("truncated payload")
-            value = (end - pos) * k
-            pos = end + g            # past the zero and the short suffix
-            if g > 1:
-                r = int(bits[end + 1:pos], 2)
-                if r >= z:
-                    r += r - z + (bits[pos] == "1")
-                    pos += 1
-                value += r
-            append(value)
-    return out, pos
-
-
 # Words of at most this many bits decode from a window this wide; the
 # decoder reads the whole L-bit window only past them.
 _WINDOW = 64
 
 
 def _canonical_rows(code: CodeSpec):
-    """Canonical decoding rows for an explicit or unary-ended code.
+    """Canonical decoding rows, spine and run of a container code.
 
-    -> (L, ends, rows, order, spine), L the longest length, spine included.
-    Row i holds the words of one length l, rows shortest first, and ends[i]
-    is where it ends in code space, left-justified to L bits. With
-    rows[i] = (l, offset), a word of row i whose l bits read as v is symbol
-    order[v - offset]. The unary-ended spine, the top of code space, ends at
-    one more end, 2**L.
+    -> (L, ends, rows, order, spine, k), L the longest row length, spine
+    included. Row i holds the words of one length l, rows shortest first,
+    and ends[i] is where it ends in code space, left-justified to L bits.
+    With rows[i] = (l, offset), a word of row i whose l bits read as v is
+    symbol order[v - offset]. The spine, spine 1s at the top of code space,
+    ends at one more end, 2**L; behind it symbols len(order) on take the
+    Golomb-k run's words. An explicit code has no run, k = 0; a unary-ended
+    code's tail is the run at k = 1; a Golomb code is a run behind no rows
+    and an empty spine.
     """
+    if isinstance(code, GolombCode):
+        return 0, [], [], [], 0, code.k
     lengths, counts = code.head, code.counts
     spine = code.tail.start_length - 1 if code.tail else 0
     width = max(len(counts) - 1, spine)
@@ -339,12 +300,13 @@ def _canonical_rows(code: CodeSpec):
     # a list: indexing one is several times faster than indexing a range
     order = (list(range(len(lengths))) if code.head_sorted
              else sorted(range(len(lengths)), key=lengths.__getitem__))
-    return width, ends, rows, order, spine
+    return width, ends, rows, order, spine, 1 if spine else 0
 
 
-def _canonical_words(width, ends, rows, order, spine, t: int):
-    """(value, length, symbol) of every canonical word of at most t bits:
-    the rows no longer than t, then the spine's unary words."""
+def _canonical_words(width, ends, rows, order, spine, k, t: int):
+    """(value, length, symbol) of every word of at most t bits: the rows no
+    longer than t, then the run's words behind the spine. Those are prefix
+    free, so at most 2**t of them are listed."""
     start = 0
     for (length, offset), end in zip(rows, ends):
         if length > t:
@@ -353,23 +315,38 @@ def _canonical_words(width, ends, rows, order, spine, t: int):
         for value in range(start >> shift, end >> shift):
             yield value, length, order[value - offset]
         start = end
-    if spine:
-        for j in range(t - spine):      # spine and j ones, then the zero
-            yield (1 << spine + j + 1) - 2, spine + j + 1, len(order) + j
+    if not k:
+        return
+    g = k.bit_length()
+    z = (1 << g) - k
+    for q in range(t - spine - g + 1):
+        prefix = (1 << spine + q + 1) - 2     # spine and q ones, then the zero
+        length = spine + q + g
+        first = len(order) + q * k
+        for r in range(z):
+            yield prefix << g - 1 | r, length, first + r
+        if length < t:
+            for r in range(z, k):
+                yield prefix << g | r + z, length + 1, first + r
 
 
 def _decode_canonical(bits: str, count: int, plan: _Plan):
-    """-> (symbols, bits consumed) for the table-decoded families.
+    """-> (symbols, bits consumed); may overrun len(bits) on a truncated
+    payload, which the caller reports.
 
-    A word of at most `window` = min(L, _WINDOW) bits costs O(window): a row
-    of length l <= window ends on a multiple of 2**(L - window), so the first
-    window bits against its end shifted right by L - window decide it
+    A row word of at most `window` = min(L, _WINDOW) bits costs O(window): a
+    row of length l <= window ends on a multiple of 2**(L - window), so the
+    first window bits against its end shifted right by L - window decide it
     exactly. Past them, if some row is longer, the whole L-bit window
-    decides the row, the spine or no word.
+    decides the row, the spine or no word. A run word past the spine is read
+    arithmetically: its ones up to the next zero are the quotient, then g - 1
+    suffix bits, and one more when they read z = 2**g - k or more.
     """
-    width, window, limits, ends, short, rows, order, spine = plan.steps
+    width, window, limits, ends, short, rows, order, spine, k = plan.steps
     past_rows = len(rows)
-    tail_start = len(order)
+    run_start = len(order)
+    g = k.bit_length()
+    z = (1 << g) - k
     t, table = _plan_table(plan, count)
     stop = count - t if table else -1
     # full windows at the end; an overrun shows in pos
@@ -383,24 +360,33 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
             pos = _table_run(bits, pos, out, stop, t, table)
         # one word too long for the table, or the words past stop
         for _ in range(1 if len(out) <= stop else count - len(out)):
-            w = int(bits[pos:pos + window], 2)
-            i = bisect_right(limits, w)
-            if i == short < past_rows:      # longer than the window, or no word
-                w = int(bits[pos:pos + width], 2)
-                i = bisect_right(ends, w, short)
-            if i == past_rows:
-                if not spine:
-                    raise ContainerError(
-                        "payload does not match the declared code")
-                # w has a one in the real bits, so a padding zero lies ahead
-                pos += spine
-                end = find("0", pos)
-                append(tail_start + end - pos)
-                pos = end + 1
-                continue
-            length, shift, offset = rows[i]
-            append(order[(w >> shift) - offset])
-            pos += length
+            if past_rows:
+                w = int(bits[pos:pos + window], 2)
+                i = bisect_right(limits, w)
+                if i == short < past_rows:  # past the window, or no word
+                    w = int(bits[pos:pos + width], 2)
+                    i = bisect_right(ends, w, short)
+                if i < past_rows:
+                    length, shift, offset = rows[i]
+                    append(order[(w >> shift) - offset])
+                    pos += length
+                    continue
+            if not k:
+                raise ContainerError(
+                    "payload does not match the declared code")
+            start = pos + spine
+            end = find("0", start)
+            if end < 0:
+                raise ContainerError("truncated payload")
+            value = run_start + (end - start) * k
+            pos = end + g            # past the zero and the short suffix
+            if g > 1:
+                r = int(bits[end + 1:pos], 2)
+                if r >= z:
+                    r += r - z + (bits[pos] == "1")
+                    pos += 1
+                value += r
+            append(value)
     return out, pos
 
 
@@ -411,20 +397,17 @@ _PLANS = 16
 
 class _Plan:
     """What decoding derives from one code alone, shared by every container
-    that carries its descriptor: the code, for a canonical code `steps`
-    (the rows, their single-step limits and order, the spine), and `table`,
-    the (t, table) of the widest multi-symbol table built, (0, None) while
-    none is."""
+    that carries its descriptor: the code, `steps` (the rows, their
+    single-step limits and order, the spine, the run's k), `words`, which
+    lists the words a table holds, and `table`, the (t, table) of the widest
+    multi-symbol table built, (0, None) while none is."""
 
     def __init__(self, code: CodeSpec) -> None:
         self.code = code
         self.table = (0, None)
         self.tried = 0          # the widest t whose table was built or refused
         self.lock = threading.Lock()
-        if isinstance(code, GolombCode):
-            self.words = partial(_golomb_words, code)
-            return
-        width, ends, rows, order, spine = canonical = _canonical_rows(code)
+        width, ends, rows, order, spine, k = canonical = _canonical_rows(code)
         self.words = partial(_canonical_words, *canonical)
         window = min(width, _WINDOW)
         drop = width - window
@@ -432,7 +415,8 @@ class _Plan:
         limits = [end >> drop for end in ends[:short]]
         steps = [(length, (window if i < short else width) - length, offset)
                  for i, (length, offset) in enumerate(rows)]
-        self.steps = (width, window, limits, ends, short, steps, order, spine)
+        self.steps = (width, window, limits, ends, short, steps, order,
+                      spine, k)
 
 
 @lru_cache(maxsize=_PLANS)
@@ -474,10 +458,7 @@ def read_container(data: bytes) -> tuple[CodeSpec, list[int]]:
             f"declared count {count} exceeds the {nbits} payload bits")
     bits = format(int.from_bytes(payload, "big"), f"0{nbits}b") if nbits else ""
     try:
-        if isinstance(plan.code, GolombCode):
-            symbols, pos = _decode_golomb(bits, count, plan)
-        else:
-            symbols, pos = _decode_canonical(bits, count, plan)
+        symbols, pos = _decode_canonical(bits, count, plan)
     except (ValueError, IndexError, KeyError):  # reads past the end
         raise ContainerError("truncated payload") from None
     if pos > nbits:

@@ -197,7 +197,8 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
     f is log-convex with f(0) = 1, so the feasible set is an interval
     starting at zero; it is the single point {0} exactly when the mean
     codeword length reaches the mean intermission. The bisection tests
-    ln f <= 0; the mean length and every power sum read one profile of the
+    ln f <= 0, down to width _S_TOL or until no float lies strictly between
+    its ends; the mean length and every power sum read one profile of the
     code, built once per call.
     """
     profile = code._profile(model)
@@ -230,6 +231,8 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
                 raise DivergenceError("f never exceeds one; no finite optimum")
     while hi - lo > _S_TOL:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:       # no float lies between them
+            break
         if ln_f(mid) <= 0.0:
             lo = mid
         else:
@@ -241,7 +244,8 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
 
 def _last_nonpositive(f: Callable[[float], float], slope0: float,
                       lo: float, hi: float, f_hi: float) -> float:
-    """Shrink a bracket f(lo) <= 0 < f(hi) to width _S_TOL and return lo.
+    """Shrink a bracket f(lo) <= 0 < f(hi) to width _S_TOL, or until no
+    float lies strictly inside it, and return lo.
 
     f is convex on s >= 0 with f(0) = 0 and f'(0) = slope0 < 0, so it
     crosses zero once, rising, at a root r > 0. A secant through two points
@@ -260,6 +264,8 @@ def _last_nonpositive(f: Callable[[float], float], slope0: float,
     bisect = False
     while hi - lo > _S_TOL:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:       # no float lies between them
+            break
         if bisect or budget <= 0:
             x = mid
         else:

@@ -260,8 +260,6 @@ def test_deep_code_roundtrip(code):
 # --------------------------------------------------- multi-symbol table path
 
 def _table(code, t):
-    if isinstance(code, GolombCode):
-        return codec._decode_table(codec._golomb_words(code, t), t)
     return codec._decode_table(
         codec._canonical_words(*codec._canonical_rows(code), t), t)
 

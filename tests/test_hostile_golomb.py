@@ -1,0 +1,58 @@
+"""Golomb descriptors with a k far past what a multi-symbol table can hold.
+
+A Golomb code decodes as a run of k-word quotients behind an empty head, and
+its table lists the run's words of at most t bits. Whatever k a container
+declares, that listing stays within 2**t words, and the container decodes
+or raises ContainerError.
+"""
+import random
+
+import pytest
+
+from epc import ContainerError, GolombCode, codec, encode, read_container
+
+
+@pytest.fixture
+def listed(monkeypatch):
+    """The table widths whose words a plan listed, each listing failing past
+    2**t words; plans built here are dropped afterwards."""
+    widths = []
+    real = codec._canonical_words
+
+    def counting(*args):
+        t = args[-1]
+        for n, word in enumerate(real(*args), 1):
+            assert n <= 1 << t, f"more than 2**{t} words listed"
+            yield word
+        widths.append(t)
+
+    codec._plan.cache_clear()
+    monkeypatch.setattr(codec, "_canonical_words", counting)
+    yield widths
+    codec._plan.cache_clear()
+
+
+@pytest.mark.parametrize("count", [600, 5000], ids=["t8", "t10"])
+@pytest.mark.parametrize("k", [2 ** 62, 2 ** 10 - 1], ids=["2**62", "2**10-1"])
+def test_hostile_golomb_descriptor(k, count, listed):
+    rng = random.Random(count)
+    code = GolombCode(k)
+    symbols = [rng.randrange(3 * k) for _ in range(count)]
+    blob = encode(symbols, code)
+    assert read_container(blob) == (code, symbols)
+    # the plan listed the words of one table width and refused the table:
+    # they fill far less than 7/8 of code space
+    t = codec._table_width(count)
+    descriptor = codec._descriptor(code)
+    assert listed == [t]
+    assert codec._plan(descriptor).table == (0, None)
+    # a payload of noise under the same header decodes to symbols that
+    # encode back to it, or is refused
+    header = blob[:5 + len(descriptor) + 8]
+    hostile = header + bytes(rng.randrange(256)
+                             for _ in range(len(blob) - len(header)))
+    try:
+        got, decoded = read_container(hostile)
+    except ContainerError:
+        return
+    assert got == code and encode(decoded, code) == hostile

@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 
@@ -132,14 +133,23 @@ def test_profile_reads_the_head_log_masses_once():
             return super().ln_masses(j, n)
 
     code = build_unary_ended(Poisson(700.0), 2.0).lengths()
-    model = Counting(700.0)
-    start = time.process_time()
-    profile = code._profile(model)
-    elapsed = time.process_time() - start
-    assert Counting.reads <= len(code.head) and Counting.calls == 1
+    # the fastest of three builds, each on a fresh source with the
+    # collector paused, so that no pause of the process decides the bound
+    times = []
+    gc.disable()
+    try:
+        for _ in range(3):
+            Counting.calls = Counting.reads = 0
+            model = Counting(700.0)
+            start = time.process_time()
+            profile = code._profile(model)
+            times.append(time.process_time() - start)
+            assert Counting.reads <= len(code.head) and Counting.calls == 1
+    finally:
+        gc.enable()
     assert profile.ln_power_sum(LN2) == \
         code._profile(Poisson(700.0)).ln_power_sum(LN2)
-    assert elapsed < 0.03
+    assert min(times) < 0.03
 
 
 def test_tail_weight_past_the_float_range():

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import signal
 import time
 
 import pytest
@@ -498,15 +500,50 @@ def test_poisson_deterministic_solve_reads_underflowing_masses_as_logs():
     assert overflow_functional(m, res.code, arr, res.decay_rate) <= 1.0
 
 
+def _within_cpu_seconds(seconds, call, *args):
+    """call(*args), failing once it has used `seconds` of CPU time, so that
+    a loop that never ends fails its test instead of holding the run."""
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s of CPU")
+    previous = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        return call(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0.0)
+        signal.signal(signal.SIGPROF, previous)
+
+
 @pytest.mark.parametrize("ratio, gap, power", [
     (0.995, 18.2, "1040.46"),
     (0.999, 23.0, "5810.49"),
+    # the bound's bracket closes where floats lie wider apart than _S_TOL
+    (0.995, 30.0, "3.73063e+06"),
 ])
 def test_a_code_base_past_the_float_range_is_refused(ratio, gap, power):
     # a rate past ln(float max) has no exponential penalty to build at
-    with pytest.raises(EpcError, match=rf"^the code's base is e\*\*{power}, "
-                                       "past the float range$"):
-        optimize_overflow(Geometric(ratio), Deterministic(gap))
+    with pytest.raises(EpcError, match=rf"^the code's base is e\*\*"
+                       rf"{re.escape(power)}, past the float range$"):
+        _within_cpu_seconds(5.0, optimize_overflow, Geometric(ratio),
+                            Deterministic(gap))
+
+
+@pytest.mark.parametrize("call, args, want", [
+    # the bound's bracket closes on [2**20, 2**22], where floats lie 2**-32
+    # and more apart: wider than _S_TOL
+    (decay_rate_bound, (Geometric(0.995), Deterministic(30)),
+     3730628.54541019),
+    # f(s) = e**(-0.9999 s) + 1e-300 e**(1e-4 s) crosses one at about
+    # ln(1e300) / 1e-4
+    (lambda *a: max_decay_rate(*a).value,
+     (ExplicitFinite((1.0, 1e-300)), LengthSeq((1, 2)), Deterministic(1.9999)),
+     6907755.278992295),
+], ids=["decay_rate_bound", "max_decay_rate"])
+def test_brackets_past_the_tolerance_spacing_stop(call, args, want):
+    # each bracket stops once no float lies strictly between its ends
+    start = time.process_time()
+    assert _within_cpu_seconds(5.0, call, *args) == want
+    assert time.process_time() - start < 1.0
 
 
 def test_tail_weight_past_the_term_cap_is_refused_at_once():
