@@ -32,11 +32,15 @@ The table maps the next t payload bits to every whole codeword in them and
 the bits they use, so one lookup emits several symbols. A container of 512
 symbols or more builds one, with t = 8, or 10 from 4096 symbols, unless
 its plan has tried one as wide; a code whose words of at most t bits
-fill less than 7/8 of code space gets none. A container of any length
-decodes through the table its plan holds. Words longer than t bits and the
-symbols left once fewer than t remain before the count take the
-single-symbol steps above, so padding bits never decode as symbols and
-every container check reads as without the table.
+fill less than 7/8 of code space gets none at t. A plan so refused tries
+t + 2, up to 14 bits, once a container of at least 2**(t + 2) symbols
+arrives, and climbs on with later, larger containers. Every table is thus
+built by a container of at least 2**t symbols, so its 2**(t + 1) - 1
+entries are fewer than 2 per symbol; a 14-bit plan holds about 2 MB. A
+container of any length decodes through the table its plan holds. Words
+longer than t bits and the symbols left once fewer than t remain before
+the count take the single-symbol steps above, so padding bits never
+decode as symbols and every container check reads as without the table.
 """
 from __future__ import annotations
 
@@ -44,7 +48,7 @@ import operator
 import struct
 import threading
 from bisect import bisect_right
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import Union
 
 from .bits import (_codewords_of, uleb128_decode, uleb128_decode_all,
@@ -193,15 +197,21 @@ def _parse_descriptor(descriptor: bytes) -> CodeSpec:
 # any length read it. One whose words of at most t bits fill less than 7/8
 # of code space sends too many symbols through a failed lookup and a single
 # step (the 4096-symbol Zipf code, at 64% for t = 10, decoded about 5%
-# slower with a table), so none is built.
+# slower with a table), so none is built at that width; its plan tries a
+# wider one, which the code's longer words fill (95% at t = 14), once a
+# container long enough to pay for it arrives.
 _TABLE_MIN = 512
 _TABLE_WIDE = 4096      # containers from this count up use t = 10
+_WIDEST = 14            # a refused width widens by 2 up to this
+
+
 # A table is keyed by the window's own characters: a dict lookup on the
 # slice takes about half the time of parsing it with int(window, 2). The
-# keys are the same for every code, so they are made once here (the
+# keys are the same for every code, so they are made once per width (the
 # leading 1 of 2**t + u keeps u's leading zeros).
-_WINDOW_KEYS = {t: [bin(u)[3:] for u in range(1 << t, 2 << t)]
-                for t in (8, 10)}
+@cache
+def _window_keys(t: int) -> list[str]:
+    return [bin(u)[3:] for u in range(1 << t, 2 << t)]
 
 
 def _table_width(count: int) -> int:
@@ -240,25 +250,27 @@ def _decode_table(words, t: int):
                 table[value * span:(value + 1) * span] = [
                     (head + syms, length + used) for syms, used in rest]
         tables.append(table)
-    return dict(zip(_WINDOW_KEYS[t], tables[t]))
+    return dict(zip(_window_keys(t), tables[t]))
 
 
 def _table_run(bits: str, pos: int, out: list, stop: int, t: int,
                table) -> int:
     """Table lookups while len(out) <= stop, up to a word longer than t bits;
-    -> pos. A lookup emits at most t words, so stop = count - t never lets
-    the table decode past the count into the padding.
+    -> pos. A lookup emits 1 to t words, so a batch of (stop - len(out)) // t
+    + 1 lookups each start at len(out) <= stop, and stop = count - t never
+    lets the table decode past the count into the padding.
 
     bits carries at least t padding zeros, so a window reads what the single
     steps would read. One shorter than t bits, a KeyError, starts past the
     payload: the caller reports a truncated payload, as the single steps
     would."""
     while len(out) <= stop:
-        syms, used = table[bits[pos:pos + t]]
-        if not used:
-            break
-        out += syms
-        pos += used
+        for _ in range((stop - len(out)) // t + 1):
+            syms, used = table[bits[pos:pos + t]]
+            if not used:
+                return pos
+            out += syms
+            pos += used
     return pos
 
 
@@ -391,7 +403,7 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
 
 
 # Descriptors whose plans the cache keeps; each holds its code, rows and at
-# most one table of 2**10 entries.
+# most one table of 2**14 entries, about 2 MB.
 _PLANS = 16
 
 
@@ -424,14 +436,26 @@ def _plan(descriptor: bytes) -> _Plan:
     return _Plan(_parse_descriptor(descriptor))
 
 
-def _plan_table(plan: _Plan, count: int):
-    """(t, table) a container of count symbols decodes with: the plan's,
-    once a table of _table_width(count), if wider than any tried, is built
-    into it."""
+def _next_width(plan: _Plan, count: int) -> int:
+    """The next table width a container of count symbols tries on plan, 0
+    for none: _table_width(count) if wider than any tried; else, while the
+    plan holds no table, w = the widest tried + 2, if w <= _WIDEST and
+    count >= 2**w."""
     t = _table_width(count)
     if t > plan.tried:
+        return t
+    t = plan.tried + 2
+    if plan.tried and plan.table[1] is None and t <= _WIDEST and count >> t:
+        return t
+    return 0
+
+
+def _plan_table(plan: _Plan, count: int):
+    """(t, table) a container of count symbols decodes with: the plan's,
+    once every width _next_width names has been built or refused."""
+    if _next_width(plan, count):
         with plan.lock:
-            if t > plan.tried:
+            while t := _next_width(plan, count):
                 table = _decode_table(plan.words(t), t)
                 if table is not None:
                     plan.table = (t, table)

@@ -145,6 +145,11 @@ class Poisson(_Source):
     def mass(self, i: int) -> float:
         return math.exp(self.ln_mass(i))
 
+    def masses(self, n: int) -> list[float]:
+        # mass(i) for each i from the kept log masses, which ln_mass's own
+        # formula fills, so the floats are the same
+        return list(map(math.exp, self.ln_masses(0, n)))
+
 
 @dataclass(frozen=True)
 class ExplicitFinite(_Source):

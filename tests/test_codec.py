@@ -9,7 +9,8 @@ import pytest
 
 from epc import (ContainerError, ExplicitCode, GolombCode, Poisson,
                  UnaryEndedCode, bits, build_unary_ended, codec, decode,
-                 encode, golomb_length, light_tail, read_container)
+                 encode, exp_huffman, golomb_length, light_tail,
+                 read_container)
 from oracles import kraft_fraction
 
 
@@ -294,7 +295,7 @@ def test_table_width_rule():
 
 def test_golomb_table_fill_rule():
     # Golomb words of at most t bits fill 1 - k / 2**t of code space, so the
-    # words are not listed when that is below 7/8; word by word, for every k
+    # table is refused when that is below 7/8; word by word, for every k
     # the rule separates at t = 8 and 10
     for t in (8, 10):
         for k in range(1, (1 << t - 3) + 40):
@@ -388,23 +389,81 @@ def test_table_unary_spine_longer_than_window():
     assert read_container(blob) == _single_symbol(blob) == (code, symbols)
 
 
-@pytest.mark.parametrize("count", [codec._TABLE_MIN + 1, codec._TABLE_WIDE + 3])
-def test_table_stops_before_the_count(count):
-    # Golomb k = 1 writes 0 as "0", so every padding bit would read as one
+# "0", "10", then 2048 words of 13 bits: the words of at most 12 bits fill
+# 3/4 of code space, so only a 14-bit table is built
+WIDE_CODE = ExplicitCode.from_lengths([1, 2] + [13] * 2048)
+
+
+@pytest.mark.parametrize("code, count, width", [
+    pytest.param(code, count, width, id=str(count)) for code, count, width in (
+        (GolombCode(1), codec._TABLE_MIN + 1, 8),
+        (GolombCode(1), codec._TABLE_WIDE + 3, 10),
+        (WIDE_CODE, (1 << codec._WIDEST) + 3, 14))])
+def test_table_stops_before_the_count(code, count, width):
+    # both codes write 0 as "0", so every padding bit would read as one
     # more symbol 0 if the table ran up to the count
-    code = GolombCode(1)
+    codec._plan.cache_clear()
     blob = encode([0] * count, code)
-    nbits = 8 * (len(blob) - 15)
+    count_at = len(encode([], code)) - 8
+    nbits = 8 * (len(blob) - count_at - 8)
     assert nbits - count == 8 - count % 8
     assert decode(blob) == [0] * count
+    assert codec._plan(blob[5:count_at]).table[0] == width
     # the count decides: the padding holds up to nbits - count more words
-    widened = blob[:7] + struct.pack("<Q", nbits) + blob[15:]
+    widened = (blob[:count_at] + struct.pack("<Q", nbits)
+               + blob[count_at + 8:])
     assert decode(widened) == _single_symbol(widened)[1] == [0] * nbits
     # a one in the padding is still refused, inside or past a table window
     for bit in (1, 8 - count % 8):
         bad = blob[:-1] + bytes([blob[-1] | 1 << (bit - 1)])
         with pytest.raises(ContainerError, match="nonzero padding"):
             decode(bad)
+
+
+def test_refused_table_widens_with_the_container(monkeypatch):
+    # the base-1 Huffman code of Zipf(4096) is refused at t = 8 to 12 and
+    # fills 95% of code space at t = 14
+    probs = [1.0 / (i + 1) for i in range(4096)]
+    total = sum(probs)
+    code = ExplicitCode.from_lengths(
+        exp_huffman([p / total for p in probs], 1.0).lengths)
+    for t in (8, 10, 12):
+        assert _table(code, t) is None
+    assert len(_table(code, 14)) == 1 << 14
+    codec._plan.cache_clear()
+    tried = []
+    real_table = codec._decode_table
+
+    def recording(words, t):
+        table = real_table(words, t)
+        tried.append(t)
+        return table
+    runs = []
+    real_run = codec._table_run
+
+    def counted(*args):
+        runs.append(args[4])        # t
+        return real_run(*args)
+    monkeypatch.setattr(codec, "_decode_table", recording)
+    monkeypatch.setattr(codec, "_table_run", counted)
+    rng = random.Random(23)
+    # a container widens a refused width by 2 while it holds 2**t symbols;
+    # 600 symbols then decode through the 14-bit table
+    for count, widths, width in ((600, [8], 0), (4096, [10, 12], 0),
+                                 (16383, [], 0), (16384, [14], 14),
+                                 (600, [], 14)):
+        symbols = rng.choices(range(4096), probs, k=count)
+        blob = encode(symbols, code)
+        tried.clear()
+        runs.clear()
+        assert read_container(blob) == _single_symbol(blob) == (code, symbols)
+        assert tried == widths
+        assert codec._plan(codec._descriptor(code)).table[0] == width
+        assert bool(runs) == bool(width) and set(runs) <= {width}
+        # fewer table entries than 2 per symbol of the container that
+        # built them, over every width
+        if widths and width:
+            assert (2 << width) - 1 < 2 * count
 
 
 def test_table_window_past_the_payload_reads_padding():

@@ -32,19 +32,21 @@ def listed(monkeypatch):
     codec._plan.cache_clear()
 
 
-@pytest.mark.parametrize("count", [600, 5000], ids=["t8", "t10"])
+@pytest.mark.parametrize("count, widths", [(600, [8]), (5000, [10, 12])],
+                         ids=["t8", "t10"])
 @pytest.mark.parametrize("k", [2 ** 62, 2 ** 10 - 1], ids=["2**62", "2**10-1"])
-def test_hostile_golomb_descriptor(k, count, listed):
+def test_hostile_golomb_descriptor(k, count, widths, listed):
     rng = random.Random(count)
     code = GolombCode(k)
     symbols = [rng.randrange(3 * k) for _ in range(count)]
     blob = encode(symbols, code)
     assert read_container(blob) == (code, symbols)
-    # the plan listed the words of one table width and refused the table:
-    # they fill far less than 7/8 of code space
-    t = codec._table_width(count)
+    # the plan listed the words of each table width the count reaches and
+    # refused every table: they fill far less than 7/8 of code space; a
+    # refused width widens by 2 while the container holds 2**t symbols
     descriptor = codec._descriptor(code)
-    assert listed == [t]
+    assert widths[0] == codec._table_width(count)
+    assert listed == widths
     assert codec._plan(descriptor).table == (0, None)
     # a payload of noise under the same header decodes to symbols that
     # encode back to it, or is refused
@@ -56,3 +58,11 @@ def test_hostile_golomb_descriptor(k, count, listed):
     except ContainerError:
         return
     assert got == code and encode(decoded, code) == hostile
+
+
+def test_refused_widths_stop_at_the_widest(listed):
+    # however many symbols a container holds, a refused plan tries no width
+    # past the widest
+    plan = codec._Plan(GolombCode(2 ** 62))
+    assert codec._plan_table(plan, 1 << 40) == (0, None)
+    assert listed == [10, 12, 14] and plan.tried == codec._WIDEST
