@@ -36,11 +36,12 @@ fill less than 7/8 of code space gets none at t. A plan so refused tries
 t + 2, up to 14 bits, once a container of at least 2**(t + 2) symbols
 arrives, and climbs on with later, larger containers. Every table is thus
 built by a container of at least 2**t symbols, so its 2**(t + 1) - 1
-entries are fewer than 2 per symbol; a 14-bit plan holds about 2 MB. A
-container of any length decodes through the table its plan holds. Words
-longer than t bits and the symbols left once fewer than t remain before
-the count take the single-symbol steps above, so padding bits never
-decode as symbols and every container check reads as without the table.
+entries are fewer than 2 per symbol; a 14-bit plan holds about 2 MB, and
+the 16 plans the cache keeps about 32 MB at worst. A container of any
+length decodes through the table its plan holds. Words longer than t bits
+and the symbols left once fewer than t remain before the count take the
+single-symbol steps above, so padding bits never decode as symbols and
+every container check reads as without the table.
 """
 from __future__ import annotations
 
@@ -403,7 +404,10 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
 
 
 # Descriptors whose plans the cache keeps; each holds its code, rows and at
-# most one table of 2**14 entries, about 2 MB.
+# most one table of 2**14 entries, about 2 MB. At worst the cache thus holds
+# about 32 MB of tables, plus 1.2 MB of 14-bit window keys shared by all:
+# 16 containers of 2**14 symbols under distinct refused codes, each as
+# short as 2 KB, fill it.
 _PLANS = 16
 
 

@@ -56,9 +56,12 @@ class _Source:
     tail_ratio           a geometric continuation, p(i+1) = tail_ratio * p(i)
                          from tail_start on; None for a finite source and for
                          Poisson, whose mass ratio p(i+1)/p(i) is mean/(i+1)
+    exp_of_logs          masses(n) is exp of ln_masses(0, n), float for float,
+                         so one read of the logs gives both (Poisson)
     """
 
     size = None
+    exp_of_logs = False
 
     def masses(self, n: int) -> list[float]:
         return [self.mass(i) for i in range(n)]
@@ -118,6 +121,7 @@ class Poisson(_Source):
 
     mean: float
     tail_ratio = None
+    exp_of_logs = True
 
     def __post_init__(self) -> None:
         check_positive("mean", self.mean)
@@ -579,8 +583,11 @@ class _Profile:
         self.model, self.head, self.tail = model, head[:size], tail
         rho = model.tail_ratio      # the power sum's pole: e**ln_b rho = 1
         self.pole = math.inf if rho is None or tail is None else -math.log(rho)
+        # masses that are exp of the logs come from the one read of the logs
+        ys = model.ln_masses(0, len(self.head)) if model.exp_of_logs else None
+        ps = model.masses(len(self.head)) if ys is None else map(math.exp, ys)
         groups = {n: [] for n in sorted(set(self.head))}
-        for n, p in zip(self.head, model.masses(len(self.head))):
+        for n, p in zip(self.head, ps):
             groups[n].append(p)
         self.near = sum(n <= _FLOAT_MAX for n in groups)
         self.far = self.near < len(groups) or (
@@ -592,8 +599,9 @@ class _Profile:
             if m < _TINY:   # read again as logs, over the largest
                 if ln_groups is None:   # every length's, in one read
                     ln_groups = {k: [] for k in groups}
-                    for k, y in zip(self.head,
-                                    model.ln_masses(0, len(self.head))):
+                    if ys is None:
+                        ys = model.ln_masses(0, len(self.head))
+                    for k, y in zip(self.head, ys):
                         ln_groups[k].append(y)
                 lps = ln_groups[n]
                 top = max(lps)
