@@ -29,13 +29,11 @@ and run with their single-step lookup, and the multi-symbol table (Choueka,
 Klein & Perl 1985). A stream of containers under one code thus parses,
 checks and tabulates that code once; each container only walks its payload.
 The table maps the next t payload bits to every whole codeword in them and
-the bits they use, so one lookup emits several symbols. A container of 512
-symbols or more builds one, with t = 8, or 10 from 4096 symbols, unless
-its plan has tried one as wide; a code whose words of at most t bits
-fill less than 7/8 of code space gets none at t. A plan so refused tries
-t + 2, up to 14 bits, once a container of at least 2**(t + 2) symbols
-arrives, and climbs on with later, larger containers. Every table is thus
-built by a container of at least 2**t symbols, so its 2**(t + 1) - 1
+the bits they use, so one lookup emits several symbols. Its width is the
+code's: the narrowest t of 8, 10, 12 and 14 bits whose words fill 7/8 of
+code space, read off the rows once per plan, and none if no such t exists;
+a code that fills 7/8 at 8 bits takes 10 bits from 1024 symbols. The first
+container of at least 2**t symbols builds the table, so its 2**(t + 1) - 1
 entries are fewer than 2 per symbol; a 14-bit plan holds about 2 MB, and
 the 16 plans the cache keeps about 32 MB at worst. A container of any
 length decodes through the table its plan holds. Words longer than t bits
@@ -191,19 +189,17 @@ def _parse_descriptor(descriptor: bytes) -> CodeSpec:
 
 
 # Multi-symbol table decoding (Choueka, Klein & Perl, "Efficient variants of
-# Huffman codes in high level languages", SIGIR 1985). Building the 511
-# entries of a t = 8 table costs what the table saves on about 250 (Golomb
-# k = 3, unary-ended) to 600 (Golomb k = 1) symbols, so shorter containers
-# build none; a table once built stays in the code's plan, and containers of
-# any length read it. One whose words of at most t bits fill less than 7/8
-# of code space sends too many symbols through a failed lookup and a single
-# step (the 4096-symbol Zipf code, at 64% for t = 10, decoded about 5%
-# slower with a table), so none is built at that width; its plan tries a
-# wider one, which the code's longer words fill (95% at t = 14), once a
-# container long enough to pay for it arrives.
-_TABLE_MIN = 512
-_TABLE_WIDE = 4096      # containers from this count up use t = 10
-_WIDEST = 14            # a refused width widens by 2 up to this
+# Huffman codes in high level languages", SIGIR 1985). One rule sets the
+# width: the code's narrowest t of 8, 10, 12 and 14 bits whose words fill at
+# least 7/8 of code space, since below that too many symbols take a failed
+# lookup and a single step (the 4096-symbol Zipf code, at 64% for t = 10,
+# decoded about 5% slower with a table; it fills 95% at t = 14). A code that
+# fills 7/8 at 8 bits takes _WIDE bits from 2**_WIDE symbols: on the Golomb
+# and unary codes that do, a 10-bit table decodes 15-37% faster per symbol
+# than an 8-bit one. The first container of at least 2**t symbols builds
+# the table, so its 2**(t + 1) - 1 entries are fewer than 2 per symbol, and
+# it stays in the code's plan for containers of any length.
+_WIDE = 10
 
 
 # A table is keyed by the window's own characters: a dict lookup on the
@@ -215,19 +211,10 @@ def _window_keys(t: int) -> list[str]:
     return [bin(u)[3:] for u in range(1 << t, 2 << t)]
 
 
-def _table_width(count: int) -> int:
-    """Window t of the multi-symbol table a container of count symbols
-    builds, 0 for none."""
-    if count < _TABLE_MIN:
-        return 0
-    return 8 if count < _TABLE_WIDE else 10
-
-
 def _decode_table(words, t: int):
     """{t-bit window: (symbols, bits used)} for the whole words that start
     the window, ((), 0) when its first word is longer than t bits or
-    matches no word. None when those words fill less than 7/8 of code space,
-    and always for t = 0.
+    matches no word.
 
     `words` yields (value, length, symbol) for every word of at most t bits.
     The table for width w is filled one word at a time: the 2**(w - l)
@@ -237,9 +224,6 @@ def _decode_table(words, t: int):
     by_length = [[] for _ in range(t + 1)]
     for value, length, symbol in words:
         by_length[length].append((value, symbol))
-    filled = sum(len(row) << t - length for length, row in enumerate(by_length))
-    if 8 * filled < 7 << t:
-        return None
     tables = [[((), 0)]]
     for width in range(1, t + 1):
         table = [((), 0)] * (1 << width)
@@ -343,6 +327,22 @@ def _canonical_words(width, ends, rows, order, spine, k, t: int):
                 yield prefix << g | r + z, length + 1, first + r
 
 
+def _narrowest(width, ends, rows, order, spine, k) -> int:
+    """The narrowest t of 8, 10, 12 and 14 whose words, those
+    _canonical_words lists, fill 7/8 of code space; 0 for none. The rows no
+    longer than t fill it up to the last one's end, and the Golomb-k run
+    behind the spine fills max(0, 2**(t - spine) - k) parts in 2**t."""
+    lengths = [length for length, _ in rows]
+    for t in (8, 10, 12, 14):
+        i = bisect_right(lengths, t)
+        filled = ends[i - 1] << t >> width if i else 0
+        if k and spine <= t:
+            filled += max(0, (1 << t - spine) - k)
+        if 8 * filled >= 7 << t:
+            return t
+    return 0
+
+
 def _decode_canonical(bits: str, count: int, plan: _Plan):
     """-> (symbols, bits consumed); may overrun len(bits) on a truncated
     payload, which the caller reports.
@@ -406,24 +406,25 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
 # Descriptors whose plans the cache keeps; each holds its code, rows and at
 # most one table of 2**14 entries, about 2 MB. At worst the cache thus holds
 # about 32 MB of tables, plus 1.2 MB of 14-bit window keys shared by all:
-# 16 containers of 2**14 symbols under distinct refused codes, each as
-# short as 2 KB, fill it.
+# 16 containers of 2**14 symbols under distinct codes whose narrowest width
+# is 14 bits, each as short as 2 KB, fill it.
 _PLANS = 16
 
 
 class _Plan:
     """What decoding derives from one code alone, shared by every container
     that carries its descriptor: the code, `steps` (the rows, their
-    single-step limits and order, the spine, the run's k), `words`, which
-    lists the words a table holds, and `table`, the (t, table) of the widest
-    multi-symbol table built, (0, None) while none is."""
+    single-step limits and order, the spine, the run's k), `narrowest`,
+    the code's table width (0 for none), `words`, which lists the words a
+    table holds, and `table`, the (t, table) of the widest multi-symbol
+    table built, (0, None) while none is."""
 
     def __init__(self, code: CodeSpec) -> None:
         self.code = code
         self.table = (0, None)
-        self.tried = 0          # the widest t whose table was built or refused
         self.lock = threading.Lock()
         width, ends, rows, order, spine, k = canonical = _canonical_rows(code)
+        self.narrowest = _narrowest(*canonical)
         self.words = partial(_canonical_words, *canonical)
         window = min(width, _WINDOW)
         drop = width - window
@@ -440,30 +441,17 @@ def _plan(descriptor: bytes) -> _Plan:
     return _Plan(_parse_descriptor(descriptor))
 
 
-def _next_width(plan: _Plan, count: int) -> int:
-    """The next table width a container of count symbols tries on plan, 0
-    for none: _table_width(count) if wider than any tried; else, while the
-    plan holds no table, w = the widest tried + 2, if w <= _WIDEST and
-    count >= 2**w."""
-    t = _table_width(count)
-    if t > plan.tried:
-        return t
-    t = plan.tried + 2
-    if plan.tried and plan.table[1] is None and t <= _WIDEST and count >> t:
-        return t
-    return 0
-
-
 def _plan_table(plan: _Plan, count: int):
     """(t, table) a container of count symbols decodes with: the plan's,
-    once every width _next_width names has been built or refused."""
-    if _next_width(plan, count):
+    once a container of at least 2**t symbols has built it. t is the plan's
+    narrowest width, raised to _WIDE from 2**_WIDE symbols on."""
+    t = plan.narrowest
+    if t and count >> _WIDE:
+        t = max(t, _WIDE)
+    if t > plan.table[0] and count >> t:
         with plan.lock:
-            while t := _next_width(plan, count):
-                table = _decode_table(plan.words(t), t)
-                if table is not None:
-                    plan.table = (t, table)
-                plan.tried = t
+            if t > plan.table[0]:
+                plan.table = (t, _decode_table(plan.words(t), t))
     return plan.table
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Callable
 
 from .models import DthRedundancy, Exponential, MaxRedundancy, Penalty
-from .numeric import LN2, logaddexp
+from .numeric import LN2, check_weights, logaddexp
 
 __all__ = [
     "CodeTree", "merge",
@@ -54,17 +54,6 @@ class CodeTree:
     @cached_property
     def codewords(self) -> tuple[str, ...]:
         return tuple(_codewords(*self._merges))
-
-
-def _check_weights(weights, noun: str = "weights") -> list[float]:
-    weights = list(map(float, weights))
-    if not weights:
-        raise ValueError("need at least one weight")
-    if not all(map(math.isfinite, weights)):
-        raise ValueError(f"{noun} must be finite")
-    if min(weights) <= 0.0:
-        raise ValueError(f"{noun} must be strictly positive")
-    return weights
 
 
 def _codewords(first, second) -> list[str]:
@@ -189,7 +178,7 @@ def _tilted(weights: list[float], tilt, ln_weights=None) -> CodeTree:
 
 def merge(weights, penalty: Penalty) -> CodeTree:
     """The optimal finite code for a penalty object, merged at its tilt."""
-    return _tilted(_check_weights(weights), penalty._tilt)
+    return _tilted(check_weights(weights), penalty._tilt)
 
 
 def exp_huffman(weights, base: float) -> CodeTree:
@@ -202,7 +191,7 @@ def exp_huffman_two_queue(weights, base: float) -> CodeTree:
     floats: the sorted-input entry to `_run`. Kept only for the design
     benchmark's `two_queue` jobs, which call it by name."""
     tilt = Exponential(base)._tilt
-    weights = _check_weights(weights)
+    weights = check_weights(weights)
     if any(a > b for a, b in zip(weights, weights[1:])):
         raise ValueError("weights must be sorted nondecreasing")
 
@@ -226,4 +215,4 @@ def dth_huffman(probs, order: float) -> CodeTree:
     """Minimize (1/d) log2 sum p**(1+d) 2**(d n): the exponential merge on
     weights p**(1+d) at base 2**d."""
     tilt = DthRedundancy(order)._tilt
-    return _tilted(_check_weights(probs, "probabilities"), tilt)
+    return _tilted(check_weights(probs, "probabilities"), tilt)

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 from .bits import integer_lengths, kraft_sign, length_counts
 from .errors import DivergenceError, EpcError
-from .numeric import LN2, check_positive
+from .numeric import LN2, check_positive, check_weights
 
 __all__ = [
     "Geometric", "Poisson", "ExplicitFinite", "ExplicitTailed",
@@ -31,19 +31,6 @@ __all__ = [
 
 
 # ---------------------------------------------------------------- sources
-
-def _probabilities(probs, what: str) -> tuple[float, ...]:
-    """The validated masses of a finite head or alphabet."""
-    probs = tuple(map(float, probs))
-    if not probs:
-        raise ValueError(f"need at least one {what}")
-    inf = math.inf
-    if not all(0.0 < p < inf for p in probs):   # one pass; NaN fails too
-        if not all(map(math.isfinite, probs)):
-            raise ValueError("probabilities must be finite")
-        raise ValueError("probabilities must be strictly positive")
-    return probs
-
 
 class _Source:
     """The one protocol every source answers; each query below is written
@@ -62,9 +49,6 @@ class _Source:
 
     size = None
     exp_of_logs = False
-
-    def masses(self, n: int) -> list[float]:
-        return [self.mass(i) for i in range(n)]
 
     def ln_masses(self, j: int, n: int) -> list[float]:
         return [self.ln_mass(i) for i in range(j, n)]
@@ -165,7 +149,8 @@ class ExplicitFinite(_Source):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs",
-                           _probabilities(self.probs, "probability"))
+                           tuple(check_weights(self.probs, "probabilities",
+                                               "probability")))
         if abs(math.fsum(self.probs) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1 within 1e-9")
         object.__setattr__(self, "size", len(self.probs))
@@ -198,7 +183,8 @@ class ExplicitTailed(_GeometricTail):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "head",
-                           _probabilities(self.head, "head probability"))
+                           tuple(check_weights(self.head, "probabilities",
+                                               "head probability")))
         if not 0.0 < self.tail_ratio < 1.0:
             raise ValueError("tail_ratio must lie in (0, 1)")
         object.__setattr__(self, "tail_start", len(self.head) - 1)

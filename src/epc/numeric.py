@@ -24,6 +24,21 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 
+def check_weights(values, noun: str = "weights",
+                  one: str = "weight") -> list[float]:
+    """values as floats, refused unless there is at least one and all are
+    finite and strictly positive; noun names them in the messages, one a
+    single value."""
+    values = list(map(float, values))
+    if not values:
+        raise ValueError(f"need at least one {one}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{noun} must be finite")
+    if min(values) <= 0.0:
+        raise ValueError(f"{noun} must be strictly positive")
+    return values
+
+
 def snap(x: float, tol: float = SNAP_TOL) -> float:
     """Return the nearest integer when x is within tol of one, else x."""
     n = round(x)

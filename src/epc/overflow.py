@@ -199,20 +199,26 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
     codeword length reaches the mean intermission. The bisection tests
     ln f <= 0, down to width _S_TOL or until no float lies strictly between
     its ends; the mean length and every power sum read one profile of the
-    code, built once per call.
+    code, built once per call. A source with no pole whose series stops at
+    its term cap at the bracket's upper end leaves f undecided there, and
+    the DivergenceError of that cap is raised.
     """
     profile = code._profile(model)
     if profile.expected_length() >= arrivals.mean_gap():
         return DecayRate(0.0, True)
     ln_power_sum, ln_transform = profile.ln_power_sum, arrivals.ln_transform
+    s_div = profile.pole
+    capped = None   # with no pole, (s, error) of the last series cut short
 
     def ln_f(s: float) -> float:
+        nonlocal capped
         try:
             return ln_transform(s) + ln_power_sum(s)
-        except DivergenceError:
+        except DivergenceError as exc:
+            if s_div == math.inf:
+                capped = s, exc
             return math.inf
 
-    s_div = profile.pole
     lo = 0.0
     if math.isfinite(s_div):
         hi = s_div / 2.0
@@ -237,6 +243,8 @@ def max_decay_rate(model: SourceModel, code: CodeLike,
             lo = mid
         else:
             hi = mid
+    if capped and capped[0] == hi:  # f(hi) > 1 was never computed
+        raise capped[1]
     return DecayRate(lo, False)
 
 

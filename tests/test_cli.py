@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from epc import (Exponential, GammaArrivals, Geometric, GolombCode, Poisson,
-                 SweepSpec, TableTransform, encode, evaluate_penalty,
-                 golomb_exp_penalty, optimal_code, optimal_k_dth,
-                 optimize_overflow, sweep)
+from epc import (ExplicitCode, Exponential, GammaArrivals, Geometric,
+                 GolombCode, Poisson, SweepSpec, TableTransform, encode,
+                 evaluate_penalty, golomb_exp_penalty, optimal_code,
+                 optimal_k_dth, optimize_overflow, read_container, sweep)
 from epc.cli import run
 
 
@@ -103,6 +103,21 @@ def test_encode_from_model(tmp_path, capsys):
     assert run(["decode", "--input", str(box)]) == 0
     out = capsys.readouterr().out.split()
     assert [int(x) for x in out] == [i % 7 for i in range(50)]
+
+
+def test_encode_from_weights(tmp_path, capsys):
+    # the weights, normalized, build a finite code stored canonically
+    weights = tmp_path / "w.txt"
+    weights.write_text("4 2 1 1\n")
+    src = tmp_path / "in.txt"
+    src.write_text("0 1 2 3 0 0 1\n")
+    box = tmp_path / "out.epc"
+    assert run(["encode", "--weights", str(weights), "--input", str(src),
+                "--output", str(box)]) == 0
+    assert capsys.readouterr().out == (
+        "explicit code on 4 symbols: 7 symbols -> 21 bytes\n")
+    assert read_container(box.read_bytes()) == (
+        ExplicitCode.from_lengths((1, 2, 3, 3)), [0, 1, 2, 3, 0, 0, 1])
 
 
 def test_overflow_command(capsys):

@@ -147,6 +147,11 @@ def test_encode_refuses_non_integral_symbols():
     assert decode(encode([True, 2, 2], GolombCode(1))) == [1, 2, 2]
 
 
+def test_encode_takes_a_generator():
+    symbols = (i % 7 for i in range(50))
+    assert decode(encode(symbols, GolombCode(2))) == [i % 7 for i in range(50)]
+
+
 def test_container_error_taxonomy():
     good = encode([1, 3, 9], GolombCode(3))
     with pytest.raises(ContainerError):
@@ -277,33 +282,93 @@ def _single_symbol(blob):
         return read_container(blob)
 
 
+def _filled(code, t):
+    """The reference fill: code space, in parts of 2**t, that the words of
+    at most t bits fill, summed word by word over their listing."""
+    words = codec._canonical_words(*codec._canonical_rows(code), t)
+    return sum(1 << t - length for _, length, _ in words)
+
+
+def _narrowest_by_words(code):
+    return next((t for t in (8, 10, 12, 14)
+                 if 8 * _filled(code, t) >= 7 << t), 0)
+
+
+def _built_widths(code, counts, rng):
+    """Decode one container per count under code from a cold plan, each
+    against the single-symbol oracle; -> the table width each decoded with,
+    checking that a table is built only by a container of at least 2**t
+    symbols, fewer than 2 entries per symbol."""
+    codec._plan.cache_clear()
+    widths = []
+    for count in counts:
+        symbols = [min(int(rng.expovariate(0.5)), 40) for _ in range(count)]
+        blob = encode(symbols, code)
+        before = codec._plan(codec._descriptor(code)).table[0]
+        assert read_container(blob) == _single_symbol(blob) == (code, symbols)
+        t = codec._plan(codec._descriptor(code)).table[0]
+        if t != before:
+            assert count >> t and (2 << t) - 1 < 2 * count
+        widths.append(t)
+    return widths
+
+
 def test_table_width_rule():
-    small, wide = codec._TABLE_MIN, codec._TABLE_WIDE
-    assert codec._table_width(small - 1) == 0         # short containers
-    assert codec._table_width(small) == 8
-    assert codec._table_width(wide - 1) == 8
-    assert codec._table_width(wide) == 10
-    assert codec._table_width(10 ** 9) == 10
-    assert _table(GolombCode(3), 0) is None
-    # 2**t entries at width t, 2**(t + 1) - 1 over the widths built
-    assert len(_table(GolombCode(3), 10)) == 1 << 10
+    # the code's narrowest width, built by the first container of at least
+    # 2**t symbols; a code that fills 8 bits takes 10 from 1024 symbols
+    rng = random.Random(24)
+    assert codec._Plan(GolombCode(1)).narrowest == 8
+    assert _built_widths(GolombCode(1), (255, 256, 1023, 1024, 10 ** 5, 16),
+                         rng) == [0, 8, 8, 10, 10, 10]
     # no gate on the shortest word: Golomb k = 64 words are 7 bits or more,
     # one per lookup, and fill 15/16 of code space at t = 10
-    assert _table(GolombCode(64), 8) is None
-    assert len(_table(GolombCode(64), 10)) == 1 << 10
+    assert codec._Plan(GolombCode(64)).narrowest == 10
+    assert _built_widths(GolombCode(64), (255, 1023, 1024, 40), rng) == [
+        0, 0, 10, 10]
+    # 2**t entries at width t, 2**(t + 1) - 1 over the widths built
+    assert len(_table(GolombCode(3), 10)) == 1 << 10
 
 
 def test_golomb_table_fill_rule():
-    # Golomb words of at most t bits fill 1 - k / 2**t of code space, so the
-    # table is refused when that is below 7/8; word by word, for every k
+    # Golomb words of at most t bits fill 1 - k / 2**t of code space, so
+    # the width is past t when that is below 7/8; word by word, for every k
     # the rule separates at t = 8 and 10
     for t in (8, 10):
         for k in range(1, (1 << t - 3) + 40):
             # quotients up to t hold every word of at most t bits
             lengths = [golomb_length(j, k) for j in range(k * (t + 1))]
             filled = sum(1 << t - n for n in lengths if n <= t)
-            assert filled == (1 << t) - k
-            assert (_table(GolombCode(k), t) is None) == (8 * filled < 7 << t)
+            assert filled == (1 << t) - k == _filled(GolombCode(k), t)
+            narrowest = codec._Plan(GolombCode(k)).narrowest
+            assert narrowest == _narrowest_by_words(GolombCode(k))
+            assert (0 < narrowest <= t) == (8 * filled >= 7 << t)
+
+
+def _random_codes(rng):
+    """Complete explicit codes of 2 to 4096 symbols, unary-ended codes cut
+    from them, and Golomb codes up to and far past the widest table."""
+    for _ in range(60):
+        n = rng.choice((2, 3, rng.randrange(2, 300), rng.randrange(2, 4097)))
+        spread = rng.choice((0.3, 1.0, 2.5))
+        weights = [rng.lognormvariate(0, spread) for _ in range(n)]
+        if rng.random() < 0.3:
+            weights = [1 / (i + 1) ** spread for i in range(n)]
+        lengths = list(exp_huffman(weights, 1.0).lengths)
+        yield ExplicitCode.from_lengths(lengths)
+        spine = lengths.pop(rng.randrange(n))
+        yield UnaryEndedCode.from_lengths(lengths, spine)
+    for mean in (0.5, 1.0, 4.0):
+        yield build_unary_ended(Poisson(mean), 2.0)
+    for k in (*range(1, 40), 2 ** 10 - 1, 2 ** 62,
+              *(rng.randrange(1, 2 << rng.randrange(20)) for _ in range(60))):
+        yield GolombCode(k)
+
+
+def test_narrowest_matches_the_word_by_word_fill():
+    # the width read off the rows in closed form is the one the words of
+    # at most t bits, listed one by one, give
+    for code in _random_codes(random.Random(25)):
+        assert codec._Plan(code).narrowest == _narrowest_by_words(code), code
 
 
 def test_short_container_reads_the_plans_table(monkeypatch):
@@ -333,10 +398,15 @@ def test_short_container_reads_the_plans_table(monkeypatch):
 
 
 def test_table_needs_short_words_to_fill_code_space():
-    # words of at most 8 bits fill 3/4 of code space: no table
+    # words of at most 8 bits fill 3/4 of code space: the table is 10 bits
     code = ExplicitCode.from_lengths([2, 2, 2] + [10] * 256)
-    assert _table(code, 8) is None
-    assert _table(ExplicitCode.from_lengths([2, 2, 2] + [5] * 8), 8)
+    assert 4 * _filled(code, 8) == 3 << 8
+    assert codec._Plan(code).narrowest == 10
+    assert codec._Plan(ExplicitCode.from_lengths(
+        [2, 2, 2] + [5] * 8)).narrowest == 8
+    # "0", then 15-bit words: half of code space at every width, so none
+    assert codec._Plan(ExplicitCode.from_lengths(
+        [1] + [15] * 2 ** 14)).narrowest == 0
 
 
 def test_table_entries_golomb():
@@ -396,9 +466,9 @@ WIDE_CODE = ExplicitCode.from_lengths([1, 2] + [13] * 2048)
 
 @pytest.mark.parametrize("code, count, width", [
     pytest.param(code, count, width, id=str(count)) for code, count, width in (
-        (GolombCode(1), codec._TABLE_MIN + 1, 8),
-        (GolombCode(1), codec._TABLE_WIDE + 3, 10),
-        (WIDE_CODE, (1 << codec._WIDEST) + 3, 14))])
+        (GolombCode(1), 513, 8),
+        (GolombCode(1), 4099, 10),
+        (WIDE_CODE, (1 << 14) + 3, 14))])
 def test_table_stops_before_the_count(code, count, width):
     # both codes write 0 as "0", so every padding bit would read as one
     # more symbol 0 if the table ran up to the count
@@ -421,48 +491,48 @@ def test_table_stops_before_the_count(code, count, width):
 
 
 def test_refused_table_widens_with_the_container(monkeypatch):
-    # the base-1 Huffman code of Zipf(4096) is refused at t = 8 to 12 and
-    # fills 95% of code space at t = 14
+    # the base-1 Huffman code of Zipf(4096) fills less than 7/8 of code
+    # space at t = 8 to 12 and 95% at t = 14, its width
     probs = [1.0 / (i + 1) for i in range(4096)]
     total = sum(probs)
     code = ExplicitCode.from_lengths(
         exp_huffman([p / total for p in probs], 1.0).lengths)
     for t in (8, 10, 12):
-        assert _table(code, t) is None
-    assert len(_table(code, 14)) == 1 << 14
+        assert 8 * _filled(code, t) < 7 << t
+    assert 100 * _filled(code, 14) >= 95 << 14
+    assert codec._Plan(code).narrowest == 14
     codec._plan.cache_clear()
-    tried = []
-    real_table = codec._decode_table
+    listed = []
+    real_words = codec._canonical_words
 
-    def recording(words, t):
-        table = real_table(words, t)
-        tried.append(t)
-        return table
+    def recording(*args):
+        listed.append(args[-1])
+        return real_words(*args)
     runs = []
     real_run = codec._table_run
 
     def counted(*args):
         runs.append(args[4])        # t
         return real_run(*args)
-    monkeypatch.setattr(codec, "_decode_table", recording)
+    monkeypatch.setattr(codec, "_canonical_words", recording)
     monkeypatch.setattr(codec, "_table_run", counted)
     rng = random.Random(23)
-    # a container widens a refused width by 2 while it holds 2**t symbols;
-    # 600 symbols then decode through the 14-bit table
-    for count, widths, width in ((600, [8], 0), (4096, [10, 12], 0),
+    # no words are listed until a container of 2**14 symbols builds the
+    # table; 600 symbols then decode through it
+    for count, widths, width in ((600, [], 0), (4096, [], 0),
                                  (16383, [], 0), (16384, [14], 14),
                                  (600, [], 14)):
         symbols = rng.choices(range(4096), probs, k=count)
         blob = encode(symbols, code)
-        tried.clear()
+        listed.clear()
         runs.clear()
         assert read_container(blob) == _single_symbol(blob) == (code, symbols)
-        assert tried == widths
+        assert listed == widths
         assert codec._plan(codec._descriptor(code)).table[0] == width
         assert bool(runs) == bool(width) and set(runs) <= {width}
         # fewer table entries than 2 per symbol of the container that
         # built them, over every width
-        if widths and width:
+        if widths:
             assert (2 << width) - 1 < 2 * count
 
 
@@ -471,7 +541,7 @@ def test_table_window_past_the_payload_reads_padding():
     # and padding; 600 declared symbols keep the table running at the end,
     # where its window reads past the payload into the padding zeros
     code = ExplicitCode.from_lengths((1, 2, 3))
-    assert codec._table_width(600) == 8
+    assert codec._Plan(code).narrowest == 8          # 7/8: "111" is unmatched
     bits = "10" * 502 + "1110"
     blob = (encode([], code)[:-8] + struct.pack("<Q", 600)
             + int(bits, 2).to_bytes(len(bits) // 8, "big"))

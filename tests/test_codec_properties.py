@@ -93,7 +93,7 @@ def _code_and_symbols(draw):
     else:   # past the table threshold: mostly short words, as a source
         # the code suits would send them, and a few uniform draws
         rng = random.Random(draw(st.integers(0, 2 ** 32)))
-        count = draw(st.integers(codec._TABLE_MIN, 3 * codec._TABLE_WIDE // 2))
+        count = draw(st.integers(512, 6144))
         length = (code.length if not isinstance(code, ExplicitCode)
                   else lambda i: len(code.codewords[i]))
         alphabet = range(min(top, 4095) + 1)
@@ -124,7 +124,7 @@ def _single_symbol_outcome(blob: bytes):
 
 
 @settings(SEEDED, max_examples=300)
-@given(_code_and_symbols(), st.integers(1, codec._TABLE_MIN - 1))
+@given(_code_and_symbols(), st.integers(1, 511))
 def test_codec_matches_reference_codewords(case, short):
     code, symbols = case
     blob = encode(symbols, code)

@@ -1,9 +1,9 @@
 """Golomb descriptors with a k far past what a multi-symbol table can hold.
 
 A Golomb code decodes as a run of k-word quotients behind an empty head, and
-its table lists the run's words of at most t bits. Whatever k a container
-declares, that listing stays within 2**t words, and the container decodes
-or raises ContainerError.
+its table lists the run's words of at most t bits. The words of these codes
+fill too little code space at every table width below 14 bits, so no
+container here lists a word; each decodes or raises ContainerError.
 """
 import random
 
@@ -32,21 +32,20 @@ def listed(monkeypatch):
     codec._plan.cache_clear()
 
 
-@pytest.mark.parametrize("count, widths", [(600, [8]), (5000, [10, 12])],
-                         ids=["t8", "t10"])
+@pytest.mark.parametrize("count", [600, 5000], ids=["t8", "t10"])
 @pytest.mark.parametrize("k", [2 ** 62, 2 ** 10 - 1], ids=["2**62", "2**10-1"])
-def test_hostile_golomb_descriptor(k, count, widths, listed):
+def test_hostile_golomb_descriptor(k, count, listed):
     rng = random.Random(count)
     code = GolombCode(k)
     symbols = [rng.randrange(3 * k) for _ in range(count)]
     blob = encode(symbols, code)
     assert read_container(blob) == (code, symbols)
-    # the plan listed the words of each table width the count reaches and
-    # refused every table: they fill far less than 7/8 of code space; a
-    # refused width widens by 2 while the container holds 2**t symbols
+    # the words of at most 12 bits fill far less than 7/8 of code space: the
+    # plan's width is 14 bits (k = 2**10 - 1) or none, so a container of
+    # fewer than 2**14 symbols lists no words and builds no table
     descriptor = codec._descriptor(code)
-    assert widths[0] == codec._table_width(count)
-    assert listed == widths
+    assert codec._plan(descriptor).narrowest in (0, 14)
+    assert listed == []
     assert codec._plan(descriptor).table == (0, None)
     # a payload of noise under the same header decodes to symbols that
     # encode back to it, or is refused
@@ -61,8 +60,8 @@ def test_hostile_golomb_descriptor(k, count, widths, listed):
 
 
 def test_refused_widths_stop_at_the_widest(listed):
-    # however many symbols a container holds, a refused plan tries no width
-    # past the widest
+    # however many symbols a container holds, a plan with no width lists
+    # no words and builds no table
     plan = codec._Plan(GolombCode(2 ** 62))
     assert codec._plan_table(plan, 1 << 40) == (0, None)
-    assert listed == [10, 12, 14] and plan.tried == codec._WIDEST
+    assert listed == [] and plan.narrowest == 0

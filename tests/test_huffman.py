@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from epc import (dth_huffman, exp_huffman, exp_huffman_two_queue,
-                 maxred_huffman)
+from epc import (ExplicitFinite, dth_huffman, exp_huffman,
+                 exp_huffman_two_queue, maxred_huffman, with_geometric_tail)
 from epc.huffman import _codewords, _run
 from epc.numeric import logaddexp
 from oracles import (best_tree_objective, dth_objective, exp_objective,
@@ -214,6 +214,13 @@ def test_non_finite_parameters_refused(build):
         build()
 
 
+def test_logaddexp_takes_minus_infinity():
+    # e**-inf is zero: the other argument comes back as it is
+    for x in (-math.inf, 0.0, -745.0, 3.5):
+        assert logaddexp(-math.inf, x) == logaddexp(x, -math.inf) == x
+    assert logaddexp(0.0, 0.0) == math.log(2.0)
+
+
 def test_nonpositive_weight_message_is_verbatim():
     # callers match this message exactly, so it must not change
     for build in (lambda w: exp_huffman(w, 1.5), maxred_huffman,
@@ -222,6 +229,26 @@ def test_nonpositive_weight_message_is_verbatim():
             with pytest.raises(ValueError) as exc:
                 build(weights)
             assert str(exc.value) == "weights must be strictly positive"
+
+
+@pytest.mark.parametrize("build, noun, one", [
+    (lambda w: exp_huffman(w, 1.5), "weights", "weight"),
+    (maxred_huffman, "weights", "weight"),
+    (lambda w: dth_huffman(w, 2.0), "probabilities", "weight"),
+    (lambda w: ExplicitFinite(w), "probabilities", "probability"),
+    (lambda w: with_geometric_tail(w, 0.5), "probabilities",
+     "head probability"),
+], ids=["exp", "maxred", "dth", "finite", "tailed"])
+def test_mass_list_messages_are_verbatim(build, noun, one):
+    # the engines and the finite sources share one check and its messages
+    for weights, message in (([], f"need at least one {one}"),
+                             ([0.5, math.nan], f"{noun} must be finite"),
+                             ([-1.0, math.inf], f"{noun} must be finite"),
+                             ([1.5, -0.5], f"{noun} must be strictly positive"),
+                             ([0.0, 1.0], f"{noun} must be strictly positive")):
+        with pytest.raises(ValueError) as exc:
+            build(weights)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("probs, order", [

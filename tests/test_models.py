@@ -193,6 +193,18 @@ def test_source_probabilities_must_be_finite():
             with_geometric_tail((0.5, 0.25), bad)
 
 
+def test_profile_regroups_masses_below_the_normal_floats():
+    # the two 1e-310 masses are subnormal, so their length is read again as
+    # logs from a source whose masses are not exp of its logs
+    model = ExplicitFinite((0.5, 0.5, 1e-310, 1e-310))
+    code = LengthSeq((1, 2, 3, 3))
+    assert not model.exp_of_logs
+    assert evaluate_penalty(model, code, Exponential(2.0)) == pytest.approx(
+        math.log2(3.0), rel=0.0, abs=math.ulp(math.log2(3.0)))
+    assert evaluate_penalty(model, code, MaxRedundancy()) == 1.0
+    assert expected_length(model, code) == 1.5
+
+
 def test_with_geometric_tail_mass_and_sums():
     m = with_geometric_tail((0.6, 0.15, 0.15, 0.0375, 0.0375), 0.5)
     # geometric continuation from the last head value

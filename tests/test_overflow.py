@@ -552,3 +552,48 @@ def test_tail_weight_past_the_term_cap_is_refused_at_once():
     with pytest.raises(DivergenceError, match="term cap|terms past"):
         tail_weight(Poisson(3.0), 0, 1e300)
     assert time.process_time() - start < 0.05
+
+
+_CAP = "the series peaks more than 10000000 terms past symbol 3"
+
+
+@pytest.mark.parametrize("mean, gap, want", [
+    (1.0, 1e5, 14.163601575477514),
+    # both brackets double past the term cap at s = 16, then bisect below it
+    (4.0, 5.4e4, 11.995036681881174),
+    (4.0, 3e5, 13.85382218612358),
+    # ln f's roots lie at 16.6265089654 and 19.0660024276, past where the
+    # series of the unary tail reaches its term cap, near s = 16.118
+    (1.0, 1e6, _CAP),
+    (1.0, 1e7, _CAP),
+], ids=["1-1e5", "4-5.4e4", "4-3e5", "1-1e6", "1-1e7"])
+def test_max_decay_rate_refuses_a_rate_the_term_cap_left_undecided(
+        mean, gap, want):
+    model = Poisson(mean)
+    code = build_unary_ended(model, 2.0)
+    arrivals = Deterministic(gap)
+    if isinstance(want, str):
+        with pytest.raises(DivergenceError, match=f"^{want}$"):
+            max_decay_rate(model, code, arrivals)
+        return
+    assert max_decay_rate(model, code, arrivals) == (want, False)
+
+
+def test_max_decay_rate_stops_a_float_step_below_the_pole():
+    # the unary code on Geometric(0.5) has its pole at ln 2, where f stays
+    # below one: the bracket halves towards it until no float lies between
+    rate = max_decay_rate(Geometric(0.5), LengthSeq((), UnaryTail(0, 1)),
+                          Deterministic(100.0))
+    assert rate == (0.6931471805599452, False)
+    assert math.nextafter(rate.value, math.inf) == math.log(2.0)
+
+
+def test_fixed_point_that_does_not_settle_is_refused():
+    # ROADMAP item 4: at load 0.5 under a deterministic gap the iterates on
+    # Geometric(0.99) do not reproduce a code within 64 rounds
+    model = Geometric(0.99)
+    arrivals = Deterministic(2 * shannon_entropy(model))
+    start = time.process_time()
+    with pytest.raises(EpcError, match="did not settle in 64 rounds"):
+        optimize_overflow(model, arrivals)
+    assert time.process_time() - start < 1.0
