@@ -7,7 +7,13 @@ ln b + logaddexp(w_j, w_k) on w = (1+d) ln p. d is 0 for the exponential
 penalties (b = 1 is expected length) and b = 2**d at order d. Maximal
 redundancy, the d -> inf limit, merges by 2 * max(w_j, w_k), or
 ln 2 + max(w_j, w_k) on w = ln p. The one two-queue loop `_run` (van
-Leeuwen, "On the construction of Huffman trees", ICALP 1976) runs each.
+Leeuwen, "On the construction of Huffman trees", ICALP 1976) runs each,
+computing the rule inline at every merge.
+
+The loop sorts its items once. A caller that already holds the weights'
+stable sort passes it, and the plain merge at d = 0, whose weights are the
+inputs themselves, skips the sort: a finite source keeps its own, and
+sorted input is its own order.
 
 The plain weights merge where d < 64 and both the smallest of them and the
 root are positive normal floats; otherwise their logs do. Rounding orders
@@ -23,13 +29,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from math import exp, log1p
 
 from .models import DthRedundancy, Exponential, MaxRedundancy, Penalty
-from .numeric import LN2, check_weights, logaddexp
+from .numeric import LN2, check_weights
 
 __all__ = [
     "CodeTree", "merge",
@@ -84,27 +91,35 @@ def _lengths(merges) -> tuple[int, ...]:
     return tuple(depth[:n])
 
 
-def _run(weights: list[float], combine: Callable[[float, float], float]):
+def _run(weights, scale: float, kind: str, order=None):
     """Merge the two smallest nodes until one is left; return the root
     weight and the merge lists (first, second): merge j's children.
 
-    Items queue once, sorted by (weight, index), before an inf sentinel.
+    kind names the rule, applied inline to the earlier pop a and the later
+    b, where a <= b: "sum" is scale * (a + b) and "max" scale * b; in logs
+    "ln_sum" is scale + logaddexp(a, b), written out as b + log1p(e**(a-b))
+    with e**-inf taken as zero, and "ln_max" is scale + b.
+
+    Items queue once, sorted by (weight, index) in `order`, the stable sort
+    of the weights (computed here unless given), before an inf sentinel.
     Merges queue in `merged` by (weight, node id), the slots past the tail
     inf; at equal weight the merged head pops first. A merge is appended
     when no live merge is above it, and placed among the live merges by
     bisection otherwise, so every pop is the smallest live node whatever
-    `combine` does. A merge may fall below merges already popped
-    (c * (a + b) < b when c < 1/2); only one below a live merge takes the
-    bisection, which the rules here reach at most by rounding.
+    the rule's arithmetic does. A merge may fall below merges already
+    popped (c * (a + b) < b when c < 1/2); only one below a live merge
+    takes the bisection, which the rules here reach at most by rounding.
     """
     n = len(weights)
-    order = sorted(range(n), key=weights.__getitem__)   # stable
+    if order is None:
+        order = sorted(range(n), key=weights.__getitem__)   # stable
     items = [weights[i] for i in order]
     items.append(math.inf)
     merged = [math.inf] * n
     ids = [0] * n
     first = [0] * (n - 1)
     second = [0] * (n - 1)
+    ln_zero = -math.inf
     i = 0
     head = tail = 0
     w = weights[0]
@@ -125,7 +140,16 @@ def _run(weights: list[float], combine: Callable[[float, float], float]):
             b = items[i]
             second[j] = order[i]
             i += 1
-        w = combine(a, b)
+        if kind == "sum":
+            w = scale * (a + b)
+        elif kind == "ln_sum":
+            # two -inf logs (masses past the floats at a high order) add
+            # to -inf, where a - b would be nan
+            w = scale + (b + log1p(exp(a - b)) if a != ln_zero else b)
+        elif kind == "max":
+            w = scale * b
+        else:
+            w = scale + b
         if head == tail or w >= merged[tail - 1]:
             merged[tail] = w
             ids[tail] = n + j
@@ -137,18 +161,18 @@ def _run(weights: list[float], combine: Callable[[float, float], float]):
     return w, (tuple(first), tuple(second))
 
 
-def _tilted(weights: list[float], tilt, ln_weights=None) -> CodeTree:
+def _tilted(weights, tilt, ln_weights=None, order=None) -> CodeTree:
     """The optimal tree at a tilt (d, b, ln b), or at the minimax limit
     None. ln_weights, where given, returns the weights' logs and is called
-    only when the merge takes logs; the weights may then be zero."""
+    only when the merge takes logs; the weights may then be zero. order,
+    where given, is the weights' stable sort; only the plain merge at d = 0
+    reads it, since p**(1+d) and logs can round distinct weights to ties."""
     if tilt is None:
         d, b, ln_b = 0.0, 2.0, LN2
-        plain, in_logs = (lambda x, y: 2.0 * max(x, y),
-                          lambda x, y: LN2 + max(x, y))
+        plain, in_logs = "max", "ln_max"
     else:
         d, b, ln_b = tilt
-        plain, in_logs = (lambda x, y: b * (x + y),
-                          lambda x, y: ln_b + logaddexp(x, y))
+        plain, in_logs = "sum", "ln_sum"
     root = None
     if b is not None:
         try:
@@ -156,11 +180,12 @@ def _tilted(weights: list[float], tilt, ln_weights=None) -> CodeTree:
         except OverflowError:   # a raw weight above one, at a high order
             ws = [0.0]
         if min(ws) >= sys.float_info.min:
-            root, merges = _run(ws, plain)
+            root, merges = _run(ws, b, plain, None if d else order)
     logged = root is None or not sys.float_info.min <= root < math.inf
     if logged:
         ys = ln_weights() if ln_weights else list(map(math.log, weights))
-        root, merges = _run([(1.0 + d) * y for y in ys] if d else ys, in_logs)
+        root, merges = _run([(1.0 + d) * y for y in ys] if d else ys, ln_b,
+                            in_logs)
     lengths = _lengths(merges)
     if not ln_b:    # base one: the expected length
         try:
@@ -188,17 +213,19 @@ def exp_huffman(weights, base: float) -> CodeTree:
 
 def exp_huffman_two_queue(weights, base: float) -> CodeTree:
     """exp_huffman on weights sorted nondecreasing that merge as plain
-    floats: the sorted-input entry to `_run`. Kept only for the design
-    benchmark's `two_queue` jobs, which call it by name."""
+    floats: the sorted-input entry to `_run`, which merges them in their
+    own order and sorts nothing. Kept only for the design benchmark's
+    `two_queue` jobs, which call it by name."""
     tilt = Exponential(base)._tilt
     weights = check_weights(weights)
-    if any(a > b for a, b in zip(weights, weights[1:])):
+    if any(map(operator.gt, weights, weights[1:])):
         raise ValueError("weights must be sorted nondecreasing")
 
     def refuse():
         raise ValueError("the weights and the root must be finite and "
                          "normal; exp_huffman merges such inputs in logs")
-    return _tilted(weights, tilt, refuse)
+    # a stable sort of sorted weights is the identity
+    return _tilted(weights, tilt, refuse, range(len(weights)))
 
 
 def maxred_huffman(weights) -> CodeTree:

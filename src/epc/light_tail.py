@@ -15,7 +15,7 @@ from functools import cached_property
 from .bits import _codewords_of
 from .errors import NotLightTailedError
 from .golomb import GolombCode, optimal_k
-from .huffman import _tilted, merge
+from .huffman import _tilted
 from .models import (_TINY, Exponential, Geometric, LengthSeq, MaxRedundancy,
                      Penalty, SourceModel, _exp, _ln_series, tail_weight)
 from .numeric import LN2, ceil_snapped, check_positive
@@ -185,7 +185,8 @@ def _assemble(weights, multiset) -> list[int]:
     codewords (stable on ties). Any such rearrangement preserves the optimum
     under every penalty used here, and it pins down the worked-example
     length patterns exactly."""
-    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+    # a reversed sort is still stable: tied weights keep their index order
+    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
     ranked = sorted(multiset)
     out = [0] * len(weights)
     for pos, i in enumerate(order):
@@ -231,12 +232,16 @@ def build_unary_ended_mmr(model: SourceModel) -> UnaryEndedCode:
 def optimal_code(model: SourceModel, penalty: Penalty):
     """The optimal code for a source under a penalty object: a GolombCode
     for Geometric, the merged lengths as a LengthSeq for ExplicitFinite, and
-    a UnaryEndedCode for other sources (not at a positive order d)."""
+    a UnaryEndedCode for other sources (not at a positive order d).
+
+    An ExplicitFinite source checked its masses when it was made, so they
+    merge as they are, in the order the source keeps."""
     tilt = penalty._tilt
     if isinstance(model, Geometric):
         return GolombCode(optimal_k(model.ratio, penalty))
     if model.size is not None:
-        return LengthSeq(merge(model.masses(model.size), penalty).lengths)
+        tree = _tilted(model.probs, tilt, order=model._order)
+        return LengthSeq(tree.lengths)
     if tilt is not None and tilt[0] > 0.0:
         raise ValueError("dth-power redundancy codes need a geometric source")
     return _build(model, penalty)

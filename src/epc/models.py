@@ -168,6 +168,10 @@ class ExplicitFinite(_Source):
     def _ln_probs(self) -> list[float]:  # kept: each solve reads them again
         return list(map(math.log, self.probs))
 
+    @cached_property
+    def _order(self) -> list[int]:  # kept: every build merges in this order
+        return sorted(range(len(self.probs)), key=self.probs.__getitem__)
+
     def ln_masses(self, j: int, n: int) -> list[float]:
         return self._ln_probs[j:n]
 

@@ -300,20 +300,30 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
     """An s0 at or above every achievable decay rate: the largest s where
     the transform times the alpha-norm lower bound on the power sum stays
     at or below one, to within _S_TOL. Zero when the source entropy already
-    meets the mean intermission."""
-    if model.size == 1:
+    meets the mean intermission.
+
+    Under a deterministic gap of at least log2 n bits over n symbols that
+    bound never passes one, since sum p**alpha <= n**(1 - alpha) keeps its
+    log at or below s * (log2 n - gap). If n words fit within floor(gap)
+    bits, some code's f stays at or below one at every s, and the source
+    is refused. Otherwise every code has a word of floor(gap) + 1 bits or
+    more, so f(s) >= p_min e**(s (floor(gap) + 1 - gap)), and s0 is where
+    that passes one."""
+    n = model.size
+    if n == 1:
         raise DivergenceError("a one-symbol source needs zero bits per "
                               "symbol, so its decay rate is unbounded")
     entropy, mean_gap = shannon_entropy(model), arrivals.mean_gap()
     if entropy >= mean_gap:
         return 0.0
-    # sum p**alpha <= n**(1 - alpha) bounds the left side above by
-    # s * (log2 n - gap) under a deterministic gap: it never passes zero
-    if (isinstance(arrivals, Deterministic) and model.size is not None
-            and arrivals.gap >= math.log2(model.size)):
-        raise DivergenceError(
-            f"a deterministic gap of {arrivals.gap} bit times is at least "
-            f"log2 of the {model.size} symbols, so the bound never closes")
+    if (isinstance(arrivals, Deterministic) and n is not None
+            and arrivals.gap >= math.log2(n)):
+        bits = math.floor(arrivals.gap)
+        if bits >= (n - 1).bit_length():   # 2**bits >= n
+            raise DivergenceError(
+                f"a deterministic gap of {arrivals.gap} bit times is at "
+                f"least log2 of the {n} symbols, so the bound never closes")
+        return -math.log(min(model.masses(n))) / (bits + 1 - arrivals.gap)
 
     def ln_left(s: float) -> float:
         alpha = 1.0 / (1.0 + s / LN2)

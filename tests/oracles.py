@@ -385,3 +385,42 @@ def largest_feasible_on_grid(f, hi: float, steps: int) -> float:
         except ArithmeticError:
             break
     return best
+
+
+# ------------------------------------------------- exhaustive decay rates
+
+def decay_rate_direct(probs, lengths, ln_transform, mean_gap: float,
+                      tol: float = 1e-12) -> float:
+    """Largest s with ln E[e^(-sT)] + ln sum p(i) e^(s n(i)) <= 0, the
+    power sum taken symbol by symbol in a shifted log-sum: zero when the
+    mean length reaches the mean gap, else by doubling and bisection to
+    tol. ArithmeticError where the doubling finds no s past the rate."""
+    if math.fsum(p * n for p, n in zip(probs, lengths)) >= mean_gap:
+        return 0.0
+
+    def ln_f(s):
+        logs = [math.log(p) + s * n for p, n in zip(probs, lengths)]
+        top = max(logs)
+        return ln_transform(s) + top + math.log(
+            math.fsum(math.exp(x - top) for x in logs))
+    lo, hi = 0.0, 1.0
+    while ln_f(hi) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > 2.0 ** 40:
+            raise ArithmeticError("f stays at or below one")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if ln_f(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def best_decay_rate(probs, ln_transform, mean_gap: float) -> float:
+    """The largest decay rate over every prefix code of a finite source:
+    each length multiset with the heaviest mass on the shortest word, the
+    assignment that makes f smallest at every s."""
+    heavy_first = sorted(probs, reverse=True)
+    return max(decay_rate_direct(heavy_first, lengths, ln_transform, mean_gap)
+               for lengths in all_length_multisets(len(probs)))

@@ -5,6 +5,7 @@ import pytest
 
 from epc import (ExplicitFinite, dth_huffman, exp_huffman,
                  exp_huffman_two_queue, maxred_huffman, with_geometric_tail)
+from epc import huffman
 from epc.huffman import _codewords, _run
 from epc.numeric import logaddexp
 from oracles import (best_tree_objective, dth_objective, exp_objective,
@@ -325,18 +326,47 @@ def test_exp_below_half_appends_every_merge(bisections, base):
         assert not bisections
 
 
-def test_run_keeps_the_heap_order_for_any_combine(bisections):
-    # 1/(a + b) makes small merges large and large ones small, so merges
-    # fall below the queue's tail and are placed by bisection
+def test_run_keeps_the_heap_order_for_any_combine(bisections, monkeypatch):
+    # the rules' own arithmetic reaches the bisection at most by rounding,
+    # so a fault stands in for log1p in the logs rule: cos(40 u) is not
+    # monotone, and merges fall below the queue's tail and are placed by
+    # bisection; the heap engine merges under the same arithmetic
+    def fault(u):
+        return math.cos(40.0 * u)
+    monkeypatch.setattr(huffman, "log1p", fault)
     rng = random.Random(12)
     for _ in range(300):
         weights = [rng.choice((0.1, 0.2, 0.5, rng.random() + 1e-3))
                    for _ in range(rng.randint(1, 40))]
-        combine = lambda a, b: 1.0 / (a + b)   # noqa: E731
-        root, merges = _run(weights, combine)
-        assert (root, tuple(_codewords(*merges))) == heap_merge(weights,
-                                                                combine)
+        scale = rng.choice((0.0, 0.7, -0.4))
+        root, merges = _run(weights, scale, "ln_sum")
+        assert (root, tuple(_codewords(*merges))) == heap_merge(
+            weights, lambda a, b: scale + (b + fault(math.exp(a - b))))
     assert bisections      # the count the no-bisection tests read is live
+
+
+def test_two_minus_infinite_logs_merge_to_minus_infinity():
+    # at order 1e306, (1 + d) ln 1e-300 is -inf: the two such weights merge
+    # to -inf, as logaddexp gives, where b + log1p(e**(a - b)) is nan
+    probs, order = [1e-300, 1e-300, 0.5, 0.5], 1e306
+    tree = dth_huffman(probs, order)
+    ln_scale = order * math.log(2.0)
+    assert (tree.root_weight, tree.codewords) == heap_merge(
+        [(1.0 + order) * math.log(p) for p in probs],
+        lambda a, b: ln_scale + logaddexp(a, b))
+    assert tree.lengths == (3, 3, 2, 1) and tree.objective == 1.0
+
+
+def test_sorted_input_merges_in_its_own_order(monkeypatch):
+    # the sorted-input entry hands _run the identity order: nothing sorts
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted input was sorted again")
+    weights = [0.05, 0.1, 0.1, 0.15, 0.3, 0.3]
+    want = exp_huffman(weights, 1.3)
+    monkeypatch.setattr(huffman, "sorted", no_sort, raising=False)
+    tree = exp_huffman_two_queue(weights, 1.3)
+    assert (tree.lengths, tree.root_weight, tree._merges) == (
+        want.lengths, want.root_weight, want._merges)
 
 
 # each trace: (bisections, the most merges queued at once, the merges

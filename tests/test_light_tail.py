@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epc import (ExplicitTailed, Exponential, Geometric, LengthSeq,
-                 MaxRedundancy, NotLightTailedError, Poisson, UnaryEndedCode,
-                 UnaryTail,
+from epc import (DthRedundancy, ExplicitFinite, ExplicitTailed, Exponential,
+                 Geometric, LengthSeq, Linear, MaxRedundancy,
+                 NotLightTailedError, Poisson, UnaryEndedCode, UnaryTail,
                  build_unary_ended, build_unary_ended_mmr, evaluate_penalty,
-                 find_split_exponential, find_split_mmr, point_mass,
-                 renyi_entropy, tail_weight, with_geometric_tail)
+                 find_split_exponential, find_split_mmr, optimal_code,
+                 point_mass, renyi_entropy, tail_weight, with_geometric_tail)
 from epc.bits import kraft_total
-from epc.light_tail import _REL_TOL
+from epc.huffman import merge
+from epc.light_tail import _REL_TOL, _assemble
 from oracles import (kraft_fraction, poisson_ln_pmf, poisson_pmf,
                      tailed_reduction_lengths)
 
@@ -335,3 +336,40 @@ def test_poisson_split_is_capped():
     assert find_split_exponential(Poisson(2499.0), 2.0) == 9994
     with pytest.raises(NotLightTailedError):
         find_split_exponential(Poisson(2501.0), 2.0)
+
+
+@pytest.mark.parametrize("penalty", [
+    Linear(), Exponential(0.3), Exponential(0.7), Exponential(1.5),
+    Exponential(1e6), MaxRedundancy(), DthRedundancy(8.0),
+    DthRedundancy(128.0),
+], ids=["linear", "exp-0.3", "exp-0.7", "exp-1.5", "exp-1e6", "maxred",
+        "dth-8", "dth-128"])
+def test_finite_code_merges_in_the_kept_order(penalty):
+    # a finite source merges its checked masses in the order it keeps; the
+    # lengths are those of the checked merge of the same masses, ties and
+    # a second build on the same source object included
+    rng = random.Random(27)
+    for n in (1, 2, 5, 40, 700):
+        weights = [rng.choice((1.0, 3.0, rng.lognormvariate(0.0, 1.5)))
+                   for _ in range(n)]
+        probs = [w / math.fsum(weights) for w in weights]
+        model = ExplicitFinite(probs)
+        want = LengthSeq(merge(probs, penalty).lengths)
+        assert optimal_code(model, penalty) == want
+        assert optimal_code(model, penalty) == want
+
+
+def test_assemble_ranks_heaviest_first_ties_by_index():
+    # the reversed sort on the weights alone gives the order of the key
+    # (-weight, index): a reversed sort is stable, and -0.0 ties 0.0
+    rng = random.Random(28)
+    for _ in range(500):
+        n = rng.randint(1, 30)
+        weights = [rng.choice((0.0, -0.0, 0.25, 0.5, rng.random()))
+                   for _ in range(n)]
+        lengths = [rng.randint(1, 9) for _ in range(n)]
+        order = sorted(range(n), key=lambda i: (-weights[i], i))
+        want = [0] * n
+        for length, i in zip(sorted(lengths), order):
+            want[i] = length
+        assert _assemble(weights, lengths) == want

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import time
 
 import pytest
@@ -173,6 +174,20 @@ def test_explicit_tailed_is_a_value():
     assert len({g, m, with_geometric_tail((0.5, 0.25), 0.5)}) == 1
     assert g != with_geometric_tail((0.5, 0.25), 0.25)
     assert g != with_geometric_tail((0.5, 0.125), 0.5)
+
+
+def test_explicit_finite_keeps_its_stable_merge_order():
+    # the kept order lists the symbols by mass, ties by index, once; it is
+    # not part of the value
+    rng = random.Random(26)
+    for n in (1, 2, 7, 300):
+        weights = [rng.choice((1.0, 2.0, rng.random() + 0.01))
+                   for _ in range(n)]
+        probs = [w / math.fsum(weights) for w in weights]
+        model = ExplicitFinite(probs)
+        assert model._order == sorted(range(n), key=lambda i: (probs[i], i))
+        assert model._order is model._order
+        assert model == ExplicitFinite(probs)
 
 
 def test_source_probabilities_must_be_finite():

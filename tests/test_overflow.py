@@ -17,7 +17,8 @@ from epc import (Deterministic, DivergenceError, DthRedundancy, EpcError,
                  shannon_entropy, tail_weight, total_mass,
                  with_geometric_tail)
 from epc.overflow import _S_TOL, _length_key
-from oracles import golomb_power_sum_direct, largest_feasible_on_grid
+from oracles import (best_decay_rate, golomb_power_sum_direct,
+                     largest_feasible_on_grid)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -320,6 +321,74 @@ def test_optimize_finite_source():
     res = optimize_overflow(m, Deterministic(1.5))
     assert isinstance(res.code, LengthSeq)
     assert res.decay_rate > 0.0
+
+
+def test_finite_solves_reach_the_exhaustive_optimum():
+    # n <= 8 lognormal masses under deterministic, exponential and gamma(4)
+    # intermissions, each rate against every length multiset scored from
+    # a direct f(s). A deterministic gap of at least log2 n starts from the
+    # bound p_min e**(s (floor(gap) + 1 - gap)) = 1 where n words do not fit
+    # within floor(gap) bits, and is refused as unbounded where they do
+    rng = random.Random(25)
+    started = refused = 0
+    for n in range(2, 9):
+        fit = (n - 1).bit_length()      # the fewest bits that hold n words
+        for _ in range(24):
+            weights = [math.exp(rng.gauss(0.0, 1.0)) for _ in range(n)]
+            total = math.fsum(weights)
+            probs = [w / total for w in weights]
+            model = ExplicitFinite(probs)
+            gap = max(1.25, shannon_entropy(model) / rng.uniform(0.5, 0.98))
+            gaps = [gap]
+            if n < 2 ** fit:    # a gap between log2 n and the bits n need
+                gaps.append(rng.uniform(math.log2(n), fit - 0.05))
+            laws = [(Deterministic(g), lambda s, g=g: -s * g) for g in gaps]
+            laws += [(ExponentialArrivals(1.0 / gap),
+                      lambda s: -math.log1p(s * gap)),
+                     (GammaArrivals(4.0, 4.0 / gap),
+                      lambda s: -4.0 * math.log1p(s * gap / 4.0))]
+            for arrivals, ln_transform in laws:
+                if isinstance(arrivals, Deterministic):
+                    if math.floor(arrivals.gap) >= fit:
+                        with pytest.raises(DivergenceError):
+                            optimize_overflow(model, arrivals)
+                        refused += 1
+                        continue
+                    started += arrivals.gap >= math.log2(n)
+                got = optimize_overflow(model, arrivals).decay_rate
+                want = best_decay_rate(probs, ln_transform,
+                                       arrivals.mean_gap())
+                assert abs(got - want) <= 1e-9, (probs, arrivals, got, want)
+    assert started >= 10 and refused >= 6
+
+
+def test_a_second_solve_on_one_source_repeats_a_fresh_one():
+    # the source keeps its merge order and logs after the first solve; a
+    # second solve on it is bit-identical to one on a fresh equal source
+    rng = random.Random(29)
+    weights = [rng.choice((1.0, 2.0, rng.lognormvariate(0.0, 1.25)))
+               for _ in range(200)]
+    probs = [w / math.fsum(weights) for w in weights]
+    model = ExplicitFinite(probs)
+    gap = shannon_entropy(model) / 0.95
+    for arrivals in (Deterministic(gap), ExponentialArrivals(1.0 / gap),
+                     GammaArrivals(4.0, 4.0 / gap)):
+        first = optimize_overflow(model, arrivals)
+        again = optimize_overflow(model, arrivals)
+        fresh = optimize_overflow(ExplicitFinite(probs), arrivals)
+        assert again == first == fresh
+        assert repr(again) == repr(fresh)
+
+
+def test_finite_source_past_log2_n_is_solved():
+    # 2**1 < 3 words: some word has 2 bits, so the rate under a 1.6-bit gap
+    # is finite; the bound starts at ln 4 / 0.4
+    m, arr = ExplicitFinite((0.5, 0.25, 0.25)), Deterministic(1.6)
+    assert decay_rate_bound(m, arr) == math.log(4.0) / (2.0 - 1.6)
+    res = optimize_overflow(m, arr)
+    assert res.code == LengthSeq((1, 2, 2))
+    assert res.decay_rate == 0.8221632342902012
+    assert res.decay_rate == max_decay_rate(m, res.code, arr).value
 
 
 def test_optimize_via_table_transform():

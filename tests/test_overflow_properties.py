@@ -3,7 +3,8 @@ evaluates f from a power sum built once per call, lands where a plain
 bisection over f from the oracles' per-symbol power sums lands;
 decay_rate_bound, which root-finds by a convex secant closed by one probe,
 lands where a plain bisection over its own left side lands, within 20
-evaluations, or refuses a bound that never closes with none; the Renyi
+evaluations, or where that side never closes starts from the word the gap
+cannot hold, or refuses a source whose words all fit, with none; the Renyi
 sums under that bound match per-symbol and direct lgamma sums, and a source
 whose log masses the series kept gives what a fresh one does; and the
 optimize_overflow iterates rise to a feasible rate. Needs hypothesis (the
@@ -209,13 +210,20 @@ def _bound_left(model, arrivals):
 
 
 def _never_closes(model, arrivals) -> bool:
-    """Whether the bound is refused before any evaluation: a finite source
+    """Whether the bound's left side is left unevaluated: a finite source
     whose entropy is below a deterministic gap of at least log2 of its size,
-    where sum p**alpha <= n**(1 - alpha) keeps the left side at or below
-    zero at every s."""
+    where sum p**alpha <= n**(1 - alpha) keeps it at or below zero at every
+    s."""
     return (isinstance(arrivals, Deterministic) and model.size is not None
             and arrivals.gap >= math.log2(model.size)
             and shannon_entropy(model) < arrivals.gap)
+
+
+def _words_fit(model, arrivals) -> bool:
+    """Whether all of a finite source's words fit within the deterministic
+    gap's whole bits, 2**floor(gap) >= n: then some code keeps f at or
+    below one at every s."""
+    return 2 ** math.floor(arrivals.gap) >= model.size
 
 
 def _reference_bound(model, arrivals):
@@ -253,9 +261,14 @@ def test_decay_rate_bound_matches_reference_bisection(problem):
         return
     got = _bound_outcome(model, arrivals)
     if _never_closes(model, arrivals):
-        assert got[0] is DivergenceError, got
         ln_left = _bound_left(model, arrivals)
         assert all(ln_left(2.0 ** k) <= 1e-9 for k in range(-4, 41))
+        if _words_fit(model, arrivals):
+            assert got[0] is DivergenceError, got
+        else:   # some word has floor(gap) + 1 bits or more
+            gap = arrivals.gap
+            assert got == -math.log(min(model.probs)) / (
+                math.floor(gap) + 1 - gap)
         return
     try:
         want = _reference_bound(model, arrivals)
