@@ -1,5 +1,6 @@
 """Bit-level plumbing: LEB128 varints, the length cap, the one exact Kraft
-test and canonical codeword assignment from length lists."""
+test, canonical codeword assignment from length lists and the complete
+binary code a Golomb-k run's suffixes are."""
 from __future__ import annotations
 
 import operator
@@ -11,6 +12,7 @@ __all__ = [
     "uleb128_encode", "uleb128_encode_all", "uleb128_decode",
     "uleb128_decode_all", "integer_lengths", "check_length_cap",
     "kraft_sign", "length_counts", "kraft_total", "canonical_codewords",
+    "complete_binary",
 ]
 
 
@@ -180,3 +182,18 @@ def _codewords_of(lengths, counts) -> tuple[str, ...]:
         first[length] = code + 1
         out.append(bin(code + (1 << length))[3:])  # the leading 1 keeps zeros
     return tuple(out)
+
+
+def complete_binary(x: int, k: int) -> str:
+    """(x+1)th codeword of the alphabetic complete binary code on k values:
+    g - 1 bits for the first z = 2**g - k values and g bits for the rest,
+    g the bit length of k."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if not 0 <= x < k:
+        raise ValueError(f"value {x} outside range(0, {k})")
+    g = k.bit_length()
+    z = (1 << g) - k
+    if x < z:   # none at k = 1; the leading 1 keeps the zeros, as above
+        return bin(x + (1 << g - 1))[3:]
+    return bin(x + z + (1 << g))[3:]

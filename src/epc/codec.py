@@ -13,14 +13,14 @@ One canonical decoder (Moffat & Turpin, "On the implementation of
 minimum-redundancy prefix codes", IEEE Trans. Commun. 1997) reads every
 code as three parts: a canonical head, decoded through first-code/limit
 rows; an all-1s spine at the top of its code space; and an optional
-Golomb-k run behind the spine, whose words are read arithmetically. An
-`ExplicitCode` is a head alone. A `UnaryEndedCode` is a head, its spine and
-a run at k = 1, the unary tail. A `GolombCode` is a run behind an empty
-head and spine. The two `LengthSeq` classes give the decoder their head,
-spine and words per length, `counts`, alike; their codeword strings are
-built when encoding first asks for them, and decoding never does. A
-descriptor's lengths are read in one pass: a run of one-byte varints is its
-own bytes.
+Golomb-k run behind the spine, whose words are read arithmetically: the
+parts of the one code value, a `LengthSeq` whose tail is a run record. An
+`ExplicitCode` is a head alone, a `UnaryEndedCode` a head, its spine and
+the run at k = 1, and a `GolombCode` a k-run behind an empty head and
+spine. The decoder reads every code's head, `counts` (words per length),
+spine and k, never its class; only the descriptor's tag is chosen by class.
+Codeword strings are built when encoding first asks for them, and decoding
+never does. A descriptor's lengths are read in one pass.
 
 Everything decoding derives from the code alone is built once per
 descriptor into a decode plan and kept, for the last 16 descriptors read, in
@@ -47,18 +47,17 @@ import operator
 import struct
 import threading
 from bisect import bisect_right
-from functools import cache, cached_property, lru_cache, partial
-from typing import Union
+from functools import cache, lru_cache, partial
 
-from .bits import (_codewords_of, uleb128_decode, uleb128_decode_all,
-                   uleb128_encode, uleb128_encode_all)
+from .bits import (uleb128_decode, uleb128_decode_all, uleb128_encode,
+                   uleb128_encode_all)
 from .errors import ContainerError
 from .golomb import GolombCode
 from .light_tail import UnaryEndedCode
 from .models import LengthSeq
 
-__all__ = ["ExplicitCode", "CodeSpec", "encode", "decode", "read_container",
-           "MAGIC", "VERSION"]
+__all__ = ["ExplicitCode", "encode", "decode", "read_container", "MAGIC",
+           "VERSION"]
 
 MAGIC = b"EPC1"
 VERSION = 1
@@ -90,16 +89,7 @@ class ExplicitCode(LengthSeq):
         return cls.__new__(cls)._hold(lengths, False)
 
     lengths = property(lambda self: self.head)
-
-    @cached_property
-    def codewords(self) -> tuple[str, ...]:
-        return _codewords_of(self.head, self.counts)
-
-    def codeword(self, i: int) -> str:
-        if not 0 <= i < len(self.head):
-            raise ValueError(
-                f"symbol {i} outside the {len(self.head)}-ary alphabet")
-        return self.codewords[i]
+    codewords = property(lambda self: self.head_codewords)
 
     def __repr__(self) -> str:
         return f"ExplicitCode(lengths={self.head!r})"
@@ -108,10 +98,7 @@ class ExplicitCode(LengthSeq):
         return f"explicit code on {len(self.head)} symbols"
 
 
-CodeSpec = Union[GolombCode, ExplicitCode, UnaryEndedCode]
-
-
-def _descriptor(code: CodeSpec) -> bytes:
+def _descriptor(code: LengthSeq) -> bytes:
     if isinstance(code, GolombCode):
         return bytes([_TAG_GOLOMB]) + uleb128_encode(code.k)
     if isinstance(code, ExplicitCode):
@@ -126,7 +113,7 @@ def _descriptor(code: CodeSpec) -> bytes:
 
 # ------------------------------------------------------------------- encode
 
-def encode(symbols, code: CodeSpec) -> bytes:
+def encode(symbols, code: LengthSeq) -> bytes:
     header = MAGIC + bytes([VERSION]) + _descriptor(code)
     if not isinstance(symbols, (list, tuple)):
         symbols = list(symbols)
@@ -172,7 +159,7 @@ def _descriptor_end(data, offset: int) -> int:
     return uleb128_decode_all(data, offset, n)[1]
 
 
-def _parse_descriptor(descriptor: bytes) -> CodeSpec:
+def _parse_descriptor(descriptor: bytes) -> LengthSeq:
     """The code of a whole descriptor whose end _descriptor_end found."""
     tag = descriptor[0]
     n, offset = uleb128_decode(descriptor, 1)
@@ -264,7 +251,7 @@ def _table_run(bits: str, pos: int, out: list, stop: int, t: int,
 _WINDOW = 64
 
 
-def _canonical_rows(code: CodeSpec):
+def _canonical_rows(code: LengthSeq):
     """Canonical decoding rows, spine and run of a container code.
 
     -> (L, ends, rows, order, spine, k), L the longest row length, spine
@@ -273,14 +260,11 @@ def _canonical_rows(code: CodeSpec):
     With rows[i] = (l, offset), a word of row i whose l bits read as v is
     symbol order[v - offset]. The spine, spine 1s at the top of code space,
     ends at one more end, 2**L; behind it symbols len(order) on take the
-    Golomb-k run's words. An explicit code has no run, k = 0; a unary-ended
-    code's tail is the run at k = 1; a Golomb code is a run behind no rows
-    and an empty spine.
+    Golomb-k run's words, k the tail's: a code with no tail has no run,
+    k = 0. A Golomb code is a run behind no rows and an empty spine.
     """
-    if isinstance(code, GolombCode):
-        return 0, [], [], [], 0, code.k
-    lengths, counts = code.head, code.counts
-    spine = code.tail.start_length - 1 if code.tail else 0
+    lengths, counts, tail = code.head, code.counts, code.tail
+    spine = tail.start_length - 1 if tail else 0
     width = max(len(counts) - 1, spine)
     ends, rows = [], []
     first = base = 0        # first is left-justified to width bits
@@ -297,7 +281,7 @@ def _canonical_rows(code: CodeSpec):
     # a list: indexing one is several times faster than indexing a range
     order = (list(range(len(lengths))) if code.head_sorted
              else sorted(range(len(lengths)), key=lengths.__getitem__))
-    return width, ends, rows, order, spine, 1 if spine else 0
+    return width, ends, rows, order, spine, tail.k if tail else 0
 
 
 def _canonical_words(width, ends, rows, order, spine, k, t: int):
@@ -419,7 +403,7 @@ class _Plan:
     table holds, and `table`, the (t, table) of the widest multi-symbol
     table built, (0, None) while none is."""
 
-    def __init__(self, code: CodeSpec) -> None:
+    def __init__(self, code: LengthSeq) -> None:
         self.code = code
         self.table = (0, None)
         self.lock = threading.Lock()
@@ -455,7 +439,7 @@ def _plan_table(plan: _Plan, count: int):
     return plan.table
 
 
-def read_container(data: bytes) -> tuple[CodeSpec, list[int]]:
+def read_container(data: bytes) -> tuple[LengthSeq, list[int]]:
     if len(data) < 5:
         raise ContainerError("container shorter than its fixed header")
     if data[:4] != MAGIC:

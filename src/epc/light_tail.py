@@ -10,9 +10,7 @@ is those lengths, a LengthSeq; its codeword strings are built when asked.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
-from .bits import _codewords_of
 from .errors import NotLightTailedError
 from .golomb import GolombCode, optimal_k
 from .huffman import _tilted
@@ -35,9 +33,9 @@ class UnaryEndedCode(LengthSeq):
 
     Symbols 0..split use the canonical head_codewords of head_lengths;
     symbol i > split encodes as the all-1s tail_prefix of spine_length bits,
-    then i - split - 1 ones, then a zero. A LengthSeq, checked as the
-    container is; the strings are built on first use. Given words must be
-    canonical.
+    then i - split - 1 ones, then a zero: the run at k = 1. A LengthSeq,
+    checked as the container is; the strings are built on first use. Given
+    words must be canonical.
     """
 
     def __init__(self, head_codewords, tail_prefix) -> None:
@@ -57,17 +55,6 @@ class UnaryEndedCode(LengthSeq):
     tail_prefix = property(lambda self: "1" * self.spine_length)
     split = property(lambda self: len(self.head) - 1)
     tail_start = property(lambda self: len(self.head))
-
-    @cached_property
-    def head_codewords(self) -> tuple[str, ...]:
-        return _codewords_of(self.head, self.counts)
-
-    def codeword(self, i: int) -> str:
-        if 0 <= i <= self.split:
-            return self.head_codewords[i]
-        return "1" * (self.length(i) - 1) + "0"
-
-    length = LengthSeq.length_at
 
     def lengths(self) -> LengthSeq:
         return LengthSeq(self.head, self.tail)
@@ -229,7 +216,7 @@ def build_unary_ended_mmr(model: SourceModel) -> UnaryEndedCode:
 
 # ------------------------------------------------------------ code choice
 
-def optimal_code(model: SourceModel, penalty: Penalty):
+def optimal_code(model: SourceModel, penalty: Penalty) -> LengthSeq:
     """The optimal code for a source under a penalty object: a GolombCode
     for Geometric, the merged lengths as a LengthSeq for ExplicitFinite, and
     a UnaryEndedCode for other sources (not at a positive order d).

@@ -1,10 +1,11 @@
 """Probability sources, penalty variants, and penalty evaluation.
 
-Sources are measures on the nonnegative integers, usually summing to one. A
-LengthSeq gives each symbol a codeword length: a head, then optionally unary.
-Penalties read a code's profile over a source: for a LengthSeq, its head
-once per distinct length, the masses grouped by length; a GolombCode's is
-its closed form. Values are immutable and functions pure.
+Sources are measures on the nonnegative integers, usually summing to one.
+Every code is a LengthSeq: a head of lengths, then optionally a run record
+(start index, start length, k), an all-1s spine and then Golomb-k words; k = 1
+is unary. Penalties read a code's profile over a source: a run with no head
+and no spine (a Golomb code) on a geometric source in closed form, else the
+masses grouped by length. Values are immutable and functions pure.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from itertools import repeat
 from operator import mul
 from typing import Optional, Union
 
-from .bits import integer_lengths, kraft_sign, length_counts
+from .bits import (_codewords_of, complete_binary, integer_lengths,
+                   kraft_sign, length_counts)
 from .errors import DivergenceError, EpcError
 from .numeric import LN2, check_positive, check_weights
 
@@ -254,27 +256,32 @@ Penalty = Union[Exponential, DthRedundancy, MaxRedundancy, Linear]
 
 @dataclass(frozen=True, init=False)
 class UnaryTail:
-    """n(i) = start_length + (i - start_index) for all i >= start_index."""
+    """The run a code ends in: symbol i >= start_index is written as
+    start_length - 1 spine ones, then the Golomb-k word of i - start_index.
+    At k = 1, unary: n(i) = start_length + (i - start_index)."""
 
     start_index: int
     start_length: int
+    k: int = 1
 
-    def __init__(self, start_index: int, start_length: int) -> None:
-        index, length = start_index, start_length
-        if type(index) is not int or type(length) is not int:
-            index, length = integer_lengths((index, length))
-        if index < 0 or length < 1:
+    def __init__(self, start_index: int, start_length: int, k: int = 1) -> None:
+        try:
+            index, length, k = integer_lengths((start_index, start_length, k))
+        except ValueError as exc:
+            raise ValueError(f"bad tail record: {exc}") from None
+        if index < 0 or length < 1 or k < 1:
             raise ValueError("bad tail record")
         object.__setattr__(self, "start_index", index)
         object.__setattr__(self, "start_length", length)
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)
 class LengthSeq:
-    """Codeword lengths, head[i] for symbol i and then the unary tail: the
-    one lengths value every code is. Positive integers (a lone 0 codes a
-    one-symbol alphabet) whose Kraft sum, the tail counted as one word of
-    start_length - 1 bits, is at most one, tested exactly."""
+    """Codeword lengths, head[i] for symbol i and then the tail's run: the
+    one value every code is. Positive integers (a lone 0 codes a one-symbol
+    alphabet) whose Kraft sum, the run counted as one word of start_length
+    - 1 bits, is at most one, tested exactly."""
 
     head: tuple[int, ...]
     tail: Optional[UnaryTail] = None
@@ -288,7 +295,7 @@ class LengthSeq:
         if self.tail is not None:
             if self.tail.start_index != len(head):
                 raise ValueError("tail must start right after the head")
-            # the tail fills the code space of one word a bit shorter
+            # the run fills the code space of one word a bit shorter
             words += (self.tail.start_length - 1,)
         if kraft_sign(sorted(words)) > 0:
             raise ValueError("lengths violate the Kraft inequality")
@@ -310,20 +317,55 @@ class LengthSeq:
         object.__setattr__(self, "head_sorted", tuple(ordered) == head)
         return self
 
+    @cached_property
+    def counts(self) -> tuple[int, ...]:    # a container code holds its own
+        return tuple(length_counts(self.head))
+
+    @cached_property
+    def head_codewords(self) -> tuple[str, ...]:
+        return _codewords_of(self.head, self.counts)
+
     def length_at(self, i: int) -> int:
         if i < len(self.head):
             if i < 0:
                 raise ValueError("symbols are nonnegative")
             return self.head[i]
-        if self.tail is None:
+        tail = self.tail
+        if tail is None:
             raise IndexError(f"no length assigned to symbol {i}")
-        return self.tail.start_length + (i - self.tail.start_index)
+        k = tail.k
+        q, r = divmod(i - tail.start_index, k)
+        g = k.bit_length()      # the suffix takes g - 1 bits below 2**g - k
+        return tail.start_length + q + (g - 1 if r < (1 << g) - k else g)
 
-    def _profile(self, model: "SourceModel") -> "_Profile":
+    length = length_at
+
+    def codeword(self, i: int) -> str:
+        """Symbol i's word: the canonical word of its head length, or past
+        the head the run's, the spine and the quotient in ones, a zero, then
+        the complete binary suffix of the remainder."""
+        head, tail = self.head, self.tail
+        if 0 <= i < len(head):
+            return self.head_codewords[i]
+        if i < 0 or tail is None:
+            raise ValueError(f"no codeword for symbol {i}")
+        q, r = divmod(i - tail.start_index, tail.k)
+        return ("1" * (tail.start_length - 1 + q) + "0"
+                + complete_binary(r, tail.k))
+
+    def _profile(self, model: "SourceModel"):
+        """The one code dispatch: a run with no spine (so no head) on a
+        geometric source sums in closed form, any other run only at k = 1."""
+        tail = self.tail
+        if tail is not None:
+            if tail.start_length == 1 and isinstance(model, Geometric):
+                return _GolombProfile(model.ratio, tail.k)
+            if tail.k > 1:
+                raise ValueError("Golomb sums need a geometric source")
         return _Profile(model, self)
 
     def kraft_sum(self) -> float:
-        # the unary tail contributes 2**(1 - start_length) in closed form
+        # the run contributes 2**(1 - start_length) in closed form
         acc = math.fsum(2.0 ** -n for n in self.head)
         if self.tail is not None:
             acc += 2.0 ** (1 - self.tail.start_length)
@@ -332,9 +374,11 @@ class LengthSeq:
     def __str__(self) -> str:
         if self.tail is None:
             return "lengths " + ",".join(map(str, self.head))
-        shown = self.head + (self.tail.start_length,)
+        tail = self.tail
+        shown = self.head + (tail.start_length,)
+        run = "unary" if tail.k == 1 else f"golomb{tail.k}"
         return ("lengths " + ",".join(map(str, shown))
-                + f" +unary@{self.tail.start_index}")
+                + f" +{run}@{tail.start_index}")
 
 
 # ---------------------------------------------------------------- series
@@ -663,23 +707,82 @@ class _Profile:
         return max(best, tail.start_length + top / LN2)
 
 
-def power_sum(model: SourceModel, code, base: float) -> float:
-    """sum p(i) * base**n(i) for a code: a LengthSeq, or a GolombCode on a
-    geometric source."""
+class _GolombProfile:
+    """The k-Golomb code's sums over Geometric(ratio), answered as a
+    _Profile answers them, from one geometric series per suffix
+    length: with phi = ratio**(1+d), g = k.bit_length() and z = 2**g - k,
+    ln sum p(i)**(1+d) b**n(i) = (1+d) ln(1-ratio) - ln(1-phi) + g ln b
+    + ln(1 + (b-1) phi**z / (1 - b phi**k)), read in expm1 and log1p of d
+    itself, since 1 + d rounds to one at small orders."""
+
+    def __init__(self, ratio: float, k: int) -> None:
+        self.ratio, self.k, self.ln_r = ratio, k, math.log(ratio)
+        self.g = k.bit_length()
+        self.z = (1 << self.g) - k
+        self.pole = -self.ln_r / (1.0 / k)      # where b ratio**k = 1
+
+    def expected_length(self) -> float:
+        r = self.ratio
+        return self.g + r ** self.z / (1.0 - r ** self.k)
+
+    def ln_power_sum(self, ln_b: float, d: float = 0.0) -> float:
+        """ln sum p(i)**(1+d) * base**n(i), ln_b = ln base."""
+        k, z, ln_r = self.k, self.z, self.ln_r
+        ln_phi = ln_r + d * ln_r
+        x = ln_b + k * ln_phi       # ln b phi**k
+        if x >= 0.0:
+            raise DivergenceError("penalty sum diverges: base * "
+                                  "ratio**(k (1 + order)) >= 1")
+        # ln(1 + u), u = (b-1) phi**z / (1 - b phi**k): in logs above base
+        # one; below it, where u nears -1, from 1 + u's positive parts
+        ln_den = math.log(-math.expm1(x))
+        if ln_b > 0.0:
+            ln_u = ln_b + math.log(-math.expm1(-ln_b)) + z * ln_phi - ln_den
+            ln1pu = (ln_u + math.log1p(math.exp(-ln_u)) if ln_u > 0.0
+                     else math.log1p(math.exp(ln_u)))
+        else:
+            u = math.expm1(ln_b) * math.exp(z * ln_phi - ln_den)
+            ln1pu = math.log1p(u) if u > -0.5 else math.log(
+                -math.expm1(z * ln_phi)
+                - math.exp(ln_b + z * ln_phi) * math.expm1((k - z) * ln_phi)
+            ) - ln_den
+        # (1+d) ln(1-r) - ln(1-phi), with 1 - phi = (1-r) - r (r**d - 1)
+        r = self.ratio
+        return (d * math.log1p(-r) + self.g * ln_b + ln1pu
+                - math.log1p(-r * math.expm1(d * ln_r) / (1.0 - r)))
+
+    def max_redundancy(self) -> float:
+        """Unbounded (inf) when ratio exceeds 2**(-1/k): per-cycle length
+        growth then outpaces probability decay. Otherwise the supremum is
+        attained at symbol 0 or at the first symbol wearing the long
+        suffix."""
+        r, k = self.ratio, self.k
+        # bounded iff 1 + k log2(ratio) <= 0, the exact boundary kept finite
+        if 1.0 + k * math.log2(r) > 1e-12:
+            return math.inf
+        cg = (k - 1).bit_length()       # ceil(log2 k)
+        i_star = (1 << cg) - k          # first long-suffix symbol (0: k = 2**m)
+        at_zero = self.g + math.log2(1.0 - r)
+        at_star = cg + 1 + math.log2(1.0 - r) + i_star * math.log2(r)
+        return max(at_zero, at_star)
+
+
+def power_sum(model: SourceModel, code: LengthSeq, base: float) -> float:
+    """sum p(i) * base**n(i) for a code."""
     check_positive("base", base)
     return _exp(code._profile(model).ln_power_sum(math.log(base)),
                 "the power sum")
 
 
-def expected_length(model: SourceModel, code) -> float:
+def expected_length(model: SourceModel, code: LengthSeq) -> float:
     """sum p(i) * n(i)."""
     return code._profile(model).expected_length()
 
 
-def evaluate_penalty(model: SourceModel, code, penalty: Penalty) -> float:
+def evaluate_penalty(model: SourceModel, code: LengthSeq,
+                     penalty: Penalty) -> float:
     """A penalty's value for a code on a source, read from the code's
-    profile at the penalty's tilt: a LengthSeq's grouped by length, a
-    Golomb code's in closed form."""
+    profile at the penalty's tilt."""
     profile = code._profile(model)
     if not hasattr(penalty, "_tilt"):
         raise TypeError(f"not a penalty: {penalty!r}")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from .errors import DivergenceError, EpcError, StabilityError
-from .golomb import GolombCode
 from .light_tail import optimal_code
 from .models import (Exponential, LengthSeq, SourceModel, _exp, _ln_series,
                      shannon_entropy, total_mass)
@@ -150,8 +149,6 @@ class TableTransform(_Arrivals):
 ArrivalModel = Union[Deterministic, ExponentialArrivals, GammaArrivals,
                      TableTransform]
 
-CodeLike = Union[GolombCode, LengthSeq]   # every other code is a LengthSeq
-
 
 class DecayRate(NamedTuple):
     value: float
@@ -160,7 +157,7 @@ class DecayRate(NamedTuple):
 
 @dataclass(frozen=True)
 class OverflowResult:
-    code: CodeLike
+    code: LengthSeq
     decay_rate: float
     at_boundary: bool
     trace: tuple          # (decay rate, code) per iterate
@@ -177,7 +174,7 @@ class OverflowResult:
 
 # ------------------------------------------------------------ the functional
 
-def overflow_functional(model: SourceModel, code: CodeLike,
+def overflow_functional(model: SourceModel, code: LengthSeq,
                         arrivals: ArrivalModel, s: float) -> float:
     """f(s) above, from ln f; exactly the source mass at s = 0."""
     if not 0.0 <= s < math.inf:     # NaN too
@@ -190,20 +187,26 @@ def overflow_functional(model: SourceModel, code: CodeLike,
 
 # ------------------------------------------------------------- s* search
 
-def max_decay_rate(model: SourceModel, code: CodeLike,
+def max_decay_rate(model: SourceModel, code: LengthSeq,
                    arrivals: ArrivalModel) -> DecayRate:
     """Largest s with f(s) <= 1.
 
     f is log-convex with f(0) = 1, so the feasible set is an interval
     starting at zero; it is the single point {0} exactly when the mean
-    codeword length reaches the mean intermission. The bisection tests
-    ln f <= 0, down to width _S_TOL or until no float lies strictly between
-    its ends; the mean length and every power sum read one profile of the
-    code, built once per call. A source with no pole whose series stops at
-    its term cap at the bracket's upper end leaves f undecided there, and
-    the DivergenceError of that cap is raised.
+    codeword length reaches the mean intermission, unless every word of a
+    finite source is as long as a deterministic gap: f is then one at every
+    s, and the answer is decay_rate_bound's, zero where the entropy meets
+    the gap and else refused as unbounded. The bisection tests ln f <= 0, down to width _S_TOL or until no
+    float lies strictly between its ends; the mean length and every power
+    sum read one profile of the code, built once per call. A source with no
+    pole whose series stops at its term cap at the bracket's upper end
+    leaves f undecided there, and the DivergenceError of that cap is
+    raised.
     """
     profile = code._profile(model)
+    if isinstance(arrivals, Deterministic) and model.size and all(
+            code.length_at(i) == arrivals.gap for i in range(model.size)):
+        return DecayRate(decay_rate_bound(model, arrivals), True)
     if profile.expected_length() >= arrivals.mean_gap():
         return DecayRate(0.0, True)
     ln_power_sum, ln_transform = profile.ln_power_sum, arrivals.ln_transform
@@ -321,8 +324,9 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
         bits = math.floor(arrivals.gap)
         if bits >= (n - 1).bit_length():   # 2**bits >= n
             raise DivergenceError(
-                f"a deterministic gap of {arrivals.gap} bit times is at "
-                f"least log2 of the {n} symbols, so the bound never closes")
+                f"a deterministic gap of {arrivals.gap} bit times meets "
+                f"2**floor(gap) >= {n}, the symbol count, so the bound "
+                "never closes")
         return -math.log(min(model.masses(n))) / (bits + 1 - arrivals.gap)
 
     def ln_left(s: float) -> float:
@@ -345,20 +349,18 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
 
 # --------------------------------------------------------------- optimizer
 
-def _length_key(code: CodeLike):
+def _length_key(code: LengthSeq):
     """A key two codes of one family share exactly when they give every
-    symbol the same length: a Golomb code is keyed by itself, a LengthSeq
-    by its head with the run its unary tail continues folded into the tail,
+    symbol the same length: the head, the run's start length and k, with
+    the head lengths a unary run (k = 1) continues folded into its tail,
     since a light-tail split moves with the base."""
-    if isinstance(code, GolombCode):
-        return code
     head, tail = code.head, code.tail
     if tail is None:
         return head, None
     n, start = len(head), tail.start_length
-    while n and head[n - 1] == start - 1:
+    while tail.k == 1 and n and head[n - 1] == start - 1:
         n, start = n - 1, start - 1
-    return head[:n], start
+    return head[:n], start, tail.k
 
 
 def optimize_overflow(model: SourceModel,

@@ -9,8 +9,7 @@ import pytest
 
 from epc import (ContainerError, ExplicitCode, GolombCode, Poisson,
                  UnaryEndedCode, bits, build_unary_ended, codec, decode,
-                 encode, exp_huffman, golomb_length, light_tail,
-                 read_container)
+                 encode, exp_huffman, golomb_length, models, read_container)
 from oracles import kraft_fraction
 
 
@@ -21,6 +20,18 @@ def test_frozen_byte_vector():
     code, symbols = read_container(blob)
     assert code == GolombCode(3)
     assert symbols == [1, 3, 9]
+    # one vector per descriptor tag and for the run at k = 1
+    count = (5).to_bytes(8, "little")
+    for code, symbols, want in (
+            (ExplicitCode.from_lengths((3, 1, 3, 2)), [1, 3, 0, 2, 1],
+             b"EPC1\x01\x02\x04\x03\x01\x03\x02" + count + b"\x5b\x80"),
+            (UnaryEndedCode.from_lengths((2, 1, 3), 3), [1, 0, 3, 2, 5],
+             b"EPC1\x01\x03\x02\x02\x01\x03\x03" + count + b"\x5d\xbe"),
+            (GolombCode(1), [0, 2, 5],
+             b"EPC1\x01\x01\x01" + (3).to_bytes(8, "little") + b"\x6f\x80")):
+        blob = encode(symbols, code)
+        assert blob == want
+        assert read_container(blob) == (code, symbols)
 
 
 def test_empty_stream():
@@ -103,7 +114,7 @@ def test_explicit_decode_builds_no_codewords(count, code, monkeypatch):
     def refuse(*args):
         raise AssertionError("decode built codeword strings")
     monkeypatch.setattr(bits, "canonical_codewords", refuse)
-    for module in (bits, codec, light_tail):   # the codes build from counts
+    for module in (bits, models):   # the codes build from counts
         monkeypatch.setattr(module, "_codewords_of", refuse)
     got, decoded = read_container(blob)
     assert decoded == symbols and got == code

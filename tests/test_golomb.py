@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from epc import (DivergenceError, DthRedundancy, Exponential, Geometric,
-                 GolombCode, Linear, MaxRedundancy, complete_binary,
-                 evaluate_penalty, golomb_codeword, golomb_dth_penalty,
-                 golomb_exp_penalty, golomb_length, golomb_mmr, optimal_k_dth,
+                 GolombCode, LengthSeq, Linear, MaxRedundancy, Poisson,
+                 UnaryEndedCode, UnaryTail, complete_binary, evaluate_penalty,
+                 golomb_codeword, golomb_dth_penalty, golomb_exp_penalty,
+                 golomb_length, golomb_mmr, optimal_k_dth,
                  optimal_k_exponential, optimal_k_mmr, power_sum)
 from epc.golomb import optimal_k
 from oracles import golomb_len, golomb_power_sum_direct, mmr_sup_scan
@@ -57,6 +58,56 @@ def test_code_object():
         GolombCode(0)
     with pytest.raises(ValueError):
         c.codeword(-1)
+
+
+_PENALTIES = (Linear(), Exponential(1.5), Exponential(0.7), DthRedundancy(0.5),
+              MaxRedundancy())
+
+
+@pytest.mark.parametrize("code", [
+    *(GolombCode(k) for k in (1, 2, 3, 5, 64)),
+    UnaryEndedCode.from_lengths((1, 2), 2),
+    UnaryEndedCode.from_lengths((2, 1, 3, 4), 4),
+    UnaryEndedCode.from_lengths((3, 3, 2, 2), 2),
+    LengthSeq((1,), UnaryTail(1, 2, 3)),     # a k-run behind a head and spine
+], ids=str)
+def test_one_code_value(code):
+    # every code is a LengthSeq: its words come from one run routine, their
+    # lengths from length_at, for every k
+    n = len(code.head) + 6 * code.tail.k + 40
+    words = [code.codeword(i) for i in range(n)]
+    assert [len(w) for w in words] == [code.length_at(i) for i in range(n)]
+    # prefix free: in sorted order a prefix of any word precedes it directly
+    ordered = sorted(words)
+    assert not any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
+    plain = LengthSeq(code.head, code.tail)
+    if not code.head:   # a Golomb code is its run from symbol 0
+        assert code == GolombCode(code.tail.k)
+        assert plain == LengthSeq((), UnaryTail(0, 1, code.tail.k))
+        for ratio in (0.3, 0.8):
+            for penalty in _PENALTIES:
+                try:
+                    want = evaluate_penalty(Geometric(ratio), code, penalty)
+                except DivergenceError:
+                    continue
+                assert evaluate_penalty(Geometric(ratio), plain, penalty) \
+                    == want
+    elif code.tail.k == 1:  # a unary-ended code is scored as its lengths
+        for penalty in _PENALTIES[:3]:
+            assert evaluate_penalty(Poisson(2.0), code, penalty) == \
+                evaluate_penalty(Poisson(2.0), plain, penalty)
+    else:   # a k-run with a spine has no sums, on any source
+        for model in (Geometric(0.5), Poisson(2.0)):
+            with pytest.raises(ValueError, match="need a geometric source"):
+                evaluate_penalty(model, code, Linear())
+
+
+def test_tail_record_refuses_a_bad_k():
+    for bad in (0, -3, 1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="bad tail record"):
+            UnaryTail(0, 1, bad)
+    assert UnaryTail(0, 1) == UnaryTail(0, 1, 1)
+    assert UnaryTail(0, 1, True).k == 1     # kept as the int it checks as
 
 
 def test_optimal_k_exponential_defining_inequality():

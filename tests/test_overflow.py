@@ -229,6 +229,23 @@ def test_golomb_code_needs_a_geometric_source():
     assert "geometric source" in str(rate.value)
 
 
+def test_golomb_code_at_k_1_is_unary_on_every_source():
+    # GolombCode(1) is the plain unary code, LengthSeq((), UnaryTail(0, 1)):
+    # off a geometric source it is scored as those lengths, not refused; at
+    # k >= 2 the run has no sums there (the test above)
+    unary, arr = LengthSeq((), UnaryTail(0, 1)), ExponentialArrivals(0.2)
+    for m in (Poisson(5.0), with_geometric_tail((0.5, 0.25), 0.5),
+              ExplicitFinite((0.4, 0.3, 0.2, 0.1))):
+        for penalty in (Linear(), Exponential(1.5), MaxRedundancy()):
+            assert evaluate_penalty(m, GolombCode(1), penalty) == \
+                evaluate_penalty(m, unary, penalty)
+        assert max_decay_rate(m, GolombCode(1), arr) == \
+            max_decay_rate(m, unary, arr)
+    # unary gives symbol i a word of i + 1 bits: the mean length is mean + 1
+    assert expected_length(Poisson(5.0), GolombCode(1)) == \
+        pytest.approx(6.0, rel=1e-12)
+
+
 def test_functional_refuses_a_non_finite_tilt():
     # at s = inf a finite source's ln f would be -inf + inf
     for s in (math.nan, math.inf):
@@ -389,6 +406,32 @@ def test_finite_source_past_log2_n_is_solved():
     assert res.code == LengthSeq((1, 2, 2))
     assert res.decay_rate == 0.8221632342902012
     assert res.decay_rate == max_decay_rate(m, res.code, arr).value
+
+
+def test_bound_refusal_names_the_condition_it_tests():
+    # the finite refusal tests 2**floor(gap) >= n, and says so
+    m = ExplicitFinite((0.4, 0.3, 0.2, 0.1))
+    with pytest.raises(DivergenceError) as refused:
+        decay_rate_bound(m, Deterministic(2.5))
+    assert str(refused.value) == (
+        "a deterministic gap of 2.5 bit times meets 2**floor(gap) >= 4, the "
+        "symbol count, so the bound never closes")
+
+
+def test_zero_variance_finite_solve_takes_the_bound_answer():
+    # every length equals the gap: f is one at every s, and max_decay_rate
+    # answers as decay_rate_bound does, unbounded (the mean length meeting
+    # the gap would otherwise read as a rate of zero at the boundary)
+    m, arr = ExplicitFinite((0.4, 0.3, 0.2, 0.1)), Deterministic(2.0)
+    for code in (LengthSeq((2, 2, 2, 2)), ExplicitCode.from_lengths((2,) * 4)):
+        for s in (0.5, 3.0):
+            assert overflow_functional(m, code, arr, s) == \
+                pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(DivergenceError) as bound:
+            decay_rate_bound(m, arr)
+        with pytest.raises(DivergenceError) as rate:
+            max_decay_rate(m, code, arr)
+        assert str(rate.value) == str(bound.value)
 
 
 def test_optimize_via_table_transform():
