@@ -105,7 +105,7 @@ def _code_for_stream(args):
     if args.golomb is not None:
         return GolombCode(args.golomb)
     code = optimal_code(_model_from(args), args.penalty)
-    if type(code) is LengthSeq:   # a finite code is stored canonically
+    if code.tail is None:   # printed by encode as an explicit code
         return ExplicitCode.from_lengths(code.head)
     return code
 

@@ -1,26 +1,27 @@
 """Bit-exact stream codec with a self-describing container.
 
-Container layout: magic "EPC1", one version byte, a tagged code descriptor
-(Golomb parameter, explicit canonical lengths, or unary-ended head lengths),
+Container layout: magic "EPC1", one version byte, a tagged code descriptor,
 a 64-bit little-endian symbol count, then the payload bits MSB-first and
 zero-padded to a byte boundary.
 
-Both directions work on the payload as one string of "0"/"1" characters:
-encode joins one codeword string per symbol and converts the whole string
-once, decode formats the payload once and walks it by index.
+Every code is a `LengthSeq`: a canonical head, an all-1s spine at the top
+of its code space, then an optional Golomb-k run. The descriptor's tag is
+read off that shape: a head alone (0x02, its lengths; read back as an
+`ExplicitCode`), a unary run behind a head and its spine (0x03, the head
+and spine lengths; a `UnaryEndedCode`) or a k-run with no head or spine
+(0x01, k; a `GolombCode`); no other shape has one. encode parses its own
+descriptor into the decode plan below and writes the words of the plan's
+code, so it refuses, as a ValueError, every code decode would refuse.
 
-One canonical decoder (Moffat & Turpin, "On the implementation of
-minimum-redundancy prefix codes", IEEE Trans. Commun. 1997) reads every
-code as three parts: a canonical head, decoded through first-code/limit
-rows; an all-1s spine at the top of its code space; and an optional
-Golomb-k run behind the spine, whose words are read arithmetically: the
-parts of the one code value, a `LengthSeq` whose tail is a run record. An
-`ExplicitCode` is a head alone, a `UnaryEndedCode` a head, its spine and
-the run at k = 1, and a `GolombCode` a k-run behind an empty head and
-spine. The decoder reads every code's head, `counts` (words per length),
-spine and k, never its class; only the descriptor's tag is chosen by class.
-Codeword strings are built when encoding first asks for them, and decoding
-never does. A descriptor's lengths are read in one pass.
+Both directions work on the payload as one string of "0"/"1" characters:
+encode joins one codeword string per symbol, built when first asked for,
+and converts the whole string once; decode formats the payload once and
+walks it by index, building no codeword strings. One canonical decoder
+(Moffat & Turpin, "On the implementation of minimum-redundancy prefix
+codes", IEEE Trans. Commun. 1997) reads every code's head through
+first-code/limit rows and its run's words arithmetically, from its
+`counts` (words per length), spine and k, never its class. A descriptor's
+lengths are read in one pass.
 
 Everything decoding derives from the code alone is built once per
 descriptor into a decode plan and kept, for the last 16 descriptors read, in
@@ -99,22 +100,29 @@ class ExplicitCode(LengthSeq):
 
 
 def _descriptor(code: LengthSeq) -> bytes:
-    if isinstance(code, GolombCode):
-        return bytes([_TAG_GOLOMB]) + uleb128_encode(code.k)
-    if isinstance(code, ExplicitCode):
-        out = bytes([_TAG_EXPLICIT]) + uleb128_encode(len(code.lengths))
-        return out + uleb128_encode_all(code.lengths)
-    if isinstance(code, UnaryEndedCode):
-        out = bytes([_TAG_UNARY_ENDED]) + uleb128_encode(code.split)
-        return out + uleb128_encode_all(code.head_lengths
-                                        + (code.spine_length,))
-    raise TypeError(f"not a code spec: {code!r}")
+    """The descriptor of the code's shape; _parse_descriptor checks it."""
+    head, tail = code.head, code.tail
+    if tail is None:
+        return (bytes([_TAG_EXPLICIT]) + uleb128_encode(len(head))
+                + uleb128_encode_all(head))
+    if tail.start_length == 1:
+        return bytes([_TAG_GOLOMB]) + uleb128_encode(tail.k)
+    if tail.k == 1 and head:
+        return (bytes([_TAG_UNARY_ENDED]) + uleb128_encode(len(head) - 1)
+                + uleb128_encode_all(head + (tail.start_length - 1,)))
+    raise ValueError("no container holds a " + (
+        "unary run behind a spine with no head" if tail.k == 1
+        else f"Golomb-{tail.k} run behind a head or spine"))
 
 
 # ------------------------------------------------------------------- encode
 
 def encode(symbols, code: LengthSeq) -> bytes:
     header = MAGIC + bytes([VERSION]) + _descriptor(code)
+    try:
+        code = _plan(header[5:]).code
+    except ContainerError as exc:
+        raise ValueError(f"no container holds this code: {exc}") from None
     if not isinstance(symbols, (list, tuple)):
         symbols = list(symbols)
     # one codeword per distinct symbol, built in first-seen order
@@ -126,13 +134,7 @@ def encode(symbols, code: LengthSeq) -> bytes:
             raise ValueError(
                 f"symbols are integers, got {type(sym).__name__} {sym!r}"
             ) from None
-        if value < 0:
-            raise ValueError("symbols are nonnegative")
-        try:
-            words[sym] = code.codeword(value)
-        except OverflowError:
-            raise ValueError(f"symbol {value} has a codeword too long to "
-                             "build") from None
+        words[sym] = code.codeword(value)
     bits = "".join(map(words.__getitem__, symbols))
     bits += "0" * (-len(bits) % 8)
     payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
@@ -278,9 +280,11 @@ def _canonical_rows(code: LengthSeq):
         base += n
     if spine:
         ends.append(1 << width)
-    # a list: indexing one is several times faster than indexing a range
-    order = (list(range(len(lengths))) if code.head_sorted
-             else sorted(range(len(lengths)), key=lengths.__getitem__))
+    # a list, several times faster to index than a range; a sorted head is
+    # in canonical order already
+    order = list(range(len(lengths)))
+    if any(map(operator.gt, lengths, lengths[1:])):
+        order.sort(key=lengths.__getitem__)
     return width, ends, rows, order, spine, tail.k if tail else 0
 
 
@@ -391,7 +395,8 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
 # most one table of 2**14 entries, about 2 MB. At worst the cache thus holds
 # about 32 MB of tables, plus 1.2 MB of 14-bit window keys shared by all:
 # 16 containers of 2**14 symbols under distinct codes whose narrowest width
-# is 14 bits, each as short as 2 KB, fill it.
+# is 14 bits, each as short as 2 KB, fill it. Encoding adds its code's head
+# words, about 75 bytes a symbol, to the plan's code.
 _PLANS = 16
 
 

@@ -29,13 +29,13 @@ class GolombCode(LengthSeq):
     """The k-Golomb code: an empty head and the k-run from symbol 0. A
     value: codes of equal k compare and hash equal."""
 
-    counts, head_sorted = (), True      # no head to tabulate or order
-
     def __init__(self, k: int) -> None:
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"k must be a positive integer, got {k!r}")
         object.__setattr__(self, "head", ())
         object.__setattr__(self, "tail", UnaryTail(0, 1, k))
+        # held like _hold's; caching it in __dict__ slows the code's reads
+        object.__setattr__(self, "counts", ())
 
     k = property(lambda self: self.tail.k)
     # g, the longer remainder-suffix length, and z, how many remainders get

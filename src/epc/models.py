@@ -45,12 +45,9 @@ class _Source:
     tail_ratio           a geometric continuation, p(i+1) = tail_ratio * p(i)
                          from tail_start on; None for a finite source and for
                          Poisson, whose mass ratio p(i+1)/p(i) is mean/(i+1)
-    exp_of_logs          masses(n) is exp of ln_masses(0, n), float for float,
-                         so one read of the logs gives both (Poisson)
     """
 
     size = None
-    exp_of_logs = False
 
     def ln_masses(self, j: int, n: int) -> list[float]:
         return [self.ln_mass(i) for i in range(j, n)]
@@ -99,6 +96,7 @@ class Geometric(_GeometricTail):
 
 
 _KEPT = 1 << 14
+_MOST_ONES = 1 << 32    # in a run word; its string alone takes 4 GB
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,6 @@ class Poisson(_Source):
 
     mean: float
     tail_ratio = None
-    exp_of_logs = True
 
     def __post_init__(self) -> None:
         check_positive("mean", self.mean)
@@ -136,9 +133,9 @@ class Poisson(_Source):
         return math.exp(self.ln_mass(i))
 
     def masses(self, n: int) -> list[float]:
-        # mass(i) for each i from the kept log masses, which ln_mass's own
-        # formula fills, so the floats are the same
-        return list(map(math.exp, self.ln_masses(0, n)))
+        # mass(i) for each i from Poisson's kept log masses, which ln_mass's
+        # own formula fills, so the floats are the same
+        return list(map(math.exp, Poisson.ln_masses(self, 0, n)))
 
 
 @dataclass(frozen=True)
@@ -301,25 +298,21 @@ class LengthSeq:
             raise ValueError("lengths violate the Kraft inequality")
 
     def _hold(self, lengths, unary: bool) -> "LengthSeq":
-        """Hold lengths a container can carry, their words per length as the
-        tuple `counts`, from one bits.length_counts check, and as
-        `head_sorted` whether the head is nondecreasing, so that canonical
-        order is symbol order. With `unary` the last length is an all-1s
-        spine, and the tail starts one bit past it."""
+        """Hold lengths a container can carry and their words per length as
+        the tuple `counts`, from one bits.length_counts check. With `unary`
+        the last length is an all-1s spine, and the tail starts one bit past
+        it."""
         lengths = integer_lengths(lengths)
         head, spine = (lengths[:-1], lengths[-1]) if unary else (lengths, None)
-        ordered = sorted(head)
-        counts = length_counts(ordered, spine)
+        object.__setattr__(self, "counts", tuple(length_counts(head, spine)))
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", None if spine is None
                            else UnaryTail(len(head), spine + 1))
-        object.__setattr__(self, "counts", tuple(counts))
-        object.__setattr__(self, "head_sorted", tuple(ordered) == head)
         return self
 
     @cached_property
     def counts(self) -> tuple[int, ...]:    # a container code holds its own
-        return tuple(length_counts(self.head))
+        return tuple(length_counts(self.head)) if self.head else ()
 
     @cached_property
     def head_codewords(self) -> tuple[str, ...]:
@@ -341,17 +334,19 @@ class LengthSeq:
     length = length_at
 
     def codeword(self, i: int) -> str:
-        """Symbol i's word: the canonical word of its head length, or past
-        the head the run's, the spine and the quotient in ones, a zero, then
-        the complete binary suffix of the remainder."""
+        """Symbol i's word: its head length's canonical word, or past the
+        head the run's, refused past _MOST_ONES ones: the spine and quotient
+        in ones, a zero, then the complete binary suffix of the remainder."""
         head, tail = self.head, self.tail
         if 0 <= i < len(head):
             return self.head_codewords[i]
         if i < 0 or tail is None:
             raise ValueError(f"no codeword for symbol {i}")
         q, r = divmod(i - tail.start_index, tail.k)
-        return ("1" * (tail.start_length - 1 + q) + "0"
-                + complete_binary(r, tail.k))
+        ones = tail.start_length - 1 + q
+        if ones > _MOST_ONES:
+            raise ValueError(f"symbol {i} has a codeword too long to build")
+        return "1" * ones + "0" + complete_binary(r, tail.k)
 
     def _profile(self, model: "SourceModel"):
         """The one code dispatch: a run with no spine (so no head) on a
@@ -361,7 +356,10 @@ class LengthSeq:
             if tail.start_length == 1 and isinstance(model, Geometric):
                 return _GolombProfile(model.ratio, tail.k)
             if tail.k > 1:
-                raise ValueError("Golomb sums need a geometric source")
+                raise ValueError(
+                    "Golomb sums need a geometric source"
+                    if tail.start_length == 1 else f"no sums yet for a "
+                    f"Golomb-{tail.k} run behind a head or spine")
         return _Profile(model, self)
 
     def kraft_sum(self) -> float:
@@ -375,7 +373,7 @@ class LengthSeq:
         if self.tail is None:
             return "lengths " + ",".join(map(str, self.head))
         tail = self.tail
-        shown = self.head + (tail.start_length,)
+        shown = self.head + (self.length_at(tail.start_index),)
         run = "unary" if tail.k == 1 else f"golomb{tail.k}"
         return ("lengths " + ",".join(map(str, shown))
                 + f" +{run}@{tail.start_index}")
@@ -617,11 +615,8 @@ class _Profile:
         self.model, self.head, self.tail = model, head[:size], tail
         rho = model.tail_ratio      # the power sum's pole: e**ln_b rho = 1
         self.pole = math.inf if rho is None or tail is None else -math.log(rho)
-        # masses that are exp of the logs come from the one read of the logs
-        ys = model.ln_masses(0, len(self.head)) if model.exp_of_logs else None
-        ps = model.masses(len(self.head)) if ys is None else map(math.exp, ys)
         groups = {n: [] for n in sorted(set(self.head))}
-        for n, p in zip(self.head, ps):
+        for n, p in zip(self.head, model.masses(len(self.head))):
             groups[n].append(p)
         self.near = sum(n <= _FLOAT_MAX for n in groups)
         self.far = self.near < len(groups) or (
@@ -633,9 +628,8 @@ class _Profile:
             if m < _TINY:   # read again as logs, over the largest
                 if ln_groups is None:   # every length's, in one read
                     ln_groups = {k: [] for k in groups}
-                    if ys is None:
-                        ys = model.ln_masses(0, len(self.head))
-                    for k, y in zip(self.head, ys):
+                    for k, y in zip(self.head,
+                                    model.ln_masses(0, len(self.head))):
                         ln_groups[k].append(y)
                 lps = ln_groups[n]
                 top = max(lps)

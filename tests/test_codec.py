@@ -7,9 +7,10 @@ from unittest import mock
 
 import pytest
 
-from epc import (ContainerError, ExplicitCode, GolombCode, Poisson,
-                 UnaryEndedCode, bits, build_unary_ended, codec, decode,
-                 encode, exp_huffman, golomb_length, models, read_container)
+from epc import (ContainerError, ExplicitCode, GolombCode, LengthSeq, Poisson,
+                 UnaryEndedCode, UnaryTail, bits, build_unary_ended, codec,
+                 decode, encode, exp_huffman, golomb_length, models,
+                 read_container)
 from oracles import kraft_fraction
 
 
@@ -645,8 +646,11 @@ def test_decoded_codes_are_equal_and_frozen():
     assert isinstance(first.counts, tuple)
     with pytest.raises(TypeError):
         first.counts[2] = 0
-    assert first.head_sorted and not UnaryEndedCode.from_lengths(
-        (2, 1), 2).head_sorted
+    # the plan's canonical order is symbol order for a nondecreasing head
+    order = codec._plan(codec._descriptor(first)).steps[6]
+    assert order == list(range(len(first.head)))
+    unsorted = UnaryEndedCode.from_lengths((2, 1), 2)
+    assert codec._plan(codec._descriptor(unsorted)).steps[6] == [1, 0]
 
 
 def test_threads_share_plans():
@@ -686,3 +690,73 @@ def test_threads_share_plans():
 def test_encode_names_a_symbol_whose_codeword_cannot_be_built():
     with pytest.raises(ValueError, match=f"symbol {10 ** 30} "):
         encode([10 ** 30], GolombCode(1))
+    # refused before the word is built: a word of more than 2**32 ones
+    # would take more than 4 GB as a string
+    cap = models._MOST_ONES
+    for code, symbol in ((GolombCode(1), 10 ** 12), (GolombCode(1), 10 ** 19),
+                         (GolombCode(1), cap + 1),
+                         (UnaryEndedCode.from_lengths((1,), 1), cap + 1),
+                         (GolombCode(3), 3 * cap + 3)):
+        assert code.length_at(symbol) > cap + 1
+        with pytest.raises(ValueError) as refused:
+            encode([symbol], code)
+        assert str(refused.value) == \
+            f"symbol {symbol} has a codeword too long to build"
+
+
+@pytest.mark.parametrize("plain, container, symbols", [
+    (LengthSeq((3, 1, 3, 2)), ExplicitCode.from_lengths((3, 1, 3, 2)),
+     [1, 3, 0, 2, 1]),
+    (LengthSeq((2, 1, 3), UnaryTail(3, 4)),
+     UnaryEndedCode.from_lengths((2, 1, 3), 3), [1, 0, 3, 2, 5]),
+    (LengthSeq((), UnaryTail(0, 1)), GolombCode(1), [0, 2, 5]),
+    (LengthSeq((), UnaryTail(0, 1, 3)), GolombCode(3), [1, 3, 9, 40]),
+], ids=["explicit", "unary-ended", "unary", "golomb3"])
+def test_a_plain_code_encodes_as_its_container_class(plain, container,
+                                                     symbols):
+    # the descriptor's tag is read off the shape, not the class
+    assert type(plain) is LengthSeq
+    blob = encode(symbols, plain)
+    assert blob == encode(symbols, container)
+    got, decoded = read_container(blob)
+    assert type(got) is type(container) and decoded == symbols
+    assert (got.head, got.tail) == (plain.head, plain.tail)
+
+
+@pytest.mark.parametrize("code, message", [
+    (LengthSeq((1, 3), UnaryTail(2, 3)),
+     "bad code descriptor: head lengths plus spine must be Kraft-complete"),
+    (LengthSeq((0,)), "bad code descriptor: lengths must be positive"),
+    (GolombCode(2 ** 70), "header varint too long"),
+], ids=["incomplete-spine", "zero-length", "golomb-2**70"])
+def test_encode_refuses_what_decode_refuses(code, message):
+    # encode parses its own descriptor, so a container it would write
+    # decode refuses with the same reason
+    with pytest.raises(ValueError) as refused:
+        encode([0], code)
+    assert str(refused.value) == f"no container holds this code: {message}"
+    codec._plan.cache_clear()
+    blob = (b"EPC1\x01" + codec._descriptor(code) + struct.pack("<Q", 1)
+            + b"\x00")
+    with pytest.raises(ContainerError) as bad:
+        decode(blob)
+    assert str(bad.value) == message
+
+
+@pytest.mark.parametrize("code, message", [
+    (LengthSeq((1,), UnaryTail(1, 2, 3)),
+     "no container holds a Golomb-3 run behind a head or spine"),
+    (LengthSeq((), UnaryTail(0, 3)),
+     "no container holds a unary run behind a spine with no head"),
+], ids=["golomb-behind-a-head", "unary-behind-no-head"])
+def test_encode_refuses_a_shape_no_container_holds(code, message):
+    with pytest.raises(ValueError) as refused:
+        encode([0], code)
+    assert str(refused.value) == message
+
+
+def test_widest_golomb_parameter_round_trips():
+    # 2**69 takes the ten varint bytes decode reads at most
+    code = GolombCode(2 ** 69)
+    symbols = [0, 5, 2 ** 69 + 3, 2 ** 70]
+    assert read_container(encode(symbols, code)) == (code, symbols)

@@ -83,6 +83,10 @@ def test_one_code_value(code):
     plain = LengthSeq(code.head, code.tail)
     if not code.head:   # a Golomb code is its run from symbol 0
         assert code == GolombCode(code.tail.k)
+        if code.tail.k > 1:     # summed on a geometric source only
+            with pytest.raises(ValueError) as refused:
+                evaluate_penalty(Poisson(2.0), code, Linear())
+            assert str(refused.value) == "Golomb sums need a geometric source"
         assert plain == LengthSeq((), UnaryTail(0, 1, code.tail.k))
         for ratio in (0.3, 0.8):
             for penalty in _PENALTIES:
@@ -98,8 +102,10 @@ def test_one_code_value(code):
                 evaluate_penalty(Poisson(2.0), plain, penalty)
     else:   # a k-run with a spine has no sums, on any source
         for model in (Geometric(0.5), Poisson(2.0)):
-            with pytest.raises(ValueError, match="need a geometric source"):
+            with pytest.raises(ValueError) as refused:
                 evaluate_penalty(model, code, Linear())
+            assert str(refused.value) == ("no sums yet for a Golomb-3 run "
+                                          "behind a head or spine")
 
 
 def test_tail_record_refuses_a_bad_k():

@@ -213,7 +213,6 @@ def test_profile_regroups_masses_below_the_normal_floats():
     # logs from a source whose masses are not exp of its logs
     model = ExplicitFinite((0.5, 0.5, 1e-310, 1e-310))
     code = LengthSeq((1, 2, 3, 3))
-    assert not model.exp_of_logs
     assert evaluate_penalty(model, code, Exponential(2.0)) == pytest.approx(
         math.log2(3.0), rel=0.0, abs=math.ulp(math.log2(3.0)))
     assert evaluate_penalty(model, code, MaxRedundancy()) == 1.0
@@ -247,11 +246,10 @@ def test_geometric_tail_masses_are_the_point_masses(source):
 @pytest.mark.parametrize("mean", [1.0, 4.0, 37.5, 700.0, 1e4])
 def test_poisson_masses_are_the_point_masses(mean):
     # masses reads the kept log masses, filled by ln_mass's own formula, so
-    # the floats are those of mass, and exp of ln_masses as exp_of_logs
-    # states; 20 000 symbols run past the kept ones
+    # the floats are those of mass, and exp of ln_masses; 20 000 symbols
+    # run past the kept ones
     want = [Poisson(mean).mass(i) for i in range(20000)]
     source = Poisson(mean)
-    assert source.exp_of_logs
     for n in (0, 1, 5, 700, 20000, 3000):
         assert source.masses(n) == want[:n]
         assert list(map(math.exp, source.ln_masses(0, n))) == want[:n]
@@ -307,6 +305,17 @@ def test_length_seq_validation():
     assert seq.kraft_sum() == pytest.approx(1.0)
     # tail fields are kept as the ints they check as
     assert str(LengthSeq((1,), UnaryTail(True, 2))) == "lengths 1,2 +unary@1"
+    # a shown length is that symbol's, past the head too
+    assert str(LengthSeq((), UnaryTail(0, 1, 3))) == "lengths 2 +golomb3@0"
+    assert str(LengthSeq((1,), UnaryTail(1, 2, 3))) == "lengths 1,3 +golomb3@1"
+    for seq in (LengthSeq((3, 3, 2, 1)), LengthSeq((2, 2, 2), UnaryTail(3, 3)),
+                LengthSeq((), UnaryTail(0, 1)), LengthSeq((), UnaryTail(0, 3)),
+                *(LengthSeq(head, UnaryTail(len(head), spine + 1, k))
+                  for k in (1, 2, 3, 4, 5, 7, 64)
+                  for head, spine in (((), 0), ((1,), 1), ((2, 1), 2)))):
+        shown = str(seq).split()[1].split(",")
+        assert [int(n) for n in shown] == \
+            [seq.length_at(i) for i in range(len(shown))]
     # Kraft is tested exactly: a float sum within 1e-12 of one took both
     for head in ((1, 1, 40), (1, 1, 60)):
         with pytest.raises(ValueError, match="violate the Kraft inequality"):
