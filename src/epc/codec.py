@@ -101,7 +101,11 @@ class ExplicitCode(LengthSeq):
 
 def _descriptor(code: LengthSeq) -> bytes:
     """The descriptor of the code's shape; _parse_descriptor checks it."""
-    head, tail = code.head, code.tail
+    try:
+        head, tail = code.head, code.tail
+    except AttributeError:
+        raise TypeError(
+            f"not a code: {type(code).__name__} {code!r}") from None
     if tail is None:
         return (bytes([_TAG_EXPLICIT]) + uleb128_encode(len(head))
                 + uleb128_encode_all(head))

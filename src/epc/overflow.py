@@ -12,6 +12,10 @@ exponential penalty at base e^(s0), measure its s*, rebuild at that base,
 and repeat until the code reproduces itself. Every solve works on
 ln f = ln T(s) + ln P(e^s), the log of the transform plus the log of the
 power sum, so that neither factor leaves the float range at a large tilt.
+s* is the answer of a plain bisection on the sign of ln f, but since ln f
+is convex, max_decay_rate first locates its root with the same convex
+secant that finds the bound, and then computes ln f only at the
+bisection's midpoints near that root.
 """
 from __future__ import annotations
 
@@ -35,13 +39,21 @@ __all__ = [
 
 _S_TOL = 1e-10
 _PROBE = _S_TOL * (1.0 - 2.0 ** -10)   # the closing probe's offset
+# max_decay_rate's bisection evaluates ln f at a midpoint this close to the
+# located root's bracket, where rounding may give ln f a sign convexity would
+# not, and decides every farther one by its side
+_NEAR = _S_TOL / 8.0
 
 
 # ------------------------------------------------------------- intermissions
 
 class _Arrivals:
     """An intermission law answers ln_transform(s) = ln E[e^(-sT)] and
-    mean_gap() = E[T]; transform(s) is the exp of the first."""
+    mean_gap() = E[T]; transform(s) is the exp of the first. _convex tells
+    whether ln_transform is convex in s: always for a law, for a table only
+    where its log-slopes never fall."""
+
+    _convex = True
 
     def transform(self, s: float) -> float:
         return math.exp(self.ln_transform(s))
@@ -104,7 +116,8 @@ class TableTransform(_Arrivals):
     """User-measured transform samples (s, value), log-linearly interpolated.
 
     The first sample must be (0, 1). Beyond the last sample the final
-    segment's log-slope extrapolates.
+    segment's log-slope extrapolates. The log of the table is convex where
+    those log-slopes never fall.
     """
 
     samples: tuple[tuple[float, float], ...]
@@ -129,11 +142,13 @@ class TableTransform(_Arrivals):
             raise ValueError("transform values must be nonincreasing")
         # the log of each sample, and the log-slope from each to the next
         logs = [math.log(v) for v in vs]
+        slopes = [(logs[k + 1] - logs[k]) / (ss[k + 1] - ss[k])
+                  for k in range(len(ss) - 1)]
         object.__setattr__(self, "_points", ss)
         object.__setattr__(self, "_logs", logs)
-        object.__setattr__(self, "_slopes", [
-            (logs[k + 1] - logs[k]) / (ss[k + 1] - ss[k])
-            for k in range(len(ss) - 1)])
+        object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_convex",
+                           all(a <= b for a, b in zip(slopes, slopes[1:])))
 
     def ln_transform(self, s: float) -> float:
         if s < 0.0:
@@ -196,31 +211,46 @@ def max_decay_rate(model: SourceModel, code: LengthSeq,
     codeword length reaches the mean intermission, unless every word of a
     finite source is as long as a deterministic gap: f is then one at every
     s, and the answer is decay_rate_bound's, zero where the entropy meets
-    the gap and else refused as unbounded. The bisection tests ln f <= 0, down to width _S_TOL or until no
-    float lies strictly between its ends; the mean length and every power
-    sum read one profile of the code, built once per call. A source with no
-    pole whose series stops at its term cap at the bracket's upper end
-    leaves f undecided there, and the DivergenceError of that cap is
-    raised.
+    the gap and else refused as unbounded.
+
+    Otherwise the answer is the lo of a plain bisection that tests
+    ln f <= 0 from the bracket the expansion finds, down to width _S_TOL or
+    until no float lies strictly between its ends. Only its midpoints near
+    the root need ln f: the bound's convex secant, started from that
+    bracket and the tangent at zero (slope: mean length less mean gap),
+    first locates the root to _S_TOL, and the bisection then evaluates
+    ln f, at most once per point, within _NEAR of that located bracket and
+    decides every other midpoint by its side. A TableTransform whose
+    log-slopes fall somewhere is not convex; there every midpoint is
+    evaluated. The mean length and every power sum read one profile of the
+    code, built once per call. A source with no pole whose series stops at
+    its term cap leaves f undecided at that point, which decides no other
+    midpoint; if the bracket's upper end is such a point, the
+    DivergenceError of that cap is raised.
     """
     profile = code._profile(model)
     if isinstance(arrivals, Deterministic) and model.size and all(
             code.length_at(i) == arrivals.gap for i in range(model.size)):
         return DecayRate(decay_rate_bound(model, arrivals), True)
-    if profile.expected_length() >= arrivals.mean_gap():
+    mean_length, mean_gap = profile.expected_length(), arrivals.mean_gap()
+    if mean_length >= mean_gap:
         return DecayRate(0.0, True)
     ln_power_sum, ln_transform = profile.ln_power_sum, arrivals.ln_transform
     s_div = profile.pole
-    capped = None   # with no pole, (s, error) of the last series cut short
+    values = {}     # ln f by s
+    capped = {}     # with no pole, the DivergenceError of each s cut short
 
     def ln_f(s: float) -> float:
-        nonlocal capped
-        try:
-            return ln_transform(s) + ln_power_sum(s)
-        except DivergenceError as exc:
-            if s_div == math.inf:
-                capped = s, exc
-            return math.inf
+        value = values.get(s)
+        if value is None:
+            try:
+                value = ln_transform(s) + ln_power_sum(s)
+            except DivergenceError as exc:
+                if s_div == math.inf:
+                    capped[s] = exc
+                value = math.inf
+            values[s] = value
+        return value
 
     lo = 0.0
     if math.isfinite(s_div):
@@ -238,25 +268,34 @@ def max_decay_rate(model: SourceModel, code: LengthSeq,
             hi *= 2.0
             if hi > 2.0 ** 40:
                 raise DivergenceError("f never exceeds one; no finite optimum")
+    # ln f is at or below zero left of `left` and above it right of `right`;
+    # a point the term cap left undecided shows nothing
+    left, right = lo, hi
+    if arrivals._convex:
+        left, right = _last_nonpositive(ln_f, mean_length - mean_gap,
+                                        lo, hi, ln_f(hi))
+        if right in capped:
+            right = math.inf
     while hi - lo > _S_TOL:
         mid = (lo + hi) / 2.0
         if not lo < mid < hi:       # no float lies between them
             break
-        if ln_f(mid) <= 0.0:
+        if mid < left - _NEAR or (mid <= right + _NEAR and ln_f(mid) <= 0.0):
             lo = mid
         else:
             hi = mid
-    if capped and capped[0] == hi:  # f(hi) > 1 was never computed
-        raise capped[1]
+    if hi in capped:    # f(hi) > 1 was never computed
+        raise capped[hi]
     return DecayRate(lo, False)
 
 
 # ------------------------------------------------------------ initial bound
 
 def _last_nonpositive(f: Callable[[float], float], slope0: float,
-                      lo: float, hi: float, f_hi: float) -> float:
+                      lo: float, hi: float,
+                      f_hi: float) -> tuple[float, float]:
     """Shrink a bracket f(lo) <= 0 < f(hi) to width _S_TOL, or until no
-    float lies strictly inside it, and return lo.
+    float lies strictly inside it, and return it.
 
     f is convex on s >= 0 with f(0) = 0 and f'(0) = slope0 < 0, so it
     crosses zero once, rising, at a root r > 0. A secant through two points
@@ -296,7 +335,7 @@ def _last_nonpositive(f: Callable[[float], float], slope0: float,
             lo, bisect = x, x != mid
         else:
             right, hi, f_hi, bisect = (hi, f_hi), x, fx, False
-    return lo
+    return lo, hi
 
 
 def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
@@ -344,7 +383,7 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
         if hi > 2.0 ** 40:
             raise EpcError("initial bound did not close; arrivals too slow")
         f_hi = ln_left(hi)
-    return _last_nonpositive(ln_left, entropy - mean_gap, lo, hi, f_hi)
+    return _last_nonpositive(ln_left, entropy - mean_gap, lo, hi, f_hi)[0]
 
 
 # --------------------------------------------------------------- optimizer

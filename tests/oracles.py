@@ -424,3 +424,56 @@ def best_decay_rate(probs, ln_transform, mean_gap: float) -> float:
     heavy_first = sorted(probs, reverse=True)
     return max(decay_rate_direct(heavy_first, lengths, ln_transform, mean_gap)
                for lengths in all_length_multisets(len(probs)))
+
+
+def plain_bisection_rate(ln_transform, ln_power_sum, pole: float,
+                         mean_length: float, mean_gap: float, divergence,
+                         tol: float = 1e-10):
+    """(rate, at_boundary): the largest s with ln_transform(s) +
+    ln_power_sum(s) <= 0 by plain bisection, every midpoint evaluated.
+
+    Zero at the boundary where the mean length reaches the mean gap. Else
+    the bracket expands from 0.5 by doubling, or with a finite pole from
+    half of it by halving the distance left, returning the last point
+    where no float lies between it and the pole; then it bisects to width
+    tol or until no float lies strictly inside. A `divergence` raised by
+    the power sum counts as ln f = inf; with no pole it leaves f undecided
+    at that s, and is raised if the bracket ends there."""
+    if mean_length >= mean_gap:
+        return 0.0, True
+    capped = None   # (s, error) of the last series cut short
+
+    def ln_f(s):
+        nonlocal capped
+        try:
+            return ln_transform(s) + ln_power_sum(s)
+        except divergence as exc:
+            if pole == math.inf:
+                capped = s, exc
+            return math.inf
+
+    lo = 0.0
+    if math.isfinite(pole):
+        hi = pole / 2.0
+        while ln_f(hi) <= 0.0:
+            lo, nxt = hi, (hi + pole) / 2.0
+            if nxt <= hi:
+                return hi, False
+            hi = nxt
+    else:
+        hi = 0.5
+        while ln_f(hi) <= 0.0:
+            lo, hi = hi, 2.0 * hi
+            if hi > 2.0 ** 40:
+                raise divergence("f never exceeds one; no finite optimum")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break
+        if ln_f(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    if capped and capped[0] == hi:
+        raise capped[1]
+    return lo, False

@@ -755,6 +755,13 @@ def test_encode_refuses_a_shape_no_container_holds(code, message):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("code", ["golomb", 3, None, (1, 2)])
+def test_encode_refuses_an_argument_that_is_not_a_code(code):
+    with pytest.raises(TypeError) as refused:
+        encode([0], code)
+    assert str(refused.value) == f"not a code: {type(code).__name__} {code!r}"
+
+
 def test_widest_golomb_parameter_round_trips():
     # 2**69 takes the ten varint bytes decode reads at most
     code = GolombCode(2 ** 69)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 import re
@@ -18,7 +20,7 @@ from epc import (Deterministic, DivergenceError, DthRedundancy, EpcError,
                  with_geometric_tail)
 from epc.overflow import _S_TOL, _length_key
 from oracles import (best_decay_rate, golomb_power_sum_direct,
-                     largest_feasible_on_grid)
+                     largest_feasible_on_grid, plain_bisection_rate)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -698,6 +700,134 @@ def test_max_decay_rate_stops_a_float_step_below_the_pole():
                           Deterministic(100.0))
     assert rate == (0.6931471805599452, False)
     assert math.nextafter(rate.value, math.inf) == math.log(2.0)
+
+
+def _search_outcome(search, *args):
+    """A rate as its bits and boundary flag, a refusal as its type and text."""
+    try:
+        value, at_boundary = search(*args)
+    except EpcError as exc:
+        return type(exc), str(exc)
+    return value.hex(), at_boundary
+
+
+def _plain_search(model, code, arrivals):
+    """max_decay_rate's answer by the plain bisection of the oracle."""
+    profile = code._profile(model)
+    return plain_bisection_rate(
+        arrivals.ln_transform, profile.ln_power_sum, profile.pole,
+        profile.expected_length(), arrivals.mean_gap(), DivergenceError,
+        _S_TOL)
+
+
+def _kinked_table(gap):
+    """A transform whose log-slope alternates between -gap and -1.5 gap
+    every 0.05 in s: its log is not convex."""
+    logs = [0.0]
+    for j in range(40):
+        logs.append(logs[-1] - (1.5 if j % 2 else 1.0) * gap * 0.05)
+    return TableTransform(tuple((0.05 * j, math.exp(y))
+                                for j, y in enumerate(logs)))
+
+
+def _off_optimum(code):
+    """The code with its head reversed, or else lengths 2, 2, 2, 3, 4, ..."""
+    if len(set(code.head)) > 1:
+        return LengthSeq(code.head[::-1], code.tail)
+    return LengthSeq((2, 2), UnaryTail(2, 2))
+
+
+@pytest.mark.parametrize("model", [
+    _lognormal_source(3, 16, 1.25), _lognormal_source(4, 256, 0.5),
+    _lognormal_source(5, 1024, 2.0), Poisson(1.0), Poisson(5.0),
+    Poisson(20.0), Geometric(0.5), Geometric(0.9), Geometric(0.99),
+    with_geometric_tail((0.4, 0.2, 0.15, 0.1, 0.105), 0.3),
+], ids=["finite16", "finite256", "finite1024", "poisson1", "poisson5",
+        "poisson20", "geometric0.5", "geometric0.9", "geometric0.99",
+        "tailed"])
+def test_max_decay_rate_is_the_plain_bisection_bit_for_bit(model):
+    # the located root only spares evaluations: the rate, its boundary flag
+    # and every refusal are those of the bisection that evaluates each
+    # midpoint, on every arrival law, a table that is not convex included
+    rng = random.Random(28)
+    entropy = shannon_entropy(model)
+    codes = [optimal_code(model, Exponential(base))
+             for base in (1.05, 1.4, 2.0, 2.5)]
+    codes.append(_off_optimum(codes[1]))
+    checked = 0
+    for load in (rng.uniform(0.3, 0.6), rng.uniform(0.6, 0.9),
+                 rng.uniform(0.9, 0.99)):
+        gap = entropy / load
+        kinked = _kinked_table(gap)
+        table = _gamma_table(2.0, gap)
+        assert table._convex and not kinked._convex
+        for arrivals in (Deterministic(gap), ExponentialArrivals(1.0 / gap),
+                         GammaArrivals(4.0, 4.0 / gap), table, kinked):
+            for code in codes:
+                want = _search_outcome(_plain_search, model, code, arrivals)
+                assert _search_outcome(max_decay_rate, model, code,
+                                       arrivals) == want, (load, arrivals,
+                                                           code)
+                checked += want[1] is False
+    assert checked >= 40    # most solves end in a bisection
+
+
+def test_a_table_that_is_not_convex_takes_every_bisection_step():
+    # lengths 4 on 16 equal masses make ln f = 4 s + ln T, which these
+    # log-slopes keep at or below zero on [0, 0.1125] and [0.3375, 0.4833]:
+    # the plain bisection ends on the first, the secant on the second
+    logs = itertools.accumulate((-0.45, 0.0, -0.6, -0.8, -0.1), initial=0.0)
+    table = TableTransform(tuple((0.1 * j, math.exp(y))
+                                 for j, y in enumerate(logs)))
+    assert not table._convex
+    model, code = ExplicitFinite((1 / 16,) * 16), LengthSeq((4,) * 16)
+    rate = max_decay_rate(model, code, table)
+    assert _search_outcome(_plain_search, model, code, table) == (
+        rate.value.hex(), False)
+    assert abs(rate.value - 0.1125) <= _S_TOL
+
+
+def _counting(arrivals):
+    """A copy of the arrivals, of a subclass of their class, that counts the
+    ln_transform evaluations made through it in its class's `evaluations`."""
+    class Counting(type(arrivals)):
+        evaluations = 0
+
+        def ln_transform(self, s):
+            Counting.evaluations += 1
+            return super().ln_transform(s)
+
+    return Counting(*(getattr(arrivals, field.name)
+                      for field in dataclasses.fields(arrivals)))
+
+
+@pytest.mark.parametrize("model", [
+    _lognormal_source(9, 1024, 1.25), Poisson(5.0),
+    with_geometric_tail((0.4, 0.2, 0.15, 0.1, 0.105), 0.3),
+], ids=["finite1024", "poisson5", "tailed"])
+def test_max_decay_rate_takes_at_most_24_evaluations(model):
+    # the expansion, the located root and the few bisection midpoints near
+    # it; evaluating every midpoint took about 37 here
+    gap = shannon_entropy(model) / 0.8
+    for base in (1.1, 1.5, 2.0):
+        code = optimal_code(model, Exponential(base))
+        for arrivals in (Deterministic(gap), ExponentialArrivals(1.0 / gap),
+                         GammaArrivals(4.0, 4.0 / gap),
+                         _gamma_table(2.0, gap)):
+            counting = _counting(arrivals)
+            rate = max_decay_rate(model, code, counting)
+            assert not rate.at_boundary
+            assert counting.evaluations <= 24, (base, arrivals)
+
+
+@pytest.mark.parametrize("mean, gap", [
+    (1.0, 1e5), (4.0, 5.4e4), (4.0, 3e5), (1.0, 1e6), (1.0, 1e7)])
+def test_term_capped_searches_match_the_plain_bisection(mean, gap):
+    model = Poisson(mean)
+    code = build_unary_ended(model, 2.0)
+    args = model, code, Deterministic(gap)
+    assert (_search_outcome(max_decay_rate, *args)
+            == _search_outcome(_plain_search, *args))
 
 
 def test_fixed_point_that_does_not_settle_is_refused():

@@ -28,6 +28,7 @@ from epc.overflow import _S_TOL, DecayRate
 from oracles import (golomb_power_sum_periods, poisson_ln_pmf, poisson_pmf,
                      poisson_renyi_sum_direct, power_sum_terms, series_direct,
                      tailed_pmf, unary_ended_power_sum)
+from test_overflow import _counting
 
 # derandomized: every run draws the same examples and writes no database
 SEEDED = settings(derandomize=True, database=None, deadline=None,
@@ -281,20 +282,6 @@ def test_decay_rate_bound_matches_reference_bisection(problem):
         # the bracket the search closed: feasible at s0, not a step past it
         ln_left = _bound_left(model, arrivals)
         assert ln_left(got) <= 0.0 < ln_left(got + _S_TOL)
-
-
-def _counting(arrivals):
-    """A copy of the arrivals, of a subclass of their class, that counts the
-    ln_transform evaluations made through it in its class's `evaluations`."""
-    class Counting(type(arrivals)):
-        evaluations = 0
-
-        def ln_transform(self, s):
-            Counting.evaluations += 1
-            return super().ln_transform(s)
-
-    return Counting(*(getattr(arrivals, field.name)
-                      for field in dataclasses.fields(arrivals)))
 
 
 @SEEDED
