@@ -40,8 +40,7 @@ def _parse_penalty(text: str):
         return Linear()
     kind, sep, arg = text.partition(":")
     if sep and kind == "exp":
-        base = float(arg)
-        return Linear() if base == 1.0 else Exponential(base)
+        return Exponential(float(arg))
     if sep and kind == "dth":
         return DthRedundancy(float(arg))
     raise ValueError(f"unknown penalty {text!r}")
@@ -85,7 +84,7 @@ def _print_tree(weights, penalty, label: str) -> int:
 
 def _cmd_optimize(args) -> int:
     model, penalty = _model_from(args), args.penalty
-    if isinstance(model, ExplicitFinite):
+    if model.size is not None:
         # the engine's own objective; a re-evaluation can differ in the last
         # printed digit
         return _print_tree(model.probs, penalty, "penalty")

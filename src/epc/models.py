@@ -251,6 +251,10 @@ Penalty = Union[Exponential, DthRedundancy, MaxRedundancy, Linear]
 
 # ---------------------------------------------------------------- lengths
 
+# a code's lengths, and its run's start length and k, are at most this, so
+# every sum over a code reads them as floats
+_FLOAT_MAX = sys.float_info.max
+
 @dataclass(frozen=True, init=False)
 class UnaryTail:
     """The run a code ends in: symbol i >= start_index is written as
@@ -268,6 +272,9 @@ class UnaryTail:
             raise ValueError(f"bad tail record: {exc}") from None
         if index < 0 or length < 1 or k < 1:
             raise ValueError("bad tail record")
+        if max(length, k) > _FLOAT_MAX:
+            raise ValueError("bad tail record: its start length and k must "
+                             "lie inside the float range")
         object.__setattr__(self, "start_index", index)
         object.__setattr__(self, "start_length", length)
         object.__setattr__(self, "k", k)
@@ -294,7 +301,10 @@ class LengthSeq:
                 raise ValueError("tail must start right after the head")
             # the run fills the code space of one word a bit shorter
             words += (self.tail.start_length - 1,)
-        if kraft_sign(sorted(words)) > 0:
+        words = sorted(words)
+        if words and words[-1] > _FLOAT_MAX:
+            raise ValueError("lengths must lie inside the float range")
+        if kraft_sign(words) > 0:
             raise ValueError("lengths violate the Kraft inequality")
 
     def _hold(self, lengths, unary: bool) -> "LengthSeq":
@@ -385,14 +395,13 @@ class LengthSeq:
 # share of the sum, half an ulp: adding the rest would leave the sum as it is
 _TAIL_REL = 2.0 ** -53
 _MAX_TERMS = 10 ** 7
-_FLOAT_MAX = sys.float_info.max
 _LN_MAX = math.log(_FLOAT_MAX)
 _TINY = sys.float_info.min   # the least normal float
 
 
 def _exp(x: float, what: str) -> float:
-    """e**x, refused where it lies past the float range."""
-    if x > _LN_MAX:
+    """e**x, refused where it lies past the float range or x is NaN."""
+    if not x <= _LN_MAX:
         raise EpcError(f"{what} is e**{x:.6g}, past the float range")
     return math.exp(x)
 
@@ -573,7 +582,7 @@ def point_mass(model: SourceModel, i: int) -> float:
         raise ValueError("symbols are nonnegative")
     if model.size is not None and i >= model.size:
         raise IndexError(f"symbol {i} outside the {model.size}-ary alphabet")
-    if i > sys.float_info.max:  # an infinite source's mass there rounds to 0
+    if i > _FLOAT_MAX:  # an infinite source's mass there rounds to 0
         return 0.0
     return model.mass(i)
 
@@ -602,8 +611,7 @@ class _Profile:
     (length, the length's mass, its log, ln m, masses, d) per length, m its
     largest mass and masses / d the masses over m; where m lies below the
     normal floats they come from the log masses, read once for the whole
-    head, over m already, and d is one. The lengths past the first `near`
-    lie past the float range; `far` tells whether any, or the tail's, do."""
+    head, over m already, and d is one."""
 
     def __init__(self, model: SourceModel, lengths: LengthSeq) -> None:
         head, tail, size = lengths.head, lengths.tail, model.size
@@ -618,9 +626,6 @@ class _Profile:
         groups = {n: [] for n in sorted(set(self.head))}
         for n, p in zip(self.head, model.masses(len(self.head))):
             groups[n].append(p)
-        self.near = sum(n <= _FLOAT_MAX for n in groups)
-        self.far = self.near < len(groups) or (
-            size is None and tail.start_length > _FLOAT_MAX)
         self.groups = []
         ln_groups = None
         for n, ps in groups.items():
@@ -643,49 +648,31 @@ class _Profile:
 
     def ln_power_sum(self, ln_b: float, d: float = 0.0) -> float:
         """ln sum p(i)**(1+d) * base**n(i), ln_b = ln base: one log-sum-exp
-        over the lengths, the unary tail from n(t0) = start_length on.
-        base**n for a length n past the float range is 0 below base one and
-        1 at base one; above it the sum is past the float range."""
+        over the lengths, the unary tail from n(t0) = start_length on."""
         alpha = 1.0 + d
-        groups = self.groups
-        if self.far:
-            if ln_b > 0.0:
-                raise EpcError("the power sum is past the float range")
-            if not ln_b:    # the lengths drop out
-                return _ln_series(self.model, 0, alpha, 0.0)
-            groups = groups[:self.near]
         if alpha == 1.0:
-            xs = [x + n * ln_b for n, _, x, _, _, _ in groups]
+            xs = [x + n * ln_b for n, _, x, _, _, _ in self.groups]
         else:
             xs = [alpha * top + n * ln_b
                   + math.log(math.fsum([(p / m) ** alpha for p in ps]))
-                  for n, _, _, top, ps, m in groups]
-        tail = self.tail
-        if self.model.size is None and tail.start_length <= _FLOAT_MAX:
+                  for n, _, _, top, ps, m in self.groups]
+        if self.model.size is None:
+            tail = self.tail
             xs.append(tail.start_length * ln_b + _ln_series(
                 self.model, tail.start_index, alpha, ln_b))
         return _ln_sum_exp(xs) if xs else -math.inf
 
     def expected_length(self) -> float:
-        """sum p(i) * n(i); a length past the float range in logs."""
-        acc = math.fsum([m * n if n <= _FLOAT_MAX else
-                         _exp(x + math.log(n), "the expected length")
-                         for n, m, x, _, _, _ in self.groups])
+        """sum p(i) * n(i)."""
+        acc = math.fsum([m * n for n, m, _, _, _, _ in self.groups])
         if self.model.size is None:
             tail = self.tail
             s, si = _mass_moment(self.model, tail.start_index, False)
-            n0 = tail.start_length
-            if n0 > _FLOAT_MAX:     # s * n0 in logs
-                acc += si + (s and _exp(math.log(s) + math.log(n0),
-                                        "the expected length"))
-            else:
-                acc += s * n0 + si
+            acc += s * tail.start_length + si
         return acc
 
     def max_redundancy(self) -> float:
         """sup n(i) + log2 p(i); math.inf when the supremum is unbounded."""
-        if self.near < len(self.groups):
-            raise EpcError("the maximal redundancy is past the float range")
         best = max((n + top / LN2 for n, _, _, top, _, _ in self.groups),
                    default=-math.inf)
         if self.model.size is not None:
@@ -696,8 +683,6 @@ class _Profile:
         top, _, _, _, ln_q = _terms(self.model, tail.start_index, 1.0, LN2)
         if ln_q is not None and ln_q > 0.0:
             return math.inf
-        if tail.start_length > _FLOAT_MAX:
-            raise EpcError("the maximal redundancy is past the float range")
         return max(best, tail.start_length + top / LN2)
 
 
@@ -784,10 +769,11 @@ def evaluate_penalty(model: SourceModel, code: LengthSeq,
     if tilt is None:
         return profile.max_redundancy()
     d, _, ln_b = tilt
-    if not ln_b:
-        return profile.expected_length()
-    value = profile.ln_power_sum(ln_b, d) / ln_b
-    if value == math.inf:   # log_b of a sum that rounds to 0, b below one
+    value = (profile.ln_power_sum(ln_b, d) / ln_b if ln_b
+             else profile.expected_length())
+    # log_b of a sum that rounds to 0 at b below one or of terms whose logs
+    # meet inf - inf, or a mean length that overflows
+    if not math.isfinite(value):
         raise EpcError("the penalty is past the float range")
     return value
 

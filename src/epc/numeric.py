@@ -10,9 +10,6 @@ import math
 
 SNAP_TOL = 1e-12
 
-# absolute bound on the certified remainder of any truncated series
-SUM_TOL = 1e-12
-
 LN2 = math.log(2.0)
 
 
@@ -55,13 +52,3 @@ def frac_snapped(x: float) -> float:
     """Fractional part of x; values within SNAP_TOL of an integer give 0.0."""
     s = snap(x)
     return s - math.floor(s)
-
-
-def logaddexp(a: float, b: float) -> float:
-    """log(e**a + e**b) without overflow."""
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))

@@ -12,6 +12,19 @@ from functools import lru_cache
 
 ORACLE_TOL = 1e-15
 
+# absolute bound on the certified remainder of any truncated series
+SUM_TOL = 1e-12
+
+
+def logaddexp(a: float, b: float) -> float:
+    """log(e**a + e**b) without overflow."""
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
+
 
 # ---------------------------------------------- exhaustive tree enumeration
 

@@ -14,8 +14,8 @@ from epc import (DthRedundancy, EpcError, ExplicitFinite, Exponential,
                  exp_huffman, exp_huffman_two_queue, maxred_huffman,
                  optimal_code, optimal_k_dth, optimal_k_exponential,
                  optimal_k_mmr, with_geometric_tail)
-from epc.numeric import LN2, logaddexp
-from oracles import heap_merge
+from epc.numeric import LN2
+from oracles import heap_merge, logaddexp
 
 # derandomized: every run draws the same examples and writes no database
 SEEDED = settings(derandomize=True, database=None, deadline=None)

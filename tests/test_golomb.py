@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from epc import (DivergenceError, DthRedundancy, Exponential, Geometric,
-                 GolombCode, LengthSeq, Linear, MaxRedundancy, Poisson,
-                 UnaryEndedCode, UnaryTail, complete_binary, evaluate_penalty,
-                 golomb_codeword, golomb_dth_penalty, golomb_exp_penalty,
-                 golomb_length, golomb_mmr, optimal_k_dth,
+from epc import (DecayRate, DivergenceError, DthRedundancy,
+                 ExponentialArrivals, Exponential, Geometric, GolombCode,
+                 LengthSeq, Linear, MaxRedundancy, Poisson, UnaryEndedCode,
+                 UnaryTail, complete_binary, evaluate_penalty, golomb_codeword,
+                 golomb_dth_penalty, golomb_exp_penalty, golomb_length,
+                 golomb_mmr, max_decay_rate, optimal_k_dth,
                  optimal_k_exponential, optimal_k_mmr, power_sum)
 from epc.golomb import optimal_k
 from oracles import golomb_len, golomb_power_sum_direct, mmr_sup_scan
@@ -114,6 +115,23 @@ def test_tail_record_refuses_a_bad_k():
             UnaryTail(0, 1, bad)
     assert UnaryTail(0, 1) == UnaryTail(0, 1, 1)
     assert UnaryTail(0, 1, True).k == 1     # kept as the int it checks as
+
+
+def test_a_k_past_the_float_range_is_refused_where_the_code_is_built():
+    # refused by name where the code is built, not by a bare OverflowError
+    # at 1.0 / k where it is scored
+    with pytest.raises(ValueError, match="float range"):
+        GolombCode(2 ** 1100)
+    # every remainder of k = 2**62 takes 62 bits, so each word is 63 long
+    g, code = Geometric(0.5), GolombCode(2 ** 62)
+    assert evaluate_penalty(g, code, Linear()) == 63.0
+    assert evaluate_penalty(g, code, Exponential(2.0)) == 63.0
+    assert max_decay_rate(g, code, ExponentialArrivals(1.0)) == \
+        DecayRate(0.0, True)
+    # under a mean gap of 100 bits, e**(63 s) = 1 + 100 s at the rate
+    rate = max_decay_rate(g, code, ExponentialArrivals(0.01)).value
+    assert math.exp(63.0 * rate) == pytest.approx(1.0 + 100.0 * rate,
+                                                  rel=1e-6)
 
 
 def test_optimal_k_exponential_defining_inequality():

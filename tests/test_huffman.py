@@ -7,9 +7,8 @@ from epc import (ExplicitFinite, dth_huffman, exp_huffman,
                  exp_huffman_two_queue, maxred_huffman, with_geometric_tail)
 from epc import huffman
 from epc.huffman import _codewords, _run
-from epc.numeric import logaddexp
 from oracles import (best_tree_objective, dth_objective, exp_objective,
-                     heap_merge, kraft_fraction, maxred_objective)
+                     heap_merge, kraft_fraction, logaddexp, maxred_objective)
 
 
 def test_classic_expected_length():

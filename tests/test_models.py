@@ -1,16 +1,17 @@
 import gc
 import math
 import random
+import sys
 import time
 
 import pytest
 
 from epc import (DivergenceError, DthRedundancy, EpcError, ExplicitFinite,
-                 ExplicitTailed, Exponential, Geometric, LengthSeq, Linear,
-                 MaxRedundancy, Poisson, UnaryTail, evaluate_penalty,
-                 expected_length, point_mass, power_sum, renyi_entropy,
-                 shannon_entropy, tail_weight, total_mass,
-                 with_geometric_tail)
+                 ExplicitTailed, ExponentialArrivals, Exponential, Geometric,
+                 GolombCode, LengthSeq, Linear, MaxRedundancy, Poisson,
+                 UnaryTail, evaluate_penalty, expected_length, max_decay_rate,
+                 point_mass, power_sum, renyi_entropy, shannon_entropy,
+                 tail_weight, total_mass, with_geometric_tail)
 from epc.light_tail import build_unary_ended
 from epc.numeric import LN2
 from oracles import (geometric_pmf, poisson_entropy_decimal, poisson_pmf,
@@ -54,59 +55,69 @@ def test_point_mass():
         point_mass(f, 10 ** 400)
 
 
-def test_expected_length_of_a_tail_past_the_float_range():
-    g = Geometric(0.5)
+_HALVES = ExplicitFinite((0.5, 0.5))
+
+
+@pytest.mark.parametrize("far", [2 ** 1024, 10 ** 400], ids=["2**1024",
+                                                               "10**400"])
+def test_lengths_past_the_float_range_are_refused_where_a_code_is_built(far):
+    # every sum reads a code's lengths as floats, so a head length, a run's
+    # start length or its k past the float range is refused up front
+    for build in (lambda: LengthSeq((1, far)),
+                  lambda: LengthSeq((1, far), UnaryTail(2, 3)),
+                  lambda: UnaryTail(0, far),
+                  lambda: UnaryTail(1, 1, far),
+                  lambda: GolombCode(far)):
+        with pytest.raises(ValueError, match="float range"):
+            build()
+
+
+def test_lengths_at_the_edge_of_the_float_range_score_or_are_refused():
+    # the longest length a code takes: each query gives a finite value or a
+    # domain error, never a bare error or NaN
+    n = int(sys.float_info.max) - 1
+    cases = [(_HALVES, LengthSeq((1, n))),
+             (_HALVES, LengthSeq((1,), UnaryTail(1, n)))]
+    for model in (Geometric(0.5), Poisson(3.0)):
+        cases += [(model, LengthSeq((1,), UnaryTail(1, n))),
+                  (model, LengthSeq((1, n), UnaryTail(2, n))),
+                  (model, LengthSeq((), UnaryTail(0, n)))]
+    penalties = (Exponential(0.5), Linear(), Exponential(2.0),
+                 MaxRedundancy(), DthRedundancy(1.0))
+    for model, code in cases:
+        queries = [lambda p=p: evaluate_penalty(model, code, p)
+                   for p in penalties]
+        queries.append(lambda: max_decay_rate(
+            model, code, ExponentialArrivals(1.0)).value)
+        for query in queries:
+            try:
+                value = query()
+            except (EpcError, ValueError):
+                continue
+            assert math.isfinite(value), (model, code)
+    code = LengthSeq((1, n))
+    assert evaluate_penalty(_HALVES, code, Exponential(0.5)) == 2.0
+    assert evaluate_penalty(_HALVES, code, Linear()) == 0.5 + 0.5 * n
+    # the mean length n + 3 rounds past the float range
     with pytest.raises(EpcError, match="past the float range"):
-        evaluate_penalty(g, LengthSeq((), UnaryTail(0, 10 ** 400)), Linear())
-    # the tail's mass 2**-1000 brings the product back into range
-    head = tuple(range(1, 1001))
-    want = (math.fsum(n * 2.0 ** -n for n in head)
-            + math.exp(400 * math.log(10) - 1000 * math.log(2)))
-    got = expected_length(g, LengthSeq(head, UnaryTail(1000, 10 ** 400)))
-    assert got == pytest.approx(want, rel=1e-12)
+        evaluate_penalty(Poisson(3.0), LengthSeq((), UnaryTail(0, n)),
+                         Linear())
 
 
-def test_penalties_of_a_tail_past_the_float_range():
-    # base**n for a start length n past the float range is 0 below base one
-    # and past the range above it: the tail's share rounds away, or the
-    # call is refused by name, never with a bare OverflowError
-    g = Geometric(0.5)
-    for code, head in ((LengthSeq((1,), UnaryTail(1, 10 ** 400)), 0.25),
-                       (LengthSeq((), UnaryTail(0, 10 ** 400)), 0.0)):
-        assert power_sum(g, code, 0.5) == head
-        assert power_sum(g, code, 1.0) == pytest.approx(1.0, rel=1e-15)
-        refused = [lambda: power_sum(g, code, 2.0),
-                   lambda: evaluate_penalty(g, code, Exponential(2.0)),
-                   lambda: evaluate_penalty(g, code, MaxRedundancy()),
-                   lambda: evaluate_penalty(g, code, DthRedundancy(1.0))]
-        if head:
-            assert evaluate_penalty(g, code, Exponential(0.5)) == 2.0
-        else:   # log_0.5 of a sum that rounds to 0 is past the range too
-            refused.append(
-                lambda: evaluate_penalty(g, code, Exponential(0.5)))
-        for call in refused:
-            with pytest.raises(EpcError, match="past the float range"):
-                call()
-
-
-def test_penalties_of_a_head_length_past_the_float_range():
-    # head lengths take the tail's rule: base**n is 0 below base one, and a
-    # sum past the float range is refused by name
-    finite = ExplicitFinite((0.5, 0.5))
-    into_tail = LengthSeq((1,), UnaryTail(1, 10 ** 400))
-    long_head = LengthSeq((1, 10 ** 400), UnaryTail(2, 3))
-    assert evaluate_penalty(finite, into_tail, Exponential(0.5)) == 2.0
-    # 0.25 from symbol 0 and 0.25**(i+1) from each tail symbol i >= 2
-    assert evaluate_penalty(Geometric(0.5), long_head, Exponential(0.5)) == \
-        pytest.approx(-math.log2(0.25 + 0.25 ** 3 / 0.75), rel=1e-15)
-    assert power_sum(finite, into_tail, 1.0) == 1.0
-    assert power_sum(Geometric(0.5), long_head, 1.0) == \
-        pytest.approx(1.0, rel=1e-15)
-    for model, code in ((finite, into_tail), (Geometric(0.5), long_head)):
-        for penalty in (MaxRedundancy(), Exponential(2.0), Linear(),
-                        DthRedundancy(1.0)):
-            with pytest.raises(EpcError, match="past the float range"):
-                evaluate_penalty(model, code, penalty)
+@pytest.mark.parametrize("call", [
+    lambda: evaluate_penalty(ExplicitFinite((0.4, 0.3, 0.2, 0.1)),
+                             LengthSeq((1, 2, 3, 3)), DthRedundancy(1e308)),
+    lambda: evaluate_penalty(_HALVES, LengthSeq((10 ** 306, 10 ** 306)),
+                             Exponential(1e-304)),
+    lambda: evaluate_penalty(_HALVES, LengthSeq((1, 10 ** 306)),
+                             Exponential(1e300)),
+    lambda: power_sum(_HALVES, LengthSeq((1, 10 ** 306)), 1e300),
+], ids=["dth1e308", "exp1e-304", "exp1e300", "power_sum"])
+def test_sums_whose_logs_meet_inf_minus_inf_are_refused(call):
+    # the logs of the terms overflow to inf or -inf, so the log-sum-exp
+    # meets inf - inf: refused by name, never a NaN
+    with pytest.raises(EpcError, match="past the float range"):
+        call()
 
 
 def test_evaluate_penalty_refuses_a_non_penalty():

@@ -801,10 +801,13 @@ def _counting(arrivals):
                       for field in dataclasses.fields(arrivals)))
 
 
-@pytest.mark.parametrize("model", [
+_BUDGET_MODELS = pytest.mark.parametrize("model", [
     _lognormal_source(9, 1024, 1.25), Poisson(5.0),
     with_geometric_tail((0.4, 0.2, 0.15, 0.1, 0.105), 0.3),
 ], ids=["finite1024", "poisson5", "tailed"])
+
+
+@_BUDGET_MODELS
 def test_max_decay_rate_takes_at_most_24_evaluations(model):
     # the expansion, the located root and the few bisection midpoints near
     # it; evaluating every midpoint took about 37 here
@@ -818,6 +821,23 @@ def test_max_decay_rate_takes_at_most_24_evaluations(model):
             rate = max_decay_rate(model, code, counting)
             assert not rate.at_boundary
             assert counting.evaluations <= 24, (base, arrivals)
+
+
+@_BUDGET_MODELS
+def test_bound_and_the_rate_at_its_base_keep_their_budgets(model):
+    # the bound's doubling bracket and convex secant take at most 20
+    # evaluations, and max_decay_rate of the code built at base e**s0 at
+    # most 24
+    gap = shannon_entropy(model) / 0.8
+    for arrivals in (ExponentialArrivals(1.0 / gap),
+                     GammaArrivals(4.0, 4.0 / gap)):
+        counting = _counting(arrivals)
+        s0 = decay_rate_bound(model, counting)
+        assert s0 > 0.0 and counting.evaluations <= 20, arrivals
+        code = optimal_code(model, Exponential(math.exp(s0)))
+        counting = _counting(arrivals)
+        rate = max_decay_rate(model, code, counting)
+        assert rate.value > 0.0 and counting.evaluations <= 24, arrivals
 
 
 @pytest.mark.parametrize("mean, gap", [

@@ -26,8 +26,7 @@ from epc import (DivergenceError, DthRedundancy, ExplicitFinite,
                  with_geometric_tail)
 from epc.huffman import merge
 from epc.light_tail import _assemble
-from epc.numeric import SUM_TOL
-from oracles import (dth_sum_log_terms, expected_length_terms,
+from oracles import (SUM_TOL, dth_sum_log_terms, expected_length_terms,
                      geometric_pmf, max_redundancy_terms, poisson_ln_pmf,
                      poisson_pmf, poisson_tail_weight_direct, power_sum_terms,
                      series_direct, tailed_pmf)
