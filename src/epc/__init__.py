@@ -16,10 +16,9 @@ from .models import (Exponential, DthRedundancy, MaxRedundancy, Linear,
                      shannon_entropy, renyi_entropy)
 from .huffman import (CodeTree, exp_huffman, exp_huffman_two_queue,
                       maxred_huffman, dth_huffman)
-from .golomb import (GolombCode, golomb_codeword, golomb_length,
-                     complete_binary, optimal_k_exponential, optimal_k_mmr,
-                     optimal_k_dth, golomb_exp_penalty, golomb_dth_penalty,
-                     golomb_mmr)
+from .golomb import (GolombCode, complete_binary, optimal_k_exponential,
+                     optimal_k_mmr, optimal_k_dth, golomb_exp_penalty,
+                     golomb_dth_penalty, golomb_mmr)
 from .light_tail import (UnaryEndedCode, find_split_exponential,
                          find_split_mmr, build_unary_ended,
                          build_unary_ended_mmr, optimal_code)
@@ -45,7 +44,7 @@ __all__ = [
     "renyi_entropy",
     "CodeTree", "exp_huffman", "exp_huffman_two_queue",
     "maxred_huffman", "dth_huffman",
-    "GolombCode", "golomb_codeword", "golomb_length", "complete_binary",
+    "GolombCode", "complete_binary",
     "optimal_k_exponential", "optimal_k_mmr", "optimal_k_dth",
     "golomb_exp_penalty", "golomb_dth_penalty", "golomb_mmr",
     "UnaryEndedCode", "find_split_exponential", "find_split_mmr",

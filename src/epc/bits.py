@@ -11,8 +11,7 @@ from .errors import ContainerError
 __all__ = [
     "uleb128_encode", "uleb128_encode_all", "uleb128_decode",
     "uleb128_decode_all", "integer_lengths", "check_length_cap",
-    "kraft_sign", "length_counts", "kraft_total", "canonical_codewords",
-    "complete_binary",
+    "kraft_sign", "length_counts", "kraft_total", "complete_binary",
 ]
 
 
@@ -162,15 +161,9 @@ def length_counts(lengths, spine_length=None) -> list[int]:
     return counts
 
 
-def canonical_codewords(lengths) -> tuple[str, ...]:
-    """Assign codewords in (length, index) order, each starting where the
-    previous ended; refuses what length_counts refuses."""
-    lengths = integer_lengths(lengths)
-    return _codewords_of(lengths, length_counts(lengths))
-
-
 def _codewords_of(lengths, counts) -> tuple[str, ...]:
-    """canonical_codewords of checked lengths, given length_counts of them."""
+    """Canonical codewords of checked lengths, in (length, index) order,
+    each starting where the previous ended, from their length_counts."""
     first = []          # first[l]: the first l-bit word, as an integer
     code = 0
     for n in counts:

@@ -81,16 +81,13 @@ class ExplicitCode(LengthSeq):
         if any(not w or set(w) - {"0", "1"} for w in words):
             raise ValueError("codewords must be nonempty bit strings")
         self._hold(map(len, words), False)
-        if words != self.codewords:
+        if words != self.head_codewords:
             raise ValueError(
                 "explicit codes are stored canonically; build via from_lengths")
 
     @classmethod
     def from_lengths(cls, lengths) -> "ExplicitCode":
         return cls.__new__(cls)._hold(lengths, False)
-
-    lengths = property(lambda self: self.head)
-    codewords = property(lambda self: self.head_codewords)
 
     def __repr__(self) -> str:
         return f"ExplicitCode(lengths={self.head!r})"

@@ -19,7 +19,7 @@ from .models import (DthRedundancy, Exponential, Geometric, LengthSeq,
 from .numeric import ceil_snapped
 
 __all__ = [
-    "GolombCode", "complete_binary", "golomb_codeword", "golomb_length",
+    "GolombCode", "complete_binary",
     "optimal_k_exponential", "optimal_k_mmr", "optimal_k_dth", "optimal_k",
     "golomb_exp_penalty", "golomb_dth_penalty", "golomb_mmr",
 ]
@@ -48,14 +48,6 @@ class GolombCode(LengthSeq):
 
     def __str__(self) -> str:
         return f"Golomb k={self.k}"
-
-
-def golomb_codeword(j: int, k: int) -> str:
-    return GolombCode(k).codeword(j)
-
-
-def golomb_length(j: int, k: int) -> int:
-    return GolombCode(k).length(j)
 
 
 # ------------------------------------------------- optimal parameter choice

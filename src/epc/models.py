@@ -341,8 +341,6 @@ class LengthSeq:
         g = k.bit_length()      # the suffix takes g - 1 bits below 2**g - k
         return tail.start_length + q + (g - 1 if r < (1 << g) - k else g)
 
-    length = length_at
-
     def codeword(self, i: int) -> str:
         """Symbol i's word: its head length's canonical word, or past the
         head the run's, refused past _MOST_ONES ones: the spine and quotient
@@ -754,8 +752,8 @@ def power_sum(model: SourceModel, code: LengthSeq, base: float) -> float:
 
 
 def expected_length(model: SourceModel, code: LengthSeq) -> float:
-    """sum p(i) * n(i)."""
-    return code._profile(model).expected_length()
+    """sum p(i) * n(i): the Linear penalty."""
+    return evaluate_penalty(model, code, Linear())
 
 
 def evaluate_penalty(model: SourceModel, code: LengthSeq,

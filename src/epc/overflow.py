@@ -213,20 +213,23 @@ def max_decay_rate(model: SourceModel, code: LengthSeq,
     s, and the answer is decay_rate_bound's, zero where the entropy meets
     the gap and else refused as unbounded.
 
-    Otherwise the answer is the lo of a plain bisection that tests
-    ln f <= 0 from the bracket the expansion finds, down to width _S_TOL or
-    until no float lies strictly between its ends. Only its midpoints near
-    the root need ln f: the bound's convex secant, started from that
-    bracket and the tangent at zero (slope: mean length less mean gap),
-    first locates the root to _S_TOL, and the bisection then evaluates
-    ln f, at most once per point, within _NEAR of that located bracket and
-    decides every other midpoint by its side. A TableTransform whose
-    log-slopes fall somewhere is not convex; there every midpoint is
-    evaluated. The mean length and every power sum read one profile of the
-    code, built once per call. A source with no pole whose series stops at
-    its term cap leaves f undecided at that point, which decides no other
-    midpoint; if the bracket's upper end is such a point, the
-    DivergenceError of that cap is raised.
+    Otherwise a walk brackets the root while ln f <= 0: from half the power
+    sum's pole it halves the distance left, and ends a float step below the
+    pole, never evaluating f there (under convex arrivals, at once if ln f
+    <= 0 at that end); with no pole it doubles from 1/2 up to 2**40. Else
+    the answer is the lo of a plain bisection that tests ln f <= 0 from the
+    walk's bracket, down to width _S_TOL or until no float lies strictly
+    between its ends. Only its midpoints near the root need ln f: the
+    bound's convex secant, started from that bracket and the tangent at
+    zero (slope: mean length less mean gap), first locates the root to
+    _S_TOL, and the bisection then evaluates ln f, at most once per point,
+    within _NEAR of that located bracket and decides every other midpoint
+    by its side. A TableTransform whose log-slopes fall somewhere is not
+    convex; there every midpoint is evaluated. The mean length and every
+    power sum read one profile of the code, built once per call. A source
+    with no pole whose series stops at its term cap leaves f undecided at
+    that point, which decides no other midpoint; if the bracket's upper
+    end is such a point, the DivergenceError of that cap is raised.
     """
     profile = code._profile(model)
     if isinstance(arrivals, Deterministic) and model.size and all(
@@ -252,22 +255,20 @@ def max_decay_rate(model: SourceModel, code: LengthSeq,
             values[s] = value
         return value
 
-    lo = 0.0
-    if math.isfinite(s_div):
-        hi = s_div / 2.0
-        while ln_f(hi) <= 0.0:
-            lo = hi
-            nxt = (hi + s_div) / 2.0
-            if nxt <= hi:   # float resolution exhausted against the pole
-                return DecayRate(hi, False)
-            hi = nxt
-    else:
-        hi = 0.5
-        while ln_f(hi) <= 0.0:
-            lo = hi
-            hi *= 2.0
-            if hi > 2.0 ** 40:
-                raise DivergenceError("f never exceeds one; no finite optimum")
+    lo, hi = 0.0, s_div / 2.0 if s_div < math.inf else 0.5
+    if arrivals._convex and s_div < math.inf:
+        # a convex ln f <= 0 at the walk's last point is so all along it
+        last = hi
+        while last < (last + s_div) / 2.0 < s_div:
+            last = (last + s_div) / 2.0
+        if ln_f(last) <= 0.0:
+            return DecayRate(last, False)
+    while ln_f(hi) <= 0.0:
+        lo, hi = hi, min(2.0 * hi, (hi + s_div) / 2.0)
+        if not lo < hi < s_div:     # no float lies between lo and the pole
+            return DecayRate(lo, False)
+        if hi > 2.0 ** 40 and s_div == math.inf:
+            raise DivergenceError("f never exceeds one; no finite optimum")
     # ln f is at or below zero left of `left` and above it right of `right`;
     # a point the term cap left undecided shows nothing
     left, right = lo, hi

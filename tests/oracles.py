@@ -447,11 +447,12 @@ def plain_bisection_rate(ln_transform, ln_power_sum, pole: float,
 
     Zero at the boundary where the mean length reaches the mean gap. Else
     the bracket expands from 0.5 by doubling, or with a finite pole from
-    half of it by halving the distance left, returning the last point
-    where no float lies between it and the pole; then it bisects to width
-    tol or until no float lies strictly inside. A `divergence` raised by
-    the power sum counts as ln f = inf; with no pole it leaves f undecided
-    at that s, and is raised if the bracket ends there."""
+    half of it by halving the distance left, returning the last point once
+    no float lies strictly between it and the pole, which is never
+    evaluated; then it bisects to width tol or until no float lies strictly
+    inside. A `divergence` raised by the power sum counts as ln f = inf;
+    with no pole it leaves f undecided at that s, and is raised if the
+    bracket ends there."""
     if mean_length >= mean_gap:
         return 0.0, True
     capped = None   # (s, error) of the last series cut short
@@ -469,10 +470,9 @@ def plain_bisection_rate(ln_transform, ln_power_sum, pole: float,
     if math.isfinite(pole):
         hi = pole / 2.0
         while ln_f(hi) <= 0.0:
-            lo, nxt = hi, (hi + pole) / 2.0
-            if nxt <= hi:
-                return hi, False
-            hi = nxt
+            lo, hi = hi, (hi + pole) / 2.0
+            if not lo < hi < pole:
+                return lo, False
     else:
         hi = 0.5
         while ln_f(hi) <= 0.0:

@@ -69,13 +69,13 @@ def test_criterion_02_poisson_constructions():
     assert c1.tail_start == 3
     w1 = tail_weight(p, 2, 1.0)
     assert abs(w1 - 0.0803) < 1e-4
-    assert [c1.length(i) for i in range(20)] == [i + 1 for i in range(20)]
+    assert [c1.length_at(i) for i in range(20)] == [i + 1 for i in range(20)]
 
     c2 = build_unary_ended(p, 2.0)
     assert c2.tail_start == 3
     w2 = tail_weight(p, 2, 2.0)
     assert abs(w2 - 0.2197) < 1e-4
-    assert [c2.length(i) for i in range(20)] == [2, 2, 2] + list(range(3, 20))
+    assert [c2.length_at(i) for i in range(20)] == [2, 2, 2] + list(range(3, 20))
     _report(2, f"splits at 3, spine weights {w1:.6f} / {w2:.6f}, lengths exact")
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from epc import (ContainerError, ExplicitCode, LengthSeq, UnaryEndedCode,
                  UnaryTail)
-from epc.bits import (canonical_codewords, uleb128_decode,
-                      uleb128_decode_all, uleb128_encode, uleb128_encode_all)
+from epc.bits import (uleb128_decode, uleb128_decode_all, uleb128_encode,
+                      uleb128_encode_all)
 from oracles import kraft_fraction
 
 # derandomized: every run draws the same examples and writes no database
@@ -89,7 +89,7 @@ def test_lengths_must_be_integers():
                        match="^lengths are integers, got str '1'$"):
         ExplicitCode.from_lengths(["1", "1"])
     with pytest.raises(ValueError, match="got float 2.0"):
-        canonical_codewords([1, 2.0, 2])
+        ExplicitCode.from_lengths([1, 2.0, 2])
     # a bare TypeError from the Kraft sum before
     with pytest.raises(ValueError, match=r"got float 1\.7"):
         UnaryEndedCode.from_lengths([1.7], 1.2)
@@ -123,7 +123,6 @@ def _refusal(fn, lengths):
 ])
 def test_from_lengths_refuses_what_canonical_codewords_refuses(lengths,
                                                                 message):
-    assert _refusal(canonical_codewords, lengths) == message
     assert _refusal(ExplicitCode.from_lengths, lengths) == message
 
 
@@ -153,20 +152,24 @@ def _reference_words(lengths):
 @SEEDED
 @given(st.one_of(st.lists(st.integers(-1, 9), max_size=9), _tree_lengths()))
 def test_from_lengths_agrees_with_canonical_codewords(lengths):
-    refusal = _refusal(canonical_codewords, lengths)
-    assert _refusal(ExplicitCode.from_lengths, lengths) == refusal
+    # a code is built exactly where the lengths make a prefix code, and its
+    # words are the textbook canonical ones
+    refusal = _refusal(ExplicitCode.from_lengths, lengths)
+    fits = (lengths and min(lengths) > 0 and max(lengths) <= len(lengths)
+            and kraft_fraction(lengths) <= 1)
+    assert (refusal is None) == bool(fits)
     if refusal is None:
         code = ExplicitCode.from_lengths(lengths)
-        assert code.codewords == canonical_codewords(lengths) == \
-            _reference_words(lengths)
-        assert code.lengths == tuple(lengths)
-        assert code == ExplicitCode(code.codewords)
-        assert hash(code) == hash(ExplicitCode(code.codewords))
+        assert code.head_codewords == _reference_words(lengths)
+        assert code.head == tuple(lengths)
+        assert code == ExplicitCode(code.head_codewords)
+        assert hash(code) == hash(ExplicitCode(code.head_codewords))
 
 
 def test_canonical_codewords_in_length_then_index_order():
-    assert canonical_codewords([3, 1, 3, 2]) == ("110", "0", "111", "10")
-    assert canonical_codewords([2, 2, 2]) == ("00", "01", "10")
+    words = lambda lengths: ExplicitCode.from_lengths(lengths).head_codewords
+    assert words([3, 1, 3, 2]) == ("110", "0", "111", "10")
+    assert words([2, 2, 2]) == ("00", "01", "10")
 
 
 @st.composite

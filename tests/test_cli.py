@@ -149,9 +149,15 @@ def test_sweep_to_file(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
-def test_domain_errors_exit_one(capsys):
+def test_domain_errors_exit_one(tmp_path, capsys):
     assert run(["optimize", "--poisson", "1", "--penalty", "dth:2"]) == 1
     assert "geometric" in capsys.readouterr().err
+    # two negatives would normalize to the masses (0.25, 0.75)
+    negative = tmp_path / "w.txt"
+    negative.write_text("-1 -3\n")
+    assert run(["optimize", "--weights", str(negative)]) == 1
+    assert capsys.readouterr().err == (
+        "error: weights must have positive total\n")
     assert run(["huffman", "--weights", "/no/such/file"]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert run(["optimize", "--geometric", "1.5"]) == 1

@@ -9,8 +9,7 @@ import pytest
 
 from epc import (ContainerError, ExplicitCode, GolombCode, LengthSeq, Poisson,
                  UnaryEndedCode, UnaryTail, bits, build_unary_ended, codec,
-                 decode, encode, exp_huffman, golomb_length, models,
-                 read_container)
+                 decode, encode, exp_huffman, models, read_container)
 from oracles import kraft_fraction
 
 
@@ -63,7 +62,7 @@ def test_unary_ended_payload_example():
     # two symbols under the base-2 length sequence 2,2,2,3,4,5,...:
     # 2 bits for 0 plus 5 bits for 5 is 7 payload bits, one padded byte
     code = build_unary_ended(Poisson(1.0), 2.0)
-    assert code.length(0) == 2 and code.length(5) == 5
+    assert code.length_at(0) == 2 and code.length_at(5) == 5
     blob = encode([0, 5], code)
     header_len = len(encode([], code)) - 0  # same header, empty payload
     assert len(blob) - header_len == 1
@@ -72,7 +71,7 @@ def test_unary_ended_payload_example():
 
 def test_explicit_code_roundtrip():
     code = ExplicitCode.from_lengths((2, 2, 2, 3, 3))
-    assert kraft_fraction(code.lengths) == 1
+    assert kraft_fraction(code.head) == 1
     symbols = [0, 4, 2, 1, 3, 3, 0]
     assert decode(encode(symbols, code)) == symbols
     got, _ = read_container(encode(symbols, code))
@@ -82,6 +81,9 @@ def test_explicit_code_roundtrip():
 def test_explicit_code_is_canonical_only():
     with pytest.raises(ValueError):
         ExplicitCode(("10", "01"))       # right lengths, wrong packing
+    for words in (("0", ""), ("0", "12")):
+        with pytest.raises(ValueError, match="^codewords must be nonempty bit"):
+            ExplicitCode(words)
     canonical = ExplicitCode(("0", "10", "11"))
     assert canonical.codeword(2) == "11"
     with pytest.raises(ValueError):
@@ -91,11 +93,11 @@ def test_explicit_code_is_canonical_only():
 def test_explicit_code_is_its_lengths():
     words = ("110", "0", "111", "10")
     code = ExplicitCode.from_lengths((3, 1, 3, 2))
-    assert "codewords" not in vars(code)    # built on first use only
+    assert "head_codewords" not in vars(code)   # built on first use only
     assert code == ExplicitCode(words)
     assert hash(code) == hash(ExplicitCode(words))
     assert code != ExplicitCode.from_lengths((3, 1, 2, 3))
-    assert code.codeword(2) == "111" and code.codewords == words
+    assert code.codeword(2) == "111" and code.head_codewords == words
     assert repr(code) == "ExplicitCode(lengths=(3, 1, 3, 2))"
 
 
@@ -114,12 +116,11 @@ def test_explicit_decode_builds_no_codewords(count, code, monkeypatch):
 
     def refuse(*args):
         raise AssertionError("decode built codeword strings")
-    monkeypatch.setattr(bits, "canonical_codewords", refuse)
     for module in (bits, models):   # the codes build from counts
         monkeypatch.setattr(module, "_codewords_of", refuse)
     got, decoded = read_container(blob)
     assert decoded == symbols and got == code
-    assert "codewords" not in vars(got) and "head_codewords" not in vars(got)
+    assert "head_codewords" not in vars(got)
 
 
 def test_unary_ended_code_is_canonical_only():
@@ -213,7 +214,7 @@ def test_unary_descriptor_roundtrip():
 
 
 def test_explicit_lengths_capped_at_alphabet_size():
-    assert ExplicitCode.from_lengths((1, 2)).codewords == ("0", "10")
+    assert ExplicitCode.from_lengths((1, 2)).head_codewords == ("0", "10")
     with pytest.raises(ValueError, match="alphabet size"):
         ExplicitCode.from_lengths((1, 3))      # Kraft-valid, over the cap
     with pytest.raises(ValueError, match="alphabet size"):
@@ -348,7 +349,7 @@ def test_golomb_table_fill_rule():
     for t in (8, 10):
         for k in range(1, (1 << t - 3) + 40):
             # quotients up to t hold every word of at most t bits
-            lengths = [golomb_length(j, k) for j in range(k * (t + 1))]
+            lengths = [GolombCode(k).length_at(j) for j in range(k * (t + 1))]
             filled = sum(1 << t - n for n in lengths if n <= t)
             assert filled == (1 << t) - k == _filled(GolombCode(k), t)
             narrowest = codec._Plan(GolombCode(k)).narrowest

@@ -68,7 +68,7 @@ def _code_and_symbols(draw):
         top = 4 * code.k + 40
     elif family == "explicit":
         code = ExplicitCode.from_lengths(draw(_explicit_lengths()))
-        top = len(code.codewords) - 1
+        top = len(code.head) - 1
     elif family == "unary-deep":
         # head lengths 1..d-1 and a spine of d-1, or a head of 1, 3..d, d
         # under a 2-bit spine: long words with a long or a short spine
@@ -94,8 +94,7 @@ def _code_and_symbols(draw):
         # the code suits would send them, and a few uniform draws
         rng = random.Random(draw(st.integers(0, 2 ** 32)))
         count = draw(st.integers(512, 6144))
-        length = (code.length if not isinstance(code, ExplicitCode)
-                  else lambda i: len(code.codewords[i]))
+        length = code.length_at
         alphabet = range(min(top, 4095) + 1)
         symbols = rng.choices(alphabet, [2.0 ** -length(i) for i in alphabet],
                               k=count)

@@ -6,21 +6,27 @@ import pytest
 from epc import (DecayRate, DivergenceError, DthRedundancy,
                  ExponentialArrivals, Exponential, Geometric, GolombCode,
                  LengthSeq, Linear, MaxRedundancy, Poisson, UnaryEndedCode,
-                 UnaryTail, complete_binary, evaluate_penalty, golomb_codeword,
-                 golomb_dth_penalty, golomb_exp_penalty, golomb_length,
-                 golomb_mmr, max_decay_rate, optimal_k_dth,
+                 UnaryTail, complete_binary, evaluate_penalty,
+                 golomb_dth_penalty, golomb_exp_penalty, golomb_mmr,
+                 max_decay_rate, optimal_k_dth,
                  optimal_k_exponential, optimal_k_mmr, power_sum)
 from epc.golomb import optimal_k
 from oracles import golomb_len, golomb_power_sum_direct, mmr_sup_scan
 
 
 def test_codeword_examples():
-    assert golomb_codeword(1, 3) == "010"
-    assert golomb_codeword(3, 3) == "100"
-    assert golomb_codeword(9, 3) == "11100"
+    g3 = GolombCode(3)
+    assert g3.codeword(1) == "010"
+    assert g3.codeword(3) == "100"
+    assert g3.codeword(9) == "11100"
     # k = 1 degenerates to plain unary
-    assert [golomb_codeword(i, 1) for i in range(4)] == ["0", "10", "110", "1110"]
+    assert [GolombCode(1).codeword(i) for i in range(4)] == [
+        "0", "10", "110", "1110"]
     assert complete_binary(0, 1) == ""
+    with pytest.raises(ValueError, match="^k must be a positive integer"):
+        complete_binary(0, 0)
+    with pytest.raises(ValueError, match=r"^value 3 outside range\(0, 3\)$"):
+        complete_binary(3, 3)
 
 
 def test_suffix_set_k5():
@@ -30,8 +36,9 @@ def test_suffix_set_k5():
 
 def test_lengths_and_order():
     for k in (1, 2, 3, 5, 7, 64):
-        words = [golomb_codeword(i, k) for i in range(60)]
-        assert [len(w) for w in words] == [golomb_length(i, k) for i in range(60)]
+        code = GolombCode(k)
+        words = [code.codeword(i) for i in range(60)]
+        assert [len(w) for w in words] == [code.length_at(i) for i in range(60)]
         assert [len(w) for w in words] == [golomb_len(i, k) for i in range(60)]
         # alphabetic: codewords sort in symbol order
         assert words == sorted(words)
@@ -44,7 +51,7 @@ def test_kraft_complete():
     # partial sums close the unit exactly: after N periods the gap is 2^-N
     for k in (1, 2, 3, 7, 12):
         for periods in (1, 3, 9):
-            partial = sum(Fraction(1, 2 ** golomb_length(i, k))
+            partial = sum(Fraction(1, 2 ** GolombCode(k).length_at(i))
                           for i in range(periods * k))
             assert partial == 1 - Fraction(1, 2 ** periods)
     assert GolombCode(3).kraft_sum() == 1.0
@@ -53,8 +60,8 @@ def test_kraft_complete():
 def test_code_object():
     c = GolombCode(7)
     assert c.suffix_bits == 3 and c.short_count == 1
-    assert str(c) == "Golomb k=7"
-    assert c.codeword(9) == golomb_codeword(9, 7)
+    assert str(c) == "Golomb k=7" and repr(GolombCode(3)) == "GolombCode(k=3)"
+    assert c.codeword(9) == "10" + "011"     # quotient 1, remainder 2 of 7
     with pytest.raises(ValueError):
         GolombCode(0)
     with pytest.raises(ValueError):
@@ -151,6 +158,8 @@ def test_optimal_k_boundary_ties_go_small():
     # heavy compression regime: unary regardless of ratio
     assert optimal_k_exponential(0.99, 0.5) == 1
     assert optimal_k_exponential(0.99, 0.3) == 1
+    with pytest.raises(ValueError, match="^ratio must lie in"):
+        optimal_k_exponential(1.5, 2.0)
 
 
 def test_optimal_k_at_base_one_half_or_below_is_unary():

@@ -29,7 +29,7 @@ def test_code_object_basics():
     assert c.codeword(2) == "10"
     assert c.codeword(3) == "110"
     assert c.codeword(6) == "111110"
-    assert c.length(6) == 6
+    assert c.length_at(6) == 6
     assert c.lengths() == LengthSeq((2, 2, 2), UnaryTail(3, 3))
     assert c.describe() == "lengths 2,2,2,3 +unary@3"
     with pytest.raises(ValueError):
@@ -66,6 +66,11 @@ def test_split_exponential_poisson():
     assert find_split_exponential(p1, 2.0) == 2
     assert find_split_exponential(p1, 1.5) == 2
     assert find_split_exponential(Poisson(4.0), 1.5) == 10
+    finite = ExplicitFinite((0.5, 0.25, 0.25))
+    for split in (lambda m: find_split_exponential(m, 1.5), find_split_mmr):
+        with pytest.raises(ValueError,
+                           match="^finite sources need no tail split$"):
+            split(finite)
 
 
 def test_split_exponential_geometric():
@@ -168,7 +173,7 @@ def test_minimal_split_keeps_the_forced_reduction_lengths(seed):
     code = build_unary_ended(m, base)
     forced_at = max(code.split, 128)
     forced = tailed_reduction_lengths(m.head, m.tail_ratio, base, forced_at)
-    assert all(code.length(i) == forced(i) for i in range(forced_at + 65))
+    assert all(code.length_at(i) == forced(i) for i in range(forced_at + 65))
 
 
 def test_split_exponential_needs_structure():
@@ -228,15 +233,15 @@ def test_build_poisson_mean_length():
     p = Poisson(1.0)
     c = build_unary_ended(p, 1.0)
     assert c.tail_start == 3
-    assert [c.length(i) for i in range(6)] == [1, 2, 3, 4, 5, 6]
+    assert [c.length_at(i) for i in range(6)] == [1, 2, 3, 4, 5, 6]
     # spine weight folded in during construction
     assert tail_weight(p, 2, 1.0) == pytest.approx(1 - 2.5 * math.exp(-1))
-    assert kraft_fraction([c.length(i) for i in range(40)]) < 1
+    assert kraft_fraction([c.length_at(i) for i in range(40)]) < 1
 
 
 def test_build_poisson_base_two():
     c = build_unary_ended(Poisson(1.0), 2.0)
-    assert [c.length(i) for i in range(8)] == [2, 2, 2, 3, 4, 5, 6, 7]
+    assert [c.length_at(i) for i in range(8)] == [2, 2, 2, 3, 4, 5, 6, 7]
     assert c.head_codewords == ("00", "01", "10")
     assert c.tail_prefix == "11"
 
@@ -275,7 +280,7 @@ def test_build_mmr_worked_example():
     m = with_geometric_tail((0.6, 0.15, 0.15, 0.0375, 0.0375), 0.5)
     c = build_unary_ended_mmr(m)
     assert c.tail_start == 5
-    assert [c.length(i) for i in range(7)] == [1, 2, 3, 4, 5, 6, 7]
+    assert [c.length_at(i) for i in range(7)] == [1, 2, 3, 4, 5, 6, 7]
     assert evaluate_penalty(m, c.lengths(), MaxRedundancy()) == \
         pytest.approx(math.log2(1.2), rel=1e-12)
 

@@ -44,8 +44,10 @@ def test_point_mass():
     for i in range(12):
         exact = math.exp(-2.5) * 2.5 ** i / math.factorial(i)
         assert point_mass(p, i) == pytest.approx(exact, rel=1e-12)
+    with pytest.raises(ValueError, match="^symbols are nonnegative$"):
+        point_mass(Poisson(1.0), -1)
     f = ExplicitFinite((0.25, 0.75))
-    assert point_mass(f, 1) == 0.75
+    assert point_mass(f, 1) == 0.75 and f.ln_mass(1) == math.log(0.75)
     with pytest.raises(IndexError):
         point_mass(f, 2)
     # past the float range an infinite source's mass rounds to zero
@@ -98,10 +100,12 @@ def test_lengths_at_the_edge_of_the_float_range_score_or_are_refused():
     code = LengthSeq((1, n))
     assert evaluate_penalty(_HALVES, code, Exponential(0.5)) == 2.0
     assert evaluate_penalty(_HALVES, code, Linear()) == 0.5 + 0.5 * n
-    # the mean length n + 3 rounds past the float range
-    with pytest.raises(EpcError, match="past the float range"):
-        evaluate_penalty(Poisson(3.0), LengthSeq((), UnaryTail(0, n)),
-                         Linear())
+    # the mean length n + 3 rounds past the float range; expected_length is
+    # the Linear penalty, and refuses it too
+    for query in (lambda m, c: evaluate_penalty(m, c, Linear()),
+                  expected_length):
+        with pytest.raises(EpcError, match="past the float range"):
+            query(Poisson(3.0), LengthSeq((), UnaryTail(0, n)))
 
 
 @pytest.mark.parametrize("call", [
@@ -313,6 +317,12 @@ def test_length_seq_validation():
         "lengths 2,2,2,3 +unary@3"
     seq = LengthSeq((1, 2), UnaryTail(2, 3))
     assert [seq.length_at(i) for i in range(5)] == [1, 2, 3, 4, 5]
+    # lengths with no tail end with their head, and cover no larger alphabet
+    with pytest.raises(IndexError, match="^no length assigned to symbol 2$"):
+        LengthSeq((1, 1)).length_at(2)
+    with pytest.raises(ValueError, match="^lengths with no tail do not cover"):
+        evaluate_penalty(ExplicitFinite((0.5, 0.25, 0.25)), LengthSeq((1, 1)),
+                         Linear())
     assert seq.kraft_sum() == pytest.approx(1.0)
     # tail fields are kept as the ints they check as
     assert str(LengthSeq((1,), UnaryTail(True, 2))) == "lengths 1,2 +unary@1"

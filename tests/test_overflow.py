@@ -40,6 +40,10 @@ def test_arrival_validation():
         TableTransform(((0.0, 1.0), (1.0, 0.5), (0.5, 0.7)))
     with pytest.raises(ValueError):
         TableTransform(((0.0, 1.0), (1.0, 1.0), (2.0, 1.1)))
+    with pytest.raises(ValueError, match="^transform values must be nonincr"):
+        TableTransform(((0, 1), (1, 0.5), (2, 0.6)))
+    with pytest.raises(ValueError, match="^s must be nonnegative$"):
+        TableTransform(((0, 1), (1, 0.5))).ln_transform(-1.0)
     # a NaN fails every `<` test, so each law refuses it by name
     for bad in (math.nan, math.inf):
         for build, name in ((Deterministic, "gap"),
@@ -110,7 +114,7 @@ def test_functional_poisson_unary_code():
     s = 0.5
     a = math.exp(s)
     direct = math.fsum(math.exp(-1.0 + i * 0.0 - math.lgamma(i + 1))
-                       * a ** code.length(i) for i in range(200))
+                       * a ** code.length_at(i) for i in range(200))
     got = overflow_functional(m, code, arr, s)
     assert got == pytest.approx(arr.transform(s) * direct, rel=1e-10)
 
@@ -418,6 +422,11 @@ def test_bound_refusal_names_the_condition_it_tests():
     assert str(refused.value) == (
         "a deterministic gap of 2.5 bit times meets 2**floor(gap) >= 4, the "
         "symbol count, so the bound never closes")
+    # gap 50 >= log2 3: a solve is refused before any evaluation
+    arrivals = _counting(Deterministic(50.0))
+    with pytest.raises(DivergenceError, match="^a deterministic gap of 50.0 "):
+        optimize_overflow(ExplicitFinite((0.5, 0.25, 0.25)), arrivals)
+    assert arrivals.evaluations == 0
 
 
 def test_zero_variance_finite_solve_takes_the_bound_answer():
@@ -572,9 +581,6 @@ _CODE3 = build_unary_ended(Poisson(3.0), 1.0)   # lengths 5,3,2,2,3,... +unary
     (lambda: evaluate_penalty(ExplicitFinite((0.5, 0.25, 0.25)),
                               LengthSeq((1, 2, 2)), Exponential(1e300)),
      2.0 + math.log(0.5 + 0.5 / 1e300) / math.log(1e300)),
-    # gap 50 >= log2 3: the bound is refused before any evaluation
-    (lambda: optimize_overflow(ExplicitFinite((0.5, 0.25, 0.25)),
-                               Deterministic(50.0)), DivergenceError),
     (lambda: optimize_overflow(Geometric(0.5),
                                ExponentialArrivals(1e-300)).decay_rate,
      86.94046354341842),
@@ -700,6 +706,23 @@ def test_max_decay_rate_stops_a_float_step_below_the_pole():
                           Deterministic(100.0))
     assert rate == (0.6931471805599452, False)
     assert math.nextafter(rate.value, math.inf) == math.log(2.0)
+
+
+@pytest.mark.parametrize("k", [18791, 18998, 20102, 20309, 22448])
+def test_max_decay_rate_at_a_pole_takes_one_evaluation(k):
+    # Geometric(0.99) at a gap of twice its entropy: these Golomb codes keep
+    # f below one up to the pole, where the sum rounds to a finite value.
+    # The walk stops a float step below the pole, as the reference walk
+    # does, and under convex arrivals computes that point and evaluates
+    # ln f there once; it used to take 54 and return the pole itself
+    model, code = Geometric(0.99), GolombCode(k)
+    arrivals = _counting(Deterministic(2.0 * shannon_entropy(model)))
+    rate = max_decay_rate(model, code, arrivals)
+    assert arrivals.evaluations == 1
+    pole = code._profile(model).pole
+    assert rate.value < pole == math.nextafter(rate.value, math.inf)
+    assert _search_outcome(_plain_search, model, code, arrivals) == (
+        rate.value.hex(), False)
 
 
 def _search_outcome(search, *args):
