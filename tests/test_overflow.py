@@ -581,6 +581,9 @@ _CODE3 = build_unary_ended(Poisson(3.0), 1.0)   # lengths 5,3,2,2,3,... +unary
     (lambda: evaluate_penalty(ExplicitFinite((0.5, 0.25, 0.25)),
                               LengthSeq((1, 2, 2)), Exponential(1e300)),
      2.0 + math.log(0.5 + 0.5 / 1e300) / math.log(1e300)),
+    # gap 50 >= log2 3: the bound is refused before any evaluation
+    (lambda: optimize_overflow(ExplicitFinite((0.5, 0.25, 0.25)),
+                               Deterministic(50.0)), DivergenceError),
     (lambda: optimize_overflow(Geometric(0.5),
                                ExponentialArrivals(1e-300)).decay_rate,
      86.94046354341842),
