@@ -17,8 +17,7 @@ from .models import (Exponential, DthRedundancy, MaxRedundancy, Linear,
 from .huffman import (CodeTree, exp_huffman, exp_huffman_two_queue,
                       maxred_huffman, dth_huffman)
 from .golomb import (GolombCode, complete_binary, optimal_k_exponential,
-                     optimal_k_mmr, optimal_k_dth, golomb_exp_penalty,
-                     golomb_dth_penalty, golomb_mmr)
+                     optimal_k_mmr, optimal_k)
 from .light_tail import (UnaryEndedCode, find_split_exponential,
                          find_split_mmr, build_unary_ended,
                          build_unary_ended_mmr, optimal_code)
@@ -45,8 +44,7 @@ __all__ = [
     "CodeTree", "exp_huffman", "exp_huffman_two_queue",
     "maxred_huffman", "dth_huffman",
     "GolombCode", "complete_binary",
-    "optimal_k_exponential", "optimal_k_mmr", "optimal_k_dth",
-    "golomb_exp_penalty", "golomb_dth_penalty", "golomb_mmr",
+    "optimal_k_exponential", "optimal_k_mmr", "optimal_k",
     "UnaryEndedCode", "find_split_exponential", "find_split_mmr",
     "build_unary_ended", "build_unary_ended_mmr", "optimal_code",
     "ExplicitCode", "encode", "decode", "read_container",

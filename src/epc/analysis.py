@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .golomb import (golomb_dth_penalty, golomb_exp_penalty, golomb_mmr,
-                     optimal_k_dth, optimal_k_exponential, optimal_k_mmr)
-from .models import (Exponential, Geometric, LengthSeq, SourceModel,
+from .golomb import GolombCode, optimal_k, optimal_k_mmr
+from .models import (DthRedundancy, Exponential, Geometric, LengthSeq,
+                     Linear, MaxRedundancy, Penalty, SourceModel,
                      evaluate_penalty, renyi_entropy, shannon_entropy)
 from .numeric import frac_snapped
 
@@ -151,6 +151,12 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
+def _best_golomb(ratio: float, penalty: Penalty) -> tuple[int, float]:
+    """The optimal Golomb parameter for Geometric(ratio) and its value."""
+    k = optimal_k(ratio, penalty)
+    return k, evaluate_penalty(Geometric(ratio), GolombCode(k), penalty)
+
+
 def sweep(spec: SweepSpec) -> str:
     """Render the figure's data set as CSV text, rows in grid order."""
     out = io.StringIO()
@@ -161,16 +167,14 @@ def sweep(spec: SweepSpec) -> str:
             if a <= 0.5:
                 raise ValueError("exponential base must exceed 1/2")
             for th in spec.ratios():
-                k = optimal_k_exponential(th, a)
-                pen = golomb_exp_penalty(th, a, k)
+                k, pen = _best_golomb(th, Exponential(a))
                 ent = renyi_entropy(Geometric(th), a)
                 w.writerow([_fmt(a), _fmt(th), k, _fmt(pen), _fmt(ent),
                             _fmt(pen - ent)])
     elif spec.figure == 3:
         w.writerow(["theta", "k", "mean_length", "entropy", "redundancy"])
         for th in spec.ratios():
-            k = optimal_k_exponential(th, 1.0)
-            mean = golomb_exp_penalty(th, 1.0, k)
+            k, mean = _best_golomb(th, Linear())
             ent = shannon_entropy(Geometric(th))
             w.writerow([_fmt(th), k, _fmt(mean), _fmt(ent), _fmt(mean - ent)])
     elif spec.figure == 4:
@@ -182,11 +186,9 @@ def sweep(spec: SweepSpec) -> str:
         w.writerow(["theta", "x", "curve", "k", "value"])
         for th in spec.ratios():
             x = math.log2(-1.0 / math.log2(th))
-            k = optimal_k_mmr(th)
-            w.writerow([_fmt(th), _fmt(x), "mmr", k,
-                        _fmt(golomb_mmr(th, k))])
+            k, value = _best_golomb(th, MaxRedundancy())
+            w.writerow([_fmt(th), _fmt(x), "mmr", k, _fmt(value)])
             for d in spec.orders:
-                kd = optimal_k_dth(th, d)
-                w.writerow([_fmt(th), _fmt(x), "d=%d" % d, kd,
-                            _fmt(golomb_dth_penalty(th, d, kd))])
+                k, value = _best_golomb(th, DthRedundancy(d))
+                w.writerow([_fmt(th), _fmt(x), "d=%d" % d, k, _fmt(value)])
     return out.getvalue()

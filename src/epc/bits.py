@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
+from collections import Counter
 
 from .errors import ContainerError
 
@@ -161,14 +162,15 @@ def length_counts(lengths, spine_length=None) -> list[int]:
     return counts
 
 
-def _codewords_of(lengths, counts) -> tuple[str, ...]:
-    """Canonical codewords of checked lengths, in (length, index) order,
-    each starting where the previous ended, from their length_counts."""
-    first = []          # first[l]: the first l-bit word, as an integer
-    code = 0
-    for n in counts:
-        first.append(code)
-        code = (code + n) << 1
+def _codewords_of(lengths) -> tuple[str, ...]:
+    """Canonical codewords of lengths within the Kraft inequality, in
+    (length, index) order, each starting where the previous ended."""
+    first = dict(Counter(lengths))  # per length its count, then first word
+    code = at = 0
+    for length in sorted(first):
+        code <<= length - at
+        at = length
+        first[length], code = code, code + first[length]
     out = []
     for length in lengths:
         code = first[length]

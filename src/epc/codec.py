@@ -76,18 +76,12 @@ class ExplicitCode(LengthSeq):
     use.
     """
 
-    def __init__(self, codewords) -> None:
-        words = tuple(str(w) for w in codewords)
-        if any(not w or set(w) - {"0", "1"} for w in words):
-            raise ValueError("codewords must be nonempty bit strings")
-        self._hold(map(len, words), False)
-        if words != self.head_codewords:
-            raise ValueError(
-                "explicit codes are stored canonically; build via from_lengths")
+    def __init__(self, lengths) -> None:
+        self._hold(lengths, False)
 
     @classmethod
     def from_lengths(cls, lengths) -> "ExplicitCode":
-        return cls.__new__(cls)._hold(lengths, False)
+        return cls(lengths)
 
     def __repr__(self) -> str:
         return f"ExplicitCode(lengths={self.head!r})"

@@ -34,27 +34,21 @@ class UnaryEndedCode(LengthSeq):
     Symbols 0..split use the canonical head_codewords of head_lengths;
     symbol i > split encodes as the all-1s tail_prefix of spine_length bits,
     then i - split - 1 ones, then a zero: the run at k = 1. A LengthSeq,
-    checked as the container is; the strings are built on first use. Given
-    words must be canonical.
+    checked as the container is; the strings are built on first use.
     """
 
-    def __init__(self, head_codewords, tail_prefix) -> None:
-        words = tuple(str(w) for w in head_codewords)
-        self._hold([*map(len, words), len(tail_prefix)], True)
-        if (words, tail_prefix) != (self.head_codewords, self.tail_prefix):
-            raise ValueError("unary-ended codes are stored canonically, with "
-                             "an all-1s tail prefix; build via from_lengths")
+    def __init__(self, head_lengths, spine_length: int) -> None:
+        self._hold([*head_lengths, spine_length], True)
 
     @classmethod
     def from_lengths(cls, head_lengths, spine_length: int) -> "UnaryEndedCode":
-        return cls.__new__(cls)._hold([*head_lengths, spine_length], True)
+        return cls(head_lengths, spine_length)
 
     # the unary tail starts one bit past the spine
     head_lengths = property(lambda self: self.head)
     spine_length = property(lambda self: self.tail.start_length - 1)
     tail_prefix = property(lambda self: "1" * self.spine_length)
     split = property(lambda self: len(self.head) - 1)
-    tail_start = property(lambda self: len(self.head))
 
     def lengths(self) -> LengthSeq:
         return LengthSeq(self.head, self.tail)

@@ -96,7 +96,7 @@ class Geometric(_GeometricTail):
 
 
 _KEPT = 1 << 14
-_MOST_ONES = 1 << 32    # in a run word; its string alone takes 4 GB
+_MOST_ONES = 1 << 32    # bits in a word; its string alone takes 4 GB
 
 
 @dataclass(frozen=True)
@@ -307,7 +307,7 @@ class LengthSeq:
         if kraft_sign(words) > 0:
             raise ValueError("lengths violate the Kraft inequality")
 
-    def _hold(self, lengths, unary: bool) -> "LengthSeq":
+    def _hold(self, lengths, unary: bool) -> None:
         """Hold lengths a container can carry and their words per length as
         the tuple `counts`, from one bits.length_counts check. With `unary`
         the last length is an all-1s spine, and the tail starts one bit past
@@ -318,15 +318,15 @@ class LengthSeq:
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", None if spine is None
                            else UnaryTail(len(head), spine + 1))
-        return self
-
-    @cached_property
-    def counts(self) -> tuple[int, ...]:    # a container code holds its own
-        return tuple(length_counts(self.head)) if self.head else ()
 
     @cached_property
     def head_codewords(self) -> tuple[str, ...]:
-        return _codewords_of(self.head, self.counts)
+        """The head's canonical words, refused past _MOST_ONES bits."""
+        longest = max(self.head, default=0)
+        if longest > _MOST_ONES:
+            raise ValueError(f"symbol {self.head.index(longest)} has a "
+                             "codeword too long to build")
+        return _codewords_of(self.head)
 
     def length_at(self, i: int) -> int:
         if i < len(self.head):
@@ -369,13 +369,6 @@ class LengthSeq:
                     if tail.start_length == 1 else f"no sums yet for a "
                     f"Golomb-{tail.k} run behind a head or spine")
         return _Profile(model, self)
-
-    def kraft_sum(self) -> float:
-        # the run contributes 2**(1 - start_length) in closed form
-        acc = math.fsum(2.0 ** -n for n in self.head)
-        if self.tail is not None:
-            acc += 2.0 ** (1 - self.tail.start_length)
-        return acc
 
     def __str__(self) -> str:
         if self.tail is None:
@@ -690,7 +683,11 @@ class _GolombProfile:
     length: with phi = ratio**(1+d), g = k.bit_length() and z = 2**g - k,
     ln sum p(i)**(1+d) b**n(i) = (1+d) ln(1-ratio) - ln(1-phi) + g ln b
     + ln(1 + (b-1) phi**z / (1 - b phi**k)), read in expm1 and log1p of d
-    itself, since 1 + d rounds to one at small orders."""
+    itself, since 1 + d rounds to one at small orders. At d = 0, log_b of
+    the sum tends as b -> 1 to the mean length g + ratio**z / (1 - ratio**k).
+    The order-d sum is (1-ratio)**(1+d) / (1-phi) times the d = 0 sum at
+    ratio phi and base 2**d, so optimal_k's order-d choice is the
+    exponential one there; it tends to the mmr choice as d grows."""
 
     def __init__(self, ratio: float, k: int) -> None:
         self.ratio, self.k, self.ln_r = ratio, k, math.log(ratio)

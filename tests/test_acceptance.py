@@ -17,14 +17,13 @@ import time
 
 import pytest
 
-from epc import (Deterministic, DivergenceError, ExponentialArrivals,
-                 Geometric, GolombCode, Poisson, SweepSpec,
-                 build_unary_ended, decode, encode, exp_huffman,
-                 exp_huffman_two_queue, golomb_exp_penalty, golomb_mmr,
+from epc import (Deterministic, DivergenceError, DthRedundancy, Exponential,
+                 ExponentialArrivals, Geometric, GolombCode, MaxRedundancy,
+                 Poisson, SweepSpec, build_unary_ended, decode, encode,
+                 evaluate_penalty, exp_huffman, exp_huffman_two_queue,
                  max_decay_rate, maxred_huffman, mmr_asymptotic,
-                 mmr_optimal_redundancy, optimal_k_dth,
-                 optimal_k_exponential, optimal_k_mmr, optimize_overflow,
-                 sweep, tail_weight)
+                 mmr_optimal_redundancy, optimal_k, optimal_k_exponential,
+                 optimal_k_mmr, optimize_overflow, sweep, tail_weight)
 from oracles import (best_tree_objective, exp_objective,
                      golomb_power_sum_direct, heap_merge, infer_period,
                      maxred_objective, reduced_weight_set)
@@ -46,7 +45,8 @@ def test_criterion_01_optimal_k_three_routes():
             best_k, best_v = None, math.inf
             for k in range(1, 33):
                 try:
-                    v = golomb_exp_penalty(th, a, k)
+                    v = evaluate_penalty(Geometric(th), GolombCode(k),
+                                         Exponential(a))
                 except DivergenceError:
                     continue
                 if v < best_v - 1e-12:
@@ -66,13 +66,13 @@ def test_criterion_01_optimal_k_three_routes():
 def test_criterion_02_poisson_constructions():
     p = Poisson(1.0)
     c1 = build_unary_ended(p, 1.0)
-    assert c1.tail_start == 3
+    assert c1.tail.start_index == 3
     w1 = tail_weight(p, 2, 1.0)
     assert abs(w1 - 0.0803) < 1e-4
     assert [c1.length_at(i) for i in range(20)] == [i + 1 for i in range(20)]
 
     c2 = build_unary_ended(p, 2.0)
-    assert c2.tail_start == 3
+    assert c2.tail.start_index == 3
     w2 = tail_weight(p, 2, 2.0)
     assert abs(w2 - 0.2197) < 1e-4
     assert [c2.length_at(i) for i in range(20)] == [2, 2, 2] + list(range(3, 20))
@@ -89,14 +89,14 @@ def test_criterion_03_penalty_closed_form_vs_direct():
             for k in (1, 2, 3, 5, 8, 12):
                 if a * th ** k >= 1.0 - 1e-9:
                     continue
+                value = evaluate_penalty(Geometric(th), GolombCode(k),
+                                         Exponential(a))
                 if a == 1.0:
                     # base one is the mean length; direct series instead
-                    gap = abs(golomb_exp_penalty(th, 1.0, k)
-                              - _direct_mean(th, k))
+                    gap = abs(value - _direct_mean(th, k))
                 else:
                     direct = golomb_power_sum_direct(th, a, k)
-                    gap = abs(golomb_exp_penalty(th, a, k)
-                              - math.log(direct) / math.log(a))
+                    gap = abs(value - math.log(direct) / math.log(a))
                 worst = max(worst, gap)
                 points += 1
     assert worst < 1e-9
@@ -155,10 +155,11 @@ def test_criterion_05_two_queue_equivalence(bisections):
 def test_criterion_06_dth_limit_is_minimax():
     th = 0.55
     while th < 0.951:
-        assert optimal_k_dth(th, 65536) == optimal_k_mmr(th), th
+        assert optimal_k(th, DthRedundancy(65536)) == optimal_k_mmr(th), th
         th = round(th + 0.05, 2)
     anchor = 4 + math.log2(0.1) + math.log2(0.9)
-    via_code = golomb_mmr(0.9, optimal_k_mmr(0.9))
+    via_code = evaluate_penalty(Geometric(0.9), GolombCode(optimal_k_mmr(0.9)),
+                                MaxRedundancy())
     via_closed_form = mmr_optimal_redundancy(0.9)
     assert via_code == pytest.approx(anchor, abs=1e-9)
     assert via_closed_form == pytest.approx(anchor, abs=1e-9)

@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from epc import (Geometric, LengthSeq, SweepSpec, UnaryTail,
-                 avg_redundancy, avg_redundancy_asymptotic, golomb_exp_penalty,
-                 golomb_mmr, mmr_asymptotic, mmr_optimal_redundancy,
-                 optimal_k_exponential, optimal_k_mmr, renyi_entropy, sweep)
+from epc import (DthRedundancy, Exponential, Geometric, GolombCode, LengthSeq,
+                 Linear, MaxRedundancy, SweepSpec, UnaryTail, avg_redundancy,
+                 avg_redundancy_asymptotic, evaluate_penalty, mmr_asymptotic,
+                 mmr_optimal_redundancy, optimal_k, optimal_k_exponential,
+                 optimal_k_mmr, renyi_entropy, shannon_entropy, sweep)
 from epc.analysis import _grid_size
 
 LOG2LOG2E = math.log2(math.log2(math.e))
@@ -14,28 +15,32 @@ MMR_LIM_MIN = 1.0 - LOG2LOG2E
 MMR_LIM_MAX = 2.0 - math.log2(math.e)
 
 
+def _mmr(th, k):
+    return evaluate_penalty(Geometric(th), GolombCode(k), MaxRedundancy())
+
+
 def test_closed_form_matches_direct_evaluation():
     th = 0.5
     while th < 0.995:
         got = mmr_optimal_redundancy(th)
-        want = golomb_mmr(th, optimal_k_mmr(th))
+        want = _mmr(th, optimal_k_mmr(th))
         assert got == pytest.approx(want, abs=1e-12)
         th += 0.00703
     # exact power-of-two boundary ratios included
     for k in (2, 3, 5, 10):
         th = 2.0 ** (-1.0 / k)
         assert mmr_optimal_redundancy(th) == \
-            pytest.approx(golomb_mmr(th, optimal_k_mmr(th)), abs=1e-12)
+            pytest.approx(_mmr(th, optimal_k_mmr(th)), abs=1e-12)
     # the range of acceptance criterion 7: 1 - ratio over [1e-6, 1e-2],
     # where also no Golomb parameter near the chosen one does better
     lo, hi, n = 1e-6, 1e-2, 2000
     for i in range(n):
         th = 1.0 - lo * (hi / lo) ** (i / (n - 1))
         k = optimal_k_mmr(th)
-        want = golomb_mmr(th, k)
+        want = _mmr(th, k)
         assert mmr_optimal_redundancy(th) == pytest.approx(want, abs=1e-12)
         for j in range(max(1, k - 3), k + 4):
-            assert golomb_mmr(th, j) >= want, (th, k, j)
+            assert _mmr(th, j) >= want, (th, k, j)
     with pytest.raises(ValueError):
         mmr_optimal_redundancy(0.4)
 
@@ -70,7 +75,8 @@ def test_avg_redundancy_near_one_approaches_asymptotic():
     for eps in (1e-5, 1e-6):
         th = 1.0 - eps
         k = optimal_k_exponential(th, 1.0)
-        red = golomb_exp_penalty(th, 1.0, k) - \
+        red = evaluate_penalty(Geometric(th), GolombCode(k),
+                               Exponential(1.0)) - \
             (-(th * math.log2(th) + eps * math.log2(eps)) / eps)
         x = math.log2(-1.0 / math.log2(th))
         assert red == pytest.approx(avg_redundancy_asymptotic(x), abs=1e-3)
@@ -100,9 +106,10 @@ def test_sweep_figure2():
     a, th = float(rows[0][0]), float(rows[0][1])
     k = int(rows[0][2])
     assert k == optimal_k_exponential(th, a)
-    assert float(rows[0][3]) == pytest.approx(golomb_exp_penalty(th, a, k))
+    pen = evaluate_penalty(Geometric(th), GolombCode(k), Exponential(a))
+    assert float(rows[0][3]) == pytest.approx(pen)
     assert float(rows[0][5]) == pytest.approx(
-        golomb_exp_penalty(th, a, k) - renyi_entropy(Geometric(th), a), abs=1e-9)
+        pen - renyi_entropy(Geometric(th), a), abs=1e-9)
     with pytest.raises(ValueError):
         sweep(SweepSpec(figure=2, bases=(0.4,)))
 
@@ -138,7 +145,46 @@ def test_sweep_figure5():
     first = rows[0]
     assert first[2] == "mmr"
     assert float(first[1]) == pytest.approx(math.log2(-1 / math.log2(0.9)))
-    assert float(first[4]) == pytest.approx(golomb_mmr(0.9, optimal_k_mmr(0.9)))
+    assert float(first[4]) == pytest.approx(_mmr(0.9, optimal_k_mmr(0.9)))
+
+
+def test_every_sweep_row_is_the_golomb_value():
+    # each row of figures 2, 3 and 5 is, as printed, the optimal Golomb
+    # parameter at its (theta, penalty) and evaluate_penalty there
+    fmt = "%.12g".__mod__
+    grid = dict(ratio_start=0.5, ratio_stop=0.9, ratio_step=0.1)
+
+    def best(th, penalty):
+        k = optimal_k(th, penalty)
+        return k, evaluate_penalty(Geometric(th), GolombCode(k), penalty)
+
+    spec = SweepSpec(figure=2, bases=(0.75, 1.5), **grid)
+    want = []
+    for a in spec.bases:
+        for th in spec.ratios():
+            k, pen = best(th, Exponential(a))
+            ent = renyi_entropy(Geometric(th), a)
+            want.append([fmt(a), fmt(th), str(k), fmt(pen), fmt(ent),
+                         fmt(pen - ent)])
+    assert _rows(sweep(spec))[1] == want
+    spec = SweepSpec(figure=3, **grid)
+    want = []
+    for th in spec.ratios():
+        k, mean = best(th, Linear())
+        ent = shannon_entropy(Geometric(th))
+        want.append([fmt(th), str(k), fmt(mean), fmt(ent), fmt(mean - ent)])
+    assert _rows(sweep(spec))[1] == want
+    spec = SweepSpec(figure=5, **grid)
+    want = []
+    for th in spec.ratios():
+        x = fmt(math.log2(-1.0 / math.log2(th)))
+        for curve, penalty in [("mmr", MaxRedundancy()),
+                               *(("d=%d" % d, DthRedundancy(d))
+                                 for d in spec.orders)]:
+            k, value = best(th, penalty)
+            want.append([fmt(th), x, curve, str(k), fmt(value)])
+    assert len(want) == 5 * 7
+    assert _rows(sweep(spec))[1] == want
 
 
 def test_sweep_deterministic():

@@ -162,8 +162,8 @@ def test_from_lengths_agrees_with_canonical_codewords(lengths):
         code = ExplicitCode.from_lengths(lengths)
         assert code.head_codewords == _reference_words(lengths)
         assert code.head == tuple(lengths)
-        assert code == ExplicitCode(code.head_codewords)
-        assert hash(code) == hash(ExplicitCode(code.head_codewords))
+        assert code == ExplicitCode(lengths)
+        assert hash(code) == hash(ExplicitCode(lengths))
 
 
 def test_canonical_codewords_in_length_then_index_order():

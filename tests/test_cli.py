@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from epc import (ExplicitCode, Exponential, GammaArrivals, Geometric,
-                 GolombCode, Poisson, SweepSpec, TableTransform, encode,
-                 evaluate_penalty, golomb_exp_penalty, optimal_code,
-                 optimal_k_dth, optimize_overflow, read_container, sweep)
+from epc import (DthRedundancy, ExplicitCode, Exponential, GammaArrivals,
+                 Geometric, GolombCode, Poisson, SweepSpec, TableTransform,
+                 encode, evaluate_penalty, optimal_code, optimal_k,
+                 optimize_overflow, read_container, sweep)
 from epc.cli import run
 
 
@@ -20,7 +20,7 @@ def test_optimize_geometric(capsys):
 def test_optimize_fractional_dth_order(capsys):
     assert run(["optimize", "--geometric", "0.8", "--penalty", "dth:1.5"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == f"Golomb k={optimal_k_dth(0.8, 1.5)}"
+    assert out[0] == f"Golomb k={optimal_k(0.8, DthRedundancy(1.5))}"
     # a non-finite order stays a usage error
     assert run(["optimize", "--geometric", "0.8", "--penalty", "dth:inf"]) == 2
     capsys.readouterr()
@@ -44,7 +44,7 @@ def test_optimize_linear_alias(capsys):
     assert capsys.readouterr().out == first
     assert "penalty 2" in first
     assert float(first.splitlines()[1].split()[1]) == pytest.approx(
-        golomb_exp_penalty(0.5, 1.0, 1))
+        evaluate_penalty(Geometric(0.5), GolombCode(1), Exponential(1.0)))
 
 
 def test_optimize_poisson_unary(capsys):

@@ -78,8 +78,7 @@ def _code_and_symbols(draw):
         else:
             code = UnaryEndedCode.from_lengths(
                 [1, *range(3, depth + 1), depth], 2)
-        code = UnaryEndedCode(code.head_codewords, code.tail_prefix)
-        top = code.tail_start + 60
+        top = code.tail.start_index + 60
     else:
         source = Poisson(draw(st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0])))
         build = draw(st.sampled_from([
@@ -87,7 +86,7 @@ def _code_and_symbols(draw):
             lambda m: build_unary_ended(m, 2.0),
             build_unary_ended_mmr]))
         code = build(source)
-        top = code.tail_start + 60
+        top = code.tail.start_index + 60
     if not draw(st.booleans()):
         symbols = draw(st.lists(st.integers(0, top), max_size=80))
     else:   # past the table threshold: mostly short words, as a source

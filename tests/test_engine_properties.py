@@ -12,7 +12,7 @@ from epc import (DthRedundancy, EpcError, ExplicitFinite, Exponential,
                  Geometric, GolombCode, LengthSeq, Linear, MaxRedundancy,
                  Poisson, build_unary_ended, build_unary_ended_mmr, dth_huffman,
                  exp_huffman, exp_huffman_two_queue, maxred_huffman,
-                 optimal_code, optimal_k_dth, optimal_k_exponential,
+                 optimal_code, optimal_k, optimal_k_exponential,
                  optimal_k_mmr, with_geometric_tail)
 from epc.numeric import LN2
 from oracles import heap_merge, logaddexp
@@ -99,7 +99,7 @@ def _family_builder(model, penalty):
         if isinstance(penalty, MaxRedundancy):
             return GolombCode(optimal_k_mmr(model.ratio))
         if isinstance(penalty, DthRedundancy):
-            return GolombCode(optimal_k_dth(model.ratio, penalty.order))
+            return GolombCode(optimal_k(model.ratio, penalty))
         return GolombCode(optimal_k_exponential(model.ratio, base))
     if isinstance(model, ExplicitFinite):
         if isinstance(penalty, MaxRedundancy):

@@ -6,11 +6,9 @@ import pytest
 from epc import (DecayRate, DivergenceError, DthRedundancy,
                  ExponentialArrivals, Exponential, Geometric, GolombCode,
                  LengthSeq, Linear, MaxRedundancy, Poisson, UnaryEndedCode,
-                 UnaryTail, complete_binary, evaluate_penalty,
-                 golomb_dth_penalty, golomb_exp_penalty, golomb_mmr,
-                 max_decay_rate, optimal_k_dth,
-                 optimal_k_exponential, optimal_k_mmr, power_sum)
-from epc.golomb import optimal_k
+                 UnaryTail, complete_binary, evaluate_penalty, max_decay_rate,
+                 optimal_k, optimal_k_exponential, optimal_k_mmr, power_sum)
+from epc.bits import kraft_total
 from oracles import golomb_len, golomb_power_sum_direct, mmr_sup_scan
 
 
@@ -54,12 +52,16 @@ def test_kraft_complete():
             partial = sum(Fraction(1, 2 ** GolombCode(k).length_at(i))
                           for i in range(periods * k))
             assert partial == 1 - Fraction(1, 2 ** periods)
-    assert GolombCode(3).kraft_sum() == 1.0
+    # exactly 1: the first period's words plus the one bit the rest take
+    code = GolombCode(3)
+    assert kraft_total([code.length_at(i) for i in range(3)], 1) == (8, 8)
 
 
 def test_code_object():
     c = GolombCode(7)
-    assert c.suffix_bits == 3 and c.short_count == 1
+    # g = 3 suffix bits at most, and z = 1 remainder with g - 1 of them
+    assert c.k.bit_length() == 3
+    assert [len(complete_binary(r, 7)) for r in range(7)] == [2] + [3] * 6
     assert str(c) == "Golomb k=7" and repr(GolombCode(3)) == "GolombCode(k=3)"
     assert c.codeword(9) == "10" + "011"     # quotient 1, remainder 2 of 7
     with pytest.raises(ValueError):
@@ -178,8 +180,8 @@ def test_optimal_k_mmr_defining_inequality():
         assert k >= target - 1e-9
 
 
-def test_optimal_k_dth_tracks_mmr():
-    ks = [optimal_k_dth(0.8, d) for d in (1, 2, 4, 16, 256)]
+def test_optimal_k_order_d_tracks_mmr():
+    ks = [optimal_k(0.8, DthRedundancy(d)) for d in (1, 2, 4, 16, 256)]
     assert ks == [3, 3, 3, 3, 4]
     k_lim = optimal_k_mmr(0.8)
     assert k_lim == 4
@@ -187,7 +189,7 @@ def test_optimal_k_dth_tracks_mmr():
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))
     # defining inequality at base 2^d, weight ratio th^(1+d)
     for d in (1, 2, 4, 16):
-        k = optimal_k_dth(0.8, d)
+        k = optimal_k(0.8, DthRedundancy(d))
         q = 0.8 ** (1 + d)
         lhs = d * math.log(2) + k * math.log(q) + math.log1p(q)
         assert lhs <= 1e-9
@@ -203,30 +205,35 @@ def test_exp_penalty_against_direct_sum():
                     continue
                 direct = golomb_power_sum_direct(th, a, k)
                 want = math.log(direct) / math.log(a)
-                got = golomb_exp_penalty(th, a, k)
+                got = evaluate_penalty(Geometric(th), GolombCode(k),
+                                       Exponential(a))
                 assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_exp_penalty_mean_length():
     # base 1 is the expected length: g + th^z / (1 - th^k)
-    assert golomb_exp_penalty(0.9, 1.0, 7) == \
-        pytest.approx(3 + 0.9 / (1 - 0.9 ** 7), rel=1e-12)
+    mean = evaluate_penalty(Geometric(0.9), GolombCode(7), Exponential(1.0))
+    assert mean == pytest.approx(3 + 0.9 / (1 - 0.9 ** 7), rel=1e-12)
     direct = math.fsum((1 - 0.9) * 0.9 ** i * golomb_len(i, 7)
                        for i in range(3000))
-    assert golomb_exp_penalty(0.9, 1.0, 7) == pytest.approx(direct, rel=1e-10)
+    assert mean == pytest.approx(direct, rel=1e-10)
 
 
 def test_exp_penalty_divergence():
     with pytest.raises(DivergenceError):
-        golomb_exp_penalty(0.9, 2.0, 3)    # 2 * 0.9^3 > 1
+        # 2 * 0.9^3 > 1
+        evaluate_penalty(Geometric(0.9), GolombCode(3), Exponential(2.0))
     with pytest.raises(DivergenceError):
-        golomb_exp_penalty(0.5, 8.0, 3)    # boundary 8 * 0.5^3 = 1
+        # boundary 8 * 0.5^3 = 1
+        evaluate_penalty(Geometric(0.5), GolombCode(3), Exponential(8.0))
 
 
 def test_mmr_value_and_unbounded():
     th = 0.9
-    assert golomb_mmr(th, 3) == math.inf     # k below -1/log2(th) = 3.1
-    v = golomb_mmr(th, 7)
+    # k below -1/log2(th) = 3.1
+    assert evaluate_penalty(Geometric(th), GolombCode(3),
+                            MaxRedundancy()) == math.inf
+    v = evaluate_penalty(Geometric(th), GolombCode(7), MaxRedundancy())
     assert v == pytest.approx(4 + math.log2(0.1) + math.log2(0.9), abs=1e-12)
     scan, rising = mmr_sup_scan(th, 7)
     assert not rising
@@ -236,7 +243,8 @@ def test_mmr_value_and_unbounded():
 def test_mmr_scan_agreement_grid():
     for th in (0.2, 0.35, 0.55, 0.7, 0.82, 0.93):
         for k in (1, 2, 3, 5, 8, 13):
-            v = golomb_mmr(th, k)
+            v = evaluate_penalty(Geometric(th), GolombCode(k),
+                                 MaxRedundancy())
             scan, rising = mmr_sup_scan(th, k)
             if v == math.inf:
                 assert rising or scan > 1e2
@@ -247,26 +255,25 @@ def test_mmr_scan_agreement_grid():
 
 def test_mmr_small_ratio_zero_cost_corner():
     # at tiny ratio with large k the worst case sits at symbol zero
-    v = golomb_mmr(0.1, 7)
+    v = evaluate_penalty(Geometric(0.1), GolombCode(7), MaxRedundancy())
     assert v == pytest.approx(3 + math.log2(0.9), rel=1e-12)
 
 
 def test_evaluate_penalty_reads_the_golomb_profile():
-    # every penalty of a Golomb code on a geometric source is the golomb_*
-    # closed form exactly, and the per-symbol oracle sums to 1e-12
+    # every penalty of a Golomb code on a geometric source is its closed
+    # form, which the per-symbol oracle sums to 1e-12
     for th, k in ((0.3, 1), (0.6, 2), (0.6, 3), (0.9, 7), (0.95, 13)):
         g, code = Geometric(th), GolombCode(k)
         for a in (0.5, 0.8, 1.2):
             if a * th ** k >= 1.0:
                 continue
             got = evaluate_penalty(g, code, Exponential(a))
-            assert got == golomb_exp_penalty(th, a, k)
             direct = golomb_power_sum_direct(th, a, k)
             assert got == pytest.approx(math.log(direct) / math.log(a),
                                         rel=1e-12)
             assert power_sum(g, code, a) == pytest.approx(direct, rel=1e-12)
         mean = evaluate_penalty(g, code, Linear())
-        assert mean == golomb_exp_penalty(th, 1.0, k)
+        assert mean == evaluate_penalty(g, code, Exponential(1.0))
         n = math.ceil(50.0 / -math.log(th))     # p(n) below 1e-21
         assert mean == pytest.approx(math.fsum(
             (1.0 - th) * th ** i * golomb_len(i, k) for i in range(n)),
@@ -276,13 +283,11 @@ def test_evaluate_penalty_reads_the_golomb_profile():
             if 2.0 ** d * phi ** k >= 1.0:
                 continue
             got = evaluate_penalty(g, code, DthRedundancy(d))
-            assert got == golomb_dth_penalty(th, d, k)
             # sum p**(1+d) 2**(d n): the power sum of Geometric(phi) at 2**d
             direct = ((1.0 - th) ** (1.0 + d) / (1.0 - phi)
                       * golomb_power_sum_direct(phi, 2.0 ** d, k))
             assert got == pytest.approx(math.log2(direct) / d, rel=1e-12)
         got = evaluate_penalty(g, code, MaxRedundancy())
-        assert got == golomb_mmr(th, k)
         scan, rising = mmr_sup_scan(th, k)
         assert rising if got == math.inf else got == pytest.approx(
             scan, rel=1e-12)
@@ -295,7 +300,9 @@ def test_dth_penalty_small_orders_reach_the_limit():
     for th, k, limit in ((0.9, 7, 0.035163197959373),
                          (0.999999, 693147, 0.027482037943334)):
         for d in (1e-9, 1e-12, 1e-15, 1e-300):
-            assert abs(golomb_dth_penalty(th, d, k) - limit) <= 1e-9
+            value = evaluate_penalty(Geometric(th), GolombCode(k),
+                                     DthRedundancy(d))
+            assert abs(value - limit) <= 1e-9
 
 
 def test_dth_penalty_log_domain():
@@ -305,19 +312,26 @@ def test_dth_penalty_log_domain():
             2.0 ** ((1 + d) * (math.log2(1 - th) + i * math.log2(th))
                     + d * golomb_len(i, k))
             for i in range(3000))
-        assert golomb_dth_penalty(th, d, k) == \
+        assert evaluate_penalty(Geometric(th), GolombCode(k),
+                                DthRedundancy(d)) == \
             pytest.approx(math.log2(direct) / d, rel=1e-10)
     # huge order approaches the minimax value without under/overflow
-    v = golomb_dth_penalty(0.9, 65536, 7)
-    assert abs(v - golomb_mmr(0.9, 7)) < 1e-3
-    assert golomb_dth_penalty(0.5, 1, 1) == pytest.approx(0.0, abs=1e-12)
+    g, code = Geometric(0.9), GolombCode(7)
+    v = evaluate_penalty(g, code, DthRedundancy(65536))
+    assert abs(v - evaluate_penalty(g, code, MaxRedundancy())) < 1e-3
+    assert evaluate_penalty(Geometric(0.5), GolombCode(1),
+                            DthRedundancy(1)) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(DivergenceError):
-        golomb_dth_penalty(0.9, 2, 1)     # 2^d th^{k(1+d)} ... diverges
+        # 2^d th^{k(1+d)} ... diverges
+        evaluate_penalty(g, GolombCode(1), DthRedundancy(2))
     # non-finite orders and bases are refused, not turned into NaN
+    code = GolombCode(3)
     for bad in (math.inf, -math.inf, math.nan):
-        for call in (lambda: optimal_k_dth(0.8, bad),
-                     lambda: golomb_dth_penalty(0.8, bad, 3),
+        for call in (lambda: optimal_k(0.8, DthRedundancy(bad)),
+                     lambda: evaluate_penalty(Geometric(0.8), code,
+                                              DthRedundancy(bad)),
                      lambda: optimal_k_exponential(0.8, bad),
-                     lambda: golomb_exp_penalty(0.8, bad, 3)):
+                     lambda: evaluate_penalty(Geometric(0.8), code,
+                                              Exponential(bad))):
             with pytest.raises(ValueError, match="must be finite"):
                 call()

@@ -24,8 +24,9 @@ SEEDED = settings(derandomize=True, database=None, deadline=None,
 
 
 def test_code_object_basics():
-    c = UnaryEndedCode(("00", "01", "10"), "11")
-    assert c.split == 2 and c.tail_start == 3
+    c = UnaryEndedCode((2, 2, 2), 2)
+    assert c.split == 2 and c.tail.start_index == 3
+    assert (c.head_codewords, c.tail_prefix) == (("00", "01", "10"), "11")
     assert c.codeword(2) == "10"
     assert c.codeword(3) == "110"
     assert c.codeword(6) == "111110"
@@ -42,21 +43,17 @@ def test_code_object_basics():
 
 def test_code_validation():
     with pytest.raises(ValueError):
-        UnaryEndedCode(("00", "01", "10"), "10")      # spine must be all ones
+        UnaryEndedCode.from_lengths((2, 1), 1)        # Kraft sum above one
     with pytest.raises(ValueError):
-        UnaryEndedCode(("1", "01"), "11")             # head enters the spine
-    with pytest.raises(ValueError):
-        UnaryEndedCode(("00", "0"), "1")              # prefix collision
-    with pytest.raises(ValueError):
-        UnaryEndedCode(("000", "01"), "1")            # Kraft short of one
+        UnaryEndedCode.from_lengths((3, 2), 1)        # Kraft short of one
     # complete two-word head ahead of the spine is fine
-    ok = UnaryEndedCode(("00", "01"), "1")
+    ok = UnaryEndedCode((2, 2), 1)
     assert ok.codeword(2) == "10"
     # an empty head can never close the unit: the spine covers only 2^-s
     with pytest.raises(ValueError):
-        UnaryEndedCode((), "1")
+        UnaryEndedCode.from_lengths((), 1)
     # plain unary is spelled with a canonical head
-    c = UnaryEndedCode(("0", "10"), "11")
+    c = UnaryEndedCode((1, 2), 2)
     assert [c.codeword(i) for i in range(4)] == ["0", "10", "110", "1110"]
 
 
@@ -232,7 +229,7 @@ def test_split_mmr_halving_certificate():
 def test_build_poisson_mean_length():
     p = Poisson(1.0)
     c = build_unary_ended(p, 1.0)
-    assert c.tail_start == 3
+    assert c.tail.start_index == 3
     assert [c.length_at(i) for i in range(6)] == [1, 2, 3, 4, 5, 6]
     # spine weight folded in during construction
     assert tail_weight(p, 2, 1.0) == pytest.approx(1 - 2.5 * math.exp(-1))
@@ -279,7 +276,7 @@ def test_build_is_no_worse_than_nearby_splits():
 def test_build_mmr_worked_example():
     m = with_geometric_tail((0.6, 0.15, 0.15, 0.0375, 0.0375), 0.5)
     c = build_unary_ended_mmr(m)
-    assert c.tail_start == 5
+    assert c.tail.start_index == 5
     assert [c.length_at(i) for i in range(7)] == [1, 2, 3, 4, 5, 6, 7]
     assert evaluate_penalty(m, c.lengths(), MaxRedundancy()) == \
         pytest.approx(math.log2(1.2), rel=1e-12)

@@ -9,9 +9,10 @@ import pytest
 from epc import (DivergenceError, DthRedundancy, EpcError, ExplicitFinite,
                  ExplicitTailed, ExponentialArrivals, Exponential, Geometric,
                  GolombCode, LengthSeq, Linear, MaxRedundancy, Poisson,
-                 UnaryTail, evaluate_penalty, expected_length, max_decay_rate,
-                 point_mass, power_sum, renyi_entropy, shannon_entropy,
-                 tail_weight, total_mass, with_geometric_tail)
+                 UnaryTail, encode, evaluate_penalty, expected_length,
+                 max_decay_rate, point_mass, power_sum, renyi_entropy,
+                 shannon_entropy, tail_weight, total_mass, with_geometric_tail)
+from epc.bits import kraft_total
 from epc.light_tail import build_unary_ended
 from epc.numeric import LN2
 from oracles import (geometric_pmf, poisson_entropy_decimal, poisson_pmf,
@@ -309,7 +310,7 @@ def test_length_seq_validation():
     with pytest.raises(ValueError):
         UnaryTail(1, 2.5)
     # a one-symbol alphabet is the one code with a zero length
-    assert LengthSeq((0,)).kraft_sum() == 1.0
+    assert kraft_total(LengthSeq((0,)).head) == (1, 1)
     with pytest.raises(ValueError):
         LengthSeq((0,), UnaryTail(1, 1))
     assert str(LengthSeq((3, 3, 2, 1))) == "lengths 3,3,2,1"
@@ -323,7 +324,8 @@ def test_length_seq_validation():
     with pytest.raises(ValueError, match="^lengths with no tail do not cover"):
         evaluate_penalty(ExplicitFinite((0.5, 0.25, 0.25)), LengthSeq((1, 1)),
                          Linear())
-    assert seq.kraft_sum() == pytest.approx(1.0)
+    num, den = kraft_total(seq.head, seq.tail.start_length - 1)
+    assert num == den
     # tail fields are kept as the ints they check as
     assert str(LengthSeq((1,), UnaryTail(True, 2))) == "lengths 1,2 +unary@1"
     # a shown length is that symbol's, past the head too
@@ -348,6 +350,17 @@ def test_length_seq_validation():
     LengthSeq((), UnaryTail(0, 1))
     LengthSeq((0,))
     assert time.perf_counter() - start < 0.01
+    # a plain code's words take no container cap: (1, 3) is a prefix code
+    # with more bits than symbols, which only a container refuses
+    assert LengthSeq((1, 3)).head_codewords == ("0", "100")
+    assert LengthSeq((1, 3)).codeword(0) == "0"
+    with pytest.raises(ValueError, match="^no container holds this code: "
+                       "bad code descriptor: codeword length 3 exceeds the "
+                       "alphabet size 2$"):
+        encode([0, 1], LengthSeq((1, 3)))
+    # a head word too long to build is refused by name, as a run word is
+    with pytest.raises(ValueError, match="^symbol 1 has a codeword too long"):
+        LengthSeq((1, 2 ** 40)).codeword(0)
 
 
 def test_power_sum_against_direct():

@@ -283,7 +283,7 @@ def test_optimize_degenerate_boundary():
 def test_optimize_poisson():
     res = optimize_overflow(Poisson(1.0), ExponentialArrivals(0.4))
     assert res.decay_rate > 0.0
-    assert res.code.tail_start == 3
+    assert res.code.tail.start_index == 3
     rates = [r for r, _ in res.trace]
     assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
     # beats unary and the base-2 construction is not worse than neighbors
@@ -329,8 +329,8 @@ def test_length_key_compares_length_functions():
                   LengthSeq((3, 3, 4, 3, 4, 3, 3, 4), UnaryTail(8, 4))):
         assert _length_key(other) != _length_key(tailed)
     # codes with no tail: equal exactly when the lengths are
-    assert _length_key(LengthSeq((1, 2, 2))) == _length_key(ExplicitCode(
-        ("0", "10", "11")))
+    assert _length_key(LengthSeq((1, 2, 2))) == _length_key(
+        ExplicitCode((1, 2, 2)))
     assert _length_key(LengthSeq((1, 2, 2))) != _length_key(LengthSeq((1, 2)))
     assert _length_key(LengthSeq((1, 2, 3, 3))) != _length_key(
         LengthSeq((1, 2), UnaryTail(2, 3)))
