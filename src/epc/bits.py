@@ -1,6 +1,6 @@
-"""Bit-level plumbing: LEB128 varints, the length cap, the one exact Kraft
-test, canonical codeword assignment from length lists and the complete
-binary code a Golomb-k run's suffixes are."""
+"""Bit-level plumbing: LEB128 varints, the one exact Kraft test, canonical
+codeword assignment from length lists and the complete binary code a
+Golomb-k run's suffixes are."""
 from __future__ import annotations
 
 import operator
@@ -11,8 +11,8 @@ from .errors import ContainerError
 
 __all__ = [
     "uleb128_encode", "uleb128_encode_all", "uleb128_decode",
-    "uleb128_decode_all", "integer_lengths", "check_length_cap",
-    "kraft_sign", "length_counts", "kraft_total", "complete_binary",
+    "uleb128_decode_all", "integer_lengths", "kraft_sign", "kraft_total",
+    "complete_binary",
 ]
 
 
@@ -82,18 +82,6 @@ def integer_lengths(lengths) -> tuple[int, ...]:
                          f"{bad!r}") from None
 
 
-def check_length_cap(longest: int, alphabet_size: int) -> None:
-    """Refuse a longest codeword length above the alphabet size.
-
-    A Kraft-complete code on n >= 2 symbols has no word longer than n - 1
-    bits, so the cap refuses no complete code. It bounds the words-per-length
-    list and the decoder's L-bit window by the descriptor's size.
-    """
-    if longest > alphabet_size:
-        raise ValueError(f"codeword length {longest} exceeds the alphabet "
-                         f"size {alphabet_size}")
-
-
 def kraft_total(lengths, extra_length: int = 0) -> tuple[int, int]:
     """Exact Kraft sum as a pair (numerator, 2**scale): sum of 2**-l plus an
     optional extra 2**-extra_length, in integer arithmetic."""
@@ -129,37 +117,6 @@ def kraft_sign(ordered) -> int:
             return 1 if free < 0 else -1
         at, start = length, end
     return -1 if free else 0
-
-
-def length_counts(lengths, spine_length=None) -> list[int]:
-    """Words per length, indexed by length, of a prefix code with these
-    integer lengths. ValueError unless they are nonempty, within the cap of
-    their count, positive and Kraft sum <= 1, checked in that order. A
-    unary-ended head is first checked with its spine: positive, within the
-    cap counting it, and Kraft-complete with it."""
-    ordered = sorted(lengths)
-    if spine_length is not None:
-        if spine_length < 1:
-            raise ValueError("spine length must be positive")
-        check_length_cap(max(ordered[-1:] + [spine_length]), len(ordered) + 1)
-        if kraft_sign(sorted([*ordered, spine_length])):
-            raise ValueError("head lengths plus spine must be Kraft-complete")
-    if not ordered:
-        raise ValueError("need at least one codeword")
-    longest = ordered[-1]
-    check_length_cap(longest, len(ordered))
-    if ordered[0] < 1:
-        raise ValueError("lengths must be positive")
-    # a head complete with its spine is within the inequality
-    if spine_length is None and kraft_sign(ordered) > 0:
-        raise ValueError("lengths violate the Kraft inequality")
-    counts = [0] * (longest + 1)
-    start = 0
-    for length in range(ordered[0], longest + 1):
-        end = bisect_right(ordered, length, start)
-        counts[length] = end - start
-        start = end
-    return counts
 
 
 def _codewords_of(lengths) -> tuple[str, ...]:

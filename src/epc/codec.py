@@ -9,8 +9,9 @@ of its code space, then an optional Golomb-k run. The descriptor's tag is
 read off that shape: a head alone (0x02, its lengths; read back as an
 `ExplicitCode`), a unary run behind a head and its spine (0x03, the head
 and spine lengths; a `UnaryEndedCode`) or a k-run with no head or spine
-(0x01, k; a `GolombCode`); no other shape has one. encode parses its own
-descriptor into the decode plan below and writes the words of the plan's
+(0x01, k; a `GolombCode`); no other shape has one. A descriptor is parsed
+under the container's own rules, which a code need not keep; encode parses
+its own into the decode plan below and writes the words of the plan's
 code, so it refuses, as a ValueError, every code decode would refuse.
 
 Both directions work on the payload as one string of "0"/"1" characters:
@@ -19,9 +20,9 @@ and converts the whole string once; decode formats the payload once and
 walks it by index, building no codeword strings. One canonical decoder
 (Moffat & Turpin, "On the implementation of minimum-redundancy prefix
 codes", IEEE Trans. Commun. 1997) reads every code's head through
-first-code/limit rows and its run's words arithmetically, from its
-`counts` (words per length), spine and k, never its class. A descriptor's
-lengths are read in one pass.
+first-code/limit rows and its run's words arithmetically, from its head's
+words per length, spine and k, never its class. A descriptor's lengths are
+read in one pass.
 
 Everything decoding derives from the code alone is built once per
 descriptor into a decode plan and kept, for the last 16 descriptors read, in
@@ -48,10 +49,11 @@ import operator
 import struct
 import threading
 from bisect import bisect_right
+from collections import Counter
 from functools import cache, lru_cache, partial
 
-from .bits import (uleb128_decode, uleb128_decode_all, uleb128_encode,
-                   uleb128_encode_all)
+from .bits import (kraft_sign, uleb128_decode, uleb128_decode_all,
+                   uleb128_encode, uleb128_encode_all)
 from .errors import ContainerError
 from .golomb import GolombCode
 from .light_tail import UnaryEndedCode
@@ -71,13 +73,13 @@ _TAG_UNARY_ENDED = 0x03
 class ExplicitCode(LengthSeq):
     """Finite prefix code in canonical order, so its lengths identify it.
 
-    A LengthSeq with no tail, checked as the container is; the codeword
-    strings, which encoding needs and decoding does not, are built on first
-    use.
+    A LengthSeq with no tail, which a container holds within its symbol
+    count; the codeword strings, which encoding needs and decoding does not,
+    are built on first use.
     """
 
     def __init__(self, lengths) -> None:
-        self._hold(lengths, False)
+        super().__init__(lengths)
 
     @classmethod
     def from_lengths(cls, lengths) -> "ExplicitCode":
@@ -156,6 +158,27 @@ def _descriptor_end(data, offset: int) -> int:
     return uleb128_decode_all(data, offset, n)[1]
 
 
+def _check_lengths(head: list[int], spine=None) -> None:
+    """ValueError unless a container holds these descriptor lengths: at
+    least one head word, none above the word count, the spine counted (a
+    cap every complete code on two or more words meets, which bounds the
+    decoder's rows and window by the descriptor's size), then a spine
+    Kraft-completing the head or, with none, every length positive."""
+    words = head if spine is None else [*head, spine]
+    if spine is not None and spine < 1:
+        raise ValueError("spine length must be positive")
+    if not head:
+        raise ValueError("need at least one codeword")
+    longest = max(words)
+    if longest > len(words):
+        raise ValueError(f"codeword length {longest} exceeds the alphabet "
+                         f"size {len(words)}")
+    if spine is not None and kraft_sign(sorted(words)):
+        raise ValueError("head lengths plus spine must be Kraft-complete")
+    if spine is None and min(head) < 1:
+        raise ValueError("lengths must be positive")
+
+
 def _parse_descriptor(descriptor: bytes) -> LengthSeq:
     """The code of a whole descriptor whose end _descriptor_end found."""
     tag = descriptor[0]
@@ -165,9 +188,11 @@ def _parse_descriptor(descriptor: bytes) -> LengthSeq:
             return GolombCode(n)
         if tag == _TAG_EXPLICIT:
             lengths, _ = uleb128_decode_all(descriptor, offset, n)
-            return ExplicitCode.from_lengths(lengths)
-        lengths, _ = uleb128_decode_all(descriptor, offset, n + 2)
-        return UnaryEndedCode.from_lengths(lengths[:-1], lengths[-1])
+            _check_lengths(lengths)
+            return ExplicitCode(lengths)
+        *head, spine = uleb128_decode_all(descriptor, offset, n + 2)[0]
+        _check_lengths(head, spine)
+        return UnaryEndedCode(head, spine)
     except ValueError as exc:
         raise ContainerError(f"bad code descriptor: {exc}") from exc
 
@@ -260,14 +285,13 @@ def _canonical_rows(code: LengthSeq):
     Golomb-k run's words, k the tail's: a code with no tail has no run,
     k = 0. A Golomb code is a run behind no rows and an empty spine.
     """
-    lengths, counts, tail = code.head, code.counts, code.tail
+    lengths, tail = code.head, code.tail
+    counts = sorted(Counter(lengths).items())     # (length, words) per length
     spine = tail.start_length - 1 if tail else 0
-    width = max(len(counts) - 1, spine)
+    width = max(lengths + (spine,))
     ends, rows = [], []
     first = base = 0        # first is left-justified to width bits
-    for length, n in enumerate(counts):
-        if not n:
-            continue
+    for length, n in counts:
         shift = width - length
         rows.append((length, (first >> shift) - base))
         first += n << shift

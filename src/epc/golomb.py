@@ -33,10 +33,7 @@ class GolombCode(LengthSeq):
     def __init__(self, k: int) -> None:
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"k must be a positive integer, got {k!r}")
-        object.__setattr__(self, "head", ())
-        object.__setattr__(self, "tail", UnaryTail(0, 1, k))
-        # no head words, held like _hold's for the decoder
-        object.__setattr__(self, "counts", ())
+        super().__init__((), UnaryTail(0, 1, k))
 
     k = property(lambda self: self.tail.k)
 

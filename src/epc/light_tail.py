@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 
+from .bits import integer_lengths
 from .errors import NotLightTailedError
 from .golomb import GolombCode, optimal_k
 from .huffman import _tilted
 from .models import (_TINY, Exponential, Geometric, LengthSeq, MaxRedundancy,
-                     Penalty, SourceModel, _exp, _ln_series, tail_weight)
+                     Penalty, SourceModel, UnaryTail, _exp, _ln_series,
+                     tail_weight)
 from .numeric import LN2, ceil_snapped, check_positive
 
 __all__ = [
@@ -33,12 +35,13 @@ class UnaryEndedCode(LengthSeq):
 
     Symbols 0..split use the canonical head_codewords of head_lengths;
     symbol i > split encodes as the all-1s tail_prefix of spine_length bits,
-    then i - split - 1 ones, then a zero: the run at k = 1. A LengthSeq,
-    checked as the container is; the strings are built on first use.
+    then i - split - 1 ones, then a zero: the run at k = 1. A LengthSeq; a
+    container holds it only Kraft-complete. Strings are built on first use.
     """
 
     def __init__(self, head_lengths, spine_length: int) -> None:
-        self._hold([*head_lengths, spine_length], True)
+        *head, spine = integer_lengths([*head_lengths, spine_length])
+        super().__init__(head, UnaryTail(len(head), spine + 1))
 
     @classmethod
     def from_lengths(cls, head_lengths, spine_length: int) -> "UnaryEndedCode":
@@ -52,6 +55,10 @@ class UnaryEndedCode(LengthSeq):
 
     def lengths(self) -> LengthSeq:
         return LengthSeq(self.head, self.tail)
+
+    def __repr__(self) -> str:
+        return (f"UnaryEndedCode(head_lengths={self.head!r}, "
+                f"spine_length={self.spine_length})")
 
     describe = LengthSeq.__str__
 

@@ -17,8 +17,7 @@ from itertools import repeat
 from operator import mul
 from typing import Optional, Union
 
-from .bits import (_codewords_of, complete_binary, integer_lengths,
-                   kraft_sign, length_counts)
+from .bits import _codewords_of, complete_binary, integer_lengths, kraft_sign
 from .errors import DivergenceError, EpcError
 from .numeric import LN2, check_positive, check_weights
 
@@ -280,12 +279,13 @@ class UnaryTail:
         object.__setattr__(self, "k", k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LengthSeq:
     """Codeword lengths, head[i] for symbol i and then the tail's run: the
     one value every code is. Positive integers (a lone 0 codes a one-symbol
     alphabet) whose Kraft sum, the run counted as one word of start_length
-    - 1 bits, is at most one, tested exactly."""
+    - 1 bits, is at most one, tested exactly. Codes of any class compare
+    and hash by head and tail."""
 
     head: tuple[int, ...]
     tail: Optional[UnaryTail] = None
@@ -307,17 +307,13 @@ class LengthSeq:
         if kraft_sign(words) > 0:
             raise ValueError("lengths violate the Kraft inequality")
 
-    def _hold(self, lengths, unary: bool) -> None:
-        """Hold lengths a container can carry and their words per length as
-        the tuple `counts`, from one bits.length_counts check. With `unary`
-        the last length is an all-1s spine, and the tail starts one bit past
-        it."""
-        lengths = integer_lengths(lengths)
-        head, spine = (lengths[:-1], lengths[-1]) if unary else (lengths, None)
-        object.__setattr__(self, "counts", tuple(length_counts(head, spine)))
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "tail", None if spine is None
-                           else UnaryTail(len(head), spine + 1))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LengthSeq):
+            return NotImplemented
+        return self.head == other.head and self.tail == other.tail
+
+    def __hash__(self) -> int:
+        return hash((self.head, self.tail))
 
     @cached_property
     def head_codewords(self) -> tuple[str, ...]:
@@ -547,10 +543,9 @@ def _ln_series(model: SourceModel, j: int, alpha: float, beta: float) -> float:
 def _mass_moment(model: SourceModel, j: int, logs: bool):
     """(sum p(i), sum p(i) * f(i)) over i >= j, f(i) = ln p(i) with logs,
     else i - j: the plain mass series of _ln_series, p(i) = e**top * w(i),
-    and a first moment of it."""
+    and a first moment of it. j is 0 or an infinite source's tail start, so
+    _terms lists at least one term."""
     top, lo, ys, ws, ln_q = _terms(model, j, 1.0, 0.0)
-    if not ws:
-        return 0.0, 0.0
     if not logs:
         fs, step = range(lo - j, lo - j + len(ws)), 1.0
     else:

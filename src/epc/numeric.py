@@ -36,10 +36,10 @@ def check_weights(values, noun: str = "weights",
     return values
 
 
-def snap(x: float, tol: float = SNAP_TOL) -> float:
-    """Return the nearest integer when x is within tol of one, else x."""
+def snap(x: float) -> float:
+    """Return the nearest integer when x is within SNAP_TOL of one, else x."""
     n = round(x)
-    if abs(x - n) <= tol:
+    if abs(x - n) <= SNAP_TOL:
         return float(n)
     return x
 

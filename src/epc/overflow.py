@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _S_TOL = 1e-10
+_ROUNDING = 2.0 ** -48     # 16 float epsilons, a table's rounding slack
 _PROBE = _S_TOL * (1.0 - 2.0 ** -10)   # the closing probe's offset
 # max_decay_rate's bisection evaluates ln f at a midpoint this close to the
 # located root's bracket, where rounding may give ln f a sign convexity would
@@ -49,11 +50,8 @@ _NEAR = _S_TOL / 8.0
 
 class _Arrivals:
     """An intermission law answers ln_transform(s) = ln E[e^(-sT)] and
-    mean_gap() = E[T]; transform(s) is the exp of the first. _convex tells
-    whether ln_transform is convex in s: always for a law, for a table only
-    where its log-slopes never fall."""
-
-    _convex = True
+    mean_gap() = E[T]; transform(s) is the exp of the first. ln_transform
+    is convex in s, as that of every law is (Hoelder's inequality)."""
 
     def transform(self, s: float) -> float:
         return math.exp(self.ln_transform(s))
@@ -116,8 +114,8 @@ class TableTransform(_Arrivals):
     """User-measured transform samples (s, value), log-linearly interpolated.
 
     The first sample must be (0, 1). Beyond the last sample the final
-    segment's log-slope extrapolates. The log of the table is convex where
-    those log-slopes never fall.
+    segment's log-slope extrapolates. A transform is log-convex, so the
+    log-slopes from sample to sample must never fall by more than rounding.
     """
 
     samples: tuple[tuple[float, float], ...]
@@ -144,11 +142,17 @@ class TableTransform(_Arrivals):
         logs = [math.log(v) for v in vs]
         slopes = [(logs[k + 1] - logs[k]) / (ss[k + 1] - ss[k])
                   for k in range(len(ss) - 1)]
+        for k in range(1, len(slopes)):
+            # the log at ss[k] lies `rise` above its neighbours' chord; on a
+            # sampled e**(-g s) rounding gives up to 0.7 eps of the scale below
+            left, right = ss[k] - ss[k - 1], ss[k + 1] - ss[k]
+            rise = (slopes[k - 1] - slopes[k]) * left * right / (left + right)
+            if rise > _ROUNDING * (1.0 - logs[k + 1] - slopes[k] * ss[k + 1]):
+                raise ValueError("transform samples must be log-convex: the "
+                                 f"log-slope falls at s = {ss[k]!r}")
         object.__setattr__(self, "_points", ss)
         object.__setattr__(self, "_logs", logs)
         object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_convex",
-                           all(a <= b for a, b in zip(slopes, slopes[1:])))
 
     def ln_transform(self, s: float) -> float:
         if s < 0.0:
@@ -215,21 +219,20 @@ def max_decay_rate(model: SourceModel, code: LengthSeq,
 
     Otherwise a walk brackets the root while ln f <= 0: from half the power
     sum's pole it halves the distance left, and ends a float step below the
-    pole, never evaluating f there (under convex arrivals, at once if ln f
-    <= 0 at that end); with no pole it doubles from 1/2 up to 2**40. Else
-    the answer is the lo of a plain bisection that tests ln f <= 0 from the
-    walk's bracket, down to width _S_TOL or until no float lies strictly
-    between its ends. Only its midpoints near the root need ln f: the
-    bound's convex secant, started from that bracket and the tangent at
-    zero (slope: mean length less mean gap), first locates the root to
-    _S_TOL, and the bisection then evaluates ln f, at most once per point,
-    within _NEAR of that located bracket and decides every other midpoint
-    by its side. A TableTransform whose log-slopes fall somewhere is not
-    convex; there every midpoint is evaluated. The mean length and every
-    power sum read one profile of the code, built once per call. A source
-    with no pole whose series stops at its term cap leaves f undecided at
-    that point, which decides no other midpoint; if the bracket's upper
-    end is such a point, the DivergenceError of that cap is raised.
+    pole, never evaluating f there (at once if ln f <= 0 at that end); with
+    no pole it doubles from 1/2 up to 2**40. Else the answer is the lo of a
+    plain bisection that tests ln f <= 0 from the walk's bracket, down to
+    width _S_TOL or until no float lies strictly between its ends. Only its
+    midpoints near the root need ln f: the bound's convex secant, started
+    from that bracket and the tangent at zero (slope: mean length less mean
+    gap), first locates the root to _S_TOL, and the bisection then
+    evaluates ln f, at most once per point, within _NEAR of that located
+    bracket and decides every other midpoint by its side. The mean length
+    and every power sum read one profile of the code, built once per call.
+    A source with no pole whose series stops at its term cap leaves f
+    undecided at that point, which decides no other midpoint; if the
+    bracket's upper end is such a point, the DivergenceError of that cap is
+    raised.
     """
     profile = code._profile(model)
     if isinstance(arrivals, Deterministic) and model.size and all(
@@ -256,8 +259,9 @@ def max_decay_rate(model: SourceModel, code: LengthSeq,
         return value
 
     lo, hi = 0.0, s_div / 2.0 if s_div < math.inf else 0.5
-    if arrivals._convex and s_div < math.inf:
-        # a convex ln f <= 0 at the walk's last point is so all along it
+    if s_div < math.inf:
+        # a convex ln f <= 0 at the walk's last point is so all along it;
+        # else the walk below stops there at the latest
         last = hi
         while last < (last + s_div) / 2.0 < s_div:
             last = (last + s_div) / 2.0
@@ -265,18 +269,14 @@ def max_decay_rate(model: SourceModel, code: LengthSeq,
             return DecayRate(last, False)
     while ln_f(hi) <= 0.0:
         lo, hi = hi, min(2.0 * hi, (hi + s_div) / 2.0)
-        if not lo < hi < s_div:     # no float lies between lo and the pole
-            return DecayRate(lo, False)
         if hi > 2.0 ** 40 and s_div == math.inf:
             raise DivergenceError("f never exceeds one; no finite optimum")
     # ln f is at or below zero left of `left` and above it right of `right`;
     # a point the term cap left undecided shows nothing
-    left, right = lo, hi
-    if arrivals._convex:
-        left, right = _last_nonpositive(ln_f, mean_length - mean_gap,
-                                        lo, hi, ln_f(hi))
-        if right in capped:
-            right = math.inf
+    left, right = _last_nonpositive(ln_f, mean_length - mean_gap, lo, hi,
+                                    ln_f(hi))
+    if right in capped:
+        right = math.inf
     while hi - lo > _S_TOL:
         mid = (lo + hi) / 2.0
         if not lo < mid < hi:       # no float lies between them
@@ -307,8 +307,8 @@ def _last_nonpositive(f: Callable[[float], float], slope0: float,
     of hi closes the bracket from below. A step that lands left of r, or
     would leave the bracket, is followed by a bisection, and so is every
     step once as many have been taken as plain bisection needs: an f that
-    is not convex, such as that of a user TableTransform, still ends. Only
-    the sign test f(s) <= 0 decides.
+    rounding leaves not quite convex still ends. Only the sign test
+    f(s) <= 0 decides.
     """
     budget = math.ceil(math.log2((hi - lo) / _S_TOL))
     right = None        # the right point before hi, (s, f(s))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epc import (ContainerError, ExplicitCode, LengthSeq, UnaryEndedCode,
-                 UnaryTail)
+                 UnaryTail, decode, encode)
 from epc.bits import (uleb128_decode, uleb128_decode_all, uleb128_encode,
                       uleb128_encode_all)
 from oracles import kraft_fraction
@@ -110,6 +110,24 @@ def _refusal(fn, lengths):
     return None
 
 
+def _container_refusal(lengths):
+    """Why decode refuses an explicit descriptor of these nonnegative
+    lengths, or None; encode refuses a code built from them for the same
+    reason."""
+    blob = (b"EPC1\x01\x02" + uleb128_encode(len(lengths))
+            + uleb128_encode_all(lengths) + bytes(8))
+    try:
+        decode(blob)
+        refusal = None
+    except ContainerError as exc:
+        refusal = str(exc).removeprefix("bad code descriptor: ")
+    if _refusal(ExplicitCode.from_lengths, lengths) is None:
+        encoded = _refusal(lambda ls: encode([], ExplicitCode(ls)), lengths)
+        assert encoded == (refusal and "no container holds this code: "
+                           f"bad code descriptor: {refusal}")
+    return refusal
+
+
 @pytest.mark.parametrize("lengths, message", [
     ((), "need at least one codeword"),
     ((1, 3), "codeword length 3 exceeds the alphabet size 2"),
@@ -123,7 +141,12 @@ def _refusal(fn, lengths):
 ])
 def test_from_lengths_refuses_what_canonical_codewords_refuses(lengths,
                                                                 message):
-    assert _refusal(ExplicitCode.from_lengths, lengths) == message
+    # a word count and the cap are the container's rules: encode and decode
+    # refuse those lengths, which still make a code
+    if min(lengths, default=0) < 0:     # no descriptor holds one
+        assert _refusal(ExplicitCode.from_lengths, lengths) == message
+    else:
+        assert _container_refusal(lengths) == message
 
 
 @st.composite
@@ -152,15 +175,21 @@ def _reference_words(lengths):
 @SEEDED
 @given(st.one_of(st.lists(st.integers(-1, 9), max_size=9), _tree_lengths()))
 def test_from_lengths_agrees_with_canonical_codewords(lengths):
-    # a code is built exactly where the lengths make a prefix code, and its
-    # words are the textbook canonical ones
+    # a code is built exactly where the lengths make a prefix code, a
+    # container holds it exactly where they are also within their count,
+    # and its words are the textbook canonical ones
     refusal = _refusal(ExplicitCode.from_lengths, lengths)
-    fits = (lengths and min(lengths) > 0 and max(lengths) <= len(lengths)
-            and kraft_fraction(lengths) <= 1)
-    assert (refusal is None) == bool(fits)
+    positive = min(lengths, default=1) > 0
+    builds = ((positive or list(lengths) == [0])
+              and kraft_fraction(lengths) <= 1)
+    assert (refusal is None) == builds
+    fits = builds and positive and 0 < max(lengths, default=0) <= len(lengths)
+    if min(lengths, default=0) >= 0:
+        assert (_container_refusal(lengths) is None) == fits
     if refusal is None:
         code = ExplicitCode.from_lengths(lengths)
-        assert code.head_codewords == _reference_words(lengths)
+        if positive:    # a lone 0 is the empty word
+            assert code.head_codewords == _reference_words(lengths)
         assert code.head == tuple(lengths)
         assert code == ExplicitCode(lengths)
         assert hash(code) == hash(ExplicitCode(lengths))

@@ -96,6 +96,23 @@ def test_explicit_code_is_its_lengths():
     assert repr(code) == "ExplicitCode(lengths=(3, 1, 3, 2))"
 
 
+def test_a_code_repr_is_its_constructor_call():
+    assert repr(UnaryEndedCode((1, 2), 2)) == \
+        "UnaryEndedCode(head_lengths=(1, 2), spine_length=2)"
+    for code in (ExplicitCode((3, 1, 3, 2)), UnaryEndedCode((1, 2), 2),
+                 GolombCode(3)):
+        again = eval(repr(code))
+        assert type(again) is type(code) and again == code
+
+
+def test_codes_compare_by_value_whatever_their_class():
+    plain = LengthSeq((), UnaryTail(0, 1))
+    assert GolombCode(1) == plain and hash(GolombCode(1)) == hash(plain)
+    assert ExplicitCode((1, 1)) == LengthSeq((1, 1)) != LengthSeq((1, 2))
+    assert UnaryEndedCode((1,), 1) == LengthSeq((1,), UnaryTail(1, 2))
+    assert LengthSeq((1, 1)) != (1, 1) and GolombCode(1) != UnaryTail(0, 1)
+
+
 @pytest.mark.parametrize("count, code", [
     (19, ExplicitCode.from_lengths([1, 3, 3, 3, 4, 4])),
     (3000, ExplicitCode.from_lengths([1, 3, 3, 3, 4, 4])),
@@ -207,14 +224,28 @@ def test_unary_descriptor_roundtrip():
     assert got == code and symbols == [0, 1, 2, 5]
 
 
+def _refused_by_container(code, message):
+    """encode and decode refuse the code's container for the same reason:
+    encode parses its own descriptor."""
+    with pytest.raises(ValueError) as refused:
+        encode([0], code)
+    assert str(refused.value) == f"no container holds this code: {message}"
+    codec._plan.cache_clear()
+    blob = (b"EPC1\x01" + codec._descriptor(code) + struct.pack("<Q", 1)
+            + b"\x00")
+    with pytest.raises(ContainerError) as bad:
+        decode(blob)
+    assert str(bad.value) == message
+
+
 def test_explicit_lengths_capped_at_alphabet_size():
     assert ExplicitCode.from_lengths((1, 2)).head_codewords == ("0", "10")
-    with pytest.raises(ValueError, match="alphabet size"):
-        ExplicitCode.from_lengths((1, 3))      # Kraft-valid, over the cap
-    with pytest.raises(ValueError, match="alphabet size"):
-        ExplicitCode((1, 3))
-    with pytest.raises(ValueError, match="alphabet size"):
-        UnaryEndedCode.from_lengths((1,), 5)
+    # Kraft-valid codes over the cap, which only a container refuses
+    for code, longest in ((ExplicitCode.from_lengths((1, 3)), 3),
+                          (ExplicitCode((1, 3)), 3),
+                          (UnaryEndedCode.from_lengths((1,), 5), 5)):
+        _refused_by_container(code, f"bad code descriptor: codeword length "
+                              f"{longest} exceeds the alphabet size 2")
 
 
 # varints: 2**23 is 80 80 80 04, 2**40 is 80 80 80 80 80 20
@@ -592,7 +623,8 @@ def test_plan_cache_is_bounded():
     (b"\x01\x00", "bad code descriptor: k must be a positive integer"),
     (b"\x02\x03\x01\x01\x01", "bad code descriptor: lengths violate"),
     (b"\x03\x00\x01\x02", "bad code descriptor: head lengths plus spine"),
-], ids=["golomb-k0", "explicit-kraft", "unary-incomplete"])
+    (b"\x03\x00\x01\x00", "bad code descriptor: spine length must be "),
+], ids=["golomb-k0", "explicit-kraft", "unary-incomplete", "unary-spine-0"])
 def test_refused_descriptor_is_not_cached(descriptor, message):
     codec._plan.cache_clear()
     blob = b"EPC1\x01" + descriptor + struct.pack("<Q", 1) + b"\x00"
@@ -638,9 +670,9 @@ def test_decoded_codes_are_equal_and_frozen():
     first, _ = read_container(blob)
     second, _ = read_container(bytearray(blob))
     assert first == second == ZIPF_CODE
-    assert isinstance(first.counts, tuple)
+    assert isinstance(first.head, tuple)
     with pytest.raises(TypeError):
-        first.counts[2] = 0
+        first.head[2] = 0
     # the plan's canonical order is symbol order for a nondecreasing head
     order = codec._plan(codec._descriptor(first)).steps[6]
     assert order == list(range(len(first.head)))
@@ -715,7 +747,8 @@ def test_a_plain_code_encodes_as_its_container_class(plain, container,
     assert blob == encode(symbols, container)
     got, decoded = read_container(blob)
     assert type(got) is type(container) and decoded == symbols
-    assert (got.head, got.tail) == (plain.head, plain.tail)
+    assert got == plain == container
+    assert hash(got) == hash(plain) == hash(container)
 
 
 @pytest.mark.parametrize("code, message", [
@@ -723,19 +756,11 @@ def test_a_plain_code_encodes_as_its_container_class(plain, container,
      "bad code descriptor: head lengths plus spine must be Kraft-complete"),
     (LengthSeq((0,)), "bad code descriptor: lengths must be positive"),
     (GolombCode(2 ** 70), "header varint too long"),
-], ids=["incomplete-spine", "zero-length", "golomb-2**70"])
+    (ExplicitCode(()), "bad code descriptor: need at least one codeword"),
+], ids=["incomplete-spine", "zero-length", "golomb-2**70", "no-words"])
 def test_encode_refuses_what_decode_refuses(code, message):
-    # encode parses its own descriptor, so a container it would write
-    # decode refuses with the same reason
-    with pytest.raises(ValueError) as refused:
-        encode([0], code)
-    assert str(refused.value) == f"no container holds this code: {message}"
-    codec._plan.cache_clear()
-    blob = (b"EPC1\x01" + codec._descriptor(code) + struct.pack("<Q", 1)
-            + b"\x00")
-    with pytest.raises(ContainerError) as bad:
-        decode(blob)
-    assert str(bad.value) == message
+    # a container encode would write, decode refuses with the same reason
+    _refused_by_container(code, message)
 
 
 @pytest.mark.parametrize("code, message", [

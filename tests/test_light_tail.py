@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from epc import (DthRedundancy, ExplicitFinite, ExplicitTailed, Exponential,
                  Geometric, LengthSeq, Linear, MaxRedundancy,
                  NotLightTailedError, Poisson, UnaryEndedCode, UnaryTail,
-                 build_unary_ended, build_unary_ended_mmr, evaluate_penalty,
-                 find_split_exponential, find_split_mmr, optimal_code,
-                 point_mass, renyi_entropy, tail_weight, with_geometric_tail)
+                 build_unary_ended, build_unary_ended_mmr, encode,
+                 evaluate_penalty, find_split_exponential, find_split_mmr,
+                 optimal_code, point_mass, renyi_entropy, tail_weight,
+                 with_geometric_tail)
 from epc.bits import kraft_total
 from epc.huffman import merge
 from epc.light_tail import _REL_TOL, _assemble
@@ -44,14 +45,18 @@ def test_code_object_basics():
 def test_code_validation():
     with pytest.raises(ValueError):
         UnaryEndedCode.from_lengths((2, 1), 1)        # Kraft sum above one
-    with pytest.raises(ValueError):
-        UnaryEndedCode.from_lengths((3, 2), 1)        # Kraft short of one
+    # Kraft short of one: a code, but no container holds it
+    with pytest.raises(ValueError, match="^no container holds this code: bad "
+                       "code descriptor: head lengths plus spine must be "
+                       "Kraft-complete$"):
+        encode([0], UnaryEndedCode.from_lengths((3, 2), 1))
     # complete two-word head ahead of the spine is fine
     ok = UnaryEndedCode((2, 2), 1)
     assert ok.codeword(2) == "10"
     # an empty head can never close the unit: the spine covers only 2^-s
-    with pytest.raises(ValueError):
-        UnaryEndedCode.from_lengths((), 1)
+    with pytest.raises(ValueError, match="^no container holds a unary run "
+                       "behind a spine with no head$"):
+        encode([0], UnaryEndedCode.from_lengths((), 1))
     # plain unary is spelled with a canonical head
     c = UnaryEndedCode((1, 2), 2)
     assert [c.codeword(i) for i in range(4)] == ["0", "10", "110", "1110"]

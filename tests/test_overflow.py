@@ -69,7 +69,7 @@ def test_table_transform_interpolation():
 
 def test_table_transform_matches_segment_formula_bit_for_bit():
     # the per-call formula: find the segment by a scan, take both logs
-    pts = ((0.0, 1.0), (0.3, 0.8), (0.7, 0.61), (1.0, 0.6), (2.5, 0.2))
+    pts = ((0.0, 1.0), (0.3, 0.8), (0.7, 0.61), (1.0, 0.5), (2.5, 0.2))
     t = TableTransform(pts)
 
     def direct(s):
@@ -429,6 +429,18 @@ def test_bound_refusal_names_the_condition_it_tests():
     assert arrivals.evaluations == 0
 
 
+def test_bound_that_never_closes_is_refused():
+    # two equal masses under a table of log-slope -ln 4: the bound's
+    # transform times alpha-norm is e**(-(ln 4 - 1) s), below one at every s
+    m, table = ExplicitFinite((0.5, 0.5)), TableTransform(((0, 1), (1, 0.25)))
+    for solve in (decay_rate_bound, optimize_overflow):
+        with pytest.raises(EpcError) as refused:
+            solve(m, table)
+        assert type(refused.value) is EpcError
+        assert str(refused.value) == \
+            "initial bound did not close; arrivals too slow"
+
+
 def test_zero_variance_finite_solve_takes_the_bound_answer():
     # every length equals the gap: f is one at every s, and max_decay_rate
     # answers as decay_rate_bound does, unbounded (the mean length meeting
@@ -746,16 +758,6 @@ def _plain_search(model, code, arrivals):
         _S_TOL)
 
 
-def _kinked_table(gap):
-    """A transform whose log-slope alternates between -gap and -1.5 gap
-    every 0.05 in s: its log is not convex."""
-    logs = [0.0]
-    for j in range(40):
-        logs.append(logs[-1] - (1.5 if j % 2 else 1.0) * gap * 0.05)
-    return TableTransform(tuple((0.05 * j, math.exp(y))
-                                for j, y in enumerate(logs)))
-
-
 def _off_optimum(code):
     """The code with its head reversed, or else lengths 2, 2, 2, 3, 4, ..."""
     if len(set(code.head)) > 1:
@@ -774,7 +776,7 @@ def _off_optimum(code):
 def test_max_decay_rate_is_the_plain_bisection_bit_for_bit(model):
     # the located root only spares evaluations: the rate, its boundary flag
     # and every refusal are those of the bisection that evaluates each
-    # midpoint, on every arrival law, a table that is not convex included
+    # midpoint, on every arrival law and on tables of two of them
     rng = random.Random(28)
     entropy = shannon_entropy(model)
     codes = [optimal_code(model, Exponential(base))
@@ -784,11 +786,9 @@ def test_max_decay_rate_is_the_plain_bisection_bit_for_bit(model):
     for load in (rng.uniform(0.3, 0.6), rng.uniform(0.6, 0.9),
                  rng.uniform(0.9, 0.99)):
         gap = entropy / load
-        kinked = _kinked_table(gap)
-        table = _gamma_table(2.0, gap)
-        assert table._convex and not kinked._convex
         for arrivals in (Deterministic(gap), ExponentialArrivals(1.0 / gap),
-                         GammaArrivals(4.0, 4.0 / gap), table, kinked):
+                         GammaArrivals(4.0, 4.0 / gap),
+                         _gamma_table(2.0, gap), _gamma_table(8.0, gap)):
             for code in codes:
                 want = _search_outcome(_plain_search, model, code, arrivals)
                 assert _search_outcome(max_decay_rate, model, code,
@@ -798,19 +798,30 @@ def test_max_decay_rate_is_the_plain_bisection_bit_for_bit(model):
     assert checked >= 40    # most solves end in a bisection
 
 
-def test_a_table_that_is_not_convex_takes_every_bisection_step():
-    # lengths 4 on 16 equal masses make ln f = 4 s + ln T, which these
-    # log-slopes keep at or below zero on [0, 0.1125] and [0.3375, 0.4833]:
-    # the plain bisection ends on the first, the secant on the second
-    logs = itertools.accumulate((-0.45, 0.0, -0.6, -0.8, -0.1), initial=0.0)
-    table = TableTransform(tuple((0.1 * j, math.exp(y))
-                                 for j, y in enumerate(logs)))
-    assert not table._convex
-    model, code = ExplicitFinite((1 / 16,) * 16), LengthSeq((4,) * 16)
-    rate = max_decay_rate(model, code, table)
-    assert _search_outcome(_plain_search, model, code, table) == (
-        rate.value.hex(), False)
-    assert abs(rate.value - 0.1125) <= _S_TOL
+def test_a_table_whose_log_slope_falls_is_refused():
+    # every transform is log-convex. Under log-slopes -3, -0.5, -50 and
+    # lengths 2 on 4 equal masses, f <= 1 on [0, 5/3] and again from 2.011
+    # on, so no s is the largest with f(s) <= 1
+    for step, slopes, falls in ((1.0, (-3.0, -0.5, -50.0), "2.0"),
+                                (0.1, (-0.45, 0.0, -0.6, -0.8), "0.2")):
+        logs = itertools.accumulate(slopes, initial=0.0)
+        samples = tuple((step * j, math.exp(step * y))
+                        for j, y in enumerate(logs))
+        with pytest.raises(ValueError) as refused:
+            TableTransform(samples)
+        assert str(refused.value) == ("transform samples must be log-convex: "
+                                      f"the log-slope falls at s = {falls}")
+    # a log-slope that stays level is convex, also where rounding the logs
+    # and points of a sampled e**(-g s) makes it fall by an ulp or so
+    assert TableTransform(((0, 1), (1, 0.5), (2, 0.25))).mean_gap() == \
+        math.log(2.0)
+    for g, step in ((0.7, 0.1), (1.0, 0.05), (2.5, 0.37), (12.9, 1e-3),
+                    (3.0, 1e-6)):
+        table = TableTransform(tuple((step * j, math.exp(-g * step * j))
+                                     for j in range(40)))
+        slopes = table._slopes
+        assert any(b < a for a, b in zip(slopes, slopes[1:])), (g, step)
+        assert table.mean_gap() == pytest.approx(g, rel=1e-9)
 
 
 def _counting(arrivals):
