@@ -18,7 +18,7 @@ from .golomb import GolombCode, optimal_k, optimal_k_mmr
 from .models import (DthRedundancy, Exponential, Geometric, LengthSeq,
                      Linear, MaxRedundancy, Penalty, SourceModel,
                      evaluate_penalty, renyi_entropy, shannon_entropy)
-from .numeric import frac_snapped
+from .numeric import frac_snapped, isfinite, shown
 
 __all__ = [
     "avg_redundancy", "mmr_optimal_redundancy",
@@ -30,8 +30,8 @@ _LOG2_LOG2_E = math.log2(math.log2(math.e))
 
 
 def _finite(name: str, x: float) -> float:
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
+    if not isfinite(x):
+        raise ValueError(f"{name} must be finite, got {shown(x)}")
     return x
 
 
@@ -90,7 +90,7 @@ def _grid_size(name: str, start: float, stop: float, step: float) -> int:
     """How many points start, start + step, ... reach stop, the endpoint
     included up to snap tolerance; a grid that is not finite, that runs
     backwards or that lists more than _MAX_POINTS is refused by name."""
-    if not all(map(math.isfinite, (start, stop, step))):
+    if not all(map(isfinite, (start, stop, step))):
         raise ValueError(f"the {name} grid must be finite")
     if step <= 0.0:
         raise ValueError(f"the {name} step must be positive, got {step!r}")

@@ -67,7 +67,12 @@ def _model_from(args):
     if args.poisson is not None:
         return Poisson(args.poisson)
     w = _read_weights(args.weights)
-    total = math.fsum(w)
+    try:
+        total = math.fsum(w)
+    except OverflowError:   # a sum past the float range: scale by the largest
+        top = max(w)
+        w = [x / top for x in w]
+        total = math.fsum(w)
     if total <= 0.0:
         raise ValueError("weights must have positive total")
     return ExplicitFinite(tuple(x / total for x in w))

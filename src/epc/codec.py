@@ -26,10 +26,12 @@ read in one pass.
 
 Everything decoding derives from the code alone is built once per
 descriptor into a decode plan and kept, for the last 16 descriptors read, in
-a cache keyed by the descriptor's bytes: the parsed code, its rows, spine
-and run with their single-step lookup, and the multi-symbol table (Choueka,
-Klein & Perl 1985). A stream of containers under one code thus parses,
-checks and tabulates that code once; each container only walks its payload.
+a cache keyed by the descriptor's bytes. A plan holds each fact by name: the
+parsed `code`, its canonical `rows` with their `ends` and symbol `order`,
+the `spine` and the run's `k`, the rows' single-step lookups, the table
+width `narrowest` and the multi-symbol `table` (Choueka, Klein & Perl 1985).
+A stream of containers under one code thus parses, checks and tabulates
+that code once; each container only walks its payload.
 The table maps the next t payload bits to every whole codeword in them and
 the bits they use, so one lookup emits several symbols. Its width is the
 code's: the narrowest t of 8, 10, 12 and 14 bits whose words fill 7/8 of
@@ -50,7 +52,7 @@ import struct
 import threading
 from bisect import bisect_right
 from collections import Counter
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 
 from .bits import (kraft_sign, uleb128_decode, uleb128_decode_all,
                    uleb128_encode, uleb128_encode_all)
@@ -273,46 +275,13 @@ def _table_run(bits: str, pos: int, out: list, stop: int, t: int,
 _WINDOW = 64
 
 
-def _canonical_rows(code: LengthSeq):
-    """Canonical decoding rows, spine and run of a container code.
-
-    -> (L, ends, rows, order, spine, k), L the longest row length, spine
-    included. Row i holds the words of one length l, rows shortest first,
-    and ends[i] is where it ends in code space, left-justified to L bits.
-    With rows[i] = (l, offset), a word of row i whose l bits read as v is
-    symbol order[v - offset]. The spine, spine 1s at the top of code space,
-    ends at one more end, 2**L; behind it symbols len(order) on take the
-    Golomb-k run's words, k the tail's: a code with no tail has no run,
-    k = 0. A Golomb code is a run behind no rows and an empty spine.
-    """
-    lengths, tail = code.head, code.tail
-    counts = sorted(Counter(lengths).items())     # (length, words) per length
-    spine = tail.start_length - 1 if tail else 0
-    width = max(lengths + (spine,))
-    ends, rows = [], []
-    first = base = 0        # first is left-justified to width bits
-    for length, n in counts:
-        shift = width - length
-        rows.append((length, (first >> shift) - base))
-        first += n << shift
-        ends.append(first)
-        base += n
-    if spine:
-        ends.append(1 << width)
-    # a list, several times faster to index than a range; a sorted head is
-    # in canonical order already
-    order = list(range(len(lengths)))
-    if any(map(operator.gt, lengths, lengths[1:])):
-        order.sort(key=lengths.__getitem__)
-    return width, ends, rows, order, spine, tail.k if tail else 0
-
-
-def _canonical_words(width, ends, rows, order, spine, k, t: int):
-    """(value, length, symbol) of every word of at most t bits: the rows no
-    longer than t, then the run's words behind the spine. Those are prefix
-    free, so at most 2**t of them are listed."""
+def _canonical_words(plan: _Plan, t: int):
+    """(value, length, symbol) of every word of at most t bits: the plan's
+    rows no longer than t, then the run's words behind the spine. Those are
+    prefix free, so at most 2**t of them are listed."""
+    width, order, spine, k = plan.width, plan.order, plan.spine, plan.k
     start = 0
-    for (length, offset), end in zip(rows, ends):
+    for (length, offset), end in zip(plan.rows, plan.ends):
         if length > t:
             break
         shift = width - length
@@ -334,22 +303,6 @@ def _canonical_words(width, ends, rows, order, spine, k, t: int):
                 yield prefix << g | r + z, length + 1, first + r
 
 
-def _narrowest(width, ends, rows, order, spine, k) -> int:
-    """The narrowest t of 8, 10, 12 and 14 whose words, those
-    _canonical_words lists, fill 7/8 of code space; 0 for none. The rows no
-    longer than t fill it up to the last one's end, and the Golomb-k run
-    behind the spine fills max(0, 2**(t - spine) - k) parts in 2**t."""
-    lengths = [length for length, _ in rows]
-    for t in (8, 10, 12, 14):
-        i = bisect_right(lengths, t)
-        filled = ends[i - 1] << t >> width if i else 0
-        if k and spine <= t:
-            filled += max(0, (1 << t - spine) - k)
-        if 8 * filled >= 7 << t:
-            return t
-    return 0
-
-
 def _decode_canonical(bits: str, count: int, plan: _Plan):
     """-> (symbols, bits consumed); may overrun len(bits) on a truncated
     payload, which the caller reports.
@@ -362,8 +315,10 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
     arithmetically: its ones up to the next zero are the quotient, then g - 1
     suffix bits, and one more when they read z = 2**g - k or more.
     """
-    width, window, limits, ends, short, rows, order, spine, k = plan.steps
-    past_rows = len(rows)
+    width, window, short, ends = plan.width, plan.window, plan.short, plan.ends
+    limits, steps, order = plan.limits, plan.steps, plan.order
+    spine, k = plan.spine, plan.k
+    past_rows = len(steps)
     run_start = len(order)
     g = k.bit_length()
     z = (1 << g) - k
@@ -387,7 +342,7 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
                     w = int(bits[pos:pos + width], 2)
                     i = bisect_right(ends, w, short)
                 if i < past_rows:
-                    length, shift, offset = rows[i]
+                    length, shift, offset = steps[i]
                     append(order[(w >> shift) - offset])
                     pos += length
                     continue
@@ -420,28 +375,61 @@ _PLANS = 16
 
 
 class _Plan:
-    """What decoding derives from one code alone, shared by every container
-    that carries its descriptor: the code, `steps` (the rows, their
-    single-step limits and order, the spine, the run's k), `narrowest`,
-    the code's table width (0 for none), `words`, which lists the words a
-    table holds, and `table`, the (t, table) of the widest multi-symbol
-    table built, (0, None) while none is."""
+    """What decoding derives from one code alone, each fact computed once
+    and shared by every container that carries its descriptor.
+
+    `width` is L, the longest row length, spine included. Row i of `rows`
+    holds the words of one length l as (l, offset), rows shortest first,
+    and `ends[i]` is where it ends in code space, left-justified to L bits;
+    a word of row i whose l bits read as v is symbol order[v - offset]. The
+    spine, `spine` 1s at the top of code space, ends at one more end, 2**L;
+    behind it symbols len(order) on take the Golomb-k run's words, `k` the
+    tail's: a code with no tail has no run, k = 0. A Golomb code is a run
+    behind no rows and an empty spine. `window`, `short`, `limits` and
+    `steps` are the rows' single-step lookups; `narrowest` is the code's
+    table width, 0 for none; `table` is the (t, table) of the widest
+    multi-symbol table built, (0, None) while none is, built under `lock`.
+    """
 
     def __init__(self, code: LengthSeq) -> None:
         self.code = code
+        lengths, tail = code.head, code.tail
+        self.spine = spine = tail.start_length - 1 if tail else 0
+        self.k = k = tail.k if tail else 0
+        self.width = width = max(lengths + (spine,))
+        self.rows, self.ends = rows, ends = [], []
+        first = base = 0        # first is left-justified to width bits
+        for length, n in sorted(Counter(lengths).items()):
+            shift = width - length
+            rows.append((length, (first >> shift) - base))
+            first += n << shift
+            ends.append(first)
+            base += n
+        if spine:
+            ends.append(1 << width)
+        # a list, several times faster to index than a range; a sorted head is
+        # in canonical order already
+        self.order = list(range(len(lengths)))
+        if any(map(operator.gt, lengths, lengths[1:])):
+            self.order.sort(key=lengths.__getitem__)
+        # rows no longer than t fill code space to the last one's end, and
+        # the run behind the spine fills max(0, 2**(t - spine) - k) in 2**t
+        self.narrowest = 0
+        for t in (8, 10, 12, 14):
+            i = sum(length <= t for length, _ in rows)
+            filled = ends[i - 1] << t >> width if i else 0
+            if k and spine <= t:
+                filled += max(0, (1 << t - spine) - k)
+            if 8 * filled >= 7 << t:
+                self.narrowest = t
+                break
+        self.window = window = min(width, _WINDOW)
+        self.short = short = sum(length <= window for length, _ in rows)
+        self.limits = [end >> width - window for end in ends[:short]]
+        self.steps = [(length, (window if i < short else width) - length,
+                       offset) for i, (length, offset) in enumerate(rows)]
         self.table = (0, None)
         self.lock = threading.Lock()
-        width, ends, rows, order, spine, k = canonical = _canonical_rows(code)
-        self.narrowest = _narrowest(*canonical)
-        self.words = partial(_canonical_words, *canonical)
-        window = min(width, _WINDOW)
-        drop = width - window
-        short = sum(length <= window for length, _ in rows)
-        limits = [end >> drop for end in ends[:short]]
-        steps = [(length, (window if i < short else width) - length, offset)
-                 for i, (length, offset) in enumerate(rows)]
-        self.steps = (width, window, limits, ends, short, steps, order,
-                      spine, k)
 
 
 @lru_cache(maxsize=_PLANS)
@@ -459,7 +447,7 @@ def _plan_table(plan: _Plan, count: int):
     if t > plan.table[0] and count >> t:
         with plan.lock:
             if t > plan.table[0]:
-                plan.table = (t, _decode_table(plan.words(t), t))
+                plan.table = t, _decode_table(_canonical_words(plan, t), t)
     return plan.table
 
 

@@ -149,7 +149,8 @@ class ExplicitFinite(_Source):
         object.__setattr__(self, "probs",
                            tuple(check_weights(self.probs, "probabilities",
                                                "probability")))
-        if abs(math.fsum(self.probs) - 1.0) > 1e-9:
+        # a probability above 2 already breaks the sum, which fsum may overflow
+        if max(self.probs) > 2.0 or abs(math.fsum(self.probs) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1 within 1e-9")
         object.__setattr__(self, "size", len(self.probs))
 

@@ -7,16 +7,25 @@ an integer snap with a fixed absolute tolerance first.
 from __future__ import annotations
 
 import math
+from reprlib import repr as shown   # repr, long integers cut short
 
 SNAP_TOL = 1e-12
 
 LN2 = math.log(2.0)
 
 
+def isfinite(x) -> bool:
+    """math.isfinite, False (not OverflowError) past the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def check_positive(name: str, value: float) -> None:
-    """Refuse NaN and +-inf, then values <= 0 (a test NaN would pass)."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    """Refuse what isfinite refuses, then values <= 0 (a NaN would pass)."""
+    if not isfinite(value):
+        raise ValueError(f"{name} must be finite, got {shown(value)}")
     if value <= 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
 
@@ -26,7 +35,10 @@ def check_weights(values, noun: str = "weights",
     """values as floats, refused unless there is at least one and all are
     finite and strictly positive; noun names them in the messages, one a
     single value."""
-    values = list(map(float, values))
+    try:
+        values = list(map(float, values))
+    except OverflowError:   # an integer past the float range
+        raise ValueError(f"{noun} must be finite") from None
     if not values:
         raise ValueError(f"need at least one {one}")
     if not all(map(math.isfinite, values)):

@@ -28,7 +28,7 @@ from .errors import DivergenceError, EpcError, StabilityError
 from .light_tail import optimal_code
 from .models import (Exponential, LengthSeq, SourceModel, _exp, _ln_series,
                      shannon_entropy, total_mass)
-from .numeric import LN2, check_positive
+from .numeric import LN2, check_positive, isfinite, shown
 
 __all__ = [
     "Deterministic", "ExponentialArrivals", "GammaArrivals", "TableTransform",
@@ -64,8 +64,8 @@ class Deterministic(_Arrivals):
     gap: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.gap):     # a NaN would pass the test below
-            raise ValueError(f"gap must be finite, got {self.gap!r}")
+        if not isfinite(self.gap):     # a NaN would pass the test below
+            raise ValueError(f"gap must be finite, got {shown(self.gap)}")
         if self.gap < 1.0:
             raise StabilityError(
                 "deterministic intermission must be at least one bit time")
@@ -121,11 +121,13 @@ class TableTransform(_Arrivals):
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        samples = tuple((float(s), float(v)) for s, v in self.samples)
-        object.__setattr__(self, "samples", samples)
-        bad = [pair for pair in samples if not all(map(math.isfinite, pair))]
+        pairs = tuple(self.samples)     # tested before float() can overflow
+        bad = [pair for pair in pairs if not all(map(isfinite, pair))]
         if bad:     # a NaN would pass every comparison below
-            raise ValueError(f"transform samples must be finite, got {bad[0]}")
+            raise ValueError("transform samples must be finite, got "
+                             + shown(bad[0]))
+        samples = tuple((float(s), float(v)) for s, v in pairs)
+        object.__setattr__(self, "samples", samples)
         if len(samples) < 2:
             raise ValueError("need at least two samples")
         if samples[0] != (0.0, 1.0):
@@ -180,14 +182,17 @@ class OverflowResult:
     decay_rate: float
     at_boundary: bool
     trace: tuple          # (decay rate, code) per iterate
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
     def overflow_estimate(self, buffer_bits: float) -> float:
         """e**(-decay_rate * buffer_bits), the exponential decay of the
         chance that the backlog exceeds a buffer of that many bits."""
-        if not 0.0 <= buffer_bits < math.inf:
+        if not (isfinite(buffer_bits) and buffer_bits >= 0.0):
             raise ValueError("buffer size must be finite and nonnegative, "
-                             f"got {buffer_bits!r}")
+                             f"got {shown(buffer_bits)}")
         return math.exp(-self.decay_rate * buffer_bits)
 
 
@@ -196,8 +201,8 @@ class OverflowResult:
 def overflow_functional(model: SourceModel, code: LengthSeq,
                         arrivals: ArrivalModel, s: float) -> float:
     """f(s) above, from ln f; exactly the source mass at s = 0."""
-    if not 0.0 <= s < math.inf:     # NaN too
-        raise ValueError(f"s must be finite and nonnegative, got {s!r}")
+    if not (isfinite(s) and s >= 0.0):     # NaN too
+        raise ValueError(f"s must be finite and nonnegative, got {shown(s)}")
     profile = code._profile(model)      # refuses a code the source cannot take
     if s == 0.0:
         return total_mass(model)
@@ -417,8 +422,7 @@ def optimize_overflow(model: SourceModel,
         code = optimal_code(model, Exponential(base))
         key = _length_key(code)
         if key == prev_key:
-            return OverflowResult(prev_code, s_prev, boundary, tuple(trace),
-                                  len(trace))
+            return OverflowResult(prev_code, s_prev, boundary, tuple(trace))
         rate = max_decay_rate(model, code, arrivals)
         trace.append((rate.value, code))
         s_prev, boundary, prev_code, prev_key = (

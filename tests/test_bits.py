@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from epc import (ContainerError, ExplicitCode, LengthSeq, UnaryEndedCode,
                  UnaryTail, decode, encode)
-from epc.bits import (uleb128_decode, uleb128_decode_all, uleb128_encode,
+from epc.bits import (integer_lengths, kraft_sign, kraft_total,
+                      uleb128_decode, uleb128_decode_all, uleb128_encode,
                       uleb128_encode_all)
 from oracles import kraft_fraction
 
@@ -100,6 +101,12 @@ def test_lengths_must_be_integers():
     # anything operator.index accepts is an integer length
     assert ExplicitCode.from_lengths([True, 1]) == \
         ExplicitCode.from_lengths([1, 1])
+    # an iterator is read into a tuple first, since the error path reads
+    # the lengths again to name the bad one
+    assert integer_lengths(iter([2, 1, 2])) == (2, 1, 2)
+    with pytest.raises(ValueError, match=r"^lengths are integers, got float "
+                                         r"2\.5$"):
+        integer_lengths(length for length in (1, 2.5, 3))
 
 
 def _refusal(fn, lengths):
@@ -235,3 +242,7 @@ def test_length_seq_kraft_test_is_exact(case):
         assert kraft_fraction(words) > 1
     else:
         assert kraft_fraction(words) <= 1
+    # the edges: no words sum to 0, and a negative length alone overfills
+    # code space
+    assert kraft_total(()) == (0, 1)
+    assert kraft_sign([-1, 2]) == 1

@@ -3,10 +3,11 @@ import math
 
 import pytest
 
-from epc import (DthRedundancy, ExplicitCode, Exponential, GammaArrivals,
-                 Geometric, GolombCode, Poisson, SweepSpec, TableTransform,
-                 encode, evaluate_penalty, optimal_code, optimal_k,
-                 optimize_overflow, read_container, sweep)
+from epc import (DthRedundancy, ExplicitCode, ExplicitFinite, Exponential,
+                 ExponentialArrivals, GammaArrivals, Geometric, GolombCode,
+                 Poisson, SweepSpec, TableTransform, encode, evaluate_penalty,
+                 optimal_code, optimal_k, optimize_overflow, read_container,
+                 sweep)
 from epc.cli import run
 
 
@@ -373,6 +374,33 @@ def test_non_finite_intermission_is_refused(capsys):
                         (["--geometric", "0.5"], ["--deterministic", "nan"]),
                         (["--poisson", "3"], ["--gamma", "nan", "1"])):
         _one_error(capsys, ["overflow", *source, *law], "must be finite")
+
+
+def test_integer_past_the_float_range_is_refused_by_name(capsys):
+    # 10**400 has no float; math.isfinite raises OverflowError on it
+    _one_error(capsys, ["sweep", "--figure", "5", "--orders",
+                        "1" + "0" * 400], "order must be finite")
+
+
+def test_weights_whose_sum_overflows_are_scaled(tmp_path, capsys):
+    # 1e308 + 1e308 overflows a float, so the weights are first divided by
+    # the largest; they then normalize to (0.5, 0.5)
+    weights = tmp_path / "huge.txt"
+    weights.write_text("1e308 1e308\n")
+    assert _stdout(capsys, ["optimize", "--weights", str(weights)]) == (
+        "lengths 1,1\npenalty 1\n")
+    src, box = tmp_path / "in.txt", tmp_path / "out.epc"
+    src.write_text("0 1 1 0\n")
+    assert run(["encode", "--weights", str(weights), "--input", str(src),
+                "--output", str(box)]) == 0
+    assert read_container(box.read_bytes()) == (
+        ExplicitCode.from_lengths((1, 1)), [0, 1, 1, 0])
+    capsys.readouterr()
+    want = optimize_overflow(ExplicitFinite((0.5, 0.5)),
+                             ExponentialArrivals(0.5))
+    assert _stdout(capsys, ["overflow", "--weights", str(weights),
+                            "--exponential", "0.5"]).splitlines() == (
+        _solve_lines(want))
 
 
 def test_sweep_grid_options_match_the_library(capsys):

@@ -305,7 +305,7 @@ def test_deep_code_roundtrip(code):
 
 def _table(code, t):
     return codec._decode_table(
-        codec._canonical_words(*codec._canonical_rows(code), t), t)
+        codec._canonical_words(codec._Plan(code), t), t)
 
 
 def _no_table_run(*args):
@@ -323,7 +323,7 @@ def _single_symbol(blob):
 def _filled(code, t):
     """The reference fill: code space, in parts of 2**t, that the words of
     at most t bits fill, summed word by word over their listing."""
-    words = codec._canonical_words(*codec._canonical_rows(code), t)
+    words = codec._canonical_words(codec._Plan(code), t)
     return sum(1 << t - length for _, length, _ in words)
 
 
@@ -674,10 +674,10 @@ def test_decoded_codes_are_equal_and_frozen():
     with pytest.raises(TypeError):
         first.head[2] = 0
     # the plan's canonical order is symbol order for a nondecreasing head
-    order = codec._plan(codec._descriptor(first)).steps[6]
+    order = codec._plan(codec._descriptor(first)).order
     assert order == list(range(len(first.head)))
     unsorted = UnaryEndedCode.from_lengths((2, 1), 2)
-    assert codec._plan(codec._descriptor(unsorted)).steps[6] == [1, 0]
+    assert codec._plan(codec._descriptor(unsorted)).order == [1, 0]
 
 
 def test_threads_share_plans():

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import epc
 from epc import (DivergenceError, DthRedundancy, EpcError, ExplicitFinite,
                  ExplicitTailed, ExponentialArrivals, Exponential, Geometric,
                  GolombCode, LengthSeq, Linear, MaxRedundancy, Poisson,
@@ -59,6 +60,57 @@ def test_point_mass():
 
 
 _HALVES = ExplicitFinite((0.5, 0.5))
+_FAR = 10 ** 400    # no float holds it: math.isfinite raises OverflowError
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Exponential(_FAR), "base must be finite"),
+    (lambda: DthRedundancy(_FAR), "order must be finite"),
+    (lambda: Poisson(_FAR), "mean must be finite"),
+    (lambda: tail_weight(Geometric(0.5), 0, _FAR), "base must be finite"),
+    (lambda: power_sum(Geometric(0.5), UNARY, _FAR), "base must be finite"),
+    (lambda: renyi_entropy(Geometric(0.5), _FAR), "base must be finite"),
+    (lambda: epc.avg_redundancy(Geometric(0.5), UNARY, _FAR),
+     "base must be finite"),
+    (lambda: epc.find_split_exponential(Poisson(2.0), _FAR),
+     "base must be finite"),
+    (lambda: epc.optimal_k_exponential(0.5, _FAR), "base must be finite"),
+    (lambda: ExplicitFinite((_FAR,)), "probabilities must be finite"),
+    (lambda: ExplicitFinite((1e308, 1e308)),
+     "probabilities must sum to 1 within 1e-9"),
+    (lambda: with_geometric_tail((_FAR,), 0.5),
+     "probabilities must be finite"),
+    (lambda: epc.exp_huffman((_FAR, 1), 2.0), "weights must be finite"),
+    (lambda: epc.maxred_huffman((_FAR, 1)), "weights must be finite"),
+    (lambda: epc.dth_huffman((0.5, 0.5), _FAR), "order must be finite"),
+    (lambda: epc.TableTransform(((0, 1), (_FAR, 0.5))),
+     "transform samples must be finite"),
+    (lambda: epc.SweepSpec(2, ratio_stop=_FAR), "the ratio grid must be fin"),
+    (lambda: epc.SweepSpec(4, base_step=_FAR), "the base grid must be finite"),
+    (lambda: epc.sweep(epc.SweepSpec(2, 0.5, 0.5, bases=(_FAR,))),
+     "base must be finite"),
+    (lambda: epc.sweep(epc.SweepSpec(5, 0.5, 0.5, orders=(_FAR,))),
+     "order must be finite"),
+    (lambda: epc.mmr_asymptotic(_FAR), "x must be finite"),
+    (lambda: epc.overflow_functional(Geometric(0.5), UNARY,
+                                     ExponentialArrivals(1.0), _FAR),
+     "s must be finite and nonnegative"),
+    (lambda: epc.OverflowResult(UNARY, 0.5, False, ()).overflow_estimate(
+        _FAR), "buffer size must be finite and nonnegative"),
+], ids=["Exponential", "DthRedundancy", "Poisson", "tail_weight", "power_sum",
+        "renyi_entropy", "avg_redundancy", "find_split_exponential",
+        "optimal_k_exponential", "ExplicitFinite", "ExplicitFinite-sum",
+        "with_geometric_tail", "exp_huffman", "maxred_huffman", "dth_huffman",
+        "TableTransform", "SweepSpec-ratio", "SweepSpec-base", "sweep-bases",
+        "sweep-orders", "mmr_asymptotic", "overflow_functional",
+        "overflow_estimate"])
+def test_inputs_past_the_float_range_are_refused_by_name(call, message):
+    # an integer or a sum past the float range is refused as a ValueError
+    # that names the parameter, not a bare OverflowError, and its message
+    # does not echo all 401 digits
+    with pytest.raises(ValueError, match="^" + message) as refused:
+        call()
+    assert "0" * 100 not in str(refused.value)
 
 
 @pytest.mark.parametrize("far", [2 ** 1024, 10 ** 400], ids=["2**1024",

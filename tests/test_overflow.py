@@ -44,8 +44,9 @@ def test_arrival_validation():
         TableTransform(((0, 1), (1, 0.5), (2, 0.6)))
     with pytest.raises(ValueError, match="^s must be nonnegative$"):
         TableTransform(((0, 1), (1, 0.5))).ln_transform(-1.0)
-    # a NaN fails every `<` test, so each law refuses it by name
-    for bad in (math.nan, math.inf):
+    # a NaN fails every `<` test, and math.isfinite raises OverflowError on
+    # an integer past the float range, so each law refuses both by name
+    for bad in (math.nan, math.inf, 10 ** 400):
         for build, name in ((Deterministic, "gap"),
                             (ExponentialArrivals, "rate"),
                             (lambda x: GammaArrivals(x, 1.0), "shape"),
