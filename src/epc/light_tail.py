@@ -10,6 +10,7 @@ is those lengths, a LengthSeq; its codeword strings are built when asked.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .bits import integer_lengths
 from .errors import NotLightTailedError
@@ -220,16 +221,43 @@ def build_unary_ended_mmr(model: SourceModel) -> UnaryEndedCode:
 def optimal_code(model: SourceModel, penalty: Penalty) -> LengthSeq:
     """The optimal code for a source under a penalty object: a GolombCode
     for Geometric, the merged lengths as a LengthSeq for ExplicitFinite, and
-    a UnaryEndedCode for other sources (not at a positive order d).
+    a UnaryEndedCode for other sources (not at a positive order d)."""
+    return _family(model)(model, penalty)
 
-    An ExplicitFinite source checked its masses when it was made, so they
-    merge as they are, in the order the source keeps."""
-    tilt = penalty._tilt
+
+def _family(model: SourceModel) -> Callable[[SourceModel, Penalty], LengthSeq]:
+    """The builder optimal_code hands a source and a penalty to: the one
+    (source -> code family) choice."""
     if isinstance(model, Geometric):
-        return GolombCode(optimal_k(model.ratio, penalty))
-    if model.size is not None:
-        tree = _tilted(model.probs, tilt, order=model._order)
-        return LengthSeq(tree.lengths)
+        return _golomb
+    return _merged if model.size is not None else _unary_ended
+
+
+def _golomb(model: SourceModel, penalty: Penalty) -> GolombCode:
+    return GolombCode(optimal_k(model.ratio, penalty))
+
+
+def _merged(model: SourceModel, penalty: Penalty) -> LengthSeq:
+    """An ExplicitFinite source checked its masses when it was made, so they
+    merge as they are, in the order the source keeps."""
+    tree = _tilted(model.probs, penalty._tilt, order=model._order)
+    return LengthSeq(tree.lengths)
+
+
+def _unary_ended(model: SourceModel, penalty: Penalty) -> UnaryEndedCode:
+    tilt = penalty._tilt
     if tilt is not None and tilt[0] > 0.0:
         raise ValueError("dth-power redundancy codes need a geometric source")
     return _build(model, penalty)
+
+
+def _base_check(model: SourceModel) -> Callable[[float], object] | None:
+    """The check optimal_code(model, Exponential(base)) makes of its base
+    before it merges anything, as a function of the base; None where the
+    source's family refuses no base (a Golomb or a finite code). The check
+    is the split search, which refuses a base only by tests of quantities
+    that grow with it, the split against _SPLIT_CAP and base*(rho + rho^2)
+    against one, so its refusal at one base stands at every larger one."""
+    if _family(model) is not _unary_ended:
+        return None
+    return lambda base: find_split_exponential(model, base)

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from .errors import DivergenceError, EpcError, StabilityError
-from .light_tail import optimal_code
-from .models import (Exponential, LengthSeq, SourceModel, _exp, _ln_series,
-                     shannon_entropy, total_mass)
+from .light_tail import _base_check, optimal_code
+from .models import (_LN_MAX, Exponential, LengthSeq, SourceModel, _exp,
+                     _ln_series, shannon_entropy, total_mass)
 from .numeric import LN2, check_positive, isfinite, shown
 
 __all__ = [
@@ -344,7 +344,9 @@ def _last_nonpositive(f: Callable[[float], float], slope0: float,
     return lo, hi
 
 
-def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
+def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel, *,
+                     _at_raise: Callable[[float], object] | None = None
+                     ) -> float:
     """An s0 at or above every achievable decay rate: the largest s where
     the transform times the alpha-norm lower bound on the power sum stays
     at or below one, to within _S_TOL. Zero when the source entropy already
@@ -356,7 +358,11 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
     bits, some code's f stays at or below one at every s, and the source
     is refused. Otherwise every code has a word of floor(gap) + 1 bits or
     more, so f(s) >= p_min e**(s (floor(gap) + 1 - gap)), and s0 is where
-    that passes one."""
+    that passes one.
+
+    optimize_overflow passes _at_raise, called with lo each time the walk
+    raises its lower end lo: every later bracket, s0 among it, lies at or
+    above lo."""
     n = model.size
     if n == 1:
         raise DivergenceError("a one-symbol source needs zero bits per "
@@ -385,6 +391,8 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel) -> float:
     f_hi = ln_left(hi)
     while f_hi <= 0.0:
         lo = hi
+        if _at_raise is not None:
+            _at_raise(lo)
         hi *= 4.0
         if hi > 2.0 ** 40:
             raise EpcError("initial bound did not close; arrivals too slow")
@@ -412,8 +420,14 @@ def optimize_overflow(model: SourceModel,
                       arrivals: ArrivalModel) -> OverflowResult:
     """Fixed-point iteration: build the exponential-penalty-optimal code at
     base e**s, re-measure s, repeat until the code reproduces its
-    predecessor's length for every symbol."""
-    s_prev = decay_rate_bound(model, arrivals)
+    predecessor's length for every symbol. Where the source's code family
+    can refuse a base, the base e**lo is checked each time the bound's walk
+    raises its lower end lo, and a refusal there ends the solve: the first
+    code's base, e**s0, is at least e**lo, and the check refuses every
+    base above one it refuses."""
+    check = _base_check(model)
+    s_prev = decay_rate_bound(model, arrivals, _at_raise=check and (
+        lambda lo: check(math.exp(min(lo, _LN_MAX)))))
     prev_code = prev_key = None
     boundary = False
     trace = []

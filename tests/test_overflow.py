@@ -18,6 +18,7 @@ from epc import (Deterministic, DivergenceError, DthRedundancy, EpcError,
                  optimize_overflow, overflow_functional, power_sum,
                  shannon_entropy, tail_weight, total_mass,
                  with_geometric_tail)
+from epc import overflow
 from epc.overflow import _S_TOL, _length_key
 from oracles import (best_decay_rate, golomb_power_sum_direct,
                      largest_feasible_on_grid, plain_bisection_rate)
@@ -516,6 +517,62 @@ def test_huge_bound_is_refused_by_the_split_cap(mean, gap):
     with pytest.raises(NotLightTailedError):
         optimize_overflow(m, arr)
     assert time.process_time() - start < 0.5
+
+
+_SPLIT_CAP_REFUSAL = "no split found at or below 10000"
+
+
+@pytest.mark.parametrize("mean, gap", [
+    (20.0, None),     # the gaps of load 0.5 on the source entropy
+    (5.0, None),
+    (1.0, 3.82),
+    (5.0, 5.77),
+])
+def test_split_cap_refusal_stands_where_the_walk_passes_it(
+        monkeypatch, mean, gap):
+    # the bound's walk raises its lower end to 1, 4 and 16, and at base
+    # e**16 the Poisson split, about 2 e**16 m, passes the cap: the solve is
+    # refused there, after the Renyi sums at those three points
+    m = Poisson(mean)
+    arr = Deterministic(shannon_entropy(m) / 0.5 if gap is None else gap)
+    sums, real = [], overflow._ln_series
+
+    def counting(*args):
+        sums.append(args)
+        return real(*args)
+    monkeypatch.setattr(overflow, "_ln_series", counting)
+    with pytest.raises(NotLightTailedError) as refused:
+        optimize_overflow(m, arr)
+    assert str(refused.value) == _SPLIT_CAP_REFUSAL
+    assert len(sums) == 3
+
+
+def test_bound_walks_on_where_the_solve_is_refused():
+    # the public bound closes past the split cap, at s0 ~ 489.9
+    m = Poisson(20.0)
+    s0 = decay_rate_bound(m, Deterministic(shannon_entropy(m) / 0.5))
+    assert s0.hex() == "0x1.e9e7db436c5dcp+8"
+
+
+@pytest.mark.parametrize("model, gap, refusal", [
+    # the bound alone sums Renyi series at orders near 0.001 for seconds,
+    # and at the first two ends at the term cap
+    (Poisson(20.0), 43.0, _SPLIT_CAP_REFUSAL),
+    (Poisson(1.0), 30.0, _SPLIT_CAP_REFUSAL),
+    # s0 ~ 38262 has no float base
+    (Poisson(5.0), 13.0, _SPLIT_CAP_REFUSAL),
+    # base * (0.6 + 0.36) passes one at the walk's first raise, s = 1; under
+    # the longer gap the bound's walk never closes
+    (with_geometric_tail((0.3, 0.2, 0.15, 0.1), 0.6), 20.0,
+     "tail ratio too large for this base"),
+    (with_geometric_tail((0.3, 0.2, 0.15, 0.1), 0.6), 400.0,
+     "tail ratio too large for this base"),
+], ids=["poisson20-gap43", "poisson1-gap30", "poisson5-gap13",
+        "tailed-gap20", "tailed-gap400"])
+def test_long_gap_light_tail_solve_is_refused_in_the_walk(model, gap, refusal):
+    with pytest.raises(NotLightTailedError) as refused:
+        _within_cpu_seconds(0.5, optimize_overflow, model, Deterministic(gap))
+    assert str(refused.value) == refusal
 
 
 def test_bound_on_a_long_mean_gap_is_fast():

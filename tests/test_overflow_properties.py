@@ -6,9 +6,10 @@ lands where a plain bisection over its own left side lands, within 20
 evaluations, or where that side never closes starts from the word the gap
 cannot hold, or refuses a source whose words all fit, with none; the Renyi
 sums under that bound match per-symbol and direct lgamma sums, and a source
-whose log masses the series kept gives what a fresh one does; and the
-optimize_overflow iterates rise to a feasible rate. Needs hypothesis (the
-`test` extra)."""
+whose log masses the series kept gives what a fresh one does; the
+optimize_overflow iterates rise to a feasible rate; and a light-tail solve
+is refused, with the same text, exactly where the split search at the
+bound's base refuses. Needs hypothesis (the `test` extra)."""
 import dataclasses
 import math
 import random
@@ -19,16 +20,17 @@ from hypothesis import strategies as st
 
 from epc import (Deterministic, DivergenceError, EpcError, ExplicitFinite,
                  Exponential, ExponentialArrivals, GammaArrivals, Geometric,
-                 GolombCode, Poisson, TableTransform, decay_rate_bound,
-                 max_decay_rate, optimal_code, optimize_overflow,
-                 overflow_functional, shannon_entropy, with_geometric_tail)
+                 GolombCode, NotLightTailedError, Poisson, TableTransform,
+                 decay_rate_bound, find_split_exponential, max_decay_rate,
+                 optimal_code, optimize_overflow, overflow_functional,
+                 shannon_entropy, with_geometric_tail)
 from epc.models import _ln_series
 from epc.numeric import LN2
 from epc.overflow import _S_TOL, DecayRate
 from oracles import (golomb_power_sum_periods, poisson_ln_pmf, poisson_pmf,
                      poisson_renyi_sum_direct, power_sum_terms, series_direct,
                      tailed_pmf, unary_ended_power_sum)
-from test_overflow import _counting
+from test_overflow import _counting, _within_cpu_seconds
 
 # derandomized: every run draws the same examples and writes no database
 SEEDED = settings(derandomize=True, database=None, deadline=None,
@@ -40,11 +42,11 @@ def _lognormal(rng, n, sigma):
 
 
 @st.composite
-def _sources(draw):
+def _sources(draw, kinds=("finite", "poisson", "tailed", "geometric")):
     """(source, largest light-tail base): lognormal finite sources of 1 to
     1024 symbols, Poisson means 0.5 to 20, geometric-tailed heads, and
-    plain geometric sources (Golomb codes)."""
-    kind = draw(st.sampled_from(["finite", "poisson", "tailed", "geometric"]))
+    plain geometric sources (Golomb codes), of the kinds named."""
+    kind = draw(st.sampled_from(kinds))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     if kind == "finite":
         n = draw(st.one_of(st.just(1), st.integers(2, 64),
@@ -65,10 +67,11 @@ def _sources(draw):
 
 
 @st.composite
-def _arrivals(draw, entropy):
-    """One of the four arrival models, its mean gap set by a load on the
-    source entropy (loads above one give boundary cases)."""
-    gap = max(1.0, entropy / draw(st.floats(0.3, 1.3)))
+def _arrivals(draw, entropy, loads=(0.3, 1.3)):
+    """One of the four arrival models, its mean gap set by a load in the
+    given range on the source entropy (loads above one give boundary
+    cases)."""
+    gap = max(1.0, entropy / draw(st.floats(*loads)))
     kind = draw(st.sampled_from(["deterministic", "exponential", "gamma",
                                  "table"]))
     if kind == "deterministic":
@@ -356,3 +359,50 @@ def test_optimize_overflow_iterates_rise_to_a_feasible_rate(problem):
     assert all(a <= b for a, b in zip(rates, rates[1:])), rates
     assert overflow_functional(model, res.code, arrivals,
                                res.decay_rate) <= 1.0 + 1e-9
+
+
+@st.composite
+def _light_tail_problems(draw):
+    """(source, arrivals): Poisson means 0.5 to 50 and geometric-tailed
+    heads, whose codes refuse a base past the split cap or the tail ratio's
+    limit, at loads from 0.3, where the bound's base passes both."""
+    if draw(st.booleans()):
+        model = Poisson(draw(st.floats(0.5, 50.0)))
+    else:
+        model = draw(_sources(kinds=("tailed",)))[0]
+    return model, draw(_arrivals(shannon_entropy(model), (0.3, 1.0)))
+
+
+def _first_split_refusal(model, arrivals):
+    """The text with which the split search of a solve's first round, at
+    base e**s0 of the public bound, refuses; None where it splits."""
+    base = math.exp(decay_rate_bound(model, arrivals))
+    try:
+        find_split_exponential(model, base)
+    except NotLightTailedError as exc:
+        return str(exc)
+    return None
+
+
+@settings(SEEDED, max_examples=200)
+@given(problem=_light_tail_problems())
+def test_light_tail_solve_is_refused_where_its_first_split_is(problem):
+    model, arrivals = problem
+    try:
+        want = _within_cpu_seconds(0.25, _first_split_refusal, model, arrivals)
+    except AssertionError:      # the bound alone outlasts the limit
+        return
+    except (EpcError, OverflowError):
+        # the bound refused, or its base has no float: the solve is refused
+        # too, if not by the split search at a lower base then as before
+        with pytest.raises(EpcError):
+            optimize_overflow(model, arrivals)
+        return
+    try:
+        _within_cpu_seconds(5.0, optimize_overflow, model, arrivals)
+        got = None
+    except NotLightTailedError as exc:
+        got = str(exc)
+    except EpcError:     # refused after the first round, for another cause
+        got = None
+    assert got == want
