@@ -16,8 +16,9 @@ from .models import (Exponential, DthRedundancy, MaxRedundancy, Linear,
                      shannon_entropy, renyi_entropy)
 from .huffman import (CodeTree, exp_huffman, exp_huffman_two_queue,
                       maxred_huffman, dth_huffman)
-from .golomb import (GolombCode, complete_binary, optimal_k_exponential,
-                     optimal_k_mmr, optimal_k)
+from .bits import complete_binary
+from .golomb import (GolombCode, optimal_k_exponential, optimal_k_mmr,
+                     optimal_k)
 from .light_tail import (UnaryEndedCode, find_split_exponential,
                          find_split_mmr, build_unary_ended,
                          build_unary_ended_mmr, optimal_code)

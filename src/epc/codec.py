@@ -59,7 +59,7 @@ from .bits import (kraft_sign, uleb128_decode, uleb128_decode_all,
 from .errors import ContainerError
 from .golomb import GolombCode
 from .light_tail import UnaryEndedCode
-from .models import LengthSeq
+from .models import LengthSeq, _symbol
 
 __all__ = ["ExplicitCode", "encode", "decode", "read_container", "MAGIC",
            "VERSION"]
@@ -124,16 +124,15 @@ def encode(symbols, code: LengthSeq) -> bytes:
         raise ValueError(f"no container holds this code: {exc}") from None
     if not isinstance(symbols, (list, tuple)):
         symbols = list(symbols)
-    # one codeword per distinct symbol, built in first-seen order
-    words = dict.fromkeys(symbols)
+    # one codeword per distinct symbol, built in first-seen order; codeword
+    # reads each as an index, and an unhashable one is read as one here
+    try:
+        words = dict.fromkeys(symbols)
+    except TypeError:
+        symbols = list(map(_symbol, symbols))
+        words = dict.fromkeys(symbols)
     for sym in words:
-        try:
-            value = operator.index(sym)
-        except TypeError:
-            raise ValueError(
-                f"symbols are integers, got {type(sym).__name__} {sym!r}"
-            ) from None
-        words[sym] = code.codeword(value)
+        words[sym] = code.codeword(sym)
     bits = "".join(map(words.__getitem__, symbols))
     bits += "0" * (-len(bits) % 8)
     payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""

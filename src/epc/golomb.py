@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 
-from .bits import complete_binary
 from .models import Exponential, LengthSeq, Penalty, UnaryTail
 from .numeric import ceil_snapped
 
 __all__ = [
-    "GolombCode", "complete_binary",
-    "optimal_k_exponential", "optimal_k_mmr", "optimal_k",
+    "GolombCode", "optimal_k_exponential", "optimal_k_mmr", "optimal_k",
 ]
 
 

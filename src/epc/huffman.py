@@ -16,9 +16,10 @@ inputs themselves, skips the sort: a finite source keeps its own, and
 sorted input is its own order.
 
 The plain weights merge where d < 64 and both the smallest of them and the
-root are positive normal floats; otherwise their logs do. Rounding orders
-ties differently in the two spaces, so merging every input in logs would
-change some lengths.
+root are positive normal floats; otherwise their logs do, sorted input
+too, from the list a caller passes where it holds them (the light-tail
+reduction). Rounding orders ties differently in the two spaces, so
+merging every input in logs would change some lengths.
 
 Ties are broken deterministically: lower weight first, then already-merged
 nodes before original items, then first-created first (for items, lower
@@ -163,8 +164,8 @@ def _run(weights, scale: float, kind: str, order=None):
 
 def _tilted(weights, tilt, ln_weights=None, order=None) -> CodeTree:
     """The optimal tree at a tilt (d, b, ln b), or at the minimax limit
-    None. ln_weights, where given, returns the weights' logs and is called
-    only when the merge takes logs; the weights may then be zero. order,
+    None. ln_weights, where given, lists the weights' logs, read only when
+    the merge takes logs; the weights may then be zero. order,
     where given, is the weights' stable sort; only the plain merge at d = 0
     reads it, since p**(1+d) and logs can round distinct weights to ties."""
     if tilt is None:
@@ -183,7 +184,7 @@ def _tilted(weights, tilt, ln_weights=None, order=None) -> CodeTree:
             root, merges = _run(ws, b, plain, None if d else order)
     logged = root is None or not sys.float_info.min <= root < math.inf
     if logged:
-        ys = ln_weights() if ln_weights else list(map(math.log, weights))
+        ys = ln_weights or list(map(math.log, weights))
         root, merges = _run([(1.0 + d) * y for y in ys] if d else ys, ln_b,
                             in_logs)
     lengths = _lengths(merges)
@@ -212,20 +213,15 @@ def exp_huffman(weights, base: float) -> CodeTree:
 
 
 def exp_huffman_two_queue(weights, base: float) -> CodeTree:
-    """exp_huffman on weights sorted nondecreasing that merge as plain
-    floats: the sorted-input entry to `_run`, which merges them in their
-    own order and sorts nothing. Kept only for the design benchmark's
-    `two_queue` jobs, which call it by name."""
+    """exp_huffman on weights sorted nondecreasing, merged in their own
+    order with no sort. Kept only for the design benchmark's `two_queue`
+    jobs, which call it by name."""
     tilt = Exponential(base)._tilt
     weights = check_weights(weights)
     if any(map(operator.gt, weights, weights[1:])):
         raise ValueError("weights must be sorted nondecreasing")
-
-    def refuse():
-        raise ValueError("the weights and the root must be finite and "
-                         "normal; exp_huffman merges such inputs in logs")
     # a stable sort of sorted weights is the identity
-    return _tilted(weights, tilt, refuse, range(len(weights)))
+    return _tilted(weights, tilt, order=range(len(weights)))
 
 
 def maxred_huffman(weights) -> CodeTree:

@@ -16,9 +16,9 @@ from .bits import integer_lengths
 from .errors import NotLightTailedError
 from .golomb import GolombCode, optimal_k
 from .huffman import _tilted
-from .models import (_TINY, Exponential, Geometric, LengthSeq, MaxRedundancy,
-                     Penalty, SourceModel, UnaryTail, _exp, _ln_series,
-                     tail_weight)
+from .models import (_LN_MAX, _TINY, Exponential, Geometric, LengthSeq,
+                     MaxRedundancy, Penalty, SourceModel, UnaryTail, _exp,
+                     _ln_series, tail_weight)
 from .numeric import LN2, ceil_snapped, check_positive
 
 __all__ = [
@@ -196,12 +196,10 @@ def _build(model: SourceModel, penalty: Penalty) -> UnaryEndedCode:
         ln_tail = tilt[2] + _ln_series(model, r + 1, 1.0, tilt[2])
         tail = _exp(ln_tail, "the tail weight")
     weights = model.masses(r + 1) + [tail]
-    ys = None
-    if min(weights) < _TINY:
-        ys = model.ln_masses(0, r + 1) + [ln_tail]
-    tree = _tilted(weights, tilt, ys and (lambda: ys))
-    lengths = _assemble(ys or weights, tree.lengths)
-    return UnaryEndedCode.from_lengths(lengths[:-1], lengths[-1])
+    ys = (model.ln_masses(0, r + 1) + [ln_tail] if min(weights) < _TINY
+          else None)
+    lengths = _assemble(ys or weights, _tilted(weights, tilt, ys).lengths)
+    return UnaryEndedCode(lengths[:-1], lengths[-1])
 
 
 def build_unary_ended(model: SourceModel, base: float) -> UnaryEndedCode:
@@ -219,45 +217,25 @@ def build_unary_ended_mmr(model: SourceModel) -> UnaryEndedCode:
 # ------------------------------------------------------------ code choice
 
 def optimal_code(model: SourceModel, penalty: Penalty) -> LengthSeq:
-    """The optimal code for a source under a penalty object: a GolombCode
-    for Geometric, the merged lengths as a LengthSeq for ExplicitFinite, and
-    a UnaryEndedCode for other sources (not at a positive order d)."""
-    return _family(model)(model, penalty)
-
-
-def _family(model: SourceModel) -> Callable[[SourceModel, Penalty], LengthSeq]:
-    """The builder optimal_code hands a source and a penalty to: the one
-    (source -> code family) choice."""
-    if isinstance(model, Geometric):
-        return _golomb
-    return _merged if model.size is not None else _unary_ended
-
-
-def _golomb(model: SourceModel, penalty: Penalty) -> GolombCode:
-    return GolombCode(optimal_k(model.ratio, penalty))
-
-
-def _merged(model: SourceModel, penalty: Penalty) -> LengthSeq:
-    """An ExplicitFinite source checked its masses when it was made, so they
-    merge as they are, in the order the source keeps."""
-    tree = _tilted(model.probs, penalty._tilt, order=model._order)
-    return LengthSeq(tree.lengths)
-
-
-def _unary_ended(model: SourceModel, penalty: Penalty) -> UnaryEndedCode:
+    """The optimal code for a source under a penalty object, the one choice
+    of code family: a GolombCode for Geometric, a finite source's masses,
+    checked when it was made, merged in the order it keeps, and a
+    UnaryEndedCode for other sources (not at a positive order d)."""
     tilt = penalty._tilt
+    if isinstance(model, Geometric):
+        return GolombCode(optimal_k(model.ratio, penalty))
+    if model.size is not None:
+        return LengthSeq(_tilted(model.probs, tilt, order=model._order).lengths)
     if tilt is not None and tilt[0] > 0.0:
         raise ValueError("dth-power redundancy codes need a geometric source")
     return _build(model, penalty)
 
 
 def _base_check(model: SourceModel) -> Callable[[float], object] | None:
-    """The check optimal_code(model, Exponential(base)) makes of its base
-    before it merges anything, as a function of the base; None where the
-    source's family refuses no base (a Golomb or a finite code). The check
-    is the split search, which refuses a base only by tests of quantities
-    that grow with it, the split against _SPLIT_CAP and base*(rho + rho^2)
-    against one, so its refusal at one base stands at every larger one."""
-    if _family(model) is not _unary_ended:
+    """The split search optimal_code(model, Exponential(e**s)) runs before
+    it merges, as a function of s, or None for a Golomb or finite code. Its
+    refusals, a split past _SPLIT_CAP and base*(rho + rho^2) > 1, test
+    quantities that grow with s, so one stands at every larger s."""
+    if isinstance(model, Geometric) or model.size is not None:
         return None
-    return lambda base: find_split_exponential(model, base)
+    return lambda s: find_split_exponential(model, math.exp(min(s, _LN_MAX)))

@@ -10,6 +10,7 @@ masses grouped by length. Values are immutable and functions pure.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -255,6 +256,16 @@ Penalty = Union[Exponential, DthRedundancy, MaxRedundancy, Linear]
 # every sum over a code reads them as floats
 _FLOAT_MAX = sys.float_info.max
 
+
+def _symbol(i) -> int:
+    """i through operator.index: a float, even a whole one, is no symbol."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(
+            f"symbols are integers, got {type(i).__name__} {i!r}") from None
+
+
 @dataclass(frozen=True, init=False)
 class UnaryTail:
     """The run a code ends in: symbol i >= start_index is written as
@@ -326,6 +337,7 @@ class LengthSeq:
         return _codewords_of(self.head)
 
     def length_at(self, i: int) -> int:
+        i = _symbol(i)
         if i < len(self.head):
             if i < 0:
                 raise ValueError("symbols are nonnegative")
@@ -342,7 +354,7 @@ class LengthSeq:
         """Symbol i's word: its head length's canonical word, or past the
         head the run's, refused past _MOST_ONES ones: the spine and quotient
         in ones, a zero, then the complete binary suffix of the remainder."""
-        head, tail = self.head, self.tail
+        i, head, tail = _symbol(i), self.head, self.tail
         if 0 <= i < len(head):
             return self.head_codewords[i]
         if i < 0 or tail is None:
@@ -409,13 +421,12 @@ def _ln_sum_exp(xs: list[float]) -> float:
 
 def _terms(model: SourceModel, j: int, alpha: float, beta: float):
     """The terms t(i) = p(i)**alpha * e**(beta*(i-j)), i >= j >= 0, of one
-    series, as (top, lo, ys, ws, ln_q): t(i) = e**top * ws[i - lo] for the
+    series, as (top, lo, ws, ln_q): t(i) = e**top * ws[i - lo] for the
     terms listed (Poisson terms with beta nonzero: ws holds their sum), top
     the log of the largest (or zero where beta is zero and that term is a
-    normal float), ys[i - lo] = ln p(i) where they were read (else None);
-    past the last one listed the terms continue geometrically with ratio
-    e**ln_q, unless ln_q is None. Any other term left out is certified,
-    with those past it, below _TAIL_REL of the sum.
+    normal float); past the last one listed the terms continue
+    geometrically with ratio e**ln_q, unless ln_q is None. Any other term
+    left out is certified, with those past it, below _TAIL_REL of the sum.
 
     A finite alphabet, and a geometric-tailed head, are listed from their
     log masses. Poisson terms have the ratio t(i+1)/t(i) = (c/(i+1))**alpha,
@@ -425,27 +436,26 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float):
     refused before any term is made."""
     rho = model.tail_ratio
     if rho is not None and j >= model.tail_start:     # geometric from j on
-        y = model.ln_mass(j)
-        return alpha * y, j, [y], [1.0], alpha * math.log(rho) + beta
+        return alpha * model.ln_mass(j), j, [1.0], alpha * math.log(rho) + beta
     g = beta / alpha     # ln t(i) = alpha * (ln p(i) + g * (i - j))
     exp, size = math.exp, model.size
     if size is not None or rho is not None:
         stop = size if rho is None else model.tail_start + 1
         ln_q = None if rho is None else alpha * math.log(rho) + beta
         if j >= stop:
-            return -math.inf, j, [], [], ln_q
+            return -math.inf, j, [], ln_q
         if not g:   # the masses to the alpha, where the largest is normal
             ps = model.masses(stop)[j:] if j else model.masses(stop)
             # a whole finite alphabet sums to one, so its largest mass lies
             # in [1/(2 size), 1]
             if -700.0 < alpha * (-math.log(2 * size) if rho is None and not j
                                  else math.log(max(ps))) < 700.0:
-                return 0.0, j, None, (ps if alpha == 1.0 else
-                                      list(map(pow, ps, repeat(alpha)))), ln_q
+                return 0.0, j, (ps if alpha == 1.0 else
+                                list(map(pow, ps, repeat(alpha)))), ln_q
         ys = model.ln_masses(j, stop)
         xs = [y + g * k for k, y in enumerate(ys)] if g else ys
         top = alpha * max(xs)
-        return top, j, ys, [exp(alpha * x - top) for x in xs], ln_q
+        return top, j, [exp(alpha * x - top) for x in xs], ln_q
 
     c = exp(min(model._ln_mean + g, _LN_MAX))
     if c > j + _MAX_TERMS:
@@ -472,26 +482,25 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float):
             acc += v
             if v * q <= _TAIL_REL * (1.0 - q) * acc:
                 break
-        return top, lo, None, [acc], None
+        return top, lo, [acc], None
     if top > -700.0:    # the peak term is a normal float: no shift
         top = 0.0
 
-    def block(start: int, stop: int):
+    def block(start: int, stop: int) -> list[float]:
         """t(start), ..., t(stop - 1) over e**top, from the log masses."""
         ys = model.ln_masses(start, stop)
         if top:
-            return ys, [exp(alpha * y - top) for y in ys]
-        return ys, list(map(exp, map(mul, ys, repeat(alpha))))
+            return [exp(alpha * y - top) for y in ys]
+        return list(map(exp, map(mul, ys, repeat(alpha))))
 
     # the first blocks span several spreads of the peak, sqrt(c / alpha);
     # each later one reaches where the ratio q, which only falls further
     # out, would certify the rest (at most four times the block before)
-    ys, ws = block(k0, k0 + 1)
+    ws = block(k0, k0 + 1)
     hi, acc = k0 + 1, ws[0]
     size = width = 16 + int(12.0 * math.sqrt(c / alpha))
     while True:     # past the peak; q is the ratio of t(hi) to t(hi - 1)
-        by, bw = block(hi, hi + size)
-        ys += by
+        bw = block(hi, hi + size)
         ws += bw
         hi += size
         acc += math.fsum(bw)
@@ -503,16 +512,15 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float):
         size = _reach(bw[-1], q, acc, size)
     size = width
     while lo > j:   # below the peak; q is the ratio of t(lo - 1) to t(lo)
-        by, bw = block(max(j, lo - size), lo)
-        lo -= len(by)
-        ys[:0] = by
+        bw = block(max(j, lo - size), lo)
+        lo -= len(bw)
         ws[:0] = bw
         acc += math.fsum(bw)
         q = (lo / c) ** alpha
         if bw[0] * q <= _TAIL_REL * (1.0 - q) * acc:
             break
         size = _reach(bw[0], q, acc, size)
-    return top, lo, ys, ws, None
+    return top, lo, ws, None
 
 
 def _reach(w: float, q: float, acc: float, size: int) -> int:
@@ -534,7 +542,7 @@ def _rest(ln_q: float) -> float:
 def _ln_series(model: SourceModel, j: int, alpha: float, beta: float) -> float:
     """ln sum_{i>=j} p(i)**alpha * e**(beta*(i-j)) for alpha > 0: the one
     series behind every tail, power and Renyi sum; -inf for no terms."""
-    top, _, _, ws, ln_q = _terms(model, max(j, 0), alpha, beta)
+    top, _, ws, ln_q = _terms(model, max(j, 0), alpha, beta)
     total = math.fsum(ws)
     if ln_q is not None:
         total += ws[-1] * _rest(ln_q)
@@ -546,11 +554,9 @@ def _mass_moment(model: SourceModel, j: int, logs: bool):
     else i - j: the plain mass series of _ln_series, p(i) = e**top * w(i),
     and a first moment of it. j is 0 or an infinite source's tail start, so
     _terms lists at least one term."""
-    top, lo, ys, ws, ln_q = _terms(model, j, 1.0, 0.0)
-    if not logs:
-        fs, step = range(lo - j, lo - j + len(ws)), 1.0
-    else:
-        fs, step = ys or model.ln_masses(lo, lo + len(ws)), ln_q
+    top, lo, ws, ln_q = _terms(model, j, 1.0, 0.0)
+    fs, step = ((model.ln_masses(lo, lo + len(ws)), ln_q) if logs
+                else (range(lo - j, lo - j + len(ws)), 1.0))
     s, sf = math.fsum(ws), math.fsum(map(mul, ws, fs))
     if ln_q is not None:
         # w q**k for k >= 1 past the last listed term w, f(last) + k * step
@@ -565,6 +571,7 @@ def _mass_moment(model: SourceModel, j: int, logs: bool):
 
 def point_mass(model: SourceModel, i: int) -> float:
     """p(i)."""
+    i = _symbol(i)
     if i < 0:
         raise ValueError("symbols are nonnegative")
     if model.size is not None and i >= model.size:
@@ -577,6 +584,7 @@ def point_mass(model: SourceModel, i: int) -> float:
 def tail_weight(model: SourceModel, j: int, base: float) -> float:
     """sum_{k>j} p(k) * base**(k-j). j = -1 is allowed and weighs the whole
     support by base**(k+1)."""
+    j = _symbol(j)
     check_positive("base", base)
     ln_b = math.log(base)
     if j > _FLOAT_MAX:  # every mass past j rounds to 0, as point_mass's does
@@ -667,7 +675,7 @@ class _Profile:
         # along the tail n(i) + log2 p(i) is start_length + log2 of the largest
         # term p(i) * 2**(i - t0), or unbounded where those terms grow
         tail = self.tail
-        top, _, _, _, ln_q = _terms(self.model, tail.start_index, 1.0, LN2)
+        top, _, _, ln_q = _terms(self.model, tail.start_index, 1.0, LN2)
         if ln_q is not None and ln_q > 0.0:
             return math.inf
         return max(best, tail.start_length + top / LN2)

@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple, Union
 
 from .errors import DivergenceError, EpcError, StabilityError
 from .light_tail import _base_check, optimal_code
-from .models import (_LN_MAX, Exponential, LengthSeq, SourceModel, _exp,
-                     _ln_series, shannon_entropy, total_mass)
+from .models import (Exponential, LengthSeq, SourceModel, _exp, _ln_series,
+                     shannon_entropy, total_mass)
 from .numeric import LN2, check_positive, isfinite, shown
 
 __all__ = [
@@ -425,9 +425,7 @@ def optimize_overflow(model: SourceModel,
     raises its lower end lo, and a refusal there ends the solve: the first
     code's base, e**s0, is at least e**lo, and the check refuses every
     base above one it refuses."""
-    check = _base_check(model)
-    s_prev = decay_rate_bound(model, arrivals, _at_raise=check and (
-        lambda lo: check(math.exp(min(lo, _LN_MAX)))))
+    s_prev = decay_rate_bound(model, arrivals, _at_raise=_base_check(model))
     prev_code = prev_key = None
     boundary = False
     trace = []

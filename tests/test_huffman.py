@@ -198,20 +198,28 @@ def test_two_queue_invariants(bisections):
     lambda: exp_huffman([0.5, -math.inf], 2.0),
     lambda: exp_huffman_two_queue([0.2, 0.3, 0.5], math.nan),
     lambda: exp_huffman_two_queue([0.2, 0.3, math.inf], 1.0),
-    lambda: exp_huffman_two_queue([1e-200] * 4, 1e-200),
-    lambda: exp_huffman_two_queue([0.1, 0.1, 0.3, 0.5], 1e300),
     lambda: maxred_huffman([0.5, math.nan]),
     lambda: dth_huffman([0.5, 0.3, 0.2], math.inf),
     lambda: dth_huffman([0.5, 0.3, 0.2], math.nan),
     lambda: dth_huffman([0.5, math.inf], 2.0),
 ], ids=["exp-nan-base", "exp-inf-base", "exp-nan-weight", "exp-neg-inf-weight",
         "two-queue-nan-base", "two-queue-inf-weight",
-        "two-queue-root-underflow", "two-queue-root-overflow",
         "maxred-nan-weight",
         "dth-inf-order", "dth-nan-order", "dth-inf-prob"])
 def test_non_finite_parameters_refused(build):
     with pytest.raises(ValueError, match="must be finite"):
         build()
+
+
+@pytest.mark.parametrize("weights, base", [
+    ([1e-200] * 4, 1e-200),
+    ([0.1, 0.1, 0.3, 0.5], 1e300),
+], ids=["root-underflow", "root-overflow"])
+def test_two_queue_merges_in_logs_as_exp_huffman(weights, base):
+    # the root leaves the normal floats, so both entries merge the logs
+    tree = exp_huffman_two_queue(weights, base)
+    assert tree == exp_huffman(weights, base)
+    assert tree.objective == 2.0
 
 
 def test_logaddexp_takes_minus_infinity():

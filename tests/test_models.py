@@ -543,3 +543,50 @@ def test_poisson_entropies_cost_follows_the_spread():
                                                                rel=1e-12)
         assert renyi_entropy(Poisson(mean), 2.0) == pytest.approx(want[1],
                                                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("query, shown", [
+    (lambda: point_mass(Poisson(3.0), 2.5), "float 2.5"),
+    (lambda: point_mass(Geometric(0.5), 2.5), "float 2.5"),
+    (lambda: point_mass(ExplicitFinite((0.5, 0.25, 0.25)), 1.5), "float 1.5"),
+    (lambda: tail_weight(Poisson(3.0), 1.5, 2.0), "float 1.5"),
+    (lambda: build_unary_ended(Poisson(1.0), 2.0).length_at(3.5),
+     "float 3.5"),
+    (lambda: GolombCode(3).codeword(2.0), "float 2.0"),
+    (lambda: LengthSeq((1, 2, 2)).codeword(1.0), "float 1.0"),
+    (lambda: encode([2.5], GolombCode(3)), "float 2.5"),
+    (lambda: encode([[1]], GolombCode(3)), "list [1]"),
+], ids=["poisson-mass", "geometric-mass", "finite-mass", "tail-weight",
+        "unary-ended-length", "golomb-word", "head-word", "encode-float",
+        "encode-unhashable"])
+def test_symbol_indices_are_integers(query, shown):
+    # a symbol is read once through operator.index; nothing else names one
+    with pytest.raises(ValueError) as exc:
+        query()
+    assert str(exc.value) == f"symbols are integers, got {shown}"
+
+
+def test_a_finite_tail_past_the_alphabet_weighs_nothing():
+    assert tail_weight(ExplicitFinite((0.5, 0.25, 0.25)), 2, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("query, cap", [
+    # the ratio recurrence past the peak, c = 5 * 2 = 10 terms in
+    (lambda: tail_weight(Poisson(5.0), -1, 2.0), 20),
+    # the log-mass blocks at order alpha = 0.01, whose terms barely fall
+    (lambda: renyi_entropy(Poisson(1.0), 2.0 ** 99), 100),
+], ids=["ratio-recurrence", "log-mass-blocks"])
+def test_a_series_past_the_term_cap_is_refused(monkeypatch, query, cap):
+    assert math.isfinite(query())
+    # the peak lies within the cap, so the series starts and then runs out
+    monkeypatch.setattr(epc.models, "_MAX_TERMS", cap)
+    with pytest.raises(DivergenceError,
+                       match="series did not settle after the term cap"):
+        query()
+
+
+def test_max_redundancy_of_a_growing_tail_is_unbounded():
+    # p(i) 2**i grows along a tail of ratio 0.7, so n(i) + log2 p(i) does
+    code = epc.UnaryEndedCode((1, 2), 2)
+    assert evaluate_penalty(with_geometric_tail((0.5, 0.3, 0.2), 0.7), code,
+                            MaxRedundancy()) == math.inf

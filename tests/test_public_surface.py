@@ -50,3 +50,25 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_import(path):
     tree = ast.parse((SOURCE / path).read_text(), filename=path)
     assert _unused_imports(tree) == []
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names a module's own top-level statements define: its functions,
+    classes and assignments, not its imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_a_submodule_exports_only_what_it_defines(module):
+    # the package __init__ is the one re-exporter
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    assert sorted(set(module.__all__) - _defined(tree)) == []
