@@ -124,13 +124,14 @@ def encode(symbols, code: LengthSeq) -> bytes:
         raise ValueError(f"no container holds this code: {exc}") from None
     if not isinstance(symbols, (list, tuple)):
         symbols = list(symbols)
-    # one codeword per distinct symbol, built in first-seen order; codeword
-    # reads each as an index, and an unhashable one is read as one here
+    # one codeword per distinct symbol, in first-seen order; each is read as
+    # an index here unless the symbols sum to an int (2.0 would key as 2)
     try:
-        words = dict.fromkeys(symbols)
+        plain = type(sum(symbols)) is int
     except TypeError:
-        symbols = list(map(_symbol, symbols))
-        words = dict.fromkeys(symbols)
+        plain = False
+    symbols = symbols if plain else list(map(_symbol, symbols))
+    words = dict.fromkeys(symbols)
     for sym in words:
         words[sym] = code.codeword(sym)
     bits = "".join(map(words.__getitem__, symbols))

@@ -6,8 +6,8 @@ j mod k. The remainder suffix uses g - 1 bits for the first z = 2**g - k
 values and g bits for the rest, g being the bit length of k, which makes the
 code complete (Kraft sum exactly 1) and alphabetic. It is the LengthSeq
 UnaryTail(0, 1, k) ends: no head, no spine, the k-run from symbol 0. Its
-lengths and words are every LengthSeq's, and on a geometric source
-LengthSeq._profile sums it in closed form: evaluate_penalty(Geometric(r),
+lengths, words and sums are every LengthSeq's; a k-run sums in closed form
+on a source geometric from its start: evaluate_penalty(Geometric(r),
 GolombCode(k), penalty) is its value. optimal_k picks k for a penalty
 object; the exponential and mmr choices are also named, as the paper gives
 both in closed form.

@@ -3,9 +3,9 @@
 Sources are measures on the nonnegative integers, usually summing to one.
 Every code is a LengthSeq: a head of lengths, then optionally a run record
 (start index, start length, k), an all-1s spine and then Golomb-k words; k = 1
-is unary. Penalties read a code's profile over a source: a run with no head
-and no spine (a Golomb code) on a geometric source in closed form, else the
-masses grouped by length. Values are immutable and functions pure.
+is unary. Penalties read a code's one profile over a source: the head's
+masses by length, then the run, in closed form on a source geometric from its
+start, else a unary run as a series. Values are immutable, functions pure.
 """
 from __future__ import annotations
 
@@ -365,20 +365,6 @@ class LengthSeq:
             raise ValueError(f"symbol {i} has a codeword too long to build")
         return "1" * ones + "0" + complete_binary(r, tail.k)
 
-    def _profile(self, model: "SourceModel"):
-        """The one code dispatch: a run with no spine (so no head) on a
-        geometric source sums in closed form, any other run only at k = 1."""
-        tail = self.tail
-        if tail is not None:
-            if tail.start_length == 1 and isinstance(model, Geometric):
-                return _GolombProfile(model.ratio, tail.k)
-            if tail.k > 1:
-                raise ValueError(
-                    "Golomb sums need a geometric source"
-                    if tail.start_length == 1 else f"no sums yet for a "
-                    f"Golomb-{tail.k} run behind a head or spine")
-        return _Profile(model, self)
-
     def __str__(self) -> str:
         if self.tail is None:
             return "lengths " + ",".join(map(str, self.head))
@@ -601,35 +587,55 @@ def total_mass(model: SourceModel) -> float:
 # ------------------------------------------------------- penalty evaluation
 
 class _Profile:
-    """The symbols a head sum runs over (a finite source's alphabet, else
-    the head of the lengths) by codeword length, ascending: `groups` holds
-    (length, the length's mass, its log, ln m, masses, d) per length, m its
-    largest mass and masses / d the masses over m; where m lies below the
-    normal floats they come from the log masses, read once for the whole
-    head, over m already, and d is one."""
+    """A code's sums over a source. The symbols a head sum runs over (a
+    finite source's alphabet, each length past the head read through
+    length_at, else the head of the lengths) go by codeword length,
+    ascending: `groups` holds (length, the length's mass, its log, ln m,
+    masses, d) per length, m its largest mass and masses / d the masses over
+    m; where m lies below the normal floats they come from the log masses,
+    read once for the whole head, over m already, and d is one.
+
+    A run from t0 = start_index with start length L, with k >= 2 or no
+    head, on an infinite source geometric from t0 sums in closed form: its
+    sums are e**share, share = ln p(t0) - ln(1 - ratio), times the k-Golomb
+    code's over Geometric(ratio), lengths shifted by L - 1. A unary run
+    behind a head sums as a series on any source; no other run has sums."""
 
     def __init__(self, model: SourceModel, lengths: LengthSeq) -> None:
         head, tail, size = lengths.head, lengths.tail, model.size
         if tail is None and (size is None or size > len(head)):
             raise ValueError("lengths with no tail do not cover the alphabet")
         if size is not None and size > len(head):   # running into the tail
-            head += tuple(range(tail.start_length,
-                                tail.start_length + size - len(head)))
-        self.model, self.head, self.tail = model, head[:size], tail
-        rho = model.tail_ratio      # the power sum's pole: e**ln_b rho = 1
-        self.pole = math.inf if rho is None or tail is None else -math.log(rho)
-        groups = {n: [] for n in sorted(set(self.head))}
-        for n, p in zip(self.head, model.masses(len(self.head))):
+            head += tuple(map(lengths.length_at, range(len(head), size)))
+        head, rho = head[:size], model.tail_ratio
+        self.model, self.tail, self.groups, self.ln_r = model, tail, [], None
+        ln_r = None if rho is None or tail is None else math.log(rho)
+        # where the power sum diverges: e**ln_b rho**k = 1
+        self.pole = math.inf if ln_r is None else -ln_r / (1.0 / tail.k)
+        if size is None and (tail.k > 1 or not head):
+            if rho is not None and tail.start_index >= model.tail_start:
+                # closed-form terms, marked by ln_r; n0 = n(t0) = L - 1 + g
+                g = tail.k.bit_length()
+                self.ratio, self.ln_r, self.k = rho, ln_r, tail.k
+                self.z, self.n0 = (1 << g) - tail.k, tail.start_length - 1 + g
+                self.share = (model.ln_mass(tail.start_index)
+                              - math.log(1 - rho))
+                self.lq = self.share + math.log1p(-rho)
+            elif tail.k > 1:
+                raise ValueError("Golomb sums need a geometric source from "
+                                 "the run's start")
+        if not head:
+            return
+        groups = {n: [] for n in sorted(set(head))}
+        for n, p in zip(head, model.masses(len(head))):
             groups[n].append(p)
-        self.groups = []
         ln_groups = None
         for n, ps in groups.items():
             m = max(ps)
             if m < _TINY:   # read again as logs, over the largest
                 if ln_groups is None:   # every length's, in one read
                     ln_groups = {k: [] for k in groups}
-                    for k, y in zip(self.head,
-                                    model.ln_masses(0, len(self.head))):
+                    for k, y in zip(head, model.ln_masses(0, len(head))):
                         ln_groups[k].append(y)
                 lps = ln_groups[n]
                 top = max(lps)
@@ -643,8 +649,46 @@ class _Profile:
 
     def ln_power_sum(self, ln_b: float, d: float = 0.0) -> float:
         """ln sum p(i)**(1+d) * base**n(i), ln_b = ln base: one log-sum-exp
-        over the lengths, the unary tail from n(t0) = start_length on."""
+        over the lengths and the run, or with no head the run's sum itself.
+
+        In closed form, with phi = ratio**(1+d), g = k.bit_length() and z =
+        2**g - k, the k-Golomb code's sum over Geometric(ratio) has the log
+        (1+d) ln(1-ratio) - ln(1-phi) + g ln b + ln(1 + (b-1) phi**z / (1 -
+        b phi**k)), read in expm1 and log1p of d itself, since 1 + d rounds
+        to one at small orders."""
+        ln_r = self.ln_r
+        if ln_r is not None:
+            k, z = self.k, self.z
+            ln_phi = ln_r + d * ln_r
+            x = ln_b + k * ln_phi       # ln b phi**k
+            if x >= 0.0:
+                raise DivergenceError("penalty sum diverges: base * "
+                                      "ratio**(k (1 + order)) >= 1")
+            # ln(1 + u), u = (b-1) phi**z / (1 - b phi**k): in logs above
+            # base one; below it, where u nears -1, from 1 + u's positive parts
+            ln_den = math.log(-math.expm1(x))
+            if ln_b > 0.0:
+                ln_u = (ln_b + math.log(-math.expm1(-ln_b)) + z * ln_phi
+                        - ln_den)
+                ln1pu = (ln_u + math.log1p(math.exp(-ln_u)) if ln_u > 0.0
+                         else math.log1p(math.exp(ln_u)))
+            else:
+                u = math.expm1(ln_b) * math.exp(z * ln_phi - ln_den)
+                ln1pu = math.log1p(u) if u > -0.5 else math.log(
+                    -math.expm1(z * ln_phi) - math.exp(ln_b + z * ln_phi)
+                    * math.expm1((k - z) * ln_phi)) - ln_den
+            # (1+d) (share + ln(1-r)) - ln(1-phi), with lq = share + ln(1-r)
+            # and 1 - phi = (1-r) - r (r**d - 1)
+            r = self.ratio
+            run = (self.share + d * self.lq + self.n0 * ln_b + ln1pu
+                   - math.log1p(-r * math.expm1(d * ln_r) / (1.0 - r)))
+            if not self.groups:
+                return run
         alpha = 1.0 + d
+        if ln_r is None and self.model.size is None:
+            tail = self.tail
+            run = tail.start_length * ln_b + _ln_series(
+                self.model, tail.start_index, alpha, ln_b)
         if alpha == 1.0:
             xs = [x + n * ln_b for n, _, x, _, _, _ in self.groups]
         else:
@@ -652,103 +696,58 @@ class _Profile:
                   + math.log(math.fsum([(p / m) ** alpha for p in ps]))
                   for n, _, _, top, ps, m in self.groups]
         if self.model.size is None:
-            tail = self.tail
-            xs.append(tail.start_length * ln_b + _ln_series(
-                self.model, tail.start_index, alpha, ln_b))
+            xs.append(run)
         return _ln_sum_exp(xs) if xs else -math.inf
 
     def expected_length(self) -> float:
         """sum p(i) * n(i)."""
-        acc = math.fsum([m * n for n, m, _, _, _, _ in self.groups])
-        if self.model.size is None:
+        run = 0.0
+        if self.ln_r is not None:  # Geometric(ratio)'s mean Golomb length
+            r = self.ratio
+            run = math.exp(self.share) * (self.n0 + r ** self.z
+                                          / (1.0 - r ** self.k))
+            if not self.groups:
+                return run
+        elif self.model.size is None:
             tail = self.tail
             s, si = _mass_moment(self.model, tail.start_index, False)
-            acc += s * tail.start_length + si
-        return acc
+            run = s * tail.start_length + si
+        return math.fsum([m * n for n, m, _, _, _, _ in self.groups]) + run
 
     def max_redundancy(self) -> float:
         """sup n(i) + log2 p(i); math.inf when the supremum is unbounded."""
-        best = max((n + top / LN2 for n, _, _, top, _, _ in self.groups),
-                   default=-math.inf)
-        if self.model.size is not None:
-            return best
-        # along the tail n(i) + log2 p(i) is start_length + log2 of the largest
-        # term p(i) * 2**(i - t0), or unbounded where those terms grow
-        tail = self.tail
-        top, _, _, ln_q = _terms(self.model, tail.start_index, 1.0, LN2)
-        if ln_q is not None and ln_q > 0.0:
-            return math.inf
-        return max(best, tail.start_length + top / LN2)
-
-
-class _GolombProfile:
-    """The k-Golomb code's sums over Geometric(ratio), answered as a
-    _Profile answers them, from one geometric series per suffix
-    length: with phi = ratio**(1+d), g = k.bit_length() and z = 2**g - k,
-    ln sum p(i)**(1+d) b**n(i) = (1+d) ln(1-ratio) - ln(1-phi) + g ln b
-    + ln(1 + (b-1) phi**z / (1 - b phi**k)), read in expm1 and log1p of d
-    itself, since 1 + d rounds to one at small orders. At d = 0, log_b of
-    the sum tends as b -> 1 to the mean length g + ratio**z / (1 - ratio**k).
-    The order-d sum is (1-ratio)**(1+d) / (1-phi) times the d = 0 sum at
-    ratio phi and base 2**d, so optimal_k's order-d choice is the
-    exponential one there; it tends to the mmr choice as d grows."""
-
-    def __init__(self, ratio: float, k: int) -> None:
-        self.ratio, self.k, self.ln_r = ratio, k, math.log(ratio)
-        self.g = k.bit_length()
-        self.z = (1 << self.g) - k
-        self.pole = -self.ln_r / (1.0 / k)      # where b ratio**k = 1
-
-    def expected_length(self) -> float:
-        r = self.ratio
-        return self.g + r ** self.z / (1.0 - r ** self.k)
-
-    def ln_power_sum(self, ln_b: float, d: float = 0.0) -> float:
-        """ln sum p(i)**(1+d) * base**n(i), ln_b = ln base."""
-        k, z, ln_r = self.k, self.z, self.ln_r
-        ln_phi = ln_r + d * ln_r
-        x = ln_b + k * ln_phi       # ln b phi**k
-        if x >= 0.0:
-            raise DivergenceError("penalty sum diverges: base * "
-                                  "ratio**(k (1 + order)) >= 1")
-        # ln(1 + u), u = (b-1) phi**z / (1 - b phi**k): in logs above base
-        # one; below it, where u nears -1, from 1 + u's positive parts
-        ln_den = math.log(-math.expm1(x))
-        if ln_b > 0.0:
-            ln_u = ln_b + math.log(-math.expm1(-ln_b)) + z * ln_phi - ln_den
-            ln1pu = (ln_u + math.log1p(math.exp(-ln_u)) if ln_u > 0.0
-                     else math.log1p(math.exp(ln_u)))
-        else:
-            u = math.expm1(ln_b) * math.exp(z * ln_phi - ln_den)
-            ln1pu = math.log1p(u) if u > -0.5 else math.log(
-                -math.expm1(z * ln_phi)
-                - math.exp(ln_b + z * ln_phi) * math.expm1((k - z) * ln_phi)
-            ) - ln_den
-        # (1+d) ln(1-r) - ln(1-phi), with 1 - phi = (1-r) - r (r**d - 1)
-        r = self.ratio
-        return (d * math.log1p(-r) + self.g * ln_b + ln1pu
-                - math.log1p(-r * math.expm1(d * ln_r) / (1.0 - r)))
-
-    def max_redundancy(self) -> float:
-        """Unbounded (inf) when ratio exceeds 2**(-1/k): per-cycle length
-        growth then outpaces probability decay. Otherwise the supremum is
-        attained at symbol 0 or at the first symbol wearing the long
-        suffix."""
-        r, k = self.ratio, self.k
-        # bounded iff 1 + k log2(ratio) <= 0, the exact boundary kept finite
-        if 1.0 + k * math.log2(r) > 1e-12:
-            return math.inf
-        cg = (k - 1).bit_length()       # ceil(log2 k)
-        i_star = (1 << cg) - k          # first long-suffix symbol (0: k = 2**m)
-        at_zero = self.g + math.log2(1.0 - r)
-        at_star = cg + 1 + math.log2(1.0 - r) + i_star * math.log2(r)
-        return max(at_zero, at_star)
+        run = -math.inf
+        if self.ln_r is not None:
+            # unbounded past ratio 2**(-1/k), where lengths outgrow the mass
+            # decay; else the sup is at the run's first short or long suffix
+            r, k = self.ratio, self.k
+            if 1.0 + k * math.log2(r) > 1e-12:  # the boundary kept finite
+                return math.inf
+            cg = (k - 1).bit_length()       # ceil(log2 k)
+            i_star = (1 << cg) - k          # 0 where k is a power of two
+            at_zero = self.n0 + math.log2(1.0 - r)
+            # i_star's word: n0 - g = L - 1 spine ones, a zero, cg suffix bits
+            at_star = (self.n0 - k.bit_length() + cg + 1 + math.log2(1.0 - r)
+                       + i_star * math.log2(r))
+            run = max(at_zero, at_star) + self.share / LN2
+        elif self.model.size is None:
+            # along the tail n(i) + log2 p(i) is start_length + log2 of the
+            # largest term p(i) * 2**(i - t0), or unbounded where they grow
+            tail = self.tail
+            top, _, _, ln_q = _terms(self.model, tail.start_index, 1.0, LN2)
+            if ln_q is not None and ln_q > 0.0:
+                return math.inf
+            run = tail.start_length + top / LN2
+        if not self.groups:
+            return run
+        return max(max(n + top / LN2 for n, _, _, top, _, _ in self.groups),
+                   run)
 
 
 def power_sum(model: SourceModel, code: LengthSeq, base: float) -> float:
     """sum p(i) * base**n(i) for a code."""
     check_positive("base", base)
-    return _exp(code._profile(model).ln_power_sum(math.log(base)),
+    return _exp(_Profile(model, code).ln_power_sum(math.log(base)),
                 "the power sum")
 
 
@@ -761,7 +760,7 @@ def evaluate_penalty(model: SourceModel, code: LengthSeq,
                      penalty: Penalty) -> float:
     """A penalty's value for a code on a source, read from the code's
     profile at the penalty's tilt."""
-    profile = code._profile(model)
+    profile = _Profile(model, code)
     if not hasattr(penalty, "_tilt"):
         raise TypeError(f"not a penalty: {penalty!r}")
     tilt = penalty._tilt

@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple, Union
 
 from .errors import DivergenceError, EpcError, StabilityError
 from .light_tail import _base_check, optimal_code
-from .models import (Exponential, LengthSeq, SourceModel, _exp, _ln_series,
-                     shannon_entropy, total_mass)
+from .models import (Exponential, LengthSeq, SourceModel, _Profile, _exp,
+                     _ln_series, shannon_entropy, total_mass)
 from .numeric import LN2, check_positive, isfinite, shown
 
 __all__ = [
@@ -203,7 +203,7 @@ def overflow_functional(model: SourceModel, code: LengthSeq,
     """f(s) above, from ln f; exactly the source mass at s = 0."""
     if not (isfinite(s) and s >= 0.0):     # NaN too
         raise ValueError(f"s must be finite and nonnegative, got {shown(s)}")
-    profile = code._profile(model)      # refuses a code the source cannot take
+    profile = _Profile(model, code)     # refuses a code the source cannot take
     if s == 0.0:
         return total_mass(model)
     return _exp(arrivals.ln_transform(s) + profile.ln_power_sum(s), "f(s)")
@@ -239,7 +239,7 @@ def max_decay_rate(model: SourceModel, code: LengthSeq,
     bracket's upper end is such a point, the DivergenceError of that cap is
     raised.
     """
-    profile = code._profile(model)
+    profile = _Profile(model, code)
     if isinstance(arrivals, Deterministic) and model.size and all(
             code.length_at(i) == arrivals.gap for i in range(model.size)):
         return DecayRate(decay_rate_bound(model, arrivals), True)

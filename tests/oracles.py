@@ -260,6 +260,47 @@ def unary_tail_power_sum_direct(pmf, head_lengths, tail_start: int,
         i, n = i + 1, n + 1
 
 
+def head_run_length(head, start_length: int, k: int, i: int) -> int:
+    """n(i) of a head of lengths and then a Golomb-k run from symbol
+    len(head), whose words take start_length - 1 ones first."""
+    if i < len(head):
+        return head[i]
+    return start_length - 1 + golomb_len(i - len(head), k)
+
+
+def head_run_sums(ln_pmf, head, start_length: int, k: int, ratio: float,
+                  alpha: float, ln_base: float):
+    """(sum p(i)**alpha e**(ln_base n(i)), sum p(i) n(i), sup n(i) + log2
+    p(i)) for head_run_length's code, p falling by ratio per symbol from
+    len(head) on: the head and the run's first period of k symbols term by
+    term. Each later period's masses are the one before's times f = ratio**k
+    and its lengths one more, so the sums of the periods past the first are
+    geometric series in f (powered, f**alpha e**ln_base) and the sup rises
+    by 1 + k log2 ratio per period, unbounded where that is positive.
+    ArithmeticError where the power sum's factor reaches one."""
+    factor = math.exp(alpha * k * math.log(ratio) + ln_base)
+    if factor >= 1.0:
+        raise ArithmeticError("diverges")
+    f = ratio ** k
+    run = range(len(head), len(head) + k)
+    lens = [head_run_length(head, start_length, k, i) for i in run]
+    lps = [ln_pmf(i) for i in run]
+    power = math.fsum(math.exp(alpha * lp + ln_base * n)
+                      for lp, n in zip(lps, lens))
+    mass = math.fsum(map(math.exp, lps))
+    moment = math.fsum(math.exp(lp) * n for lp, n in zip(lps, lens))
+    heads = [ln_pmf(i) for i in range(len(head))]
+    powers = [math.exp(alpha * lp + ln_base * n) for lp, n in zip(heads, head)]
+    means = [math.exp(lp) * n for lp, n in zip(heads, head)]
+    sups = [n + lp / math.log(2.0)
+            for lp, n in zip(heads + lps, [*head, *lens])]
+    sup = max(sups) if 1.0 + k * math.log2(ratio) <= 0.0 else math.inf
+    # sum_{m>=0} f**m (moment + m mass) = moment/(1-f) + mass f/(1-f)**2
+    return (math.fsum(powers + [power / (1.0 - factor)]),
+            math.fsum(means + [moment / (1.0 - f),
+                               mass * f / (1.0 - f) ** 2]), sup)
+
+
 def mmr_sup_scan(ratio: float, k: int, limit: int = 10 ** 4):
     """Numeric supremum of n_k(i) + log2 p(i) over i < limit; returns
     (value, still_rising) where still_rising flags an unbounded climb."""

@@ -1,15 +1,20 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from epc import (DecayRate, DivergenceError, DthRedundancy,
+from epc import (DecayRate, DivergenceError, DthRedundancy, ExplicitFinite,
                  ExponentialArrivals, Exponential, Geometric, GolombCode,
                  LengthSeq, Linear, MaxRedundancy, Poisson, UnaryEndedCode,
                  UnaryTail, complete_binary, evaluate_penalty, max_decay_rate,
-                 optimal_k, optimal_k_exponential, optimal_k_mmr, power_sum)
+                 optimal_k, optimal_k_exponential, optimal_k_mmr, power_sum,
+                 with_geometric_tail)
 from epc.bits import kraft_total
-from oracles import golomb_len, golomb_power_sum_direct, mmr_sup_scan
+from epc.models import _Profile
+from oracles import (dth_sum_log_terms, expected_length_terms, golomb_len,
+                     golomb_power_sum_direct, head_run_sums,
+                     max_redundancy_terms, mmr_sup_scan, power_sum_terms)
 
 
 def test_codeword_examples():
@@ -96,7 +101,7 @@ def test_one_code_value(code):
         if code.tail.k > 1:     # summed on a geometric source only
             with pytest.raises(ValueError) as refused:
                 evaluate_penalty(Poisson(2.0), code, Linear())
-            assert str(refused.value) == "Golomb sums need a geometric source"
+            assert str(refused.value) == _NOT_GEOMETRIC
         assert plain == LengthSeq((), UnaryTail(0, 1, code.tail.k))
         for ratio in (0.3, 0.8):
             for penalty in _PENALTIES:
@@ -110,12 +115,17 @@ def test_one_code_value(code):
         for penalty in _PENALTIES[:3]:
             assert evaluate_penalty(Poisson(2.0), code, penalty) == \
                 evaluate_penalty(Poisson(2.0), plain, penalty)
-    else:   # a k-run with a spine has no sums, on any source
-        for model in (Geometric(0.5), Poisson(2.0)):
-            with pytest.raises(ValueError) as refused:
-                evaluate_penalty(model, code, Linear())
-            assert str(refused.value) == ("no sums yet for a Golomb-3 run "
-                                          "behind a head or spine")
+    else:   # a k-run behind a head sums where the source is geometric
+        # from the run's start, and nowhere else
+        assert _values(Geometric(0.5), code) == pytest.approx(
+            _direct_values(lambda i: math.log1p(-0.5) + i * math.log(0.5),
+                           code, 0.5), rel=1e-12)
+        with pytest.raises(ValueError) as refused:
+            evaluate_penalty(Poisson(2.0), code, Linear())
+        assert str(refused.value) == _NOT_GEOMETRIC
+
+
+_NOT_GEOMETRIC = "Golomb sums need a geometric source from the run's start"
 
 
 def test_tail_record_refuses_a_bad_k():
@@ -291,6 +301,102 @@ def test_evaluate_penalty_reads_the_golomb_profile():
         scan, rising = mmr_sup_scan(th, k)
         assert rising if got == math.inf else got == pytest.approx(
             scan, rel=1e-12)
+
+
+_SUMMED = (Exponential(0.7), Exponential(1.3), Exponential(2.0), Linear(),
+           DthRedundancy(0.5), DthRedundancy(2.0), MaxRedundancy())
+
+
+def _values(model, code):
+    """Each _SUMMED penalty's value, None where its sum diverges."""
+    values = []
+    for penalty in _SUMMED:
+        try:
+            values.append(evaluate_penalty(model, code, penalty))
+        except DivergenceError:
+            values.append(None)
+    return values
+
+
+def _direct_values(ln_pmf, code, ratio):
+    """_values by the oracle's direct sums over a source whose masses fall
+    by ratio from the code's run on."""
+    values = []
+    for penalty in _SUMMED:
+        d = getattr(penalty, "order", 0.0)
+        ln_b = math.log(getattr(penalty, "base", 2.0 ** d))
+        try:
+            power, mean, sup = head_run_sums(
+                ln_pmf, code.head, code.tail.start_length, code.tail.k, ratio,
+                1.0 + d, ln_b)
+        except ArithmeticError:
+            values.append(None)
+            continue
+        values.append(sup if penalty == MaxRedundancy() else
+                      mean if penalty == Linear() else math.log(power) / ln_b)
+    return values
+
+
+def _random_code(rng, heads: bool) -> LengthSeq:
+    """A head then a k-run, k from 1 to 5: with heads, the lengths of a
+    random complete tree, one of whose leaves is the run's spine; else no
+    head, and a spine of 0 to 2 ones."""
+    k = rng.randint(1, 5)
+    if not heads:
+        return LengthSeq((), UnaryTail(0, rng.randint(1, 3), k))
+    depths = [0]
+    for _ in range(rng.randint(1, 7)):
+        leaf = depths.pop(rng.randrange(len(depths)))
+        depths += [leaf + 1, leaf + 1]
+    rng.shuffle(depths)
+    spine = depths.pop()
+    return LengthSeq(tuple(depths), UnaryTail(len(depths), spine + 1, k))
+
+
+def test_a_run_behind_a_head_sums_as_the_direct_sum():
+    # every penalty of a head then a k-run, on a source geometric from the
+    # run's start, is the oracle's direct sum to 1e-12; so is every penalty
+    # of a Golomb code on a finite source
+    rng = random.Random(36)
+    for _ in range(60):
+        heads = rng.random() < 0.7
+        code, ratio = _random_code(rng, heads), rng.uniform(0.05, 0.9)
+        # masses up to the run's start, the last one continued by ratio
+        ws = [rng.uniform(0.1, 1.0) for _ in
+              range(rng.randint(1, len(code.head) + 1))]
+        ws[-1] /= 1.0 - ratio
+        probs = [w / math.fsum(ws) for w in ws]
+        probs[-1] *= 1.0 - ratio
+        last = len(probs) - 1
+        for model, ln_pmf in (
+                (Geometric(ratio),
+                 lambda i: math.log1p(-ratio) + i * math.log(ratio)),
+                (with_geometric_tail(probs, ratio),
+                 lambda i: math.log(probs[min(i, last)])
+                 + max(i - last, 0) * math.log(ratio))):
+            assert _values(model, code) == pytest.approx(
+                _direct_values(ln_pmf, code, ratio), rel=1e-12)
+        assert _Profile(model, code).pole == pytest.approx(
+            -code.tail.k * math.log(ratio), rel=1e-15)
+        n = rng.randint(1, 30)
+        ws = [rng.uniform(0.01, 1.0) for _ in range(n)]
+        model = ExplicitFinite([w / math.fsum(ws) for w in ws])
+        code = GolombCode(code.tail.k)
+        lengths = [golomb_len(i, code.k) for i in range(n)]
+        ln_ps = [math.log(p) for p in model.probs]
+        want = [math.log(power_sum_terms(model.probs, lengths, b))
+                / math.log(b) for b in (0.7, 1.3, 2.0)]
+        want += [expected_length_terms(model.probs, lengths)]
+        want += [dth_sum_log_terms(ln_ps, lengths, d) / (d * math.log(2.0))
+                 for d in (0.5, 2.0)]
+        want += [max_redundancy_terms(ln_ps, lengths)]
+        assert _values(model, code) == pytest.approx(want, rel=1e-12)
+    # such a code's rate lies below its pole, -k ln ratio
+    model = with_geometric_tail((0.3, 0.2, 0.15, 0.14), 0.6)
+    code = LengthSeq((2, 2, 3, 3), UnaryTail(4, 4, 3))
+    rate = max_decay_rate(model, code, ExponentialArrivals(0.1))
+    assert 0.0 < rate.value < _Profile(model, code).pole
+    assert not rate.at_boundary
 
 
 def test_dth_penalty_small_orders_reach_the_limit():

@@ -15,6 +15,7 @@ from epc import (DivergenceError, DthRedundancy, EpcError, ExplicitFinite,
                  shannon_entropy, tail_weight, total_mass, with_geometric_tail)
 from epc.bits import kraft_total
 from epc.light_tail import build_unary_ended
+from epc.models import _Profile
 from epc.numeric import LN2
 from oracles import (geometric_pmf, poisson_entropy_decimal, poisson_pmf,
                      unary_tail_power_sum_direct)
@@ -211,13 +212,13 @@ def test_profile_reads_the_head_log_masses_once():
             Counting.calls = Counting.reads = 0
             model = Counting(700.0)
             start = time.process_time()
-            profile = code._profile(model)
+            profile = _Profile(model, code)
             times.append(time.process_time() - start)
             assert Counting.reads <= len(code.head) and Counting.calls == 1
     finally:
         gc.enable()
     assert profile.ln_power_sum(LN2) == \
-        code._profile(Poisson(700.0)).ln_power_sum(LN2)
+        _Profile(Poisson(700.0), code).ln_power_sum(LN2)
     assert min(times) < 0.03
 
 
@@ -556,9 +557,10 @@ def test_poisson_entropies_cost_follows_the_spread():
     (lambda: LengthSeq((1, 2, 2)).codeword(1.0), "float 1.0"),
     (lambda: encode([2.5], GolombCode(3)), "float 2.5"),
     (lambda: encode([[1]], GolombCode(3)), "list [1]"),
+    (lambda: encode([2, 2.0], GolombCode(3)), "float 2.0"),
 ], ids=["poisson-mass", "geometric-mass", "finite-mass", "tail-weight",
         "unary-ended-length", "golomb-word", "head-word", "encode-float",
-        "encode-unhashable"])
+        "encode-unhashable", "encode-float-after-its-int"])
 def test_symbol_indices_are_integers(query, shown):
     # a symbol is read once through operator.index; nothing else names one
     with pytest.raises(ValueError) as exc:

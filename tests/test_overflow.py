@@ -19,6 +19,7 @@ from epc import (Deterministic, DivergenceError, DthRedundancy, EpcError,
                  shannon_entropy, tail_weight, total_mass,
                  with_geometric_tail)
 from epc import overflow
+from epc.models import _Profile
 from epc.overflow import _S_TOL, _length_key
 from oracles import (best_decay_rate, golomb_power_sum_direct,
                      largest_feasible_on_grid, plain_bisection_rate)
@@ -792,7 +793,7 @@ def test_max_decay_rate_at_a_pole_takes_one_evaluation(k):
     arrivals = _counting(Deterministic(2.0 * shannon_entropy(model)))
     rate = max_decay_rate(model, code, arrivals)
     assert arrivals.evaluations == 1
-    pole = code._profile(model).pole
+    pole = _Profile(model, code).pole
     assert rate.value < pole == math.nextafter(rate.value, math.inf)
     assert _search_outcome(_plain_search, model, code, arrivals) == (
         rate.value.hex(), False)
@@ -809,7 +810,7 @@ def _search_outcome(search, *args):
 
 def _plain_search(model, code, arrivals):
     """max_decay_rate's answer by the plain bisection of the oracle."""
-    profile = code._profile(model)
+    profile = _Profile(model, code)
     return plain_bisection_rate(
         arrivals.ln_transform, profile.ln_power_sum, profile.pole,
         profile.expected_length(), arrivals.mean_gap(), DivergenceError,

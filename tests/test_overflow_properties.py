@@ -24,7 +24,7 @@ from epc import (Deterministic, DivergenceError, EpcError, ExplicitFinite,
                  decay_rate_bound, find_split_exponential, max_decay_rate,
                  optimal_code, optimize_overflow, overflow_functional,
                  shannon_entropy, with_geometric_tail)
-from epc.models import _ln_series
+from epc.models import _Profile, _ln_series
 from epc.numeric import LN2
 from epc.overflow import _S_TOL, DecayRate
 from oracles import (golomb_power_sum_periods, poisson_ln_pmf, poisson_pmf,
@@ -134,7 +134,7 @@ def _one_length_passes_one(model, code, ln_t, s) -> bool:
 def _reference_rate(model, code, arrivals) -> DecayRate:
     """The bisection of max_decay_rate, on the same points, with every ln f
     the log transform plus the log of the oracle power sum."""
-    profile = code._profile(model)
+    profile = _Profile(model, code)
     if profile.expected_length() >= arrivals.mean_gap():
         return DecayRate(0.0, True)
 
