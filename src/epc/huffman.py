@@ -167,7 +167,8 @@ def _tilted(weights, tilt, ln_weights=None, order=None) -> CodeTree:
     None. ln_weights, where given, lists the weights' logs, read only when
     the merge takes logs; the weights may then be zero. order,
     where given, is the weights' stable sort; only the plain merge at d = 0
-    reads it, since p**(1+d) and logs can round distinct weights to ties."""
+    reads it, for its order and its least weight, since p**(1+d) and logs
+    can round distinct weights to ties."""
     if tilt is None:
         d, b, ln_b = 0.0, 2.0, LN2
         plain, in_logs = "max", "ln_max"
@@ -180,8 +181,10 @@ def _tilted(weights, tilt, ln_weights=None, order=None) -> CodeTree:
             ws = [p ** (1.0 + d) for p in weights] if d else weights
         except OverflowError:   # a raw weight above one, at a high order
             ws = [0.0]
-        if min(ws) >= sys.float_info.min:
-            root, merges = _run(ws, b, plain, None if d else order)
+        order = None if d else order
+        least = min(ws) if order is None else ws[order[0]]
+        if least >= sys.float_info.min:
+            root, merges = _run(ws, b, plain, order)
     logged = root is None or not sys.float_info.min <= root < math.inf
     if logged:
         ys = ln_weights or list(map(math.log, weights))

@@ -55,7 +55,7 @@ class UnaryEndedCode(LengthSeq):
     split = property(lambda self: len(self.head) - 1)
 
     def lengths(self) -> LengthSeq:
-        return LengthSeq(self.head, self.tail)
+        return LengthSeq._of_tree(self.head, self.tail)
 
     def __repr__(self) -> str:
         return (f"UnaryEndedCode(head_lengths={self.head!r}, "
@@ -198,8 +198,9 @@ def _build(model: SourceModel, penalty: Penalty) -> UnaryEndedCode:
     weights = model.masses(r + 1) + [tail]
     ys = (model.ln_masses(0, r + 1) + [ln_tail] if min(weights) < _TINY
           else None)
-    lengths = _assemble(ys or weights, _tilted(weights, tilt, ys).lengths)
-    return UnaryEndedCode(lengths[:-1], lengths[-1])
+    *head, spine = _assemble(ys or weights, _tilted(weights, tilt, ys).lengths)
+    # the pseudo-symbol's word is the spine the unary run continues
+    return UnaryEndedCode._of_tree(tuple(head), UnaryTail(r + 1, spine + 1))
 
 
 def build_unary_ended(model: SourceModel, base: float) -> UnaryEndedCode:
@@ -225,7 +226,8 @@ def optimal_code(model: SourceModel, penalty: Penalty) -> LengthSeq:
     if isinstance(model, Geometric):
         return GolombCode(optimal_k(model.ratio, penalty))
     if model.size is not None:
-        return LengthSeq(_tilted(model.probs, tilt, order=model._order).lengths)
+        return LengthSeq._of_tree(
+            _tilted(model.probs, tilt, order=model._order).lengths)
     if tilt is not None and tilt[0] > 0.0:
         raise ValueError("dth-power redundancy codes need a geometric source")
     return _build(model, penalty)

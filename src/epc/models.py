@@ -297,7 +297,12 @@ class LengthSeq:
     one value every code is. Positive integers (a lone 0 codes a one-symbol
     alphabet) whose Kraft sum, the run counted as one word of start_length
     - 1 bits, is at most one, tested exactly. Codes of any class compare
-    and hash by head and tail."""
+    and hash by head and tail.
+
+    Every code made through a constructor is checked against these rules,
+    the one rule set. Only _of_tree skips the check, for lengths that keep
+    the rules by construction: a merge tree's leaf depths, those depths
+    reassigned to other symbols, and copies of a checked code."""
 
     head: tuple[int, ...]
     tail: Optional[UnaryTail] = None
@@ -318,6 +323,17 @@ class LengthSeq:
             raise ValueError("lengths must lie inside the float range")
         if kraft_sign(words) > 0:
             raise ValueError("lengths violate the Kraft inequality")
+
+    @classmethod
+    def _of_tree(cls, head: tuple[int, ...],
+                 tail: Optional[UnaryTail] = None) -> "LengthSeq":
+        """The code with this head, a tuple of ints, and tail, unchecked:
+        for a merge tree's depths (positive, a lone 0 for one symbol, Kraft
+        sum one), a light-tail code's, whose tail continues the tree's
+        pseudo-symbol, and a checked code's head and tail."""
+        code = object.__new__(cls)
+        code.__dict__.update(head=head, tail=tail)
+        return code
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LengthSeq):
@@ -405,7 +421,8 @@ def _ln_sum_exp(xs: list[float]) -> float:
     return top + math.log(math.fsum(map(math.exp, [x - top for x in xs])))
 
 
-def _terms(model: SourceModel, j: int, alpha: float, beta: float):
+def _terms(model: SourceModel, j: int, alpha: float, beta: float,
+           logs: Optional[list] = None):
     """The terms t(i) = p(i)**alpha * e**(beta*(i-j)), i >= j >= 0, of one
     series, as (top, lo, ws, ln_q): t(i) = e**top * ws[i - lo] for the
     terms listed (Poisson terms with beta nonzero: ws holds their sum), top
@@ -413,6 +430,8 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float):
     normal float); past the last one listed the terms continue
     geometrically with ratio e**ln_q, unless ln_q is None. Any other term
     left out is certified, with those past it, below _TAIL_REL of the sum.
+    Where Poisson terms are listed from the source's log masses, those
+    fill the list logs, where given, in step with ws; else it stays empty.
 
     A finite alphabet, and a geometric-tailed head, are listed from their
     log masses. Poisson terms have the ratio t(i+1)/t(i) = (c/(i+1))**alpha,
@@ -473,8 +492,13 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float):
         top = 0.0
 
     def block(start: int, stop: int) -> list[float]:
-        """t(start), ..., t(stop - 1) over e**top, from the log masses."""
+        """t(start), ..., t(stop - 1) over e**top, from the log masses; a
+        block below the peak puts its logs before those logs holds."""
         ys = model.ln_masses(start, stop)
+        if logs is not None and start < k0:
+            logs[:0] = ys
+        elif logs is not None:
+            logs.extend(ys)
         if top:
             return [exp(alpha * y - top) for y in ys]
         return list(map(exp, map(mul, ys, repeat(alpha))))
@@ -539,9 +563,11 @@ def _mass_moment(model: SourceModel, j: int, logs: bool):
     """(sum p(i), sum p(i) * f(i)) over i >= j, f(i) = ln p(i) with logs,
     else i - j: the plain mass series of _ln_series, p(i) = e**top * w(i),
     and a first moment of it. j is 0 or an infinite source's tail start, so
-    _terms lists at least one term."""
-    top, lo, ws, ln_q = _terms(model, j, 1.0, 0.0)
-    fs, step = ((model.ln_masses(lo, lo + len(ws)), ln_q) if logs
+    _terms lists at least one term. Log masses _terms read are not read
+    again."""
+    ys = [] if logs else None
+    top, lo, ws, ln_q = _terms(model, j, 1.0, 0.0, ys)
+    fs, step = ((ys or model.ln_masses(lo, lo + len(ws)), ln_q) if logs
                 else (range(lo - j, lo - j + len(ws)), 1.0))
     s, sf = math.fsum(ws), math.fsum(map(mul, ws, fs))
     if ln_q is not None:

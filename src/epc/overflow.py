@@ -306,10 +306,12 @@ def _last_nonpositive(f: Callable[[float], float], slope0: float,
     f is convex on s >= 0 with f(0) = 0 and f'(0) = slope0 < 0, so it
     crosses zero once, rising, at a root r > 0. A secant through two points
     right of r lands at or right of r and converges to it superlinearly from
-    that side; the first step, with one such point, takes the quadratic
-    through the tangent at zero and (hi, f(hi)) instead. Once a step would
-    move hi by at most half the tolerance, one probe just under _S_TOL left
-    of hi closes the bracket from below. A step that lands left of r, or
+    that side. The first step, with one such point, takes the quadratic
+    through the tangent at zero and (hi, f(hi)) instead, and so does every
+    step whose older right point lies more than 2 hi out, since a chord to
+    a point that far is steep and moves hi little. Once a step would move
+    hi by at most half the tolerance, one probe just under _S_TOL left of
+    hi closes the bracket from below. A step that lands left of r, or
     would leave the bracket, is followed by a bisection, and so is every
     step once as many have been taken as plain bisection needs: an f that
     rounding leaves not quite convex still ends. Only the sign test
@@ -325,7 +327,7 @@ def _last_nonpositive(f: Callable[[float], float], slope0: float,
         if bisect or budget <= 0:
             x = mid
         else:
-            if right is None:
+            if right is None or right[0] > 2.0 * hi:
                 x = -slope0 * hi * hi / (f_hi - slope0 * hi)
             elif right[1] > f_hi:
                 x = hi - f_hi * (right[0] - hi) / (right[1] - f_hi)

@@ -366,6 +366,50 @@ def test_finite_code_merges_in_the_kept_order(penalty):
         assert optimal_code(model, penalty) == want
 
 
+def _assert_checked_twin(code):
+    """The code, made from a merge tree with no check, is the one its
+    class's checked constructor makes, as a plain LengthSeq too."""
+    assert type(code.head) is tuple
+    assert all(type(n) is int for n in code.head)
+    plain = LengthSeq(code.head, code.tail)
+    twin = (UnaryEndedCode(code.head, code.spine_length)
+            if isinstance(code, UnaryEndedCode) else plain)
+    assert type(twin) is type(code)
+    assert code == plain == twin
+    assert hash(code) == hash(plain) == hash(twin)
+
+
+def test_built_codes_equal_their_checked_twins():
+    # optimal_code and the light-tail builds make their codes from merge
+    # trees without LengthSeq's check; each equals its checked twin
+    rng = random.Random(37)
+    penalties = (Linear(), Exponential(0.7), Exponential(2.0),
+                 DthRedundancy(0.5), MaxRedundancy())
+    for n in range(1, 65):
+        weights = [rng.lognormvariate(0.0, 1.5) for _ in range(n)]
+        model = ExplicitFinite([w / math.fsum(weights) for w in weights])
+        for penalty in penalties:
+            code = optimal_code(model, penalty)
+            assert type(code) is LengthSeq and code.tail is None
+            _assert_checked_twin(code)
+    models = [Poisson(mean) for mean in (0.5, 4.0, 20.0, 700.0)]
+    for h, ratio in ((3, 0.2), (8, 0.4), (16, 0.4)):
+        head = [rng.lognormvariate(0.0, 0.5) for _ in range(h)]
+        total = math.fsum(head) + head[-1] * ratio / (1.0 - ratio)
+        models.append(with_geometric_tail([w / total for w in head], ratio))
+    for model in models:
+        codes = [build_unary_ended_mmr(model)]
+        for base in (0.7, 1.0, 1.6):
+            codes += [build_unary_ended(model, base),
+                      optimal_code(model, Exponential(base))]
+        for code in codes:
+            assert type(code) is UnaryEndedCode
+            _assert_checked_twin(code)
+            lengths = code.lengths()
+            assert type(lengths) is LengthSeq and lengths == code
+            _assert_checked_twin(lengths)
+
+
 def test_assemble_ranks_heaviest_first_ties_by_index():
     # the reversed sort on the weights alone gives the order of the key
     # (-weight, index): a reversed sort is stable, and -0.0 ties 0.0

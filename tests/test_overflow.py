@@ -19,7 +19,8 @@ from epc import (Deterministic, DivergenceError, DthRedundancy, EpcError,
                  shannon_entropy, tail_weight, total_mass,
                  with_geometric_tail)
 from epc import overflow
-from epc.models import _Profile
+from epc.models import _Profile, _ln_series
+from epc.numeric import LN2
 from epc.overflow import _S_TOL, _length_key
 from oracles import (best_decay_rate, golomb_power_sum_direct,
                      largest_feasible_on_grid, plain_bisection_rate)
@@ -934,6 +935,55 @@ def test_bound_and_the_rate_at_its_base_keep_their_budgets(model):
         counting = _counting(arrivals)
         rate = max_decay_rate(model, code, counting)
         assert rate.value > 0.0 and counting.evaluations <= 24, arrivals
+
+
+def _bisected_bound(model, arrivals):
+    """decay_rate_bound's s0 by a plain bisection of its left side over the
+    bracket its walk finds, every midpoint evaluated."""
+    def ln_left(s):
+        alpha = 1.0 / (1.0 + s / LN2)
+        return (arrivals.ln_transform(s)
+                + _ln_series(model, 0, alpha, 0.0) / alpha)
+
+    lo, hi = 0.0, 1.0
+    while ln_left(hi) <= 0.0:
+        lo, hi = hi, 4.0 * hi
+    while hi - lo > _S_TOL and lo < (lo + hi) / 2.0 < hi:
+        mid = (lo + hi) / 2.0
+        if ln_left(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("model", [
+    _lognormal_source(3, 16, 2.0), _lognormal_source(5, 1024, 1.25),
+    Poisson(1.0), Poisson(20.0),
+    with_geometric_tail((0.4, 0.2, 0.15, 0.1, 0.105), 0.3),
+    Geometric(0.5), Geometric(0.9),
+], ids=["finite16", "finite1024", "poisson1", "poisson20", "tailed",
+        "geometric0.5", "geometric0.9"])
+def test_bound_is_the_plain_bisection_of_its_left_side(model):
+    # the bound's convex secant, with its quadratic step past a far right
+    # point, ends within _S_TOL of where bisection ends on every arrival law
+    rng = random.Random(37)
+    entropy = shannon_entropy(model)
+    checked = 0
+    for load in (rng.uniform(0.3, 0.6), rng.uniform(0.6, 0.9),
+                 rng.uniform(0.9, 0.99)):
+        gap = entropy / load
+        for arrivals in (Deterministic(gap), ExponentialArrivals(1.0 / gap),
+                         GammaArrivals(4.0, 4.0 / gap),
+                         _gamma_table(2.0, gap)):
+            if (isinstance(arrivals, Deterministic) and model.size
+                    and gap >= math.log2(model.size)):
+                continue    # the bound's closed form, with no search
+            s0 = decay_rate_bound(model, arrivals)
+            assert abs(s0 - _bisected_bound(model, arrivals)) <= _S_TOL, (
+                load, arrivals)
+            checked += 1
+    assert checked >= 10
 
 
 @pytest.mark.parametrize("mean, gap", [
