@@ -425,11 +425,14 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float,
            logs: Optional[list] = None):
     """The terms t(i) = p(i)**alpha * e**(beta*(i-j)), i >= j >= 0, of one
     series, as (top, lo, ws, ln_q): t(i) = e**top * ws[i - lo] for the
-    terms listed (Poisson terms with beta nonzero: ws holds their sum), top
-    the log of the largest (or zero where beta is zero and that term is a
-    normal float); past the last one listed the terms continue
-    geometrically with ratio e**ln_q, unless ln_q is None. Any other term
-    left out is certified, with those past it, below _TAIL_REL of the sum.
+    terms listed, top the log of the largest (or zero where beta is zero and
+    that term is a normal float); past the last one listed the terms
+    continue geometrically with ratio e**ln_q, unless ln_q is None. Where
+    no caller reads the terms one by one, ws holds their sum alone: Poisson
+    terms with beta nonzero, and at beta zero a listed head's masses powered
+    by an alpha other than one, summed in one pass, their geometric rest
+    included. Any other term left out is certified, with those past it,
+    below _TAIL_REL of the sum.
     Where Poisson terms are listed from the source's log masses, those
     fill the list logs, where given, in step with ws; else it stays empty.
 
@@ -450,13 +453,20 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float,
         if j >= stop:
             return -math.inf, j, [], ln_q
         if not g:   # the masses to the alpha, where the largest is normal
-            ps = model.masses(stop)[j:] if j else model.masses(stop)
+            # the source's own tuple, not a copy
+            ps = (model.probs if rho is None else model.head)[j:]
             # a whole finite alphabet sums to one, so its largest mass lies
             # in [1/(2 size), 1]
             if -700.0 < alpha * (-math.log(2 * size) if rho is None and not j
                                  else math.log(max(ps))) < 700.0:
-                return 0.0, j, (ps if alpha == 1.0 else
-                                list(map(pow, ps, repeat(alpha)))), ln_q
+                if alpha == 1.0:
+                    return 0.0, j, ps, ln_q
+                # the rest past the last is added after the sum, as
+                # _ln_series adds it to a listed head's
+                total = math.fsum(map(pow, ps, repeat(alpha)))
+                if ln_q is not None:
+                    total += ps[-1] ** alpha * _rest(ln_q)
+                return 0.0, j, [total], None
         ys = model.ln_masses(j, stop)
         xs = [y + g * k for k, y in enumerate(ys)] if g else ys
         top = alpha * max(xs)
@@ -546,7 +556,10 @@ def _rest(ln_q: float) -> float:
     if ln_q >= 0.0:
         raise DivergenceError(
             f"geometric tail diverges: its term ratio {math.exp(ln_q)} >= 1")
-    return 1.0 / math.expm1(-ln_q)
+    try:
+        return 1.0 / math.expm1(-ln_q)
+    except OverflowError:   # q/(1 - q) is q itself to the float's precision
+        return math.exp(ln_q)
 
 
 def _ln_series(model: SourceModel, j: int, alpha: float, beta: float) -> float:

@@ -40,6 +40,7 @@ __all__ = [
 _S_TOL = 1e-10
 _ROUNDING = 2.0 ** -48     # 16 float epsilons, a table's rounding slack
 _PROBE = _S_TOL * (1.0 - 2.0 ** -10)   # the closing probe's offset
+_ENVELOPE_STEPS = 4     # the bound's start: each step costs a transform call
 # max_decay_rate's bisection evaluates ln f at a midpoint this close to the
 # located root's bracket, where rounding may give ln f a sign convexity would
 # not, and decides every farther one by its side
@@ -346,6 +347,28 @@ def _last_nonpositive(f: Callable[[float], float], slope0: float,
     return lo, hi
 
 
+def _envelope_start(ln_transform: Callable[[float], float], entropy: float,
+                    slope0: float) -> float:
+    """The bound's first point: 1, or a point below it where the Shannon
+    envelope g(s) = ln T(s) + s * entropy is positive.
+
+    Renyi entropy falls with its order, so the bound's left side is at or
+    above g, and g > 0 puts that point right of s0. g is convex with g(0) =
+    0 and g'(0) = slope0 < 0; from s = 1 up to _ENVELOPE_STEPS quadratic
+    steps through its tangent at zero close in on its root, each kept while
+    g stays positive. Under a deterministic gap g never passes zero."""
+    s = 1.0
+    g = ln_transform(s) + s * entropy
+    for _ in range(_ENVELOPE_STEPS):
+        if g <= 0.0:    # at s = 1, or at a step not kept
+            break
+        x = -slope0 * s * s / (g - slope0 * s)     # in (0, s)
+        g = ln_transform(x) + x * entropy
+        if g > 0.0:
+            s = x
+    return s
+
+
 def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel, *,
                      _at_raise: Callable[[float], object] | None = None
                      ) -> float:
@@ -361,6 +384,11 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel, *,
     is refused. Otherwise every code has a word of floor(gap) + 1 bits or
     more, so f(s) >= p_min e**(s (floor(gap) + 1 - gap)), and s0 is where
     that passes one.
+
+    Elsewhere a walk brackets s0 and _last_nonpositive closes the bracket.
+    The walk starts at 1, or below it at a point right of s0 that
+    _envelope_start finds from the transform and the entropy alone, and
+    quadruples its point while the left side there is at or below zero.
 
     optimize_overflow passes _at_raise, called with lo each time the walk
     raises its lower end lo: every later bracket, s0 among it, lies at or
@@ -389,7 +417,8 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel, *,
 
     # at s = 0 both the transform and the sum of the masses are one, and
     # the slope of ln_left is the entropy less the mean intermission
-    lo, hi = 0.0, 1.0
+    slope0 = entropy - mean_gap
+    lo, hi = 0.0, _envelope_start(arrivals.ln_transform, entropy, slope0)
     f_hi = ln_left(hi)
     while f_hi <= 0.0:
         lo = hi
@@ -399,7 +428,7 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel, *,
         if hi > 2.0 ** 40:
             raise EpcError("initial bound did not close; arrivals too slow")
         f_hi = ln_left(hi)
-    return _last_nonpositive(ln_left, entropy - mean_gap, lo, hi, f_hi)[0]
+    return _last_nonpositive(ln_left, slope0, lo, hi, f_hi)[0]
 
 
 # --------------------------------------------------------------- optimizer

@@ -194,6 +194,16 @@ def series_direct(term, start: int, ratio_bound,
         i += 1
 
 
+def ln_series_direct(ln_term, start: int, ratio_bound,
+                     tol: float = ORACLE_TOL) -> float:
+    """ln sum_{i >= start} e**ln_term(i) by brute force, each term taken
+    over the first, so that terms past the float range still count;
+    ratio_bound as in series_direct."""
+    top = ln_term(start)
+    return top + math.log(series_direct(
+        lambda i: math.exp(ln_term(i) - top), start, ratio_bound, tol))
+
+
 def poisson_tail_weight_direct(mean: float, j: int, base: float,
                                tol: float = ORACLE_TOL) -> float:
     """sum_{k>j} p(k) base**(k-j) for a Poisson mean, each term taken from

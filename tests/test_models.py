@@ -15,10 +15,10 @@ from epc import (DivergenceError, DthRedundancy, EpcError, ExplicitFinite,
                  shannon_entropy, tail_weight, total_mass, with_geometric_tail)
 from epc.bits import kraft_total
 from epc.light_tail import build_unary_ended
-from epc.models import _Profile
+from epc.models import _Profile, _ln_series
 from epc.numeric import LN2
-from oracles import (geometric_pmf, poisson_entropy_decimal, poisson_pmf,
-                     unary_tail_power_sum_direct)
+from oracles import (geometric_pmf, ln_series_direct, poisson_entropy_decimal,
+                     poisson_pmf, unary_tail_power_sum_direct)
 
 UNARY = LengthSeq((), UnaryTail(0, 1))
 
@@ -230,6 +230,52 @@ def test_tail_weight_past_the_float_range():
         assert tail_weight(m, 10 ** 400, 0.5) == 0.0
     with pytest.raises(DivergenceError):    # base * ratio = 1
         tail_weight(Geometric(0.5), 10 ** 400, 2.0)
+
+
+def test_geometric_runs_of_ratio_below_the_float_range():
+    # a run's rest q/(1 - q) past q = e**-709.78, where 1/expm1(-ln q)
+    # overflowed, is q itself to the float's precision
+    def renyi_direct(head, ratio, base):
+        alpha, last = 1.0 / (1.0 + math.log2(base)), len(head) - 1
+        q = ratio ** alpha      # the term ratio along the run, 0.0 here
+        ln_sum = ln_series_direct(
+            lambda i: alpha * (math.log(head[min(i, last)])
+                               + max(i - last, 0) * math.log(ratio)), 0,
+            lambda i: q if i >= last else math.inf)
+        return ln_sum / ((1.0 - alpha) * LN2)
+
+    for head, ratio, base in (((0.99,), 0.01, 0.5000001),
+                              ((1.0 - 1e-300,), 1e-300, 0.6),
+                              ((0.5, 0.5), 1e-300, 0.6)):
+        model = (Geometric(ratio) if len(head) == 1
+                 else with_geometric_tail(head, ratio))
+        assert renyi_entropy(model, base) == pytest.approx(
+            renyi_direct(head, ratio, base), rel=1e-12, abs=1e-12)
+    ratio, base = 1e-300, 1e-10
+    want = math.exp(ln_series_direct(
+        lambda k: math.log(geometric_pmf(ratio, k)) + k * math.log(base), 1,
+        lambda k: ratio * base))
+    assert tail_weight(Geometric(ratio), 0, base) == pytest.approx(
+        want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 256, 1024])
+def test_finite_renyi_sums_are_the_plain_sum_bit_for_bit(n):
+    rng = random.Random(38 + n)
+    for _ in range(5):
+        ws = [math.exp(1.25 * rng.gauss(0.0, 1.0)) for _ in range(n)]
+        total = math.fsum(ws)
+        model = ExplicitFinite([w / total for w in ws])
+        head = model.probs[:-1] + (model.probs[-1] * 0.5,)
+        tailed = with_geometric_tail(head, 0.5)
+        for _ in range(4):
+            alpha = rng.uniform(0.01, 0.99)
+            assert _ln_series(model, 0, alpha, 0.0) == math.log(
+                math.fsum(p ** alpha for p in model.probs))
+            # a geometric-tailed head: its rest is added after the sum
+            rest = 1.0 / math.expm1(-alpha * math.log(0.5))
+            assert _ln_series(tailed, 0, alpha, 0.0) == math.log(
+                math.fsum(p ** alpha for p in head) + head[-1] ** alpha * rest)
 
 
 def test_explicit_tailed_is_a_value():

@@ -886,12 +886,15 @@ def test_a_table_whose_log_slope_falls_is_refused():
 
 def _counting(arrivals):
     """A copy of the arrivals, of a subclass of their class, that counts the
-    ln_transform evaluations made through it in its class's `evaluations`."""
+    ln_transform evaluations made through it in its class's `evaluations`
+    and lists their points, in order, in its `points`."""
     class Counting(type(arrivals)):
         evaluations = 0
+        points = []
 
         def ln_transform(self, s):
             Counting.evaluations += 1
+            Counting.points.append(s)
             return super().ln_transform(s)
 
     return Counting(*(getattr(arrivals, field.name)
@@ -984,6 +987,69 @@ def test_bound_is_the_plain_bisection_of_its_left_side(model):
                 load, arrivals)
             checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("model", [
+    _lognormal_source(3, 16, 2.0), _lognormal_source(5, 1024, 1.25),
+    Poisson(1.0), Poisson(20.0),
+    with_geometric_tail((0.4, 0.2, 0.15, 0.1, 0.105), 0.3),
+    Geometric(0.5), Geometric(0.9),
+], ids=["finite16", "finite1024", "poisson1", "poisson20", "tailed",
+        "geometric0.5", "geometric0.9"])
+def test_bound_starts_right_of_its_root(model, monkeypatch):
+    # the grid of the bisection test above: the walk's first Renyi sum is
+    # taken at the last transform point before it, and wherever that point
+    # lies below 1 (the Shannon envelope is positive there) the bound's
+    # left side is positive there too
+    rng = random.Random(37)
+    entropy = shannon_entropy(model)
+    points = []     # the transform point of each Renyi sum
+    real_series = overflow._ln_series
+
+    def series(*args):
+        points.append(counting.points[-1])
+        return real_series(*args)
+
+    monkeypatch.setattr(overflow, "_ln_series", series)
+    below = 0
+    for load in (rng.uniform(0.3, 0.6), rng.uniform(0.6, 0.9),
+                 rng.uniform(0.9, 0.99)):
+        gap = entropy / load
+        for arrivals in (Deterministic(gap), ExponentialArrivals(1.0 / gap),
+                         GammaArrivals(4.0, 4.0 / gap),
+                         _gamma_table(2.0, gap)):
+            if (isinstance(arrivals, Deterministic) and model.size
+                    and gap >= math.log2(model.size)):
+                continue    # the bound's closed form, with no search
+            counting, started = _counting(arrivals), len(points)
+            s0 = decay_rate_bound(model, counting)
+            first = points[started]
+            if first < 1.0:
+                below += 1
+                alpha = 1.0 / (1.0 + first / LN2)
+                assert (arrivals.ln_transform(first)
+                        + real_series(model, 0, alpha, 0.0) / alpha > 0.0)
+                assert s0 < first, (load, arrivals)
+            else:
+                assert first == 1.0, (load, arrivals)
+    assert below >= 3
+
+
+def test_bound_sums_few_renyi_series(monkeypatch):
+    # six bounds on a 1024-symbol source: from the Shannon envelope's start
+    # they take 43 Renyi sums, where a walk started at s = 1 took 56
+    model = _lognormal_source(5, 1024, 1.25)
+    entropy = shannon_entropy(model)
+    sums = []
+    real_series = overflow._ln_series
+    monkeypatch.setattr(overflow, "_ln_series",
+                        lambda *args: sums.append(args) or real_series(*args))
+    for load in (0.5, 0.8, 0.95):
+        gap = entropy / load
+        for arrivals in (ExponentialArrivals(1.0 / gap),
+                         GammaArrivals(4.0, 4.0 / gap)):
+            decay_rate_bound(model, arrivals)
+    assert len(sums) == 43
 
 
 @pytest.mark.parametrize("mean, gap", [
