@@ -104,11 +104,11 @@ def _descriptor(code: LengthSeq) -> bytes:
     if tail is None:
         return (bytes([_TAG_EXPLICIT]) + uleb128_encode(len(head))
                 + uleb128_encode_all(head))
-    if tail.start_length == 1:
+    if not tail.spine:
         return bytes([_TAG_GOLOMB]) + uleb128_encode(tail.k)
     if tail.k == 1 and head:
         return (bytes([_TAG_UNARY_ENDED]) + uleb128_encode(len(head) - 1)
-                + uleb128_encode_all(head + (tail.start_length - 1,)))
+                + uleb128_encode_all(head + (tail.spine,)))
     raise ValueError("no container holds a " + (
         "unary run behind a spine with no head" if tail.k == 1
         else f"Golomb-{tail.k} run behind a head or spine"))
@@ -394,7 +394,7 @@ class _Plan:
     def __init__(self, code: LengthSeq) -> None:
         self.code = code
         lengths, tail = code.head, code.tail
-        self.spine = spine = tail.start_length - 1 if tail else 0
+        self.spine = spine = tail.spine if tail else 0
         self.k = k = tail.k if tail else 0
         self.width = width = max(lengths + (spine,))
         self.rows, self.ends = rows, ends = [], []

@@ -5,7 +5,7 @@ ones, then a zero) followed by a complete binary code for the remainder
 j mod k. The remainder suffix uses g - 1 bits for the first z = 2**g - k
 values and g bits for the rest, g being the bit length of k, which makes the
 code complete (Kraft sum exactly 1) and alphabetic. It is the LengthSeq
-UnaryTail(0, 1, k) ends: no head, no spine, the k-run from symbol 0. Its
+UnaryTail(0, k=k) ends: no head, no spine, the k-run from symbol 0. Its
 lengths, words and sums are every LengthSeq's; a k-run sums in closed form
 on a source geometric from its start: evaluate_penalty(Geometric(r),
 GolombCode(k), penalty) is its value. optimal_k picks k for a penalty
@@ -31,7 +31,7 @@ class GolombCode(LengthSeq):
     def __init__(self, k: int) -> None:
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"k must be a positive integer, got {k!r}")
-        super().__init__((), UnaryTail(0, 1, k))
+        super().__init__((), UnaryTail(0, k=k))
 
     k = property(lambda self: self.tail.k)
 

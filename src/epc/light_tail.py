@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .bits import integer_lengths
 from .errors import NotLightTailedError
 from .golomb import GolombCode, optimal_k
 from .huffman import _tilted
@@ -41,16 +40,10 @@ class UnaryEndedCode(LengthSeq):
     """
 
     def __init__(self, head_lengths, spine_length: int) -> None:
-        *head, spine = integer_lengths([*head_lengths, spine_length])
-        super().__init__(head, UnaryTail(len(head), spine + 1))
+        super().__init__(head_lengths, UnaryTail(spine_length))
 
-    @classmethod
-    def from_lengths(cls, head_lengths, spine_length: int) -> "UnaryEndedCode":
-        return cls(head_lengths, spine_length)
-
-    # the unary tail starts one bit past the spine
     head_lengths = property(lambda self: self.head)
-    spine_length = property(lambda self: self.tail.start_length - 1)
+    spine_length = property(lambda self: self.tail.spine)
     tail_prefix = property(lambda self: "1" * self.spine_length)
     split = property(lambda self: len(self.head) - 1)
 
@@ -60,8 +53,6 @@ class UnaryEndedCode(LengthSeq):
     def __repr__(self) -> str:
         return (f"UnaryEndedCode(head_lengths={self.head!r}, "
                 f"spine_length={self.spine_length})")
-
-    describe = LengthSeq.__str__
 
 
 # ------------------------------------------------------------ split search
@@ -200,7 +191,7 @@ def _build(model: SourceModel, penalty: Penalty) -> UnaryEndedCode:
           else None)
     *head, spine = _assemble(ys or weights, _tilted(weights, tilt, ys).lengths)
     # the pseudo-symbol's word is the spine the unary run continues
-    return UnaryEndedCode._of_tree(tuple(head), UnaryTail(r + 1, spine + 1))
+    return UnaryEndedCode._of_tree(tuple(head), UnaryTail(spine))
 
 
 def build_unary_ended(model: SourceModel, base: float) -> UnaryEndedCode:

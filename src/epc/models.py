@@ -2,10 +2,10 @@
 
 Sources are measures on the nonnegative integers, usually summing to one.
 Every code is a LengthSeq: a head of lengths, then optionally a run record
-(start index, start length, k), an all-1s spine and then Golomb-k words; k = 1
-is unary. Penalties read a code's one profile over a source: the head's
-masses by length, then the run, in closed form on a source geometric from its
-start, else a unary run as a series. Values are immutable, functions pure.
+(spine, k) past it, spine ones and then Golomb-k words; k = 1 is unary.
+Penalties read a code's one profile over a source: the head's masses by
+length, then the run, in closed form on a source geometric from its start,
+else a unary run as a series. Values are immutable, functions pure.
 """
 from __future__ import annotations
 
@@ -252,7 +252,7 @@ Penalty = Union[Exponential, DthRedundancy, MaxRedundancy, Linear]
 
 # ---------------------------------------------------------------- lengths
 
-# a code's lengths, and its run's start length and k, are at most this, so
+# a code's lengths, and its run's first length and k, are at most this, so
 # every sum over a code reads them as floats
 _FLOAT_MAX = sys.float_info.max
 
@@ -268,36 +268,34 @@ def _symbol(i) -> int:
 
 @dataclass(frozen=True, init=False)
 class UnaryTail:
-    """The run a code ends in: symbol i >= start_index is written as
-    start_length - 1 spine ones, then the Golomb-k word of i - start_index.
-    At k = 1, unary: n(i) = start_length + (i - start_index)."""
+    """The run a code ends in, from t0, the symbol past its head: symbol
+    i >= t0 is written as `spine` ones, then the Golomb-k word of i - t0.
+    At k = 1, unary: n(i) = spine + 1 + (i - t0)."""
 
-    start_index: int
-    start_length: int
+    spine: int
     k: int = 1
 
-    def __init__(self, start_index: int, start_length: int, k: int = 1) -> None:
+    def __init__(self, spine: int, *, k: int = 1) -> None:
         try:
-            index, length, k = integer_lengths((start_index, start_length, k))
+            spine, k = integer_lengths((spine, k))
         except ValueError as exc:
             raise ValueError(f"bad tail record: {exc}") from None
-        if index < 0 or length < 1 or k < 1:
+        if spine < 0 or k < 1:
             raise ValueError("bad tail record")
-        if max(length, k) > _FLOAT_MAX:
-            raise ValueError("bad tail record: its start length and k must "
+        if max(spine + 1, k) > _FLOAT_MAX:
+            raise ValueError("bad tail record: its first length and k must "
                              "lie inside the float range")
-        object.__setattr__(self, "start_index", index)
-        object.__setattr__(self, "start_length", length)
+        object.__setattr__(self, "spine", spine)
         object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True, eq=False)
 class LengthSeq:
-    """Codeword lengths, head[i] for symbol i and then the tail's run: the
-    one value every code is. Positive integers (a lone 0 codes a one-symbol
-    alphabet) whose Kraft sum, the run counted as one word of start_length
-    - 1 bits, is at most one, tested exactly. Codes of any class compare
-    and hash by head and tail.
+    """Codeword lengths, head[i] for symbol i and then the tail's run from
+    symbol len(head): the one value every code is. Positive integers (a lone
+    0 codes a one-symbol alphabet) whose Kraft sum, the run counted as one
+    word of its spine's bits, is at most one, tested exactly. Codes of any
+    class compare and hash by head and tail.
 
     Every code made through a constructor is checked against these rules,
     the one rule set. Only _of_tree skips the check, for lengths that keep
@@ -314,10 +312,8 @@ class LengthSeq:
         if head and min(head) < 1 and head != (0,):
             raise ValueError("lengths must be positive")
         if self.tail is not None:
-            if self.tail.start_index != len(head):
-                raise ValueError("tail must start right after the head")
-            # the run fills the code space of one word a bit shorter
-            words += (self.tail.start_length - 1,)
+            # the run fills the code space of its spine's word
+            words += (self.tail.spine,)
         words = sorted(words)
         if words and words[-1] > _FLOAT_MAX:
             raise ValueError("lengths must lie inside the float range")
@@ -362,9 +358,9 @@ class LengthSeq:
         if tail is None:
             raise IndexError(f"no length assigned to symbol {i}")
         k = tail.k
-        q, r = divmod(i - tail.start_index, k)
+        q, r = divmod(i - len(self.head), k)
         g = k.bit_length()      # the suffix takes g - 1 bits below 2**g - k
-        return tail.start_length + q + (g - 1 if r < (1 << g) - k else g)
+        return tail.spine + 1 + q + (g - 1 if r < (1 << g) - k else g)
 
     def codeword(self, i: int) -> str:
         """Symbol i's word: its head length's canonical word, or past the
@@ -375,8 +371,8 @@ class LengthSeq:
             return self.head_codewords[i]
         if i < 0 or tail is None:
             raise ValueError(f"no codeword for symbol {i}")
-        q, r = divmod(i - tail.start_index, tail.k)
-        ones = tail.start_length - 1 + q
+        q, r = divmod(i - len(head), tail.k)
+        ones = tail.spine + q
         if ones > _MOST_ONES:
             raise ValueError(f"symbol {i} has a codeword too long to build")
         return "1" * ones + "0" + complete_binary(r, tail.k)
@@ -384,11 +380,10 @@ class LengthSeq:
     def __str__(self) -> str:
         if self.tail is None:
             return "lengths " + ",".join(map(str, self.head))
-        tail = self.tail
-        shown = self.head + (self.length_at(tail.start_index),)
+        tail, t0 = self.tail, len(self.head)
+        shown = self.head + (self.length_at(t0),)
         run = "unary" if tail.k == 1 else f"golomb{tail.k}"
-        return ("lengths " + ",".join(map(str, shown))
-                + f" +{run}@{tail.start_index}")
+        return "lengths " + ",".join(map(str, shown)) + f" +{run}@{t0}"
 
 
 # ---------------------------------------------------------------- series
@@ -441,7 +436,7 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float,
     c = mean * e**(beta/alpha), so they peak at floor(c); they are summed
     outward from the peak until that ratio, which only falls further out,
     certifies the rest of each side. A peak more than _MAX_TERMS past j is
-    refused before any term is made."""
+    refused before any term is made, by _peak."""
     rho = model.tail_ratio
     if rho is not None and j >= model.tail_start:     # geometric from j on
         return alpha * model.ln_mass(j), j, [1.0], alpha * math.log(rho) + beta
@@ -472,12 +467,8 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float,
         top = alpha * max(xs)
         return top, j, [exp(alpha * x - top) for x in xs], ln_q
 
-    c = exp(min(model._ln_mean + g, _LN_MAX))
-    if c > j + _MAX_TERMS:
-        raise DivergenceError(
-            f"the series peaks more than {_MAX_TERMS} terms past symbol {j}")
-    lo = k0 = max(j, int(c))
-    top = alpha * (model.ln_mass(k0) + g * (k0 - j))
+    c, k0, ln_peak = _peak(model, j, g, _MAX_TERMS)
+    lo, top = k0, alpha * ln_peak
     if g:   # each term from its neighbour by the ratio, faster here than
         # blocks of log masses; no caller reads them one by one: ws, the sum
         acc = v = 1.0
@@ -541,6 +532,22 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float,
             break
         size = _reach(bw[0], q, acc, size)
     return top, lo, ws, None
+
+
+def _peak(model: Poisson, j: int, g: float, cap: float = math.inf):
+    """(c, k0, ln t(k0)) for the terms t(i) = p(i) * e**(g*(i-j)), i >= j,
+    of a Poisson source: their ratio c/(i+1), c = mean * e**g, puts the
+    peak at k0 = max(j, int(c)). Refused more than cap terms past j."""
+    c = math.exp(min(model._ln_mean + g, _LN_MAX))
+    if c > j + cap:
+        raise DivergenceError(
+            f"the series peaks more than {cap} terms past symbol {j}")
+    k0 = max(j, int(c))
+    try:
+        return c, k0, model.ln_mass(k0) + g * (k0 - j)
+    except OverflowError:   # lgamma(k0 + 1) past the float range
+        raise EpcError(f"the series peaks at symbol {k0:.6g}, where its log "
+                       "masses leave the float range") from None
 
 
 def _reach(w: float, q: float, acc: float, size: int) -> int:
@@ -634,31 +641,32 @@ class _Profile:
     m; where m lies below the normal floats they come from the log masses,
     read once for the whole head, over m already, and d is one.
 
-    A run from t0 = start_index with start length L, with k >= 2 or no
+    A run from t0 = len(head) behind a spine of s ones, with k >= 2 or no
     head, on an infinite source geometric from t0 sums in closed form: its
     sums are e**share, share = ln p(t0) - ln(1 - ratio), times the k-Golomb
-    code's over Geometric(ratio), lengths shifted by L - 1. A unary run
-    behind a head sums as a series on any source; no other run has sums."""
+    code's over Geometric(ratio), lengths shifted by s. A unary run behind a
+    head sums as a series on any source; no other run has sums. Its maximal
+    redundancy on a Poisson source is read at the one peak of its terms."""
 
     def __init__(self, model: SourceModel, lengths: LengthSeq) -> None:
         head, tail, size = lengths.head, lengths.tail, model.size
-        if tail is None and (size is None or size > len(head)):
+        self.t0 = t0 = len(head)
+        if tail is None and (size is None or size > t0):
             raise ValueError("lengths with no tail do not cover the alphabet")
-        if size is not None and size > len(head):   # running into the tail
-            head += tuple(map(lengths.length_at, range(len(head), size)))
+        if size is not None and size > t0:   # running into the tail
+            head += tuple(map(lengths.length_at, range(t0, size)))
         head, rho = head[:size], model.tail_ratio
         self.model, self.tail, self.groups, self.ln_r = model, tail, [], None
         ln_r = None if rho is None or tail is None else math.log(rho)
         # where the power sum diverges: e**ln_b rho**k = 1
         self.pole = math.inf if ln_r is None else -ln_r / (1.0 / tail.k)
         if size is None and (tail.k > 1 or not head):
-            if rho is not None and tail.start_index >= model.tail_start:
-                # closed-form terms, marked by ln_r; n0 = n(t0) = L - 1 + g
+            if rho is not None and t0 >= model.tail_start:
+                # closed-form terms, marked by ln_r; n0 = n(t0) = spine + g
                 g = tail.k.bit_length()
                 self.ratio, self.ln_r, self.k = rho, ln_r, tail.k
-                self.z, self.n0 = (1 << g) - tail.k, tail.start_length - 1 + g
-                self.share = (model.ln_mass(tail.start_index)
-                              - math.log(1 - rho))
+                self.z, self.n0 = (1 << g) - tail.k, tail.spine + g
+                self.share = model.ln_mass(t0) - math.log(1 - rho)
                 self.lq = self.share + math.log1p(-rho)
             elif tail.k > 1:
                 raise ValueError("Golomb sums need a geometric source from "
@@ -725,9 +733,8 @@ class _Profile:
                 return run
         alpha = 1.0 + d
         if ln_r is None and self.model.size is None:
-            tail = self.tail
-            run = tail.start_length * ln_b + _ln_series(
-                self.model, tail.start_index, alpha, ln_b)
+            run = (self.tail.spine + 1) * ln_b + _ln_series(
+                self.model, self.t0, alpha, ln_b)
         if alpha == 1.0:
             xs = [x + n * ln_b for n, _, x, _, _, _ in self.groups]
         else:
@@ -748,9 +755,8 @@ class _Profile:
             if not self.groups:
                 return run
         elif self.model.size is None:
-            tail = self.tail
-            s, si = _mass_moment(self.model, tail.start_index, False)
-            run = s * tail.start_length + si
+            s, si = _mass_moment(self.model, self.t0, False)
+            run = s * (self.tail.spine + 1) + si
         return math.fsum([m * n for n, m, _, _, _, _ in self.groups]) + run
 
     def max_redundancy(self) -> float:
@@ -770,13 +776,15 @@ class _Profile:
                        + i_star * math.log2(r))
             run = max(at_zero, at_star) + self.share / LN2
         elif self.model.size is None:
-            # along the tail n(i) + log2 p(i) is start_length + log2 of the
+            # along the tail n(i) + log2 p(i) is spine + 1 + log2 of the
             # largest term p(i) * 2**(i - t0), or unbounded where they grow
-            tail = self.tail
-            top, _, _, ln_q = _terms(self.model, tail.start_index, 1.0, LN2)
-            if ln_q is not None and ln_q > 0.0:
-                return math.inf
-            run = tail.start_length + top / LN2
+            if self.model.tail_ratio is None:   # Poisson: read at its peak
+                top = _peak(self.model, self.t0, LN2)[2]
+            else:   # a listed head, then a geometric rest at ratio e**ln_q
+                top, _, _, ln_q = _terms(self.model, self.t0, 1.0, LN2)
+                if ln_q > 0.0:
+                    return math.inf
+            run = self.tail.spine + 1 + top / LN2
         if not self.groups:
             return run
         return max(max(n + top / LN2 for n, _, _, top, _, _ in self.groups),

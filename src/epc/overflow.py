@@ -435,16 +435,16 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel, *,
 
 def _length_key(code: LengthSeq):
     """A key two codes of one family share exactly when they give every
-    symbol the same length: the head, the run's start length and k, with
-    the head lengths a unary run (k = 1) continues folded into its tail,
-    since a light-tail split moves with the base."""
+    symbol the same length: the head, the run's spine and k, with the head
+    lengths a unary run (k = 1) continues folded into its spine, since a
+    light-tail split moves with the base."""
     head, tail = code.head, code.tail
     if tail is None:
         return head, None
-    n, start = len(head), tail.start_length
-    while tail.k == 1 and n and head[n - 1] == start - 1:
-        n, start = n - 1, start - 1
-    return head[:n], start, tail.k
+    n, spine = len(head), tail.spine
+    while tail.k == 1 and n and head[n - 1] == spine:
+        n, spine = n - 1, spine - 1
+    return head[:n], spine, tail.k
 
 
 def optimize_overflow(model: SourceModel,

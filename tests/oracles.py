@@ -270,6 +270,30 @@ def unary_tail_power_sum_direct(pmf, head_lengths, tail_start: int,
         i, n = i + 1, n + 1
 
 
+def canonical_words(lengths) -> tuple[str, ...]:
+    """Canonical words the textbook way: in (length, index) order, each one
+    more than the previous, shifted out to its own length."""
+    out = [None] * len(lengths)
+    code = prev = 0
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        code <<= lengths[i] - prev
+        prev = lengths[i]
+        out[i] = format(code, f"0{prev}b")
+        code += 1
+    return tuple(out)
+
+
+def golomb_word(j: int, k: int) -> str:
+    """Symbol j's Golomb-k word, the textbook way: j // k in unary, then the
+    remainder r in b - 1 bits below the cutoff u = 2**b - k, else r + u in
+    b bits, b = ceil(log2 k)."""
+    q, r = divmod(j, k)
+    b = (k - 1).bit_length()
+    u = (1 << b) - k
+    value, bits = (r, b - 1) if r < u else (r + u, b)
+    return "1" * q + "0" + (format(value, f"0{bits}b") if bits else "")
+
+
 def head_run_length(head, start_length: int, k: int, i: int) -> int:
     """n(i) of a head of lengths and then a Golomb-k run from symbol
     len(head), whose words take start_length - 1 ones first."""

@@ -66,13 +66,13 @@ def test_criterion_01_optimal_k_three_routes():
 def test_criterion_02_poisson_constructions():
     p = Poisson(1.0)
     c1 = build_unary_ended(p, 1.0)
-    assert c1.tail.start_index == 3
+    assert len(c1.head) == 3
     w1 = tail_weight(p, 2, 1.0)
     assert abs(w1 - 0.0803) < 1e-4
     assert [c1.length_at(i) for i in range(20)] == [i + 1 for i in range(20)]
 
     c2 = build_unary_ended(p, 2.0)
-    assert c2.tail.start_index == 3
+    assert len(c2.head) == 3
     w2 = tail_weight(p, 2, 2.0)
     assert abs(w2 - 0.2197) < 1e-4
     assert [c2.length_at(i) for i in range(20)] == [2, 2, 2] + list(range(3, 20))

@@ -84,7 +84,7 @@ def test_avg_redundancy_near_one_approaches_asymptotic():
 
 def test_avg_redundancy_function():
     g = Geometric(0.6)
-    seq = LengthSeq((1, 2), UnaryTail(2, 3))
+    seq = LengthSeq((1, 2), UnaryTail(2))
     got = avg_redundancy(g, seq, 1.2)
     import epc
     want = epc.evaluate_penalty(g, seq, epc.Exponential(1.2)) - \

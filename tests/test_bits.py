@@ -10,7 +10,7 @@ from epc import (ContainerError, ExplicitCode, LengthSeq, UnaryEndedCode,
 from epc.bits import (integer_lengths, kraft_sign, kraft_total,
                       uleb128_decode, uleb128_decode_all, uleb128_encode,
                       uleb128_encode_all)
-from oracles import kraft_fraction
+from oracles import canonical_words, kraft_fraction
 
 # derandomized: every run draws the same examples and writes no database
 SEEDED = settings(derandomize=True, database=None, deadline=None)
@@ -91,13 +91,17 @@ def test_lengths_must_be_integers():
         ExplicitCode.from_lengths(["1", "1"])
     with pytest.raises(ValueError, match="got float 2.0"):
         ExplicitCode.from_lengths([1, 2.0, 2])
-    # a bare TypeError from the Kraft sum before
+    # a bare TypeError from the Kraft sum before; the spine, a tail record,
+    # is read before the head
     with pytest.raises(ValueError, match=r"got float 1\.7"):
-        UnaryEndedCode.from_lengths([1.7], 1.2)
+        UnaryEndedCode([1.7], 1)
+    with pytest.raises(ValueError, match=r"^bad tail record: lengths are "
+                       r"integers, got float 1\.2$"):
+        UnaryEndedCode([1.7], 1.2)
     with pytest.raises(ValueError, match=r"got float 1\.0"):
-        UnaryEndedCode.from_lengths([1], 1.0)
+        UnaryEndedCode([1], 1.0)
     with pytest.raises(ValueError, match="got NoneType None"):
-        UnaryEndedCode.from_lengths([1], None)
+        UnaryEndedCode([1], None)
     # anything operator.index accepts is an integer length
     assert ExplicitCode.from_lengths([True, 1]) == \
         ExplicitCode.from_lengths([1, 1])
@@ -166,19 +170,6 @@ def _tree_lengths(draw):
     return draw(st.permutations(lengths))
 
 
-def _reference_words(lengths):
-    """Canonical words the textbook way: in (length, index) order, each one
-    more than the previous, shifted out to its own length."""
-    out = [None] * len(lengths)
-    code = prev = 0
-    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
-        code <<= lengths[i] - prev
-        prev = lengths[i]
-        out[i] = format(code, f"0{prev}b")
-        code += 1
-    return tuple(out)
-
-
 @SEEDED
 @given(st.one_of(st.lists(st.integers(-1, 9), max_size=9), _tree_lengths()))
 def test_from_lengths_agrees_with_canonical_codewords(lengths):
@@ -196,7 +187,7 @@ def test_from_lengths_agrees_with_canonical_codewords(lengths):
     if refusal is None:
         code = ExplicitCode.from_lengths(lengths)
         if positive:    # a lone 0 is the empty word
-            assert code.head_codewords == _reference_words(lengths)
+            assert code.head_codewords == canonical_words(lengths)
         assert code.head == tuple(lengths)
         assert code == ExplicitCode(lengths)
         assert hash(code) == hash(ExplicitCode(lengths))
@@ -210,9 +201,10 @@ def test_canonical_codewords_in_length_then_index_order():
 
 @st.composite
 def _lengths_and_tail(draw):
-    """Positive lengths and perhaps a unary tail's start length, often with
-    a Kraft sum at or next to one: a full tree's leaf depths, one leaf
-    perhaps made the tail's word and perhaps moved a level."""
+    """Positive lengths and perhaps a unary run's first length, its spine
+    plus one, often with a Kraft sum at or next to one: a full tree's leaf
+    depths, one leaf perhaps made the tail's word and perhaps moved a
+    level."""
     if draw(st.booleans()):
         lengths = draw(st.lists(st.one_of(st.integers(1, 4),
                                           st.integers(1, 70)), max_size=12))
@@ -230,11 +222,10 @@ def _lengths_and_tail(draw):
 @SEEDED
 @given(_lengths_and_tail())
 def test_length_seq_kraft_test_is_exact(case):
-    # the tail counts as one more word, of start_length - 1 bits
+    # the tail counts as one more word, of its spine's bits
     lengths, tail_length = case
     words = lengths + ([] if tail_length is None else [tail_length - 1])
-    tail = None if tail_length is None else UnaryTail(len(lengths),
-                                                      tail_length)
+    tail = None if tail_length is None else UnaryTail(tail_length - 1)
     try:
         LengthSeq(lengths, tail)
     except ValueError as exc:

@@ -25,7 +25,7 @@ def test_frozen_byte_vector():
     for code, symbols, want in (
             (ExplicitCode.from_lengths((3, 1, 3, 2)), [1, 3, 0, 2, 1],
              b"EPC1\x01\x02\x04\x03\x01\x03\x02" + count + b"\x5b\x80"),
-            (UnaryEndedCode.from_lengths((2, 1, 3), 3), [1, 0, 3, 2, 5],
+            (UnaryEndedCode((2, 1, 3), 3), [1, 0, 3, 2, 5],
              b"EPC1\x01\x03\x02\x02\x01\x03\x03" + count + b"\x5d\xbe"),
             (GolombCode(1), [0, 2, 5],
              b"EPC1\x01\x01\x01" + (3).to_bytes(8, "little") + b"\x6f\x80")):
@@ -106,18 +106,18 @@ def test_a_code_repr_is_its_constructor_call():
 
 
 def test_codes_compare_by_value_whatever_their_class():
-    plain = LengthSeq((), UnaryTail(0, 1))
+    plain = LengthSeq((), UnaryTail(0))
     assert GolombCode(1) == plain and hash(GolombCode(1)) == hash(plain)
     assert ExplicitCode((1, 1)) == LengthSeq((1, 1)) != LengthSeq((1, 2))
-    assert UnaryEndedCode((1,), 1) == LengthSeq((1,), UnaryTail(1, 2))
-    assert LengthSeq((1, 1)) != (1, 1) and GolombCode(1) != UnaryTail(0, 1)
+    assert UnaryEndedCode((1,), 1) == LengthSeq((1,), UnaryTail(1))
+    assert LengthSeq((1, 1)) != (1, 1) and GolombCode(1) != UnaryTail(0)
 
 
 @pytest.mark.parametrize("count, code", [
     (19, ExplicitCode.from_lengths([1, 3, 3, 3, 4, 4])),
     (3000, ExplicitCode.from_lengths([1, 3, 3, 3, 4, 4])),
-    (19, UnaryEndedCode.from_lengths([1, 3, 3, 3], 3)),
-    (3000, UnaryEndedCode.from_lengths([1, 3, 3, 3], 3)),
+    (19, UnaryEndedCode([1, 3, 3, 3], 3)),
+    (3000, UnaryEndedCode([1, 3, 3, 3], 3)),
 ], ids=["19", "3000", "unary-19", "unary-3000"])
 def test_explicit_decode_builds_no_codewords(count, code, monkeypatch):
     # 3000 symbols of these codes take the multi-symbol table path
@@ -138,7 +138,7 @@ def test_explicit_decode_builds_no_codewords(count, code, monkeypatch):
 def test_unary_ended_code_is_canonical_only():
     # the container stores lengths only, so a code is its lengths, and its
     # words are the canonical ones under an all-1s spine
-    code = UnaryEndedCode.from_lengths((2, 2), 1)
+    code = UnaryEndedCode((2, 2), 1)
     assert code == UnaryEndedCode((2, 2), 1)
     assert (code.head_codewords, code.tail_prefix) == (("00", "01"), "1")
     assert decode(encode([0, 1, 2, 5], code)) == [0, 1, 2, 5]
@@ -243,7 +243,7 @@ def test_explicit_lengths_capped_at_alphabet_size():
     # Kraft-valid codes over the cap, which only a container refuses
     for code, longest in ((ExplicitCode.from_lengths((1, 3)), 3),
                           (ExplicitCode((1, 3)), 3),
-                          (UnaryEndedCode.from_lengths((1,), 5), 5)):
+                          (UnaryEndedCode((1,), 5), 5)):
         _refused_by_container(code, f"bad code descriptor: codeword length "
                               f"{longest} exceeds the alphabet size 2")
 
@@ -284,8 +284,8 @@ def test_count_beyond_payload_bits_fails_fast():
 
 @pytest.mark.parametrize("code", [
     ExplicitCode.from_lengths(list(range(1, 1000)) + [999]),
-    UnaryEndedCode.from_lengths(range(1, 100), 99),
-    UnaryEndedCode.from_lengths([1, *range(3, 101), 100], 2),
+    UnaryEndedCode(range(1, 100), 99),
+    UnaryEndedCode([1, *range(3, 101), 100], 2),
 ], ids=["explicit-1..999", "unary-ended-long-spine", "unary-ended-short-spine"])
 def test_deep_code_roundtrip(code):
     # mostly short words, plus words on both sides of the 64-bit window
@@ -293,7 +293,7 @@ def test_deep_code_roundtrip(code):
     symbols = [min(int(rng.expovariate(0.5)), 98) for _ in range(2000)]
     symbols += [62, 63, 64, 65, 98, 0]
     if isinstance(code, UnaryEndedCode):
-        symbols += [code.tail.start_index, code.tail.start_index + 70]
+        symbols += [len(code.head), len(code.head) + 70]
     blob = encode(symbols, code)
     bits = "".join(code.codeword(s) for s in symbols)
     bits += "0" * (-len(bits) % 8)
@@ -394,7 +394,7 @@ def _random_codes(rng):
         lengths = list(exp_huffman(weights, 1.0).lengths)
         yield ExplicitCode.from_lengths(lengths)
         spine = lengths.pop(rng.randrange(n))
-        yield UnaryEndedCode.from_lengths(lengths, spine)
+        yield UnaryEndedCode(lengths, spine)
     for mean in (0.5, 1.0, 4.0):
         yield build_unary_ended(Poisson(mean), 2.0)
     for k in (*range(1, 40), 2 ** 10 - 1, 2 ** 62,
@@ -459,7 +459,7 @@ def test_table_entries_golomb():
 
 def test_table_tail_word_inside_window():
     # head "0", "10", spine "11": symbol 2 + j is "11", j ones, then "0"
-    code = UnaryEndedCode.from_lengths((1, 2), 2)
+    code = UnaryEndedCode((1, 2), 2)
     table = _table(code, 8)
     assert table["11011010"] == ((2, 2, 1), 8)
     assert table["11111100"] == ((6, 0), 8)           # 1111110, then 0
@@ -487,7 +487,7 @@ def test_table_head_word_longer_than_window():
 
 def test_table_unary_spine_longer_than_window():
     # a 9-bit spine: every tail word is past the table, the head is in it
-    code = UnaryEndedCode.from_lengths(range(1, 10), 9)
+    code = UnaryEndedCode(range(1, 10), 9)
     table = _table(code, 8)
     assert table["11111111"] == ((), 0)
     assert table["11101100"] == ((3, 2, 0), 8)        # 1110 | 110 | 0
@@ -597,7 +597,7 @@ ZIPF_CODE = ExplicitCode.from_lengths(
 
 
 @pytest.mark.parametrize("code", [GolombCode(3), ZIPF_CODE,
-                                  UnaryEndedCode.from_lengths((1, 2), 2)],
+                                  UnaryEndedCode((1, 2), 2)],
                          ids=["golomb", "explicit", "unary-ended"])
 def test_decode_accepts_bytes_bytearray_memoryview(code):
     rng = random.Random(20)
@@ -676,7 +676,7 @@ def test_decoded_codes_are_equal_and_frozen():
     # the plan's canonical order is symbol order for a nondecreasing head
     order = codec._plan(codec._descriptor(first)).order
     assert order == list(range(len(first.head)))
-    unsorted = UnaryEndedCode.from_lengths((2, 1), 2)
+    unsorted = UnaryEndedCode((2, 1), 2)
     assert codec._plan(codec._descriptor(unsorted)).order == [1, 0]
 
 
@@ -684,7 +684,7 @@ def test_threads_share_plans():
     # more codes than the cache holds, so plans are evicted and rebuilt
     # while other threads read them
     codes = [GolombCode(k) for k in range(1, codec._PLANS + 5)]
-    codes += [ZIPF_CODE, UnaryEndedCode.from_lengths((1, 2), 2)]
+    codes += [ZIPF_CODE, UnaryEndedCode((1, 2), 2)]
     rng = random.Random(22)
     blobs = []
     for i, code in enumerate(codes):
@@ -722,7 +722,7 @@ def test_encode_names_a_symbol_whose_codeword_cannot_be_built():
     cap = models._MOST_ONES
     for code, symbol in ((GolombCode(1), 10 ** 12), (GolombCode(1), 10 ** 19),
                          (GolombCode(1), cap + 1),
-                         (UnaryEndedCode.from_lengths((1,), 1), cap + 1),
+                         (UnaryEndedCode((1,), 1), cap + 1),
                          (GolombCode(3), 3 * cap + 3)):
         assert code.length_at(symbol) > cap + 1
         with pytest.raises(ValueError) as refused:
@@ -734,10 +734,10 @@ def test_encode_names_a_symbol_whose_codeword_cannot_be_built():
 @pytest.mark.parametrize("plain, container, symbols", [
     (LengthSeq((3, 1, 3, 2)), ExplicitCode.from_lengths((3, 1, 3, 2)),
      [1, 3, 0, 2, 1]),
-    (LengthSeq((2, 1, 3), UnaryTail(3, 4)),
-     UnaryEndedCode.from_lengths((2, 1, 3), 3), [1, 0, 3, 2, 5]),
-    (LengthSeq((), UnaryTail(0, 1)), GolombCode(1), [0, 2, 5]),
-    (LengthSeq((), UnaryTail(0, 1, 3)), GolombCode(3), [1, 3, 9, 40]),
+    (LengthSeq((2, 1, 3), UnaryTail(3)),
+     UnaryEndedCode((2, 1, 3), 3), [1, 0, 3, 2, 5]),
+    (LengthSeq((), UnaryTail(0)), GolombCode(1), [0, 2, 5]),
+    (LengthSeq((), UnaryTail(0, k=3)), GolombCode(3), [1, 3, 9, 40]),
 ], ids=["explicit", "unary-ended", "unary", "golomb3"])
 def test_a_plain_code_encodes_as_its_container_class(plain, container,
                                                      symbols):
@@ -752,7 +752,7 @@ def test_a_plain_code_encodes_as_its_container_class(plain, container,
 
 
 @pytest.mark.parametrize("code, message", [
-    (LengthSeq((1, 3), UnaryTail(2, 3)),
+    (LengthSeq((1, 3), UnaryTail(2)),
      "bad code descriptor: head lengths plus spine must be Kraft-complete"),
     (LengthSeq((0,)), "bad code descriptor: lengths must be positive"),
     (GolombCode(2 ** 70), "header varint too long"),
@@ -764,9 +764,9 @@ def test_encode_refuses_what_decode_refuses(code, message):
 
 
 @pytest.mark.parametrize("code, message", [
-    (LengthSeq((1,), UnaryTail(1, 2, 3)),
+    (LengthSeq((1,), UnaryTail(1, k=3)),
      "no container holds a Golomb-3 run behind a head or spine"),
-    (LengthSeq((), UnaryTail(0, 3)),
+    (LengthSeq((), UnaryTail(2)),
      "no container holds a unary run behind a spine with no head"),
 ], ids=["golomb-behind-a-head", "unary-behind-no-head"])
 def test_encode_refuses_a_shape_no_container_holds(code, message):

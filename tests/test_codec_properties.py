@@ -74,11 +74,11 @@ def _code_and_symbols(draw):
         # under a 2-bit spine: long words with a long or a short spine
         depth = draw(st.integers(3, 130))
         if draw(st.booleans()):
-            code = UnaryEndedCode.from_lengths(range(1, depth), depth - 1)
+            code = UnaryEndedCode(range(1, depth), depth - 1)
         else:
-            code = UnaryEndedCode.from_lengths(
+            code = UnaryEndedCode(
                 [1, *range(3, depth + 1), depth], 2)
-        top = code.tail.start_index + 60
+        top = len(code.head) + 60
     else:
         source = Poisson(draw(st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0])))
         build = draw(st.sampled_from([
@@ -86,7 +86,7 @@ def _code_and_symbols(draw):
             lambda m: build_unary_ended(m, 2.0),
             build_unary_ended_mmr]))
         code = build(source)
-        top = code.tail.start_index + 60
+        top = len(code.head) + 60
     if not draw(st.booleans()):
         symbols = draw(st.lists(st.integers(0, top), max_size=80))
     else:   # past the table threshold: mostly short words, as a source

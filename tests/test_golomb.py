@@ -81,10 +81,10 @@ _PENALTIES = (Linear(), Exponential(1.5), Exponential(0.7), DthRedundancy(0.5),
 
 @pytest.mark.parametrize("code", [
     *(GolombCode(k) for k in (1, 2, 3, 5, 64)),
-    UnaryEndedCode.from_lengths((1, 2), 2),
-    UnaryEndedCode.from_lengths((2, 1, 3, 4), 4),
-    UnaryEndedCode.from_lengths((3, 3, 2, 2), 2),
-    LengthSeq((1,), UnaryTail(1, 2, 3)),     # a k-run behind a head and spine
+    UnaryEndedCode((1, 2), 2),
+    UnaryEndedCode((2, 1, 3, 4), 4),
+    UnaryEndedCode((3, 3, 2, 2), 2),
+    LengthSeq((1,), UnaryTail(1, k=3)),     # a k-run behind a head and spine
 ], ids=str)
 def test_one_code_value(code):
     # every code is a LengthSeq: its words come from one run routine, their
@@ -102,7 +102,7 @@ def test_one_code_value(code):
             with pytest.raises(ValueError) as refused:
                 evaluate_penalty(Poisson(2.0), code, Linear())
             assert str(refused.value) == _NOT_GEOMETRIC
-        assert plain == LengthSeq((), UnaryTail(0, 1, code.tail.k))
+        assert plain == LengthSeq((), UnaryTail(0, k=code.tail.k))
         for ratio in (0.3, 0.8):
             for penalty in _PENALTIES:
                 try:
@@ -131,9 +131,9 @@ _NOT_GEOMETRIC = "Golomb sums need a geometric source from the run's start"
 def test_tail_record_refuses_a_bad_k():
     for bad in (0, -3, 1.5, 2.0, "2", None):
         with pytest.raises(ValueError, match="bad tail record"):
-            UnaryTail(0, 1, bad)
-    assert UnaryTail(0, 1) == UnaryTail(0, 1, 1)
-    assert UnaryTail(0, 1, True).k == 1     # kept as the int it checks as
+            UnaryTail(0, k=bad)
+    assert UnaryTail(0) == UnaryTail(0, k=1)
+    assert UnaryTail(0, k=True).k == 1     # kept as the int it checks as
 
 
 def test_a_k_past_the_float_range_is_refused_where_the_code_is_built():
@@ -327,7 +327,7 @@ def _direct_values(ln_pmf, code, ratio):
         ln_b = math.log(getattr(penalty, "base", 2.0 ** d))
         try:
             power, mean, sup = head_run_sums(
-                ln_pmf, code.head, code.tail.start_length, code.tail.k, ratio,
+                ln_pmf, code.head, code.tail.spine + 1, code.tail.k, ratio,
                 1.0 + d, ln_b)
         except ArithmeticError:
             values.append(None)
@@ -343,14 +343,14 @@ def _random_code(rng, heads: bool) -> LengthSeq:
     head, and a spine of 0 to 2 ones."""
     k = rng.randint(1, 5)
     if not heads:
-        return LengthSeq((), UnaryTail(0, rng.randint(1, 3), k))
+        return LengthSeq((), UnaryTail(rng.randint(0, 2), k=k))
     depths = [0]
     for _ in range(rng.randint(1, 7)):
         leaf = depths.pop(rng.randrange(len(depths)))
         depths += [leaf + 1, leaf + 1]
     rng.shuffle(depths)
     spine = depths.pop()
-    return LengthSeq(tuple(depths), UnaryTail(len(depths), spine + 1, k))
+    return LengthSeq(tuple(depths), UnaryTail(spine, k=k))
 
 
 def test_a_run_behind_a_head_sums_as_the_direct_sum():
@@ -393,7 +393,7 @@ def test_a_run_behind_a_head_sums_as_the_direct_sum():
         assert _values(model, code) == pytest.approx(want, rel=1e-12)
     # such a code's rate lies below its pole, -k ln ratio
     model = with_geometric_tail((0.3, 0.2, 0.15, 0.14), 0.6)
-    code = LengthSeq((2, 2, 3, 3), UnaryTail(4, 4, 3))
+    code = LengthSeq((2, 2, 3, 3), UnaryTail(3, k=3))
     rate = max_decay_rate(model, code, ExponentialArrivals(0.1))
     assert 0.0 < rate.value < _Profile(model, code).pole
     assert not rate.at_boundary

@@ -26,14 +26,14 @@ SEEDED = settings(derandomize=True, database=None, deadline=None,
 
 def test_code_object_basics():
     c = UnaryEndedCode((2, 2, 2), 2)
-    assert c.split == 2 and c.tail.start_index == 3
+    assert c.split == 2 and len(c.head) == 3
     assert (c.head_codewords, c.tail_prefix) == (("00", "01", "10"), "11")
     assert c.codeword(2) == "10"
     assert c.codeword(3) == "110"
     assert c.codeword(6) == "111110"
     assert c.length_at(6) == 6
-    assert c.lengths() == LengthSeq((2, 2, 2), UnaryTail(3, 3))
-    assert c.describe() == "lengths 2,2,2,3 +unary@3"
+    assert c.lengths() == LengthSeq((2, 2, 2), UnaryTail(2))
+    assert str(c) == "lengths 2,2,2,3 +unary@3"
     with pytest.raises(ValueError):
         c.codeword(-1)
     # a code and a plain LengthSeq refuse a negative symbol alike
@@ -44,19 +44,19 @@ def test_code_object_basics():
 
 def test_code_validation():
     with pytest.raises(ValueError):
-        UnaryEndedCode.from_lengths((2, 1), 1)        # Kraft sum above one
+        UnaryEndedCode((2, 1), 1)  # Kraft sum above one
     # Kraft short of one: a code, but no container holds it
     with pytest.raises(ValueError, match="^no container holds this code: bad "
                        "code descriptor: head lengths plus spine must be "
                        "Kraft-complete$"):
-        encode([0], UnaryEndedCode.from_lengths((3, 2), 1))
+        encode([0], UnaryEndedCode((3, 2), 1))
     # complete two-word head ahead of the spine is fine
     ok = UnaryEndedCode((2, 2), 1)
     assert ok.codeword(2) == "10"
     # an empty head can never close the unit: the spine covers only 2^-s
     with pytest.raises(ValueError, match="^no container holds a unary run "
                        "behind a spine with no head$"):
-        encode([0], UnaryEndedCode.from_lengths((), 1))
+        encode([0], UnaryEndedCode((), 1))
     # plain unary is spelled with a canonical head
     c = UnaryEndedCode((1, 2), 2)
     assert [c.codeword(i) for i in range(4)] == ["0", "10", "110", "1110"]
@@ -234,7 +234,7 @@ def test_split_mmr_halving_certificate():
 def test_build_poisson_mean_length():
     p = Poisson(1.0)
     c = build_unary_ended(p, 1.0)
-    assert c.tail.start_index == 3
+    assert len(c.head) == 3
     assert [c.length_at(i) for i in range(6)] == [1, 2, 3, 4, 5, 6]
     # spine weight folded in during construction
     assert tail_weight(p, 2, 1.0) == pytest.approx(1 - 2.5 * math.exp(-1))
@@ -274,14 +274,14 @@ def test_build_is_no_worse_than_nearby_splits():
             weights.append(tail_weight(p, r, base))
             tree = exp_huffman(weights, base)
             lens = _assemble(weights, tree.lengths)
-            alt = LengthSeq(tuple(lens[:-1]), UnaryTail(r + 1, lens[-1] + 1))
+            alt = LengthSeq(tuple(lens[:-1]), UnaryTail(lens[-1]))
             assert best <= evaluate_penalty(p, alt, pen) + 1e-11
 
 
 def test_build_mmr_worked_example():
     m = with_geometric_tail((0.6, 0.15, 0.15, 0.0375, 0.0375), 0.5)
     c = build_unary_ended_mmr(m)
-    assert c.tail.start_index == 5
+    assert len(c.head) == 5
     assert [c.length_at(i) for i in range(7)] == [1, 2, 3, 4, 5, 6, 7]
     assert evaluate_penalty(m, c.lengths(), MaxRedundancy()) == \
         pytest.approx(math.log2(1.2), rel=1e-12)
@@ -299,7 +299,7 @@ def test_build_mmr_poisson():
         weights = [poisson_pmf(1.0, i) for i in range(r + 1)]
         weights.append(2.0 * poisson_pmf(1.0, r + 1))
         lens = _assemble(weights, maxred_huffman(weights).lengths)
-        alt = LengthSeq(tuple(lens[:-1]), UnaryTail(r + 1, lens[-1] + 1))
+        alt = LengthSeq(tuple(lens[:-1]), UnaryTail(lens[-1]))
         assert got <= evaluate_penalty(Poisson(1.0), alt, MaxRedundancy()) + 1e-11
 
 

@@ -15,12 +15,13 @@ from epc import (DivergenceError, DthRedundancy, EpcError, ExplicitFinite,
                  shannon_entropy, tail_weight, total_mass, with_geometric_tail)
 from epc.bits import kraft_total
 from epc.light_tail import build_unary_ended
-from epc.models import _Profile, _ln_series
+from epc.models import _Profile, _ln_series, _peak, _terms
 from epc.numeric import LN2
-from oracles import (geometric_pmf, ln_series_direct, poisson_entropy_decimal,
-                     poisson_pmf, unary_tail_power_sum_direct)
+from oracles import (geometric_pmf, head_run_length, ln_series_direct,
+                     poisson_entropy_decimal, poisson_ln_pmf, poisson_pmf,
+                     unary_tail_power_sum_direct)
 
-UNARY = LengthSeq((), UnaryTail(0, 1))
+UNARY = LengthSeq((), UnaryTail(0))
 
 
 def test_model_validation():
@@ -118,11 +119,11 @@ def test_inputs_past_the_float_range_are_refused_by_name(call, message):
                                                                "10**400"])
 def test_lengths_past_the_float_range_are_refused_where_a_code_is_built(far):
     # every sum reads a code's lengths as floats, so a head length, a run's
-    # start length or its k past the float range is refused up front
+    # first length or its k past the float range is refused up front
     for build in (lambda: LengthSeq((1, far)),
-                  lambda: LengthSeq((1, far), UnaryTail(2, 3)),
-                  lambda: UnaryTail(0, far),
-                  lambda: UnaryTail(1, 1, far),
+                  lambda: LengthSeq((1, far), UnaryTail(2)),
+                  lambda: UnaryTail(far - 1),
+                  lambda: UnaryTail(0, k=far),
                   lambda: GolombCode(far)):
         with pytest.raises(ValueError, match="float range"):
             build()
@@ -133,11 +134,11 @@ def test_lengths_at_the_edge_of_the_float_range_score_or_are_refused():
     # domain error, never a bare error or NaN
     n = int(sys.float_info.max) - 1
     cases = [(_HALVES, LengthSeq((1, n))),
-             (_HALVES, LengthSeq((1,), UnaryTail(1, n)))]
+             (_HALVES, LengthSeq((1,), UnaryTail(n - 1)))]
     for model in (Geometric(0.5), Poisson(3.0)):
-        cases += [(model, LengthSeq((1,), UnaryTail(1, n))),
-                  (model, LengthSeq((1, n), UnaryTail(2, n))),
-                  (model, LengthSeq((), UnaryTail(0, n)))]
+        cases += [(model, LengthSeq((1,), UnaryTail(n - 1))),
+                  (model, LengthSeq((1, n), UnaryTail(n - 1))),
+                  (model, LengthSeq((), UnaryTail(n - 1)))]
     penalties = (Exponential(0.5), Linear(), Exponential(2.0),
                  MaxRedundancy(), DthRedundancy(1.0))
     for model, code in cases:
@@ -159,7 +160,7 @@ def test_lengths_at_the_edge_of_the_float_range_score_or_are_refused():
     for query in (lambda m, c: evaluate_penalty(m, c, Linear()),
                   expected_length):
         with pytest.raises(EpcError, match="past the float range"):
-            query(Poisson(3.0), LengthSeq((), UnaryTail(0, n)))
+            query(Poisson(3.0), LengthSeq((), UnaryTail(n - 1)))
 
 
 @pytest.mark.parametrize("call", [
@@ -180,7 +181,7 @@ def test_sums_whose_logs_meet_inf_minus_inf_are_refused(call):
 
 def test_evaluate_penalty_refuses_a_non_penalty():
     with pytest.raises(TypeError, match="not a penalty"):
-        evaluate_penalty(Geometric(0.5), LengthSeq((), UnaryTail(0, 1)), 2.0)
+        evaluate_penalty(Geometric(0.5), LengthSeq((), UnaryTail(0)), 2.0)
 
 
 def test_profile_reads_the_head_log_masses_once():
@@ -398,24 +399,22 @@ def test_length_seq_validation():
     with pytest.raises(ValueError):
         LengthSeq((1, 1, 1))                     # Kraft > 1
     with pytest.raises(ValueError):
-        LengthSeq((1,), UnaryTail(3, 2))         # tail must start right after
-    with pytest.raises(ValueError):
-        UnaryTail(0, 0)
+        UnaryTail(-1)
     # lengths and tail fields are integers, not truncated floats
     with pytest.raises(ValueError, match=r"got float 1\.5"):
         LengthSeq((1.5, 2))
     with pytest.raises(ValueError):
-        UnaryTail(1.5, 2.5)
+        UnaryTail(1.5)
     with pytest.raises(ValueError):
-        UnaryTail(1, 2.5)
+        UnaryTail(1, k=2.5)
     # a one-symbol alphabet is the one code with a zero length
     assert kraft_total(LengthSeq((0,)).head) == (1, 1)
     with pytest.raises(ValueError):
-        LengthSeq((0,), UnaryTail(1, 1))
+        LengthSeq((0,), UnaryTail(0))
     assert str(LengthSeq((3, 3, 2, 1))) == "lengths 3,3,2,1"
-    assert str(LengthSeq((2, 2, 2), UnaryTail(3, 3))) == \
+    assert str(LengthSeq((2, 2, 2), UnaryTail(2))) == \
         "lengths 2,2,2,3 +unary@3"
-    seq = LengthSeq((1, 2), UnaryTail(2, 3))
+    seq = LengthSeq((1, 2), UnaryTail(2))
     assert [seq.length_at(i) for i in range(5)] == [1, 2, 3, 4, 5]
     # lengths with no tail end with their head, and cover no larger alphabet
     with pytest.raises(IndexError, match="^no length assigned to symbol 2$"):
@@ -423,16 +422,16 @@ def test_length_seq_validation():
     with pytest.raises(ValueError, match="^lengths with no tail do not cover"):
         evaluate_penalty(ExplicitFinite((0.5, 0.25, 0.25)), LengthSeq((1, 1)),
                          Linear())
-    num, den = kraft_total(seq.head, seq.tail.start_length - 1)
+    num, den = kraft_total(seq.head, seq.tail.spine)
     assert num == den
     # tail fields are kept as the ints they check as
-    assert str(LengthSeq((1,), UnaryTail(True, 2))) == "lengths 1,2 +unary@1"
+    assert str(LengthSeq((1,), UnaryTail(True))) == "lengths 1,2 +unary@1"
     # a shown length is that symbol's, past the head too
-    assert str(LengthSeq((), UnaryTail(0, 1, 3))) == "lengths 2 +golomb3@0"
-    assert str(LengthSeq((1,), UnaryTail(1, 2, 3))) == "lengths 1,3 +golomb3@1"
-    for seq in (LengthSeq((3, 3, 2, 1)), LengthSeq((2, 2, 2), UnaryTail(3, 3)),
-                LengthSeq((), UnaryTail(0, 1)), LengthSeq((), UnaryTail(0, 3)),
-                *(LengthSeq(head, UnaryTail(len(head), spine + 1, k))
+    assert str(LengthSeq((), UnaryTail(0, k=3))) == "lengths 2 +golomb3@0"
+    assert str(LengthSeq((1,), UnaryTail(1, k=3))) == "lengths 1,3 +golomb3@1"
+    for seq in (LengthSeq((3, 3, 2, 1)), LengthSeq((2, 2, 2), UnaryTail(2)),
+                LengthSeq((), UnaryTail(0)), LengthSeq((), UnaryTail(2)),
+                *(LengthSeq(head, UnaryTail(spine, k=k))
                   for k in (1, 2, 3, 4, 5, 7, 64)
                   for head, spine in (((), 0), ((1,), 1), ((2, 1), 2)))):
         shown = str(seq).split()[1].split(",")
@@ -445,8 +444,8 @@ def test_length_seq_validation():
     # and in time that does not grow with the lengths
     start = time.perf_counter()
     LengthSeq((10 ** 12,))
-    LengthSeq((1,), UnaryTail(1, 10 ** 12))
-    LengthSeq((), UnaryTail(0, 1))
+    LengthSeq((1,), UnaryTail(10 ** 12 - 1))
+    LengthSeq((), UnaryTail(0))
     LengthSeq((0,))
     assert time.perf_counter() - start < 0.01
     # a plain code's words take no container cap: (1, 3) is a prefix code
@@ -464,7 +463,7 @@ def test_length_seq_validation():
 
 def test_power_sum_against_direct():
     g = Geometric(0.6)
-    seq = LengthSeq((1, 2), UnaryTail(2, 3))
+    seq = LengthSeq((1, 2), UnaryTail(2))
     for a in (0.5, 1.0, 1.3):
         direct = unary_tail_power_sum_direct(lambda i: geometric_pmf(0.6, i),
                                              (1, 2), 2, 3, a, 0.6)
@@ -483,7 +482,7 @@ def test_expected_length_closed_forms():
     direct = math.fsum(poisson_pmf(1.0, i) * (i + 1) for i in range(80))
     assert expected_length(p, UNARY) == pytest.approx(direct, rel=1e-12)
     t = with_geometric_tail((0.5, 0.25), 0.5)
-    seq = LengthSeq((1, 2), UnaryTail(2, 3))
+    seq = LengthSeq((1, 2), UnaryTail(2))
     direct = math.fsum(point_mass(t, i) * seq.length_at(i) for i in range(90))
     assert expected_length(t, seq) == pytest.approx(direct, rel=1e-12)
 
@@ -501,7 +500,7 @@ def test_evaluate_penalty_routes():
 
 def test_dth_penalty_small_order_direct():
     g = Geometric(0.45)
-    seq = LengthSeq((1, 2), UnaryTail(2, 3))
+    seq = LengthSeq((1, 2), UnaryTail(2))
     for d in (1.0, 2.0, 4.0):
         direct = math.fsum(
             2.0 ** ((1 + d) * math.log2(point_mass(g, i)) + d * seq.length_at(i))
@@ -658,3 +657,57 @@ def test_max_redundancy_of_a_growing_tail_is_unbounded():
     code = epc.UnaryEndedCode((1, 2), 2)
     assert evaluate_penalty(with_geometric_tail((0.5, 0.3, 0.2), 0.7), code,
                             MaxRedundancy()) == math.inf
+
+
+# means from 0.5 to 6e6, log-uniform, with the means the series path
+# refused (5e6, 6e6) and the edges of the build's range
+_MR_RNG = random.Random(39)
+MR_MEANS = sorted({0.5, 4.0, 20.0, 1000.0, 1e5, 3e6, 5e6, 6e6,
+                   *(round(math.exp(_MR_RNG.uniform(math.log(0.5),
+                                                    math.log(6e6))), 3)
+                     for _ in range(10))})
+
+
+def _mr_scan(mean: float, code: LengthSeq) -> float:
+    """sup n(i) + log2 p(i) of a head and unary run on Poisson(mean): every
+    head symbol, then the run within 64 symbols of its peak, where p(i) *
+    2**i stops rising, near 2 * mean."""
+    head, start = code.head, code.tail.spine + 1
+    peak = max(len(head), int(2.0 * mean))
+    symbols = [*range(len(head)),
+               *range(max(len(head), peak - 64), peak + 65)]
+    return max(head_run_length(head, start, 1, i)
+               + poisson_ln_pmf(mean, i) / LN2 for i in symbols)
+
+
+@pytest.mark.parametrize("mean", MR_MEANS)
+def test_max_redundancy_of_a_unary_run_on_poisson_is_read_at_its_peak(mean):
+    model = Poisson(mean)
+    codes = [GolombCode(1), epc.UnaryEndedCode((1,), 1)]
+    if mean <= 1000.0:
+        codes.append(epc.build_unary_ended_mmr(model))
+    for code in codes:
+        value = evaluate_penalty(model, code, MaxRedundancy())
+        assert value == pytest.approx(_mr_scan(mean, code), rel=1e-12)
+        # the peak's log is the float the summed series reads as its top,
+        # where the series' peak lies inside its term cap
+        t0 = len(code.head)
+        try:
+            top = _terms(model, t0, 1.0, LN2)[0]
+        except DivergenceError:
+            assert mean >= 5e6
+            continue
+        assert _peak(model, t0, LN2)[2] == top
+
+
+@pytest.mark.parametrize("query, peak", [
+    (lambda: evaluate_penalty(Poisson(1e306), GolombCode(1), MaxRedundancy()),
+     "2e+306"),
+    # a bare OverflowError from lgamma before
+    (lambda: tail_weight(Poisson(1.0), 10 ** 306, 2.0), "1e+306"),
+], ids=["max-redundancy", "tail-weight"])
+def test_a_peak_whose_log_mass_leaves_the_float_range_is_refused(query, peak):
+    with pytest.raises(EpcError) as refused:
+        query()
+    assert str(refused.value) == (f"the series peaks at symbol {peak}, where "
+                                  "its log masses leave the float range")

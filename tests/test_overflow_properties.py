@@ -106,14 +106,14 @@ def _oracle_power_sum(model, code, base):
         m = model.mean
         return unary_ended_power_sum(
             lambda i: poisson_pmf(m, i), lambda i: poisson_ln_pmf(m, i),
-            code.head, code.tail.start_length, base, lambda i: m / (i + 1))
+            code.head, code.tail.spine + 1, base, lambda i: m / (i + 1))
     head, r = model.head, model.tail_ratio
     last = len(head) - 1
     return unary_ended_power_sum(
         lambda i: tailed_pmf(head, r, i),
         lambda i: math.log(tailed_pmf(head, r, min(i, last)))
         + max(i - last, 0) * math.log(r),
-        code.head, code.tail.start_length, base,
+        code.head, code.tail.spine + 1, base,
         lambda i: r if i >= last else math.inf, geometric_from=last)
 
 

@@ -72,3 +72,13 @@ def test_a_submodule_exports_only_what_it_defines(module):
     # the package __init__ is the one re-exporter
     tree = ast.parse(pathlib.Path(module.__file__).read_text())
     assert sorted(set(module.__all__) - _defined(tree)) == []
+
+
+@pytest.mark.parametrize("owner, name", [
+    (epc.UnaryEndedCode, "from_lengths"), (epc.UnaryEndedCode, "describe"),
+    (epc.UnaryTail(0), "start_index"), (epc.UnaryTail(0), "start_length")],
+    ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+def test_retired_names_are_gone(owner, name):
+    # UnaryEndedCode(head, spine) and str(code) answer these; a run record
+    # starts where its code's head ends, at its spine plus one bits
+    assert not hasattr(owner, name)

@@ -112,7 +112,7 @@ def problems(draw):
     h = draw(st.integers(0, 12))
     low = h.bit_length() + 1                 # head Kraft sum at most 1/2
     head = tuple(rng.randint(low, low + 3) for _ in range(h))
-    return src, LengthSeq(head, UnaryTail(h, draw(st.integers(2, 6))))
+    return src, LengthSeq(head, UnaryTail(draw(st.integers(2, 6)) - 1))
 
 
 def _outcome(query, *args):
@@ -130,7 +130,7 @@ def _head_and_tail(src, lengths, term, factor):
     head = math.fsum(term(i) for i in range(n))
     if src.size is not None:
         return head
-    return head + series_direct(term, lengths.tail.start_index,
+    return head + series_direct(term, len(lengths.head),
                                 lambda i: src.decay(i) * factor(i))
 
 
@@ -229,7 +229,7 @@ def test_dth_penalty_matrix(problem, order):
 @given(problem=problems())
 # a head whose masses underflow to 0.0: log2 of them is a domain error
 @example(problem=(_poisson(5.0), LengthSeq(tuple(range(1, 1001)),
-                                           UnaryTail(1000, 1001))))
+                                           UnaryTail(1000))))
 def test_mmr_penalty_matrix(problem):
     src, lengths = problem
     got = evaluate_penalty(src.model, lengths, MaxRedundancy())
@@ -241,7 +241,7 @@ def test_mmr_penalty_matrix(problem):
                 for i in range(n)), default=-math.inf)
     if src.size is None:
         # past a mass ratio of 1/2 the value never rises again
-        i = lengths.tail.start_index
+        i = len(lengths.head)
         while True:
             want = max(want, lengths.length_at(i) + src.ln_pmf(i) / LN2)
             if src.decay(i) <= 0.5:
@@ -306,7 +306,7 @@ def _queries(model, lengths, j, base, order):
 def test_geometric_is_a_one_entry_head(problem, r, j, base, order):
     _, lengths = problem
     if lengths.tail is None:
-        lengths = LengthSeq((), UnaryTail(0, 1))
+        lengths = LengthSeq((), UnaryTail(0))
     got = _queries(Geometric(r), lengths, j, base, order)
     want = _queries(with_geometric_tail((1.0 - r,), r), lengths, j, base,
                     order)
@@ -337,7 +337,7 @@ def test_poisson_code_uses_the_direct_tail_weight():
     weights = [poisson_pmf(20.0, i) for i in range(r + 1)]
     weights.append(poisson_tail_weight_direct(20.0, r, base))
     lengths = _assemble(weights, exp_huffman(weights, base).lengths)
-    want = UnaryEndedCode.from_lengths(lengths[:-1], lengths[-1])
+    want = UnaryEndedCode(lengths[:-1], lengths[-1])
     assert build_unary_ended(model, base) == want
     assert len(want.tail_prefix) == 55
 
@@ -364,7 +364,7 @@ def coded_sources(draw):
         h = draw(st.integers(1, n - 1))
         probs = src.model.probs
         lengths = merge(probs[:h] + (math.fsum(probs[h:]),), Linear()).lengths
-        return src, LengthSeq(lengths[:-1], UnaryTail(h, lengths[-1] + 1))
+        return src, LengthSeq(lengths[:-1], UnaryTail(lengths[-1]))
     if kind == "finite":
         levels = [math.exp(2.0 * rng.gauss(0.0, 1.0))
                   for _ in range(draw(st.integers(1, 8)))]
@@ -403,7 +403,7 @@ def test_penalties_match_per_symbol_oracle(problem, base, order, s):
         # far enough into the tail that every sum leaves out less than
         # 2**-400 of itself: past the tail start and past 4 * (mean + 1)
         # each term is at most half the one before
-        count = (max(code.tail.start_index, len(getattr(model, "head", ())))
+        count = (max(len(code.head), len(getattr(model, "head", ())))
                  + int(4.0 * (getattr(model, "mean", 0.0) + 1.0)) + 400)
     lengths = [code.length_at(i) for i in range(count)]
     masses = [src.pmf(i) for i in range(count)]
