@@ -1,11 +1,12 @@
-"""Bit-level plumbing: LEB128 varints, the one exact Kraft test, canonical
-codeword assignment from length lists and the complete binary code a
-Golomb-k run's suffixes are."""
+"""Bit-level plumbing: LEB128 varints, the one exact Kraft test, the one
+canonical codeword rule, which head words and decoder rows both read, and
+the complete binary code a Golomb-k run's suffixes are."""
 from __future__ import annotations
 
 import operator
 from bisect import bisect_right
 from collections import Counter
+from itertools import count
 
 from .errors import ContainerError
 
@@ -119,21 +120,23 @@ def kraft_sign(ordered) -> int:
     return -1 if free else 0
 
 
-def _codewords_of(lengths) -> tuple[str, ...]:
-    """Canonical codewords of lengths within the Kraft inequality, in
-    (length, index) order, each starting where the previous ended."""
-    first = dict(Counter(lengths))  # per length its count, then first word
-    code = at = 0
-    for length in sorted(first):
+def _first_codes(counts) -> dict[int, int]:
+    """The one canonical rule: each length's first word as an integer, from
+    {length: count}. Words go in (length, index) order, each one more than
+    the previous, shifted out to its own length."""
+    first, code, at = {}, 0, 0
+    for length in sorted(counts):
         code <<= length - at
-        at = length
-        first[length], code = code, code + first[length]
-    out = []
-    for length in lengths:
-        code = first[length]
-        first[length] = code + 1
-        out.append(bin(code + (1 << length))[3:])  # the leading 1 keeps zeros
-    return tuple(out)
+        first[length], code, at = code, code + counts[length], length
+    return first
+
+
+def _codewords_of(lengths) -> tuple[str, ...]:
+    """Canonical codewords of lengths within the Kraft inequality, each
+    length's words counting up from its first."""
+    up = {length: count(first | 1 << length)  # the leading 1 keeps zeros
+          for length, first in _first_codes(Counter(lengths)).items()}
+    return tuple(bin(next(up[length]))[3:] for length in lengths)
 
 
 def complete_binary(x: int, k: int) -> str:

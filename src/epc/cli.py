@@ -110,7 +110,7 @@ def _code_for_stream(args):
         return GolombCode(args.golomb)
     code = optimal_code(_model_from(args), args.penalty)
     if code.tail is None:   # printed by encode as an explicit code
-        return ExplicitCode.from_lengths(code.head)
+        return ExplicitCode(code.head)
     return code
 
 

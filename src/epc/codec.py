@@ -20,9 +20,8 @@ and converts the whole string once; decode formats the payload once and
 walks it by index, building no codeword strings. One canonical decoder
 (Moffat & Turpin, "On the implementation of minimum-redundancy prefix
 codes", IEEE Trans. Commun. 1997) reads every code's head through
-first-code/limit rows and its run's words arithmetically, from its head's
-words per length, spine and k, never its class. A descriptor's lengths are
-read in one pass.
+first-code/limit rows and its run's words arithmetically from spine and k,
+never its class. A descriptor's lengths are read in one pass.
 
 Everything decoding derives from the code alone is built once per
 descriptor into a decode plan and kept, for the last 16 descriptors read, in
@@ -30,8 +29,9 @@ a cache keyed by the descriptor's bytes. A plan holds each fact by name: the
 parsed `code`, its canonical `rows` with their `ends` and symbol `order`,
 the `spine` and the run's `k`, the rows' single-step lookups, the table
 width `narrowest` and the multi-symbol `table` (Choueka, Klein & Perl 1985).
-A stream of containers under one code thus parses, checks and tabulates
-that code once; each container only walks its payload.
+The rows take each length's first word from the one canonical rule in
+`bits` and the table lists the run's words as `LengthSeq` writes them. A
+stream of containers under one code parses, checks and tabulates it once.
 The table maps the next t payload bits to every whole codeword in them and
 the bits they use, so one lookup emits several symbols. Its width is the
 code's: the narrowest t of 8, 10, 12 and 14 bits whose words fill 7/8 of
@@ -47,6 +47,7 @@ every container check reads as without the table.
 """
 from __future__ import annotations
 
+import itertools
 import operator
 import struct
 import threading
@@ -54,8 +55,8 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cache, lru_cache
 
-from .bits import (kraft_sign, uleb128_decode, uleb128_decode_all,
-                   uleb128_encode, uleb128_encode_all)
+from .bits import (_first_codes, kraft_sign, uleb128_decode,
+                   uleb128_decode_all, uleb128_encode, uleb128_encode_all)
 from .errors import ContainerError
 from .golomb import GolombCode
 from .light_tail import UnaryEndedCode
@@ -277,9 +278,10 @@ _WINDOW = 64
 
 def _canonical_words(plan: _Plan, t: int):
     """(value, length, symbol) of every word of at most t bits: the plan's
-    rows no longer than t, then the run's words behind the spine. Those are
-    prefix free, so at most 2**t of them are listed."""
-    width, order, spine, k = plan.width, plan.order, plan.spine, plan.k
+    rows no longer than t, then the run's words as the code writes them, up
+    to the first longer than t bits, since a run's lengths never fall. Those
+    are prefix free, so at most 2**t of them are listed."""
+    width, order, code = plan.width, plan.order, plan.code
     start = 0
     for (length, offset), end in zip(plan.rows, plan.ends):
         if length > t:
@@ -288,19 +290,12 @@ def _canonical_words(plan: _Plan, t: int):
         for value in range(start >> shift, end >> shift):
             yield value, length, order[value - offset]
         start = end
-    if not k:
-        return
-    g = k.bit_length()
-    z = (1 << g) - k
-    for q in range(t - spine - g + 1):
-        prefix = (1 << spine + q + 1) - 2     # spine and q ones, then the zero
-        length = spine + q + g
-        first = len(order) + q * k
-        for r in range(z):
-            yield prefix << g - 1 | r, length, first + r
-        if length < t:
-            for r in range(z, k):
-                yield prefix << g | r + z, length + 1, first + r
+    if plan.k:
+        for i in itertools.count(len(order)):
+            length = code.length_at(i)
+            if length > t:
+                return
+            yield int(code.codeword(i), 2), length, i
 
 
 def _decode_canonical(bits: str, count: int, plan: _Plan):
@@ -379,9 +374,9 @@ class _Plan:
     and shared by every container that carries its descriptor.
 
     `width` is L, the longest row length, spine included. Row i of `rows`
-    holds the words of one length l as (l, offset), rows shortest first,
-    and `ends[i]` is where it ends in code space, left-justified to L bits;
-    a word of row i whose l bits read as v is symbol order[v - offset]. The
+    holds the words of length l as (l, offset), shortest first, from the
+    canonical rule's first words: a word of row i whose l bits read as v is
+    symbol order[v - offset], and `ends[i]` is where it ends, at L bits. The
     spine, `spine` 1s at the top of code space, ends at one more end, 2**L;
     behind it symbols len(order) on take the Golomb-k run's words, `k` the
     tail's: a code with no tail has no run, k = 0. A Golomb code is a run
@@ -398,13 +393,12 @@ class _Plan:
         self.k = k = tail.k if tail else 0
         self.width = width = max(lengths + (spine,))
         self.rows, self.ends = rows, ends = [], []
-        first = base = 0        # first is left-justified to width bits
-        for length, n in sorted(Counter(lengths).items()):
-            shift = width - length
-            rows.append((length, (first >> shift) - base))
-            first += n << shift
-            ends.append(first)
-            base += n
+        counts = Counter(lengths)
+        before = 0
+        for length, first in _first_codes(counts).items():
+            rows.append((length, first - before))
+            ends.append(first + counts[length] << width - length)
+            before += counts[length]
         if spine:
             ends.append(1 << width)
         # a list, several times faster to index than a range; a sorted head is

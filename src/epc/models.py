@@ -130,7 +130,14 @@ class Poisson(_Source):
         return [-m + i * ln_m - lgamma(i + 1) for i in range(j, n)]
 
     def mass(self, i: int) -> float:
-        return math.exp(self.ln_mass(i))
+        try:
+            return math.exp(self.ln_mass(i))
+        except OverflowError:   # lgamma(i + 1) past the float range
+            # ln i! >= i ln i - i puts ln p(i) at or below -mean - i there
+            if i >= math.e ** 2 * self.mean:
+                return 0.0
+            raise EpcError(f"the log mass of symbol {i:.6g} leaves the "
+                           "float range") from None
 
     def masses(self, n: int) -> list[float]:
         # mass(i) for each i from Poisson's kept log masses, which ln_mass's

@@ -386,8 +386,8 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel, *,
     that passes one.
 
     Elsewhere a walk brackets s0 and _last_nonpositive closes the bracket.
-    The walk starts at 1, or below it at a point right of s0 that
-    _envelope_start finds from the transform and the entropy alone, and
+    The walk starts at 1, or, under random gaps, below it at a point right
+    of s0 that _envelope_start finds from the transform and the entropy, and
     quadruples its point while the left side there is at or below zero.
 
     optimize_overflow passes _at_raise, called with lo each time the walk
@@ -400,8 +400,8 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel, *,
     entropy, mean_gap = shannon_entropy(model), arrivals.mean_gap()
     if entropy >= mean_gap:
         return 0.0
-    if (isinstance(arrivals, Deterministic) and n is not None
-            and arrivals.gap >= math.log2(n)):
+    steady = isinstance(arrivals, Deterministic)
+    if steady and n is not None and arrivals.gap >= math.log2(n):
         bits = math.floor(arrivals.gap)
         if bits >= (n - 1).bit_length():   # 2**bits >= n
             raise DivergenceError(
@@ -418,7 +418,9 @@ def decay_rate_bound(model: SourceModel, arrivals: ArrivalModel, *,
     # at s = 0 both the transform and the sum of the masses are one, and
     # the slope of ln_left is the entropy less the mean intermission
     slope0 = entropy - mean_gap
-    lo, hi = 0.0, _envelope_start(arrivals.ln_transform, entropy, slope0)
+    # under a steady gap the envelope, s * (entropy - gap), is never positive
+    lo, hi = 0.0, (1.0 if steady else
+                   _envelope_start(arrivals.ln_transform, entropy, slope0))
     f_hi = ln_left(hi)
     while f_hi <= 0.0:
         lo = hi

@@ -1,3 +1,4 @@
+import itertools
 import random
 import struct
 import sys
@@ -10,7 +11,7 @@ import pytest
 from epc import (ContainerError, ExplicitCode, GolombCode, LengthSeq, Poisson,
                  UnaryEndedCode, UnaryTail, bits, build_unary_ended, codec,
                  decode, encode, exp_huffman, models, read_container)
-from oracles import kraft_fraction
+from oracles import canonical_words, golomb_word, kraft_fraction
 
 
 def test_frozen_byte_vector():
@@ -407,6 +408,34 @@ def test_narrowest_matches_the_word_by_word_fill():
     # at most t bits, listed one by one, give
     for code in _random_codes(random.Random(25)):
         assert codec._Plan(code).narrowest == _narrowest_by_words(code), code
+
+
+def _zipf_code(size):
+    """The base-1 Huffman code of Zipf(size), as the stream benchmark's."""
+    probs = [1.0 / (i + 1) for i in range(size)]
+    total = sum(probs)
+    return ExplicitCode(exp_huffman([p / total for p in probs], 1.0).lengths)
+
+
+@pytest.mark.parametrize("code", [
+    _zipf_code(256), _zipf_code(4096), GolombCode(64), GolombCode(1023),
+    GolombCode(2 ** 62)],
+    ids=["zipf256", "zipf4096", "golomb64", "golomb1023", "golomb2**62"])
+def test_the_table_lists_the_words_the_code_writes(code):
+    # the oracles' words of at most t bits, in symbol order; a Golomb run's
+    # lengths never fall, so its listing ends before the first longer word
+    if code.tail is None:
+        words = list(canonical_words(code.head))
+    else:
+        words = list(itertools.takewhile(
+            lambda word: len(word) <= 14,
+            (golomb_word(j, code.tail.k) for j in itertools.count())))
+    assert bool(words) == (code != GolombCode(2 ** 62))
+    for t in (8, 10, 12, 14):
+        listed = codec._canonical_words(codec._Plan(code), t)
+        assert sorted(listed) == sorted(
+            (int(word, 2), len(word), i) for i, word in enumerate(words)
+            if len(word) <= t), t
 
 
 def test_short_container_reads_the_plans_table(monkeypatch):

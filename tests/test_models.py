@@ -711,3 +711,19 @@ def test_a_peak_whose_log_mass_leaves_the_float_range_is_refused(query, peak):
         query()
     assert str(refused.value) == (f"the series peaks at symbol {peak}, where "
                                   "its log masses leave the float range")
+
+
+@pytest.mark.parametrize("mean, i", [
+    (1.0, 10 ** 306), (1.0, 10 ** 308), (1e300, 10 ** 306), (1.0, 2 * 10 ** 305)])
+def test_a_poisson_mass_past_lgammas_range_is_zero(mean, i):
+    # lgamma(i + 1) overflows (but at 2e305); i >= e**2 * mean puts ln p(i)
+    # at or below -mean - i, so the mass rounds to 0 (a bare OverflowError
+    # before)
+    assert point_mass(Poisson(mean), i) == 0.0
+
+
+def test_a_poisson_mass_near_its_mean_past_lgammas_range_is_refused():
+    with pytest.raises(EpcError) as refused:
+        point_mass(Poisson(1e305), 3 * 10 ** 305)
+    assert str(refused.value) == ("the log mass of symbol 3e+305 leaves the "
+                                  "float range")

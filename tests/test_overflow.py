@@ -1052,6 +1052,26 @@ def test_bound_sums_few_renyi_series(monkeypatch):
     assert len(sums) == 43
 
 
+@pytest.mark.parametrize("model", [
+    Poisson(5.0), with_geometric_tail((0.4, 0.2, 0.15, 0.1, 0.105), 0.3),
+    Geometric(0.9)], ids=["poisson5", "tailed", "geometric"])
+def test_a_deterministic_bound_takes_one_transform_per_renyi_sum(
+        model, monkeypatch):
+    # under a steady gap the Shannon envelope is never positive, so the walk
+    # starts at s = 1 with no transform call of its own; each bound took one
+    # more transform call than Renyi sums (Poisson(5) at load 0.5: 15, 14)
+    sums = []
+    real_series = overflow._ln_series
+    monkeypatch.setattr(overflow, "_ln_series",
+                        lambda *args: sums.append(args) or real_series(*args))
+    entropy = shannon_entropy(model)
+    for load in (0.5, 0.8, 0.95):
+        arrivals = _counting(Deterministic(entropy / load))
+        sums.clear()
+        decay_rate_bound(model, arrivals)
+        assert arrivals.evaluations == len(sums) > 0, load
+
+
 @pytest.mark.parametrize("mean, gap", [
     (1.0, 1e5), (4.0, 5.4e4), (4.0, 3e5), (1.0, 1e6), (1.0, 1e7)])
 def test_term_capped_searches_match_the_plain_bisection(mean, gap):

@@ -1,13 +1,15 @@
 """The run record: a code's tail is its spine and k, the run starting at
 t0 = len(head). Seeded draws of complete heads (or none), spines 0-3 and k
 1-6, checked against the oracles' lengths and words, the container's three
-shapes and the code classes each shape names."""
+shapes and the code classes each shape names, and the words a decode table
+lists for each shape a container holds."""
 import random
+from itertools import chain, count, takewhile
 
 import pytest
 
-from epc import (GolombCode, LengthSeq, UnaryEndedCode, UnaryTail, encode,
-                 read_container)
+from epc import (GolombCode, LengthSeq, UnaryEndedCode, UnaryTail, codec,
+                 encode, read_container)
 from oracles import canonical_words, golomb_word, head_run_length
 
 _DRAWS = 120
@@ -41,6 +43,17 @@ CASES = [((), 0, 1), ((), 0, 3), ((), 2, 1), ((), 2, 4), ((1,), 1, 1),
          ((1,), 1, 3), *(_draw(random.Random(seed)) for seed in range(_DRAWS))]
 
 
+def _listed_as_written(code, words):
+    """Every decode-table width: the plan's listing is exactly the words,
+    in symbol order, of at most t bits, as (value, length, symbol)."""
+    words = list(words)
+    for t in (8, 10, 12, 14):
+        listed = codec._canonical_words(codec._Plan(code), t)
+        assert sorted(listed) == sorted(
+            (int(word, 2), len(word), i) for i, word in enumerate(words)
+            if len(word) <= t), t
+
+
 @pytest.mark.parametrize("head, spine, k", CASES,
                          ids=[f"{h}-{s}-{k}" for h, s, k in CASES])
 def test_a_run_record_is_its_spine_and_k_from_the_head_end(head, spine, k):
@@ -62,6 +75,11 @@ def test_a_run_record_is_its_spine_and_k_from_the_head_end(head, spine, k):
     symbols = list(range(len(head) + 2 * k + 1))
     if not spine or (k == 1 and head):
         assert read_container(encode(symbols, code)) == (code, symbols)
+        # run lengths never fall, so the run's words of at most 14 bits
+        # are the ones before the first longer word
+        run = ("1" * spine + golomb_word(j, k) for j in count())
+        _listed_as_written(code, chain(
+            words, takewhile(lambda word: len(word) <= 14, run)))
     else:
         with pytest.raises(ValueError) as refused:
             encode(symbols, code)
@@ -71,6 +89,7 @@ def test_a_run_record_is_its_spine_and_k_from_the_head_end(head, spine, k):
     if head:    # the explicit shape: the spine as one more word
         plain, each = LengthSeq(head + (spine,)), list(range(len(head) + 1))
         assert read_container(encode(each, plain)) == (plain, each)
+        _listed_as_written(plain, canonical_words(plain.head))
 
 
 @pytest.mark.parametrize("args", [(3, 4), (4, 4, 3)])
