@@ -475,6 +475,8 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float,
         return top, j, [exp(alpha * x - top) for x in xs], ln_q
 
     c, k0, ln_peak = _peak(model, j, g, _MAX_TERMS)
+    if ln_peak == -math.inf:    # every term rounds to 0
+        return -math.inf, k0, [], None
     lo, top = k0, alpha * ln_peak
     if g:   # each term from its neighbour by the ratio, faster here than
         # blocks of log masses; no caller reads them one by one: ws, the sum
@@ -553,6 +555,10 @@ def _peak(model: Poisson, j: int, g: float, cap: float = math.inf):
     try:
         return c, k0, model.ln_mass(k0) + g * (k0 - j)
     except OverflowError:   # lgamma(k0 + 1) past the float range
+        # the peak is the first term, p(j) with no tilt, and ln p(j) is at
+        # or below -mean - j there, as in Poisson.mass
+        if k0 == j and j >= math.e ** 2 * model.mean:
+            return c, k0, -math.inf
         raise EpcError(f"the series peaks at symbol {k0:.6g}, where its log "
                        "masses leave the float range") from None
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import struct
 import sys
@@ -8,9 +9,11 @@ from unittest import mock
 
 import pytest
 
-from epc import (ContainerError, ExplicitCode, GolombCode, LengthSeq, Poisson,
+from epc import (ContainerError, ExplicitCode, ExplicitFinite,
+                 ExponentialArrivals, GolombCode, LengthSeq, Poisson,
                  UnaryEndedCode, UnaryTail, bits, build_unary_ended, codec,
-                 decode, encode, exp_huffman, models, read_container)
+                 decode, encode, exp_huffman, models, optimize_overflow,
+                 read_container, shannon_entropy, with_geometric_tail)
 from oracles import canonical_words, golomb_word, kraft_fraction
 
 
@@ -57,6 +60,19 @@ def test_unary_ended_roundtrip():
         back, decoded = read_container(blob)
         assert decoded == symbols
         assert back == code            # descriptor rebuilds identical words
+
+
+def test_geometric_tailed_unary_ended_roundtrip():
+    # a 12-entry head splits within one symbol of its end, so the
+    # container carries a short head descriptor
+    rng = random.Random(9)
+    head = [math.exp(rng.gauss(0, 1)) for _ in range(12)]
+    total = math.fsum(head) + head[-1] * 0.3 / 0.7
+    model = with_geometric_tail([w / total for w in head], 0.3)
+    code = build_unary_ended(model, 1.5)
+    assert code.split <= 12, code
+    symbols = rng.choices(range(200), model.masses(200), k=50000)
+    assert read_container(encode(symbols, code)) == (code, symbols)
 
 
 def test_unary_ended_payload_example():
@@ -778,6 +794,31 @@ def test_a_plain_code_encodes_as_its_container_class(plain, container,
     assert type(got) is type(container) and decoded == symbols
     assert got == plain == container
     assert hash(got) == hash(plain) == hash(container)
+
+
+def _lognormal(size):
+    rng = random.Random(9)
+    return [math.exp(1.25 * rng.gauss(0, 1)) for _ in range(size)]
+
+
+@pytest.mark.parametrize("weights", [
+    [1 / (i + 1) for i in range(64)], _lognormal(1024)],
+    ids=["zipf64", "lognormal1024"])
+def test_an_overflow_optimal_code_encodes_as_its_explicit_code(weights):
+    # a finite source's overflow-optimal code is a plain LengthSeq; its
+    # descriptor is read off its shape, so it encodes to the bytes of its
+    # ExplicitCode
+    model = ExplicitFinite([w / math.fsum(weights) for w in weights])
+    gap = shannon_entropy(model) / 0.8
+    code = optimize_overflow(model, ExponentialArrivals(1 / gap)).code
+    assert type(code) is LengthSeq and code.tail is None, repr(code)
+    symbols = random.Random(9).choices(range(len(weights)), model.probs,
+                                       k=20000)
+    blob = encode(symbols, code)
+    assert blob == encode(symbols, ExplicitCode(code.head))
+    got, decoded = read_container(blob)
+    assert decoded == symbols and got == code
+    assert hash(got) == hash(code)
 
 
 @pytest.mark.parametrize("code, message", [

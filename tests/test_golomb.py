@@ -282,6 +282,8 @@ def test_evaluate_penalty_reads_the_golomb_profile():
             assert got == pytest.approx(math.log(direct) / math.log(a),
                                         rel=1e-12)
             assert power_sum(g, code, a) == pytest.approx(direct, rel=1e-12)
+        # at base 1 the power sum is the total mass: u = 0 has no log
+        assert power_sum(g, code, 1.0) == 1.0
         mean = evaluate_penalty(g, code, Linear())
         assert mean == evaluate_penalty(g, code, Exponential(1.0))
         n = math.ceil(50.0 / -math.log(th))     # p(n) below 1e-21

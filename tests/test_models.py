@@ -429,6 +429,8 @@ def test_length_seq_validation():
     # a shown length is that symbol's, past the head too
     assert str(LengthSeq((), UnaryTail(0, k=3))) == "lengths 2 +golomb3@0"
     assert str(LengthSeq((1,), UnaryTail(1, k=3))) == "lengths 1,3 +golomb3@1"
+    assert str(LengthSeq((2, 2, 3, 3), UnaryTail(3, k=3))) == \
+        "lengths 2,2,3,3,5 +golomb3@4"
     for seq in (LengthSeq((3, 3, 2, 1)), LengthSeq((2, 2, 2), UnaryTail(2)),
                 LengthSeq((), UnaryTail(0)), LengthSeq((), UnaryTail(2)),
                 *(LengthSeq(head, UnaryTail(spine, k=k))
@@ -452,6 +454,7 @@ def test_length_seq_validation():
     # with more bits than symbols, which only a container refuses
     assert LengthSeq((1, 3)).head_codewords == ("0", "100")
     assert LengthSeq((1, 3)).codeword(0) == "0"
+    assert LengthSeq((0,)).codeword(0) == ""    # a lone 0 is the empty word
     with pytest.raises(ValueError, match="^no container holds this code: "
                        "bad code descriptor: codeword length 3 exceeds the "
                        "alphabet size 2$"):
@@ -653,10 +656,12 @@ def test_a_series_past_the_term_cap_is_refused(monkeypatch, query, cap):
 
 
 def test_max_redundancy_of_a_growing_tail_is_unbounded():
-    # p(i) 2**i grows along a tail of ratio 0.7, so n(i) + log2 p(i) does
+    # p(i) 2**i grows along a tail of ratio above 1/2, so n(i) + log2 p(i)
+    # does, however little the ratio passes 1/2
     code = epc.UnaryEndedCode((1, 2), 2)
-    assert evaluate_penalty(with_geometric_tail((0.5, 0.3, 0.2), 0.7), code,
-                            MaxRedundancy()) == math.inf
+    for head, ratio in (((0.5, 0.3, 0.2), 0.7), ((0.5, 0.3), 0.5005)):
+        assert evaluate_penalty(with_geometric_tail(head, ratio), code,
+                                MaxRedundancy()) == math.inf, ratio
 
 
 # means from 0.5 to 6e6, log-uniform, with the means the series path
@@ -703,8 +708,8 @@ def test_max_redundancy_of_a_unary_run_on_poisson_is_read_at_its_peak(mean):
 @pytest.mark.parametrize("query, peak", [
     (lambda: evaluate_penalty(Poisson(1e306), GolombCode(1), MaxRedundancy()),
      "2e+306"),
-    # a bare OverflowError from lgamma before
-    (lambda: tail_weight(Poisson(1.0), 10 ** 306, 2.0), "1e+306"),
+    # near its mean: the peak's log mass has no float
+    (lambda: tail_weight(Poisson(1e305), 3 * 10 ** 305, 2.0), "3e+305"),
 ], ids=["max-redundancy", "tail-weight"])
 def test_a_peak_whose_log_mass_leaves_the_float_range_is_refused(query, peak):
     with pytest.raises(EpcError) as refused:
@@ -714,12 +719,16 @@ def test_a_peak_whose_log_mass_leaves_the_float_range_is_refused(query, peak):
 
 
 @pytest.mark.parametrize("mean, i", [
-    (1.0, 10 ** 306), (1.0, 10 ** 308), (1e300, 10 ** 306), (1.0, 2 * 10 ** 305)])
+    (1.0, 10 ** 306), (1.0, 10 ** 308), (1e300, 10 ** 306), (1.0, 2 * 10 ** 305),
+    (1.0, 5 * 10 ** 307)])
 def test_a_poisson_mass_past_lgammas_range_is_zero(mean, i):
     # lgamma(i + 1) overflows (but at 2e305); i >= e**2 * mean puts ln p(i)
     # at or below -mean - i, so the mass rounds to 0 (a bare OverflowError
-    # before)
+    # before), and so does the tail weight past i, whose first term is the
+    # largest
     assert point_mass(Poisson(mean), i) == 0.0
+    for base in (0.5, 1.0, 2.0):
+        assert tail_weight(Poisson(mean), i, base) == 0.0
 
 
 def test_a_poisson_mass_near_its_mean_past_lgammas_range_is_refused():
