@@ -10,6 +10,10 @@ Subcommands:
 
 Exit status: 0 on success, 1 on a domain error (bad parameter values,
 divergent sums, malformed containers), 2 on usage errors.
+
+optimize and huffman load only the code builders; encode and decode import
+the container codec, overflow the overflow solver and sweep the figure
+sweeps, each where it runs.
 """
 from __future__ import annotations
 
@@ -17,8 +21,6 @@ import argparse
 import math
 import sys
 
-from .analysis import SweepSpec, sweep
-from .codec import ExplicitCode, decode, encode
 from .errors import EpcError
 from .golomb import GolombCode
 from .huffman import merge
@@ -26,8 +28,6 @@ from .light_tail import optimal_code
 from .models import (DthRedundancy, ExplicitFinite, Exponential, Geometric,
                      LengthSeq, Linear, MaxRedundancy, Poisson,
                      evaluate_penalty)
-from .overflow import (Deterministic, ExponentialArrivals, GammaArrivals,
-                       TableTransform, optimize_overflow)
 
 __all__ = ["run", "main"]
 
@@ -106,6 +106,7 @@ def _cmd_huffman(args) -> int:
 # ------------------------------------------------------------ encode/decode
 
 def _code_for_stream(args):
+    from .codec import ExplicitCode
     if args.golomb is not None:
         return GolombCode(args.golomb)
     code = optimal_code(_model_from(args), args.penalty)
@@ -115,6 +116,7 @@ def _code_for_stream(args):
 
 
 def _cmd_encode(args) -> int:
+    from .codec import encode
     code = _code_for_stream(args)
     if args.input is None:
         text = sys.stdin.read()
@@ -130,6 +132,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from .codec import decode
     with open(args.input, "rb") as fh:
         data = fh.read()
     sys.stdout.write("".join(f"{sym}\n" for sym in decode(data)))
@@ -138,9 +141,10 @@ def _cmd_decode(args) -> int:
 
 # ----------------------------------------------------------------- overflow
 
-def _read_table(path: str) -> TableTransform:
-    """Rows of two numbers, s and the transform at s, split by commas or
-    spaces; blank lines are skipped."""
+def _read_table(path: str):
+    """A TableTransform from rows of two numbers, s and the transform at s,
+    split by commas or spaces; blank lines are skipped."""
+    from .overflow import TableTransform
     rows = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -155,6 +159,7 @@ def _read_table(path: str) -> TableTransform:
 
 
 def _arrivals_from(args):
+    from .overflow import Deterministic, ExponentialArrivals, GammaArrivals
     if args.deterministic is not None:
         return Deterministic(args.deterministic)
     if args.exponential is not None:
@@ -165,6 +170,7 @@ def _arrivals_from(args):
 
 
 def _cmd_overflow(args) -> int:
+    from .overflow import optimize_overflow
     result = optimize_overflow(_model_from(args), _arrivals_from(args))
     if args.buffer_size is not None:    # refused before anything is printed
         estimate = result.overflow_estimate(args.buffer_size)
@@ -192,6 +198,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _cmd_sweep(args) -> int:
+    from .analysis import SweepSpec, sweep
     kwargs = dict(figure=args.figure)
     for name in ("ratio_start", "ratio_stop", "ratio_step",
                  "base_start", "base_stop", "base_step"):

@@ -443,7 +443,9 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float,
     c = mean * e**(beta/alpha), so they peak at floor(c); they are summed
     outward from the peak until that ratio, which only falls further out,
     certifies the rest of each side. A peak more than _MAX_TERMS past j is
-    refused before any term is made, by _peak."""
+    refused before any term is made, by _peak; listed from log masses, a
+    series whose first block leaves it unsettled is refused there if no
+    block end within _MAX_TERMS past the peak can settle it."""
     rho = model.tail_ratio
     if rho is not None and j >= model.tail_start:     # geometric from j on
         return alpha * model.ln_mass(j), j, [1.0], alpha * math.log(rho) + beta
@@ -519,16 +521,19 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float,
     ws = block(k0, k0 + 1)
     hi, acc = k0 + 1, ws[0]
     size = width = 16 + int(12.0 * math.sqrt(c / alpha))
+    last = k0 + _MAX_TERMS    # the last term the cap lets in
+    first = True
     while True:     # past the peak; q is the ratio of t(hi) to t(hi - 1)
-        bw = block(hi, hi + size)
+        bw = block(hi, min(hi + size, last + 1))
         ws += bw
-        hi += size
+        hi += len(bw)
         acc += math.fsum(bw)
         q = (c / hi) ** alpha
         if bw[-1] * q <= _TAIL_REL * (1.0 - q) * acc:
             break
-        if hi - k0 > _MAX_TERMS:
+        if hi > last or first and _unsettled(model, k0, ln_peak, alpha):
             raise DivergenceError("series did not settle after the term cap")
+        first = False
         size = _reach(bw[-1], q, acc, size)
     size = width
     while lo > j:   # below the peak; q is the ratio of t(lo - 1) to t(lo)
@@ -561,6 +566,19 @@ def _peak(model: Poisson, j: int, g: float, cap: float = math.inf):
             return c, k0, -math.inf
         raise EpcError(f"the series peaks at symbol {k0:.6g}, where its log "
                        "masses leave the float range") from None
+
+
+def _unsettled(model: Poisson, k0: int, ln_peak: float, alpha: float) -> bool:
+    """Whether the terms p(i)**alpha of a Poisson source past its peak k0,
+    ln p(k0) = ln_peak, fail _terms' stopping test at every block end within
+    the term cap. Past the peak the terms and their ratio q only fall, and
+    their sum is at most the term count times the peak: so where the last
+    term the cap lets in, times q past it, exceeds that bound's share twice
+    over (a margin for rounding), every earlier block end fails too."""
+    last = k0 + _MAX_TERMS
+    ln_q = alpha * (model._ln_mean - math.log(last + 1))
+    return (math.exp(alpha * (model.ln_mass(last) - ln_peak) + ln_q)
+            > 2.0 * _TAIL_REL * (_MAX_TERMS + 1) * -math.expm1(ln_q))
 
 
 def _reach(w: float, q: float, acc: float, size: int) -> int:

@@ -272,13 +272,14 @@ def unary_tail_power_sum_direct(pmf, head_lengths, tail_start: int,
 
 def canonical_words(lengths) -> tuple[str, ...]:
     """Canonical words the textbook way: in (length, index) order, each one
-    more than the previous, shifted out to its own length."""
+    more than the previous, shifted out to its own length; a length of 0 is
+    the empty word."""
     out = [None] * len(lengths)
     code = prev = 0
     for i in sorted(range(len(lengths)), key=lengths.__getitem__):
         code <<= lengths[i] - prev
         prev = lengths[i]
-        out[i] = format(code, f"0{prev}b")
+        out[i] = format(code, f"0{prev}b") if prev else ""
         code += 1
     return tuple(out)
 

@@ -2,7 +2,7 @@
 against the per-varint loop, and the integer and prefix-code checks on
 length lists. Needs hypothesis (the `test` extra)."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epc import (ContainerError, ExplicitCode, LengthSeq, UnaryEndedCode,
@@ -172,6 +172,7 @@ def _tree_lengths(draw):
 
 @SEEDED
 @given(st.one_of(st.lists(st.integers(-1, 9), max_size=9), _tree_lengths()))
+@example([0])   # a lone 0: one symbol, the empty word
 def test_from_lengths_agrees_with_canonical_codewords(lengths):
     # a code is built exactly where the lengths make a prefix code, a
     # container holds it exactly where they are also within their count,
@@ -186,8 +187,7 @@ def test_from_lengths_agrees_with_canonical_codewords(lengths):
         assert (_container_refusal(lengths) is None) == fits
     if refusal is None:
         code = ExplicitCode.from_lengths(lengths)
-        if positive:    # a lone 0 is the empty word
-            assert code.head_codewords == canonical_words(lengths)
+        assert code.head_codewords == canonical_words(lengths)
         assert code.head == tuple(lengths)
         assert code == ExplicitCode(lengths)
         assert hash(code) == hash(ExplicitCode(lengths))

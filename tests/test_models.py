@@ -655,6 +655,24 @@ def test_a_series_past_the_term_cap_is_refused(monkeypatch, query, cap):
         query()
 
 
+@pytest.mark.parametrize("mean", [1.0, 5.0, 20.0, 300.0])
+def test_a_series_within_the_term_cap_is_summed_as_before(monkeypatch, mean):
+    # the up-front refusal of a series that cannot settle within the cap
+    # refuses none that does: a series whose last listed term lies n past
+    # its peak sums to the same terms under a cap of n or more (and at
+    # least the peak's distance from the first term, which _peak refuses)
+    model = Poisson(mean)
+    k0 = _peak(model, 0, 0.0)[1]
+    for alpha in (1.0, 0.3, 0.05, 0.01, 0.002):
+        monkeypatch.undo()
+        terms = _terms(model, 0, alpha, 0.0)
+        _, lo, ws, _ = terms
+        least = max(lo + len(ws) - 1 - k0, k0 + 1)
+        for cap in (least, least + 1, least + 100):
+            monkeypatch.setattr(epc.models, "_MAX_TERMS", cap)
+            assert _terms(model, 0, alpha, 0.0) == terms, (alpha, cap)
+
+
 def test_max_redundancy_of_a_growing_tail_is_unbounded():
     # p(i) 2**i grows along a tail of ratio above 1/2, so n(i) + log2 p(i)
     # does, however little the ratio passes 1/2

@@ -1052,6 +1052,30 @@ def test_bound_sums_few_renyi_series(monkeypatch):
     assert len(sums) == 43
 
 
+@pytest.mark.parametrize("mean, gap", [(20.0, 43.0), (1.0, 30.0)])
+def test_a_renyi_sum_past_the_term_cap_is_refused_at_once(
+        mean, gap, monkeypatch):
+    # the walk quadruples s up to 4**13, where the order is about 1.7e-7:
+    # that series' terms fall so slowly that the summing loop ran its
+    # 10**7 terms (about 4 s of CPU) before it gave up; the sums before it
+    # settle and are not timed here
+    times = []
+    real_series = overflow._ln_series
+
+    def timed(*args):
+        start = time.process_time()
+        try:
+            return real_series(*args)
+        finally:
+            times.append(time.process_time() - start)
+    monkeypatch.setattr(overflow, "_ln_series", timed)
+    with pytest.raises(DivergenceError) as exc:
+        decay_rate_bound(Poisson(mean), Deterministic(gap))
+    assert type(exc.value) is DivergenceError
+    assert str(exc.value) == "series did not settle after the term cap"
+    assert times[-1] < 1.0
+
+
 @pytest.mark.parametrize("model", [
     Poisson(5.0), with_geometric_tail((0.4, 0.2, 0.15, 0.1, 0.105), 0.3),
     Geometric(0.9)], ids=["poisson5", "tailed", "geometric"])
