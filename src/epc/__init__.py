@@ -8,11 +8,7 @@ format for integer streams, and buffer-overflow decay rate optimization.
 `import epc` loads the code builders: errors, bits, numeric, models,
 huffman, golomb and light_tail. The container codec (codec), the overflow
 solver (overflow), the sweeps (analysis) and the command line front end
-(cli) load on first use, when one of their names or the module itself is
-first read from the package. On a 2-core Intel Xeon VM under Python 3.11
-(medians of 41 fresh interpreters), that took `import epc` from 47 to
-31 ms with no bytecode cache and from 22 to 16 ms with a warm one, and
-`import epc.cli` from 47 to 34 ms and from 22 to 16 ms.
+(cli) load on the first read of one of their names, or of the module.
 """
 
 from importlib import import_module

@@ -18,7 +18,7 @@ from .golomb import GolombCode, optimal_k, optimal_k_mmr
 from .models import (DthRedundancy, Exponential, Geometric, LengthSeq,
                      Linear, MaxRedundancy, Penalty, SourceModel,
                      evaluate_penalty, renyi_entropy, shannon_entropy)
-from .numeric import frac_snapped, isfinite, shown
+from .numeric import check_finite, check_positive, frac_snapped
 
 __all__ = [
     "avg_redundancy", "mmr_optimal_redundancy",
@@ -27,12 +27,6 @@ __all__ = [
 ]
 
 _LOG2_LOG2_E = math.log2(math.log2(math.e))
-
-
-def _finite(name: str, x: float) -> float:
-    if not isfinite(x):
-        raise ValueError(f"{name} must be finite, got {shown(x)}")
-    return x
 
 
 def avg_redundancy(model: SourceModel, lengths: LengthSeq,
@@ -70,13 +64,15 @@ def mmr_asymptotic(x: float) -> float:
     within (1 - ratio)/(2 ln 2) * (1 + O(1 - ratio)) of it, so its sweep
     extremes near ratio = 1 miss these two limits by up to that much.
     """
-    fx = frac_snapped(_finite("x", x))
+    check_finite("x", x)
+    fx = frac_snapped(x)
     return 3.0 - _LOG2_LOG2_E - 2.0 ** (1.0 - fx) - fx
 
 
 def avg_redundancy_asymptotic(x: float) -> float:
     """ratio -> 1 limit of the mean-length redundancy on the same axis."""
-    fx = frac_snapped(_finite("x", x))
+    check_finite("x", x)
+    fx = frac_snapped(x)
     return (1.0 - _LOG2_LOG2_E - math.log2(math.e)
             + 2.0 ** (2.0 - 2.0 ** (1.0 - fx)) - fx)
 
@@ -90,10 +86,9 @@ def _grid_size(name: str, start: float, stop: float, step: float) -> int:
     """How many points start, start + step, ... reach stop, the endpoint
     included up to snap tolerance; a grid that is not finite, that runs
     backwards or that lists more than _MAX_POINTS is refused by name."""
-    if not all(map(isfinite, (start, stop, step))):
-        raise ValueError(f"the {name} grid must be finite")
-    if step <= 0.0:
-        raise ValueError(f"the {name} step must be positive, got {step!r}")
+    for value in (start, stop, step):
+        check_finite(f"the {name} grid", value)
+    check_positive(f"the {name} step", step)
     if stop < start:
         raise ValueError(f"the {name} grid stops at {stop!r}, below its "
                          f"start {start!r}")

@@ -9,6 +9,7 @@ from collections import Counter
 from itertools import count
 
 from .errors import ContainerError
+from .numeric import shown
 
 __all__ = [
     "uleb128_encode", "uleb128_encode_all", "uleb128_decode",
@@ -83,6 +84,25 @@ def integer_lengths(lengths) -> tuple[int, ...]:
                          f"{bad!r}") from None
 
 
+def _symbol(i, floor: int = 0) -> int:
+    """i through operator.index, at least floor: 0, or -1 for tail_weight."""
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise ValueError(f"symbols are integers, got {type(i).__name__} "
+                         f"{shown(i)}") from None
+    if i < floor:
+        raise ValueError("symbols are nonnegative")
+    return i
+
+
+def _golomb_k(k) -> int:
+    """A Golomb k through operator.index, at least one."""
+    if hasattr(type(k), "__index__") and operator.index(k) >= 1:
+        return operator.index(k)
+    raise ValueError(f"k must be a positive integer, got {shown(k)}")
+
+
 def kraft_total(lengths, extra_length: int = 0) -> tuple[int, int]:
     """Exact Kraft sum as a pair (numerator, 2**scale): sum of 2**-l plus an
     optional extra 2**-extra_length, in integer arithmetic."""
@@ -142,11 +162,11 @@ def _codewords_of(lengths) -> tuple[str, ...]:
 def complete_binary(x: int, k: int) -> str:
     """(x+1)th codeword of the alphabetic complete binary code on k values:
     g - 1 bits for the first z = 2**g - k values and g bits for the rest,
-    g the bit length of k."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not 0 <= x < k:
-        raise ValueError(f"value {x} outside range(0, {k})")
+    g the bit length of k. k >= 1 and 0 <= x < k, read as integers."""
+    if not (type(x) is type(k) is int and 0 <= x < k):  # else by the rules
+        k, x = _golomb_k(k), _symbol(x)
+        if x >= k:
+            raise ValueError(f"value {shown(x)} outside range(0, {shown(k)})")
     g = k.bit_length()
     z = (1 << g) - k
     if x < z:   # none at k = 1; the leading 1 keeps the zeros, as above

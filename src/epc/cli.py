@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 from .errors import EpcError
 from .golomb import GolombCode
@@ -51,14 +52,24 @@ def _read_weights(path: str) -> list[float]:
         return [float(tok) for tok in fh.read().split()]
 
 
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    grp = sub.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--geometric", type=float, metavar="RATIO",
-                     help="geometric source with the given ratio")
-    grp.add_argument("--poisson", type=float, metavar="MEAN",
-                     help="Poisson source with the given mean")
-    grp.add_argument("--weights", metavar="FILE",
+def _add_model_flags(sub: argparse.ArgumentParser, golomb: bool = False,
+                     infinite: bool = True, penalty: bool = True) -> None:
+    """One required source flag (golomb adds --golomb; without infinite,
+    --weights alone), then --penalty unless penalty is False."""
+    grp = sub.add_mutually_exclusive_group(required=True) if infinite else sub
+    if golomb:
+        grp.add_argument("--golomb", type=int, metavar="K",
+                         help="Golomb code with the given parameter")
+    if infinite:
+        grp.add_argument("--geometric", type=float, metavar="RATIO",
+                         help="geometric source with the given ratio")
+        grp.add_argument("--poisson", type=float, metavar="MEAN",
+                         help="Poisson source with the given mean")
+    grp.add_argument("--weights", metavar="FILE", required=not infinite,
                      help="finite source, whitespace-separated weights")
+    if penalty:
+        sub.add_argument("--penalty", type=_parse_penalty, default=Linear(),
+                         help="exp:<base> | dth:<order> | mmr | linear")
 
 
 def _model_from(args):
@@ -199,17 +210,9 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _cmd_sweep(args) -> int:
     from .analysis import SweepSpec, sweep
-    kwargs = dict(figure=args.figure)
-    for name in ("ratio_start", "ratio_stop", "ratio_step",
-                 "base_start", "base_stop", "base_step"):
-        val = getattr(args, name)
-        if val is not None:
-            kwargs[name] = val
-    if args.bases is not None:
-        kwargs["bases"] = args.bases
-    if args.orders is not None:
-        kwargs["orders"] = args.orders
-    text = sweep(SweepSpec(**kwargs))
+    given = {f.name: getattr(args, f.name) for f in fields(SweepSpec)}
+    text = sweep(SweepSpec(**{name: value for name, value in given.items()
+                              if value is not None}))
     if args.output is None:
         sys.stdout.write(text)
     else:
@@ -227,22 +230,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("optimize", help="best code for a source")
     _add_model_flags(p)
-    p.add_argument("--penalty", type=_parse_penalty, default=Linear(),
-                   help="exp:<base> | dth:<order> | mmr | linear")
     p.set_defaults(func=_cmd_optimize)
 
     p = subs.add_parser("huffman", help="tree engine on raw weights")
-    p.add_argument("--weights", required=True, metavar="FILE")
-    p.add_argument("--penalty", type=_parse_penalty, default=Linear())
+    _add_model_flags(p, infinite=False)
     p.set_defaults(func=_cmd_huffman)
 
     p = subs.add_parser("encode", help="pack symbols into a container")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--golomb", type=int, metavar="K")
-    grp.add_argument("--geometric", type=float, metavar="RATIO")
-    grp.add_argument("--poisson", type=float, metavar="MEAN")
-    grp.add_argument("--weights", metavar="FILE")
-    p.add_argument("--penalty", type=_parse_penalty, default=Linear())
+    _add_model_flags(p, golomb=True)
     p.add_argument("--input", metavar="FILE",
                    help="whitespace-separated integers (default stdin)")
     p.add_argument("--output", required=True, metavar="FILE")
@@ -253,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decode)
 
     p = subs.add_parser("overflow", help="optimize the overflow decay rate")
-    _add_model_flags(p)
+    _add_model_flags(p, penalty=False)
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--deterministic", type=float, metavar="GAP")
     grp.add_argument("--exponential", type=float, metavar="RATE")

@@ -55,12 +55,12 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cache, lru_cache
 
-from .bits import (_first_codes, kraft_sign, uleb128_decode,
+from .bits import (_first_codes, _symbol, kraft_sign, uleb128_decode,
                    uleb128_decode_all, uleb128_encode, uleb128_encode_all)
 from .errors import ContainerError
 from .golomb import GolombCode
 from .light_tail import UnaryEndedCode
-from .models import LengthSeq, _symbol
+from .models import LengthSeq
 
 __all__ = ["ExplicitCode", "encode", "decode", "read_container", "MAGIC",
            "VERSION"]

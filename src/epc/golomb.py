@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 
-from .models import Exponential, LengthSeq, Penalty, UnaryTail
-from .numeric import ceil_snapped
+from .bits import _golomb_k
+from .models import (Exponential, LengthSeq, MaxRedundancy, Penalty,
+                     UnaryTail)
+from .numeric import ceil_snapped, check_ratio
 
 __all__ = [
     "GolombCode", "optimal_k_exponential", "optimal_k_mmr", "optimal_k",
@@ -29,9 +31,7 @@ class GolombCode(LengthSeq):
     value: codes of equal k compare and hash equal."""
 
     def __init__(self, k: int) -> None:
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"k must be a positive integer, got {k!r}")
-        super().__init__((), UnaryTail(0, k=k))
+        super().__init__((), UnaryTail(0, k=_golomb_k(k)))
 
     k = property(lambda self: self.tail.k)
 
@@ -63,23 +63,17 @@ def optimal_k_exponential(ratio: float, base: float) -> int:
 
 def optimal_k_mmr(ratio: float) -> int:
     """Best Golomb parameter for the maximal pointwise redundancy."""
-    _check_ratio(ratio)
-    return max(1, ceil_snapped(-1.0 / math.log2(ratio)))
+    return optimal_k(ratio, MaxRedundancy())
 
 
 def optimal_k(ratio: float, penalty: Penalty) -> int:
     """Best Golomb parameter for Geometric(ratio) under a penalty object:
     the exponential choice at its tilt, ratio**(1+d) and base b, or the mmr
     choice at the minimax limit."""
+    check_ratio("ratio", ratio)
     tilt = penalty._tilt
     if tilt is None:
-        return optimal_k_mmr(ratio)
-    _check_ratio(ratio)
+        return max(1, ceil_snapped(-1.0 / math.log2(ratio)))
     d, _, ln_b = tilt
     return _optimal_k((1.0 + d) * math.log(ratio), ln_b)
-
-
-def _check_ratio(ratio: float) -> None:
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
 

@@ -10,7 +10,6 @@ else a unary run as a series. Values are immutable, functions pure.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,9 +17,10 @@ from itertools import repeat
 from operator import mul
 from typing import Optional, Union
 
-from .bits import _codewords_of, complete_binary, integer_lengths, kraft_sign
+from .bits import (_codewords_of, _symbol, complete_binary, integer_lengths,
+                   kraft_sign)
 from .errors import DivergenceError, EpcError
-from .numeric import LN2, check_positive, check_weights
+from .numeric import LN2, check_positive, check_ratio, check_weights, shown
 
 __all__ = [
     "Geometric", "Poisson", "ExplicitFinite", "ExplicitTailed",
@@ -88,8 +88,7 @@ class Geometric(_GeometricTail):
     ratio: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
+        check_ratio("ratio", self.ratio)
         object.__setattr__(self, "head", (1.0 - self.ratio,))
         object.__setattr__(self, "tail_ratio", self.ratio)
         object.__setattr__(self, "tail_start", 0)
@@ -196,8 +195,7 @@ class ExplicitTailed(_GeometricTail):
         object.__setattr__(self, "head",
                            tuple(check_weights(self.head, "probabilities",
                                                "head probability")))
-        if not 0.0 < self.tail_ratio < 1.0:
-            raise ValueError("tail_ratio must lie in (0, 1)")
+        check_ratio("tail_ratio", self.tail_ratio)
         object.__setattr__(self, "tail_start", len(self.head) - 1)
 
 
@@ -262,15 +260,6 @@ Penalty = Union[Exponential, DthRedundancy, MaxRedundancy, Linear]
 # a code's lengths, and its run's first length and k, are at most this, so
 # every sum over a code reads them as floats
 _FLOAT_MAX = sys.float_info.max
-
-
-def _symbol(i) -> int:
-    """i through operator.index: a float, even a whole one, is no symbol."""
-    try:
-        return operator.index(i)
-    except TypeError:
-        raise ValueError(
-            f"symbols are integers, got {type(i).__name__} {i!r}") from None
 
 
 @dataclass(frozen=True, init=False)
@@ -358,12 +347,10 @@ class LengthSeq:
     def length_at(self, i: int) -> int:
         i = _symbol(i)
         if i < len(self.head):
-            if i < 0:
-                raise ValueError("symbols are nonnegative")
             return self.head[i]
         tail = self.tail
         if tail is None:
-            raise IndexError(f"no length assigned to symbol {i}")
+            raise IndexError(f"no length assigned to symbol {shown(i)}")
         k = tail.k
         q, r = divmod(i - len(self.head), k)
         g = k.bit_length()      # the suffix takes g - 1 bits below 2**g - k
@@ -374,23 +361,24 @@ class LengthSeq:
         head the run's, refused past _MOST_ONES ones: the spine and quotient
         in ones, a zero, then the complete binary suffix of the remainder."""
         i, head, tail = _symbol(i), self.head, self.tail
-        if 0 <= i < len(head):
+        if i < len(head):
             return self.head_codewords[i]
-        if i < 0 or tail is None:
-            raise ValueError(f"no codeword for symbol {i}")
+        if tail is None:
+            raise ValueError(f"no codeword for symbol {shown(i)}")
         q, r = divmod(i - len(head), tail.k)
         ones = tail.spine + q
         if ones > _MOST_ONES:
-            raise ValueError(f"symbol {i} has a codeword too long to build")
+            raise ValueError(f"symbol {shown(i)} has a codeword too long to "
+                             "build")
         return "1" * ones + "0" + complete_binary(r, tail.k)
 
     def __str__(self) -> str:
         if self.tail is None:
             return "lengths " + ",".join(map(str, self.head))
         tail, t0 = self.tail, len(self.head)
-        shown = self.head + (self.length_at(t0),)
+        listed = self.head + (self.length_at(t0),)
         run = "unary" if tail.k == 1 else f"golomb{tail.k}"
-        return "lengths " + ",".join(map(str, shown)) + f" +{run}@{t0}"
+        return "lengths " + ",".join(map(str, listed)) + f" +{run}@{t0}"
 
 
 # ---------------------------------------------------------------- series
@@ -603,7 +591,7 @@ def _rest(ln_q: float) -> float:
 def _ln_series(model: SourceModel, j: int, alpha: float, beta: float) -> float:
     """ln sum_{i>=j} p(i)**alpha * e**(beta*(i-j)) for alpha > 0: the one
     series behind every tail, power and Renyi sum; -inf for no terms."""
-    top, _, ws, ln_q = _terms(model, max(j, 0), alpha, beta)
+    top, _, ws, ln_q = _terms(model, j, alpha, beta)
     total = math.fsum(ws)
     if ln_q is not None:
         total += ws[-1] * _rest(ln_q)
@@ -635,19 +623,18 @@ def _mass_moment(model: SourceModel, j: int, logs: bool):
 def point_mass(model: SourceModel, i: int) -> float:
     """p(i)."""
     i = _symbol(i)
-    if i < 0:
-        raise ValueError("symbols are nonnegative")
     if model.size is not None and i >= model.size:
-        raise IndexError(f"symbol {i} outside the {model.size}-ary alphabet")
+        raise IndexError(f"symbol {shown(i)} outside the {model.size}-ary "
+                         "alphabet")
     if i > _FLOAT_MAX:  # an infinite source's mass there rounds to 0
         return 0.0
     return model.mass(i)
 
 
 def tail_weight(model: SourceModel, j: int, base: float) -> float:
-    """sum_{k>j} p(k) * base**(k-j). j = -1 is allowed and weighs the whole
-    support by base**(k+1)."""
-    j = _symbol(j)
+    """sum_{k>j} p(k) * base**(k-j), j an integer at least -1: j = -1
+    weighs the whole support by base**(k+1). base is finite and positive."""
+    j = _symbol(j, -1)
     check_positive("base", base)
     ln_b = math.log(base)
     if j > _FLOAT_MAX:  # every mass past j rounds to 0, as point_mass's does
@@ -774,7 +761,7 @@ class _Profile:
                   for n, _, _, top, ps, m in self.groups]
         if self.model.size is None:
             xs.append(run)
-        return _ln_sum_exp(xs) if xs else -math.inf
+        return _ln_sum_exp(xs)
 
     def expected_length(self) -> float:
         """sum p(i) * n(i)."""

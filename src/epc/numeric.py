@@ -22,12 +22,30 @@ def isfinite(x) -> bool:
         return False
 
 
-def check_positive(name: str, value: float) -> None:
-    """Refuse what isfinite refuses, then values <= 0 (a NaN would pass)."""
+def check_finite(name: str, value: float) -> None:
+    """Refuse NaN, the infinities and integers past the float range."""
     if not isfinite(value):
         raise ValueError(f"{name} must be finite, got {shown(value)}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Refuse what check_finite refuses, then values <= 0."""
+    check_finite(name, value)
     if value <= 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def check_nonnegative(name: str, value: float) -> None:
+    """Refuse NaN, values past the float range and values below zero."""
+    if not (isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got "
+                         f"{shown(value)}")
+
+
+def check_ratio(name: str, value: float) -> None:
+    """Refuse values outside the open interval (0, 1), NaN among them."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {shown(value)}")
 
 
 def check_weights(values, noun: str = "weights",

@@ -28,7 +28,7 @@ from .errors import DivergenceError, EpcError, StabilityError
 from .light_tail import _base_check, optimal_code
 from .models import (Exponential, LengthSeq, SourceModel, _Profile, _exp,
                      _ln_series, shannon_entropy, total_mass)
-from .numeric import LN2, check_positive, isfinite, shown
+from .numeric import LN2, check_finite, check_nonnegative, check_positive
 
 __all__ = [
     "Deterministic", "ExponentialArrivals", "GammaArrivals", "TableTransform",
@@ -65,8 +65,7 @@ class Deterministic(_Arrivals):
     gap: float
 
     def __post_init__(self) -> None:
-        if not isfinite(self.gap):     # a NaN would pass the test below
-            raise ValueError(f"gap must be finite, got {shown(self.gap)}")
+        check_finite("gap", self.gap)     # a NaN would pass the test below
         if self.gap < 1.0:
             raise StabilityError(
                 "deterministic intermission must be at least one bit time")
@@ -123,10 +122,9 @@ class TableTransform(_Arrivals):
 
     def __post_init__(self) -> None:
         pairs = tuple(self.samples)     # tested before float() can overflow
-        bad = [pair for pair in pairs if not all(map(isfinite, pair))]
-        if bad:     # a NaN would pass every comparison below
-            raise ValueError("transform samples must be finite, got "
-                             + shown(bad[0]))
+        for pair in pairs:      # a NaN would pass every comparison below
+            for value in pair:
+                check_finite("transform samples", value)
         samples = tuple((float(s), float(v)) for s, v in pairs)
         object.__setattr__(self, "samples", samples)
         if len(samples) < 2:
@@ -191,9 +189,7 @@ class OverflowResult:
     def overflow_estimate(self, buffer_bits: float) -> float:
         """e**(-decay_rate * buffer_bits), the exponential decay of the
         chance that the backlog exceeds a buffer of that many bits."""
-        if not (isfinite(buffer_bits) and buffer_bits >= 0.0):
-            raise ValueError("buffer size must be finite and nonnegative, "
-                             f"got {shown(buffer_bits)}")
+        check_nonnegative("buffer size", buffer_bits)
         return math.exp(-self.decay_rate * buffer_bits)
 
 
@@ -202,8 +198,7 @@ class OverflowResult:
 def overflow_functional(model: SourceModel, code: LengthSeq,
                         arrivals: ArrivalModel, s: float) -> float:
     """f(s) above, from ln f; exactly the source mass at s = 0."""
-    if not (isfinite(s) and s >= 0.0):     # NaN too
-        raise ValueError(f"s must be finite and nonnegative, got {shown(s)}")
+    check_nonnegative("s", s)
     profile = _Profile(model, code)     # refuses a code the source cannot take
     if s == 0.0:
         return total_mass(model)
