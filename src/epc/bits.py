@@ -105,12 +105,15 @@ def _golomb_k(k) -> int:
 
 def kraft_total(lengths, extra_length: int = 0) -> tuple[int, int]:
     """Exact Kraft sum as a pair (numerator, 2**scale): sum of 2**-l plus an
-    optional extra 2**-extra_length, in integer arithmetic."""
-    ls = list(lengths) + ([extra_length] if extra_length else [])
-    if not ls:
+    optional extra 2**-extra_length, in integer arithmetic, one term per
+    distinct length."""
+    counts = Counter(lengths)
+    if extra_length:
+        counts[extra_length] += 1
+    if not counts:
         return 0, 1
-    scale = max(ls)
-    return sum(1 << (scale - l) for l in ls), 1 << scale
+    scale = max(counts)
+    return sum(n << scale - l for l, n in counts.items()), 1 << scale
 
 
 def kraft_sign(ordered) -> int:

@@ -15,20 +15,23 @@ its own into the decode plan below and writes the words of the plan's
 code, so it refuses, as a ValueError, every code decode would refuse.
 
 Both directions work on the payload as one string of "0"/"1" characters:
-encode joins one codeword string per symbol, built when first asked for,
-and converts the whole string once; decode formats the payload once and
-walks it by index, building no codeword strings. One canonical decoder
-(Moffat & Turpin, "On the implementation of minimum-redundancy prefix
-codes", IEEE Trans. Commun. 1997) reads every code's head through
-first-code/limit rows and its run's words arithmetically from spine and k,
-never its class. A descriptor's lengths are read in one pass.
+encode joins one codeword string per symbol from its plan's word table,
+which writes each word when first asked for and keeps it across
+containers, and converts the whole string once; decode formats the
+payload once and walks it by index, building no codeword strings. One
+canonical decoder (Moffat & Turpin, "On the implementation of
+minimum-redundancy prefix codes", IEEE Trans. Commun. 1997) reads every
+code's head through first-code/limit rows and its run's words
+arithmetically from spine and k, never its class. A descriptor's lengths
+are read in one pass.
 
 Everything decoding derives from the code alone is built once per
 descriptor into a decode plan and kept, for the last 16 descriptors read, in
 a cache keyed by the descriptor's bytes. A plan holds each fact by name: the
 parsed `code`, its canonical `rows` with their `ends` and symbol `order`,
 the `spine` and the run's `k`, the rows' single-step lookups, the table
-width `narrowest` and the multi-symbol `table` (Choueka, Klein & Perl 1985).
+width `narrowest`, the multi-symbol `table` (Choueka, Klein & Perl 1985)
+and encode's `words`.
 The rows take each length's first word from the one canonical rule in
 `bits` and the table lists the run's words as `LengthSeq` writes them. A
 stream of containers under one code parses, checks and tabulates it once.
@@ -120,21 +123,18 @@ def _descriptor(code: LengthSeq) -> bytes:
 def encode(symbols, code: LengthSeq) -> bytes:
     header = MAGIC + bytes([VERSION]) + _descriptor(code)
     try:
-        code = _plan(header[5:]).code
+        words = _plan(header[5:]).words
     except ContainerError as exc:
         raise ValueError(f"no container holds this code: {exc}") from None
     if not isinstance(symbols, (list, tuple)):
         symbols = list(symbols)
-    # one codeword per distinct symbol, in first-seen order; each is read as
-    # an index here unless the symbols sum to an int (2.0 would key as 2)
+    # only ints key the plan's words: each symbol is read as an index here
+    # unless the symbols sum to an int (2.0 would key as 2)
     try:
         plain = type(sum(symbols)) is int
     except TypeError:
         plain = False
     symbols = symbols if plain else list(map(_symbol, symbols))
-    words = dict.fromkeys(symbols)
-    for sym in words:
-        words[sym] = code.codeword(sym)
     bits = "".join(map(words.__getitem__, symbols))
     bits += "0" * (-len(bits) % 8)
     payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
@@ -365,8 +365,32 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
 # about 32 MB of tables, plus 1.2 MB of 14-bit window keys shared by all:
 # 16 containers of 2**14 symbols under distinct codes whose narrowest width
 # is 14 bits, each as short as 2 KB, fill it. Encoding adds its code's head
-# words, about 75 bytes a symbol, to the plan's code.
+# words, about 75 bytes a symbol, to the plan's code, and its word table of
+# at most _WORDS words of at most _WINDOW bits, about 3 MB, to the plan:
+# about 48 MB more at worst.
 _PLANS = 16
+_WORDS = 1 << 14
+
+
+class _Words(dict):
+    """{symbol: codeword} under one plan's code, each word written by
+    LengthSeq.codeword when first asked for and kept while it has at most
+    _WINDOW bits and fewer than _WORDS are kept; a word not kept is written
+    again for each occurrence, and a refused symbol is never stored.
+
+    Threads share it with no lock: a dict store is atomic, so a race only
+    writes the same word twice (or, at the cap, keeps one word more for
+    each racing thread)."""
+
+    def __init__(self, code: LengthSeq) -> None:
+        super().__init__()
+        self.codeword = code.codeword
+
+    def __missing__(self, symbol: int) -> str:
+        word = self.codeword(symbol)
+        if len(word) <= _WINDOW and len(self) < _WORDS:
+            self[symbol] = word
+        return word
 
 
 class _Plan:
@@ -383,7 +407,8 @@ class _Plan:
     behind no rows and an empty spine. `window`, `short`, `limits` and
     `steps` are the rows' single-step lookups; `narrowest` is the code's
     table width, 0 for none; `table` is the (t, table) of the widest
-    multi-symbol table built, (0, None) while none is, built under `lock`.
+    multi-symbol table built, (0, None) while none is, built under `lock`;
+    `words` is encode's word table.
     """
 
     def __init__(self, code: LengthSeq) -> None:
@@ -424,6 +449,7 @@ class _Plan:
                        offset) for i, (length, offset) in enumerate(rows)]
         self.table = (0, None)
         self.lock = threading.Lock()
+        self.words = _Words(code)
 
 
 @lru_cache(maxsize=_PLANS)

@@ -7,11 +7,13 @@ an integer snap with a fixed absolute tolerance first.
 from __future__ import annotations
 
 import math
+import sys
 from reprlib import repr as shown   # repr, long integers cut short
 
 SNAP_TOL = 1e-12
 
 LN2 = math.log(2.0)
+_FLOAT_MAX = sys.float_info.max
 
 
 def isfinite(x) -> bool:
@@ -36,8 +38,10 @@ def check_positive(name: str, value: float) -> None:
 
 
 def check_nonnegative(name: str, value: float) -> None:
-    """Refuse NaN, values past the float range and values below zero."""
-    if not (isfinite(value) and value >= 0.0):
+    """Refuse NaN, values past the float range and values below zero; one
+    chained comparison, since the arrival laws' transforms run it in every
+    solve."""
+    if not 0.0 <= value <= _FLOAT_MAX:
         raise ValueError(f"{name} must be finite and nonnegative, got "
                          f"{shown(value)}")
 

@@ -52,7 +52,8 @@ _NEAR = _S_TOL / 8.0
 class _Arrivals:
     """An intermission law answers ln_transform(s) = ln E[e^(-sT)] and
     mean_gap() = E[T]; transform(s) is the exp of the first. ln_transform
-    is convex in s, as that of every law is (Hoelder's inequality)."""
+    is convex in s, as that of every law is (Hoelder's inequality), and
+    refuses an s that is not finite and nonnegative."""
 
     def transform(self, s: float) -> float:
         return math.exp(self.ln_transform(s))
@@ -71,6 +72,7 @@ class Deterministic(_Arrivals):
                 "deterministic intermission must be at least one bit time")
 
     def ln_transform(self, s: float) -> float:
+        check_nonnegative("s", s)
         return -s * self.gap
 
     def mean_gap(self) -> float:
@@ -87,6 +89,7 @@ class ExponentialArrivals(_Arrivals):
         check_positive("rate", self.rate)
 
     def ln_transform(self, s: float) -> float:
+        check_nonnegative("s", s)
         return -math.log1p(s / self.rate)
 
     def mean_gap(self) -> float:
@@ -103,6 +106,7 @@ class GammaArrivals(_Arrivals):
         check_positive("rate", self.rate)
 
     def ln_transform(self, s: float) -> float:
+        check_nonnegative("s", s)
         return -self.shape * math.log1p(s / self.rate)
 
     def mean_gap(self) -> float:
@@ -156,8 +160,7 @@ class TableTransform(_Arrivals):
         object.__setattr__(self, "_slopes", slopes)
 
     def ln_transform(self, s: float) -> float:
-        if s < 0.0:
-            raise ValueError("s must be nonnegative")
+        check_nonnegative("s", s)
         # the first segment whose right end reaches s, else the last one
         k = bisect_left(self._points, s, 1, len(self._points) - 1) - 1
         return self._logs[k] + self._slopes[k] * (s - self._points[k])

@@ -10,11 +10,12 @@ import math
 import pytest
 
 from epc import (Deterministic, ExplicitFinite, ExponentialArrivals,
-                 Geometric, GolombCode, LengthSeq, Linear, OverflowResult,
-                 Poisson, UnaryTail, avg_redundancy_asymptotic,
-                 complete_binary, encode, mmr_asymptotic, optimal_k,
-                 optimal_k_exponential, optimal_k_mmr, overflow_functional,
-                 point_mass, tail_weight, with_geometric_tail)
+                 GammaArrivals, Geometric, GolombCode, LengthSeq, Linear,
+                 OverflowResult, Poisson, TableTransform, UnaryTail,
+                 avg_redundancy_asymptotic, complete_binary, encode,
+                 mmr_asymptotic, optimal_k, optimal_k_exponential,
+                 optimal_k_mmr, overflow_functional, point_mass, tail_weight,
+                 with_geometric_tail)
 
 _FAR = 10 ** 400    # no float holds it; its repr has 401 digits
 _NAN = math.nan
@@ -68,8 +69,15 @@ _KINDS = {
             Geometric(0.5), _UNARY, ExponentialArrivals(1.0), s),
         "overflow_estimate": OverflowResult(
             _UNARY, 0.5, False, ()).overflow_estimate,
+        "Deterministic.ln_transform": Deterministic(2.0).ln_transform,
+        "ExponentialArrivals.ln_transform": ExponentialArrivals(
+            1.0).ln_transform,
+        "GammaArrivals.ln_transform": GammaArrivals(2.0, 1.0).ln_transform,
+        "TableTransform.ln_transform": TableTransform(
+            ((0.0, 1.0), (1.0, 0.5))).ln_transform,
+        "transform": Deterministic(2.0).transform,
     }, [(_NAN, _NONNEGATIVE), (_FAR, _NONNEGATIVE), (-_FAR, _NONNEGATIVE),
-        (-1, _NONNEGATIVE)]),
+        (-1, _NONNEGATIVE), (math.inf, _NONNEGATIVE)]),
 }
 
 

@@ -1,6 +1,8 @@
 """Varint runs and length lists in `epc.bits`: the one-byte varint path
 against the per-varint loop, and the integer and prefix-code checks on
 length lists. Needs hypothesis (the `test` extra)."""
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -237,3 +239,24 @@ def test_length_seq_kraft_test_is_exact(case):
     # code space
     assert kraft_total(()) == (0, 1)
     assert kraft_sign([-1, 2]) == 1
+
+
+def _kraft_total_per_word(lengths, extra_length=0):
+    """kraft_total as one term per word: the reference it must equal."""
+    ls = list(lengths) + ([extra_length] if extra_length else [])
+    if not ls:
+        return 0, 1
+    scale = max(ls)
+    return sum(1 << (scale - l) for l in ls), 1 << scale
+
+
+def test_kraft_total_equals_the_per_word_sum():
+    rng = random.Random(44)
+    cases = [((), 0), ((), 3), ((0,), 0), ((1, 1), 0)]
+    for _ in range(200):
+        n = rng.choice((1, 2, 6, 40, 1024))
+        lengths = [rng.randint(0, rng.choice((4, 20, 90))) for _ in range(n)]
+        cases += [(lengths, 0), (tuple(lengths), rng.randint(1, 100))]
+    for lengths, extra in cases:
+        assert (kraft_total(lengths, extra)
+                == _kraft_total_per_word(lengths, extra)), (lengths, extra)

@@ -742,7 +742,8 @@ def test_threads_share_plans():
         order = random.Random(seed)
         for _ in range(3):
             for blob, code, symbols in order.sample(blobs, len(blobs)):
-                if read_container(blob) != (code, symbols):
+                if (read_container(blob) != (code, symbols)
+                        or encode(symbols, code) != blob):
                     failures.append(code)
 
     switch = sys.getswitchinterval()
@@ -757,6 +758,81 @@ def test_threads_share_plans():
         sys.setswitchinterval(switch)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+# ------------------------------------------------------ encode's word table
+
+def _words(code):
+    """The word table of the code's plan, the plan built if need be."""
+    return codec._plan(codec._descriptor(code)).words
+
+
+def _written_word_by_word(symbols, code):
+    """The container with each word as LengthSeq.codeword writes it."""
+    bits = "".join(map(code.codeword, symbols))
+    bits += "0" * (-len(bits) % 8)
+    payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+    return (codec.MAGIC + bytes([codec.VERSION]) + codec._descriptor(code)
+            + struct.pack("<Q", len(symbols)) + payload)
+
+
+# each with words longer than _WINDOW bits but GolombCode(2**16), whose
+# symbols below 2**16 are more than the table keeps
+@pytest.mark.parametrize("code, alphabet", [
+    (GolombCode(1), 200), (GolombCode(3), 400), (GolombCode(64), 6000),
+    (GolombCode(2 ** 16), 20000), (ZIPF_CODE, 20), (_zipf_code(4096), 4096),
+    (UnaryEndedCode((1, 2), 2), 150),
+    (build_unary_ended(Poisson(1.0), 2.0), 150)],
+    ids=["golomb1", "golomb3", "golomb64", "golomb2**16", "explicit",
+         "zipf4096", "unary-ended", "unary-ended-poisson"])
+def test_the_word_table_writes_the_codes_own_words(code, alphabet):
+    rng = random.Random(alphabet)
+    codec._plan.cache_clear()
+    short = set()
+    for _ in range(3):      # a cold table, then warm ones
+        symbols = [rng.randrange(alphabet) for _ in range(1000)]
+        if alphabet > codec._WORDS:
+            symbols += range(alphabet)
+        assert encode(symbols, code) == _written_word_by_word(symbols, code)
+        short.update(i for i in symbols
+                     if len(code.codeword(i)) <= codec._WINDOW)
+        words = _words(code)
+        assert len(words) == min(len(short), codec._WORDS)
+        assert all(words[i] == code.codeword(i) for i in words)
+        assert max(map(len, words.values())) <= codec._WINDOW
+
+
+def test_the_word_table_writes_each_short_word_once():
+    code = GolombCode(1)
+    codec._plan.cache_clear()
+    words = _words(code)
+    calls = []
+    write = words.codeword
+    words.codeword = lambda i: calls.append(i) or write(i)
+    symbols = [3, 3, 100, 5, 100, 3]
+    for _ in range(2):
+        assert decode(encode(symbols, code)) == symbols
+    # symbol 100 has a 101-bit word, written for each occurrence
+    assert sorted(calls) == [3, 5] + [100] * 4
+    assert sorted(words) == [3, 5]
+
+
+@pytest.mark.parametrize("code, symbols, message", [
+    (GolombCode(1), [2, 2.0], "symbols are integers, got float 2.0"),
+    (GolombCode(1), [-1], "symbols are nonnegative"),
+    (ZIPF_CODE, [3, 20], "no codeword for symbol 20"),
+    (GolombCode(1), [10 ** 30],
+     f"symbol {10 ** 30} has a codeword too long to build"),
+], ids=["float", "negative", "past-the-alphabet", "too-long"])
+def test_a_warm_word_table_refuses_as_a_cold_one(code, symbols, message):
+    codec._plan.cache_clear()
+    warm = list(range(20))
+    for stored in ({3} & set(symbols), set(warm)):
+        with pytest.raises(ValueError) as refused:
+            encode(symbols, code)
+        assert str(refused.value) == message
+        assert set(_words(code)) == stored
+        assert decode(encode(warm, code)) == warm
 
 
 def test_encode_names_a_symbol_whose_codeword_cannot_be_built():

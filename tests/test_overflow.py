@@ -45,7 +45,8 @@ def test_arrival_validation():
         TableTransform(((0.0, 1.0), (1.0, 1.0), (2.0, 1.1)))
     with pytest.raises(ValueError, match="^transform values must be nonincr"):
         TableTransform(((0, 1), (1, 0.5), (2, 0.6)))
-    with pytest.raises(ValueError, match="^s must be nonnegative$"):
+    with pytest.raises(ValueError,
+                       match=r"^s must be finite and nonnegative, got -1\.0$"):
         TableTransform(((0, 1), (1, 0.5))).ln_transform(-1.0)
     # a NaN fails every `<` test, and math.isfinite raises OverflowError on
     # an integer past the float range, so each law refuses both by name
