@@ -28,13 +28,14 @@ are read in one pass.
 Everything decoding derives from the code alone is built once per
 descriptor into a decode plan and kept, for the last 16 descriptors read, in
 a cache keyed by the descriptor's bytes. A plan holds each fact by name: the
-parsed `code`, its canonical `rows` with their `ends` and symbol `order`,
+parsed `code`, the `ends` of its canonical rows and their symbol `order`,
 the `spine` and the run's `k`, the rows' single-step lookups, the table
 width `narrowest`, the multi-symbol `table` (Choueka, Klein & Perl 1985)
-and encode's `words`.
-The rows take each length's first word from the one canonical rule in
-`bits` and the table lists the run's words as `LengthSeq` writes them. A
-stream of containers under one code parses, checks and tabulates it once.
+and encode's `words`, kept up to a budget of bits.
+Every word has one writer: the rows take each length's first word from
+the one canonical rule in `bits`, and the table lists the head's words as
+`bits` writes them and the run's as `LengthSeq` writes them. A stream of
+containers under one code parses, checks and tabulates it once.
 The table maps the next t payload bits to every whole codeword in them and
 the bits they use, so one lookup emits several symbols. Its width is the
 code's: the narrowest t of 8, 10, 12 and 14 bits whose words fill 7/8 of
@@ -58,12 +59,14 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cache, lru_cache
 
-from .bits import (_first_codes, _symbol, kraft_sign, uleb128_decode,
-                   uleb128_decode_all, uleb128_encode, uleb128_encode_all)
+from .bits import (_codewords_of, _first_codes, _symbol, kraft_sign,
+                   uleb128_decode, uleb128_decode_all, uleb128_encode,
+                   uleb128_encode_all)
 from .errors import ContainerError
 from .golomb import GolombCode
 from .light_tail import UnaryEndedCode
 from .models import LengthSeq
+from .numeric import shown
 
 __all__ = ["ExplicitCode", "encode", "decode", "read_container", "MAGIC",
            "VERSION"]
@@ -115,7 +118,7 @@ def _descriptor(code: LengthSeq) -> bytes:
                 + uleb128_encode_all(head + (tail.spine,)))
     raise ValueError("no container holds a " + (
         "unary run behind a spine with no head" if tail.k == 1
-        else f"Golomb-{tail.k} run behind a head or spine"))
+        else f"Golomb-{shown(tail.k)} run behind a head or spine"))
 
 
 # ------------------------------------------------------------------- encode
@@ -277,21 +280,20 @@ _WINDOW = 64
 
 
 def _canonical_words(plan: _Plan, t: int):
-    """(value, length, symbol) of every word of at most t bits: the plan's
-    rows no longer than t, then the run's words as the code writes them, up
-    to the first longer than t bits, since a run's lengths never fall. Those
-    are prefix free, so at most 2**t of them are listed."""
-    width, order, code = plan.width, plan.order, plan.code
-    start = 0
-    for (length, offset), end in zip(plan.rows, plan.ends):
-        if length > t:
-            break
-        shift = width - length
-        for value in range(start >> shift, end >> shift):
-            yield value, length, order[value - offset]
-        start = end
+    """(value, length, symbol) of every word of at most t bits: the head's,
+    as `bits` writes them from those lengths alone, since a canonical word
+    depends only on the lengths no longer than its own, then the run's words
+    as the code writes them, up to the first longer than t bits, since a
+    run's lengths never fall. Those are prefix free, so at most 2**t of them
+    are listed."""
+    code = plan.code
+    head = code.head
+    symbols = [i for i, length in enumerate(head) if length <= t]
+    words = _codewords_of([head[i] for i in symbols])
+    for i, word in zip(symbols, words):
+        yield int(word, 2), len(word), i
     if plan.k:
-        for i in itertools.count(len(order)):
+        for i in itertools.count(len(head)):
             length = code.length_at(i)
             if length > t:
                 return
@@ -366,30 +368,35 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
 # 16 containers of 2**14 symbols under distinct codes whose narrowest width
 # is 14 bits, each as short as 2 KB, fill it. Encoding adds its code's head
 # words, about 75 bytes a symbol, to the plan's code, and its word table of
-# at most _WORDS words of at most _WINDOW bits, about 3 MB, to the plan:
-# about 48 MB more at worst.
+# words holding at most _WORD_BITS bits in all to the plan: by Kraft at most
+# 18 432 words (14 336 of 14 bits and 4 096 of 15), about 1.8 MB, so about
+# 29 MB more at worst.
 _PLANS = 16
-_WORDS = 1 << 14
+_WORD_BITS = 1 << 18
 
 
 class _Words(dict):
     """{symbol: codeword} under one plan's code, each word written by
-    LengthSeq.codeword when first asked for and kept while it has at most
-    _WINDOW bits and fewer than _WORDS are kept; a word not kept is written
-    again for each occurrence, and a refused symbol is never stored.
+    LengthSeq.codeword when first asked for and kept while the kept words
+    hold at most _WORD_BITS bits in all; a word not kept is written again
+    for each occurrence, and a refused symbol is never stored.
 
-    Threads share it with no lock: a dict store is atomic, so a race only
-    writes the same word twice (or, at the cap, keeps one word more for
-    each racing thread)."""
+    Threads share it: a read takes no lock, and a store takes `lock`, so
+    `bits` counts the kept words' bits exactly; a race only writes the same
+    word twice."""
 
     def __init__(self, code: LengthSeq) -> None:
         super().__init__()
         self.codeword = code.codeword
+        self.bits = 0
+        self.lock = threading.Lock()
 
     def __missing__(self, symbol: int) -> str:
         word = self.codeword(symbol)
-        if len(word) <= _WINDOW and len(self) < _WORDS:
-            self[symbol] = word
+        with self.lock:
+            if symbol not in self and self.bits + len(word) <= _WORD_BITS:
+                self.bits += len(word)
+                self[symbol] = word
         return word
 
 
@@ -397,18 +404,19 @@ class _Plan:
     """What decoding derives from one code alone, each fact computed once
     and shared by every container that carries its descriptor.
 
-    `width` is L, the longest row length, spine included. Row i of `rows`
-    holds the words of length l as (l, offset), shortest first, from the
-    canonical rule's first words: a word of row i whose l bits read as v is
-    symbol order[v - offset], and `ends[i]` is where it ends, at L bits. The
-    spine, `spine` 1s at the top of code space, ends at one more end, 2**L;
-    behind it symbols len(order) on take the Golomb-k run's words, `k` the
-    tail's: a code with no tail has no run, k = 0. A Golomb code is a run
-    behind no rows and an empty spine. `window`, `short`, `limits` and
-    `steps` are the rows' single-step lookups; `narrowest` is the code's
-    table width, 0 for none; `table` is the (t, table) of the widest
-    multi-symbol table built, (0, None) while none is, built under `lock`;
-    `words` is encode's word table.
+    `width` is L, the longest head length, spine included. The head's
+    words of one length l form a row, shortest first, each from the
+    canonical rule's first word: a word of row i whose l bits read as v is
+    symbol order[v - offset], offset the row's, and `ends[i]` is where the
+    row ends, at L bits. The spine, `spine` 1s at the top of code space,
+    ends at one more end, 2**L; behind it symbols len(order) on take the
+    Golomb-k run's words, `k` the tail's: a code with no tail has no run,
+    k = 0. A Golomb code is a run behind no rows and an empty spine.
+    `window`, `short`, `limits` and `steps`, (l, shift, offset) per row, are
+    the rows' single-step lookups; `narrowest` is the code's table width, 0
+    for none; `table` is the (t, table) of the widest multi-symbol table
+    built, (0, None) while none is, built under `lock`; `words` is encode's
+    word table.
     """
 
     def __init__(self, code: LengthSeq) -> None:
@@ -417,7 +425,8 @@ class _Plan:
         self.spine = spine = tail.spine if tail else 0
         self.k = k = tail.k if tail else 0
         self.width = width = max(lengths + (spine,))
-        self.rows, self.ends = rows, ends = [], []
+        self.ends = ends = []
+        rows = []       # (l, offset) per head length l, shortest first
         counts = Counter(lengths)
         before = 0
         for length, first in _first_codes(counts).items():

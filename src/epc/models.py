@@ -38,9 +38,10 @@ class _Source:
     """The one protocol every source answers; each query below is written
     once over it.
 
-    mass(i), ln_mass(i)  p(i) and ln p(i) for i within the alphabet;
-                         masses(n) lists p(0), ..., p(n-1), and
-                         ln_masses(j, n) ln p(j), ..., ln p(n-1)
+    mass(i), ln_mass(i)  p(i) and ln p(i) for i within the alphabet, each
+                         with one writer; masses(n) lists p(0), ..., p(n-1),
+                         and ln_masses(j, n) ln p(j), ..., ln p(n-1), the
+                         same floats
     size                 the alphabet size, None for an infinite source
     tail_ratio           a geometric continuation, p(i+1) = tail_ratio * p(i)
                          from tail_start on; None for a finite source and for
@@ -49,8 +50,11 @@ class _Source:
 
     size = None
 
+    def masses(self, n: int) -> list[float]:
+        return list(map(self.mass, range(n)))
+
     def ln_masses(self, j: int, n: int) -> list[float]:
-        return [self.ln_mass(i) for i in range(j, n)]
+        return list(map(self.ln_mass, range(j, n)))
 
 
 class _GeometricTail(_Source):
@@ -63,14 +67,6 @@ class _GeometricTail(_Source):
             return head[i]
         last = len(head) - 1
         return head[last] * self.tail_ratio ** (i - last)
-
-    def masses(self, n: int) -> list[float]:
-        # mass(i) for each i in one pass; p(last + j) is mass's own
-        # head[last] * ratio**j, so the floats are the same
-        head, ratio = self.head, self.tail_ratio
-        last = len(head) - 1
-        p = head[last]
-        return list(head[:n]) + [p * ratio ** j for j in range(1, n - last)]
 
     def ln_mass(self, i: int) -> float:
         head = self.head
@@ -111,36 +107,34 @@ class Poisson(_Source):
         object.__setattr__(self, "_ln_known", [])
 
     def ln_mass(self, i: int) -> float:
-        return -self.mean + i * self._ln_mean - math.lgamma(i + 1)
+        try:
+            return -self.mean + i * self._ln_mean - math.lgamma(i + 1)
+        except OverflowError:   # ln i! past the float range
+            # ln i! >= i ln i - i puts ln p(i) at or below -mean - i there
+            if i >= math.e ** 2 * self.mean:
+                return -math.inf
+            raise EpcError(f"the log mass of symbol {i:.6g} leaves the "
+                           "float range") from None
 
     def ln_masses(self, j: int, n: int) -> list[float]:
         # the first _KEPT log masses are kept once read, since a solve sums
         # the same terms at many tilts and orders; a longer list replaces the
         # kept one whole, so a reader in another thread never sees it grow
-        known, m, ln_m = self._ln_known, self.mean, self._ln_mean
-        lgamma = math.lgamma
+        known = self._ln_known
         if len(known) < n <= _KEPT:
-            known = known + [-m + i * ln_m - lgamma(i + 1) for i in
-                             range(len(known), min(max(n, 2 * len(known)),
-                                                   _KEPT))]
+            known = known + list(map(self.ln_mass, range(
+                len(known), min(max(n, 2 * len(known)), _KEPT))))
             object.__setattr__(self, "_ln_known", known)
         if n <= len(known):
             return known[j:n]
-        return [-m + i * ln_m - lgamma(i + 1) for i in range(j, n)]
+        return list(map(self.ln_mass, range(j, n)))
 
     def mass(self, i: int) -> float:
-        try:
-            return math.exp(self.ln_mass(i))
-        except OverflowError:   # lgamma(i + 1) past the float range
-            # ln i! >= i ln i - i puts ln p(i) at or below -mean - i there
-            if i >= math.e ** 2 * self.mean:
-                return 0.0
-            raise EpcError(f"the log mass of symbol {i:.6g} leaves the "
-                           "float range") from None
+        return math.exp(self.ln_mass(i))
 
     def masses(self, n: int) -> list[float]:
-        # mass(i) for each i from Poisson's kept log masses, which ln_mass's
-        # own formula fills, so the floats are the same
+        # mass(i) for each i from Poisson's kept log masses, which ln_mass
+        # fills, so the floats are the same
         return list(map(math.exp, Poisson.ln_masses(self, 0, n)))
 
 
@@ -543,17 +537,9 @@ def _peak(model: Poisson, j: int, g: float, cap: float = math.inf):
     c = math.exp(min(model._ln_mean + g, _LN_MAX))
     if c > j + cap:
         raise DivergenceError(
-            f"the series peaks more than {cap} terms past symbol {j}")
+            f"the series peaks more than {cap} terms past symbol {shown(j)}")
     k0 = max(j, int(c))
-    try:
-        return c, k0, model.ln_mass(k0) + g * (k0 - j)
-    except OverflowError:   # lgamma(k0 + 1) past the float range
-        # the peak is the first term, p(j) with no tilt, and ln p(j) is at
-        # or below -mean - j there, as in Poisson.mass
-        if k0 == j and j >= math.e ** 2 * model.mean:
-            return c, k0, -math.inf
-        raise EpcError(f"the series peaks at symbol {k0:.6g}, where its log "
-                       "masses leave the float range") from None
+    return c, k0, model.ln_mass(k0) + g * (k0 - j)
 
 
 def _unsettled(model: Poisson, k0: int, ln_peak: float, alpha: float) -> bool:

@@ -34,7 +34,7 @@ def check_positive(name: str, value: float) -> None:
     """Refuse what check_finite refuses, then values <= 0."""
     check_finite(name, value)
     if value <= 0.0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+        raise ValueError(f"{name} must be positive, got {shown(value)}")
 
 
 def check_nonnegative(name: str, value: float) -> None:

@@ -1,21 +1,22 @@
 """One rule per argument kind.
 
 Every public entry point that takes a ratio, a Golomb k, a symbol, or a
-finite (or finite nonnegative) float refuses the same bad inputs with that
-kind's one message, the value cut short, and reads an integer through
-operator.index wherever an integer goes.
+finite (or finite nonnegative, or finite positive) float refuses the same
+bad inputs with that kind's one message, the value cut short, and reads an
+integer through operator.index wherever an integer goes.
 """
 import math
 
 import pytest
 
-from epc import (Deterministic, ExplicitFinite, ExponentialArrivals,
-                 GammaArrivals, Geometric, GolombCode, LengthSeq, Linear,
-                 OverflowResult, Poisson, TableTransform, UnaryTail,
-                 avg_redundancy_asymptotic, complete_binary, encode,
+from epc import (Deterministic, DthRedundancy, ExplicitFinite, Exponential,
+                 ExponentialArrivals, GammaArrivals, Geometric, GolombCode,
+                 LengthSeq, Linear, OverflowResult, Poisson, SweepSpec,
+                 TableTransform, UnaryTail, avg_redundancy_asymptotic,
+                 complete_binary, encode, exp_huffman, find_split_exponential,
                  mmr_asymptotic, optimal_k, optimal_k_exponential,
-                 optimal_k_mmr, overflow_functional, point_mass, tail_weight,
-                 with_geometric_tail)
+                 optimal_k_mmr, overflow_functional, point_mass, power_sum,
+                 renyi_entropy, tail_weight, with_geometric_tail)
 
 _FAR = 10 ** 400    # no float holds it; its repr has 401 digits
 _NAN = math.nan
@@ -28,6 +29,7 @@ _INTEGER = "symbols are integers, got "
 _NEGATIVE = "symbols are nonnegative"
 _FINITE = "must be finite, got "
 _NONNEGATIVE = "must be finite and nonnegative, got "
+_POSITIVE = "must be positive, got "
 
 # kind -> (the entry points, each a call of the one argument, and the bad
 # inputs with the kind's text for each). 10**400 is a valid symbol (its
@@ -78,11 +80,28 @@ _KINDS = {
         "transform": Deterministic(2.0).transform,
     }, [(_NAN, _NONNEGATIVE), (_FAR, _NONNEGATIVE), (-_FAR, _NONNEGATIVE),
         (-1, _NONNEGATIVE), (math.inf, _NONNEGATIVE)]),
+    "positive": ({
+        "Poisson": Poisson,
+        "Exponential": Exponential,
+        "DthRedundancy": DthRedundancy,
+        "ExponentialArrivals": ExponentialArrivals,
+        "GammaArrivals-shape": lambda a: GammaArrivals(a, 1.0),
+        "GammaArrivals-rate": lambda r: GammaArrivals(1.0, r),
+        "tail_weight": lambda b: tail_weight(Poisson(3.0), 2, b),
+        "power_sum": lambda b: power_sum(Geometric(0.5), _UNARY, b),
+        "renyi_entropy": lambda b: renyi_entropy(Geometric(0.5), b),
+        "find_split_exponential": lambda b: find_split_exponential(
+            Poisson(3.0), b),
+        "exp_huffman": lambda b: exp_huffman((0.5, 0.5), b),
+        "SweepSpec": lambda s: SweepSpec(figure=2, ratio_step=s),
+    }, [(_NAN, _FINITE), (_FAR, _FINITE), (-_FAR, _FINITE),
+        (math.inf, _FINITE), (-10 ** 300, _POSITIVE), (0, _POSITIVE),
+        (-1, _POSITIVE)]),
 }
 
 
 def _label(x) -> str:
-    return {_FAR: "+far", -_FAR: "-far"}.get(x, repr(x))
+    return {_FAR: "+far", -_FAR: "-far", -10 ** 300: "-1e300"}.get(x, repr(x))
 
 
 _CASES = [pytest.param(call, x, text, id=f"{kind}-{name}-{_label(x)}")

@@ -438,20 +438,39 @@ def _zipf_code(size):
     GolombCode(2 ** 62)],
     ids=["zipf256", "zipf4096", "golomb64", "golomb1023", "golomb2**62"])
 def test_the_table_lists_the_words_the_code_writes(code):
-    # the oracles' words of at most t bits, in symbol order; a Golomb run's
-    # lengths never fall, so its listing ends before the first longer word
-    if code.tail is None:
-        words = list(canonical_words(code.head))
-    else:
-        words = list(itertools.takewhile(
-            lambda word: len(word) <= 14,
-            (golomb_word(j, code.tail.k) for j in itertools.count())))
+    words = _oracle_words(code)
     assert bool(words) == (code != GolombCode(2 ** 62))
-    for t in (8, 10, 12, 14):
-        listed = codec._canonical_words(codec._Plan(code), t)
+    _assert_the_table_lists(code, words)
+
+
+def test_the_table_lists_the_words_of_every_code_shape():
+    for code in _random_codes(random.Random(25)):
+        _assert_the_table_lists(code, _oracle_words(code))
+
+
+def _oracle_words(code):
+    """(symbol, word) for the oracles' words of at most 14 bits: the head's
+    canonical words, then the spine's ones and the run's Golomb words; a
+    run's lengths never fall, so its listing ends before the first longer
+    word."""
+    words = [(i, word) for i, word in enumerate(canonical_words(code.head))
+             if len(word) <= 14]
+    if code.tail is not None:
+        spine, k = code.tail.spine, code.tail.k
+        run = itertools.takewhile(
+            lambda word: len(word) <= 14,
+            ("1" * spine + golomb_word(j, k) for j in itertools.count()))
+        words += zip(itertools.count(len(code.head)), run)
+    return words
+
+
+def _assert_the_table_lists(code, words):
+    plan = codec._Plan(code)
+    for t in range(8, 15):
+        listed = codec._canonical_words(plan, t)
         assert sorted(listed) == sorted(
-            (int(word, 2), len(word), i) for i, word in enumerate(words)
-            if len(word) <= t), t
+            (int(word, 2), len(word), i) for i, word in words
+            if len(word) <= t), (code, t)
 
 
 def test_short_container_reads_the_plans_table(monkeypatch):
@@ -776,8 +795,8 @@ def _written_word_by_word(symbols, code):
             + struct.pack("<Q", len(symbols)) + payload)
 
 
-# each with words longer than _WINDOW bits but GolombCode(2**16), whose
-# symbols below 2**16 are more than the table keeps
+# GolombCode(2**16)'s 17-bit words of the symbols below 20000 hold more bits
+# than the table keeps
 @pytest.mark.parametrize("code, alphabet", [
     (GolombCode(1), 200), (GolombCode(3), 400), (GolombCode(64), 6000),
     (GolombCode(2 ** 16), 20000), (ZIPF_CODE, 20), (_zipf_code(4096), 4096),
@@ -788,18 +807,59 @@ def _written_word_by_word(symbols, code):
 def test_the_word_table_writes_the_codes_own_words(code, alphabet):
     rng = random.Random(alphabet)
     codec._plan.cache_clear()
-    short = set()
+    kept, kept_bits = set(), 0
     for _ in range(3):      # a cold table, then warm ones
         symbols = [rng.randrange(alphabet) for _ in range(1000)]
-        if alphabet > codec._WORDS:
+        if alphabet > 2 ** 14:
             symbols += range(alphabet)
         assert encode(symbols, code) == _written_word_by_word(symbols, code)
-        short.update(i for i in symbols
-                     if len(code.codeword(i)) <= codec._WINDOW)
+        # the budget replayed: each new word kept while the kept fit in it
+        for i in symbols:
+            bits = len(code.codeword(i))
+            if i not in kept and kept_bits + bits <= codec._WORD_BITS:
+                kept.add(i)
+                kept_bits += bits
         words = _words(code)
-        assert len(words) == min(len(short), codec._WORDS)
+        assert set(words) == kept
         assert all(words[i] == code.codeword(i) for i in words)
-        assert max(map(len, words.values())) <= codec._WINDOW
+        assert sum(map(len, words.values())) <= codec._WORD_BITS
+
+
+def test_a_golomb_run_behind_a_head_is_refused_with_its_k_cut_short():
+    with pytest.raises(ValueError) as refused:
+        encode([0], LengthSeq((1,), UnaryTail(1, k=10 ** 300)))
+    message = str(refused.value)
+    assert message.startswith("no container holds a Golomb-1000")
+    assert len(message) < 100, message
+
+
+def test_threads_keep_the_word_table_within_its_budget():
+    # 17-bit words of more symbols than the budget holds, asked for by more
+    # threads than cores at a short switch interval: a lost update of the
+    # count would let the kept words pass the budget unseen
+    code = GolombCode(2 ** 16)
+    codec._plan.cache_clear()
+    failures = []
+
+    def work(seed):
+        symbols = random.Random(seed).sample(range(20000), 8000)
+        if decode(encode(symbols, code)) != symbols:
+            failures.append(seed)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    words = _words(code)
+    assert words.bits == sum(map(len, words.values())) <= codec._WORD_BITS
 
 
 def test_the_word_table_writes_each_short_word_once():
@@ -812,9 +872,9 @@ def test_the_word_table_writes_each_short_word_once():
     symbols = [3, 3, 100, 5, 100, 3]
     for _ in range(2):
         assert decode(encode(symbols, code)) == symbols
-    # symbol 100 has a 101-bit word, written for each occurrence
-    assert sorted(calls) == [3, 5] + [100] * 4
-    assert sorted(words) == [3, 5]
+    # symbol 100's 101-bit word is kept as well, so each is written once
+    assert sorted(calls) == [3, 5, 100]
+    assert sorted(words) == [3, 5, 100]
 
 
 @pytest.mark.parametrize("code, symbols, message", [

@@ -15,7 +15,7 @@ from epc import (DivergenceError, DthRedundancy, EpcError, ExplicitFinite,
                  shannon_entropy, tail_weight, total_mass, with_geometric_tail)
 from epc.bits import kraft_total
 from epc.light_tail import build_unary_ended
-from epc.models import _Profile, _ln_series, _peak, _terms
+from epc.models import _KEPT, _Profile, _ln_series, _peak, _terms
 from epc.numeric import LN2
 from oracles import (geometric_pmf, head_run_length, ln_series_direct,
                      poisson_entropy_decimal, poisson_ln_pmf, poisson_pmf,
@@ -198,9 +198,8 @@ def test_profile_reads_the_head_log_masses_once():
             Counting.reads += 1
             return super().ln_mass(i)
 
-        def ln_masses(self, j, n):
+        def ln_masses(self, j, n):     # reads through the counted ln_mass
             Counting.calls += 1
-            Counting.reads += max(n - j, 0)
             return super().ln_masses(j, n)
 
     code = build_unary_ended(Poisson(700.0), 2.0).lengths()
@@ -732,8 +731,8 @@ def test_max_redundancy_of_a_unary_run_on_poisson_is_read_at_its_peak(mean):
 def test_a_peak_whose_log_mass_leaves_the_float_range_is_refused(query, peak):
     with pytest.raises(EpcError) as refused:
         query()
-    assert str(refused.value) == (f"the series peaks at symbol {peak}, where "
-                                  "its log masses leave the float range")
+    assert str(refused.value) == (f"the log mass of symbol {peak} leaves the "
+                                  "float range")
 
 
 @pytest.mark.parametrize("mean, i", [
@@ -754,3 +753,40 @@ def test_a_poisson_mass_near_its_mean_past_lgammas_range_is_refused():
         point_mass(Poisson(1e305), 3 * 10 ** 305)
     assert str(refused.value) == ("the log mass of symbol 3e+305 leaves the "
                                   "float range")
+
+
+@pytest.mark.parametrize("mean", [0.5, 4.0, 700.0, 1e6])
+def test_poisson_log_masses_are_ln_mass_bit_for_bit(mean):
+    # inside the kept list, straddling its end, wholly past it, and past
+    # lgamma's range, where ln_mass gives -inf
+    source = Poisson(mean)
+    for j, n in [(0, 300), (5, 2000), (_KEPT - 50, _KEPT + 50),
+                 (_KEPT + 10, _KEPT + 400), (10 ** 306, 10 ** 306 + 3)]:
+        want = [source.ln_mass(i) for i in range(j, n)]
+        assert source.ln_masses(j, n) == want, (j, n)
+        assert Poisson(mean).ln_masses(j, n) == want, (j, n)    # cold
+    for i in (0, 1, 7, 699, 10 ** 5, 10 ** 306):
+        assert source.mass(i) == math.exp(source.ln_mass(i))
+    assert source.masses(300) == list(map(source.mass, range(300)))
+
+
+def test_a_poisson_log_mass_past_lgammas_range_is_minus_infinity():
+    # a bare OverflowError before
+    assert Poisson(1.0).ln_mass(10 ** 306) == -math.inf
+    assert Poisson(1.0).ln_masses(10 ** 306, 10 ** 306 + 2) == [-math.inf] * 2
+
+
+def test_a_poisson_log_mass_near_its_mean_past_lgammas_range_is_refused():
+    with pytest.raises(EpcError) as refused:
+        Poisson(1e305).ln_mass(3 * 10 ** 305)
+    assert str(refused.value) == ("the log mass of symbol 3e+305 leaves the "
+                                  "float range")
+
+
+def test_a_far_peak_is_refused_with_its_symbol_cut_short():
+    with pytest.raises(DivergenceError) as refused:
+        tail_weight(Poisson(1e300), 10 ** 306 - 100, 1e6)
+    message = str(refused.value)
+    assert message.startswith(
+        "the series peaks more than 10000000 terms past symbol 9999")
+    assert len(message) < 100, message
