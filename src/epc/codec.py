@@ -40,12 +40,19 @@ The table maps the next t payload bits to every whole codeword in them and
 the bits they use, so one lookup emits several symbols. Its width is the
 code's: the narrowest t of 8, 10, 12 and 14 bits whose words fill 7/8 of
 code space, read off the rows once per plan, and none if no such t exists;
-a code that fills 7/8 at 8 bits takes 10 bits from 1024 symbols. The first
-container of at least 2**t symbols builds the table, so its 2**(t + 1) - 1
-entries are fewer than 2 per symbol; a 14-bit plan holds about 2 MB, and
-the 16 plans the cache keeps about 32 MB at worst. A container of any
-length decodes through the table its plan holds. Words longer than t bits
-and the symbols left once fewer than t remain before the count take the
+a code that fills 7/8 at 8 bits takes 10 bits from 1024 symbols. A window
+whose first word is longer than t bits leads to a second table, keyed by
+the next u bits, u the longest word behind the window less t and at most
+t, that gives the word in one more lookup; a single step costs about six.
+The windows take second tables in code order, most probable first, while
+the second level holds at most 2**t words behind at most 2**(t + 1) keys.
+The first container of at least 2**t symbols builds both levels from the
+words of at most t + u bits, the largest u, so the first level's
+2**(t + 1) - 1 entries are fewer than 2 per symbol; a 14-bit plan holds
+about 2 MB in its first level and at most about 4 MB in its second. A
+container of any length decodes through the table its plan holds. Words
+the second level does not hold, windows that match no word and the
+symbols left once fewer than t remain before the count take the
 single-symbol steps above, so padding bits never decode as symbols and
 every container check reads as without the table.
 """
@@ -228,17 +235,29 @@ def _window_keys(t: int) -> list[str]:
 
 def _decode_table(words, t: int):
     """{t-bit window: (symbols, bits used)} for the whole words that start
-    the window, ((), 0) when its first word is longer than t bits or
-    matches no word.
+    the window; ((u, second), 0) when its first word is longer than t bits
+    and `second` maps the next u bits to that word's ((symbol,), bits used);
+    ((), 0) when the window matches no word or the second level's budget
+    ran out before it.
 
-    `words` yields (value, length, symbol) for every word of at most t bits.
-    The table for width w is filled one word at a time: the 2**(w - l)
-    windows behind a word of l bits are that word plus the width w - l
-    entries, so the widths 0..t together hold 2**(t + 1) - 1 entries.
+    `words` yields (value, length, symbol) for every word of at most t + U
+    bits, U <= t. The table for width w is filled one word at a time: the
+    2**(w - l) windows behind a word of l bits are that word plus the width
+    w - l entries, so the widths 0..t together hold 2**(t + 1) - 1 entries.
+    Each window whose words are longer takes u as its longest listed word
+    less t, and a key for each u bits that start one of those words. The
+    windows take their second tables in code order, most probable words
+    first, while the second level holds at most 2**t words behind at most
+    2**(t + 1) keys.
     """
     by_length = [[] for _ in range(t + 1)]
+    past = {}       # {window: its words longer than t bits}
     for value, length, symbol in words:
-        by_length[length].append((value, symbol))
+        if length <= t:
+            by_length[length].append((value, symbol))
+        else:
+            past.setdefault(value >> length - t, []).append(
+                (value, length, symbol))
     tables = [[((), 0)]]
     for width in range(1, t + 1):
         table = [((), 0)] * (1 << width)
@@ -250,25 +269,49 @@ def _decode_table(words, t: int):
                 table[value * span:(value + 1) * span] = [
                     (head + syms, length + used) for syms, used in rest]
         tables.append(table)
-    return dict(zip(_window_keys(t), tables[t]))
+    keys = _window_keys(t)
+    table = dict(zip(keys, tables[t]))
+    held = spent = 0
+    for window in sorted(past):
+        longer = past[window]
+        u = max(length for _, length, _ in longer) - t
+        held += len(longer)
+        spent += sum(1 << t + u - length for _, length, _ in longer)
+        if held > 1 << t or spent > 2 << t:
+            break
+        second, next_keys = {}, _window_keys(u)
+        for value, length, symbol in longer:
+            span = 1 << t + u - length
+            low = (value & (1 << length - t) - 1) * span
+            second.update(dict.fromkeys(next_keys[low:low + span],
+                                        ((symbol,), length)))
+        table[keys[window]] = ((u, second), 0)
+    return table
 
 
 def _table_run(bits: str, pos: int, out: list, stop: int, t: int,
                table) -> int:
-    """Table lookups while len(out) <= stop, up to a word longer than t bits;
-    -> pos. A lookup emits 1 to t words, so a batch of (stop - len(out)) // t
-    + 1 lookups each start at len(out) <= stop, and stop = count - t never
-    lets the table decode past the count into the padding.
+    """Table lookups while len(out) <= stop, up to a word the second level
+    does not hold; -> pos. A lookup emits 1 to t words, so a batch of
+    (stop - len(out)) // t + 1 lookups each start at len(out) <= stop, and
+    stop = count - t never lets the table decode past the count into the
+    padding.
 
     bits carries at least t padding zeros, so a window reads what the single
     steps would read. One shorter than t bits, a KeyError, starts past the
     payload: the caller reports a truncated payload, as the single steps
-    would."""
+    would. A second-level key cut short by the end of bits matches no word,
+    so the single steps read that word too."""
     while len(out) <= stop:
         for _ in range((stop - len(out)) // t + 1):
             syms, used = table[bits[pos:pos + t]]
             if not used:
-                return pos
+                if not syms:
+                    return pos
+                u, second = syms    # one word longer than t bits
+                syms, used = second.get(bits[pos + t:pos + t + u], ((), 0))
+                if not used:
+                    return pos
             out += syms
             pos += used
     return pos
@@ -363,14 +406,16 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
 
 
 # Descriptors whose plans the cache keeps; each holds its code, rows and at
-# most one table of 2**14 entries, about 2 MB. At worst the cache thus holds
-# about 32 MB of tables, plus 1.2 MB of 14-bit window keys shared by all:
-# 16 containers of 2**14 symbols under distinct codes whose narrowest width
-# is 14 bits, each as short as 2 KB, fill it. Encoding adds its code's head
-# words, about 75 bytes a symbol, to the plan's code, and its word table of
-# words holding at most _WORD_BITS bits in all to the plan: by Kraft at most
-# 18 432 words (14 336 of 14 bits and 4 096 of 15), about 1.8 MB, so about
-# 29 MB more at worst.
+# most one table: 2**14 first-level entries, about 2 MB, and a second level
+# of at most 2**14 words behind 2**15 keys, at most about 4 MB (the
+# Golomb-2000 plan holds 1.9 MB and 2.9 MB). At worst the cache thus holds
+# about 96 MB of tables, plus 2.3 MB of window keys of 1 to 14 bits shared
+# by all: 16 containers of 2**14 symbols under distinct codes whose
+# narrowest width is 14 bits, each as short as 2 KB, fill it. Encoding adds
+# its code's head words, about 75 bytes a symbol, to the plan's code, and
+# its word table of words holding at most _WORD_BITS bits in all to the
+# plan: by Kraft at most 18 432 words (14 336 of 14 bits and 4 096 of 15),
+# about 1.8 MB, so about 29 MB more at worst.
 _PLANS = 16
 _WORD_BITS = 1 << 18
 
@@ -474,9 +519,12 @@ def _plan_table(plan: _Plan, count: int):
     if t and count >> _WIDE:
         t = max(t, _WIDE)
     if t > plan.table[0] and count >> t:
+        # the second level holds words of up to t more bits; a run has no end
+        longest = 2 * t if plan.k else min(plan.width, 2 * t)
         with plan.lock:
             if t > plan.table[0]:
-                plan.table = t, _decode_table(_canonical_words(plan, t), t)
+                plan.table = t, _decode_table(
+                    _canonical_words(plan, longest), t)
     return plan.table
 
 

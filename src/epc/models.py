@@ -108,13 +108,15 @@ class Poisson(_Source):
 
     def ln_mass(self, i: int) -> float:
         try:
-            return -self.mean + i * self._ln_mean - math.lgamma(i + 1)
+            ln_p = -self.mean + i * self._ln_mean - math.lgamma(i + 1)
+            if ln_p < math.inf:     # else i ln(mean) past the float range
+                return ln_p
         except OverflowError:   # ln i! past the float range
             # ln i! >= i ln i - i puts ln p(i) at or below -mean - i there
             if i >= math.e ** 2 * self.mean:
                 return -math.inf
-            raise EpcError(f"the log mass of symbol {i:.6g} leaves the "
-                           "float range") from None
+        raise EpcError(f"the log mass of symbol {i:.6g} leaves the "
+                       "float range")
 
     def ln_masses(self, j: int, n: int) -> list[float]:
         # the first _KEPT log masses are kept once read, since a solve sums

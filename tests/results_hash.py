@@ -1,7 +1,7 @@
 """Print one sha256 over every benchmark job's result, to tell whether a
 change to the library changed any result.
 
-    python3 tests/results_hash.py TREE WORKLOAD SEED
+    python3 tests/results_hash.py TREE WORKLOAD SEED [--jobs]
 
 TREE is a checkout of this repository, WORKLOAD one of stream, design and
 overflow. The job lists come from TREE/bench and the library from TREE/src;
@@ -12,8 +12,14 @@ go in as float.hex, codes by head, tail and str, and a round trip as its
 container bytes and decoded symbols; no timing goes in. A job stopped by
 its budget or by the memory cap counts as stopped, whichever came first.
 Equal digests from two trees at one workload and seed mean every result is
-the same float, code and byte. Uses the standard library alone; pytest
-does not collect it.
+the same float, code and byte. --jobs also prints one line per job: the first 16 hex digits of a sha256
+over that job's key and outcome alone, in the same form, then its key. So
+a diff of two trees' lines names the jobs whose results moved:
+
+    diff <(python3 tests/results_hash.py A stream 31 --jobs) \
+         <(python3 tests/results_hash.py B stream 31 --jobs)
+
+Uses the standard library alone; pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -44,7 +50,8 @@ def canonical(x):
 
 
 def main(argv) -> int:
-    if len(argv) != 4:
+    per_job = argv[4:] == ["--jobs"]
+    if len(argv) != 4 + per_job:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     tree, workload, seed = Path(argv[1]).resolve(), argv[2], int(argv[3])
@@ -74,8 +81,11 @@ def main(argv) -> int:
                 result = result[:2]
             outcome = ["result", canonical(result)]
         outcomes[outcome[0]] = outcomes.get(outcome[0], 0) + 1
-        digest.update(repr([canonical(job.key), outcome]).encode())
+        line = repr([canonical(job.key), outcome]).encode()
+        digest.update(line)
         digest.update(b"\n")
+        if per_job:
+            print(hashlib.sha256(line).hexdigest()[:16], repr(job.key))
     counts = ", ".join(f"{n} {kind}" for kind, n in sorted(outcomes.items()))
     print(f"{workload} seed {seed}: {len(jobs)} jobs, {counts}")
     print(digest.hexdigest())

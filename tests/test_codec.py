@@ -620,9 +620,10 @@ def test_refused_table_widens_with_the_container(monkeypatch):
     monkeypatch.setattr(codec, "_table_run", counted)
     rng = random.Random(23)
     # no words are listed until a container of 2**14 symbols builds the
-    # table; 600 symbols then decode through it
+    # table, listing the words up to the longest, 15 bits, for its second
+    # level; 600 symbols then decode through it
     for count, widths, width in ((600, [], 0), (4096, [], 0),
-                                 (16383, [], 0), (16384, [14], 14),
+                                 (16383, [], 0), (16384, [15], 14),
                                  (600, [], 14)):
         symbols = rng.choices(range(4096), probs, k=count)
         blob = encode(symbols, code)
@@ -636,6 +637,153 @@ def test_refused_table_widens_with_the_container(monkeypatch):
         # built them, over every width
         if widths:
             assert (2 << width) - 1 < 2 * count
+
+
+def _second_level(table):
+    """[(window, u, {u bits: ((symbol,), bits used)})] of a table."""
+    return [(window, *syms) for window, (syms, used) in table.items()
+            if syms and not used]
+
+
+def _decodes_with_runs(blob, monkeypatch):
+    """-> (symbols, _table_run calls): one call, a table run up to the
+    count, when no word took a single step before the last t symbols."""
+    runs = []
+    real_run = codec._table_run
+
+    def counted(*args):
+        runs.append(args)
+        return real_run(*args)
+    with monkeypatch.context() as patched:
+        patched.setattr(codec, "_table_run", counted)
+        symbols = decode(blob)
+    return symbols, len(runs)
+
+
+@pytest.mark.parametrize("code, symbols, single", [
+    (_zipf_code(4096),
+     random.Random(26).choices(range(4096), [1 / (i + 1) for i in range(4096)],
+                               k=(1 << 14) + 3), 0),
+    # quotients 0 to 13: words of 7 to 20 bits, t = 10 and u up to 10
+    (GolombCode(64), [*range(14 * 64)] * 2, 0),
+    # a quotient-14 word, 21 bits, is past the second level
+    (GolombCode(64), [*range(14 * 64)] * 2 + [14 * 64] + [0] * 20, 1),
+], ids=["zipf4096", "golomb64", "golomb64-past"])
+def test_a_word_past_the_table_costs_one_more_lookup(code, symbols, single,
+                                                     monkeypatch):
+    codec._plan.cache_clear()
+    blob = encode(symbols, code)
+    assert decode(blob) == _single_symbol(blob)[1] == symbols
+    t, table = codec._plan(codec._descriptor(code)).table
+    assert t and _second_level(table)
+    # warm: the plan holds both levels; a single step ends a table run
+    assert _decodes_with_runs(blob, monkeypatch) == (symbols, 1 + single)
+
+
+def test_a_word_longer_than_the_second_level_takes_a_single_step(
+        monkeypatch):
+    # forty ones and a zero: far past t + u = 20 bits
+    code = GolombCode(1)
+    symbols = [i % 5 for i in range(3000)]
+    symbols[1500] = 40
+    codec._plan.cache_clear()
+    blob = encode(symbols, code)
+    assert read_container(blob) == _single_symbol(blob) == (code, symbols)
+    assert codec._plan(codec._descriptor(code)).table[0] == 10
+    assert _decodes_with_runs(blob, monkeypatch) == (symbols, 2)
+
+
+def _held(code, t):
+    """The plan's table at width t with its second level: -> (plan, table)
+    as a container of 2**t symbols builds it."""
+    plan = codec._Plan(code)
+    assert codec._plan_table(plan, 1 << t)[0] == t
+    return plan, plan.table[1]
+
+
+def test_the_second_level_holds_listed_words_within_its_budget():
+    # every word of at most t + u bits behind a window, as the code writes
+    # it, for the windows in code order until the second level would pass
+    # 2**t words or 2**(t + 1) keys
+    for code in _random_codes(random.Random(25)):
+        t = codec._Plan(code).narrowest
+        if not t:
+            continue
+        plan, table = _held(code, t)
+        listed = {}
+        for value, length, symbol in codec._canonical_words(plan, 2 * t):
+            if length > t:
+                listed.setdefault(value >> length - t, []).append(
+                    (value, length, symbol))
+        second = _second_level(table)
+        words = keys = 0
+        within = {}     # {u: the words of at most t + u bits}
+        for window, u, held in second:
+            assert 1 <= u <= t and int(window, 2) in listed, code
+            got = set()
+            for key, ((symbol,), length) in held.items():
+                assert len(key) == u and t < length <= t + u
+                got.add((int((window + key)[:length], 2), length, symbol))
+            assert got == {word for word in listed[int(window, 2)]
+                           if word[1] <= t + u}, (code, window)
+            if u not in within:
+                within[u] = set(codec._canonical_words(plan, t + u))
+            assert got <= within[u]
+            words += len(got)
+            keys += len(held)
+        assert words <= 1 << t and keys <= 2 << t, code
+        # the windows past the budget are the last in code order
+        windows = sorted(listed)
+        assert [int(w, 2) for w, _, _ in second] == windows[:len(second)]
+
+
+def test_the_second_level_budget_ends_at_the_run():
+    # Golomb-128 at t = 10: the 128 words of each quotient 3 to 9 hold
+    # 896 words behind 896 keys; quotients 10 to 12 would add 384 words
+    # behind 896 keys under the window of ten ones, past 2**10 words
+    plan, table = _held(GolombCode(128), 10)
+    second = _second_level(table)
+    assert sum(len(set(held.values())) for _, _, held in second) == 896
+    assert sum(map(len, (held for _, _, held in second))) == 896
+    assert table["1" * 10] == ((), 0)
+    symbols = [*range(13 * 128)]
+    blob = encode(symbols, GolombCode(128))
+    assert decode(blob) == _single_symbol(blob)[1] == symbols
+
+
+# "0", "10", "1100", "1101", then 60 of the 64 words of 11 bits behind
+# "1110000": the last window holds 4 words, and "11101", "1111" none
+SPARSE_CODE = ExplicitCode.from_lengths([1, 2, 4, 4] + [11] * 60)
+
+
+@pytest.mark.parametrize("code, top", [
+    (GolombCode(64), 30 * 64), (SPARSE_CODE, 64),
+    (UnaryEndedCode((1, 2), 2), 40)], ids=["golomb64", "sparse", "unary-ended"])
+def test_the_second_level_keeps_every_container_error(code, top):
+    # cut and flipped payloads read as the single steps read them, through
+    # first-level windows and second-level keys that match no word; the
+    # symbols below top take words in both levels and past them
+    rng = random.Random(27)
+    symbols = [rng.randrange(top) if rng.random() < 0.3 else 0
+               for _ in range(3000)]
+    good = encode(symbols, code)
+    codec._plan.cache_clear()
+    assert decode(good) == symbols
+    assert _second_level(codec._plan(codec._descriptor(code)).table[1])
+    head = len(encode([], code))
+    for _ in range(40):
+        at = rng.randrange(8 * head, 8 * len(good))
+        flipped = bytearray(good)
+        flipped[at // 8] ^= 0x80 >> at % 8
+        for blob in (bytes(flipped), good[:rng.randrange(head, len(good))]):
+            try:
+                want = _single_symbol(blob)[1]
+            except ContainerError as exc:
+                with pytest.raises(ContainerError) as got:
+                    decode(blob)
+                assert str(got.value) == str(exc)
+            else:
+                assert decode(blob) == want
 
 
 def test_table_window_past_the_payload_reads_padding():

@@ -783,6 +783,19 @@ def test_a_poisson_log_mass_near_its_mean_past_lgammas_range_is_refused():
                                   "float range")
 
 
+@pytest.mark.parametrize("i", [2540 * 10 ** 302, 2535 * 10 ** 302,
+                               2550 * 10 ** 302])
+def test_a_poisson_log_mass_past_its_mean_powers_range_is_refused(i):
+    # i ln(mean) overflows where lgamma(i + 1) does not: +inf before, and a
+    # mass of inf; ln p(i) is finite there, near -mean
+    for query in (lambda: Poisson(1.7e308).ln_mass(i),
+                  lambda: point_mass(Poisson(1.7e308), i)):
+        with pytest.raises(EpcError) as refused:
+            query()
+        assert str(refused.value) == (f"the log mass of symbol {i:.6g} "
+                                      "leaves the float range")
+
+
 def test_a_far_peak_is_refused_with_its_symbol_cut_short():
     with pytest.raises(DivergenceError) as refused:
         tail_weight(Poisson(1e300), 10 ** 306 - 100, 1e6)
