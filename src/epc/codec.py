@@ -21,17 +21,19 @@ containers, and converts the whole string once; decode formats the
 payload once and walks it by index, building no codeword strings. One
 canonical decoder (Moffat & Turpin, "On the implementation of
 minimum-redundancy prefix codes", IEEE Trans. Commun. 1997) reads every
-code's head through first-code/limit rows and its run's words
-arithmetically from spine and k, never its class. A descriptor's lengths
-are read in one pass.
+code's head through its rows' starts within a 64-bit window and by
+offsets past it, and its run's words arithmetically from spine and k,
+never its class. A descriptor's lengths are read in one pass.
 
 Everything decoding derives from the code alone is built once per
 descriptor into a decode plan and kept, for the last 16 descriptors read, in
 a cache keyed by the descriptor's bytes. A plan holds each fact by name: the
-parsed `code`, the `ends` of its canonical rows and their symbol `order`,
-the `spine` and the run's `k`, the rows' single-step lookups, the table
-width `narrowest`, the multi-symbol `table` (Choueka, Klein & Perl 1985)
-and encode's `words`, kept up to a budget of bits.
+parsed `code`, its canonical `rows`, (length, count, words before) each,
+and their symbol `order`, the `bounds` where its rows of at most 64 bits
+start, at 64 bits, the `spine` and the run's `k`, the table width
+`narrowest`, the multi-symbol `table` (Choueka, Klein & Perl 1985) and
+encode's `words`, kept up to a budget of bits. Its rows hold small counts,
+so a plan grows with the descriptor, not with its longest word.
 Every word has one writer: the rows take each length's first word from
 the one canonical rule in `bits`, and the table lists the head's words as
 `bits` writes them and the run's as `LengthSeq` writes them. A stream of
@@ -240,24 +242,24 @@ def _decode_table(words, t: int):
     ((), 0) when the window matches no word or the second level's budget
     ran out before it.
 
-    `words` yields (value, length, symbol) for every word of at most t + U
-    bits, U <= t. The table for width w is filled one word at a time: the
-    2**(w - l) windows behind a word of l bits are that word plus the width
-    w - l entries, so the widths 0..t together hold 2**(t + 1) - 1 entries.
-    Each window whose words are longer takes u as its longest listed word
-    less t, and a key for each u bits that start one of those words. The
-    windows take their second tables in code order, most probable words
-    first, while the second level holds at most 2**t words behind at most
-    2**(t + 1) keys.
+    `words` yields (value, length, symbol) for every word of at most t
+    bits, then in code order for those of t + 1 to t + U bits, U <= t. The
+    table for width w is filled one word at a time: the 2**(w - l) windows
+    behind a word of l bits are that word plus the width w - l entries, so
+    the widths 0..t together hold 2**(t + 1) - 1 entries. Each window whose
+    words are longer takes u as its longest listed word less t, and a key
+    for each u bits that start one of those words. The windows take their
+    second tables in code order, most probable words first, while the
+    second level holds at most 2**t words behind at most 2**(t + 1) keys;
+    the listing stops at the word after the window that breaks either.
     """
     by_length = [[] for _ in range(t + 1)]
-    past = {}       # {window: its words longer than t bits}
+    words = iter(words)
     for value, length, symbol in words:
-        if length <= t:
-            by_length[length].append((value, symbol))
-        else:
-            past.setdefault(value >> length - t, []).append(
-                (value, length, symbol))
+        if length > t:      # the rest, in code order
+            words = itertools.chain([(value, length, symbol)], words)
+            break
+        by_length[length].append((value, symbol))
     tables = [[((), 0)]]
     for width in range(1, t + 1):
         table = [((), 0)] * (1 << width)
@@ -272,8 +274,10 @@ def _decode_table(words, t: int):
     keys = _window_keys(t)
     table = dict(zip(keys, tables[t]))
     held = spent = 0
-    for window in sorted(past):
-        longer = past[window]
+    # a window's words are whole once the next word opens the next window
+    for window, longer in itertools.groupby(
+            words, lambda word: word[0] >> word[1] - t):
+        longer = list(longer)
         u = max(length for _, length, _ in longer) - t
         held += len(longer)
         spent += sum(1 << t + u - length for _, length, _ in longer)
@@ -317,55 +321,86 @@ def _table_run(bits: str, pos: int, out: list, stop: int, t: int,
     return pos
 
 
-# Words of at most this many bits decode from a window this wide; the
-# decoder reads the whole L-bit window only past them.
+# Words of at most this many bits decode from a window this wide; past
+# them the decoder reads on by offsets from the longer rows' counts.
 _WINDOW = 64
 
 
-def _canonical_words(plan: _Plan, t: int):
-    """(value, length, symbol) of every word of at most t bits: the head's,
-    as `bits` writes them from those lengths alone, since a canonical word
-    depends only on the lengths no longer than its own, then the run's words
-    as the code writes them, up to the first longer than t bits, since a
-    run's lengths never fall. Those are prefix free, so at most 2**t of them
-    are listed."""
-    code = plan.code
-    head = code.head
-    symbols = [i for i, length in enumerate(head) if length <= t]
-    words = _codewords_of([head[i] for i in symbols])
-    for i, word in zip(symbols, words):
-        yield int(word, 2), len(word), i
-    if plan.k:
-        for i in itertools.count(len(head)):
-            length = code.length_at(i)
-            if length > t:
-                return
-            yield int(code.codeword(i), 2), length, i
+def _canonical_words(plan: _Plan, t: int, longest: int = 0):
+    """(value, length, symbol) of every word of at most t bits, then of
+    those of t + 1 to `longest` bits in code order. The head's words are
+    listed as `bits` writes them from the lengths no longer than `longest`
+    alone, since a canonical word depends only on the lengths no longer
+    than its own, in (length, symbol) order; the run's, above them in code
+    space, as the code writes them, up to the first too long, since a
+    run's lengths never fall. The words of at most t bits are prefix free,
+    so at most 2**t of them are listed."""
+    head = plan.code.head
+    symbols = [i for i in plan.order if head[i] <= max(t, longest)]
+    words = [(int(word, 2), len(word), i) for i, word in
+             zip(symbols, _codewords_of([head[i] for i in symbols]))]
+    i = len(head)       # the run's next symbol
+    for shortest, last in ((1, t), (t + 1, longest)):
+        yield from (word for word in words if shortest <= word[1] <= last)
+        while plan.k and (length := plan.code.length_at(i)) <= last:
+            yield int(plan.code.codeword(i), 2), length, i
+            i += 1
+
+
+def _past_window(bits: str, pos: int, d: int, plan: _Plan, append) -> int:
+    """Appends the symbol of the head word at pos longer than `window`
+    bits, d its first window bits less where the window's rows end; -> the
+    position past it. ContainerError if no longer row's word starts there.
+
+    The canonical offset recurrence (Hirschberg & Lelewer, "Efficient
+    decoding of prefix codes", CACM 1990) reads it from the longer rows'
+    counts alone: d, the word's offset past the rows read so far, takes the
+    next row's added bits, and the word ends in that row if d is below its
+    count, else d passes it. A valid d stays below the number of longer
+    words, so at the code's word count no row matches."""
+    at = plan.window
+    for length, count, before in itertools.islice(
+            plan.rows, len(plan.bounds) - 1, None):
+        d = (d << length - at) + int(bits[pos + at:pos + length], 2)
+        if d < count:
+            append(plan.order[before + d])
+            return pos + length
+        d -= count
+        if d >= len(plan.order):
+            break
+        at = length
+    raise ContainerError("payload does not match the declared code")
 
 
 def _decode_canonical(bits: str, count: int, plan: _Plan):
     """-> (symbols, bits consumed); may overrun len(bits) on a truncated
     payload, which the caller reports.
 
-    A row word of at most `window` = min(L, _WINDOW) bits costs O(window): a
-    row of length l <= window ends on a multiple of 2**(L - window), so the
-    first window bits against its end shifted right by L - window decide it
-    exactly. Past them, if some row is longer, the whole L-bit window
-    decides the row, the spine or no word. A run word past the spine is read
-    arithmetically: its ones up to the next zero are the quotient, then g - 1
-    suffix bits, and one more when they read z = 2**g - k or more.
+    The first `window` = min(L, _WINDOW) bits w decide a row word of at
+    most window bits in one bisection of the rows' starts at window bits: a
+    word of row i, length l, is symbol order[before + ((w - bounds[i]) >>
+    window - l)], read through steps built per container, which fold the
+    row's start and `before` into one offset, so that such a word costs one
+    shift and one subtraction after the bisection. A word past those rows
+    that does not start with the spine's ones is a longer row's, read by
+    offsets (_past_window), or no word. A run word past the spine is read
+    arithmetically: its ones up to the next zero are the quotient, then
+    g - 1 suffix bits, and one more when they read z = 2**g - k or more.
     """
-    width, window, short, ends = plan.width, plan.window, plan.short, plan.ends
-    limits, steps, order = plan.limits, plan.steps, plan.order
-    spine, k = plan.spine, plan.k
-    past_rows = len(steps)
+    window, rows, bounds = plan.window, plan.rows, plan.bounds
+    order, spine, k = plan.order, plan.spine, plan.k
+    # per window row (l, shift, offset): its word w at window bits is symbol
+    # order[(w >> shift) - offset], a row's start being a multiple of 2**shift
+    steps = [(length, window - length, (start >> window - length) - before)
+             for (length, _, before), start in zip(rows, bounds[:-1])]
+    short = len(steps)
     run_start = len(order)
     g = k.bit_length()
     z = (1 << g) - k
     t, table = _plan_table(plan, count)
     stop = count - t if table else -1
     # full windows at the end; an overrun shows in pos
-    bits += "0" * max(width, t)
+    bits += "0" * max(plan.width, t)
     find = bits.find
     out = []
     append = out.append
@@ -375,20 +410,18 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
             pos = _table_run(bits, pos, out, stop, t, table)
         # one word too long for the table, or the words past stop
         for _ in range(1 if len(out) <= stop else count - len(out)):
-            if past_rows:
+            if rows:
                 w = int(bits[pos:pos + window], 2)
-                i = bisect_right(limits, w)
-                if i == short < past_rows:  # past the window, or no word
-                    w = int(bits[pos:pos + width], 2)
-                    i = bisect_right(ends, w, short)
-                if i < past_rows:
+                i = bisect_right(bounds, w) - 1
+                if i < short:
                     length, shift, offset = steps[i]
                     append(order[(w >> shift) - offset])
                     pos += length
                     continue
-            if not k:
-                raise ContainerError(
-                    "payload does not match the declared code")
+                # a longer row's word or none, unless the spine's ones
+                if not spine or find("0", pos, pos + spine) >= 0:
+                    pos = _past_window(bits, pos, w - bounds[i], plan, append)
+                    continue
             start = pos + spine
             end = find("0", start)
             if end < 0:
@@ -405,17 +438,21 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
     return out, pos
 
 
-# Descriptors whose plans the cache keeps; each holds its code, rows and at
-# most one table: 2**14 first-level entries, about 2 MB, and a second level
-# of at most 2**14 words behind 2**15 keys, at most about 4 MB (the
-# Golomb-2000 plan holds 1.9 MB and 2.9 MB). At worst the cache thus holds
-# about 96 MB of tables, plus 2.3 MB of window keys of 1 to 14 bits shared
-# by all: 16 containers of 2**14 symbols under distinct codes whose
-# narrowest width is 14 bits, each as short as 2 KB, fill it. Encoding adds
-# its code's head words, about 75 bytes a symbol, to the plan's code, and
-# its word table of words holding at most _WORD_BITS bits in all to the
-# plan: by Kraft at most 18 432 words (14 336 of 14 bits and 4 096 of 15),
-# about 1.8 MB, so about 29 MB more at worst.
+# Descriptors whose plans the cache keeps; each holds its code, its symbol
+# order, three small integers per distinct head length, at most 65 bounds of at
+# most 65 bits, and at most one table. The code's head and the order take about
+# 40 and 36 bytes a symbol, the rows about 100 bytes a distinct length: the
+# plan of lengths 1, 2, ..., n - 1, n - 1 at n = 32 768 keeps about 6 MB. A
+# table holds 2**14 first-level entries, about 2 MB, and a second level of at
+# most 2**14 words behind 2**15 keys, at most about 4 MB (the Golomb-2000 plan
+# holds 1.9 MB and 2.9 MB). At worst the cache thus holds about 96 MB of
+# tables, plus 2.3 MB of window keys of 1 to 14 bits shared by all: 16
+# containers of 2**14 symbols under distinct codes whose narrowest width is 14
+# bits, each as short as 2 KB, fill it. Encoding adds its code's head words,
+# about 75 bytes a symbol, to the plan's code, and its word table of words
+# holding at most _WORD_BITS bits in all to the plan: by Kraft at most 18 432
+# words (14 336 of 14 bits and 4 096 of 15), about 1.8 MB, so about 29 MB more
+# at worst.
 _PLANS = 16
 _WORD_BITS = 1 << 18
 
@@ -450,18 +487,20 @@ class _Plan:
     and shared by every container that carries its descriptor.
 
     `width` is L, the longest head length, spine included. The head's
-    words of one length l form a row, shortest first, each from the
-    canonical rule's first word: a word of row i whose l bits read as v is
-    symbol order[v - offset], offset the row's, and `ends[i]` is where the
-    row ends, at L bits. The spine, `spine` 1s at the top of code space,
-    ends at one more end, 2**L; behind it symbols len(order) on take the
-    Golomb-k run's words, `k` the tail's: a code with no tail has no run,
-    k = 0. A Golomb code is a run behind no rows and an empty spine.
-    `window`, `short`, `limits` and `steps`, (l, shift, offset) per row, are
-    the rows' single-step lookups; `narrowest` is the code's table width, 0
-    for none; `table` is the (t, table) of the widest multi-symbol table
-    built, (0, None) while none is, built under `lock`; `words` is encode's
-    word table.
+    words of one length l form a row, shortest first, and `rows` holds
+    (l, count, before) per row, before the words of the shorter rows: the
+    row's j-th word is symbol order[before + j]. `window` is W = min(L,
+    _WINDOW), and `bounds` holds where each row of at most W bits starts,
+    at W bits, from the canonical rule's first words, then where the last
+    of them ends; longer rows are read by offsets from their counts, so no
+    integer the plan stores is wider than W + 1 bits. The spine, `spine`
+    1s at the top of code space, follows the rows; behind it symbols
+    len(order) on take the Golomb-k run's words, `k` the tail's: a code
+    with no tail has no run, k = 0. A Golomb code is a run behind no rows
+    and an empty spine. `narrowest` is the code's table width, 0 for none;
+    `table` is the (t, table) of the widest multi-symbol table built,
+    (0, None) while none is, built under `lock`; `words` is encode's word
+    table.
     """
 
     def __init__(self, code: LengthSeq) -> None:
@@ -470,37 +509,31 @@ class _Plan:
         self.spine = spine = tail.spine if tail else 0
         self.k = k = tail.k if tail else 0
         self.width = width = max(lengths + (spine,))
-        self.ends = ends = []
-        rows = []       # (l, offset) per head length l, shortest first
-        counts = Counter(lengths)
-        before = 0
-        for length, first in _first_codes(counts).items():
-            rows.append((length, first - before))
-            ends.append(first + counts[length] << width - length)
-            before += counts[length]
-        if spine:
-            ends.append(1 << width)
+        self.window = window = min(width, _WINDOW)
+        counts = sorted(Counter(lengths).items())     # (l, count) per row
+        before = itertools.accumulate((c for _, c in counts), initial=0)
+        self.rows = [(*row, words) for row, words in zip(counts, before)]
         # a list, several times faster to index than a range; a sorted head is
         # in canonical order already
         self.order = list(range(len(lengths)))
         if any(map(operator.gt, lengths, lengths[1:])):
             self.order.sort(key=lengths.__getitem__)
-        # rows no longer than t fill code space to the last one's end, and
-        # the run behind the spine fills max(0, 2**(t - spine) - k) in 2**t
+        # rows no longer than t fill code space up to where the last one
+        # ends, and the run behind the spine fills max(0, 2**(t - spine) - k),
+        # in parts of 2**t
         self.narrowest = 0
         for t in (8, 10, 12, 14):
-            i = sum(length <= t for length, _ in rows)
-            filled = ends[i - 1] << t >> width if i else 0
+            filled = sum(c << t - length for length, c in counts if length <= t)
             if k and spine <= t:
                 filled += max(0, (1 << t - spine) - k)
             if 8 * filled >= 7 << t:
                 self.narrowest = t
                 break
-        self.window = window = min(width, _WINDOW)
-        self.short = short = sum(length <= window for length, _ in rows)
-        self.limits = [end >> width - window for end in ends[:short]]
-        self.steps = [(length, (window if i < short else width) - length,
-                       offset) for i, (length, offset) in enumerate(rows)]
+        inside = {length: c for length, c in counts if length <= window}
+        self.bounds = [first << window - length
+                       for length, first in _first_codes(inside).items()]
+        self.bounds.append(sum(c << window - length
+                               for length, c in inside.items()))
         self.table = (0, None)
         self.lock = threading.Lock()
         self.words = _Words(code)
@@ -524,7 +557,7 @@ def _plan_table(plan: _Plan, count: int):
         with plan.lock:
             if t > plan.table[0]:
                 plan.table = t, _decode_table(
-                    _canonical_words(plan, longest), t)
+                    _canonical_words(plan, t, longest), t)
     return plan.table
 
 

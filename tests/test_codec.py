@@ -1,10 +1,14 @@
 import itertools
 import math
+import os
+import pathlib
 import random
 import struct
+import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -316,6 +320,140 @@ def test_deep_code_roundtrip(code):
     bits += "0" * (-len(bits) % 8)
     assert blob.endswith(int(bits, 2).to_bytes(len(bits) // 8, "big"))
     assert read_container(blob) == (code, symbols)
+
+
+def _deep_container(lengths, payload: bytes, count: int = 3) -> bytes:
+    """An explicit-code container written by hand, header field by field:
+    encode would list every head word of the code."""
+    return (codec.MAGIC + bytes([codec.VERSION, 0x02])
+            + bits.uleb128_encode(len(lengths))
+            + bits.uleb128_encode_all(lengths)
+            + struct.pack("<Q", count) + payload)
+
+
+def _caterpillar(n):
+    """Lengths 1, 2, ..., n - 1, n - 1: Kraft-complete, its longest word
+    n - 1 bits, a merge tree's shape on weights falling fast enough."""
+    return [*range(1, n), n - 1]
+
+
+# "0", "10", "110" and the padding
+_FIRST_THREE = bytes([0b01011000])
+
+
+def test_a_deep_container_decodes_under_a_one_gib_address_space_cap():
+    # 180 116 bytes; a plan holding each row's end at the longest word's
+    # 65 535 bits would hold about n**2 / 2 bits, past the cap. The cap is
+    # set in a child process, on that process alone
+    blob = _deep_container(_caterpillar(65536), _FIRST_THREE)
+    assert len(blob) == 180116
+    child = """
+import resource, sys
+from epc import decode
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+print(decode(sys.stdin.buffer.read()))
+"""
+    root = str(pathlib.Path(codec.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [root, *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", child], input=blob, env=env,
+                         capture_output=True, timeout=120)
+    assert out.returncode == 0, out.stderr.decode()[-2000:]
+    assert out.stdout == b"[0, 1, 2]\n"
+
+
+def test_a_deep_plan_retains_small_counts():
+    # the plan of a descriptor of 32 768 lengths, longest 32 767 bits, keeps
+    # a few small integers per row, not rows as wide as the longest word
+    blob = _deep_container(_caterpillar(32768), _FIRST_THREE)
+    codec._plan.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert decode(blob) == [0, 1, 2]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        codec._plan.cache_clear()
+    assert retained <= 16 << 20
+
+
+def _prefix_decode(code, payload: str, count: int) -> list[int]:
+    """The oracle past the window: each head word looked up whole among the
+    textbook canonical words, else the spine's ones and a unary run word."""
+    head = {word: i for i, word in enumerate(canonical_words(code.head))}
+    lengths = sorted({len(word) for word in head})
+    spine = code.tail.spine if code.tail else 0
+    out, pos = [], 0
+    while len(out) < count:
+        length = next((length for length in lengths
+                       if payload[pos:pos + length] in head), None)
+        if length is not None:
+            out.append(head[payload[pos:pos + length]])
+            pos += length
+            continue
+        assert spine and payload.startswith("1" * spine, pos)
+        end = payload.index("0", pos + spine)
+        out.append(len(code.head) + end - pos - spine)
+        pos = end + 1
+    return out
+
+
+@pytest.mark.parametrize("code", [
+    ExplicitCode(list(range(1, 300)) + [299]),
+    UnaryEndedCode(tuple(range(2, 200)) + (199,), 1),
+    UnaryEndedCode([1, *range(3, 101), 100], 2),
+    ExplicitCode([*range(1, 64), 65, *[70] * 96]),
+], ids=["explicit-1..299", "unary-ended-1-bit-spine", "unary-ended-2-bit-spine",
+        "explicit-96-words-of-70"])
+def test_words_past_the_window_match_a_prefix_oracle(code):
+    # words of up to 299 bits read by offsets from the longer rows' counts;
+    # the 1-bit spine is shorter than every row, so only its leading one
+    # tells a spine word from a head word past the window. Past the one
+    # 65-bit word, the 70-bit words' offsets run to 2 above its count
+    rng = random.Random(47)
+    top = len(code.head) + (20 if code.tail else 0)
+    head = len(encode([], code))
+    blobs = []
+    for _ in range(6):
+        symbols = [rng.randrange(top) if rng.random() < 0.4
+                   else min(int(rng.expovariate(0.3)), top - 1)
+                   for _ in range(rng.randrange(1, 300))]
+        good = encode(symbols, code)
+        blobs.append(good)
+        for _ in range(10):
+            at = rng.randrange(8 * head, 8 * len(good))
+            flipped = bytearray(good)
+            flipped[at // 8] ^= 0x80 >> at % 8
+            blobs += [bytes(flipped), good[:rng.randrange(head, len(good))]]
+    decoded = 0
+    for blob in blobs:
+        codec._plan.cache_clear()
+        try:
+            want = _single_symbol(blob)[1]
+        except ContainerError as exc:
+            with pytest.raises(ContainerError) as got:
+                decode(blob)
+            assert str(got.value) == str(exc)
+            continue
+        assert decode(blob) == want
+        payload = format(int.from_bytes(blob[head:], "big"),
+                         f"0{8 * len(blob[head:])}b")
+        assert want == _prefix_decode(code, payload, len(want))
+        decoded += 1
+    assert decoded >= 6
+
+
+def test_an_incomplete_deep_code_refuses_a_word_past_its_rows():
+    # lengths 1, 3, 4, ..., n - 1, n - 1 fill 3/4 of code space: no word
+    # starts "11", and the offset past the rows reaches the word count
+    n = 16384
+    blob = _deep_container([1, *range(3, n), n - 1], b"\xff", count=1)
+    with pytest.raises(ContainerError,
+                       match="^payload does not match the declared code$"):
+        decode(blob)
 
 
 # --------------------------------------------------- multi-symbol table path
@@ -749,6 +887,34 @@ def test_the_second_level_budget_ends_at_the_run():
     symbols = [*range(13 * 128)]
     blob = encode(symbols, GolombCode(128))
     assert decode(blob) == _single_symbol(blob)[1] == symbols
+
+
+def test_the_listing_stops_at_the_window_that_breaks_the_budget(
+        monkeypatch):
+    # GolombCode(2000) at t = 14: its words of up to 28 bits number 34 048,
+    # 28 000 of them past 14 bits, far more than the 2**14 the second level
+    # holds. The listing ends at the word opening the window after the one
+    # that breaks the budget, and the table is the whole listing's
+    plan = codec._Plan(GolombCode(2000))
+    whole = list(codec._canonical_words(plan, 14, 28))
+    assert len(whole) == 34048
+    read = []
+    real = codec._canonical_words
+
+    def recording(*args):
+        for word in real(*args):
+            read.append(word)
+            yield word
+    monkeypatch.setattr(codec, "_canonical_words", recording)
+    table = codec._plan_table(plan, 1 << 14)[1]
+    assert table == codec._decode_table(whole, 14)
+    assert read == whole[:len(read)]
+    short = sum(length <= 14 for _, length, _ in whole)
+    held = sum(len(set(keys.values())) for _, _, keys in _second_level(table))
+    *broken, opening = read[short + held:]
+    windows = {value >> length - 14 for value, length, _ in broken}
+    assert len(windows) == 1
+    assert opening[0] >> opening[1] - 14 not in windows
 
 
 # "0", "10", "1100", "1101", then 60 of the 64 words of 11 bits behind

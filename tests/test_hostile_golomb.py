@@ -14,17 +14,18 @@ from epc import ContainerError, GolombCode, codec, encode, read_container
 
 @pytest.fixture
 def listed(monkeypatch):
-    """The table widths whose words a plan listed, each listing failing past
-    2**t words; plans built here are dropped afterwards."""
+    """The table widths whose words a plan listed, each recorded when its
+    listing starts, since a listing may stop at the second level's budget,
+    and failing past 2**t words; plans built here are dropped afterwards."""
     widths = []
     real = codec._canonical_words
 
     def counting(*args):
         t = args[-1]
+        widths.append(t)
         for n, word in enumerate(real(*args), 1):
             assert n <= 1 << t, f"more than 2**{t} words listed"
             yield word
-        widths.append(t)
 
     codec._plan.cache_clear()
     monkeypatch.setattr(codec, "_canonical_words", counting)
