@@ -1,12 +1,13 @@
 """Bit-level plumbing: LEB128 varints, the one exact Kraft test, the one
-canonical codeword rule, which head words and decoder rows both read, and
-the complete binary code a Golomb-k run's suffixes are."""
+canonical codeword rule and the head record it lays out, which head words
+and decoder rows both read, and the complete binary code a Golomb-k run's
+suffixes are."""
 from __future__ import annotations
 
 import operator
 from bisect import bisect_right
 from collections import Counter
-from itertools import count
+from itertools import accumulate
 
 from .errors import ContainerError
 from .numeric import shown
@@ -143,23 +144,40 @@ def kraft_sign(ordered) -> int:
     return -1 if free else 0
 
 
-def _first_codes(counts) -> dict[int, int]:
-    """The one canonical rule: each length's first word as an integer, from
-    {length: count}. Words go in (length, index) order, each one more than
-    the previous, shifted out to its own length."""
-    first, code, at = {}, 0, 0
-    for length in sorted(counts):
+# Head words of at most this many bits have their row's first word kept and
+# decode from a window this wide; a longer row's first word is written on
+# from the counts when asked for, and its words decode by offsets from them.
+_WINDOW = 64
+
+
+def _first_codes(rows):
+    """The one canonical rule: (length, first word as an integer) per row,
+    from rows (length, count, words before) in length order. Words go in
+    (length, index) order, each one more than the previous, shifted out to
+    its own length; a row's first word depends only on the shorter rows."""
+    code = at = 0
+    for length, n, _ in rows:
         code <<= length - at
-        first[length], code, at = code, code + counts[length], length
-    return first
+        yield length, code
+        code, at = code + n, length
 
 
-def _codewords_of(lengths) -> tuple[str, ...]:
-    """Canonical codewords of lengths within the Kraft inequality, each
-    length's words counting up from its first."""
-    up = {length: count(first | 1 << length)  # the leading 1 keeps zeros
-          for length, first in _first_codes(Counter(lengths)).items()}
-    return tuple(bin(next(up[length]))[3:] for length in lengths)
+def _canonical_head(lengths):
+    """A head's canonical layout, the one record every head word is written
+    from: its rows (length, count, words before) in length order, its
+    symbols in (length, index) order, each symbol's place in that order,
+    and {length: first word} of its rows of at most _WINDOW bits."""
+    counts = sorted(Counter(lengths).items())
+    before = accumulate((n for _, n in counts), initial=0)
+    rows = [(*row, words) for row, words in zip(counts, before)]
+    # a list, several times faster to index than a range; a sorted head is
+    # in canonical order already, and its places are its order
+    order = place = list(range(len(lengths)))
+    if any(map(operator.gt, lengths, lengths[1:])):
+        order = sorted(place, key=lengths.__getitem__)
+        place = sorted(place, key=order.__getitem__)
+    first = dict(_first_codes(row for row in rows if row[0] <= _WINDOW))
+    return rows, order, place, first
 
 
 def complete_binary(x: int, k: int) -> str:

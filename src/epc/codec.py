@@ -28,16 +28,19 @@ never its class. A descriptor's lengths are read in one pass.
 Everything decoding derives from the code alone is built once per
 descriptor into a decode plan and kept, for the last 16 descriptors read, in
 a cache keyed by the descriptor's bytes. A plan holds each fact by name: the
-parsed `code`, its canonical `rows`, (length, count, words before) each,
-and their symbol `order`, the `bounds` where its rows of at most 64 bits
-start, at 64 bits, the `spine` and the run's `k`, the table width
-`narrowest`, the multi-symbol `table` (Choueka, Klein & Perl 1985) and
-encode's `words`, kept up to a budget of bits. Its rows hold small counts,
-so a plan grows with the descriptor, not with its longest word.
-Every word has one writer: the rows take each length's first word from
-the one canonical rule in `bits`, and the table lists the head's words as
-`bits` writes them and the run's as `LengthSeq` writes them. A stream of
-containers under one code parses, checks and tabulates it once.
+parsed `code`, the canonical `rows`, (length, count, words before) each,
+and symbol `order` of the code's head record, the `bounds` where its rows
+of at most 64 bits start, at 64 bits, the `spine` and the run's `k`, the
+table width `narrowest`, the multi-symbol `table` (Choueka, Klein & Perl
+1985) and encode's `words`, kept up to a budget of bits. Its rows hold
+small counts, so a plan grows with the descriptor, not with its longest
+word. Every word has one writer: `bits` lays a head out once, in the record
+the code keeps, whose rows of at most 64 bits keep their first words from
+the one canonical rule. `LengthSeq.codeword` writes a head word as its
+row's first word plus its place in the row, the bounds are those first
+words, and the table lists the head's words from the same rows and the
+run's as `LengthSeq.codeword` writes them. A stream of containers under
+one code parses, checks and tabulates it once.
 The table maps the next t payload bits to every whole codeword in them and
 the bits they use, so one lookup emits several symbols. Its width is the
 code's: the narrowest t of 8, 10, 12 and 14 bits whose words fill 7/8 of
@@ -61,16 +64,13 @@ every container check reads as without the table.
 from __future__ import annotations
 
 import itertools
-import operator
 import struct
 import threading
 from bisect import bisect_right
-from collections import Counter
 from functools import cache, lru_cache
 
-from .bits import (_codewords_of, _first_codes, _symbol, kraft_sign,
-                   uleb128_decode, uleb128_decode_all, uleb128_encode,
-                   uleb128_encode_all)
+from .bits import (_WINDOW, _symbol, kraft_sign, uleb128_decode,
+                   uleb128_decode_all, uleb128_encode, uleb128_encode_all)
 from .errors import ContainerError
 from .golomb import GolombCode
 from .light_tail import UnaryEndedCode
@@ -321,25 +321,19 @@ def _table_run(bits: str, pos: int, out: list, stop: int, t: int,
     return pos
 
 
-# Words of at most this many bits decode from a window this wide; past
-# them the decoder reads on by offsets from the longer rows' counts.
-_WINDOW = 64
-
-
 def _canonical_words(plan: _Plan, t: int, longest: int = 0):
     """(value, length, symbol) of every word of at most t bits, then of
     those of t + 1 to `longest` bits in code order. The head's words are
-    listed as `bits` writes them from the lengths no longer than `longest`
-    alone, since a canonical word depends only on the lengths no longer
-    than its own, in (length, symbol) order; the run's, above them in code
-    space, as the code writes them, up to the first too long, since a
-    run's lengths never fall. The words of at most t bits are prefix free,
-    so at most 2**t of them are listed."""
-    head = plan.code.head
-    symbols = [i for i in plan.order if head[i] <= max(t, longest)]
-    words = [(int(word, 2), len(word), i) for i, word in
-             zip(symbols, _codewords_of([head[i] for i in symbols]))]
-    i = len(head)       # the run's next symbol
+    each row's first word counting up, from the rows of at most max(t,
+    longest) bits, in (length, symbol) order; the run's, above them in code
+    space, as the code writes them, up to the first too long, since a run's
+    lengths never fall. The words of at most t bits are prefix free, so at
+    most 2**t of them are listed."""
+    window, order = plan.window, plan.order
+    words = [((start >> window - length) + j, length, order[before + j])
+             for (length, count, before), start in zip(plan.rows, plan.bounds)
+             if length <= max(t, longest) for j in range(count)]
+    i = len(plan.code.head)       # the run's next symbol
     for shortest, last in ((1, t), (t + 1, longest)):
         yield from (word for word in words if shortest <= word[1] <= last)
         while plan.k and (length := plan.code.length_at(i)) <= last:
@@ -438,18 +432,20 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
     return out, pos
 
 
-# Descriptors whose plans the cache keeps; each holds its code, its symbol
-# order, three small integers per distinct head length, at most 65 bounds of at
-# most 65 bits, and at most one table. The code's head and the order take about
-# 40 and 36 bytes a symbol, the rows about 100 bytes a distinct length: the
-# plan of lengths 1, 2, ..., n - 1, n - 1 at n = 32 768 keeps about 6 MB. A
+# Descriptors whose plans the cache keeps; each holds its code with the code's
+# head record (rows of three small integers per distinct head length, the
+# symbol order, each symbol's place in it and the first words of the rows of
+# at most 64 bits), at most 65 bounds of at most 65 bits, and at most one
+# table. The code's head and the order take about 40 and 36 bytes a symbol,
+# the places 8 more where the head is not in canonical order (else they are
+# the order), the rows about 100 bytes a distinct length: the plan of
+# lengths 1, 2, ..., n - 1, n - 1 at n = 32 768 keeps about 6 MB. A
 # table holds 2**14 first-level entries, about 2 MB, and a second level of at
 # most 2**14 words behind 2**15 keys, at most about 4 MB (the Golomb-2000 plan
 # holds 1.9 MB and 2.9 MB). At worst the cache thus holds about 96 MB of
 # tables, plus 2.3 MB of window keys of 1 to 14 bits shared by all: 16
 # containers of 2**14 symbols under distinct codes whose narrowest width is 14
-# bits, each as short as 2 KB, fill it. Encoding adds its code's head words,
-# about 75 bytes a symbol, to the plan's code, and its word table of words
+# bits, each as short as 2 KB, fill it. Encoding adds its word table of words
 # holding at most _WORD_BITS bits in all to the plan: by Kraft at most 18 432
 # words (14 336 of 14 bits and 4 096 of 15), about 1.8 MB, so about 29 MB more
 # at worst.
@@ -489,15 +485,15 @@ class _Plan:
     `width` is L, the longest head length, spine included. The head's
     words of one length l form a row, shortest first, and `rows` holds
     (l, count, before) per row, before the words of the shorter rows: the
-    row's j-th word is symbol order[before + j]. `window` is W = min(L,
-    _WINDOW), and `bounds` holds where each row of at most W bits starts,
-    at W bits, from the canonical rule's first words, then where the last
-    of them ends; longer rows are read by offsets from their counts, so no
-    integer the plan stores is wider than W + 1 bits. The spine, `spine`
-    1s at the top of code space, follows the rows; behind it symbols
-    len(order) on take the Golomb-k run's words, `k` the tail's: a code
-    with no tail has no run, k = 0. A Golomb code is a run behind no rows
-    and an empty spine. `narrowest` is the code's table width, 0 for none;
+    row's j-th word is symbol order[before + j]; both come from the code's
+    head record. `window` is W = min(L, _WINDOW), and `bounds` holds where
+    each row of at most W bits starts, at W bits, from the record's first
+    words, then where the last of them ends; longer rows are read by
+    offsets from their counts, so no integer the plan stores is wider than
+    W + 1 bits. The spine, `spine` 1s at the top of code space, follows
+    the rows; behind it symbols len(order) on take the Golomb-k run's
+    words, `k` the tail's: a code with no tail has no run, k = 0. A Golomb
+    code is a run behind no rows and an empty spine. `narrowest` is the code's table width, 0 for none;
     `table` is the (t, table) of the widest multi-symbol table built,
     (0, None) while none is, built under `lock`; `words` is encode's word
     table.
@@ -510,30 +506,23 @@ class _Plan:
         self.k = k = tail.k if tail else 0
         self.width = width = max(lengths + (spine,))
         self.window = window = min(width, _WINDOW)
-        counts = sorted(Counter(lengths).items())     # (l, count) per row
-        before = itertools.accumulate((c for _, c in counts), initial=0)
-        self.rows = [(*row, words) for row, words in zip(counts, before)]
-        # a list, several times faster to index than a range; a sorted head is
-        # in canonical order already
-        self.order = list(range(len(lengths)))
-        if any(map(operator.gt, lengths, lengths[1:])):
-            self.order.sort(key=lengths.__getitem__)
+        self.rows, self.order, _, first = code._canonical
         # rows no longer than t fill code space up to where the last one
         # ends, and the run behind the spine fills max(0, 2**(t - spine) - k),
         # in parts of 2**t
         self.narrowest = 0
         for t in (8, 10, 12, 14):
-            filled = sum(c << t - length for length, c in counts if length <= t)
+            filled = sum(c << t - length
+                         for length, c, _ in self.rows if length <= t)
             if k and spine <= t:
                 filled += max(0, (1 << t - spine) - k)
             if 8 * filled >= 7 << t:
                 self.narrowest = t
                 break
-        inside = {length: c for length, c in counts if length <= window}
-        self.bounds = [first << window - length
-                       for length, first in _first_codes(inside).items()]
-        self.bounds.append(sum(c << window - length
-                               for length, c in inside.items()))
+        # the rows of at most W bits are those the record keeps first words of
+        self.bounds = [w << window - length for length, w in first.items()]
+        self.bounds.append(sum(c << window - length for length, c, _
+                               in self.rows if length <= window))
         self.table = (0, None)
         self.lock = threading.Lock()
         self.words = _Words(code)

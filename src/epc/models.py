@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import mul
 from typing import Optional, Union
 
-from .bits import (_codewords_of, _symbol, complete_binary, integer_lengths,
-                   kraft_sign)
+from .bits import (_canonical_head, _first_codes, _symbol, complete_binary,
+                   integer_lengths, kraft_sign)
 from .errors import DivergenceError, EpcError
 from .numeric import LN2, check_positive, check_ratio, check_weights, shown
 
@@ -332,13 +333,18 @@ class LengthSeq:
         return hash((self.head, self.tail))
 
     @cached_property
+    def _canonical(self):
+        """The head's canonical record (bits._canonical_head)."""
+        return _canonical_head(self.head)
+
+    @cached_property
     def head_codewords(self) -> tuple[str, ...]:
-        """The head's canonical words, refused past _MOST_ONES bits."""
+        """The head's words as codeword writes them, refused before any is
+        written if one is past _MOST_ONES bits."""
         longest = max(self.head, default=0)
         if longest > _MOST_ONES:
-            raise ValueError(f"symbol {self.head.index(longest)} has a "
-                             "codeword too long to build")
-        return _codewords_of(self.head)
+            self.codeword(self.head.index(longest))     # refuses by name
+        return tuple(map(self.codeword, range(len(self.head))))
 
     def length_at(self, i: int) -> int:
         i = _symbol(i)
@@ -353,12 +359,23 @@ class LengthSeq:
         return tail.spine + 1 + q + (g - 1 if r < (1 << g) - k else g)
 
     def codeword(self, i: int) -> str:
-        """Symbol i's word: its head length's canonical word, or past the
-        head the run's, refused past _MOST_ONES ones: the spine and quotient
-        in ones, a zero, then the complete binary suffix of the remainder."""
+        """Symbol i's word, refused past _MOST_ONES bits: in the head its
+        row's first word plus its place in the row, past the head the run's,
+        the spine and quotient in ones, a zero, then the complete binary
+        suffix of the remainder."""
         i, head, tail = _symbol(i), self.head, self.tail
         if i < len(head):
-            return self.head_codewords[i]
+            length = head[i]
+            if length > _MOST_ONES:
+                raise ValueError(f"symbol {shown(i)} has a codeword too long "
+                                 "to build")
+            rows, _, place, first = self._canonical
+            word = first.get(length)
+            if word is None:    # a row past 64 bits: one first word at a time
+                word = next(w for l, w in _first_codes(rows) if l == length)
+            _, _, before = rows[bisect_left(rows, (length,))]
+            # the leading 1 keeps the word's leading zeros
+            return bin(word + place[i] - before | 1 << length)[3:]
         if tail is None:
             raise ValueError(f"no codeword for symbol {shown(i)}")
         q, r = divmod(i - len(head), tail.k)

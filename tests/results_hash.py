@@ -2,6 +2,7 @@
 change to the library changed any result.
 
     python3 tests/results_hash.py TREE WORKLOAD SEED [--jobs]
+    python3 tests/results_hash.py --pin
 
 TREE is a checkout of this repository, WORKLOAD one of stream, design and
 overflow. The job lists come from TREE/bench and the library from TREE/src;
@@ -19,6 +20,12 @@ a diff of two trees' lines names the jobs whose results moved:
     diff <(python3 tests/results_hash.py A stream 31 --jobs) \
          <(python3 tests/results_hash.py B stream 31 --jobs)
 
+--pin writes those lines of seed 31 for all three workloads, each behind
+its workload's name, from the checkout that holds this file to
+tests/results_pins.txt, which tests/test_results_pinned.py reruns in
+tier-1. A change that moves a result on purpose re-pins and names each
+moved job.
+
 Uses the standard library alone; pytest does not collect it.
 """
 from __future__ import annotations
@@ -28,6 +35,11 @@ import hashlib
 import random
 import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PINS = ROOT / "tests" / "results_pins.txt"
+PIN_SEED = 31
+WORKLOADS = ("stream", "design", "overflow")
 
 
 def canonical(x):
@@ -39,6 +51,8 @@ def canonical(x):
     if isinstance(x, (bytes, bytearray)):
         return x.hex()
     if isinstance(x, (list, tuple)):
+        if set(map(type, x)) <= {int}:     # decoded symbols, in one pass
+            return list(map(repr, x))
         return [canonical(v) for v in x]
     if hasattr(x, "head") and hasattr(x, "tail"):   # a code
         return ["code", canonical(x.head), canonical(x.tail), str(x)]
@@ -49,24 +63,17 @@ def canonical(x):
     raise TypeError(f"no canonical form for {type(x).__name__}")
 
 
-def main(argv) -> int:
-    per_job = argv[4:] == ["--jobs"]
-    if len(argv) != 4 + per_job:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    tree, workload, seed = Path(argv[1]).resolve(), argv[2], int(argv[3])
-    sys.path[:0] = [str(tree / "bench"), str(tree / "src")]
+def outcomes(epc, workload: str, seed: int):
+    """(key, outcome kind, line) per job of the workload at seed, each job
+    run once under the benchmark's budget with this epc; the bench modules
+    are imported from the first bench directory on sys.path."""
     import run
     from common import Budget, BudgetExpired
     from tracing import NullTracer
 
     wl = run.WORKLOADS[workload]
-    run.cap_address_space()
-    epc = run.fresh_epc()
     jobs = wl.setup(epc, random.Random(seed))["jobs"]
     budget, tracer = Budget(wl.BUDGET_S), NullTracer()
-    digest = hashlib.sha256()
-    outcomes = {}
     for job in jobs:
         try:
             with budget:
@@ -80,14 +87,48 @@ def main(argv) -> int:
             if workload == "stream":    # drop the encode and decode times
                 result = result[:2]
             outcome = ["result", canonical(result)]
-        outcomes[outcome[0]] = outcomes.get(outcome[0], 0) + 1
-        line = repr([canonical(job.key), outcome]).encode()
+        yield job.key, outcome[0], repr([canonical(job.key), outcome]).encode()
+
+
+def job_line(key, line: bytes) -> str:
+    """A job's line: its outcome's short digest, then its key."""
+    return f"{hashlib.sha256(line).hexdigest()[:16]} {key!r}"
+
+
+def _fresh(tree: Path):
+    """TREE's epc, freshly imported under the benchmark's cap, with TREE's
+    bench first on sys.path."""
+    sys.path[:0] = [str(tree / "bench"), str(tree / "src")]
+    import run
+    run.cap_address_space()
+    return run.fresh_epc()
+
+
+def main(argv) -> int:
+    if argv[1:] == ["--pin"]:
+        epc = _fresh(ROOT)
+        with open(PINS, "w") as fh:
+            for workload in WORKLOADS:
+                for key, _, line in outcomes(epc, workload, PIN_SEED):
+                    print(workload, job_line(key, line), file=fh)
+        print(f"pinned seed {PIN_SEED} in {PINS}")
+        return 0
+    per_job = argv[4:] == ["--jobs"]
+    if len(argv) != 4 + per_job:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    tree, workload, seed = Path(argv[1]).resolve(), argv[2], int(argv[3])
+    epc = _fresh(tree)
+    digest = hashlib.sha256()
+    counts = {}
+    for key, kind, line in outcomes(epc, workload, seed):
+        counts[kind] = counts.get(kind, 0) + 1
         digest.update(line)
         digest.update(b"\n")
         if per_job:
-            print(hashlib.sha256(line).hexdigest()[:16], repr(job.key))
-    counts = ", ".join(f"{n} {kind}" for kind, n in sorted(outcomes.items()))
-    print(f"{workload} seed {seed}: {len(jobs)} jobs, {counts}")
+            print(job_line(key, line))
+    shown = ", ".join(f"{n} {kind}" for kind, n in sorted(counts.items()))
+    print(f"{workload} seed {seed}: {sum(counts.values())} jobs, {shown}")
     print(digest.hexdigest())
     return 0
 

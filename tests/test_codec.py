@@ -147,11 +147,18 @@ def test_explicit_decode_builds_no_codewords(count, code, monkeypatch):
     blob = encode(symbols, code)
     codec._plan.cache_clear()   # a cached code may have built its words
 
-    def refuse(*args):
-        raise AssertionError("decode built codeword strings")
-    for module in (bits, models):   # the codes build from counts
-        monkeypatch.setattr(module, "_codewords_of", refuse)
-    got, decoded = read_container(blob)
+    write = models.LengthSeq.codeword
+
+    def refuse(self, i):    # the run's words the table may list
+        if i < len(self.head):
+            raise AssertionError("decode built codeword strings")
+        return write(self, i)
+    # the head's words build from its rows' counts
+    monkeypatch.setattr(models.LengthSeq, "codeword", refuse)
+    try:
+        got, decoded = read_container(blob)
+    finally:    # no plan keeps the patched writer
+        codec._plan.cache_clear()
     assert decoded == symbols and got == code
     assert "head_codewords" not in vars(got)
 
@@ -341,42 +348,67 @@ def _caterpillar(n):
 _FIRST_THREE = bytes([0b01011000])
 
 
-def test_a_deep_container_decodes_under_a_one_gib_address_space_cap():
-    # 180 116 bytes; a plan holding each row's end at the longest word's
-    # 65 535 bits would hold about n**2 / 2 bits, past the cap. The cap is
-    # set in a child process, on that process alone
-    blob = _deep_container(_caterpillar(65536), _FIRST_THREE)
-    assert len(blob) == 180116
-    child = """
-import resource, sys
-from epc import decode
-cap = 1 << 30
-resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-print(decode(sys.stdin.buffer.read()))
-"""
+def _in_a_capped_child(script: str, stdin: bytes = b"") -> bytes:
+    """What script writes to stdout, run by a child process that caps its
+    own address space at 1 GiB first and imports this epc."""
+    capped = ("import resource, sys\ncap = 1 << 30\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n" + script)
     root = str(pathlib.Path(codec.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [root, *filter(None, [env.get("PYTHONPATH")])])
-    out = subprocess.run([sys.executable, "-c", child], input=blob, env=env,
+    out = subprocess.run([sys.executable, "-c", capped], input=stdin, env=env,
                          capture_output=True, timeout=120)
     assert out.returncode == 0, out.stderr.decode()[-2000:]
-    assert out.stdout == b"[0, 1, 2]\n"
+    return out.stdout
+
+
+def test_a_deep_container_decodes_under_a_one_gib_address_space_cap():
+    # 180 116 bytes; a plan holding each row's end at the longest word's
+    # 65 535 bits would hold about n**2 / 2 bits, past the cap
+    blob = _deep_container(_caterpillar(65536), _FIRST_THREE)
+    assert len(blob) == 180116
+    child = "from epc import decode\nprint(decode(sys.stdin.buffer.read()))"
+    assert _in_a_capped_child(child, blob) == b"[0, 1, 2]\n"
+
+
+def test_a_deep_code_encodes_under_a_one_gib_address_space_cap():
+    # each head word is written from its row, so no listing of every head
+    # word, about n**2 / 2 characters, is built
+    child = ("from epc import ExplicitCode, encode\nn = 65536\n"
+             "sys.stdout.buffer.write(encode([0, 1, 2], "
+             "ExplicitCode([*range(1, n), n - 1])))")
+    assert _in_a_capped_child(child) == \
+        _deep_container(_caterpillar(65536), _FIRST_THREE)
+
+
+def _retained(f, *args):
+    """(f(*args), the bytes it left allocated), from a cold plan cache."""
+    codec._plan.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        codec._plan.cache_clear()
 
 
 def test_a_deep_plan_retains_small_counts():
     # the plan of a descriptor of 32 768 lengths, longest 32 767 bits, keeps
     # a few small integers per row, not rows as wide as the longest word
     blob = _deep_container(_caterpillar(32768), _FIRST_THREE)
-    codec._plan.cache_clear()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        assert decode(blob) == [0, 1, 2]
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-        codec._plan.cache_clear()
+    decoded, retained = _retained(decode, blob)
+    assert decoded == [0, 1, 2]
+    assert retained <= 16 << 20
+
+
+def test_a_deep_code_encodes_in_small_counts():
+    # encode keeps the plan and the words it writes, not every head word
+    code = ExplicitCode(_caterpillar(32768))
+    blob, retained = _retained(encode, [0, 1, 2], code)
+    assert blob == _deep_container(_caterpillar(32768), _FIRST_THREE)
     assert retained <= 16 << 20
 
 
@@ -555,6 +587,26 @@ def _random_codes(rng):
     for k in (*range(1, 40), 2 ** 10 - 1, 2 ** 62,
               *(rng.randrange(1, 2 << rng.randrange(20)) for _ in range(60))):
         yield GolombCode(k)
+
+
+def test_each_head_word_is_the_canonical_word():
+    # every head, in canonical order or not, writes symbol by symbol the
+    # words the textbook rule lists for the whole head, with no listing of
+    # the whole head; rows past 64 bits take their first words from the
+    # counts on demand
+    deep = [ExplicitCode([*range(1, 64), 65, *[70] * 96]),
+            ExplicitCode(_caterpillar(300)),
+            ExplicitCode(random.Random(48).sample(_caterpillar(200), 200)),
+            UnaryEndedCode([1, *range(3, 101), 100], 2)]
+    unsorted = 0
+    for code in [*deep, *_random_codes(random.Random(25))]:
+        head = code.head
+        unsorted += head != tuple(sorted(head))
+        want = canonical_words(head)
+        assert tuple(map(code.codeword, range(len(head)))) == want, code
+        assert "head_codewords" not in vars(code)
+        assert code.head_codewords == want
+    assert unsorted >= 40
 
 
 def test_narrowest_matches_the_word_by_word_fill():

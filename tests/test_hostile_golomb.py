@@ -14,17 +14,20 @@ from epc import ContainerError, GolombCode, codec, encode, read_container
 
 @pytest.fixture
 def listed(monkeypatch):
-    """The table widths whose words a plan listed, each recorded when its
+    """The table widths t whose words a plan listed, each recorded when its
     listing starts, since a listing may stop at the second level's budget,
-    and failing past 2**t words; plans built here are dropped afterwards."""
+    and failing past 2**t words of at most t bits, which a prefix code
+    cannot have; plans built here are dropped afterwards."""
     widths = []
     real = codec._canonical_words
 
     def counting(*args):
-        t = args[-1]
+        t = args[1]
         widths.append(t)
-        for n, word in enumerate(real(*args), 1):
-            assert n <= 1 << t, f"more than 2**{t} words listed"
+        short = 0
+        for word in real(*args):
+            short += word[1] <= t
+            assert short <= 1 << t, f"over 2**{t} words of at most {t} bits"
             yield word
 
     codec._plan.cache_clear()

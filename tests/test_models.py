@@ -458,9 +458,13 @@ def test_length_seq_validation():
                        "bad code descriptor: codeword length 3 exceeds the "
                        "alphabet size 2$"):
         encode([0, 1], LengthSeq((1, 3)))
-    # a head word too long to build is refused by name, as a run word is
+    # a head word too long to build is refused by name, as a run word is;
+    # the head's other words are written from their rows all the same
+    assert LengthSeq((1, 2 ** 40)).codeword(0) == "0"
     with pytest.raises(ValueError, match="^symbol 1 has a codeword too long"):
-        LengthSeq((1, 2 ** 40)).codeword(0)
+        LengthSeq((1, 2 ** 40)).codeword(1)
+    with pytest.raises(ValueError, match="^symbol 1 has a codeword too long"):
+        LengthSeq((1, 2 ** 40)).head_codewords
 
 
 def test_power_sum_against_direct():
