@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import mul
+from operator import itemgetter, mul
 from typing import Optional, Union
 
 from .bits import (_canonical_head, _first_codes, _symbol, complete_binary,
@@ -424,129 +424,145 @@ def _ln_sum_exp(xs: list[float]) -> float:
     return top + math.log(math.fsum(map(math.exp, [x - top for x in xs])))
 
 
+class _Series(tuple):
+    """One series' terms t(i), i >= lo, as e**top times a float each: the
+    tuple (top, lo, terms, total), its fields also read by name. Built
+    from that tuple directly: a NamedTuple's keyword constructor costs
+    twice as much, and a short overflow solve sums a few dozen series."""
+
+    __slots__ = ()
+    top = property(itemgetter(0))
+    lo = property(itemgetter(1))
+    terms = property(itemgetter(2))     # from lo on; None: the sum alone
+    total = property(itemgetter(3))     # of every term, any rest included
+
+
 def _terms(model: SourceModel, j: int, alpha: float, beta: float,
-           logs: Optional[list] = None):
+           logs: Optional[list] = None) -> _Series:
     """The terms t(i) = p(i)**alpha * e**(beta*(i-j)), i >= j >= 0, of one
-    series, as (top, lo, ws, ln_q): t(i) = e**top * ws[i - lo] for the
-    terms listed, top the log of the largest (or zero where beta is zero and
-    that term is a normal float); past the last one listed the terms
-    continue geometrically with ratio e**ln_q, unless ln_q is None. Where
-    no caller reads the terms one by one, ws holds their sum alone: Poisson
-    terms with beta nonzero, and at beta zero a listed head's masses powered
-    by an alpha other than one, summed in one pass, their geometric rest
-    included. Any other term left out is certified, with those past it,
-    below _TAIL_REL of the sum.
+    series, as a _Series: t(i) = e**top * terms[i - lo] for the terms
+    listed, top the log of the largest (or zero where beta is zero and that
+    term is a normal float), and total the sum of every term over e**top.
+    On a geometric-tailed source the terms past the last one listed go on
+    geometrically, with ratio rho**alpha * e**beta, and total takes their
+    rest in closed form, added once, where every listed series returns.
+    Poisson terms with beta nonzero keep their sum alone: terms is None.
+    Any other term left out is certified, with those past it, below
+    _TAIL_REL of the sum.
     Where Poisson terms are listed from the source's log masses, those
-    fill the list logs, where given, in step with ws; else it stays empty.
+    fill the list logs, where given, in step with terms; else it stays
+    empty.
 
-    A finite alphabet, and a geometric-tailed head, are listed from their
-    log masses. Poisson terms have the ratio t(i+1)/t(i) = (c/(i+1))**alpha,
-    c = mean * e**(beta/alpha), so they peak at floor(c); they are summed
-    outward from the peak until that ratio, which only falls further out,
-    certifies the rest of each side. A peak more than _MAX_TERMS past j is
-    refused before any term is made, by _peak; listed from log masses, a
-    series whose first block leaves it unsettled is refused there if no
-    block end within _MAX_TERMS past the peak can settle it."""
-    rho = model.tail_ratio
-    if rho is not None and j >= model.tail_start:     # geometric from j on
-        return alpha * model.ln_mass(j), j, [1.0], alpha * math.log(rho) + beta
+    A finite alphabet, and a geometric-tailed head, are listed as their
+    masses to the alpha where beta is zero and the largest is a normal
+    float, else from their log masses. Poisson terms have the ratio
+    t(i+1)/t(i) = (c/(i+1))**alpha, c = mean * e**(beta/alpha), so they
+    peak at floor(c); they are summed outward from the peak until that
+    ratio, which only falls further out, certifies the rest of each side.
+    A peak more than _MAX_TERMS past j is refused before any term is made,
+    by _peak; listed from log masses, a series whose first block leaves it
+    unsettled is refused there if no block end within _MAX_TERMS past the
+    peak can settle it."""
+    rho, size = model.tail_ratio, model.size
     g = beta / alpha     # ln t(i) = alpha * (ln p(i) + g * (i - j))
-    exp, size = math.exp, model.size
-    if size is not None or rho is not None:
-        stop = size if rho is None else model.tail_start + 1
-        ln_q = None if rho is None else alpha * math.log(rho) + beta
-        if j >= stop:
-            return -math.inf, j, [], ln_q
-        if not g:   # the masses to the alpha, where the largest is normal
-            # the source's own tuple, not a copy
-            ps = (model.probs if rho is None else model.head)[j:]
-            # a whole finite alphabet sums to one, so its largest mass lies
-            # in [1/(2 size), 1]
-            if -700.0 < alpha * (-math.log(2 * size) if rho is None and not j
-                                 else math.log(max(ps))) < 700.0:
-                if alpha == 1.0:
-                    return 0.0, j, ps, ln_q
-                # the rest past the last is added after the sum, as
-                # _ln_series adds it to a listed head's
-                total = math.fsum(map(pow, ps, repeat(alpha)))
-                if ln_q is not None:
-                    total += ps[-1] ** alpha * _rest(ln_q)
-                return 0.0, j, [total], None
-        ys = model.ln_masses(j, stop)
-        xs = [y + g * k for k, y in enumerate(ys)] if g else ys
-        top = alpha * max(xs)
-        return top, j, [exp(alpha * x - top) for x in xs], ln_q
-
-    c, k0, ln_peak = _peak(model, j, g, _MAX_TERMS)
-    if ln_peak == -math.inf:    # every term rounds to 0
-        return -math.inf, k0, [], None
-    lo, top = k0, alpha * ln_peak
-    if g:   # each term from its neighbour by the ratio, faster here than
-        # blocks of log masses; no caller reads them one by one: ws, the sum
-        acc = v = 1.0
-        powered = alpha != 1.0
-        for i in range(k0 + 1, k0 + 1 + _MAX_TERMS):
-            q = (c / i) ** alpha if powered else c / i
-            v *= q
-            acc += v
-            if v * q <= _TAIL_REL * (1.0 - q) * acc:
-                break
+    exp, lo = math.exp, j
+    ln_q = None if rho is None else alpha * math.log(rho) + beta
+    if rho is not None and j >= model.tail_start:     # geometric from j on
+        top, ws = alpha * model.ln_mass(j), [1.0]
+    elif size is not None or rho is not None:
+        # the listed masses: at j = 0 the source's own tuple, not a copy
+        ps = (model.probs if rho is None else model.head)[j:]
+        # a whole finite alphabet sums to one, so its largest mass lies in
+        # [1/(2 size), 1]
+        if not g and ps and -700.0 < alpha * (
+                -math.log(2 * size) if rho is None and not j
+                else math.log(max(ps))) < 700.0:
+            top, ws = 0.0, (ps if alpha == 1.0
+                            else list(map(pow, ps, repeat(alpha))))
         else:
-            raise DivergenceError("series did not settle after the term cap")
-        v = 1.0
-        for lo in range(k0 - 1, j - 1, -1):
-            q = ((lo + 1) / c) ** alpha if powered else (lo + 1) / c
-            v *= q
-            acc += v
-            if v * q <= _TAIL_REL * (1.0 - q) * acc:
+            ys = model.ln_masses(j, j + len(ps))
+            xs = [y + g * k for k, y in enumerate(ys)] if g else ys
+            top = alpha * max(xs) if xs else -math.inf
+            ws = [exp(alpha * x - top) for x in xs]
+    else:
+        c, k0, ln_peak = _peak(model, j, g, _MAX_TERMS)
+        lo, top = k0, alpha * ln_peak
+        if ln_peak == -math.inf:    # every term rounds to 0
+            return _Series((top, lo, [], 0.0))
+        if g:   # each term from its neighbour by the ratio, faster here than
+            # blocks of log masses; no caller reads them one by one
+            acc = v = 1.0
+            powered = alpha != 1.0
+            # c / i loses digits once c is no normal float: then from ln c
+            tiny, ln_c = c < _TINY, model._ln_mean + g
+            for i in range(k0 + 1, k0 + 1 + _MAX_TERMS):
+                q = (exp(alpha * (ln_c - math.log(i))) if tiny
+                     else (c / i) ** alpha if powered else c / i)
+                v *= q
+                acc += v
+                if v * q <= _TAIL_REL * (1.0 - q) * acc:
+                    break
+            else:
+                raise DivergenceError(
+                    "series did not settle after the term cap")
+            v = 1.0
+            for lo in range(k0 - 1, j - 1, -1):
+                q = ((lo + 1) / c) ** alpha if powered else (lo + 1) / c
+                v *= q
+                acc += v
+                if v * q <= _TAIL_REL * (1.0 - q) * acc:
+                    break
+            return _Series((top, lo, None, acc))
+        if top > -700.0:    # the peak term is a normal float: no shift
+            top = 0.0
+
+        def block(start: int, stop: int) -> list[float]:
+            """t(start), ..., t(stop - 1) over e**top, from the log masses; a
+            block below the peak puts its logs before those logs holds."""
+            ys = model.ln_masses(start, stop)
+            if logs is not None and start < k0:
+                logs[:0] = ys
+            elif logs is not None:
+                logs.extend(ys)
+            if top:
+                return [exp(alpha * y - top) for y in ys]
+            return list(map(exp, map(mul, ys, repeat(alpha))))
+
+        # the first blocks span several spreads of the peak, sqrt(c / alpha);
+        # each later one reaches where the ratio q, which only falls further
+        # out, would certify the rest (at most four times the block before)
+        ws = block(k0, k0 + 1)
+        hi, acc = k0 + 1, ws[0]
+        size = width = 16 + int(12.0 * math.sqrt(c / alpha))
+        last = k0 + _MAX_TERMS    # the last term the cap lets in
+        first = True
+        while True:     # past the peak; q is the ratio of t(hi) to t(hi - 1)
+            bw = block(hi, min(hi + size, last + 1))
+            ws += bw
+            hi += len(bw)
+            acc += math.fsum(bw)
+            q = (c / hi) ** alpha
+            if bw[-1] * q <= _TAIL_REL * (1.0 - q) * acc:
                 break
-        return top, lo, [acc], None
-    if top > -700.0:    # the peak term is a normal float: no shift
-        top = 0.0
-
-    def block(start: int, stop: int) -> list[float]:
-        """t(start), ..., t(stop - 1) over e**top, from the log masses; a
-        block below the peak puts its logs before those logs holds."""
-        ys = model.ln_masses(start, stop)
-        if logs is not None and start < k0:
-            logs[:0] = ys
-        elif logs is not None:
-            logs.extend(ys)
-        if top:
-            return [exp(alpha * y - top) for y in ys]
-        return list(map(exp, map(mul, ys, repeat(alpha))))
-
-    # the first blocks span several spreads of the peak, sqrt(c / alpha);
-    # each later one reaches where the ratio q, which only falls further
-    # out, would certify the rest (at most four times the block before)
-    ws = block(k0, k0 + 1)
-    hi, acc = k0 + 1, ws[0]
-    size = width = 16 + int(12.0 * math.sqrt(c / alpha))
-    last = k0 + _MAX_TERMS    # the last term the cap lets in
-    first = True
-    while True:     # past the peak; q is the ratio of t(hi) to t(hi - 1)
-        bw = block(hi, min(hi + size, last + 1))
-        ws += bw
-        hi += len(bw)
-        acc += math.fsum(bw)
-        q = (c / hi) ** alpha
-        if bw[-1] * q <= _TAIL_REL * (1.0 - q) * acc:
-            break
-        if hi > last or first and _unsettled(model, k0, ln_peak, alpha):
-            raise DivergenceError("series did not settle after the term cap")
-        first = False
-        size = _reach(bw[-1], q, acc, size)
-    size = width
-    while lo > j:   # below the peak; q is the ratio of t(lo - 1) to t(lo)
-        bw = block(max(j, lo - size), lo)
-        lo -= len(bw)
-        ws[:0] = bw
-        acc += math.fsum(bw)
-        q = (lo / c) ** alpha
-        if bw[0] * q <= _TAIL_REL * (1.0 - q) * acc:
-            break
-        size = _reach(bw[0], q, acc, size)
-    return top, lo, ws, None
+            if hi > last or first and _unsettled(model, k0, ln_peak, alpha):
+                raise DivergenceError(
+                    "series did not settle after the term cap")
+            first = False
+            size = _reach(bw[-1], q, acc, size)
+        size = width
+        while lo > j:   # below the peak; q is the ratio of t(lo - 1) to t(lo)
+            bw = block(max(j, lo - size), lo)
+            lo -= len(bw)
+            ws[:0] = bw
+            acc += math.fsum(bw)
+            q = (lo / c) ** alpha
+            if bw[0] * q <= _TAIL_REL * (1.0 - q) * acc:
+                break
+            size = _reach(bw[0], q, acc, size)
+    total = math.fsum(ws)
+    if ln_q is not None:
+        total += ws[-1] * _rest(ln_q)
+    return _Series((top, lo, ws, total))
 
 
 def _peak(model: Poisson, j: int, g: float, cap: float = math.inf):
@@ -595,29 +611,29 @@ def _rest(ln_q: float) -> float:
 
 def _ln_series(model: SourceModel, j: int, alpha: float, beta: float) -> float:
     """ln sum_{i>=j} p(i)**alpha * e**(beta*(i-j)) for alpha > 0: the one
-    series behind every tail, power and Renyi sum; -inf for no terms."""
-    top, _, ws, ln_q = _terms(model, j, alpha, beta)
-    total = math.fsum(ws)
-    if ln_q is not None:
-        total += ws[-1] * _rest(ln_q)
-    return top + math.log(total) if ws else -math.inf
+    series behind every tail, power and Renyi sum, read off _terms' top and
+    total; -inf for no terms."""
+    top, _, _, total = _terms(model, j, alpha, beta)
+    return top + math.log(total) if total else -math.inf
 
 
 def _mass_moment(model: SourceModel, j: int, logs: bool):
     """(sum p(i), sum p(i) * f(i)) over i >= j, f(i) = ln p(i) with logs,
     else i - j: the plain mass series of _ln_series, p(i) = e**top * w(i),
-    and a first moment of it. j is 0 or an infinite source's tail start, so
-    _terms lists at least one term. Log masses _terms read are not read
-    again."""
+    whose total is the first sum, and a first moment of it, which adds its
+    own geometric rest at the source's tail ratio. j is 0 or an infinite
+    source's tail start, so _terms lists at least one term. Log masses
+    _terms read are not read again."""
     ys = [] if logs else None
-    top, lo, ws, ln_q = _terms(model, j, 1.0, 0.0, ys)
+    top, lo, ws, s = _terms(model, j, 1.0, 0.0, ys)
+    rho = model.tail_ratio
+    ln_q = None if rho is None else math.log(rho)
     fs, step = ((ys or model.ln_masses(lo, lo + len(ws)), ln_q) if logs
                 else (range(lo - j, lo - j + len(ws)), 1.0))
-    s, sf = math.fsum(ws), math.fsum(map(mul, ws, fs))
+    sf = math.fsum(map(mul, ws, fs))
     if ln_q is not None:
         # w q**k for k >= 1 past the last listed term w, f(last) + k * step
         w, r = ws[-1], _rest(ln_q)
-        s += w * r
         sf += w * (fs[-1] * r + step * r * (1.0 + r))   # sum k q**k
     scale = math.exp(top)
     return scale * s, scale * sf
@@ -803,10 +819,12 @@ class _Profile:
             # largest term p(i) * 2**(i - t0), or unbounded where they grow
             if self.model.tail_ratio is None:   # Poisson: read at its peak
                 top = _peak(self.model, self.t0, LN2)[2]
-            else:   # a listed head, then a geometric rest at ratio e**ln_q
-                top, _, _, ln_q = _terms(self.model, self.t0, 1.0, LN2)
-                if ln_q > 0.0:
+            else:   # a listed head, then a geometric rest at ratio 2 rho
+                model, t0 = self.model, self.t0
+                if math.log(model.tail_ratio) + LN2 > 0.0:
                     return math.inf
+                top = max(y + LN2 * k for k, y in enumerate(
+                    model.ln_masses(t0, max(t0, model.tail_start) + 1)))
             run = self.tail.spine + 1 + top / LN2
         if not self.groups:
             return run
