@@ -144,40 +144,68 @@ def kraft_sign(ordered) -> int:
     return -1 if free else 0
 
 
-# Head words of at most this many bits have their row's first word kept and
-# decode from a window this wide; a longer row's first word is written on
-# from the counts when asked for, and its words decode by offsets from them.
+# Head words of at most this many bits have their row's offset kept and
+# decode from a window this wide; a longer row keeps none, and its words are
+# written and read by the offset recurrence from the rows' counts.
 _WINDOW = 64
 
 
 def _first_codes(rows):
-    """The one canonical rule: (length, first word as an integer) per row,
-    from rows (length, count, words before) in length order. Words go in
-    (length, index) order, each one more than the previous, shifted out to
-    its own length; a row's first word depends only on the shorter rows."""
+    """The one canonical rule: the first word of each row, as an integer,
+    from rows (length, count, ...) in length order. Words go in (length,
+    index) order, each one more than the previous, shifted out to its own
+    length; a row's first word depends only on the shorter rows."""
     code = at = 0
-    for length, n, _ in rows:
+    for length, n, *_ in rows:
         code <<= length - at
-        yield length, code
+        yield code
         code, at = code + n, length
+
+
+def _long_word(rows, r, d):
+    """Word d of row r, a row past _WINDOW bits, as a string: the canonical
+    offset recurrence codec._past_window reads it by, run backward from its
+    row to the window. Each row past the window, from row r down, writes
+    the low bits of d, as many as its length exceeds the previous row's (or
+    _WINDOW, for the first such row); d then drops them and takes the
+    previous row's count when that row is past the window too, else where
+    the window's rows end, which starts the word's first _WINDOW bits.
+    Every d stays below the head's size, so the work is linear in the
+    word."""
+    parts = []
+    length = rows[r][0]
+    while length > _WINDOW:
+        # the previous row, or an empty one of no bits before the first
+        at, count, before, offset = rows[r - 1] if r else (0, 0, 0, 0)
+        step = length - max(at, _WINDOW)
+        parts.append(format(d & (1 << step) - 1, f"0{step}b"))
+        d = (d >> step) + (count if offset is None
+                           else offset + before + count << _WINDOW - at)
+        length, r = at, r - 1
+    parts.append(format(d, f"0{_WINDOW}b"))
+    return "".join(reversed(parts))
 
 
 def _canonical_head(lengths):
     """A head's canonical layout, the one record every head word is written
-    from: its rows (length, count, words before) in length order, its
-    symbols in (length, index) order, each symbol's place in that order,
-    and {length: first word} of its rows of at most _WINDOW bits."""
+    from: its rows (length, count, words before, offset) in length order,
+    its symbols in (length, index) order and each symbol's place in that
+    order. A row of at most _WINDOW bits has as offset its first word less
+    the words before it, so the word at canonical place k is offset + k; a
+    longer row's offset is None."""
     counts = sorted(Counter(lengths).items())
     before = accumulate((n for _, n in counts), initial=0)
-    rows = [(*row, words) for row, words in zip(counts, before)]
+    # the rows of at most _WINDOW bits come first, each taking the next word
+    first = _first_codes(row for row in counts if row[0] <= _WINDOW)
+    rows = [(l, n, words, next(first) - words if l <= _WINDOW else None)
+            for (l, n), words in zip(counts, before)]
     # a list, several times faster to index than a range; a sorted head is
     # in canonical order already, and its places are its order
     order = place = list(range(len(lengths)))
     if any(map(operator.gt, lengths, lengths[1:])):
         order = sorted(place, key=lengths.__getitem__)
         place = sorted(place, key=order.__getitem__)
-    first = dict(_first_codes(row for row in rows if row[0] <= _WINDOW))
-    return rows, order, place, first
+    return rows, order, place
 
 
 def complete_binary(x: int, k: int) -> str:

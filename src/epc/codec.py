@@ -28,19 +28,22 @@ never its class. A descriptor's lengths are read in one pass.
 Everything decoding derives from the code alone is built once per
 descriptor into a decode plan and kept, for the last 16 descriptors read, in
 a cache keyed by the descriptor's bytes. A plan holds each fact by name: the
-parsed `code`, the canonical `rows`, (length, count, words before) each,
-and symbol `order` of the code's head record, the `bounds` where its rows
-of at most 64 bits start, at 64 bits, the `spine` and the run's `k`, the
-table width `narrowest`, the multi-symbol `table` (Choueka, Klein & Perl
-1985) and encode's `words`, kept up to a budget of bits. Its rows hold
-small counts, so a plan grows with the descriptor, not with its longest
-word. Every word has one writer: `bits` lays a head out once, in the record
-the code keeps, whose rows of at most 64 bits keep their first words from
-the one canonical rule. `LengthSeq.codeword` writes a head word as its
-row's first word plus its place in the row, the bounds are those first
-words, and the table lists the head's words from the same rows and the
-run's as `LengthSeq.codeword` writes them. A stream of containers under
-one code parses, checks and tabulates it once.
+parsed `code`, the canonical `rows`, (length, count, words before,
+offset) each, and symbol `order` of the code's head record, the `bounds`,
+0 and then where each of its rows of at most 64 bits ends, at 64 bits, the
+`spine` and the run's `k`, the table width `narrowest`, the multi-symbol
+`table` (Choueka, Klein & Perl 1985) and encode's `words`, kept up to a
+budget of bits. Its rows hold small counts, so a plan grows with the
+descriptor, not with its longest word. Every word has one writer: `bits`
+lays a head out once, in the record the code keeps, whose rows of at most
+64 bits each keep one offset from the one canonical rule, their first word
+less the words before them, so the word at canonical place k is offset +
+k. `LengthSeq.codeword` writes a head word from its row's offset, or past
+64 bits by the offset recurrence the decoder reads it with, run backward;
+the decoder's steps carry the offsets as they are, the bounds are the
+rows' ends, and the table lists the head's words from the same offsets and
+the run's as `LengthSeq.codeword` writes them. A stream of containers
+under one code parses, checks and tabulates it once.
 The table maps the next t payload bits to every whole codeword in them and
 the bits they use, so one lookup emits several symbols. Its width is the
 code's: the narrowest t of 8, 10, 12 and 14 bits whose words fill 7/8 of
@@ -324,15 +327,15 @@ def _table_run(bits: str, pos: int, out: list, stop: int, t: int,
 def _canonical_words(plan: _Plan, t: int, longest: int = 0):
     """(value, length, symbol) of every word of at most t bits, then of
     those of t + 1 to `longest` bits in code order. The head's words are
-    each row's first word counting up, from the rows of at most max(t,
-    longest) bits, in (length, symbol) order; the run's, above them in code
-    space, as the code writes them, up to the first too long, since a run's
-    lengths never fall. The words of at most t bits are prefix free, so at
-    most 2**t of them are listed."""
-    window, order = plan.window, plan.order
-    words = [((start >> window - length) + j, length, order[before + j])
-             for (length, count, before), start in zip(plan.rows, plan.bounds)
-             if length <= max(t, longest) for j in range(count)]
+    each row's offset plus its canonical places, from the rows of at most
+    max(t, longest) bits, in (length, symbol) order; the run's, above them
+    in code space, as the code writes them, up to the first too long, since
+    a run's lengths never fall. The words of at most t bits are prefix
+    free, so at most 2**t of them are listed."""
+    words = [(offset + k, length, plan.order[k])
+             for length, count, before, offset in plan.rows
+             if length <= max(t, longest)
+             for k in range(before, before + count)]
     i = len(plan.code.head)       # the run's next symbol
     for shortest, last in ((1, t), (t + 1, longest)):
         yield from (word for word in words if shortest <= word[1] <= last)
@@ -353,7 +356,7 @@ def _past_window(bits: str, pos: int, d: int, plan: _Plan, append) -> int:
     count, else d passes it. A valid d stays below the number of longer
     words, so at the code's word count no row matches."""
     at = plan.window
-    for length, count, before in itertools.islice(
+    for length, count, before, _ in itertools.islice(
             plan.rows, len(plan.bounds) - 1, None):
         d = (d << length - at) + int(bits[pos + at:pos + length], 2)
         if d < count:
@@ -372,21 +375,21 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
 
     The first `window` = min(L, _WINDOW) bits w decide a row word of at
     most window bits in one bisection of the rows' starts at window bits: a
-    word of row i, length l, is symbol order[before + ((w - bounds[i]) >>
-    window - l)], read through steps built per container, which fold the
-    row's start and `before` into one offset, so that such a word costs one
-    shift and one subtraction after the bisection. A word past those rows
-    that does not start with the spine's ones is a longer row's, read by
-    offsets (_past_window), or no word. A run word past the spine is read
-    arithmetically: its ones up to the next zero are the quotient, then
-    g - 1 suffix bits, and one more when they read z = 2**g - k or more.
+    word of row i, length l, is symbol order[(w >> window - l) - offset],
+    offset the row's in the record, read through steps built per container,
+    so that such a word costs one shift and one subtraction after the
+    bisection. A word past those rows that does not start with the spine's
+    ones is a longer row's, read by offsets (_past_window), or no word. A
+    run word past the spine is read arithmetically: its ones up to the next
+    zero are the quotient, then g - 1 suffix bits, and one more when they
+    read z = 2**g - k or more.
     """
     window, rows, bounds = plan.window, plan.rows, plan.bounds
     order, spine, k = plan.order, plan.spine, plan.k
     # per window row (l, shift, offset): its word w at window bits is symbol
     # order[(w >> shift) - offset], a row's start being a multiple of 2**shift
-    steps = [(length, window - length, (start >> window - length) - before)
-             for (length, _, before), start in zip(rows, bounds[:-1])]
+    steps = [(length, window - length, offset)
+             for length, _, _, offset in rows[:len(bounds) - 1]]
     short = len(steps)
     run_start = len(order)
     g = k.bit_length()
@@ -433,9 +436,9 @@ def _decode_canonical(bits: str, count: int, plan: _Plan):
 
 
 # Descriptors whose plans the cache keeps; each holds its code with the code's
-# head record (rows of three small integers per distinct head length, the
-# symbol order, each symbol's place in it and the first words of the rows of
-# at most 64 bits), at most 65 bounds of at most 65 bits, and at most one
+# head record (rows of four small integers per distinct head length, the last
+# an offset of at most 64 bits or None, the symbol order and each symbol's
+# place in it), at most 65 bounds of at most 65 bits, and at most one
 # table. The code's head and the order take about 40 and 36 bytes a symbol,
 # the places 8 more where the head is not in canonical order (else they are
 # the order), the rows about 100 bytes a distinct length: the plan of
@@ -484,17 +487,19 @@ class _Plan:
 
     `width` is L, the longest head length, spine included. The head's
     words of one length l form a row, shortest first, and `rows` holds
-    (l, count, before) per row, before the words of the shorter rows: the
-    row's j-th word is symbol order[before + j]; both come from the code's
-    head record. `window` is W = min(L, _WINDOW), and `bounds` holds where
-    each row of at most W bits starts, at W bits, from the record's first
-    words, then where the last of them ends; longer rows are read by
-    offsets from their counts, so no integer the plan stores is wider than
-    W + 1 bits. The spine, `spine` 1s at the top of code space, follows
-    the rows; behind it symbols len(order) on take the Golomb-k run's
-    words, `k` the tail's: a code with no tail has no run, k = 0. A Golomb
-    code is a run behind no rows and an empty spine. `narrowest` is the code's table width, 0 for none;
-    `table` is the (t, table) of the widest multi-symbol table built,
+    (l, count, before, offset) per row, before the words of the shorter
+    rows: the row's j-th word is symbol order[before + j], and for l at
+    most _WINDOW its value is offset + before + j; both come from the
+    code's head record. `window` is W = min(L, _WINDOW), and `bounds` holds
+    0, then where each row of at most W bits ends, at W bits (offset +
+    before + count, shifted out to W bits), so row i starts at bounds[i];
+    longer rows, whose offset is None, are read by offsets from their
+    counts, so no integer the plan stores is wider than W + 1 bits. The
+    spine, `spine` 1s at the top of code space, follows the rows; behind it
+    symbols len(order) on take the Golomb-k run's words, `k` the tail's: a
+    code with no tail has no run, k = 0. A Golomb code is a run behind no
+    rows and an empty spine. `narrowest` is the code's table width, 0 for
+    none; `table` is the (t, table) of the widest multi-symbol table built,
     (0, None) while none is, built under `lock`; `words` is encode's word
     table.
     """
@@ -506,23 +511,24 @@ class _Plan:
         self.k = k = tail.k if tail else 0
         self.width = width = max(lengths + (spine,))
         self.window = window = min(width, _WINDOW)
-        self.rows, self.order, _, first = code._canonical
+        self.rows, self.order, _ = code._canonical
         # rows no longer than t fill code space up to where the last one
         # ends, and the run behind the spine fills max(0, 2**(t - spine) - k),
         # in parts of 2**t
         self.narrowest = 0
         for t in (8, 10, 12, 14):
             filled = sum(c << t - length
-                         for length, c, _ in self.rows if length <= t)
+                         for length, c, *_ in self.rows if length <= t)
             if k and spine <= t:
                 filled += max(0, (1 << t - spine) - k)
             if 8 * filled >= 7 << t:
                 self.narrowest = t
                 break
-        # the rows of at most W bits are those the record keeps first words of
-        self.bounds = [w << window - length for length, w in first.items()]
-        self.bounds.append(sum(c << window - length for length, c, _
-                               in self.rows if length <= window))
+        # 0, then where each row of at most W bits, one the record keeps an
+        # offset for, ends at W bits: each row starts where the last ends
+        self.bounds = [0, *(offset + before + c << window - length
+                            for length, c, before, offset in self.rows
+                            if offset is not None)]
         self.table = (0, None)
         self.lock = threading.Lock()
         self.words = _Words(code)

@@ -18,8 +18,8 @@ from itertools import repeat
 from operator import itemgetter, mul
 from typing import Optional, Union
 
-from .bits import (_canonical_head, _first_codes, _symbol, complete_binary,
-                   integer_lengths, kraft_sign)
+from .bits import (_canonical_head, _first_codes, _long_word, _symbol,
+                   complete_binary, integer_lengths, kraft_sign)
 from .errors import DivergenceError, EpcError
 from .numeric import LN2, check_positive, check_ratio, check_weights, shown
 
@@ -344,7 +344,12 @@ class LengthSeq:
         longest = max(self.head, default=0)
         if longest > _MOST_ONES:
             self.codeword(self.head.index(longest))     # refuses by name
-        return tuple(map(self.codeword, range(len(self.head))))
+        # one walk of the rows: each row's words are its first word counting
+        # up, listed in canonical order, then placed by symbol
+        rows, _, place = self._canonical
+        words = [bin(first + j | 1 << length)[3:] for (length, n, *_), first
+                 in zip(rows, _first_codes(rows)) for j in range(n)]
+        return tuple(map(words.__getitem__, place))
 
     def length_at(self, i: int) -> int:
         i = _symbol(i)
@@ -360,22 +365,22 @@ class LengthSeq:
 
     def codeword(self, i: int) -> str:
         """Symbol i's word, refused past _MOST_ONES bits: in the head its
-        row's first word plus its place in the row, past the head the run's,
-        the spine and quotient in ones, a zero, then the complete binary
-        suffix of the remainder."""
+        row's offset plus its canonical place (bits._long_word past 64
+        bits), past the head the run's, the spine and quotient in ones, a
+        zero, then the complete binary suffix of the remainder."""
         i, head, tail = _symbol(i), self.head, self.tail
         if i < len(head):
             length = head[i]
             if length > _MOST_ONES:
                 raise ValueError(f"symbol {shown(i)} has a codeword too long "
                                  "to build")
-            rows, _, place, first = self._canonical
-            word = first.get(length)
-            if word is None:    # a row past 64 bits: one first word at a time
-                word = next(w for l, w in _first_codes(rows) if l == length)
-            _, _, before = rows[bisect_left(rows, (length,))]
+            rows, _, place = self._canonical
+            r = bisect_left(rows, (length,))
+            _, _, before, offset = rows[r]
+            if offset is None:      # a row past 64 bits
+                return _long_word(rows, r, place[i] - before)
             # the leading 1 keeps the word's leading zeros
-            return bin(word + place[i] - before | 1 << length)[3:]
+            return bin(offset + place[i] | 1 << length)[3:]
         if tail is None:
             raise ValueError(f"no codeword for symbol {shown(i)}")
         q, r = divmod(i - len(head), tail.k)

@@ -412,6 +412,31 @@ def test_a_deep_code_encodes_in_small_counts():
     assert retained <= 16 << 20
 
 
+def test_a_deep_head_is_listed_in_one_walk_of_its_rows():
+    # each row's words are its first word counting up, so no word walks the
+    # shorter rows again: the listing is linear in the words' bits, where a
+    # walk per word is cubic in n
+    code = ExplicitCode(_caterpillar(8192))
+    start = time.process_time()
+    words = code.head_codewords
+    assert time.process_time() - start < 2.0
+    assert words[-2:] == ("1" * 8190 + "0", "1" * 8191)
+    assert words[:3] == ("0", "10", "110")
+
+
+def test_a_word_past_64_bits_is_written_in_work_linear_in_its_length():
+    # the offset recurrence run backward from the word's row keeps d below
+    # the head's size; a walk of the shorter rows' first words shifts an
+    # integer as long as the word once per row
+    n = 262144
+    code = ExplicitCode(_caterpillar(n))
+    code._canonical     # the record, built once per code
+    start = time.process_time()
+    word = code.codeword(n - 1)
+    assert time.process_time() - start < 1.0
+    assert word == "1" * (n - 1)
+
+
 def _prefix_decode(code, payload: str, count: int) -> list[int]:
     """The oracle past the window: each head word looked up whole among the
     textbook canonical words, else the spine's ones and a unary run word."""
@@ -597,7 +622,10 @@ def test_each_head_word_is_the_canonical_word():
     deep = [ExplicitCode([*range(1, 64), 65, *[70] * 96]),
             ExplicitCode(_caterpillar(300)),
             ExplicitCode(random.Random(48).sample(_caterpillar(200), 200)),
-            UnaryEndedCode([1, *range(3, 101), 100], 2)]
+            UnaryEndedCode([1, *range(3, 101), 100], 2),
+            ExplicitCode(random.Random(50).sample(
+                [*range(1, 64), 66, 70, 70, 140], 67)),
+            ExplicitCode((65, 65, 66, 66))]
     unsorted = 0
     for code in [*deep, *_random_codes(random.Random(25))]:
         head = code.head
