@@ -11,66 +11,22 @@ read off that shape: a head alone (0x02, its lengths; read back as an
 and spine lengths; a `UnaryEndedCode`) or a k-run with no head or spine
 (0x01, k; a `GolombCode`); no other shape has one. A descriptor is parsed
 under the container's own rules, which a code need not keep; encode parses
-its own into the decode plan below and writes the words of the plan's
-code, so it refuses, as a ValueError, every code decode would refuse.
+its own, so it refuses, as a ValueError, every code decode would refuse.
 
-Both directions work on the payload as one string of "0"/"1" characters:
-encode joins one codeword string per symbol from its plan's word table,
-which writes each word when first asked for and keeps it across
-containers, and converts the whole string once; decode formats the
-payload once and walks it by index, building no codeword strings. One
-canonical decoder (Moffat & Turpin, "On the implementation of
-minimum-redundancy prefix codes", IEEE Trans. Commun. 1997) reads every
-code's head through its rows' starts within a 64-bit window and by
-offsets past it, and its run's words arithmetically from spine and k,
-never its class. A descriptor's lengths are read in one pass.
-
-Everything decoding derives from the code alone is built once per
-descriptor into a decode plan and kept, for the last 16 descriptors read, in
-a cache keyed by the descriptor's bytes. A plan holds each fact by name: the
-parsed `code`, the canonical `rows`, (length, count, words before,
-offset) each, and symbol `order` of the code's head record, the `bounds`,
-0 and then where each of its rows of at most 64 bits ends, at 64 bits, the
-`spine` and the run's `k`, the table width `narrowest`, the multi-symbol
-`table` (Choueka, Klein & Perl 1985) and encode's `words`, kept up to a
-budget of bits. Its rows hold small counts, so a plan grows with the
-descriptor, not with its longest word. Every word has one writer: `bits`
-lays a head out once, in the record the code keeps, whose rows of at most
-64 bits each keep one offset from the one canonical rule, their first word
-less the words before them, so the word at canonical place k is offset +
-k. `LengthSeq.codeword` writes a head word from its row's offset, or past
-64 bits by the offset recurrence the decoder reads it with, run backward;
-the decoder's steps carry the offsets as they are, the bounds are the
-rows' ends, and the table lists the head's words from the same offsets and
-the run's as `LengthSeq.codeword` writes them. A stream of containers
-under one code parses, checks and tabulates it once.
-The table maps the next t payload bits to every whole codeword in them and
-the bits they use, so one lookup emits several symbols. Its width is the
-code's: the narrowest t of 8, 10, 12 and 14 bits whose words fill 7/8 of
-code space, read off the rows once per plan, and none if no such t exists;
-a code that fills 7/8 at 8 bits takes 10 bits from 1024 symbols. A window
-whose first word is longer than t bits leads to a second table, keyed by
-the next u bits, u the longest word behind the window less t and at most
-t, that gives the word in one more lookup; a single step costs about six.
-The windows take second tables in code order, most probable first, while
-the second level holds at most 2**t words behind at most 2**(t + 1) keys.
-The first container of at least 2**t symbols builds both levels from the
-words of at most t + u bits, the largest u, so the first level's
-2**(t + 1) - 1 entries are fewer than 2 per symbol; a 14-bit plan holds
-about 2 MB in its first level and at most about 4 MB in its second. A
-container of any length decodes through the table its plan holds. Words
-the second level does not hold, windows that match no word and the
-symbols left once fewer than t remain before the count take the
-single-symbol steps above, so padding bits never decode as symbols and
-every container check reads as without the table.
+What decoding derives from a code alone is built once per descriptor into
+a decode plan (`_Plan`), and the plans of recent descriptors are cached.
+Encode joins the words of the plan's word table (`_Words`). Decode reads
+words one at a time with the canonical decoder (`_decode_canonical`), and,
+once a plan has decoded enough symbols, a payload nibble at a time through
+the plan's automaton (`_automaton`, walked by `_walk`).
 """
 from __future__ import annotations
 
 import itertools
 import struct
 import threading
-from bisect import bisect_right
-from functools import cache, lru_cache
+from bisect import bisect_left, bisect_right
+from functools import lru_cache
 
 from .bits import (_WINDOW, _symbol, kraft_sign, uleb128_decode,
                    uleb128_decode_all, uleb128_encode, uleb128_encode_all)
@@ -215,133 +171,191 @@ def _parse_descriptor(descriptor: bytes) -> LengthSeq:
         raise ContainerError(f"bad code descriptor: {exc}") from exc
 
 
-# Multi-symbol table decoding (Choueka, Klein & Perl, "Efficient variants of
-# Huffman codes in high level languages", SIGIR 1985). One rule sets the
-# width: the code's narrowest t of 8, 10, 12 and 14 bits whose words fill at
-# least 7/8 of code space, since below that too many symbols take a failed
-# lookup and a single step (the 4096-symbol Zipf code, at 64% for t = 10,
-# decoded about 5% slower with a table; it fills 95% at t = 14). A code that
-# fills 7/8 at 8 bits takes _WIDE bits from 2**_WIDE symbols: on the Golomb
-# and unary codes that do, a 10-bit table decodes 15-37% faster per symbol
-# than an 8-bit one. The first container of at least 2**t symbols builds
-# the table, so its 2**(t + 1) - 1 entries are fewer than 2 per symbol, and
-# it stays in the code's plan for containers of any length.
-_WIDE = 10
+# The automaton's states, at most; each holds 16 entries and its depth.
+_STATES = 1 << 12
+# payload.hex() characters -> nibble values
+_NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+# nibbles walked between looks at the count, so that a walk stops soon past
+# it on a payload far longer than its count says
+_CHUNK = 1 << 10
 
 
-# A table is keyed by the window's own characters: a dict lookup on the
-# slice takes about half the time of parsing it with int(window, 2). The
-# keys are the same for every code, so they are made once per width (the
-# leading 1 of 2**t + u keeps u's leading zeros).
-@cache
-def _window_keys(t: int) -> list[str]:
-    return [bin(u)[3:] for u in range(1 << t, 2 << t)]
+def _canonical_words(plan: _Plan, length: int) -> list[tuple[int, int]]:
+    """[(value, symbol)] of the code's words of `length` bits: the head's
+    row of that length, each word its row's offset plus its canonical place
+    (past 64 bits as LengthSeq.codeword writes it), then the run's words as
+    LengthSeq.codeword writes them. A Golomb-k word of quotient q is spine
+    + 1 + q bits, then g - 1 suffix bits for the z = 2**g - k remainders
+    below z and g for the rest, so a length holds remainders below z at one
+    quotient and the others at the quotient before."""
+    rows, order, code = plan.rows, plan.order, plan.code
+    words = []
+    r = bisect_left(rows, (length,))
+    if r < len(rows) and rows[r][0] == length:
+        _, count, before, offset = rows[r]
+        places = range(before, before + count)
+        words = ([(offset + k, order[k]) for k in places]
+                 if offset is not None else
+                 [(int(code.codeword(order[k]), 2), order[k]) for k in places])
+    if plan.k:
+        k, g = plan.k, plan.k.bit_length()
+        z = (1 << g) - k
+        for q, low, high in ((length - plan.spine - g, 0, z),
+                             (length - plan.spine - g - 1, z, k)):
+            if q >= 0:
+                start = len(order) + q * k
+                words += [(int(code.codeword(i), 2), i)
+                          for i in range(start + low, start + high)]
+    return words
 
 
-def _decode_table(words, t: int):
-    """{t-bit window: (symbols, bits used)} for the whole words that start
-    the window; ((u, second), 0) when its first word is longer than t bits
-    and `second` maps the next u bits to that word's ((symbol,), bits used);
-    ((), 0) when the window matches no word or the second level's budget
-    ran out before it.
+def _automaton(plan: _Plan, decoded: int):
+    """-> (states, automaton): the code's 4-bit decoding automaton
+    (Choueka, Klein & Perl, "Efficient variants of Huffman codes in high
+    level languages", SIGIR 1985) and its number of states, the automaton
+    None until `decoded` symbols reach half its 16 * states entries;
+    (0, None) when the code takes none.
 
-    `words` yields (value, length, symbol) for every word of at most t
-    bits, then in code order for those of t + 1 to t + U bits, U <= t. The
-    table for width w is filled one word at a time: the 2**(w - l) windows
-    behind a word of l bits are that word plus the width w - l entries, so
-    the widths 0..t together hold 2**(t + 1) - 1 entries. Each window whose
-    words are longer takes u as its longest listed word less t, and a key
-    for each u bits that start one of those words. The windows take their
-    second tables in code order, most probable words first, while the
-    second level holds at most 2**t words behind at most 2**(t + 1) keys;
-    the listing stops at the word after the window that breaks either.
-    """
-    by_length = [[] for _ in range(t + 1)]
-    words = iter(words)
-    for value, length, symbol in words:
-        if length > t:      # the rest, in code order
-            words = itertools.chain([(value, length, symbol)], words)
+    Its states are internal nodes of the code's trie, shallowest first: the
+    root, then the children of each depth's states that are neither words
+    (_canonical_words of their length) nor a bit pattern that starts no
+    word, while the states number at most _STATES and that depth's hold
+    more than 2**-12 of code space, so that a word past them is rarer than
+    that on a code that fits its source. The patterns that start no word
+    are found past the last word of a head with no run whose rows are all
+    within 64 bits; elsewhere such a pattern is taken as a node, and the
+    walk misses below it. The words whose parent is a state are within the
+    automaton's reach; unless they fill at least 7/8 of code space, too
+    many words would take a single step, and the code takes none.
+
+    A state is a list: entry x, for the next four payload bits x, is
+    (symbols, next state), the symbols of the words those bits complete
+    from the state, each ending at the root, and the state the bits end in;
+    entry 16 is the state's depth, the bits of the unfinished word behind
+    it. An entry is None where the bits leave the states, into a node past
+    them or a pattern that starts no word: the walk then reads the
+    unfinished word by single steps. The entries are composed from each
+    state's two children, through its four 2-bit entries. The automaton
+    is (root, resume), resume mapping the bits of each state of depth 3
+    or less to the state, where the walk picks up after single steps."""
+    rows = plan.rows
+    # a head with no run, all its rows within 64 bits: a child past its
+    # last word's prefix starts no word; any other child that is not a word
+    # is taken as a node, which at worst makes a miss of a hole
+    last = None
+    if not plan.k and rows[-1][3] is not None:
+        longest, last = rows[-1][0], rows[-1][3] + len(plan.order) - 1
+    root = [None] * 16 + [0]
+    states, resume, frontier = [root], {"": root}, [(0, root)]
+    depth = filled = 0      # filled in parts of 2**(depth + 1)
+    while frontier:
+        words = dict(_canonical_words(plan, depth + 1))
+        top = None if last is None else (
+            last >> longest - depth - 1 if depth + 1 < longest else -1)
+        # the frontier's children become states while it holds more than
+        # 2**-12 of code space
+        grow = len(frontier) << 12 > 1 << depth
+        filled <<= 1
+        deeper = []
+        for value, state in frontier:
+            # each child's entry, (symbols, state) or None, at 17 and 18
+            for child in (2 * value, 2 * value + 1):
+                if child in words:
+                    state.append(((words[child],), root))
+                    filled += 1
+                elif grow and len(states) < _STATES and (top is None
+                                                         or child <= top):
+                    node = [None] * 16 + [depth + 1]
+                    state.append(((), node))
+                    states.append(node)
+                    deeper.append((child, node))
+                    if depth < 3:
+                        resume[bin(child | 2 << depth)[3:]] = node
+                else:
+                    state.append(None)
+        frontier = deeper
+        depth += 1
+    if 8 * filled < 7 << depth:
+        return 0, None
+    if decoded < 8 * len(states):
+        return len(states), None
+    # the 2-bit entries at 19 to 22, then the 4-bit ones, each a's bits
+    # then b's; an entry that emits nothing first is the next one's
+    for state in states:
+        state += [b and (a[0] + b[0], b[1]) if a and a[0] else b
+                  for a in state[17:19]
+                  for b in (a[1][17:19] if a else (None,) * 2)]
+    fours = [[b and (a[0] + b[0], b[1]) if a and a[0] else b
+              for a in state[19:23]
+              for b in (a[1][19:23] if a else (None,) * 4)]
+             for state in states]
+    for state, entries in zip(states, fours):
+        state[:16] = entries
+        del state[17:]
+    return len(states), (root, resume)
+
+
+def _walk(payload, count: int, plan: _Plan):
+    """-> (symbols, bits consumed) of the payload through the plan's
+    automaton; may overrun the payload on a truncated one, which the
+    caller reports.
+
+    Each nibble is one list index, emitting what its entry holds. A None
+    entry raises TypeError: the unfinished word starts state[16] bits
+    before that nibble, and _decode_canonical reads it and the words after
+    it from the payload formatted as bits once, one word at a time, until
+    one ends where the bits up to the next nibble boundary are a state's,
+    and the walk resumes there. It looks at the count once per _CHUNK
+    nibbles; the symbols it decodes past the count are dropped, their
+    lengths taken back from where it stopped, and fewer than the count
+    take single steps from there, so every container check reads as the
+    single steps alone read it."""
+    state, resume = plan.automaton
+    nibbles = payload.hex().encode().translate(_NIBBLES)
+    n = len(nibbles)
+    walk = iter(nibbles)
+    left = walk.__length_hint__     # the nibbles not yet walked, exactly
+    out, bits = [], None
+    while True:
+        if len(out) > count or not left():
+            pos = 4 * (n - left()) - state[16]
             break
-        by_length[length].append((value, symbol))
-    tables = [[((), 0)]]
-    for width in range(1, t + 1):
-        table = [((), 0)] * (1 << width)
-        for length in range(1, width + 1):
-            rest = tables[width - length]
-            span = len(rest)
-            for value, symbol in by_length[length]:
-                head = (symbol,)
-                table[value * span:(value + 1) * span] = [
-                    (head + syms, length + used) for syms, used in rest]
-        tables.append(table)
-    keys = _window_keys(t)
-    table = dict(zip(keys, tables[t]))
-    held = spent = 0
-    # a window's words are whole once the next word opens the next window
-    for window, longer in itertools.groupby(
-            words, lambda word: word[0] >> word[1] - t):
-        longer = list(longer)
-        u = max(length for _, length, _ in longer) - t
-        held += len(longer)
-        spent += sum(1 << t + u - length for _, length, _ in longer)
-        if held > 1 << t or spent > 2 << t:
+        try:
+            for x in itertools.islice(walk, _CHUNK):
+                syms, state = state[x]
+                out += syms
+            continue
+        except TypeError:
+            pos = 4 * (n - left() - 1) - state[16]
+        if len(out) >= count:
             break
-        second, next_keys = {}, _window_keys(u)
-        for value, length, symbol in longer:
-            span = 1 << t + u - length
-            low = (value & (1 << length - t) - 1) * span
-            second.update(dict.fromkeys(next_keys[low:low + span],
-                                        ((symbol,), length)))
-        table[keys[window]] = ((u, second), 0)
-    return table
+        if bits is None:
+            bits = _bits(payload, plan)
+        state = None
+        while state is None:
+            pos = _decode_canonical(bits, pos, out, len(out) + 1, plan)
+            if len(out) == count:
+                return out, pos
+            edge = pos + 3 & -4
+            if edge <= 4 * n:
+                state = resume.get(bits[pos:edge])
+        for _ in range(edge // 4 - (n - left())):
+            next(walk)
+    if len(out) < count:
+        pos = _decode_canonical(bits or _bits(payload, plan), pos, out, count,
+                                plan)
+    pos -= sum(map(plan.code.length_at, out[count:]))
+    del out[count:]
+    return out, pos
 
 
-def _table_run(bits: str, pos: int, out: list, stop: int, t: int,
-               table) -> int:
-    """Table lookups while len(out) <= stop, up to a word the second level
-    does not hold; -> pos. A lookup emits 1 to t words, so a batch of
-    (stop - len(out)) // t + 1 lookups each start at len(out) <= stop, and
-    stop = count - t never lets the table decode past the count into the
-    padding.
-
-    bits carries at least t padding zeros, so a window reads what the single
-    steps would read. One shorter than t bits, a KeyError, starts past the
-    payload: the caller reports a truncated payload, as the single steps
-    would. A second-level key cut short by the end of bits matches no word,
-    so the single steps read that word too."""
-    while len(out) <= stop:
-        for _ in range((stop - len(out)) // t + 1):
-            syms, used = table[bits[pos:pos + t]]
-            if not used:
-                if not syms:
-                    return pos
-                u, second = syms    # one word longer than t bits
-                syms, used = second.get(bits[pos + t:pos + t + u], ((), 0))
-                if not used:
-                    return pos
-            out += syms
-            pos += used
-    return pos
-
-
-def _canonical_words(plan: _Plan, t: int, longest: int = 0):
-    """(value, length, symbol) of every word of at most t bits, then of
-    those of t + 1 to `longest` bits in code order. The head's words are
-    each row's offset plus its canonical places, from the rows of at most
-    max(t, longest) bits, in (length, symbol) order; the run's, above them
-    in code space, as the code writes them, up to the first too long, since
-    a run's lengths never fall. The words of at most t bits are prefix
-    free, so at most 2**t of them are listed."""
-    words = [(offset + k, length, plan.order[k])
-             for length, count, before, offset in plan.rows
-             if length <= max(t, longest)
-             for k in range(before, before + count)]
-    i = len(plan.code.head)       # the run's next symbol
-    for shortest, last in ((1, t), (t + 1, longest)):
-        yield from (word for word in words if shortest <= word[1] <= last)
-        while plan.k and (length := plan.code.length_at(i)) <= last:
-            yield int(plan.code.codeword(i), 2), length, i
-            i += 1
+def _bits(payload, plan: _Plan) -> str:
+    """The payload as "0"/"1" characters, then as many zeros as the code's
+    longest head word, so that a window read near the end stays in range;
+    an overrun shows in the position reached."""
+    nbits = 8 * len(payload)
+    return (format(int.from_bytes(payload, "big"), f"0{nbits}b")
+            if nbits else "") + "0" * plan.width
 
 
 def _past_window(bits: str, pos: int, d: int, plan: _Plan, append) -> int:
@@ -369,89 +383,77 @@ def _past_window(bits: str, pos: int, d: int, plan: _Plan, append) -> int:
     raise ContainerError("payload does not match the declared code")
 
 
-def _decode_canonical(bits: str, count: int, plan: _Plan):
-    """-> (symbols, bits consumed); may overrun len(bits) on a truncated
-    payload, which the caller reports.
+def _decode_canonical(bits: str, pos: int, out: list, count: int,
+                      plan: _Plan) -> int:
+    """Appends the symbols of the words of bits (_bits) from pos until out
+    holds count -> the position past them; may overrun the payload on a
+    truncated one, which the caller reports.
 
     The first `window` = min(L, _WINDOW) bits w decide a row word of at
     most window bits in one bisection of the rows' starts at window bits: a
     word of row i, length l, is symbol order[(w >> window - l) - offset],
-    offset the row's in the record, read through steps built per container,
-    so that such a word costs one shift and one subtraction after the
-    bisection. A word past those rows that does not start with the spine's
-    ones is a longer row's, read by offsets (_past_window), or no word. A
-    run word past the spine is read arithmetically: its ones up to the next
-    zero are the quotient, then g - 1 suffix bits, and one more when they
-    read z = 2**g - k or more.
+    offset the row's in the record, read through the plan's steps, so that
+    such a word costs one shift and one subtraction after the bisection. A
+    word past those rows that does not start with the spine's ones is a
+    longer row's, read by offsets (_past_window), or no word. A run word
+    past the spine is read arithmetically: its ones up to the next zero are
+    the quotient, then g - 1 suffix bits, and one more when they read z =
+    2**g - k or more.
     """
     window, rows, bounds = plan.window, plan.rows, plan.bounds
-    order, spine, k = plan.order, plan.spine, plan.k
-    # per window row (l, shift, offset): its word w at window bits is symbol
-    # order[(w >> shift) - offset], a row's start being a multiple of 2**shift
-    steps = [(length, window - length, offset)
-             for length, _, _, offset in rows[:len(bounds) - 1]]
+    steps, order, spine, k = plan.steps, plan.order, plan.spine, plan.k
     short = len(steps)
     run_start = len(order)
     g = k.bit_length()
     z = (1 << g) - k
-    t, table = _plan_table(plan, count)
-    stop = count - t if table else -1
-    # full windows at the end; an overrun shows in pos
-    bits += "0" * max(plan.width, t)
     find = bits.find
-    out = []
     append = out.append
-    pos = 0
-    while len(out) < count:
-        if len(out) <= stop:
-            pos = _table_run(bits, pos, out, stop, t, table)
-        # one word too long for the table, or the words past stop
-        for _ in range(1 if len(out) <= stop else count - len(out)):
-            if rows:
-                w = int(bits[pos:pos + window], 2)
-                i = bisect_right(bounds, w) - 1
-                if i < short:
-                    length, shift, offset = steps[i]
-                    append(order[(w >> shift) - offset])
-                    pos += length
-                    continue
-                # a longer row's word or none, unless the spine's ones
-                if not spine or find("0", pos, pos + spine) >= 0:
-                    pos = _past_window(bits, pos, w - bounds[i], plan, append)
-                    continue
-            start = pos + spine
-            end = find("0", start)
-            if end < 0:
-                raise ContainerError("truncated payload")
-            value = run_start + (end - start) * k
-            pos = end + g            # past the zero and the short suffix
-            if g > 1:
-                r = int(bits[end + 1:pos], 2)
-                if r >= z:
-                    r += r - z + (bits[pos] == "1")
-                    pos += 1
-                value += r
-            append(value)
-    return out, pos
+    for _ in range(count - len(out)):
+        if rows:
+            w = int(bits[pos:pos + window], 2)
+            i = bisect_right(bounds, w) - 1
+            if i < short:
+                length, shift, offset = steps[i]
+                append(order[(w >> shift) - offset])
+                pos += length
+                continue
+            # a longer row's word or none, unless the spine's ones
+            if not spine or find("0", pos, pos + spine) >= 0:
+                pos = _past_window(bits, pos, w - bounds[i], plan, append)
+                continue
+        start = pos + spine
+        end = find("0", start)
+        if end < 0:
+            raise ContainerError("truncated payload")
+        value = run_start + (end - start) * k
+        pos = end + g            # past the zero and the short suffix
+        if g > 1:
+            r = int(bits[end + 1:pos], 2)
+            if r >= z:
+                r += r - z + (bits[pos] == "1")
+                pos += 1
+            value += r
+        append(value)
+    return pos
 
 
 # Descriptors whose plans the cache keeps; each holds its code with the code's
 # head record (rows of four small integers per distinct head length, the last
 # an offset of at most 64 bits or None, the symbol order and each symbol's
 # place in it), at most 65 bounds of at most 65 bits, and at most one
-# table. The code's head and the order take about 40 and 36 bytes a symbol,
-# the places 8 more where the head is not in canonical order (else they are
-# the order), the rows about 100 bytes a distinct length: the plan of
-# lengths 1, 2, ..., n - 1, n - 1 at n = 32 768 keeps about 6 MB. A
-# table holds 2**14 first-level entries, about 2 MB, and a second level of at
-# most 2**14 words behind 2**15 keys, at most about 4 MB (the Golomb-2000 plan
-# holds 1.9 MB and 2.9 MB). At worst the cache thus holds about 96 MB of
-# tables, plus 2.3 MB of window keys of 1 to 14 bits shared by all: 16
-# containers of 2**14 symbols under distinct codes whose narrowest width is 14
-# bits, each as short as 2 KB, fill it. Encoding adds its word table of words
-# holding at most _WORD_BITS bits in all to the plan: by Kraft at most 18 432
-# words (14 336 of 14 bits and 4 096 of 15), about 1.8 MB, so about 29 MB more
-# at worst.
+# automaton. The code's head and the order take about 40 and 36 bytes a
+# symbol, the places 8 more where the head is not in canonical order (else
+# they are the order), the rows about 100 bytes a distinct length: the plan
+# of lengths 1, 2, ..., n - 1, n - 1 at n = 32 768 keeps about 6 MB. An
+# automaton holds at most 2**12 state lists and 2**16 entries, each a pair
+# and at most one new tuple of symbols: about 10 MB by that count, and
+# about 5 MB for the Huffman code of Zipf(4096), whose 4095 states are
+# every node of its trie. Encoding adds its word table of words holding at
+# most _WORD_BITS bits in all to the plan: by Kraft at most 18 432 words
+# (14 336 of 14 bits and 4 096 of 15), about 1.8 MB, and the last word it
+# did not keep. At worst the cache thus holds about 190 MB beside the codes
+# and their last long words: 16 plans of 2**12-state automata, each built
+# once its containers declared 2**15 symbols.
 _PLANS = 16
 _WORD_BITS = 1 << 18
 
@@ -459,8 +461,9 @@ _WORD_BITS = 1 << 18
 class _Words(dict):
     """{symbol: codeword} under one plan's code, each word written by
     LengthSeq.codeword when first asked for and kept while the kept words
-    hold at most _WORD_BITS bits in all; a word not kept is written again
-    for each occurrence, and a refused symbol is never stored.
+    hold at most _WORD_BITS bits in all. `last` holds the last word not
+    kept, with its symbol, so that a repeat of it is a copy; a refused
+    symbol is never stored.
 
     Threads share it: a read takes no lock, and a store takes `lock`, so
     `bits` counts the kept words' bits exactly; a race only writes the same
@@ -470,14 +473,20 @@ class _Words(dict):
         super().__init__()
         self.codeword = code.codeword
         self.bits = 0
+        self.last = (None, "")
         self.lock = threading.Lock()
 
     def __missing__(self, symbol: int) -> str:
+        held, word = self.last
+        if held == symbol:
+            return word
         word = self.codeword(symbol)
         with self.lock:
             if symbol not in self and self.bits + len(word) <= _WORD_BITS:
                 self.bits += len(word)
                 self[symbol] = word
+            else:
+                self.last = symbol, word
         return word
 
 
@@ -493,43 +502,38 @@ class _Plan:
     code's head record. `window` is W = min(L, _WINDOW), and `bounds` holds
     0, then where each row of at most W bits ends, at W bits (offset +
     before + count, shifted out to W bits), so row i starts at bounds[i];
-    longer rows, whose offset is None, are read by offsets from their
-    counts, so no integer the plan stores is wider than W + 1 bits. The
-    spine, `spine` 1s at the top of code space, follows the rows; behind it
-    symbols len(order) on take the Golomb-k run's words, `k` the tail's: a
-    code with no tail has no run, k = 0. A Golomb code is a run behind no
-    rows and an empty spine. `narrowest` is the code's table width, 0 for
-    none; `table` is the (t, table) of the widest multi-symbol table built,
-    (0, None) while none is, built under `lock`; `words` is encode's word
-    table.
+    `steps` holds (l, W - l, offset) for each of those rows. Longer rows,
+    whose offset is None, are read by offsets from their counts, so no
+    integer the plan stores is wider than W + 1 bits. The spine, `spine`
+    1s at the top of code space, follows the rows; behind it symbols
+    len(order) on take the Golomb-k run's words, `k` the tail's: a code
+    with no tail has no run, k = 0. A Golomb code is a run behind no rows
+    and an empty spine. `automaton` is the code's (_automaton), None until
+    built under `lock`; `decoded` counts the symbols its containers
+    declared (a race may lose a count, which only delays the build), and
+    `due` is the count at which _automaton is asked again.
+    `words` is encode's word table.
     """
 
     def __init__(self, code: LengthSeq) -> None:
         self.code = code
         lengths, tail = code.head, code.tail
-        self.spine = spine = tail.spine if tail else 0
-        self.k = k = tail.k if tail else 0
-        self.width = width = max(lengths + (spine,))
+        self.spine = tail.spine if tail else 0
+        self.k = tail.k if tail else 0
+        self.width = width = max(lengths + (self.spine,))
         self.window = window = min(width, _WINDOW)
         self.rows, self.order, _ = code._canonical
-        # rows no longer than t fill code space up to where the last one
-        # ends, and the run behind the spine fills max(0, 2**(t - spine) - k),
-        # in parts of 2**t
-        self.narrowest = 0
-        for t in (8, 10, 12, 14):
-            filled = sum(c << t - length
-                         for length, c, *_ in self.rows if length <= t)
-            if k and spine <= t:
-                filled += max(0, (1 << t - spine) - k)
-            if 8 * filled >= 7 << t:
-                self.narrowest = t
-                break
         # 0, then where each row of at most W bits, one the record keeps an
         # offset for, ends at W bits: each row starts where the last ends
         self.bounds = [0, *(offset + before + c << window - length
                             for length, c, before, offset in self.rows
                             if offset is not None)]
-        self.table = (0, None)
+        self.steps = [(length, window - length, offset)
+                      for length, _, _, offset in self.rows
+                      if offset is not None]
+        self.automaton = None
+        self.decoded = 0
+        self.due = 8       # half the root's 16 entries
         self.lock = threading.Lock()
         self.words = _Words(code)
 
@@ -539,21 +543,18 @@ def _plan(descriptor: bytes) -> _Plan:
     return _Plan(_parse_descriptor(descriptor))
 
 
-def _plan_table(plan: _Plan, count: int):
-    """(t, table) a container of count symbols decodes with: the plan's,
-    once a container of at least 2**t symbols has built it. t is the plan's
-    narrowest width, raised to _WIDE from 2**_WIDE symbols on."""
-    t = plan.narrowest
-    if t and count >> _WIDE:
-        t = max(t, _WIDE)
-    if t > plan.table[0] and count >> t:
-        # the second level holds words of up to t more bits; a run has no end
-        longest = 2 * t if plan.k else min(plan.width, 2 * t)
+def _plan_automaton(plan: _Plan, count: int):
+    """The plan's automaton, counting count more decoded symbols: built by
+    the first container after which they reach half its entries, so that
+    the build costs under 2 entries per symbol; None before, and for good
+    where the code takes none."""
+    plan.decoded += count
+    if plan.automaton is None and plan.decoded >= plan.due:
         with plan.lock:
-            if t > plan.table[0]:
-                plan.table = t, _decode_table(
-                    _canonical_words(plan, t, longest), t)
-    return plan.table
+            if plan.automaton is None and plan.decoded >= plan.due:
+                states, plan.automaton = _automaton(plan, plan.decoded)
+                plan.due = 8 * states if states else float("inf")
+    return plan.automaton
 
 
 def read_container(data: bytes) -> tuple[LengthSeq, list[int]]:
@@ -573,16 +574,20 @@ def read_container(data: bytes) -> tuple[LengthSeq, list[int]]:
     if count > nbits:   # every codeword has at least one bit
         raise ContainerError(
             f"declared count {count} exceeds the {nbits} payload bits")
-    bits = format(int.from_bytes(payload, "big"), f"0{nbits}b") if nbits else ""
     try:
-        symbols, pos = _decode_canonical(bits, count, plan)
+        if _plan_automaton(plan, count):
+            symbols, pos = _walk(payload, count, plan)
+        else:
+            symbols = []
+            pos = _decode_canonical(_bits(payload, plan), 0, symbols, count,
+                                    plan)
     except (ValueError, IndexError, KeyError):  # reads past the end
         raise ContainerError("truncated payload") from None
     if pos > nbits:
         raise ContainerError("truncated payload")
     if nbits - pos >= 8:
         raise ContainerError("extra bytes after the payload")
-    if "1" in bits[pos:nbits]:
+    if pos < nbits and payload[-1] & (1 << nbits - pos) - 1:
         raise ContainerError("nonzero padding bits")
     return plan.code, symbols
 

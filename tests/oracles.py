@@ -295,6 +295,61 @@ def golomb_word(j: int, k: int) -> str:
     return "1" * q + "0" + (format(value, f"0{bits}b") if bits else "")
 
 
+def container_words(head, tail):
+    """symbol -> word under a head of lengths and, when tail is (spine,
+    k), a Golomb-k run behind `spine` ones from symbol len(head)."""
+    words = canonical_words(head)
+
+    def word(i: int) -> str:
+        if i < len(words):
+            return words[i]
+        spine, k = tail
+        return "1" * spine + golomb_word(i - len(words), k)
+    return word
+
+
+def reference_decode(head, tail, payload: bytes, count: int):
+    """count symbols of a container payload under container_words' code,
+    read the textbook way, or "refused": a head word is looked up whole
+    among canonical_words, shortest first; else the word is the spine's
+    ones, the quotient's ones up to a zero and the remainder's bits, and
+    must be golomb_word's. Refused where no word matches, the payload ends
+    before count words, a padding bit is one or a whole byte is left."""
+    bits = "".join(format(byte, "08b") for byte in payload)
+    words = {word: i for i, word in enumerate(canonical_words(head))}
+    lengths = sorted({len(word) for word in words})
+    out, pos = [], 0
+    while len(out) < count:
+        length = next((length for length in lengths
+                       if pos + length <= len(bits)
+                       and bits[pos:pos + length] in words), None)
+        if length is not None:
+            out.append(words[bits[pos:pos + length]])
+            pos += length
+            continue
+        if tail is None or not bits.startswith("1" * tail[0], pos):
+            return "refused"
+        spine, k = tail
+        end = bits.find("0", pos + spine)
+        if end < 0:
+            return "refused"
+        # b - 1 remainder bits below u = 2**b - k, else b bits less u
+        b = (k - 1).bit_length()
+        u = (1 << b) - k
+        r = int(bits[end + 1:end + b] or "0", 2)
+        if b and r >= u:
+            r = int(bits[end + 1:end + 1 + b] or "0", 2) - u
+        symbol = (end - pos - spine) * k + r
+        word = "1" * spine + golomb_word(symbol, k)
+        if bits[pos:pos + len(word)] != word:
+            return "refused"
+        out.append(len(head) + symbol)
+        pos += len(word)
+    if len(bits) - pos >= 8 or "1" in bits[pos:]:
+        return "refused"
+    return out
+
+
 def head_run_length(head, start_length: int, k: int, i: int) -> int:
     """n(i) of a head of lengths and then a Golomb-k run from symbol
     len(head), whose words take start_length - 1 ones first."""

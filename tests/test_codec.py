@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -18,7 +20,8 @@ from epc import (ContainerError, ExplicitCode, ExplicitFinite,
                  UnaryEndedCode, UnaryTail, bits, build_unary_ended, codec,
                  decode, encode, exp_huffman, models, optimize_overflow,
                  read_container, shannon_entropy, with_geometric_tail)
-from oracles import canonical_words, golomb_word, kraft_fraction
+from oracles import (canonical_words, container_words, kraft_fraction,
+                     reference_decode)
 
 
 def test_frozen_byte_vector():
@@ -141,7 +144,7 @@ def test_codes_compare_by_value_whatever_their_class():
     (3000, UnaryEndedCode([1, 3, 3, 3], 3)),
 ], ids=["19", "3000", "unary-19", "unary-3000"])
 def test_explicit_decode_builds_no_codewords(count, code, monkeypatch):
-    # 3000 symbols of these codes take the multi-symbol table path
+    # 3000 symbols of these codes build and walk the plan's automaton
     rng = random.Random(count)
     symbols = rng.choices(range(6), weights=[8, 2, 2, 2, 1, 1], k=count)
     blob = encode(symbols, code)
@@ -149,7 +152,7 @@ def test_explicit_decode_builds_no_codewords(count, code, monkeypatch):
 
     write = models.LengthSeq.codeword
 
-    def refuse(self, i):    # the run's words the table may list
+    def refuse(self, i):    # the run's words the automaton may list
         if i < len(self.head):
             raise AssertionError("decode built codeword strings")
         return write(self, i)
@@ -437,27 +440,6 @@ def test_a_word_past_64_bits_is_written_in_work_linear_in_its_length():
     assert word == "1" * (n - 1)
 
 
-def _prefix_decode(code, payload: str, count: int) -> list[int]:
-    """The oracle past the window: each head word looked up whole among the
-    textbook canonical words, else the spine's ones and a unary run word."""
-    head = {word: i for i, word in enumerate(canonical_words(code.head))}
-    lengths = sorted({len(word) for word in head})
-    spine = code.tail.spine if code.tail else 0
-    out, pos = [], 0
-    while len(out) < count:
-        length = next((length for length in lengths
-                       if payload[pos:pos + length] in head), None)
-        if length is not None:
-            out.append(head[payload[pos:pos + length]])
-            pos += length
-            continue
-        assert spine and payload.startswith("1" * spine, pos)
-        end = payload.index("0", pos + spine)
-        out.append(len(code.head) + end - pos - spine)
-        pos = end + 1
-    return out
-
-
 @pytest.mark.parametrize("code", [
     ExplicitCode(list(range(1, 300)) + [299]),
     UnaryEndedCode(tuple(range(2, 200)) + (199,), 1),
@@ -473,6 +455,7 @@ def test_words_past_the_window_match_a_prefix_oracle(code):
     rng = random.Random(47)
     top = len(code.head) + (20 if code.tail else 0)
     head = len(encode([], code))
+    tail = (code.tail.spine, code.tail.k) if code.tail else None
     blobs = []
     for _ in range(6):
         symbols = [rng.randrange(top) if rng.random() < 0.4
@@ -488,17 +471,17 @@ def test_words_past_the_window_match_a_prefix_oracle(code):
     decoded = 0
     for blob in blobs:
         codec._plan.cache_clear()
+        count = struct.unpack_from("<Q", blob, head - 8)[0]
+        want = reference_decode(code.head, tail, blob[head:], count)
         try:
-            want = _single_symbol(blob)[1]
+            got = _single_symbol(blob)[1]
         except ContainerError as exc:
-            with pytest.raises(ContainerError) as got:
+            assert want == "refused"
+            with pytest.raises(ContainerError) as again:
                 decode(blob)
-            assert str(got.value) == str(exc)
+            assert str(again.value) == str(exc)
             continue
-        assert decode(blob) == want
-        payload = format(int.from_bytes(blob[head:], "big"),
-                         f"0{8 * len(blob[head:])}b")
-        assert want == _prefix_decode(code, payload, len(want))
+        assert decode(blob) == got == want
         decoded += 1
     assert decoded >= 6
 
@@ -513,90 +496,10 @@ def test_an_incomplete_deep_code_refuses_a_word_past_its_rows():
         decode(blob)
 
 
-# --------------------------------------------------- multi-symbol table path
-
-def _table(code, t):
-    return codec._decode_table(
-        codec._canonical_words(codec._Plan(code), t), t)
-
-
-def _no_table_run(*args):
-    raise AssertionError("the single-symbol oracle read a table")
-
-
-def _single_symbol(blob):
-    """The oracle: the same container, its plan's table neither built nor
-    read, whatever the plan holds."""
-    with mock.patch.object(codec, "_plan_table", return_value=(0, None)), \
-            mock.patch.object(codec, "_table_run", _no_table_run):
-        return read_container(blob)
-
-
-def _filled(code, t):
-    """The reference fill: code space, in parts of 2**t, that the words of
-    at most t bits fill, summed word by word over their listing."""
-    words = codec._canonical_words(codec._Plan(code), t)
-    return sum(1 << t - length for _, length, _ in words)
-
-
-def _narrowest_by_words(code):
-    return next((t for t in (8, 10, 12, 14)
-                 if 8 * _filled(code, t) >= 7 << t), 0)
-
-
-def _built_widths(code, counts, rng):
-    """Decode one container per count under code from a cold plan, each
-    against the single-symbol oracle; -> the table width each decoded with,
-    checking that a table is built only by a container of at least 2**t
-    symbols, fewer than 2 entries per symbol."""
-    codec._plan.cache_clear()
-    widths = []
-    for count in counts:
-        symbols = [min(int(rng.expovariate(0.5)), 40) for _ in range(count)]
-        blob = encode(symbols, code)
-        before = codec._plan(codec._descriptor(code)).table[0]
-        assert read_container(blob) == _single_symbol(blob) == (code, symbols)
-        t = codec._plan(codec._descriptor(code)).table[0]
-        if t != before:
-            assert count >> t and (2 << t) - 1 < 2 * count
-        widths.append(t)
-    return widths
-
-
-def test_table_width_rule():
-    # the code's narrowest width, built by the first container of at least
-    # 2**t symbols; a code that fills 8 bits takes 10 from 1024 symbols
-    rng = random.Random(24)
-    assert codec._Plan(GolombCode(1)).narrowest == 8
-    assert _built_widths(GolombCode(1), (255, 256, 1023, 1024, 10 ** 5, 16),
-                         rng) == [0, 8, 8, 10, 10, 10]
-    # no gate on the shortest word: Golomb k = 64 words are 7 bits or more,
-    # one per lookup, and fill 15/16 of code space at t = 10
-    assert codec._Plan(GolombCode(64)).narrowest == 10
-    assert _built_widths(GolombCode(64), (255, 1023, 1024, 40), rng) == [
-        0, 0, 10, 10]
-    # 2**t entries at width t, 2**(t + 1) - 1 over the widths built
-    assert len(_table(GolombCode(3), 10)) == 1 << 10
-
-
-def test_golomb_table_fill_rule():
-    # Golomb words of at most t bits fill 1 - k / 2**t of code space, so
-    # the width is past t when that is below 7/8; word by word, for every k
-    # the rule separates at t = 8 and 10
-    for t in (8, 10):
-        for k in range(1, (1 << t - 3) + 40):
-            # quotients up to t hold every word of at most t bits
-            lengths = [GolombCode(k).length_at(j) for j in range(k * (t + 1))]
-            filled = sum(1 << t - n for n in lengths if n <= t)
-            assert filled == (1 << t) - k == _filled(GolombCode(k), t)
-            narrowest = codec._Plan(GolombCode(k)).narrowest
-            assert narrowest == _narrowest_by_words(GolombCode(k))
-            assert (0 < narrowest <= t) == (8 * filled >= 7 << t)
-
-
 def _random_codes(rng):
     """Complete explicit codes of 2 to 4096 symbols, unary-ended codes cut
-    from them, and Golomb codes up to and far past the widest table."""
+    from them, and Golomb codes up to and far past what an automaton
+    reaches."""
     for _ in range(60):
         n = rng.choice((2, 3, rng.randrange(2, 300), rng.randrange(2, 4097)))
         spread = rng.choice((0.3, 1.0, 2.5))
@@ -637,13 +540,6 @@ def test_each_head_word_is_the_canonical_word():
     assert unsorted >= 40
 
 
-def test_narrowest_matches_the_word_by_word_fill():
-    # the width read off the rows in closed form is the one the words of
-    # at most t bits, listed one by one, give
-    for code in _random_codes(random.Random(25)):
-        assert codec._Plan(code).narrowest == _narrowest_by_words(code), code
-
-
 def _zipf_code(size):
     """The base-1 Huffman code of Zipf(size), as the stream benchmark's."""
     probs = [1.0 / (i + 1) for i in range(size)]
@@ -651,371 +547,390 @@ def _zipf_code(size):
     return ExplicitCode(exp_huffman([p / total for p in probs], 1.0).lengths)
 
 
+
+# ------------------------------------------------- the 4-bit automaton path
+
+def _no_walk(*args):
+    raise AssertionError("the single-symbol oracle walked an automaton")
+
+
+def _single_symbol(blob):
+    """The oracle: the same container read by single steps alone, its
+    plan's automaton neither built nor walked, whatever the plan holds."""
+    with mock.patch.object(codec, "_plan_automaton", return_value=None), \
+            mock.patch.object(codec, "_walk", _no_walk):
+        return read_container(blob)
+
+
+def _built(code):
+    """The cached plan of the code's descriptor, its automaton built as a
+    plan that has decoded 2**20 symbols builds it."""
+    plan = codec._plan(codec._descriptor(code))
+    codec._plan_automaton(plan, 1 << 20)
+    return plan
+
+
+def _words_by_length(code):
+    """(length, word, symbol) of the oracles' words in (length, word) order:
+    the head's canonical words, merged with the run's, whose lengths never
+    fall, written on demand."""
+    head = sorted((len(word), word, i)
+                  for i, word in enumerate(canonical_words(code.head)))
+    if code.tail is None:
+        return iter(head)
+    word = container_words(code.head, (code.tail.spine, code.tail.k))
+    run = ((len(word(i)), word(i), i) for i in itertools.count(len(head)))
+    return heapq.merge(head, run)
+
+
+def _reference_trie(code):
+    """(states, words, reach) by a plain breadth-first walk of the code's
+    trie over the oracles' words as strings. A state is a node, in code
+    order within a depth, that is a proper prefix of a word (for a code
+    with a run, any node that is not a word or under one); a depth's
+    states take their children as states while the states number at most
+    2**12 and that depth's hold more than 2**-12 of code space. words maps
+    the words listed, up to one bit past the deepest state, to their
+    symbols; reach is the code space the words whose parent is a state
+    fill."""
+    listing = _words_by_length(code)
+    prefixes = None if code.tail else {
+        word[:j] for word in canonical_words(code.head)
+        for j in range(len(word))}
+    states, words, reach = [""], {}, Fraction(0)
+    frontier, depth = [""], 0
+    pending = next(listing, None)
+    while frontier:
+        while pending and pending[0] <= depth + 1:
+            words[pending[1]] = pending[2]
+            pending = next(listing, None)
+        grow = Fraction(len(frontier), 2 ** depth) > Fraction(1, 2 ** 12)
+        deeper = []
+        for node in frontier:
+            for child in (node + "0", node + "1"):
+                if child in words:
+                    reach += Fraction(1, 2 ** len(child))
+                elif grow and len(states) < 1 << 12 and (
+                        prefixes is None or child in prefixes):
+                    states.append(child)
+                    deeper.append(child)
+        frontier, depth = deeper, depth + 1
+    return states, words, reach
+
+
+def _reference_entry(node, nibble, states, words):
+    """(symbols, node) the trie reaches from node through the 4 bits of
+    nibble, each word ending at the root, or None where a bit leaves the
+    states."""
+    symbols = []
+    for bit in format(nibble, "04b"):
+        node += bit
+        if node in words:
+            symbols.append(words[node])
+            node = ""
+        elif node not in states:
+            return None
+    return tuple(symbols), node
+
+
+def _assert_the_automaton_is_the_trie(code, entries=True):
+    """The automaton _automaton builds for the code, against
+    _reference_trie: built exactly where the reach is 7/8 of code space or
+    more, then one state per reference state, each found from the resume
+    state of its first bits by its nibbles, at its depth, and (with
+    entries) each of its 16 entries the reference walk's."""
+    states, words, reach = _reference_trie(code)
+    count, automaton = codec._automaton(codec._Plan(code), 1 << 30)
+    assert (automaton is not None) == (reach >= Fraction(7, 8)), code
+    if automaton is None:
+        assert count == 0
+        return
+    assert count == len(states) <= 1 << 12
+    root, resume = automaton
+    assert set(resume) == {node for node in states if len(node) <= 3}
+    assert resume[""] is root
+    found = {}
+    for node in states:
+        state = resume[node[:len(node) % 4]]
+        for at in range(len(node) % 4, len(node), 4):
+            symbols, state = state[int(node[at:at + 4], 2)]
+            assert symbols == ()
+        assert state[16] == len(node) and len(state) == 17
+        found[node] = state
+    assert len({id(state) for state in found.values()}) == len(states)
+    if not entries:
+        return
+    held = set(states)
+    for node, state in found.items():
+        for nibble in range(16):
+            want = _reference_entry(node, nibble, held, words)
+            got = state[nibble]
+            if want is None:
+                assert got is None, (code, node, nibble)
+            else:
+                assert got[0] == want[0] and got[1] is found[want[1]], (
+                    code, node, nibble)
+
+
+# "0", "10", "1100", "1101", then 60 of the 64 words of 11 bits behind
+# "1110000": "11101" and "1111" start no word
+SPARSE_CODE = ExplicitCode.from_lengths([1, 2, 4, 4] + [11] * 60)
+
+
 @pytest.mark.parametrize("code", [
-    _zipf_code(256), _zipf_code(4096), GolombCode(64), GolombCode(1023),
-    GolombCode(2 ** 62)],
-    ids=["zipf256", "zipf4096", "golomb64", "golomb1023", "golomb2**62"])
-def test_the_table_lists_the_words_the_code_writes(code):
-    words = _oracle_words(code)
-    assert bool(words) == (code != GolombCode(2 ** 62))
-    _assert_the_table_lists(code, words)
+    GolombCode(1), GolombCode(3), GolombCode(64), UnaryEndedCode((1, 2), 2),
+    UnaryEndedCode(range(1, 10), 9), ExplicitCode(list(range(1, 16)) + [15]),
+    ExplicitCode((1, 2, 3)), SPARSE_CODE,
+    ExplicitCode([2, 2, 2] + [10] * 256)],
+    ids=["golomb1", "golomb3", "golomb64", "unary-ended", "spine-9",
+         "chain-15", "incomplete", "sparse", "short-words"])
+def test_the_automaton_is_the_codes_trie(code):
+    _assert_the_automaton_is_the_trie(code)
 
 
-def test_the_table_lists_the_words_of_every_code_shape():
-    for code in _random_codes(random.Random(25)):
-        _assert_the_table_lists(code, _oracle_words(code))
+def test_the_automaton_of_every_code_shape_is_its_trie():
+    # every entry of every eighth code, and the states of every code
+    for i, code in enumerate(_random_codes(random.Random(25))):
+        if max(code.head, default=0) <= 64:
+            _assert_the_automaton_is_the_trie(code, entries=i % 8 == 0)
 
 
-def _oracle_words(code):
-    """(symbol, word) for the oracles' words of at most 14 bits: the head's
-    canonical words, then the spine's ones and the run's Golomb words; a
-    run's lengths never fall, so its listing ends before the first longer
-    word."""
-    words = [(i, word) for i, word in enumerate(canonical_words(code.head))
-             if len(word) <= 14]
-    if code.tail is not None:
-        spine, k = code.tail.spine, code.tail.k
-        run = itertools.takewhile(
-            lambda word: len(word) <= 14,
-            ("1" * spine + golomb_word(j, k) for j in itertools.count()))
-        words += zip(itertools.count(len(code.head)), run)
-    return words
+@pytest.mark.parametrize("code, states", [
+    (_zipf_code(4096), 4095), (GolombCode(1023), 1 << 12),
+    (GolombCode(1), 13), (GolombCode(2000), 0),
+    (ExplicitCode([14] * (1 << 14)), 0),
+    (ExplicitCode([1] + [15] * 2 ** 14), 0),
+    (GolombCode(2 ** 62), 0)],
+    ids=["zipf4096", "golomb1023", "golomb1", "golomb2000", "uniform2**14",
+         "half-full", "golomb2**62"])
+def test_a_plan_has_at_most_2_12_states(code, states):
+    # Zipf(4096)'s Huffman code has 4095 internal nodes, all of them states;
+    # Golomb 1023 fills the budget, with its quotients 0 to 2 in reach and
+    # 1/8 of symbols past it. Unary stops once a depth's one state holds
+    # 2**-12 of code space. Golomb 2000 and the uniform 2**14-word code
+    # reach less than 7/8 of code space in 2**12 states, and "0" then
+    # 15-bit words half of it: none takes an automaton
+    assert codec._automaton(codec._Plan(code), 1 << 30)[0] == states
 
 
-def _assert_the_table_lists(code, words):
-    plan = codec._Plan(code)
-    for t in range(8, 15):
-        listed = codec._canonical_words(plan, t)
-        assert sorted(listed) == sorted(
-            (int(word, 2), len(word), i) for i, word in words
-            if len(word) <= t), (code, t)
+def test_canonical_words_lists_the_words_the_code_writes():
+    # each length's listing is the oracles' words of that length, up to 14
+    # bits, where a Golomb-k run of k up to 2**13 has words
+    codes = [_zipf_code(256), _zipf_code(4096), GolombCode(64),
+             GolombCode(1023), GolombCode(2 ** 62),
+             *_random_codes(random.Random(25))]
+    for code in codes:
+        plan = codec._Plan(code)
+        want = {}
+        for length, word, symbol in _words_by_length(code):
+            if length > 14:
+                break
+            want.setdefault(length, set()).add((int(word, 2), symbol))
+        for length in range(1, 15):
+            listed = codec._canonical_words(plan, length)
+            assert len(listed) == len(set(listed))
+            assert set(listed) == want.get(length, set()), (code, length)
 
 
-def test_short_container_reads_the_plans_table(monkeypatch):
-    codec._plan.cache_clear()
-    runs = []
-    real_run = codec._table_run
+def test_an_automaton_is_built_once_decoded_symbols_reach_half_its_entries(
+        monkeypatch):
+    built = []
+    real = codec._automaton
 
-    def counted(*args):
-        runs.append(args[3])        # stop
-        return real_run(*args)
-    monkeypatch.setattr(codec, "_table_run", counted)
-    rng = random.Random(19)
+    def recording(plan, decoded):
+        states, automaton = real(plan, decoded)
+        built.append((decoded, states, automaton is not None))
+        return states, automaton
+    monkeypatch.setattr(codec, "_automaton", recording)
+    rng = random.Random(24)
+    for code, counts in ((GolombCode(64), (7, 1000, 5000, 1200, 40)),
+                         (_zipf_code(4096), (600, 16383, 16400, 40)),
+                         (GolombCode(1), (7, 1, 200, 40))):
+        codec._plan.cache_clear()
+        states = real(codec._Plan(code), 1 << 30)[0]
+        decoded = 0
+        for count in counts:
+            symbols = [min(int(rng.expovariate(0.02)), 4095)
+                       for _ in range(count)]
+            blob = encode(symbols, code)
+            assert read_container(blob) == _single_symbol(blob) == (
+                code, symbols)
+            decoded += count
+            plan = codec._plan(codec._descriptor(code))
+            assert (plan.automaton is not None) == (decoded >= 8 * states)
+        # asked first once 8 symbols are decoded, which counts the states,
+        # then once more where that count says: the build, under 2 entries
+        # per symbol
+        asked = [call[0] for call in built]
+        assert asked[0] >= 8 and len(asked) <= 2
+        assert built[-1] == (asked[-1], states, True)
+        assert 16 * states <= 2 * asked[-1]
+        built.clear()
+
+
+def test_a_short_container_walks_the_plans_automaton(monkeypatch):
     code = GolombCode(64)
-    short = [rng.randrange(500) for _ in range(40)]
-    assert decode(encode(short, code)) == short
-    assert runs == []               # a short container builds no table
-    for count, width in ((1000, 0), (5000, 10), (1000, 10), (40, 10)):
+    rng = random.Random(19)
+    codec._plan.cache_clear()
+    walks = []
+    real = codec._walk
+
+    def counted(payload, count, plan):
+        walks.append(count)
+        return real(payload, count, plan)
+    monkeypatch.setattr(codec, "_walk", counted)
+    for count, walked in ((40, False), (5000, False), (5000, True),
+                          (40, True), (0, True)):
         symbols = [rng.randrange(500) for _ in range(count)]
         blob = encode(symbols, code)
-        runs.clear()
+        walks.clear()
         assert read_container(blob) == _single_symbol(blob) == (code, symbols)
-        # t = 8 is refused at 3/4 of code space; t = 10, once built, is read
-        # by every later container
-        assert codec._plan(blob[5:7]).table[0] == width
-        assert bool(runs) == bool(width) and all(
-            stop == count - 10 for stop in runs)
+        assert walks == ([count] if walked else [])
 
 
-def test_table_needs_short_words_to_fill_code_space():
-    # words of at most 8 bits fill 3/4 of code space: the table is 10 bits
-    code = ExplicitCode.from_lengths([2, 2, 2] + [10] * 256)
-    assert 4 * _filled(code, 8) == 3 << 8
-    assert codec._Plan(code).narrowest == 10
-    assert codec._Plan(ExplicitCode.from_lengths(
-        [2, 2, 2] + [5] * 8)).narrowest == 8
-    # "0", then 15-bit words: half of code space at every width, so none
-    assert codec._Plan(ExplicitCode.from_lengths(
-        [1] + [15] * 2 ** 14)).narrowest == 0
+def test_automaton_entries_golomb():
+    # "00" | "010" | "011": from the root, "0001" completes symbol 0 and
+    # leaves "01", which "0011" completes as symbols 1 and 2
+    root = _built(GolombCode(3)).automaton[0]
+    symbols, state = root[0b0001]
+    assert symbols == (0,) and state[16] == 2
+    symbols, then = state[0b0011]
+    assert symbols == (1, 2) and then is root
+    # "100" is symbol 3, then "0" is left; "0000" ends it as "00", and
+    # leaves "0" once more
+    symbols, state = root[0b1000]
+    assert symbols == (3,) and state[16] == 1
+    symbols, then = state[0b0000]
+    assert symbols == (0, 0) and then is state
 
 
-def test_table_entries_golomb():
-    table = _table(GolombCode(3), 8)
-    # 00 | 010 | 011: symbols 0, 1, 2 in 8 bits
-    assert table["00010011"] == ((0, 1, 2), 8)
-    # 10 00 ... : one unary step then remainder 0 is symbol 3, then 0 ...
-    assert table["10000000"] == ((3, 0, 0), 7)
-    # eight ones: the first word is longer than 8 bits
-    assert table["11111111"] == ((), 0)
-
-
-def test_table_tail_word_inside_window():
+def test_automaton_entries_tail_word_inside_a_nibble():
     # head "0", "10", spine "11": symbol 2 + j is "11", j ones, then "0"
     code = UnaryEndedCode((1, 2), 2)
-    table = _table(code, 8)
-    assert table["11011010"] == ((2, 2, 1), 8)
-    assert table["11111100"] == ((6, 0), 8)           # 1111110, then 0
-    assert table["11111110"] == ((7,), 8)             # the longest that fits
-    assert table["11111111"] == ((), 0)               # the spine runs on
+    root = _built(code).automaton[0]
+    ones, zeros = root[0b1101], root[0b0001]    # 110 | 1, 0 | 0 | 0 | 1
+    assert ones[0] == (2,) and zeros[0] == (0, 0, 0) and ones[1] is zeros[1]
+    symbols, then = root[0b1110]
+    assert symbols == (3,) and then is root
+    symbols, state = root[0b1111]       # the spine and two ones so far
+    assert symbols == () and state[16] == 4
+    symbols, then = state[0b1100]       # 1111110 | 0
+    assert symbols == (6, 0) and then is root
     rng = random.Random(16)
     symbols = [min(int(rng.expovariate(0.6)), 40) for _ in range(3000)]
     blob = encode(symbols, code)
     assert read_container(blob) == _single_symbol(blob) == (code, symbols)
 
 
-def test_table_head_word_longer_than_window():
-    # a chain 1, 2, ..., 15, 15: symbols 8 and up are longer than t = 8
-    code = ExplicitCode.from_lengths(list(range(1, 16)) + [15])
-    table = _table(code, 8)
-    assert table["11111111"] == ((), 0)
-    assert table["11111110"] == ((7,), 8)
-    assert table["01011010"] == ((0, 1, 2, 1), 8)     # 0 | 10 | 110 | 10
-    assert table["01011011"] == ((0, 1, 2), 6)        # then part of 11...
-    rng = random.Random(17)
-    symbols = [min(int(rng.expovariate(0.4)), 15) for _ in range(3000)]
+def _single_steps(blob, monkeypatch):
+    """-> (symbols, the symbols at which the walk took single steps)."""
+    steps = []
+    real = codec._decode_canonical
+
+    def counted(bits, pos, out, count, plan):
+        steps.append(len(out))
+        return real(bits, pos, out, count, plan)
+    with monkeypatch.context() as patched:
+        patched.setattr(codec, "_decode_canonical", counted)
+        symbols = decode(blob)
+    return symbols, steps
+
+
+@pytest.mark.parametrize("symbols, steps", [
+    # the 41-bit last word leaves the 13 states of depth 0 to 12
+    ([0, 3, 40], [2]),
+    # a miss right after a resume: the walk resumes at bit 24 in the second
+    # word's "111", and its next nibble misses; then "11" resumes at bit 44
+    ([20, 20, 3, 0], [0, 1]),
+    # the bits from the 21-bit word's end to bit 24 hold words: single steps
+    # up to the "1" of bit 23, where the walk resumes
+    ([20, 0, 0, 1, 0, 0, 1], [0, 1, 2]),
+], ids=["last-word", "after-a-resume", "words-to-the-boundary"])
+def test_a_word_past_the_states_takes_single_steps_and_the_walk_resumes(
+        symbols, steps, monkeypatch):
+    code = GolombCode(1)
+    codec._plan.cache_clear()
+    assert _built(code).automaton
     blob = encode(symbols, code)
-    assert read_container(blob) == _single_symbol(blob) == (code, symbols)
+    assert _single_symbol(blob)[1] == symbols
+    assert _single_steps(blob, monkeypatch) == (symbols, steps)
 
 
-def test_table_unary_spine_longer_than_window():
-    # a 9-bit spine: every tail word is past the table, the head is in it
-    code = UnaryEndedCode(range(1, 10), 9)
-    table = _table(code, 8)
-    assert table["11111111"] == ((), 0)
-    assert table["11101100"] == ((3, 2, 0), 8)        # 1110 | 110 | 0
-    rng = random.Random(18)
-    symbols = [int(rng.expovariate(0.5)) for _ in range(3000)]
-    blob = encode(symbols, code)
-    assert read_container(blob) == _single_symbol(blob) == (code, symbols)
-
-
-# "0", "10", then 2048 words of 13 bits: the words of at most 12 bits fill
-# 3/4 of code space, so only a 14-bit table is built
+# "0", "10", then 2048 words of 13 bits: 2049 states, every node of its trie
 WIDE_CODE = ExplicitCode.from_lengths([1, 2] + [13] * 2048)
 
 
-@pytest.mark.parametrize("code, count, width", [
-    pytest.param(code, count, width, id=str(count)) for code, count, width in (
-        (GolombCode(1), 513, 8),
-        (GolombCode(1), 4099, 10),
-        (WIDE_CODE, (1 << 14) + 3, 14))])
-def test_table_stops_before_the_count(code, count, width):
-    # both codes write 0 as "0", so every padding bit would read as one
-    # more symbol 0 if the table ran up to the count
+@pytest.mark.parametrize("code, count", [
+    pytest.param(code, count, id=f"{name}-{count}")
+    for name, code, count in (
+        ("golomb1", GolombCode(1), 513), ("golomb1", GolombCode(1), 4099),
+        ("wide", WIDE_CODE, (1 << 14) + 3))])
+def test_the_walk_drops_symbols_past_the_count(code, count):
+    # both codes write 0 as "0", so every padding bit walks as one more
+    # symbol 0, which the count drops
     codec._plan.cache_clear()
+    assert _built(code).automaton
     blob = encode([0] * count, code)
     count_at = len(encode([], code)) - 8
     nbits = 8 * (len(blob) - count_at - 8)
     assert nbits - count == 8 - count % 8
     assert decode(blob) == [0] * count
-    assert codec._plan(blob[5:count_at]).table[0] == width
     # the count decides: the padding holds up to nbits - count more words
     widened = (blob[:count_at] + struct.pack("<Q", nbits)
                + blob[count_at + 8:])
     assert decode(widened) == _single_symbol(widened)[1] == [0] * nbits
-    # a one in the padding is still refused, inside or past a table window
+    # a one in the padding is still refused, in the last nibble or before
     for bit in (1, 8 - count % 8):
         bad = blob[:-1] + bytes([blob[-1] | 1 << (bit - 1)])
         with pytest.raises(ContainerError, match="nonzero padding"):
             decode(bad)
 
 
-def test_refused_table_widens_with_the_container(monkeypatch):
-    # the base-1 Huffman code of Zipf(4096) fills less than 7/8 of code
-    # space at t = 8 to 12 and 95% at t = 14, its width
-    probs = [1.0 / (i + 1) for i in range(4096)]
-    total = sum(probs)
-    code = ExplicitCode.from_lengths(
-        exp_huffman([p / total for p in probs], 1.0).lengths)
-    for t in (8, 10, 12):
-        assert 8 * _filled(code, t) < 7 << t
-    assert 100 * _filled(code, 14) >= 95 << 14
-    assert codec._Plan(code).narrowest == 14
+def test_a_miss_inside_the_padding_nibble(monkeypatch):
+    # "0", "10", "110"; "111" starts no word. Symbols 1 and 0 take bits 0 to
+    # 2, and a padding of "11100" walks from the "1" at bit 3 into "111" in
+    # the second nibble: a miss past the count, or at it, with a third
+    # symbol declared
+    code = ExplicitCode.from_lengths((1, 2, 3))
     codec._plan.cache_clear()
-    listed = []
-    real_words = codec._canonical_words
-
-    def recording(*args):
-        listed.append(args[-1])
-        return real_words(*args)
-    runs = []
-    real_run = codec._table_run
-
-    def counted(*args):
-        runs.append(args[4])        # t
-        return real_run(*args)
-    monkeypatch.setattr(codec, "_canonical_words", recording)
-    monkeypatch.setattr(codec, "_table_run", counted)
-    rng = random.Random(23)
-    # no words are listed until a container of 2**14 symbols builds the
-    # table, listing the words up to the longest, 15 bits, for its second
-    # level; 600 symbols then decode through it
-    for count, widths, width in ((600, [], 0), (4096, [], 0),
-                                 (16383, [], 0), (16384, [15], 14),
-                                 (600, [], 14)):
-        symbols = rng.choices(range(4096), probs, k=count)
-        blob = encode(symbols, code)
-        listed.clear()
-        runs.clear()
-        assert read_container(blob) == _single_symbol(blob) == (code, symbols)
-        assert listed == widths
-        assert codec._plan(codec._descriptor(code)).table[0] == width
-        assert bool(runs) == bool(width) and set(runs) <= {width}
-        # fewer table entries than 2 per symbol of the container that
-        # built them, over every width
-        if widths:
-            assert (2 << width) - 1 < 2 * count
-
-
-def _second_level(table):
-    """[(window, u, {u bits: ((symbol,), bits used)})] of a table."""
-    return [(window, *syms) for window, (syms, used) in table.items()
-            if syms and not used]
-
-
-def _decodes_with_runs(blob, monkeypatch):
-    """-> (symbols, _table_run calls): one call, a table run up to the
-    count, when no word took a single step before the last t symbols."""
-    runs = []
-    real_run = codec._table_run
-
-    def counted(*args):
-        runs.append(args)
-        return real_run(*args)
-    with monkeypatch.context() as patched:
-        patched.setattr(codec, "_table_run", counted)
-        symbols = decode(blob)
-    return symbols, len(runs)
-
-
-@pytest.mark.parametrize("code, symbols, single", [
-    (_zipf_code(4096),
-     random.Random(26).choices(range(4096), [1 / (i + 1) for i in range(4096)],
-                               k=(1 << 14) + 3), 0),
-    # quotients 0 to 13: words of 7 to 20 bits, t = 10 and u up to 10
-    (GolombCode(64), [*range(14 * 64)] * 2, 0),
-    # a quotient-14 word, 21 bits, is past the second level
-    (GolombCode(64), [*range(14 * 64)] * 2 + [14 * 64] + [0] * 20, 1),
-], ids=["zipf4096", "golomb64", "golomb64-past"])
-def test_a_word_past_the_table_costs_one_more_lookup(code, symbols, single,
-                                                     monkeypatch):
-    codec._plan.cache_clear()
-    blob = encode(symbols, code)
-    assert decode(blob) == _single_symbol(blob)[1] == symbols
-    t, table = codec._plan(codec._descriptor(code)).table
-    assert t and _second_level(table)
-    # warm: the plan holds both levels; a single step ends a table run
-    assert _decodes_with_runs(blob, monkeypatch) == (symbols, 1 + single)
-
-
-def test_a_word_longer_than_the_second_level_takes_a_single_step(
-        monkeypatch):
-    # forty ones and a zero: far past t + u = 20 bits
-    code = GolombCode(1)
-    symbols = [i % 5 for i in range(3000)]
-    symbols[1500] = 40
-    codec._plan.cache_clear()
-    blob = encode(symbols, code)
-    assert read_container(blob) == _single_symbol(blob) == (code, symbols)
-    assert codec._plan(codec._descriptor(code)).table[0] == 10
-    assert _decodes_with_runs(blob, monkeypatch) == (symbols, 2)
-
-
-def _held(code, t):
-    """The plan's table at width t with its second level: -> (plan, table)
-    as a container of 2**t symbols builds it."""
-    plan = codec._Plan(code)
-    assert codec._plan_table(plan, 1 << t)[0] == t
-    return plan, plan.table[1]
-
-
-def test_the_second_level_holds_listed_words_within_its_budget():
-    # every word of at most t + u bits behind a window, as the code writes
-    # it, for the windows in code order until the second level would pass
-    # 2**t words or 2**(t + 1) keys
-    for code in _random_codes(random.Random(25)):
-        t = codec._Plan(code).narrowest
-        if not t:
-            continue
-        plan, table = _held(code, t)
-        listed = {}
-        for value, length, symbol in codec._canonical_words(plan, 2 * t):
-            if length > t:
-                listed.setdefault(value >> length - t, []).append(
-                    (value, length, symbol))
-        second = _second_level(table)
-        words = keys = 0
-        within = {}     # {u: the words of at most t + u bits}
-        for window, u, held in second:
-            assert 1 <= u <= t and int(window, 2) in listed, code
-            got = set()
-            for key, ((symbol,), length) in held.items():
-                assert len(key) == u and t < length <= t + u
-                got.add((int((window + key)[:length], 2), length, symbol))
-            assert got == {word for word in listed[int(window, 2)]
-                           if word[1] <= t + u}, (code, window)
-            if u not in within:
-                within[u] = set(codec._canonical_words(plan, t + u))
-            assert got <= within[u]
-            words += len(got)
-            keys += len(held)
-        assert words <= 1 << t and keys <= 2 << t, code
-        # the windows past the budget are the last in code order
-        windows = sorted(listed)
-        assert [int(w, 2) for w, _, _ in second] == windows[:len(second)]
-
-
-def test_the_second_level_budget_ends_at_the_run():
-    # Golomb-128 at t = 10: the 128 words of each quotient 3 to 9 hold
-    # 896 words behind 896 keys; quotients 10 to 12 would add 384 words
-    # behind 896 keys under the window of ten ones, past 2**10 words
-    plan, table = _held(GolombCode(128), 10)
-    second = _second_level(table)
-    assert sum(len(set(held.values())) for _, _, held in second) == 896
-    assert sum(map(len, (held for _, _, held in second))) == 896
-    assert table["1" * 10] == ((), 0)
-    symbols = [*range(13 * 128)]
-    blob = encode(symbols, GolombCode(128))
-    assert decode(blob) == _single_symbol(blob)[1] == symbols
-
-
-def test_the_listing_stops_at_the_window_that_breaks_the_budget(
-        monkeypatch):
-    # GolombCode(2000) at t = 14: its words of up to 28 bits number 34 048,
-    # 28 000 of them past 14 bits, far more than the 2**14 the second level
-    # holds. The listing ends at the word opening the window after the one
-    # that breaks the budget, and the table is the whole listing's
-    plan = codec._Plan(GolombCode(2000))
-    whole = list(codec._canonical_words(plan, 14, 28))
-    assert len(whole) == 34048
-    read = []
-    real = codec._canonical_words
-
-    def recording(*args):
-        for word in real(*args):
-            read.append(word)
-            yield word
-    monkeypatch.setattr(codec, "_canonical_words", recording)
-    table = codec._plan_table(plan, 1 << 14)[1]
-    assert table == codec._decode_table(whole, 14)
-    assert read == whole[:len(read)]
-    short = sum(length <= 14 for _, length, _ in whole)
-    held = sum(len(set(keys.values())) for _, _, keys in _second_level(table))
-    *broken, opening = read[short + held:]
-    windows = {value >> length - 14 for value, length, _ in broken}
-    assert len(windows) == 1
-    assert opening[0] >> opening[1] - 14 not in windows
-
-
-# "0", "10", "1100", "1101", then 60 of the 64 words of 11 bits behind
-# "1110000": the last window holds 4 words, and "11101", "1111" none
-SPARSE_CODE = ExplicitCode.from_lengths([1, 2, 4, 4] + [11] * 60)
+    assert _built(code).automaton
+    blob = encode([1, 0], code)
+    assert blob[-1] == 0b10000000 and decode(blob) == [1, 0]
+    count_at = len(blob) - 1 - 8
+    for count, message in ((2, "nonzero padding bits"),
+                           (3, "payload does not match the declared code")):
+        bad = (blob[:count_at] + struct.pack("<Q", count)
+               + bytes([0b10011100]))
+        with pytest.raises(ContainerError) as got:
+            decode(bad)
+        with pytest.raises(ContainerError) as want:
+            _single_symbol(bad)
+        assert str(got.value) == str(want.value) == message
+    steps = []
+    real = codec._decode_canonical
+    monkeypatch.setattr(
+        codec, "_decode_canonical",
+        lambda *args: steps.append(len(args[2])) or real(*args))
+    with pytest.raises(ContainerError):
+        decode(bad)
+    assert steps == [2]
 
 
 @pytest.mark.parametrize("code, top", [
-    (GolombCode(64), 30 * 64), (SPARSE_CODE, 64),
-    (UnaryEndedCode((1, 2), 2), 40)], ids=["golomb64", "sparse", "unary-ended"])
-def test_the_second_level_keeps_every_container_error(code, top):
+    (GolombCode(64), 30 * 64), (GolombCode(1023), 12000), (SPARSE_CODE, 64),
+    (UnaryEndedCode((1, 2), 2), 40)],
+    ids=["golomb64", "golomb1023", "sparse", "unary-ended"])
+def test_the_miss_path_keeps_every_container_error(code, top):
     # cut and flipped payloads read as the single steps read them, through
-    # first-level windows and second-level keys that match no word; the
-    # symbols below top take words in both levels and past them
+    # nibbles that miss into patterns that start no word or past the
+    # states; the symbols below top take words in reach and past it
     rng = random.Random(27)
     symbols = [rng.randrange(top) if rng.random() < 0.3 else 0
                for _ in range(3000)]
     good = encode(symbols, code)
     codec._plan.cache_clear()
+    assert _built(code).automaton
     assert decode(good) == symbols
-    assert _second_level(codec._plan(codec._descriptor(code)).table[1])
     head = len(encode([], code))
     for _ in range(40):
         at = rng.randrange(8 * head, 8 * len(good))
@@ -1032,12 +947,13 @@ def test_the_second_level_keeps_every_container_error(code, top):
                 assert decode(blob) == want
 
 
-def test_table_window_past_the_payload_reads_padding():
+def test_a_walk_short_of_the_count_reads_on_by_single_steps():
     # "0", "10", "110": "111" matches nothing. 502 words "10", then "111"
-    # and padding; 600 declared symbols keep the table running at the end,
-    # where its window reads past the payload into the padding zeros
+    # and padding; 600 declared symbols leave the walk short of the count,
+    # and single steps read "111" into the padding zeros
     code = ExplicitCode.from_lengths((1, 2, 3))
-    assert codec._Plan(code).narrowest == 8          # 7/8: "111" is unmatched
+    codec._plan.cache_clear()
+    assert _built(code).automaton
     bits = "10" * 502 + "1110"
     blob = (encode([], code)[:-8] + struct.pack("<Q", 600)
             + int(bits, 2).to_bytes(len(bits) // 8, "big"))
@@ -1117,7 +1033,7 @@ def test_warm_plan_keeps_every_container_error(code):
             decode(blob)
         assert str(cold.value) == message
         assert decode(good) == symbols
-        assert codec._plan(good[5:count_at]).table[1]   # warm, with a table
+        assert codec._plan(good[5:count_at]).automaton  # warm, with one
         with pytest.raises(ContainerError) as warm:
             decode(blob)
         assert str(warm.value) == message
@@ -1269,6 +1185,29 @@ def test_the_word_table_writes_each_short_word_once():
     # symbol 100's 101-bit word is kept as well, so each is written once
     assert sorted(calls) == [3, 5, 100]
     assert sorted(words) == [3, 5, 100]
+
+
+def test_a_word_past_the_budget_is_written_once_per_plan(monkeypatch):
+    # a 64-bit budget stands for 2**18 bits: symbol 199's 199-bit word is
+    # longer, so the table keeps it beside the budget, and its repeats copy
+    # it; the word after it that does not fit takes its place
+    monkeypatch.setattr(codec, "_WORD_BITS", 64)
+    code = ExplicitCode(_caterpillar(200))
+    codec._plan.cache_clear()
+    words = _words(code)
+    calls = []
+    write = words.codeword
+    words.codeword = lambda i: calls.append(i) or write(i)
+    for _ in range(2):
+        blob = encode([199] * 16, code)
+        assert blob == _written_word_by_word([199] * 16, code)
+        assert decode(blob) == [199] * 16
+    assert calls == [199]
+    assert 199 not in words and words.last == (199, code.codeword(199))
+    assert encode([198, 198, 0], code) == _written_word_by_word(
+        [198, 198, 0], code)
+    assert calls == [199, 198, 0] and words.last[0] == 198
+    codec._plan.cache_clear()
 
 
 @pytest.mark.parametrize("code, symbols, message", [

@@ -1,7 +1,8 @@
 """Seeded property-based tests of the container codec: a differential test
-against the reference codeword() strings and a fuzz test on mutated
-containers, both also against the single-symbol decoders on containers long
-enough for the multi-symbol table. Needs hypothesis (the `test` extra)."""
+against the oracles' words and a fuzz test on mutated containers against
+the oracles' reference decoder, both also against the single-symbol
+decoders on containers long enough for a plan's automaton. Needs
+hypothesis (the `test` extra)."""
 import random
 import struct
 import time
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from epc import (ContainerError, ExplicitCode, GolombCode, Poisson,
                  UnaryEndedCode, build_unary_ended, build_unary_ended_mmr,
                  codec, decode, encode, read_container)
-from oracles import kraft_fraction
+from oracles import container_words, kraft_fraction, reference_decode
 
 # derandomized: every run draws the same examples and writes no database
 SEEDED = settings(derandomize=True, database=None, deadline=None)
@@ -28,8 +29,8 @@ def _packed(bits: str) -> bytes:
 def _golomb_params():
     edges = sorted({2 ** m + d for m in range(21) for d in (-1, 0, 1)
                     if 1 <= 2 ** m + d <= 2 ** 20})
-    # Golomb words longer than t bits fill k / 2**t of code space, so k < 32
-    # leaves a t = 8 table over 7/8 full: long containers build one
+    # a Golomb-k automaton of k < 32 has under 2**9 states, so long
+    # containers build one
     return st.one_of(st.sampled_from(edges), st.integers(1, 2 ** 20),
                      st.integers(1, 31))
 
@@ -89,7 +90,7 @@ def _code_and_symbols(draw):
         top = len(code.head) + 60
     if not draw(st.booleans()):
         symbols = draw(st.lists(st.integers(0, top), max_size=80))
-    else:   # past the table threshold: mostly short words, as a source
+    else:   # past an automaton's threshold: mostly short words, as a source
         # the code suits would send them, and a few uniform draws
         rng = random.Random(draw(st.integers(0, 2 ** 32)))
         count = draw(st.integers(512, 6144))
@@ -109,16 +110,20 @@ def _outcome(blob: bytes):
         return str(exc)
 
 
-def _no_table_run(*args):
-    raise AssertionError("the single-symbol oracle read a table")
+def _no_walk(*args):
+    raise AssertionError("the single-symbol oracle walked an automaton")
 
 
 def _single_symbol_outcome(blob: bytes):
-    """The oracle: the same container, its plan's table neither built nor
-    read, whatever the plan holds."""
-    with mock.patch.object(codec, "_plan_table", return_value=(0, None)), \
-            mock.patch.object(codec, "_table_run", _no_table_run):
+    """The oracle: the same container read by single steps alone, its
+    plan's automaton neither built nor walked, whatever the plan holds."""
+    with mock.patch.object(codec, "_plan_automaton", return_value=None), \
+            mock.patch.object(codec, "_walk", _no_walk):
         return _outcome(blob)
+
+
+def _tail(code):
+    return (code.tail.spine, code.tail.k) if code.tail else None
 
 
 @settings(SEEDED, max_examples=300)
@@ -129,12 +134,12 @@ def test_codec_matches_reference_codewords(case, short):
     header = encode([], code)[:-8]
     assert blob[:len(header)] == header
     assert blob[len(header):len(header) + 8] == struct.pack("<Q", len(symbols))
-    reference = "".join(code.codeword(s) for s in symbols)
+    reference = "".join(map(container_words(code.head, _tail(code)), symbols))
     assert blob[len(header) + 8:] == _packed(reference)
     back, decoded = read_container(blob)
     assert decoded == symbols and back == code
     assert _single_symbol_outcome(blob) == (code, symbols)
-    # a short container after it reads any table its plan now holds
+    # a short container after it reads any automaton its plan now holds
     blob = encode(symbols[:short], code)
     assert _outcome(blob) == _single_symbol_outcome(blob) == (
         code, symbols[:short])
@@ -175,3 +180,25 @@ def test_mutated_containers_decode_or_raise_container_error(blob):
     assert time.perf_counter() - start < 0.5
     # the same symbols, or a ContainerError with the same message
     assert outcome == _single_symbol_outcome(blob)
+    # wherever the header reads, the reference decoder's symbols, or a
+    # refusal
+    header = _header(blob)
+    if header is not None:
+        code, count, payload = header
+        want = reference_decode(code.head, _tail(code), payload, count)
+        assert (outcome[1] if type(outcome) is tuple else "refused") == want
+
+
+def _header(blob: bytes):
+    """(code, count, payload) of a container whose magic, version,
+    descriptor and count read, else None."""
+    if blob[:5] != codec.MAGIC + bytes([codec.VERSION]):
+        return None
+    try:
+        end = codec._descriptor_end(blob, 5)
+        code = codec._parse_descriptor(blob[5:end])
+    except ContainerError:
+        return None
+    if end + 8 > len(blob):
+        return None
+    return code, struct.unpack_from("<Q", blob, end)[0], blob[end + 8:]

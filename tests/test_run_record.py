@@ -1,8 +1,8 @@
 """The run record: a code's tail is its spine and k, the run starting at
 t0 = len(head). Seeded draws of complete heads (or none), spines 0-3 and k
 1-6, checked against the oracles' lengths and words, the container's three
-shapes and the code classes each shape names, and the words a decode table
-lists for each shape a container holds."""
+shapes and the code classes each shape names, and the words a plan's
+automaton lists for each shape a container holds."""
 import random
 from itertools import chain, count, takewhile
 
@@ -44,14 +44,15 @@ CASES = [((), 0, 1), ((), 0, 3), ((), 2, 1), ((), 2, 4), ((1,), 1, 1),
 
 
 def _listed_as_written(code, words):
-    """Every decode-table width: the plan's listing is exactly the words,
-    in symbol order, of at most t bits, as (value, length, symbol)."""
+    """Every length up to 14 bits: the plan's listing is exactly the words,
+    in symbol order, of that length, as (value, symbol)."""
     words = list(words)
-    for t in (8, 10, 12, 14):
-        listed = codec._canonical_words(codec._Plan(code), t)
+    plan = codec._Plan(code)
+    for length in range(1, 15):
+        listed = codec._canonical_words(plan, length)
         assert sorted(listed) == sorted(
-            (int(word, 2), len(word), i) for i, word in enumerate(words)
-            if len(word) <= t), t
+            (int(word, 2), i) for i, word in enumerate(words)
+            if len(word) == length), length
 
 
 @pytest.mark.parametrize("head, spine, k", CASES,
