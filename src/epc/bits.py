@@ -144,9 +144,8 @@ def kraft_sign(ordered) -> int:
     return -1 if free else 0
 
 
-# Head words of at most this many bits have their row's offset kept and
-# decode from a window this wide; a longer row keeps none, and its words are
-# written and read by the offset recurrence from the rows' counts.
+# the longest head row that keeps an offset (_canonical_head), and the
+# widest window a decoder reads
 _WINDOW = 64
 
 
@@ -163,15 +162,14 @@ def _first_codes(rows):
 
 
 def _long_word(rows, r, d):
-    """Word d of row r, a row past _WINDOW bits, as a string: the canonical
-    offset recurrence codec._past_window reads it by, run backward from its
-    row to the window. Each row past the window, from row r down, writes
-    the low bits of d, as many as its length exceeds the previous row's (or
-    _WINDOW, for the first such row); d then drops them and takes the
-    previous row's count when that row is past the window too, else where
-    the window's rows end, which starts the word's first _WINDOW bits.
-    Every d stays below the head's size, so the work is linear in the
-    word."""
+    """Word d of row r, a row past _WINDOW bits, as a string: the offset
+    recurrence codec._past_window reads it by, run backward from its row
+    to the window. Each row past the window, from row r down, writes as
+    many low bits of d as it adds past the previous row (or past _WINDOW);
+    d then drops them and adds the previous row's count, or, once that row
+    is within the window, where the window's rows end, which starts the
+    word's first _WINDOW bits. Every d stays below the head's size, so the
+    work is linear in the word."""
     parts = []
     length = rows[r][0]
     while length > _WINDOW:
@@ -190,9 +188,17 @@ def _canonical_head(lengths):
     """A head's canonical layout, the one record every head word is written
     from: its rows (length, count, words before, offset) in length order,
     its symbols in (length, index) order and each symbol's place in that
-    order. A row of at most _WINDOW bits has as offset its first word less
-    the words before it, so the word at canonical place k is offset + k; a
-    longer row's offset is None."""
+    order.
+
+    A row of at most _WINDOW bits has as offset its first word
+    (_first_codes) less the words before it, so the word at canonical place
+    k is offset + k (Moffat & Turpin, "On the implementation of minimum
+    redundancy prefix codes", IEEE Trans. Commun. 1997). A longer row's
+    offset is None: its words are written (_long_word) and read
+    (codec._past_window) by the offset recurrence from the rows' counts,
+    so no offset is wider than _WINDOW bits. A code keeps its record
+    (LengthSeq._canonical): LengthSeq.codeword writes each head word from
+    it, and a decode plan takes its rows and order from it."""
     counts = sorted(Counter(lengths).items())
     before = accumulate((n for _, n in counts), initial=0)
     # the rows of at most _WINDOW bits come first, each taking the next word

@@ -4,21 +4,17 @@ Container layout: magic "EPC1", one version byte, a tagged code descriptor,
 a 64-bit little-endian symbol count, then the payload bits MSB-first and
 zero-padded to a byte boundary.
 
-Every code is a `LengthSeq`: a canonical head, an all-1s spine at the top
-of its code space, then an optional Golomb-k run. The descriptor's tag is
-read off that shape: a head alone (0x02, its lengths; read back as an
-`ExplicitCode`), a unary run behind a head and its spine (0x03, the head
-and spine lengths; a `UnaryEndedCode`) or a k-run with no head or spine
-(0x01, k; a `GolombCode`); no other shape has one. A descriptor is parsed
-under the container's own rules, which a code need not keep; encode parses
-its own, so it refuses, as a ValueError, every code decode would refuse.
+Every code is a `LengthSeq`, and the descriptor's tag is read off its
+shape (`_descriptor`). A descriptor is parsed under the container's own
+rules (`_check_lengths`); encode parses its own, so it refuses, as a
+ValueError, every code decode would refuse.
 
-What decoding derives from a code alone is built once per descriptor into
-a decode plan (`_Plan`), and the plans of recent descriptors are cached.
-Encode joins the words of the plan's word table (`_Words`). Decode reads
-words one at a time with the canonical decoder (`_decode_canonical`), and,
+A descriptor's plan (`_Plan`) holds what coding derives from the code
+alone, and the plans of recent descriptors are cached (`_PLANS`). Encode
+joins the words of the plan's word table (`_Words`). Decode reads words by
+single steps (`_decode_canonical`, and `_past_window` past 64 bits) and,
 once a plan has decoded enough symbols, a payload nibble at a time through
-the plan's automaton (`_automaton`, walked by `_walk`).
+its automaton (`_automaton`, walked by `_walk`).
 """
 from __future__ import annotations
 
@@ -182,21 +178,20 @@ _CHUNK = 1 << 10
 
 def _canonical_words(plan: _Plan, length: int) -> list[tuple[int, int]]:
     """[(value, symbol)] of the code's words of `length` bits: the head's
-    row of that length, each word its row's offset plus its canonical place
-    (past 64 bits as LengthSeq.codeword writes it), then the run's words as
-    LengthSeq.codeword writes them. A Golomb-k word of quotient q is spine
-    + 1 + q bits, then g - 1 suffix bits for the z = 2**g - k remainders
-    below z and g for the rest, so a length holds remainders below z at one
-    quotient and the others at the quotient before."""
+    row of that length, from the head record's offset, then the run's words
+    as LengthSeq.codeword writes them. _automaton asks for at most 25 bits,
+    since a frontier of at most _STATES states grows only while above
+    2**(depth - 12), so the row asked for keeps an offset. A Golomb-k word
+    of quotient q is spine + 1 + q bits, then g - 1 suffix bits for the
+    z = 2**g - k remainders below z and g for the rest, so a length holds
+    remainders below z at one quotient and the others at the quotient
+    before."""
     rows, order, code = plan.rows, plan.order, plan.code
     words = []
     r = bisect_left(rows, (length,))
     if r < len(rows) and rows[r][0] == length:
         _, count, before, offset = rows[r]
-        places = range(before, before + count)
-        words = ([(offset + k, order[k]) for k in places]
-                 if offset is not None else
-                 [(int(code.codeword(order[k]), 2), order[k]) for k in places])
+        words = [(offset + k, order[k]) for k in range(before, before + count)]
     if plan.k:
         k, g = plan.k, plan.k.bit_length()
         z = (1 << g) - k
@@ -389,16 +384,18 @@ def _decode_canonical(bits: str, pos: int, out: list, count: int,
     holds count -> the position past them; may overrun the payload on a
     truncated one, which the caller reports.
 
-    The first `window` = min(L, _WINDOW) bits w decide a row word of at
-    most window bits in one bisection of the rows' starts at window bits: a
-    word of row i, length l, is symbol order[(w >> window - l) - offset],
-    offset the row's in the record, read through the plan's steps, so that
-    such a word costs one shift and one subtraction after the bisection. A
-    word past those rows that does not start with the spine's ones is a
-    longer row's, read by offsets (_past_window), or no word. A run word
-    past the spine is read arithmetically: its ones up to the next zero are
-    the quotient, then g - 1 suffix bits, and one more when they read z =
-    2**g - k or more.
+    The canonical single steps (Moffat & Turpin 1997) read each word from
+    the next `window` = min(L, _WINDOW) bits w, L the plan's `width`. The
+    plan's `bounds` hold 0, then where each row of at most window bits
+    ends, at window bits ((offset + before + count) shifted out to window
+    bits), so one bisection finds w's row i; its step (l, window - l,
+    offset) makes the word symbol order[(w >> window - l) - offset], one
+    shift and one subtraction. No integer the plan stores is wider than
+    window + 1 bits. A word past those rows that does not start with the
+    spine's ones is a longer row's, read by offsets (_past_window), or no
+    word. A run word past the spine is read arithmetically: its ones up to
+    the next zero are the quotient, then g - 1 suffix bits, and one more
+    when they read z = 2**g - k or more; at k = 1 that is a unary word.
     """
     window, rows, bounds = plan.window, plan.rows, plan.bounds
     steps, order, spine, k = plan.steps, plan.order, plan.spine, plan.k
@@ -437,23 +434,21 @@ def _decode_canonical(bits: str, pos: int, out: list, count: int,
     return pos
 
 
-# Descriptors whose plans the cache keeps; each holds its code with the code's
-# head record (rows of four small integers per distinct head length, the last
-# an offset of at most 64 bits or None, the symbol order and each symbol's
-# place in it), at most 65 bounds of at most 65 bits, and at most one
-# automaton. The code's head and the order take about 40 and 36 bytes a
-# symbol, the places 8 more where the head is not in canonical order (else
-# they are the order), the rows about 100 bytes a distinct length: the plan
-# of lengths 1, 2, ..., n - 1, n - 1 at n = 32 768 keeps about 6 MB. An
-# automaton holds at most 2**12 state lists and 2**16 entries, each a pair
-# and at most one new tuple of symbols: about 10 MB by that count, and
-# about 5 MB for the Huffman code of Zipf(4096), whose 4095 states are
-# every node of its trie. Encoding adds its word table of words holding at
-# most _WORD_BITS bits in all to the plan: by Kraft at most 18 432 words
-# (14 336 of 14 bits and 4 096 of 15), about 1.8 MB, and the last word it
-# did not keep. At worst the cache thus holds about 190 MB beside the codes
-# and their last long words: 16 plans of 2**12-state automata, each built
-# once its containers declared 2**15 symbols.
+# Descriptors whose plans the cache keeps; each holds its code with the
+# code's head record (bits._canonical_head), at most 65 bounds of at most 65
+# bits, and at most one automaton. The code's head and the order take about
+# 40 and 36 bytes a symbol, the places 8 more where the head is not in
+# canonical order (else they are the order), the rows about 100 bytes a
+# distinct length: the plan of lengths 1, 2, ..., n - 1, n - 1 at n = 32 768
+# keeps about 6 MB. An automaton holds at most 2**12 state lists and 2**16
+# entries, each a pair and at most one new tuple of symbols: about 10 MB by
+# that count, and about 5 MB for the Huffman code of Zipf(4096), whose 4095
+# states are every node of its trie. Encoding adds its word table of words
+# holding at most _WORD_BITS bits in all to the plan: by Kraft at most 18 432
+# words (14 336 of 14 bits and 4 096 of 15), about 1.8 MB, and the last word
+# it did not keep. At worst the cache thus holds about 190 MB beside the
+# codes and their last long words: 16 plans of 2**12-state automata, each
+# built once its containers declared 2**15 symbols.
 _PLANS = 16
 _WORD_BITS = 1 << 18
 
@@ -491,28 +486,18 @@ class _Words(dict):
 
 
 class _Plan:
-    """What decoding derives from one code alone, each fact computed once
+    """What coding derives from one code alone, each fact computed once
     and shared by every container that carries its descriptor.
 
-    `width` is L, the longest head length, spine included. The head's
-    words of one length l form a row, shortest first, and `rows` holds
-    (l, count, before, offset) per row, before the words of the shorter
-    rows: the row's j-th word is symbol order[before + j], and for l at
-    most _WINDOW its value is offset + before + j; both come from the
-    code's head record. `window` is W = min(L, _WINDOW), and `bounds` holds
-    0, then where each row of at most W bits ends, at W bits (offset +
-    before + count, shifted out to W bits), so row i starts at bounds[i];
-    `steps` holds (l, W - l, offset) for each of those rows. Longer rows,
-    whose offset is None, are read by offsets from their counts, so no
-    integer the plan stores is wider than W + 1 bits. The spine, `spine`
-    1s at the top of code space, follows the rows; behind it symbols
-    len(order) on take the Golomb-k run's words, `k` the tail's: a code
-    with no tail has no run, k = 0. A Golomb code is a run behind no rows
-    and an empty spine. `automaton` is the code's (_automaton), None until
-    built under `lock`; `decoded` counts the symbols its containers
-    declared (a race may lose a count, which only delays the build), and
-    `due` is the count at which _automaton is asked again.
-    `words` is encode's word table.
+    `rows` and `order` are the code's head record (bits._canonical_head).
+    `width` is the longest head length, spine included; `window`, `bounds`
+    and `steps` are what _decode_canonical reads a word by, as it says.
+    `spine` is the spine's length and `k` the run's, 0 for a code with no
+    run; symbols len(order) on take the run's words. `automaton` is the
+    code's (_automaton), None until _plan_automaton builds it under `lock`
+    once `decoded`, the symbols its containers declared, reaches `due` (a
+    race may lose a count, which only delays the build). `words` is
+    encode's word table (_Words).
     """
 
     def __init__(self, code: LengthSeq) -> None:

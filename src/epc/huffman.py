@@ -31,12 +31,11 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import exp, log1p
 
-from .models import DthRedundancy, Exponential, MaxRedundancy, Penalty
+from .models import _TINY, DthRedundancy, Exponential, MaxRedundancy, Penalty
 from .numeric import LN2, check_weights
 
 __all__ = [
@@ -183,9 +182,9 @@ def _tilted(weights, tilt, ln_weights=None, order=None) -> CodeTree:
             ws = [0.0]
         order = None if d else order
         least = min(ws) if order is None else ws[order[0]]
-        if least >= sys.float_info.min:
+        if least >= _TINY:
             root, merges = _run(ws, b, plain, order)
-    logged = root is None or not sys.float_info.min <= root < math.inf
+    logged = root is None or not _TINY <= root < math.inf
     if logged:
         ys = ln_weights or list(map(math.log, weights))
         root, merges = _run([(1.0 + d) * y for y in ys] if d else ys, ln_b,

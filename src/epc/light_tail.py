@@ -122,7 +122,7 @@ def _tail_threshold(first_value: float, floor: float, rho: float,
                     first_index: int) -> int:
     """Smallest index at or past first_index where a geometric run starting
     at first_value has decayed to the floor."""
-    if first_value <= floor * (1.0 + _REL_TOL):
+    if _minprefix_ok(first_value, floor):
         return first_index
     steps = ceil_snapped(math.log(floor / first_value) / math.log(rho))
     return first_index + max(steps, 0)

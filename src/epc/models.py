@@ -3,9 +3,9 @@
 Sources are measures on the nonnegative integers, usually summing to one.
 Every code is a LengthSeq: a head of lengths, then optionally a run record
 (spine, k) past it, spine ones and then Golomb-k words; k = 1 is unary.
-Penalties read a code's one profile over a source: the head's masses by
-length, then the run, in closed form on a source geometric from its start,
-else a unary run as a series. Values are immutable, functions pure.
+Penalties read a code's one profile over a source (_Profile), and every
+tail, power and Renyi sum is one series (_terms). Values are immutable,
+functions pure.
 """
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ from typing import Optional, Union
 from .bits import (_canonical_head, _first_codes, _long_word, _symbol,
                    complete_binary, integer_lengths, kraft_sign)
 from .errors import DivergenceError, EpcError
-from .numeric import LN2, check_positive, check_ratio, check_weights, shown
+from .numeric import (_FLOAT_MAX, LN2, check_positive, check_ratio,
+                      check_weights, shown)
 
 __all__ = [
     "Geometric", "Poisson", "ExplicitFinite", "ExplicitTailed",
@@ -254,11 +255,6 @@ Penalty = Union[Exponential, DthRedundancy, MaxRedundancy, Linear]
 
 # ---------------------------------------------------------------- lengths
 
-# a code's lengths, and its run's first length and k, are at most this, so
-# every sum over a code reads them as floats
-_FLOAT_MAX = sys.float_info.max
-
-
 @dataclass(frozen=True, init=False)
 class UnaryTail:
     """The run a code ends in, from t0, the symbol past its head: symbol
@@ -308,6 +304,8 @@ class LengthSeq:
             # the run fills the code space of its spine's word
             words += (self.tail.spine,)
         words = sorted(words)
+        # so every sum over a code reads its lengths, and its run's first
+        # length and k, as floats
         if words and words[-1] > _FLOAT_MAX:
             raise ValueError("lengths must lie inside the float range")
         if kraft_sign(words) > 0:
@@ -364,8 +362,8 @@ class LengthSeq:
         return tail.spine + 1 + q + (g - 1 if r < (1 << g) - k else g)
 
     def codeword(self, i: int) -> str:
-        """Symbol i's word, refused past _MOST_ONES bits: in the head its
-        row's offset plus its canonical place (bits._long_word past 64
+        """Symbol i's word, refused past _MOST_ONES bits: in the head from
+        the head record (bits._canonical_head, bits._long_word past 64
         bits), past the head the run's, the spine and quotient in ones, a
         zero, then the complete binary suffix of the remainder."""
         i, head, tail = _symbol(i), self.head, self.tail
@@ -464,10 +462,18 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float,
     t(i+1)/t(i) = (c/(i+1))**alpha, c = mean * e**(beta/alpha), so they
     peak at floor(c); they are summed outward from the peak until that
     ratio, which only falls further out, certifies the rest of each side.
-    A peak more than _MAX_TERMS past j is refused before any term is made,
-    by _peak; listed from log masses, a series whose first block leaves it
-    unsettled is refused there if no block end within _MAX_TERMS past the
-    peak can settle it."""
+    With beta zero they are listed from the log masses, in blocks whose
+    length that ratio predicts (_reach); with beta nonzero each comes from
+    its neighbour by the ratio, read from ln c where c is no normal float,
+    which keeps the many power sums of an overflow solve cheaper than
+    blocks would. A peak more than _MAX_TERMS past j is refused before any
+    term is made, by _peak; listed from log masses, a series whose first
+    block leaves it unsettled is refused there if no block end within
+    _MAX_TERMS past the peak can settle it (_unsettled).
+
+    Tail weights take (1, ln base), Renyi sums (alpha, 0), a code's unary
+    run (1 + d, ln base) (_Profile), and the mean length and the entropy
+    the first moments of the plain mass terms (_mass_moment)."""
     rho, size = model.tail_ratio, model.size
     g = beta / alpha     # ln t(i) = alpha * (ln p(i) + g * (i - j))
     exp, lo = math.exp, j
@@ -685,12 +691,19 @@ class _Profile:
     m; where m lies below the normal floats they come from the log masses,
     read once for the whole head, over m already, and d is one.
 
+    So each sum takes one term per distinct length. A power sum, the d-th
+    redundancy's (p**(1+d) at base 2**d) among them, is one log-sum-exp of
+    those terms and the run's (ln_power_sum), so it never leaves the log
+    domain; the maximal redundancy reads each length's largest mass.
+
     A run from t0 = len(head) behind a spine of s ones, with k >= 2 or no
     head, on an infinite source geometric from t0 sums in closed form: its
     sums are e**share, share = ln p(t0) - ln(1 - ratio), times the k-Golomb
     code's over Geometric(ratio), lengths shifted by s. A unary run behind a
-    head sums as a series on any source; no other run has sums. Its maximal
-    redundancy on a Poisson source is read at the one peak of its terms."""
+    head sums as a series (_terms) on any source; no other run has sums.
+    Its maximal redundancy reads the largest p(i) 2**(i - t0) with no sum:
+    on a Poisson source at the one peak, max(t0, floor(2 mean)) (_peak), on
+    a geometric-tailed one over the head, unbounded where 2 rho > 1."""
 
     def __init__(self, model: SourceModel, lengths: LengthSeq) -> None:
         head, tail, size = lengths.head, lengths.tail, model.size

@@ -7,15 +7,12 @@ exceeds b bits falls like e^(-s*b), where s* is the largest s at which
     f(s) = E[e^(-sT)] * sum_i p(i) e^(s n(i))
 
 stays at or below one. Larger s* means faster decay, so the optimizer looks
-for the code maximizing s*: pick a bound s0, build the best code for the
-exponential penalty at base e^(s0), measure its s*, rebuild at that base,
-and repeat until the code reproduces itself. Every solve works on
+for the code maximizing s*: pick a bound s0 (decay_rate_bound), build the
+best code for the exponential penalty at base e^(s0), measure its s*
+(max_decay_rate), rebuild at that base, and repeat until the code
+reproduces itself (optimize_overflow). Every solve works on
 ln f = ln T(s) + ln P(e^s), the log of the transform plus the log of the
 power sum, so that neither factor leaves the float range at a large tilt.
-s* is the answer of a plain bisection on the sign of ln f, but since ln f
-is convex, max_decay_rate first locates its root with the same convex
-secant that finds the bound, and then computes ln f only at the
-bisection's midpoints near that root.
 """
 from __future__ import annotations
 
@@ -223,13 +220,15 @@ def max_decay_rate(model: SourceModel, code: LengthSeq,
 
     Otherwise a walk brackets the root while ln f <= 0: from half the power
     sum's pole it halves the distance left, and ends a float step below the
-    pole, never evaluating f there (at once if ln f <= 0 at that end); with
+    pole, never evaluating f there, where a Golomb sum can round to a
+    finite value although it diverges (at once if ln f <= 0 at that end,
+    since a convex ln f is then at most zero all along the walk); with
     no pole it doubles from 1/2 up to 2**40. Else the answer is the lo of a
     plain bisection that tests ln f <= 0 from the walk's bracket, down to
     width _S_TOL or until no float lies strictly between its ends. Only its
-    midpoints near the root need ln f: the bound's convex secant, started
-    from that bracket and the tangent at zero (slope: mean length less mean
-    gap), first locates the root to _S_TOL, and the bisection then
+    midpoints near the root need ln f: the bound's convex secant
+    (_last_nonpositive), started from that bracket with the slope at zero,
+    mean length less mean gap, first locates the root, and the bisection then
     evaluates ln f, at most once per point, within _NEAR of that located
     bracket and decides every other midpoint by its side. The mean length
     and every power sum read one profile of the code, built once per call.

@@ -17,9 +17,10 @@ import pytest
 
 from epc import (ContainerError, ExplicitCode, ExplicitFinite,
                  ExponentialArrivals, GolombCode, LengthSeq, Poisson,
-                 UnaryEndedCode, UnaryTail, bits, build_unary_ended, codec,
-                 decode, encode, exp_huffman, models, optimize_overflow,
-                 read_container, shannon_entropy, with_geometric_tail)
+                 UnaryEndedCode, UnaryTail, bits, build_unary_ended,
+                 build_unary_ended_mmr, codec, decode, encode, exp_huffman,
+                 models, optimize_overflow, read_container, shannon_entropy,
+                 with_geometric_tail)
 from oracles import (canonical_words, container_words, kraft_fraction,
                      reference_decode)
 
@@ -730,6 +731,29 @@ def test_canonical_words_lists_the_words_the_code_writes():
             listed = codec._canonical_words(plan, length)
             assert len(listed) == len(set(listed))
             assert set(listed) == want.get(length, set()), (code, length)
+
+
+def test_an_automaton_asks_for_no_word_past_25_bits(monkeypatch):
+    # a frontier of at most 2**12 states grows only while above
+    # 2**(depth - 12), so no row past 64 bits, the rows with no offset, is
+    # ever listed: not even under heads that hold such rows
+    asked = []
+    real = codec._canonical_words
+
+    def recording(plan, length):
+        asked.append(length)
+        return real(plan, length)
+    monkeypatch.setattr(codec, "_canonical_words", recording)
+    poisson = Poisson(4.0)
+    codes = [GolombCode(1), GolombCode(3), GolombCode(64), _zipf_code(256),
+             _zipf_code(4096), build_unary_ended(poisson, 1.0),
+             build_unary_ended(poisson, 2.0), build_unary_ended_mmr(poisson),
+             GolombCode(1023), GolombCode(2 ** 62),
+             ExplicitCode([*range(1, 200), 199]),
+             ExplicitCode([*range(1, 64), 65, *[70] * 96])]
+    for code in codes:
+        codec._automaton(codec._Plan(code), 1 << 30)
+    assert max(asked) <= 25
 
 
 def test_an_automaton_is_built_once_decoded_symbols_reach_half_its_entries(

@@ -1,10 +1,12 @@
-"""The public surface of epc: every exported name resolves, and no module
+"""The public surface of epc: every exported name resolves, README's
+reference has an entry for each and names only what exists, and no module
 imports a name it neither uses nor exports (a lint in stdlib ast, so it
 needs no linter installed)."""
 import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -15,6 +17,7 @@ MODULES = [module for module in (
     for info in pkgutil.iter_modules(epc.__path__))
     if hasattr(module, "__all__")]
 SOURCE = pathlib.Path(epc.__file__).parent
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("module", [epc, *MODULES],
@@ -26,6 +29,50 @@ def test_every_exported_name_resolves(module):
 
 def test_optimal_k_is_exported():
     assert epc.optimal_k is epc.golomb.optimal_k
+
+
+def _readme_prose() -> str:
+    """README with its fenced blocks left out."""
+    return re.sub(r"^```.*?^```$", "", README.read_text(encoding="utf-8"),
+                  flags=re.M | re.S)
+
+
+def test_the_readme_reference_has_an_entry_for_every_public_name():
+    # an entry is a bullet that opens with the name in backticks, under the
+    # library tour, before the next section
+    tour = _readme_prose().split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    entries = set(re.findall(r"^[-*] `([A-Za-z_]\w*)", tour, flags=re.M))
+    assert [x for x in epc.__all__
+            if x != "__version__" and x not in entries] == []
+
+
+def _resolve(dotted: str):
+    """The object a dotted name in README names: read from the epc package
+    (its modules and public names), else from an importable module such as
+    sys or math."""
+    first, *rest = dotted.split(".")
+    if first == "epc":
+        value = epc
+    elif hasattr(epc, first):
+        value = getattr(epc, first)
+    else:
+        value = importlib.import_module(first)
+    for part in rest:
+        value = getattr(value, part)
+    return value
+
+
+def test_every_dotted_name_in_the_readme_resolves():
+    # such as `codec._automaton`: a rename cannot leave a stale name behind
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`",
+                           _readme_prose()))
+    stale = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (AttributeError, ImportError):
+            stale.append(name)
+    assert names and stale == []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
