@@ -47,8 +47,9 @@ class ExplicitCode(LengthSeq):
     """Finite prefix code in canonical order, so its lengths identify it.
 
     A LengthSeq with no tail, which a container holds within its symbol
-    count; the codeword strings, which encoding needs and decoding does not,
-    are built on first use.
+    count. Its words are LengthSeq.codeword's, each written from the head
+    record when asked for; encoding keeps them in its plan's word table
+    (_Words), and decoding reads the record itself.
     """
 
     def __init__(self, lengths) -> None:
@@ -388,18 +389,19 @@ def _decode_canonical(bits: str, pos: int, out: list, count: int,
     the next `window` = min(L, _WINDOW) bits w, L the plan's `width`. The
     plan's `bounds` hold 0, then where each row of at most window bits
     ends, at window bits ((offset + before + count) shifted out to window
-    bits), so one bisection finds w's row i; its step (l, window - l,
-    offset) makes the word symbol order[(w >> window - l) - offset], one
-    shift and one subtraction. No integer the plan stores is wider than
-    window + 1 bits. A word past those rows that does not start with the
-    spine's ones is a longer row's, read by offsets (_past_window), or no
-    word. A run word past the spine is read arithmetically: its ones up to
-    the next zero are the quotient, then g - 1 suffix bits, and one more
-    when they read z = 2**g - k or more; at k = 1 that is a unary word.
+    bits), so one bisection finds w's row i. That row of the plan's `rows`,
+    (l, count, before, offset), makes the word symbol
+    order[(w >> window - l) - offset]: two subtractions and one shift. No
+    integer the plan stores is wider than window + 1 bits. A word past
+    those rows that does not start with the spine's ones is a longer row's,
+    read by offsets (_past_window), or no word. A run word past the spine
+    is read arithmetically: its ones up to the next zero are the quotient,
+    then g - 1 suffix bits, and one more when they read z = 2**g - k or
+    more; at k = 1 that is a unary word.
     """
     window, rows, bounds = plan.window, plan.rows, plan.bounds
-    steps, order, spine, k = plan.steps, plan.order, plan.spine, plan.k
-    short = len(steps)
+    order, spine, k = plan.order, plan.spine, plan.k
+    short = len(bounds) - 1
     run_start = len(order)
     g = k.bit_length()
     z = (1 << g) - k
@@ -410,8 +412,8 @@ def _decode_canonical(bits: str, pos: int, out: list, count: int,
             w = int(bits[pos:pos + window], 2)
             i = bisect_right(bounds, w) - 1
             if i < short:
-                length, shift, offset = steps[i]
-                append(order[(w >> shift) - offset])
+                length, _, _, offset = rows[i]
+                append(order[(w >> window - length) - offset])
                 pos += length
                 continue
             # a longer row's word or none, unless the spine's ones
@@ -490,14 +492,15 @@ class _Plan:
     and shared by every container that carries its descriptor.
 
     `rows` and `order` are the code's head record (bits._canonical_head).
-    `width` is the longest head length, spine included; `window`, `bounds`
-    and `steps` are what _decode_canonical reads a word by, as it says.
-    `spine` is the spine's length and `k` the run's, 0 for a code with no
-    run; symbols len(order) on take the run's words. `automaton` is the
-    code's (_automaton), None until _plan_automaton builds it under `lock`
-    once `decoded`, the symbols its containers declared, reaches `due` (a
-    race may lose a count, which only delays the build). `words` is
-    encode's word table (_Words).
+    `width` is the longest head length, spine included; `window` and
+    `bounds` are what _decode_canonical finds a word's row of `rows` by, as
+    it says, and it reads the row from `rows` itself. `spine` is the
+    spine's length and `k` the run's, 0 for a code with no run; symbols
+    len(order) on take the run's words. `automaton` is the code's
+    (_automaton), None until _plan_automaton builds it under `lock` once
+    `decoded`, the symbols its containers declared, reaches `due` (a race
+    may lose a count, which only delays the build). `words` is encode's
+    word table (_Words).
     """
 
     def __init__(self, code: LengthSeq) -> None:
@@ -513,9 +516,6 @@ class _Plan:
         self.bounds = [0, *(offset + before + c << window - length
                             for length, c, before, offset in self.rows
                             if offset is not None)]
-        self.steps = [(length, window - length, offset)
-                      for length, _, _, offset in self.rows
-                      if offset is not None]
         self.automaton = None
         self.decoded = 0
         self.due = 8       # half the root's 16 entries

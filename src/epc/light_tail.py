@@ -33,10 +33,11 @@ _SPLIT_CAP = 10 ** 4
 class UnaryEndedCode(LengthSeq):
     """Finite head code plus a unary continuation behind an all-1s prefix.
 
-    Symbols 0..split use the canonical head_codewords of head_lengths;
-    symbol i > split encodes as the all-1s tail_prefix of spine_length bits,
-    then i - split - 1 ones, then a zero: the run at k = 1. A LengthSeq; a
-    container holds it only Kraft-complete. Strings are built on first use.
+    Symbols 0..split take the canonical words of head_lengths; symbol
+    i > split encodes as the all-1s tail_prefix of spine_length bits, then
+    i - split - 1 ones, then a zero: the run at k = 1. A LengthSeq, whose
+    codeword writes each word when asked for; a container holds it only
+    Kraft-complete.
     """
 
     def __init__(self, head_lengths, spine_length: int) -> None:

@@ -18,8 +18,8 @@ from itertools import repeat
 from operator import itemgetter, mul
 from typing import Optional, Union
 
-from .bits import (_canonical_head, _first_codes, _long_word, _symbol,
-                   complete_binary, integer_lengths, kraft_sign)
+from .bits import (_canonical_head, _long_word, _symbol, complete_binary,
+                   integer_lengths, kraft_sign)
 from .errors import DivergenceError, EpcError
 from .numeric import (_FLOAT_MAX, LN2, check_positive, check_ratio,
                       check_weights, shown)
@@ -334,20 +334,6 @@ class LengthSeq:
     def _canonical(self):
         """The head's canonical record (bits._canonical_head)."""
         return _canonical_head(self.head)
-
-    @cached_property
-    def head_codewords(self) -> tuple[str, ...]:
-        """The head's words as codeword writes them, refused before any is
-        written if one is past _MOST_ONES bits."""
-        longest = max(self.head, default=0)
-        if longest > _MOST_ONES:
-            self.codeword(self.head.index(longest))     # refuses by name
-        # one walk of the rows: each row's words are its first word counting
-        # up, listed in canonical order, then placed by symbol
-        rows, _, place = self._canonical
-        words = [bin(first + j | 1 << length)[3:] for (length, n, *_), first
-                 in zip(rows, _first_codes(rows)) for j in range(n)]
-        return tuple(map(words.__getitem__, place))
 
     def length_at(self, i: int) -> int:
         i = _symbol(i)
@@ -821,17 +807,16 @@ class _Profile:
         run = -math.inf
         if self.ln_r is not None:
             # unbounded past ratio 2**(-1/k), where lengths outgrow the mass
-            # decay; else the sup is at the run's first short or long suffix
-            r, k = self.ratio, self.k
+            # decay; else the sup is at the run's first word, n0 bits, or at
+            # symbol z's, the first with a long suffix, n0 + 1 bits
+            r, k, z = self.ratio, self.k, self.z
             if 1.0 + k * math.log2(r) > 1e-12:  # the boundary kept finite
                 return math.inf
-            cg = (k - 1).bit_length()       # ceil(log2 k)
-            i_star = (1 << cg) - k          # 0 where k is a power of two
-            at_zero = self.n0 + math.log2(1.0 - r)
-            # i_star's word: n0 - g = L - 1 spine ones, a zero, cg suffix bits
-            at_star = (self.n0 - k.bit_length() + cg + 1 + math.log2(1.0 - r)
-                       + i_star * math.log2(r))
-            run = max(at_zero, at_star) + self.share / LN2
+            run = self.n0 + math.log2(1.0 - r)
+            if z < k:       # at a power-of-two k, z == k: no long suffix
+                run = max(run, self.n0 + 1 + math.log2(1.0 - r)
+                          + z * math.log2(r))
+            run += self.share / LN2
         elif self.model.size is None:
             # along the tail n(i) + log2 p(i) is spine + 1 + log2 of the
             # largest term p(i) * 2**(i - t0), or unbounded where they grow

@@ -3,11 +3,15 @@ total: lines that hold code, counting no blank line, no comment and no
 docstring.
 
     python3 tests/code_lines.py TREE
+    python3 tests/code_lines.py PARENT CHANGE
 
-TREE is a checkout of this repository. A line counts when a statement or
-an expression spans it and it is neither blank nor a comment alone. A
-docstring is a string expression standing alone as the first statement of
-a module, class or function; no line it spans counts.
+TREE, PARENT and CHANGE are checkouts of this repository. Given two, it
+prints each module's count in PARENT, in CHANGE and their difference
+(CHANGE less PARENT), a module missing from a tree counting 0 there, then
+the totals. A line counts when a statement or an expression spans it and
+it is neither blank nor a comment alone. A docstring is a string
+expression standing alone as the first statement of a module, class or
+function; no line it spans counts.
 
 Uses the standard library's ast alone; pytest does not collect it.
 """
@@ -38,21 +42,31 @@ def code_lines(source: str) -> int:
                .startswith("#"))
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    package = Path(argv[0]) / "src" / "epc"
+def _counts(tree: str) -> dict[str, int] | None:
+    """{module name: code lines} of a checkout's src/epc; None, after
+    saying so, where it holds no module."""
+    package = Path(tree) / "src" / "epc"
     modules = sorted(package.glob("*.py"))
     if not modules:
         print(f"no modules under {package}", file=sys.stderr)
+        return None
+    return {path.name: code_lines(path.read_text(encoding="utf-8"))
+            for path in modules}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 2):
+        print(__doc__.strip(), file=sys.stderr)
         return 2
-    total = 0
-    for path in modules:
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    trees = [_counts(tree) for tree in argv]
+    if None in trees:
+        return 2
+    names = sorted(set().union(*trees))
+    rows = [(name, [tree.get(name, 0) for tree in trees]) for name in names]
+    rows.append(("total", [sum(tree.values()) for tree in trees]))
+    for name, counts in rows:
+        change = [f"{counts[1] - counts[0]:+6d}"] if len(counts) == 2 else []
+        print("  ".join([f"{count:6d}" for count in counts] + change + [name]))
     return 0
 
 

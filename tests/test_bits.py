@@ -172,13 +172,29 @@ def _tree_lengths(draw):
     return draw(st.permutations(lengths))
 
 
+@st.composite
+def _long_row_lengths(draw):
+    """A _tree_lengths tree one of whose leaves grows a stretch of one leaf
+    per level past depth 64, some of those leaves perhaps split again: a
+    head with rows past 64 bits, which codeword writes by bits._long_word."""
+    lengths = list(draw(_tree_lengths()))
+    i = draw(st.integers(0, len(lengths) - 1))
+    end = draw(st.integers(65, 90))
+    lengths[i:i + 1] = [*range(lengths[i] + 1, end + 1), end]
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(lengths) - 1))
+        lengths[i:i + 1] = [lengths[i] + 1] * 2
+    return draw(st.permutations(lengths))
+
+
 @SEEDED
-@given(st.one_of(st.lists(st.integers(-1, 9), max_size=9), _tree_lengths()))
+@given(st.one_of(st.lists(st.integers(-1, 9), max_size=9), _tree_lengths(),
+                 _long_row_lengths()))
 @example([0])   # a lone 0: one symbol, the empty word
 def test_from_lengths_agrees_with_canonical_codewords(lengths):
     # a code is built exactly where the lengths make a prefix code, a
     # container holds it exactly where they are also within their count,
-    # and its words are the textbook canonical ones
+    # and its words, codeword's, are the textbook canonical ones
     refusal = _refusal(ExplicitCode.from_lengths, lengths)
     positive = min(lengths, default=1) > 0
     builds = ((positive or list(lengths) == [0])
@@ -189,14 +205,18 @@ def test_from_lengths_agrees_with_canonical_codewords(lengths):
         assert (_container_refusal(lengths) is None) == fits
     if refusal is None:
         code = ExplicitCode.from_lengths(lengths)
-        assert code.head_codewords == canonical_words(lengths)
+        words = tuple(map(code.codeword, range(len(code.head))))
+        assert words == canonical_words(lengths)
         assert code.head == tuple(lengths)
         assert code == ExplicitCode(lengths)
         assert hash(code) == hash(ExplicitCode(lengths))
 
 
 def test_canonical_codewords_in_length_then_index_order():
-    words = lambda lengths: ExplicitCode.from_lengths(lengths).head_codewords
+    def words(lengths):
+        code = ExplicitCode.from_lengths(lengths)
+        return tuple(map(code.codeword, range(len(code.head))))
+
     assert words([3, 1, 3, 2]) == ("110", "0", "111", "10")
     assert words([2, 2, 2]) == ("00", "01", "10")
 

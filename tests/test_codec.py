@@ -113,11 +113,11 @@ def test_explicit_code_is_canonical_only():
 def test_explicit_code_is_its_lengths():
     words = ("110", "0", "111", "10")
     code = ExplicitCode.from_lengths((3, 1, 3, 2))
-    assert "head_codewords" not in vars(code)   # built on first use only
     assert code == ExplicitCode((3, 1, 3, 2))
     assert hash(code) == hash(ExplicitCode((3, 1, 3, 2)))
     assert code != ExplicitCode.from_lengths((3, 1, 2, 3))
-    assert code.codeword(2) == "111" and code.head_codewords == words
+    assert code.codeword(2) == "111"
+    assert tuple(map(code.codeword, range(len(code.head)))) == words
     assert repr(code) == "ExplicitCode(lengths=(3, 1, 3, 2))"
 
 
@@ -164,7 +164,6 @@ def test_explicit_decode_builds_no_codewords(count, code, monkeypatch):
     finally:    # no plan keeps the patched writer
         codec._plan.cache_clear()
     assert decoded == symbols and got == code
-    assert "head_codewords" not in vars(got)
 
 
 def test_unary_ended_code_is_canonical_only():
@@ -172,7 +171,8 @@ def test_unary_ended_code_is_canonical_only():
     # words are the canonical ones under an all-1s spine
     code = UnaryEndedCode((2, 2), 1)
     assert code == UnaryEndedCode((2, 2), 1)
-    assert (code.head_codewords, code.tail_prefix) == (("00", "01"), "1")
+    assert tuple(map(code.codeword, range(len(code.head)))) == ("00", "01")
+    assert code.tail_prefix == "1"
     assert decode(encode([0, 1, 2, 5], code)) == [0, 1, 2, 5]
 
 
@@ -271,7 +271,8 @@ def _refused_by_container(code, message):
 
 
 def test_explicit_lengths_capped_at_alphabet_size():
-    assert ExplicitCode.from_lengths((1, 2)).head_codewords == ("0", "10")
+    code = ExplicitCode.from_lengths((1, 2))
+    assert tuple(map(code.codeword, range(len(code.head)))) == ("0", "10")
     # Kraft-valid codes over the cap, which only a container refuses
     for code, longest in ((ExplicitCode.from_lengths((1, 3)), 3),
                           (ExplicitCode((1, 3)), 3),
@@ -416,18 +417,6 @@ def test_a_deep_code_encodes_in_small_counts():
     assert retained <= 16 << 20
 
 
-def test_a_deep_head_is_listed_in_one_walk_of_its_rows():
-    # each row's words are its first word counting up, so no word walks the
-    # shorter rows again: the listing is linear in the words' bits, where a
-    # walk per word is cubic in n
-    code = ExplicitCode(_caterpillar(8192))
-    start = time.process_time()
-    words = code.head_codewords
-    assert time.process_time() - start < 2.0
-    assert words[-2:] == ("1" * 8190 + "0", "1" * 8191)
-    assert words[:3] == ("0", "10", "110")
-
-
 def test_a_word_past_64_bits_is_written_in_work_linear_in_its_length():
     # the offset recurrence run backward from the word's row keeps d below
     # the head's size; a walk of the shorter rows' first words shifts an
@@ -520,9 +509,10 @@ def _random_codes(rng):
 
 def test_each_head_word_is_the_canonical_word():
     # every head, in canonical order or not, writes symbol by symbol the
-    # words the textbook rule lists for the whole head, with no listing of
-    # the whole head; rows past 64 bits take their first words from the
-    # counts on demand
+    # words the textbook rule lists for the whole head; codeword is the one
+    # writer, with no listing of the whole head beside it. Rows past 64
+    # bits take their first words from the counts on demand
+    assert not hasattr(LengthSeq, "head_codewords")
     deep = [ExplicitCode([*range(1, 64), 65, *[70] * 96]),
             ExplicitCode(_caterpillar(300)),
             ExplicitCode(random.Random(48).sample(_caterpillar(200), 200)),
@@ -536,8 +526,6 @@ def test_each_head_word_is_the_canonical_word():
         unsorted += head != tuple(sorted(head))
         want = canonical_words(head)
         assert tuple(map(code.codeword, range(len(head)))) == want, code
-        assert "head_codewords" not in vars(code)
-        assert code.head_codewords == want
     assert unsorted >= 40
 
 

@@ -27,7 +27,8 @@ SEEDED = settings(derandomize=True, database=None, deadline=None,
 def test_code_object_basics():
     c = UnaryEndedCode((2, 2, 2), 2)
     assert c.split == 2 and len(c.head) == 3
-    assert (c.head_codewords, c.tail_prefix) == (("00", "01", "10"), "11")
+    assert tuple(map(c.codeword, range(len(c.head)))) == ("00", "01", "10")
+    assert c.tail_prefix == "11"
     assert c.codeword(2) == "10"
     assert c.codeword(3) == "110"
     assert c.codeword(6) == "111110"
@@ -244,7 +245,7 @@ def test_build_poisson_mean_length():
 def test_build_poisson_base_two():
     c = build_unary_ended(Poisson(1.0), 2.0)
     assert [c.length_at(i) for i in range(8)] == [2, 2, 2, 3, 4, 5, 6, 7]
-    assert c.head_codewords == ("00", "01", "10")
+    assert tuple(map(c.codeword, range(len(c.head)))) == ("00", "01", "10")
     assert c.tail_prefix == "11"
 
 

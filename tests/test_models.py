@@ -451,7 +451,8 @@ def test_length_seq_validation():
     assert time.perf_counter() - start < 0.01
     # a plain code's words take no container cap: (1, 3) is a prefix code
     # with more bits than symbols, which only a container refuses
-    assert LengthSeq((1, 3)).head_codewords == ("0", "100")
+    code = LengthSeq((1, 3))
+    assert tuple(map(code.codeword, range(len(code.head)))) == ("0", "100")
     assert LengthSeq((1, 3)).codeword(0) == "0"
     assert LengthSeq((0,)).codeword(0) == ""    # a lone 0 is the empty word
     with pytest.raises(ValueError, match="^no container holds this code: "
@@ -463,8 +464,9 @@ def test_length_seq_validation():
     assert LengthSeq((1, 2 ** 40)).codeword(0) == "0"
     with pytest.raises(ValueError, match="^symbol 1 has a codeword too long"):
         LengthSeq((1, 2 ** 40)).codeword(1)
+    code = LengthSeq((1, 2 ** 40))
     with pytest.raises(ValueError, match="^symbol 1 has a codeword too long"):
-        LengthSeq((1, 2 ** 40)).head_codewords
+        tuple(map(code.codeword, range(len(code.head))))
 
 
 def test_power_sum_against_direct():
