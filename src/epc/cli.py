@@ -105,8 +105,10 @@ def _cmd_optimize(args) -> int:
         # printed digit
         return _print_tree(model.probs, penalty, "penalty")
     code = optimal_code(model, penalty)
+    # valued before anything prints, so a refused value prints no code
+    value = evaluate_penalty(model, code, penalty)
     print(code)
-    print("penalty %.12g" % evaluate_penalty(model, code, penalty))
+    print("penalty %.12g" % value)
     return 0
 
 

@@ -36,6 +36,9 @@ __all__ = [
 
 # ---------------------------------------------------------------- sources
 
+_KEPT = 1 << 14
+
+
 class _Source:
     """The one protocol every source answers; each query below is written
     once over it.
@@ -48,38 +51,58 @@ class _Source:
     tail_ratio           a geometric continuation, p(i+1) = tail_ratio * p(i)
                          from tail_start on; None for a finite source and for
                          Poisson, whose mass ratio p(i+1)/p(i) is mean/(i+1)
-    """
+
+    Every source keeps its first `size or _KEPT` log masses once they are
+    read, by the one rule of ln_masses."""
 
     size = None
+    _ln_kept = []   # shared until a source's first read: never grown in place
 
     def masses(self, n: int) -> list[float]:
         return list(map(self.mass, range(n)))
 
     def ln_masses(self, j: int, n: int) -> list[float]:
+        # kept, since a solve sums the same terms at many tilts and orders; a
+        # longer list replaces the kept one whole, so a reader in another
+        # thread never sees it grow
+        kept = self._ln_kept
+        if len(kept) < n <= (most := self.size or _KEPT):
+            kept = kept + list(map(self.ln_mass, range(
+                len(kept), min(max(n, 2 * len(kept)), most))))
+            object.__setattr__(self, "_ln_kept", kept)
+        if n <= len(kept):
+            return kept[j:n]
         return list(map(self.ln_mass, range(j, n)))
 
 
-class _GeometricTail(_Source):
-    """A head whose last entry continues geometrically: p(i) = head[i] up to
-    tail_start = len(head) - 1, then head[-1] * tail_ratio**(i - tail_start)."""
+class _Listed(_Source):
+    """A listed head: p(i) = head[i] inside it. Past it a source with a tail
+    ratio continues geometrically, p(i) = head[-1] * tail_ratio**(i -
+    tail_start) with tail_start = len(head) - 1; a finite source is a head
+    with no tail, and raises IndexError there."""
 
     def mass(self, i: int) -> float:
         head = self.head
-        if i < len(head):
+        if i < len(head) or self.tail_ratio is None:
             return head[i]
         last = len(head) - 1
         return head[last] * self.tail_ratio ** (i - last)
 
     def ln_mass(self, i: int) -> float:
         head = self.head
-        if i < len(head):
+        if i < len(head) or self.tail_ratio is None:
             return math.log(head[i])
         last = len(head) - 1
         return math.log(head[last]) + (i - last) * math.log(self.tail_ratio)
 
+    def masses(self, n: int) -> list[float]:
+        # inside the head one slice of it, not a list built mass by mass
+        head = self.head
+        return list(head[:n]) if n <= len(head) else super().masses(n)
+
 
 @dataclass(frozen=True)
-class Geometric(_GeometricTail):
+class Geometric(_Listed):
     """p(i) = (1 - ratio) * ratio**i: the one-entry head (1 - ratio,) with
     tail ratio `ratio`."""
 
@@ -92,7 +115,6 @@ class Geometric(_GeometricTail):
         object.__setattr__(self, "tail_start", 0)
 
 
-_KEPT = 1 << 14
 _MOST_ONES = 1 << 32    # bits in a word; its string alone takes 4 GB
 
 
@@ -106,7 +128,6 @@ class Poisson(_Source):
     def __post_init__(self) -> None:
         check_positive("mean", self.mean)
         object.__setattr__(self, "_ln_mean", math.log(self.mean))
-        object.__setattr__(self, "_ln_known", [])
 
     def ln_mass(self, i: int) -> float:
         try:
@@ -120,32 +141,20 @@ class Poisson(_Source):
         raise EpcError(f"the log mass of symbol {i:.6g} leaves the "
                        "float range")
 
-    def ln_masses(self, j: int, n: int) -> list[float]:
-        # the first _KEPT log masses are kept once read, since a solve sums
-        # the same terms at many tilts and orders; a longer list replaces the
-        # kept one whole, so a reader in another thread never sees it grow
-        known = self._ln_known
-        if len(known) < n <= _KEPT:
-            known = known + list(map(self.ln_mass, range(
-                len(known), min(max(n, 2 * len(known)), _KEPT))))
-            object.__setattr__(self, "_ln_known", known)
-        if n <= len(known):
-            return known[j:n]
-        return list(map(self.ln_mass, range(j, n)))
-
     def mass(self, i: int) -> float:
         return math.exp(self.ln_mass(i))
 
     def masses(self, n: int) -> list[float]:
-        # mass(i) for each i from Poisson's kept log masses, which ln_mass
-        # fills, so the floats are the same
-        return list(map(math.exp, Poisson.ln_masses(self, 0, n)))
+        # mass(i) for each i from the kept log masses, which ln_mass fills,
+        # so the floats are the same
+        return list(map(math.exp, _Source.ln_masses(self, 0, n)))
 
 
 @dataclass(frozen=True)
-class ExplicitFinite(_Source):
-    """A finite distribution given outright. Probabilities must sum to one;
-    raw weight sets that do not are handled by the huffman engines directly."""
+class ExplicitFinite(_Listed):
+    """A finite distribution given outright: a head with no tail.
+    Probabilities must sum to one; raw weight sets that do not are handled
+    by the huffman engines directly."""
 
     probs: tuple[float, ...]
     tail_ratio = None
@@ -157,31 +166,16 @@ class ExplicitFinite(_Source):
         # a probability above 2 already breaks the sum, which fsum may overflow
         if max(self.probs) > 2.0 or abs(math.fsum(self.probs) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1 within 1e-9")
+        object.__setattr__(self, "head", self.probs)
         object.__setattr__(self, "size", len(self.probs))
-
-    def mass(self, i: int) -> float:
-        return self.probs[i]
-
-    def ln_mass(self, i: int) -> float:
-        return math.log(self.probs[i])
-
-    def masses(self, n: int) -> list[float]:
-        return list(self.probs[:n])
-
-    @cached_property
-    def _ln_probs(self) -> list[float]:  # kept: each solve reads them again
-        return list(map(math.log, self.probs))
 
     @cached_property
     def _order(self) -> list[int]:  # kept: every build merges in this order
         return sorted(range(len(self.probs)), key=self.probs.__getitem__)
 
-    def ln_masses(self, j: int, n: int) -> list[float]:
-        return self._ln_probs[j:n]
-
 
 @dataclass(frozen=True)
-class ExplicitTailed(_GeometricTail):
+class ExplicitTailed(_Listed):
     """Finite head whose last entry continues geometrically with
     tail_ratio: p(i) = head[-1] * tail_ratio**(i - len(head) + 1) past the
     head. A value: equal heads and ratios compare and hash equal."""
@@ -442,12 +436,13 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float,
     fill the list logs, where given, in step with terms; else it stays
     empty.
 
-    A finite alphabet, and a geometric-tailed head, are listed as their
-    masses to the alpha where beta is zero and the largest is a normal
-    float, else from their log masses. Poisson terms have the ratio
-    t(i+1)/t(i) = (c/(i+1))**alpha, c = mean * e**(beta/alpha), so they
-    peak at floor(c); they are summed outward from the peak until that
-    ratio, which only falls further out, certifies the rest of each side.
+    A listed head, a whole finite alphabet or the head before a geometric
+    tail, is listed as its masses to the alpha where beta is zero and the
+    largest is a normal float, else from its log masses. Poisson terms
+    have the ratio t(i+1)/t(i) = (c/(i+1))**alpha, c = mean *
+    e**(beta/alpha), so they peak at floor(c); they are summed outward from
+    the peak until that ratio, which only falls further out, certifies the
+    rest of each side.
     With beta zero they are listed from the log masses, in blocks whose
     length that ratio predicts (_reach); with beta nonzero each comes from
     its neighbour by the ratio, read from ln c where c is no normal float,
@@ -467,8 +462,8 @@ def _terms(model: SourceModel, j: int, alpha: float, beta: float,
     if rho is not None and j >= model.tail_start:     # geometric from j on
         top, ws = alpha * model.ln_mass(j), [1.0]
     elif size is not None or rho is not None:
-        # the listed masses: at j = 0 the source's own tuple, not a copy
-        ps = (model.probs if rho is None else model.head)[j:]
+        # the listed head: at j = 0 the source's own tuple, not a copy
+        ps = model.head[j:]
         # a whole finite alphabet sums to one, so its largest mass lies in
         # [1/(2 size), 1]
         if not g and ps and -700.0 < alpha * (

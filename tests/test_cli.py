@@ -3,11 +3,11 @@ import math
 
 import pytest
 
-from epc import (DthRedundancy, ExplicitCode, ExplicitFinite, Exponential,
-                 ExponentialArrivals, GammaArrivals, Geometric, GolombCode,
-                 Poisson, SweepSpec, TableTransform, encode, evaluate_penalty,
-                 optimal_code, optimal_k, optimize_overflow, read_container,
-                 sweep)
+from epc import (DthRedundancy, EpcError, ExplicitCode, ExplicitFinite,
+                 Exponential, ExponentialArrivals, GammaArrivals, Geometric,
+                 GolombCode, Poisson, SweepSpec, TableTransform, encode,
+                 evaluate_penalty, optimal_code, optimal_k, optimize_overflow,
+                 read_container, sweep)
 from epc.cli import run
 
 
@@ -35,6 +35,18 @@ def test_optimize_geometric_dth_tiny_order(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "Golomb k=693147"
     assert out[1].startswith("penalty 0.02748203794")
+
+
+def test_optimize_refused_value_prints_no_code(monkeypatch, capsys):
+    # the code is printed only once its value is in hand
+    def refused(model, code, penalty):
+        raise EpcError("penalty sum diverges")
+
+    monkeypatch.setattr("epc.cli.evaluate_penalty", refused)
+    assert run(["optimize", "--geometric", "0.5", "--penalty", "dth:2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: penalty sum diverges"]
 
 
 def test_optimize_linear_alias(capsys):

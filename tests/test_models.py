@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import sys
+import threading
 import time
 
 import pytest
@@ -348,11 +349,19 @@ def test_with_geometric_tail_mass_and_sums():
         tail_weight(m, 4, 2.0)      # a * ratio = 1
 
 
+def _zipf(n):
+    """An n-mass finite source, p(i) proportional to 1/(i + 1)."""
+    weights = [1.0 / (i + 1) for i in range(n)]
+    total = math.fsum(weights)
+    return ExplicitFinite([w / total for w in weights])
+
+
 @pytest.mark.parametrize("source", [
     Geometric(0.3), Geometric(0.999),
     with_geometric_tail((0.6, 0.15, 0.15, 0.0375, 0.0375), 0.5),
     with_geometric_tail([0.5 ** (i + 1) for i in range(129)], 0.97),
-], ids=["geometric", "geometric-slow", "tailed", "tailed-129"])
+    _zipf(20000),
+], ids=["geometric", "geometric-slow", "tailed", "tailed-129", "finite"])
 def test_geometric_tail_masses_are_the_point_masses(source):
     for n in (0, 1, 5, 129, 400):
         assert source.masses(n) == [source.mass(i) for i in range(n)]
@@ -774,6 +783,83 @@ def test_poisson_log_masses_are_ln_mass_bit_for_bit(mean):
     for i in (0, 1, 7, 699, 10 ** 5, 10 ** 306):
         assert source.mass(i) == math.exp(source.ln_mass(i))
     assert source.masses(300) == list(map(source.mass, range(300)))
+
+
+# every kind of source, each call a fresh one: its log masses not yet kept
+_KINDS = {
+    "poisson": lambda: Poisson(700.0),
+    "geometric": lambda: Geometric(0.9),
+    "tailed": lambda: with_geometric_tail((0.3, 0.2, 0.15, 0.1), 0.6),
+    "finite": lambda: _zipf(20000),     # more masses than _KEPT, all kept
+}
+
+
+@pytest.mark.parametrize("kind", ["geometric", "tailed", "finite"])
+def test_kept_log_masses_are_ln_mass_bit_for_bit(kind):
+    # as Poisson's: inside the kept list, straddling its end, wholly past
+    # it, and far out on a tail; a finite source keeps its whole alphabet
+    make = _KINDS[kind]
+    source = make()
+    spans = [(0, 300), (5, 2000), (_KEPT - 50, _KEPT + 50),
+             (_KEPT + 10, _KEPT + 400)]
+    spans += ([(19000, 20000), (0, 20000)] if source.size
+              else [(10 ** 306, 10 ** 306 + 3)])
+    for j, n in spans:
+        want = [source.ln_mass(i) for i in range(j, n)]
+        assert source.ln_masses(j, n) == want, (j, n)
+        assert source.ln_masses(j, n) == want, (j, n)       # warm
+        assert make().ln_masses(j, n) == want, (j, n)       # cold
+    assert source.masses(300) == list(map(source.mass, range(300)))
+
+
+def test_a_finite_source_computes_each_log_mass_once():
+    class Counting(ExplicitFinite):
+        reads = 0
+
+        def ln_mass(self, i):
+            Counting.reads += 1
+            return super().ln_mass(i)
+
+    source = Counting(_zipf(20000).probs)
+    want = list(map(math.log, source.probs))
+    assert source.ln_masses(0, 20000) == want
+    assert source.ln_masses(0, 20000) == want
+    assert source.ln_masses(7, 19000) == want[7:19000]
+    assert Counting.reads == 20000
+    # a finite source is a head with no tail: nothing past its alphabet
+    for query in (source.mass, source.ln_mass):
+        with pytest.raises(IndexError):
+            query(20000)
+
+
+@pytest.mark.parametrize("kind", list(_KINDS))
+def test_concurrent_readers_see_whole_log_masses(kind):
+    # a longer kept list replaces the one before whole, so a reader in
+    # another thread never sees it part made; eight threads read spans of
+    # a cold source, overlapping and growing, switching as often as they can
+    source = _KINDS[kind]()
+    top = source.size or _KEPT + 500
+    want = [source.ln_mass(i) for i in range(top)]
+    start, wrong = threading.Barrier(8), []
+
+    def read(t):
+        start.wait()
+        for n in range(50 + 97 * t, top + 1, 1500 + 211 * t):
+            j = max(0, n - 700 - 50 * t)
+            if source.ln_masses(j, n) != want[j:n]:
+                wrong.append((t, j, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(t,)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
 
 
 def test_a_poisson_log_mass_past_lgammas_range_is_minus_infinity():
