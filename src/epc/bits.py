@@ -144,8 +144,8 @@ def kraft_sign(ordered) -> int:
     return -1 if free else 0
 
 
-# the longest head row that keeps an offset (_canonical_head), and the
-# widest window a decoder reads
+# the longest head row that keeps an offset (_canonical_head), whose words
+# LengthSeq.codeword writes as offset + place and codec's automaton lists
 _WINDOW = 64
 
 
@@ -163,8 +163,8 @@ def _first_codes(rows):
 
 def _long_word(rows, r, d):
     """Word d of row r, a row past _WINDOW bits, as a string: the offset
-    recurrence codec._past_window reads it by, run backward from its row
-    to the window. Each row past the window, from row r down, writes as
+    recurrence codec._decode_canonical reads it by, run backward from its
+    row to the window. Each row past the window, from row r down, writes as
     many low bits of d as it adds past the previous row (or past _WINDOW);
     d then drops them and adds the previous row's count, or, once that row
     is within the window, where the window's rows end, which starts the
@@ -194,11 +194,13 @@ def _canonical_head(lengths):
     (_first_codes) less the words before it, so the word at canonical place
     k is offset + k (Moffat & Turpin, "On the implementation of minimum
     redundancy prefix codes", IEEE Trans. Commun. 1997). A longer row's
-    offset is None: its words are written (_long_word) and read
-    (codec._past_window) by the offset recurrence from the rows' counts,
-    so no offset is wider than _WINDOW bits. A code keeps its record
-    (LengthSeq._canonical): LengthSeq.codeword writes each head word from
-    it, and a decode plan takes its rows and order from it."""
+    offset is None: its words are written (_long_word) by the offset
+    recurrence from the rows' counts, so no offset is wider than _WINDOW
+    bits. A code keeps its record (LengthSeq._canonical):
+    LengthSeq.codeword writes each head word from it, and a decode plan
+    takes its rows and order from it, reading every head word by the same
+    recurrence from the first row (codec._decode_canonical) and listing
+    the words of rows that keep an offset for its automaton."""
     counts = sorted(Counter(lengths).items())
     before = accumulate((n for _, n in counts), initial=0)
     # the rows of at most _WINDOW bits come first, each taking the next word

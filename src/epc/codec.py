@@ -12,20 +12,21 @@ ValueError, every code decode would refuse.
 A descriptor's plan (`_Plan`) holds what coding derives from the code
 alone, and the plans of recent descriptors are cached (`_PLANS`). Encode
 joins the words of the plan's word table (`_Words`). Decode reads words by
-single steps (`_decode_canonical`, and `_past_window` past 64 bits) and,
-once a plan has decoded enough symbols, a payload nibble at a time through
-its automaton (`_automaton`, walked by `_walk`).
+single steps (`_decode_canonical`, a head word by the offset recurrence over
+the head record's rows) and, once a plan has decoded enough symbols, a
+payload nibble at a time through its automaton (`_automaton`, walked by
+`_walk`).
 """
 from __future__ import annotations
 
 import itertools
 import struct
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import lru_cache
 
-from .bits import (_WINDOW, _symbol, kraft_sign, uleb128_decode,
-                   uleb128_decode_all, uleb128_encode, uleb128_encode_all)
+from .bits import (_symbol, kraft_sign, uleb128_decode, uleb128_decode_all,
+                   uleb128_encode, uleb128_encode_all)
 from .errors import ContainerError
 from .golomb import GolombCode
 from .light_tail import UnaryEndedCode
@@ -133,7 +134,7 @@ def _check_lengths(head: list[int], spine=None) -> None:
     """ValueError unless a container holds these descriptor lengths: at
     least one head word, none above the word count, the spine counted (a
     cap every complete code on two or more words meets, which bounds the
-    decoder's rows and window by the descriptor's size), then a spine
+    decoder's rows and padding by the descriptor's size), then a spine
     Kraft-completing the head or, with none, every length positive."""
     words = head if spine is None else [*head, spine]
     if spine is not None and spine < 1:
@@ -347,36 +348,11 @@ def _walk(payload, count: int, plan: _Plan):
 
 def _bits(payload, plan: _Plan) -> str:
     """The payload as "0"/"1" characters, then as many zeros as the code's
-    longest head word, so that a window read near the end stays in range;
-    an overrun shows in the position reached."""
+    longest head word or spine (`width`), so that a row read near the end
+    stays in range; an overrun shows in the position reached."""
     nbits = 8 * len(payload)
     return (format(int.from_bytes(payload, "big"), f"0{nbits}b")
             if nbits else "") + "0" * plan.width
-
-
-def _past_window(bits: str, pos: int, d: int, plan: _Plan, append) -> int:
-    """Appends the symbol of the head word at pos longer than `window`
-    bits, d its first window bits less where the window's rows end; -> the
-    position past it. ContainerError if no longer row's word starts there.
-
-    The canonical offset recurrence (Hirschberg & Lelewer, "Efficient
-    decoding of prefix codes", CACM 1990) reads it from the longer rows'
-    counts alone: d, the word's offset past the rows read so far, takes the
-    next row's added bits, and the word ends in that row if d is below its
-    count, else d passes it. A valid d stays below the number of longer
-    words, so at the code's word count no row matches."""
-    at = plan.window
-    for length, count, before, _ in itertools.islice(
-            plan.rows, len(plan.bounds) - 1, None):
-        d = (d << length - at) + int(bits[pos + at:pos + length], 2)
-        if d < count:
-            append(plan.order[before + d])
-            return pos + length
-        d -= count
-        if d >= len(plan.order):
-            break
-        at = length
-    raise ContainerError("payload does not match the declared code")
 
 
 def _decode_canonical(bits: str, pos: int, out: list, count: int,
@@ -385,41 +361,43 @@ def _decode_canonical(bits: str, pos: int, out: list, count: int,
     holds count -> the position past them; may overrun the payload on a
     truncated one, which the caller reports.
 
-    The canonical single steps (Moffat & Turpin 1997) read each word from
-    the next `window` = min(L, _WINDOW) bits w, L the plan's `width`. The
-    plan's `bounds` hold 0, then where each row of at most window bits
-    ends, at window bits ((offset + before + count) shifted out to window
-    bits), so one bisection finds w's row i. That row of the plan's `rows`,
-    (l, count, before, offset), makes the word symbol
-    order[(w >> window - l) - offset]: two subtractions and one shift. No
-    integer the plan stores is wider than window + 1 bits. A word past
-    those rows that does not start with the spine's ones is a longer row's,
-    read by offsets (_past_window), or no word. A run word past the spine
-    is read arithmetically: its ones up to the next zero are the quotient,
-    then g - 1 suffix bits, and one more when they read z = 2**g - k or
-    more; at k = 1 that is a unary word.
+    A word that does not start with the spine's ones is a head word or
+    none, read by the canonical offset recurrence (Hirschberg & Lelewer,
+    "Efficient decoding of prefix codes", CACM 1990) from the plan's
+    `rows`, (l, count, before, offset), alone: from the first row on, d,
+    the word's offset past the rows read so far, takes the next row's added
+    bits, and the word ends in that row, as symbol order[before + d], if d
+    is below its count; else d passes it. A valid d stays below the number
+    of words in that row and the longer ones; a d at or past it, as is any d
+    that passes the last row, matches no word. The rows have distinct
+    lengths, so a word of L bits passes at most L rows, each read once, and
+    single steps are linear in the payload's bits. A run word past the
+    spine is read arithmetically: its ones up to the next zero are the
+    quotient, then g - 1 suffix bits, and one more when they read
+    z = 2**g - k or more; at k = 1 that is a unary word.
     """
-    window, rows, bounds = plan.window, plan.rows, plan.bounds
-    order, spine, k = plan.order, plan.spine, plan.k
-    short = len(bounds) - 1
+    rows, order, spine, k = plan.rows, plan.order, plan.spine, plan.k
     run_start = len(order)
     g = k.bit_length()
     z = (1 << g) - k
     find = bits.find
     append = out.append
     for _ in range(count - len(out)):
-        if rows:
-            w = int(bits[pos:pos + window], 2)
-            i = bisect_right(bounds, w) - 1
-            if i < short:
-                length, _, _, offset = rows[i]
-                append(order[(w >> window - length) - offset])
-                pos += length
-                continue
-            # a longer row's word or none, unless the spine's ones
-            if not spine or find("0", pos, pos + spine) >= 0:
-                pos = _past_window(bits, pos, w - bounds[i], plan, append)
-                continue
+        if rows and (not spine or find("0", pos, pos + spine) >= 0):
+            d = at = 0
+            for length, n, before, _ in rows:
+                d = (d << length - at) + int(bits[pos + at:pos + length], 2)
+                # in this row, or past every word from it on
+                if d < n or d >= run_start - before:
+                    break
+                d -= n
+                at = length
+            if d >= n:
+                raise ContainerError(
+                    "payload does not match the declared code")
+            append(order[before + d])
+            pos += length
+            continue
         start = pos + spine
         end = find("0", start)
         if end < 0:
@@ -437,8 +415,8 @@ def _decode_canonical(bits: str, pos: int, out: list, count: int,
 
 
 # Descriptors whose plans the cache keeps; each holds its code with the
-# code's head record (bits._canonical_head), at most 65 bounds of at most 65
-# bits, and at most one automaton. The code's head and the order take about
+# code's head record (bits._canonical_head), whose rows single steps read,
+# and at most one automaton. The code's head and the order take about
 # 40 and 36 bytes a symbol, the places 8 more where the head is not in
 # canonical order (else they are the order), the rows about 100 bytes a
 # distinct length: the plan of lengths 1, 2, ..., n - 1, n - 1 at n = 32 768
@@ -491,10 +469,9 @@ class _Plan:
     """What coding derives from one code alone, each fact computed once
     and shared by every container that carries its descriptor.
 
-    `rows` and `order` are the code's head record (bits._canonical_head).
-    `width` is the longest head length, spine included; `window` and
-    `bounds` are what _decode_canonical finds a word's row of `rows` by, as
-    it says, and it reads the row from `rows` itself. `spine` is the
+    `rows` and `order` are the code's head record (bits._canonical_head),
+    which _decode_canonical reads head words from. `width` is the longest
+    head length, spine included, the zeros _bits pads. `spine` is the
     spine's length and `k` the run's, 0 for a code with no run; symbols
     len(order) on take the run's words. `automaton` is the code's
     (_automaton), None until _plan_automaton builds it under `lock` once
@@ -508,14 +485,8 @@ class _Plan:
         lengths, tail = code.head, code.tail
         self.spine = tail.spine if tail else 0
         self.k = tail.k if tail else 0
-        self.width = width = max(lengths + (self.spine,))
-        self.window = window = min(width, _WINDOW)
+        self.width = max(lengths + (self.spine,))
         self.rows, self.order, _ = code._canonical
-        # 0, then where each row of at most W bits, one the record keeps an
-        # offset for, ends at W bits: each row starts where the last ends
-        self.bounds = [0, *(offset + before + c << window - length
-                            for length, c, before, offset in self.rows
-                            if offset is not None)]
         self.automaton = None
         self.decoded = 0
         self.due = 8       # half the root's 16 entries

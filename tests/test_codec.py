@@ -430,6 +430,20 @@ def test_a_word_past_64_bits_is_written_in_work_linear_in_its_length():
     assert word == "1" * (n - 1)
 
 
+def test_single_steps_read_a_deep_head_in_work_linear_in_its_bits():
+    # the 50 deepest words of lengths 1, 2, ..., 8191, 8191, 408 374 payload
+    # bits in a 67 320-byte container, each word passing a row per bit; a
+    # recurrence that read each row from the word's start would slice and
+    # convert about L**2 / 2 bits for a word of L
+    n = 8192
+    symbols = list(range(n - 50, n))
+    blob = encode(symbols, ExplicitCode(_caterpillar(n)))
+    assert len(blob) == 67320
+    start = time.process_time()
+    assert _single_symbol(blob)[1] == symbols
+    assert time.process_time() - start < 2.0
+
+
 @pytest.mark.parametrize("code", [
     ExplicitCode(list(range(1, 300)) + [299]),
     UnaryEndedCode(tuple(range(2, 200)) + (199,), 1),
@@ -866,6 +880,53 @@ def test_a_word_past_the_states_takes_single_steps_and_the_walk_resumes(
     blob = encode(symbols, code)
     assert _single_symbol(blob)[1] == symbols
     assert _single_steps(blob, monkeypatch) == (symbols, steps)
+
+
+def _single_step_runs(blob, monkeypatch):
+    """-> (symbols, the runs of words single steps read): a run starts at a
+    word the walk missed and goes on with the words read after it, each
+    starting where the last ended, until the walk resumes. A miss right at
+    a resume point joins the run before it."""
+    runs, end = [], None
+    real = codec._decode_canonical
+
+    def recorded(bits, pos, out, count, plan):
+        nonlocal end
+        if pos != end:
+            runs.append([])
+        before = len(out)
+        end = real(bits, pos, out, count, plan)
+        runs[-1] += out[before:]
+        return end
+    with monkeypatch.context() as patched:
+        patched.setattr(codec, "_decode_canonical", recorded)
+        symbols = decode(blob)
+    return symbols, runs
+
+
+@pytest.mark.parametrize("code", [
+    GolombCode(1), GolombCode(3), GolombCode(64), _zipf_code(256),
+    _zipf_code(4096), build_unary_ended(Poisson(4.0), 1.0),
+    build_unary_ended(Poisson(4.0), 2.0), build_unary_ended_mmr(Poisson(4.0)),
+], ids=["golomb1", "golomb3", "golomb64", "zipf256", "zipf4096", "unary1",
+        "unary2", "unary-mmr"])
+def test_a_warm_plan_misses_no_head_word(code, monkeypatch):
+    # the stream benchmark's codes: once a plan's automaton is built, every
+    # head word is within its states, so the walk misses only at run words;
+    # a head word takes a single step only behind such a miss, before the
+    # walk resumes, which is rare, so a head word's single-step cost, which
+    # grows with its rows, shows only before a plan's automaton is due
+    codec._plan.cache_clear()
+    assert _built(code).automaton
+    rng = random.Random(61)
+    top = len(code.head) + (40 * code.tail.k if code.tail else 0)
+    weights = [2.0 ** -code.length_at(i) for i in range(top)]
+    symbols = rng.choices(range(top), weights, k=20000)
+    got, runs = _single_step_runs(encode(symbols, code), monkeypatch)
+    assert got == symbols
+    assert all(run[0] >= len(code.head) for run in runs)
+    behind = sum(s < len(code.head) for run in runs for s in run)
+    assert behind <= len(symbols) // 1000
 
 
 # "0", "10", then 2048 words of 13 bits: 2049 states, every node of its trie
