@@ -11,14 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .golomb import GolombCode, optimal_k, optimal_k_mmr
 from .models import (DthRedundancy, Exponential, Geometric, LengthSeq,
                      Linear, MaxRedundancy, Penalty, SourceModel,
                      evaluate_penalty, renyi_entropy, shannon_entropy)
-from .numeric import check_finite, check_positive, frac_snapped
+from .numeric import _Value, check_finite, check_positive, frac_snapped
 
 __all__ = [
     "avg_redundancy", "mmr_optimal_redundancy",
@@ -105,8 +104,7 @@ def _arange(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(n)]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Value):
     """Grid parameters for one figure's data set.
 
     figure 2: penalty vs ratio for several exponential bases
@@ -115,21 +113,21 @@ class SweepSpec:
     figure 5: worst-case curves vs the oscillation coordinate
     """
 
-    figure: int
-    ratio_start: Optional[float] = None
-    ratio_stop: Optional[float] = None
-    ratio_step: Optional[float] = None
-    bases: tuple[float, ...] = (0.75, 0.9, 1.1, 1.25, 1.5, 2.0)
-    base_start: float = 0.5
-    base_stop: float = 4.0
-    base_step: float = 0.01
-    orders: tuple[int, ...] = (1, 2, 4, 16, 256, 65536)
-
-    def __post_init__(self) -> None:
-        if self.figure not in (2, 3, 4, 5):
+    def __init__(self, figure: int, ratio_start: Optional[float] = None,
+                 ratio_stop: Optional[float] = None,
+                 ratio_step: Optional[float] = None,
+                 bases: tuple[float, ...] = (0.75, 0.9, 1.1, 1.25, 1.5, 2.0),
+                 base_start: float = 0.5, base_stop: float = 4.0,
+                 base_step: float = 0.01,
+                 orders: tuple[int, ...] = (1, 2, 4, 16, 256, 65536)) -> None:
+        if figure not in (2, 3, 4, 5):
             raise ValueError("figure must be 2, 3, 4 or 5")
+        self.__dict__.update(
+            figure=figure, ratio_start=ratio_start, ratio_stop=ratio_stop,
+            ratio_step=ratio_step, bases=bases, base_start=base_start,
+            base_stop=base_stop, base_step=base_step, orders=orders)
         _grid_size("ratio", *self._ratio_grid())
-        _grid_size("base", self.base_start, self.base_stop, self.base_step)
+        _grid_size("base", base_start, base_stop, base_step)
 
     def _ratio_grid(self) -> tuple[float, float, float]:
         defaults = {2: (0.05, 0.95, 0.01), 3: (0.05, 0.95, 0.01),

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
 
 from .errors import EpcError
 from .golomb import GolombCode
@@ -212,7 +211,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _cmd_sweep(args) -> int:
     from .analysis import SweepSpec, sweep
-    given = {f.name: getattr(args, f.name) for f in fields(SweepSpec)}
+    given = {name: getattr(args, name) for name in SweepSpec._fields()}
     text = sweep(SweepSpec(**{name: value for name, value in given.items()
                               if value is not None}))
     if args.output is None:

@@ -68,31 +68,38 @@ class ExplicitCode(LengthSeq):
 
 
 def _descriptor(code: LengthSeq) -> bytes:
-    """The descriptor of the code's shape; _parse_descriptor checks it."""
+    """The descriptor of the code's shape, kept on the code once written,
+    as its head record is; _parse_descriptor checks it."""
+    kept = getattr(code, "_descriptor", None)
+    if kept is not None:
+        return kept
     try:
         head, tail = code.head, code.tail
     except AttributeError:
         raise TypeError(
             f"not a code: {type(code).__name__} {code!r}") from None
     if tail is None:
-        return (bytes([_TAG_EXPLICIT]) + uleb128_encode(len(head))
+        kept = (bytes([_TAG_EXPLICIT]) + uleb128_encode(len(head))
                 + uleb128_encode_all(head))
-    if not tail.spine:
-        return bytes([_TAG_GOLOMB]) + uleb128_encode(tail.k)
-    if tail.k == 1 and head:
-        return (bytes([_TAG_UNARY_ENDED]) + uleb128_encode(len(head) - 1)
+    elif not tail.spine:
+        kept = bytes([_TAG_GOLOMB]) + uleb128_encode(tail.k)
+    elif tail.k == 1 and head:
+        kept = (bytes([_TAG_UNARY_ENDED]) + uleb128_encode(len(head) - 1)
                 + uleb128_encode_all(head + (tail.spine,)))
-    raise ValueError("no container holds a " + (
-        "unary run behind a spine with no head" if tail.k == 1
-        else f"Golomb-{shown(tail.k)} run behind a head or spine"))
+    else:
+        raise ValueError("no container holds a " + (
+            "unary run behind a spine with no head" if tail.k == 1
+            else f"Golomb-{shown(tail.k)} run behind a head or spine"))
+    object.__setattr__(code, "_descriptor", kept)
+    return kept
 
 
 # ------------------------------------------------------------------- encode
 
 def encode(symbols, code: LengthSeq) -> bytes:
-    header = MAGIC + bytes([VERSION]) + _descriptor(code)
+    descriptor = _descriptor(code)
     try:
-        words = _plan(header[5:]).words
+        words = _plan(descriptor).words
     except ContainerError as exc:
         raise ValueError(f"no container holds this code: {exc}") from None
     if not isinstance(symbols, (list, tuple)):
@@ -107,7 +114,8 @@ def encode(symbols, code: LengthSeq) -> bytes:
     bits = "".join(map(words.__getitem__, symbols))
     bits += "0" * (-len(bits) % 8)
     payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
-    return header + struct.pack("<Q", len(symbols)) + payload
+    return (MAGIC + bytes([VERSION]) + descriptor
+            + struct.pack("<Q", len(symbols)) + payload)
 
 
 # ------------------------------------------------------------------- decode

@@ -31,12 +31,11 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import exp, log1p
 
 from .models import _TINY, DthRedundancy, Exponential, MaxRedundancy, Penalty
-from .numeric import LN2, check_weights
+from .numeric import LN2, _Value, check_weights
 
 __all__ = [
     "CodeTree", "merge",
@@ -44,19 +43,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CodeTree:
+class CodeTree(_Value):
     """Result of one construction run.
 
     objective is in bits (or expected bits); root_weight is the raw combined
     weight the objective was derived from (its log when the merge ran in
-    logs). The codewords are built from the merge lists on first read.
+    logs). The codewords are built from the merge lists on first read,
+    _merges, (first, second) from _run.
     """
 
-    lengths: tuple[int, ...]
-    root_weight: float
-    objective: float
-    _merges: tuple = field(repr=False)     # (first, second) from _run
+    def __init__(self, lengths: tuple[int, ...], root_weight: float,
+                 objective: float, _merges: tuple) -> None:
+        self.__dict__.update(lengths=lengths, root_weight=root_weight,
+                             objective=objective, _merges=_merges)
 
     @cached_property
     def codewords(self) -> tuple[str, ...]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter, mul
@@ -21,7 +20,7 @@ from typing import Optional, Union
 from .bits import (_canonical_head, _long_word, _symbol, complete_binary,
                    integer_lengths, kraft_sign)
 from .errors import DivergenceError, EpcError
-from .numeric import (_FLOAT_MAX, LN2, check_positive, check_ratio,
+from .numeric import (_FLOAT_MAX, LN2, _Value, check_positive, check_ratio,
                       check_weights, shown)
 
 __all__ = [
@@ -39,7 +38,7 @@ __all__ = [
 _KEPT = 1 << 14
 
 
-class _Source:
+class _Source(_Value):
     """The one protocol every source answers; each query below is written
     once over it.
 
@@ -53,7 +52,8 @@ class _Source:
                          Poisson, whose mass ratio p(i+1)/p(i) is mean/(i+1)
 
     Every source keeps its first `size or _KEPT` log masses once they are
-    read, by the one rule of ln_masses."""
+    read, by the one rule of ln_masses; _ln_run lists those it reads, a
+    listed head's as one log over a slice of it, ln_mass's floats."""
 
     size = None
     _ln_kept = []   # shared until a source's first read: never grown in place
@@ -67,11 +67,14 @@ class _Source:
         # thread never sees it grow
         kept = self._ln_kept
         if len(kept) < n <= (most := self.size or _KEPT):
-            kept = kept + list(map(self.ln_mass, range(
-                len(kept), min(max(n, 2 * len(kept)), most))))
+            kept = kept + self._ln_run(len(kept),
+                                       min(max(n, 2 * len(kept)), most))
             object.__setattr__(self, "_ln_kept", kept)
         if n <= len(kept):
             return kept[j:n]
+        return self._ln_run(j, n)
+
+    def _ln_run(self, j: int, n: int) -> list[float]:
         return list(map(self.ln_mass, range(j, n)))
 
 
@@ -100,34 +103,33 @@ class _Listed(_Source):
         head = self.head
         return list(head[:n]) if n <= len(head) else super().masses(n)
 
+    def _ln_run(self, j: int, n: int) -> list[float]:
+        head = self.head
+        return (list(map(math.log, head[j:n]))
+                + super()._ln_run(max(j, len(head)), n))
 
-@dataclass(frozen=True)
+
 class Geometric(_Listed):
     """p(i) = (1 - ratio) * ratio**i: the one-entry head (1 - ratio,) with
     tail ratio `ratio`."""
 
-    ratio: float
-
-    def __post_init__(self) -> None:
-        check_ratio("ratio", self.ratio)
-        object.__setattr__(self, "head", (1.0 - self.ratio,))
-        object.__setattr__(self, "tail_ratio", self.ratio)
-        object.__setattr__(self, "tail_start", 0)
+    def __init__(self, ratio: float) -> None:
+        check_ratio("ratio", ratio)
+        self.__dict__.update(ratio=ratio, head=(1.0 - ratio,),
+                             tail_ratio=ratio, tail_start=0)
 
 
 _MOST_ONES = 1 << 32    # bits in a word; its string alone takes 4 GB
 
 
-@dataclass(frozen=True)
 class Poisson(_Source):
     """p(i) = mean**i * exp(-mean) / i!."""
 
-    mean: float
     tail_ratio = None
 
-    def __post_init__(self) -> None:
-        check_positive("mean", self.mean)
-        object.__setattr__(self, "_ln_mean", math.log(self.mean))
+    def __init__(self, mean: float) -> None:
+        check_positive("mean", mean)
+        self.__dict__.update(mean=mean, _ln_mean=math.log(mean))
 
     def ln_mass(self, i: int) -> float:
         try:
@@ -150,45 +152,35 @@ class Poisson(_Source):
         return list(map(math.exp, _Source.ln_masses(self, 0, n)))
 
 
-@dataclass(frozen=True)
 class ExplicitFinite(_Listed):
     """A finite distribution given outright: a head with no tail.
     Probabilities must sum to one; raw weight sets that do not are handled
     by the huffman engines directly."""
 
-    probs: tuple[float, ...]
     tail_ratio = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs",
-                           tuple(check_weights(self.probs, "probabilities",
-                                               "probability")))
+    def __init__(self, probs: tuple[float, ...]) -> None:
+        probs = tuple(check_weights(probs, "probabilities", "probability"))
         # a probability above 2 already breaks the sum, which fsum may overflow
-        if max(self.probs) > 2.0 or abs(math.fsum(self.probs) - 1.0) > 1e-9:
+        if max(probs) > 2.0 or abs(math.fsum(probs) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1 within 1e-9")
-        object.__setattr__(self, "head", self.probs)
-        object.__setattr__(self, "size", len(self.probs))
+        self.__dict__.update(probs=probs, head=probs, size=len(probs))
 
     @cached_property
     def _order(self) -> list[int]:  # kept: every build merges in this order
         return sorted(range(len(self.probs)), key=self.probs.__getitem__)
 
 
-@dataclass(frozen=True)
 class ExplicitTailed(_Listed):
     """Finite head whose last entry continues geometrically with
     tail_ratio: p(i) = head[-1] * tail_ratio**(i - len(head) + 1) past the
     head. A value: equal heads and ratios compare and hash equal."""
 
-    head: tuple[float, ...]
-    tail_ratio: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "head",
-                           tuple(check_weights(self.head, "probabilities",
-                                               "head probability")))
-        check_ratio("tail_ratio", self.tail_ratio)
-        object.__setattr__(self, "tail_start", len(self.head) - 1)
+    def __init__(self, head: tuple[float, ...], tail_ratio: float) -> None:
+        head = tuple(check_weights(head, "probabilities", "head probability"))
+        check_ratio("tail_ratio", tail_ratio)
+        self.__dict__.update(head=head, tail_ratio=tail_ratio,
+                             tail_start=len(head) - 1)
 
 
 SourceModel = Union[Geometric, Poisson, ExplicitFinite, ExplicitTailed]
@@ -205,40 +197,30 @@ def with_geometric_tail(head, ratio: float) -> ExplicitTailed:
 # b the plain merge scale (None where p**(1+d) leaves the floats); None is
 # maximal redundancy, the d -> inf limit. Only here do penalties differ.
 
-@dataclass(frozen=True)
-class Exponential:
+class Exponential(_Value):
     """log_base of sum p(i) * base**n(i)."""
 
-    base: float
-
-    def __post_init__(self) -> None:
-        check_positive("base", self.base)
-        object.__setattr__(self, "_tilt",
-                           (0.0, self.base, math.log(self.base)))
+    def __init__(self, base: float) -> None:
+        check_positive("base", base)
+        self.__dict__.update(base=base, _tilt=(0.0, base, math.log(base)))
 
 
-@dataclass(frozen=True)
-class DthRedundancy:
+class DthRedundancy(_Value):
     """(1/order) * log2 of sum p(i)**(1+order) * 2**(order*n(i))."""
 
-    order: float
-
-    def __post_init__(self) -> None:
-        check_positive("order", self.order)
-        d = self.order
-        object.__setattr__(self, "_tilt",
-                           (d, 2.0 ** d if d < 64.0 else None, d * LN2))
+    def __init__(self, order: float) -> None:
+        check_positive("order", order)
+        self.__dict__.update(order=order, _tilt=(
+            order, 2.0 ** order if order < 64.0 else None, order * LN2))
 
 
-@dataclass(frozen=True)
-class MaxRedundancy:
+class MaxRedundancy(_Value):
     """sup over i of n(i) + log2 p(i)."""
 
     _tilt = None
 
 
-@dataclass(frozen=True)
-class Linear:
+class Linear(_Value):
     """Expected codeword length (the base -> 1 limit of Exponential)."""
 
     _tilt = (0.0, 1.0, 0.0)   # a class constant: it merges like base 1
@@ -249,14 +231,10 @@ Penalty = Union[Exponential, DthRedundancy, MaxRedundancy, Linear]
 
 # ---------------------------------------------------------------- lengths
 
-@dataclass(frozen=True, init=False)
-class UnaryTail:
+class UnaryTail(_Value):
     """The run a code ends in, from t0, the symbol past its head: symbol
     i >= t0 is written as `spine` ones, then the Golomb-k word of i - t0.
     At k = 1, unary: n(i) = spine + 1 + (i - t0)."""
-
-    spine: int
-    k: int = 1
 
     def __init__(self, spine: int, *, k: int = 1) -> None:
         try:
@@ -268,12 +246,10 @@ class UnaryTail:
         if max(spine + 1, k) > _FLOAT_MAX:
             raise ValueError("bad tail record: its first length and k must "
                              "lie inside the float range")
-        object.__setattr__(self, "spine", spine)
-        object.__setattr__(self, "k", k)
+        self.__dict__.update(spine=spine, k=k)
 
 
-@dataclass(frozen=True, eq=False)
-class LengthSeq:
+class LengthSeq(_Value):
     """Codeword lengths, head[i] for symbol i and then the tail's run from
     symbol len(head): the one value every code is. Positive integers (a lone
     0 codes a one-symbol alphabet) whose Kraft sum, the run counted as one
@@ -285,18 +261,15 @@ class LengthSeq:
     the rules by construction: a merge tree's leaf depths, those depths
     reassigned to other symbols, and copies of a checked code."""
 
-    head: tuple[int, ...]
-    tail: Optional[UnaryTail] = None
-
-    def __post_init__(self) -> None:
-        head = words = integer_lengths(self.head)
-        object.__setattr__(self, "head", head)
+    def __init__(self, head: tuple[int, ...],
+                 tail: Optional[UnaryTail] = None) -> None:
+        head = words = integer_lengths(head)
         # the one symbol of a one-symbol alphabet needs no bits
         if head and min(head) < 1 and head != (0,):
             raise ValueError("lengths must be positive")
-        if self.tail is not None:
+        if tail is not None:
             # the run fills the code space of its spine's word
-            words += (self.tail.spine,)
+            words += (tail.spine,)
         words = sorted(words)
         # so every sum over a code reads its lengths, and its run's first
         # length and k, as floats
@@ -304,6 +277,7 @@ class LengthSeq:
             raise ValueError("lengths must lie inside the float range")
         if kraft_sign(words) > 0:
             raise ValueError("lengths violate the Kraft inequality")
+        self.__dict__.update(head=head, tail=tail)
 
     @classmethod
     def _of_tree(cls, head: tuple[int, ...],

@@ -1,4 +1,5 @@
-"""Small numeric helpers used across modules.
+"""Small numeric helpers used across modules, and _Value, the one base of
+every value class.
 
 Discrete decisions (optimal parameters, ceilings, fractional parts) must not
 flip on float log noise, so everything that feeds a ceil or floor goes through
@@ -14,6 +15,48 @@ SNAP_TOL = 1e-12
 
 LN2 = math.log(2.0)
 _FLOAT_MAX = sys.float_info.max
+
+
+class _Value:
+    """An immutable value. Its fields are its class's __init__ parameters,
+    in order, defaults included; __init__ checks them and stores them, with
+    whatever it derives from them, in the instance dict. Values are equal
+    when their classes are the same and their fields equal (codes compare
+    across their classes, by LengthSeq's own rule), hash as the tuple of
+    their fields and print as Name(field=value, ...), fields named with an
+    underscore left out. Assigning or deleting an attribute raises
+    AttributeError; object.__setattr__ and cached_property write what a
+    value keeps. Nothing is built per class."""
+
+    def __init__(self) -> None:     # a value with no fields
+        pass
+
+    @classmethod
+    def _fields(cls) -> tuple[str, ...]:
+        code = cls.__init__.__code__
+        return code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return type(self).__qualname__ + "(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields()
+            if not name.startswith("_")) + ")"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def isfinite(x) -> bool:

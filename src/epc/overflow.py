@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from .errors import DivergenceError, EpcError, StabilityError
 from .light_tail import _base_check, optimal_code
 from .models import (Exponential, LengthSeq, SourceModel, _Profile, _exp,
                      _ln_series, shannon_entropy, total_mass)
-from .numeric import LN2, check_finite, check_nonnegative, check_positive
+from .numeric import (LN2, _Value, check_finite, check_nonnegative,
+                      check_positive)
 
 __all__ = [
     "Deterministic", "ExponentialArrivals", "GammaArrivals", "TableTransform",
@@ -46,7 +46,7 @@ _NEAR = _S_TOL / 8.0
 
 # ------------------------------------------------------------- intermissions
 
-class _Arrivals:
+class _Arrivals(_Value):
     """An intermission law answers ln_transform(s) = ln E[e^(-sT)] and
     mean_gap() = E[T]; transform(s) is the exp of the first. ln_transform
     is convex in s, as that of every law is (Hoelder's inequality), and
@@ -56,17 +56,15 @@ class _Arrivals:
         return math.exp(self.ln_transform(s))
 
 
-@dataclass(frozen=True)
 class Deterministic(_Arrivals):
     """Every intermission lasts exactly `gap` time units."""
 
-    gap: float
-
-    def __post_init__(self) -> None:
-        check_finite("gap", self.gap)     # a NaN would pass the test below
-        if self.gap < 1.0:
+    def __init__(self, gap: float) -> None:
+        check_finite("gap", gap)     # a NaN would pass the test below
+        if gap < 1.0:
             raise StabilityError(
                 "deterministic intermission must be at least one bit time")
+        self.__dict__.update(gap=gap)
 
     def ln_transform(self, s: float) -> float:
         check_nonnegative("s", s)
@@ -76,14 +74,12 @@ class Deterministic(_Arrivals):
         return self.gap
 
 
-@dataclass(frozen=True)
 class ExponentialArrivals(_Arrivals):
     """Memoryless intermissions with the given rate."""
 
-    rate: float
-
-    def __post_init__(self) -> None:
-        check_positive("rate", self.rate)
+    def __init__(self, rate: float) -> None:
+        check_positive("rate", rate)
+        self.__dict__.update(rate=rate)
 
     def ln_transform(self, s: float) -> float:
         check_nonnegative("s", s)
@@ -93,14 +89,11 @@ class ExponentialArrivals(_Arrivals):
         return 1.0 / self.rate
 
 
-@dataclass(frozen=True)
 class GammaArrivals(_Arrivals):
-    shape: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        check_positive("shape", self.shape)
-        check_positive("rate", self.rate)
+    def __init__(self, shape: float, rate: float) -> None:
+        check_positive("shape", shape)
+        check_positive("rate", rate)
+        self.__dict__.update(shape=shape, rate=rate)
 
     def ln_transform(self, s: float) -> float:
         check_nonnegative("s", s)
@@ -110,7 +103,6 @@ class GammaArrivals(_Arrivals):
         return self.shape / self.rate
 
 
-@dataclass(frozen=True)
 class TableTransform(_Arrivals):
     """User-measured transform samples (s, value), log-linearly interpolated.
 
@@ -119,15 +111,12 @@ class TableTransform(_Arrivals):
     log-slopes from sample to sample must never fall by more than rounding.
     """
 
-    samples: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        pairs = tuple(self.samples)     # tested before float() can overflow
+    def __init__(self, samples: tuple[tuple[float, float], ...]) -> None:
+        pairs = tuple(samples)      # tested before float() can overflow
         for pair in pairs:      # a NaN would pass every comparison below
             for value in pair:
                 check_finite("transform samples", value)
         samples = tuple((float(s), float(v)) for s, v in pairs)
-        object.__setattr__(self, "samples", samples)
         if len(samples) < 2:
             raise ValueError("need at least two samples")
         if samples[0] != (0.0, 1.0):
@@ -152,9 +141,8 @@ class TableTransform(_Arrivals):
             if rise > _ROUNDING * (1.0 - logs[k + 1] - slopes[k] * ss[k + 1]):
                 raise ValueError("transform samples must be log-convex: the "
                                  f"log-slope falls at s = {ss[k]!r}")
-        object.__setattr__(self, "_points", ss)
-        object.__setattr__(self, "_logs", logs)
-        object.__setattr__(self, "_slopes", slopes)
+        self.__dict__.update(samples=samples, _points=ss, _logs=logs,
+                             _slopes=slopes)
 
     def ln_transform(self, s: float) -> float:
         check_nonnegative("s", s)
@@ -175,12 +163,12 @@ class DecayRate(NamedTuple):
     at_boundary: bool   # True when no positive s keeps f at or below one
 
 
-@dataclass(frozen=True)
-class OverflowResult:
-    code: LengthSeq
-    decay_rate: float
-    at_boundary: bool
-    trace: tuple          # (decay rate, code) per iterate
+class OverflowResult(_Value):
+    def __init__(self, code: LengthSeq, decay_rate: float, at_boundary: bool,
+                 trace: tuple) -> None:
+        # trace: (decay rate, code) per iterate
+        self.__dict__.update(code=code, decay_rate=decay_rate,
+                             at_boundary=at_boundary, trace=trace)
 
     @property
     def iterations(self) -> int:

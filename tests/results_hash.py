@@ -30,7 +30,6 @@ Uses the standard library alone; pytest does not collect it.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 import sys
@@ -56,10 +55,14 @@ def canonical(x):
         return [canonical(v) for v in x]
     if hasattr(x, "head") and hasattr(x, "tail"):   # a code
         return ["code", canonical(x.head), canonical(x.tail), str(x)]
-    if dataclasses.is_dataclass(x):
-        return [type(x).__name__] + [
-            [f.name, canonical(getattr(x, f.name))]
-            for f in dataclasses.fields(x) if not f.name.startswith("_")]
+    # a value's fields, in a tree from before the value base its dataclass
+    # fields
+    names = (x._fields() if callable(getattr(x, "_fields", None))
+             else getattr(x, "__dataclass_fields__", None))
+    if names is not None:
+        return [type(x).__name__] + [[name, canonical(getattr(x, name))]
+                                     for name in names
+                                     if not name.startswith("_")]
     raise TypeError(f"no canonical form for {type(x).__name__}")
 
 

@@ -236,7 +236,7 @@ def test_optimize_weights_exact(tmp_path, capsys, penalty, expected):
 
 
 def test_overflow_weights_prints_lengths(tmp_path, capsys):
-    # the finite code prints as a lengths line, not as a dataclass repr
+    # the finite code prints as a lengths line, not as its repr
     f = tmp_path / "w.txt"
     f.write_text("5 1 3 2 8 1 1 4\n")
     assert _stdout(capsys, ["overflow", "--weights", str(f), "--exponential",

@@ -103,6 +103,24 @@ def test_explicit_code_roundtrip():
     assert got == code
 
 
+@pytest.mark.parametrize("code", [
+    ExplicitCode((3, 1, 3, 2)), UnaryEndedCode((2, 1, 3), 3)],
+    ids=["explicit", "unary-ended"])
+def test_a_code_writes_its_descriptor_once(code, monkeypatch):
+    # the descriptor is kept on the code: a second encode writes no varints
+    lists = []
+
+    def counted(values):
+        lists.append(values)
+        return bits.uleb128_encode_all(values)
+
+    monkeypatch.setattr(codec, "uleb128_encode_all", counted)
+    first = encode([1, 0, 3, 2], code)
+    assert encode([1, 0, 3, 2], code) == first
+    assert len(lists) == 1
+    assert read_container(first) == (code, [1, 0, 3, 2])
+
+
 def test_explicit_code_is_canonical_only():
     canonical = ExplicitCode((1, 2, 2))
     assert canonical.codeword(2) == "11"

@@ -19,14 +19,15 @@ LAYERS = ("epc.codec", "epc.overflow", "epc.analysis")
 _ROOT = str(pathlib.Path(epc.__file__).resolve().parent.parent)
 
 
-def _fresh(code: str, cwd=None):
-    """Run code after `import json, sys, epc` in a new interpreter and return what
-    it prints last, read as JSON."""
+def _fresh(code: str, cwd=None, before: str = ""):
+    """Run code after `import json, sys, epc` in a new interpreter, the code
+    `before` ahead of that import, and return what it prints last, read as
+    JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [_ROOT, *filter(None, [env.get("PYTHONPATH")])])
     out = subprocess.run(
-        [sys.executable, "-c", "import json, sys, epc\n" + code],
+        [sys.executable, "-c", before + "import json, sys, epc\n" + code],
         env=env, cwd=cwd, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -37,6 +38,16 @@ _LOADED = ("print(json.dumps(sorted(m for m in sys.modules "
 
 def test_import_loads_only_the_code_builders():
     assert set(_fresh(_LOADED)) == CORE
+
+
+def test_no_layer_loads_dataclasses():
+    # the value classes share one base: loading every layer loads no
+    # dataclasses module, unless something loaded it before epc
+    assert _fresh("""
+import epc.codec, epc.overflow, epc.analysis, epc.cli
+print(json.dumps([kept, "dataclasses" in sys.modules]))""",
+                  before="import sys\nkept = 'dataclasses' in sys.modules\n"
+                  ) in ([False, False], [True, True])
 
 
 def test_a_lazy_name_is_its_modules_object():

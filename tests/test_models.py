@@ -812,13 +812,33 @@ def test_kept_log_masses_are_ln_mass_bit_for_bit(kind):
     assert source.masses(300) == list(map(source.mass, range(300)))
 
 
+@pytest.mark.parametrize("kind", ["finite", "tailed"])
+def test_a_listed_heads_log_masses_are_ln_mass_bit_for_bit(kind):
+    # a listed head's stretch is read as one log over a slice of it: the
+    # floats of ln_mass, at spans ending inside the head, at its end and on
+    # a tailed source past it (past _KEPT unkept), read cold and grown
+    def make():
+        if kind == "finite":
+            return _zipf(300)
+        return with_geometric_tail(_zipf(300).probs[:200], 0.7)
+
+    grown = make()
+    end = len(grown.head)
+    for n in ((1, end - 1, end) if kind == "finite"
+              else (1, end - 1, end, end + 1, end + 150, _KEPT + 3)):
+        want = list(map(grown.ln_mass, range(n)))
+        assert make().ln_masses(0, n) == want, n
+        assert grown.ln_masses(0, n) == want, n
+        assert grown.ln_masses(n // 2, n) == want[n // 2:], n
+
+
 def test_a_finite_source_computes_each_log_mass_once():
     class Counting(ExplicitFinite):
         reads = 0
 
-        def ln_mass(self, i):
-            Counting.reads += 1
-            return super().ln_mass(i)
+        def _ln_run(self, j, n):    # every log mass ln_masses computes
+            Counting.reads += n - j
+            return super()._ln_run(j, n)
 
     source = Counting(_zipf(20000).probs)
     want = list(map(math.log, source.probs))

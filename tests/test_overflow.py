@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -898,8 +897,7 @@ def _counting(arrivals):
             Counting.points.append(s)
             return super().ln_transform(s)
 
-    return Counting(*(getattr(arrivals, field.name)
-                      for field in dataclasses.fields(arrivals)))
+    return Counting(*arrivals._values())
 
 
 _BUDGET_MODELS = pytest.mark.parametrize("model", [
